@@ -88,9 +88,16 @@ std::vector<std::byte> WireReader::read_bytes() {
   return out;
 }
 
-std::vector<double> WireReader::read_f64_vector() {
+std::uint32_t WireReader::read_count(std::size_t min_element_bytes) {
   const std::uint32_t n = read_u32();
-  need(static_cast<std::size_t>(n) * 8);
+  if (min_element_bytes != 0 && n > remaining() / min_element_bytes) {
+    throw ParseError("wire element count exceeds the message");
+  }
+  return n;
+}
+
+std::vector<double> WireReader::read_f64_vector() {
+  const std::uint32_t n = read_count(8);
   std::vector<double> out;
   out.reserve(n);
   for (std::uint32_t i = 0; i < n; ++i) out.push_back(read_f64());

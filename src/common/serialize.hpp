@@ -60,6 +60,10 @@ class WireReader {
   [[nodiscard]] std::string read_string();
   [[nodiscard]] std::vector<std::byte> read_bytes();
   [[nodiscard]] std::vector<double> read_f64_vector();
+  /// Reads a u32 element count and throws ParseError unless that many
+  /// elements of at least `min_element_bytes` each still fit in the
+  /// message, so a garbage count can never size an allocation.
+  [[nodiscard]] std::uint32_t read_count(std::size_t min_element_bytes);
 
   [[nodiscard]] std::size_t remaining() const { return data_.size() - pos_; }
   [[nodiscard]] bool done() const { return remaining() == 0; }

@@ -10,35 +10,15 @@ namespace vdce::dm {
 namespace {
 
 /// Receiving channel that performs the TCP accept lazily on the first
-/// receive() call (the accept happens on the receive thread, matching
-/// the proxy handshake of Figure 7).
+/// receive (on the consuming stage's thread, matching the proxy
+/// handshake of Figure 7).
 class LazyAcceptChannel final : public Channel {
  public:
   explicit LazyAcceptChannel(std::unique_ptr<TcpListener> listener)
       : listener_(std::move(listener)) {}
 
-  void send(std::span<const std::byte>) override {
-    throw common::TransportError("send on a receive-only channel");
-  }
-
   void send_frame(const FrameView&) override {
     throw common::TransportError("send on a receive-only channel");
-  }
-
-  std::optional<std::vector<std::byte>> receive() override {
-    ensure_accepted(0.0);
-    return inner_ ? inner_->receive() : std::nullopt;
-  }
-
-  std::optional<std::vector<std::byte>> receive_for(
-      double timeout_s) override {
-    ensure_accepted(timeout_s);
-    return inner_ ? inner_->receive_for(timeout_s) : std::nullopt;
-  }
-
-  std::optional<FrameView> receive_frame() override {
-    ensure_accepted(0.0);
-    return inner_ ? inner_->receive_frame() : std::nullopt;
   }
 
   std::optional<FrameView> receive_frame_for(double timeout_s) override {
@@ -101,9 +81,9 @@ std::shared_ptr<Channel> ChannelBroker::open_receive(const LinkKey& key) {
   return receiver;
 }
 
-std::shared_ptr<Channel> ChannelBroker::open_send(const LinkKey& key,
-                                                  common::Duration timeout_s) {
-  std::unique_lock lk(mu_);
+ChannelBroker::Registration& ChannelBroker::await_registration(
+    std::unique_lock<std::mutex>& lk, const LinkKey& key,
+    common::Duration timeout_s) {
   const auto deadline =
       std::chrono::steady_clock::now() +
       std::chrono::duration_cast<std::chrono::steady_clock::duration>(
@@ -129,7 +109,13 @@ std::shared_ptr<Channel> ChannelBroker::open_send(const LinkKey& key,
     throw common::TransportError(
         "channel setup aborted: application cleared from the broker");
   }
-  Registration& reg = registrations_.at(key);
+  return registrations_.at(key);
+}
+
+std::shared_ptr<Channel> ChannelBroker::open_send(const LinkKey& key,
+                                                  common::Duration timeout_s) {
+  std::unique_lock lk(mu_);
+  Registration& reg = await_registration(lk, key, timeout_s);
   if (kind_ == TransportKind::kInProcess) {
     if (!reg.inproc_sender) {
       throw common::StateError("link sender already claimed");
@@ -158,29 +144,7 @@ std::shared_ptr<RingChannel> ChannelBroker::open_stream_receive(
 std::shared_ptr<RingChannel> ChannelBroker::open_stream_send(
     const LinkKey& key, common::Duration timeout_s) {
   std::unique_lock lk(mu_);
-  const auto deadline =
-      std::chrono::steady_clock::now() +
-      std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-          std::chrono::duration<double>(timeout_s));
-  const std::uint64_t entry_generation = [&] {
-    const auto it = clear_generation_.find(key.app);
-    return it == clear_generation_.end() ? 0 : it->second;
-  }();
-  bool cleared = false;
-  if (!cv_.wait_until(lk, deadline, [&] {
-        const auto it = clear_generation_.find(key.app);
-        cleared =
-            it != clear_generation_.end() && it->second != entry_generation;
-        return cleared || registrations_.contains(key);
-      })) {
-    throw common::TransportError(
-        "stream setup timed out waiting for the consumer");
-  }
-  if (cleared) {
-    throw common::TransportError(
-        "stream setup aborted: application cleared from the broker");
-  }
-  Registration& reg = registrations_.at(key);
+  Registration& reg = await_registration(lk, key, timeout_s);
   if (!reg.ring) {
     throw common::StateError("link is registered as a batch channel");
   }

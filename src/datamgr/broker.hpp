@@ -106,6 +106,12 @@ class ChannelBroker {
     bool ring_claimed = false;
   };
 
+  /// Waits (under `lk`) for the consumer to register `key`; throws
+  /// TransportError on timeout or when clear_app(key.app) runs meanwhile.
+  Registration& await_registration(std::unique_lock<std::mutex>& lk,
+                                   const LinkKey& key,
+                                   common::Duration timeout_s);
+
   TransportKind kind_;
   std::mutex mu_;
   std::condition_variable cv_;

@@ -1,7 +1,6 @@
 #include "datamgr/channel.hpp"
 
 #include <atomic>
-#include <cstring>
 
 #include "common/error.hpp"
 #include "common/metrics.hpp"
@@ -9,20 +8,16 @@
 
 namespace vdce::dm {
 
-// -- Channel base defaults (for third-party transports) ------------------
+// -- Channel adapters ------------------------------------------------------
 
-void Channel::send_frame(const FrameView& frame) { send(frame.bytes()); }
-
-std::optional<FrameView> Channel::receive_frame() {
-  auto msg = receive();
-  if (!msg) return std::nullopt;
-  return FramePool::global().copy_of(*msg);
+void Channel::send(std::span<const std::byte> message) {
+  send_frame(FramePool::global().copy_of(message));
 }
 
-std::optional<FrameView> Channel::receive_frame_for(double timeout_s) {
-  auto msg = receive_for(timeout_s);
-  if (!msg) return std::nullopt;
-  return FramePool::global().copy_of(*msg);
+std::optional<std::vector<std::byte>> Channel::receive_for(double timeout_s) {
+  auto frame = receive_frame_for(timeout_s);
+  if (!frame) return std::nullopt;
+  return frame->to_vector();
 }
 
 namespace {
@@ -43,24 +38,15 @@ class InProcSender final : public Channel {
   explicit InProcSender(std::shared_ptr<InProcCore> core)
       : core_(std::move(core)) {}
 
-  void send(std::span<const std::byte> message) override {
-    // One copy: caller's buffer into a frame.  Consumers then share it.
-    Frame frame = FramePool::global().allocate(message.size());
-    if (!message.empty()) {
-      std::memcpy(frame.data(), message.data(), message.size());
-    }
-    push(frame.view(), message.size());
-  }
-
   void send_frame(const FrameView& frame) override {
-    push(frame, frame.size());  // zero-copy: refcount bump only
+    // Zero-copy: the queue carries the view, a refcount bump only.
+    if (!core_->queue.push(frame)) {
+      throw common::TransportError("send on closed in-process channel");
+    }
+    core_->bytes_sent += frame.size();
   }
 
-  std::optional<std::vector<std::byte>> receive() override {
-    wrong_direction("receive on the sending end of an in-process channel");
-  }
-
-  std::optional<std::vector<std::byte>> receive_for(double) override {
+  std::optional<FrameView> receive_frame_for(double) override {
     wrong_direction("receive on the sending end of an in-process channel");
   }
 
@@ -69,13 +55,6 @@ class InProcSender final : public Channel {
   std::size_t bytes_sent() const override { return core_->bytes_sent; }
 
  private:
-  void push(FrameView view, std::size_t n) {
-    if (!core_->queue.push(std::move(view))) {
-      throw common::TransportError("send on closed in-process channel");
-    }
-    core_->bytes_sent += n;
-  }
-
   std::shared_ptr<InProcCore> core_;
 };
 
@@ -84,32 +63,12 @@ class InProcReceiver final : public Channel {
   explicit InProcReceiver(std::shared_ptr<InProcCore> core)
       : core_(std::move(core)) {}
 
-  void send(std::span<const std::byte>) override {
-    wrong_direction("send on the receiving end of an in-process channel");
-  }
-
   void send_frame(const FrameView&) override {
     wrong_direction("send on the receiving end of an in-process channel");
   }
 
-  std::optional<std::vector<std::byte>> receive() override {
-    auto view = core_->queue.pop();
-    if (!view) return std::nullopt;
-    return view->to_vector();
-  }
-
-  std::optional<std::vector<std::byte>> receive_for(double timeout_s) override {
-    auto view = receive_frame_for(timeout_s);
-    if (!view) return std::nullopt;
-    return view->to_vector();
-  }
-
-  std::optional<FrameView> receive_frame() override {
-    return core_->queue.pop();
-  }
-
   std::optional<FrameView> receive_frame_for(double timeout_s) override {
-    if (timeout_s <= 0.0) return receive_frame();
+    if (timeout_s <= 0.0) return core_->queue.pop();
     auto view = core_->queue.pop_for(std::chrono::duration<double>(timeout_s));
     if (view) return view;
     // pop_for returns nullopt both on timeout and on an orderly close;

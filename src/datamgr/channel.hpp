@@ -9,12 +9,11 @@
 // supports socket programming can be part of VDCE").  Messages are
 // framed: send() delivers a whole message or throws.
 //
-// Two parallel method families exist (design D13):
-//   * vector-based send/receive -- the original copying interface, kept
-//     for callers that want an owned buffer;
-//   * frame-based send_frame/receive_frame -- the zero-copy interface.
-//     A FrameView pins a pooled slab, so passing one through a channel
-//     shares the producer's single allocation with every consumer.
+// The interface is frame-first (design D13): a FrameView pins a pooled
+// slab, so passing one through a channel shares the producer's single
+// allocation with every consumer.  Transports implement send_frame()
+// and receive_frame_for(); the vector-based send/receive are adapters
+// for callers that want an owned buffer.
 #pragma once
 
 #include <cstddef>
@@ -33,34 +32,33 @@ class Channel {
  public:
   virtual ~Channel() = default;
 
-  /// Sends one framed message; throws TransportError if the channel is
-  /// closed.
-  virtual void send(std::span<const std::byte> message) = 0;
+  /// Zero-copy send of one framed message: the channel forwards the view
+  /// (bumping its slab refcount) instead of copying bytes where the
+  /// transport allows.  Throws TransportError if the channel is closed.
+  virtual void send_frame(const FrameView& frame) = 0;
 
-  /// Zero-copy send: the channel forwards the view (bumping its slab
-  /// refcount) instead of copying bytes where the transport allows.
-  /// The base default copies via send() for third-party channels.
-  virtual void send_frame(const FrameView& frame);
+  /// Sends a copy of `message` (by default through one pooled frame).
+  virtual void send(std::span<const std::byte> message);
 
-  /// Blocks for the next message; nullopt once the channel is closed
-  /// and drained.
-  [[nodiscard]] virtual std::optional<std::vector<std::byte>> receive() = 0;
-
-  /// Like receive(), but gives up after `timeout_s` seconds, throwing
-  /// TransportError — the guard that keeps a machine thread from
-  /// hanging forever on a dead peer.  Pure virtual: a transport that
-  /// silently ignored the deadline would defeat the guard, so every
-  /// channel must implement it.  `timeout_s <= 0` blocks.
-  [[nodiscard]] virtual std::optional<std::vector<std::byte>> receive_for(
+  /// Waits for the next message as a pooled frame view; nullopt once the
+  /// channel is closed and drained.  Gives up after `timeout_s` seconds
+  /// with TransportError -- the guard that keeps a stage thread from
+  /// hanging forever on a dead peer; `timeout_s <= 0` blocks.  Pure
+  /// virtual: a transport that silently ignored the deadline would
+  /// defeat the guard, so every channel must implement it.
+  [[nodiscard]] virtual std::optional<FrameView> receive_frame_for(
       double timeout_s) = 0;
 
-  /// Blocks for the next message as a pooled frame view; nullopt once
-  /// the channel is closed and drained.  The base default copies the
-  /// receive() result into a pooled frame.
-  [[nodiscard]] virtual std::optional<FrameView> receive_frame();
+  /// Blocking receive_frame_for().
+  [[nodiscard]] std::optional<FrameView> receive_frame() {
+    return receive_frame_for(0.0);
+  }
 
-  /// Frame-view variant of receive_for(); same deadline contract.
-  [[nodiscard]] virtual std::optional<FrameView> receive_frame_for(
+  /// Owned-buffer variants of receive_frame()/receive_frame_for().
+  [[nodiscard]] std::optional<std::vector<std::byte>> receive() {
+    return receive_for(0.0);
+  }
+  [[nodiscard]] std::optional<std::vector<std::byte>> receive_for(
       double timeout_s);
 
   /// Closes the channel; pending receives drain, then return nullopt.

@@ -10,11 +10,16 @@
 // Lifecycle (Figure 7): the Application Controller activates the Data
 // Manager (construct), the Data Manager sets up its channels via the
 // broker (setup(), which completes the paper's setup/acknowledgment
-// step), and on the execution startup signal run() spawns one receive
-// thread per in-edge, the compute thread, and one send thread per
-// out-edge.
+// step), and on the execution startup signal the task's frames run.
+//
+// Departure from Section 2.3.2: no separate send, receive and compute
+// threads.  The calling stage thread does all three in order, once per
+// frame, and since D13 the TCP event loop serves every socket receive
+// (DESIGN.md D9 shows why the order cannot deadlock).
 #pragma once
 
+#include <memory>
+#include <optional>
 #include <vector>
 
 #include "common/ids.hpp"
@@ -35,6 +40,10 @@ struct TaskWiring {
   std::vector<TaskId> parents;
   /// Child task ids (the output payload is replicated to each).
   std::vector<TaskId> children;
+  /// Stream links (D16): when nonzero and the broker is in-process,
+  /// every link is a bounded RingChannel of this many frames instead of
+  /// an unbounded queue pair.
+  std::size_t ring_capacity = 0;
 };
 
 /// Statistics of one task execution, for the visualization services.
@@ -43,8 +52,6 @@ struct ExecutionStats {
   std::size_t bytes_sent = 0;
   std::size_t messages_received = 0;
   std::size_t messages_sent = 0;
-  /// Sends that shared one pooled frame across links (D13 fast path).
-  std::size_t zero_copy_frames = 0;
 };
 
 /// Per-task Data Manager.
@@ -63,11 +70,19 @@ class DataManager {
   /// application always completes.
   void setup(const TaskWiring& wiring);
 
-  /// Executes the task (Figure 7 step 5): receive threads collect one
-  /// payload per parent, the compute thread runs the library function,
-  /// send threads push the result to every child.  `console`, when
-  /// given, is honoured at the pre- and post-compute checkpoints.
-  /// Returns the task's output payload.
+  /// Executes one frame of the task (Figure 7 step 5) on the calling
+  /// thread: one payload received per parent in port order, the library
+  /// function, then the output sent to every child in wiring order.
+  /// `console`, when given, is honoured at the pre- and post-compute
+  /// checkpoints.  Returns nullopt, without computing, when the first
+  /// input is at end of stream (its producer closed after its last
+  /// frame); a later input closing mid-frame is a TransportError.
+  [[nodiscard]] std::optional<tasklib::Payload> run_frame(
+      const tasklib::TaskRegistry& registry, const std::string& library_task,
+      const tasklib::TaskContext& ctx, ConsoleService* console = nullptr);
+
+  /// One-shot run_frame(): an input closed before delivering is an
+  /// error.  Returns the task's output payload.
   [[nodiscard]] tasklib::Payload run(const tasklib::TaskRegistry& registry,
                                      const std::string& library_task,
                                      const tasklib::TaskContext& ctx,
@@ -78,21 +93,26 @@ class DataManager {
 
   /// Arms a receive-side timeout for run(): a peer that neither
   /// delivers nor closes within `seconds` fails the receive with a
-  /// TransportError instead of hanging this machine thread forever
-  /// (the Control Manager's retry loop then re-places the task).
+  /// TransportError instead of hanging this stage thread forever
+  /// (the engine's recovery then re-runs the task).
   /// `seconds <= 0` (the default) blocks indefinitely.
   void set_recv_timeout(double seconds) { recv_timeout_s_ = seconds; }
-  [[nodiscard]] double recv_timeout() const { return recv_timeout_s_; }
 
   [[nodiscard]] const ExecutionStats& stats() const { return stats_; }
-  [[nodiscard]] MpLibrary library() const { return library_; }
 
   /// The wire image (type tag + body) of the last run()'s output as a
-  /// pooled frame view — the very slab the send threads shipped, so a
+  /// pooled frame view — the very slab the sends shipped, so a
   /// checkpoint capture of it costs a refcount bump, not a copy.
   /// Invalid before run() completes.
   [[nodiscard]] const FrameView& output_frame() const {
     return output_frame_;
+  }
+
+  /// The input links that are bounded rings (stream links), for their
+  /// occupancy and backpressure counters.
+  [[nodiscard]] const std::vector<std::shared_ptr<RingChannel>>& input_rings()
+      const {
+    return input_rings_;
   }
 
  private:
@@ -103,6 +123,7 @@ class DataManager {
   double recv_timeout_s_ = 0.0;
   std::vector<MessageEndpoint> inputs_;   // one per parent, same order
   std::vector<MessageEndpoint> outputs_;  // one per child, same order
+  std::vector<std::shared_ptr<RingChannel>> input_rings_;
   ExecutionStats stats_;
   FrameView output_frame_;
 };

@@ -64,21 +64,9 @@ MessageEndpoint::MessageEndpoint(MpLibrary library,
 
 void MessageEndpoint::send(int tag, std::span<const std::byte> data) {
   if (library_ == MpLibrary::kPvm) {
-    // pvm_pkbyte-style: the message travels as fragments, each its own
-    // frame, preceded by a header frame carrying tag and count.
-    const std::size_t nfrag =
-        data.empty() ? 0 : (data.size() + kPvmFragment - 1) / kPvmFragment;
-    WireWriter header;
-    header.write_u8(static_cast<std::uint8_t>(MpLibrary::kPvm));
-    header.write_u32(static_cast<std::uint32_t>(tag));
-    header.write_u32(static_cast<std::uint32_t>(nfrag));
-    header.write_u64(data.size());
-    channel_->send(header.bytes());
-    for (std::size_t i = 0; i < nfrag; ++i) {
-      const std::size_t off = i * kPvmFragment;
-      const std::size_t len = std::min(kPvmFragment, data.size() - off);
+    send_pvm(tag, data.size(), [&](std::size_t off, std::size_t len) {
       channel_->send(data.subspan(off, len));
-    }
+    });
     return;
   }
   // One pooled envelope, payload copied in exactly once.
@@ -91,27 +79,31 @@ void MessageEndpoint::send(int tag, std::span<const std::byte> data) {
 
 void MessageEndpoint::send_frame(int tag, const FrameView& data) {
   if (library_ == MpLibrary::kPvm) {
-    const std::size_t nfrag =
-        data.empty() ? 0 : (data.size() + kPvmFragment - 1) / kPvmFragment;
-    WireWriter header;
-    header.write_u8(static_cast<std::uint8_t>(MpLibrary::kPvm));
-    header.write_u32(static_cast<std::uint32_t>(tag));
-    header.write_u32(static_cast<std::uint32_t>(nfrag));
-    header.write_u64(data.size());
-    channel_->send(header.bytes());
-    for (std::size_t i = 0; i < nfrag; ++i) {
-      const std::size_t off = i * kPvmFragment;
-      const std::size_t len = std::min(kPvmFragment, data.size() - off);
-      // Fragments ride as subviews of the payload frame: zero copies.
+    // Fragments ride as subviews of the payload frame: zero copies.
+    send_pvm(tag, data.size(), [&](std::size_t off, std::size_t len) {
       channel_->send_frame(data.subview(off, len));
-    }
+    });
     return;
   }
-  PreparedFrame prep = prepare(tag, data.size());
-  if (!data.empty()) {
-    std::memcpy(prep.body().data(), data.data(), data.size());
+  send(tag, data.bytes());
+}
+
+template <typename SendFragment>
+void MessageEndpoint::send_pvm(int tag, std::size_t size,
+                               SendFragment&& send_fragment) {
+  // pvm_pkbyte-style: the message travels as fragments, each its own
+  // frame, preceded by a header frame carrying tag and count.
+  const std::size_t nfrag = (size + kPvmFragment - 1) / kPvmFragment;
+  WireWriter header;
+  header.write_u8(static_cast<std::uint8_t>(MpLibrary::kPvm));
+  header.write_u32(static_cast<std::uint32_t>(tag));
+  header.write_u32(static_cast<std::uint32_t>(nfrag));
+  header.write_u64(size);
+  channel_->send(header.bytes());
+  for (std::size_t i = 0; i < nfrag; ++i) {
+    const std::size_t off = i * kPvmFragment;
+    send_fragment(off, std::min(kPvmFragment, size - off));
   }
-  send_prepared(prep.frame.view());
 }
 
 PreparedFrame MessageEndpoint::prepare(int tag, std::size_t body_size) {

@@ -118,6 +118,10 @@ class MessageEndpoint {
  private:
   [[nodiscard]] std::optional<TaggedFrame> receive_frame_impl(
       double timeout_s);
+  /// PVM framing: a header frame, then `send_fragment(offset, length)`
+  /// for each kPvmFragment-sized piece of a `size`-byte payload.
+  template <typename SendFragment>
+  void send_pvm(int tag, std::size_t size, SendFragment&& send_fragment);
 
   MpLibrary library_;
   std::shared_ptr<Channel> channel_;

@@ -1,7 +1,6 @@
 #include "datamgr/ring_channel.hpp"
 
 #include <chrono>
-#include <cstring>
 #include <string>
 
 #include "common/error.hpp"
@@ -65,34 +64,19 @@ bool RingChannel::try_push(FrameView frame) {
   return true;
 }
 
-std::optional<FrameView> RingChannel::pop() {
-  std::optional<FrameView> out;
-  {
-    std::unique_lock lk(mu_);
-    if (count_ == 0 && !eos_ && !aborted_) {
-      ++stats_.consumer_parks;
-      not_empty_.wait(lk, [&] { return count_ > 0 || eos_ || aborted_; });
-    }
-    if (aborted_) {
-      throw common::TransportError("pop on an aborted ring channel");
-    }
-    if (count_ == 0) return std::nullopt;  // clean EOS, drained
-    out = take_locked();
-  }
-  not_full_.notify_one();
-  return out;
-}
+std::optional<FrameView> RingChannel::pop() { return pop_for(0.0); }
 
 std::optional<FrameView> RingChannel::pop_for(double timeout_s) {
-  if (timeout_s <= 0.0) return pop();
   std::optional<FrameView> out;
   {
     std::unique_lock lk(mu_);
-    if (count_ == 0 && !eos_ && !aborted_) {
+    const auto ready = [&] { return count_ > 0 || eos_ || aborted_; };
+    if (!ready()) {
       ++stats_.consumer_parks;
-      if (!not_empty_.wait_for(
-              lk, std::chrono::duration<double>(timeout_s),
-              [&] { return count_ > 0 || eos_ || aborted_; })) {
+      if (timeout_s <= 0.0) {
+        not_empty_.wait(lk, ready);
+      } else if (!not_empty_.wait_for(
+                     lk, std::chrono::duration<double>(timeout_s), ready)) {
         common::MetricsRegistry::global()
             .counter("datamgr.deadline_expiries")
             .add(1);
@@ -103,7 +87,7 @@ std::optional<FrameView> RingChannel::pop_for(double timeout_s) {
     if (aborted_) {
       throw common::TransportError("pop on an aborted ring channel");
     }
-    if (count_ == 0) return std::nullopt;
+    if (count_ == 0) return std::nullopt;  // clean EOS, drained
     out = take_locked();
   }
   not_full_.notify_one();
@@ -171,37 +155,6 @@ RingChannelStats RingChannel::stats() const {
 }
 
 // -- Channel interface ----------------------------------------------------
-
-void RingChannel::send(std::span<const std::byte> message) {
-  Frame frame = FramePool::global().allocate(message.size());
-  if (!message.empty()) {
-    std::memcpy(frame.data(), message.data(), message.size());
-  }
-  push(frame.view());
-}
-
-void RingChannel::send_frame(const FrameView& frame) { push(frame); }
-
-std::optional<std::vector<std::byte>> RingChannel::receive() {
-  auto view = pop();
-  if (!view) return std::nullopt;
-  return view->to_vector();
-}
-
-std::optional<std::vector<std::byte>> RingChannel::receive_for(
-    double timeout_s) {
-  auto view = pop_for(timeout_s);
-  if (!view) return std::nullopt;
-  return view->to_vector();
-}
-
-std::optional<FrameView> RingChannel::receive_frame() { return pop(); }
-
-std::optional<FrameView> RingChannel::receive_frame_for(double timeout_s) {
-  return pop_for(timeout_s);
-}
-
-void RingChannel::close() { close_send(); }
 
 std::size_t RingChannel::bytes_sent() const {
   std::lock_guard lk(mu_);

@@ -108,16 +108,13 @@ class RingChannel final : public Channel {
 
   // -- Channel interface -------------------------------------------------
 
-  void send(std::span<const std::byte> message) override;
-  void send_frame(const FrameView& frame) override;
-  [[nodiscard]] std::optional<std::vector<std::byte>> receive() override;
-  [[nodiscard]] std::optional<std::vector<std::byte>> receive_for(
-      double timeout_s) override;
-  [[nodiscard]] std::optional<FrameView> receive_frame() override;
+  void send_frame(const FrameView& frame) override { push(frame); }
   [[nodiscard]] std::optional<FrameView> receive_frame_for(
-      double timeout_s) override;
+      double timeout_s) override {
+    return pop_for(timeout_s);
+  }
   /// Orderly close: identical to close_send().
-  void close() override;
+  void close() override { close_send(); }
   [[nodiscard]] std::size_t bytes_sent() const override;
 
  private:

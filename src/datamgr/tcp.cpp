@@ -118,7 +118,7 @@ void TcpChannel::send_frame(const FrameView& frame) {
   send_bytes(frame.bytes());  // straight out of the pooled slab
 }
 
-std::optional<FrameView> TcpChannel::queue_pop(double timeout_s) {
+std::optional<FrameView> TcpChannel::receive_frame_for(double timeout_s) {
   auto finish = [this](std::optional<FrameView> view)
       -> std::optional<FrameView> {
     if (view) {
@@ -149,25 +149,6 @@ std::optional<FrameView> TcpChannel::queue_pop(double timeout_s) {
       .add(1);
   throw TransportError("tcp receive timed out after " +
                        std::to_string(timeout_s) + "s");
-}
-
-std::optional<std::vector<std::byte>> TcpChannel::receive() {
-  auto view = receive_frame();
-  if (!view) return std::nullopt;
-  return view->to_vector();
-}
-
-std::optional<std::vector<std::byte>> TcpChannel::receive_for(
-    double timeout_s) {
-  auto view = receive_frame_for(timeout_s);
-  if (!view) return std::nullopt;
-  return view->to_vector();
-}
-
-std::optional<FrameView> TcpChannel::receive_frame() { return queue_pop(0.0); }
-
-std::optional<FrameView> TcpChannel::receive_frame_for(double timeout_s) {
-  return queue_pop(timeout_s);
 }
 
 void TcpChannel::set_max_message_bytes(std::size_t limit) {

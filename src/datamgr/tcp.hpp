@@ -43,12 +43,9 @@ class TcpChannel final : public Channel {
   TcpChannel(const TcpChannel&) = delete;
   TcpChannel& operator=(const TcpChannel&) = delete;
 
+  /// Straight out of the caller's buffer: no pooled copy first.
   void send(std::span<const std::byte> message) override;
   void send_frame(const FrameView& frame) override;
-  [[nodiscard]] std::optional<std::vector<std::byte>> receive() override;
-  [[nodiscard]] std::optional<std::vector<std::byte>> receive_for(
-      double timeout_s) override;
-  [[nodiscard]] std::optional<FrameView> receive_frame() override;
   [[nodiscard]] std::optional<FrameView> receive_frame_for(
       double timeout_s) override;
   void close() override;
@@ -59,7 +56,6 @@ class TcpChannel final : public Channel {
   void set_max_message_bytes(std::size_t limit);
 
  private:
-  [[nodiscard]] std::optional<FrameView> queue_pop(double timeout_s);
   void send_bytes(std::span<const std::byte> body);
 
   int fd_;

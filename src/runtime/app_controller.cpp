@@ -27,22 +27,27 @@ TaskOutcome ApplicationController::execute(
     const tasklib::TaskRegistry& registry, const std::string& library_task,
     const tasklib::TaskContext& ctx, dm::ConsoleService* console) {
   TaskOutcome outcome;
+  // Refusal path: channels stay open (caller owns teardown), but the
+  // stats must still reflect the setup traffic so far.
+  const auto refuse = [&](RescheduleRequest::Kind kind, std::string reason,
+                          double load) {
+    RescheduleRequest& req = outcome.reschedule.emplace();
+    req.app = app_;
+    req.task = wiring_.task;
+    req.host = host_;
+    req.observed_load = load;
+    req.kind = kind;
+    req.reason = std::move(reason);
+    outcome.io_stats = dm_.stats();
+    return outcome;
+  };
 
   // Pre-compute fault guard: a host inside a failure window never gets
   // the task (checked before the load guard -- a dead host's load
   // reading is meaningless).
   if (alive_probe_ && !alive_probe_(host_)) {
-    RescheduleRequest req;
-    req.app = app_;
-    req.task = wiring_.task;
-    req.host = host_;
-    req.kind = RescheduleRequest::Kind::kHostFailure;
-    req.reason = "host " + std::to_string(host_.value()) + " is down";
-    outcome.reschedule = req;
-    // Refusal path: channels stay open (caller owns teardown), but the
-    // stats must still reflect the setup traffic so far.
-    outcome.io_stats = dm_.stats();
-    return outcome;
+    return refuse(RescheduleRequest::Kind::kHostFailure,
+                  "host " + std::to_string(host_.value()) + " is down", 0.0);
   }
 
   // Pre-compute load guard: "If the current load on any of these
@@ -52,28 +57,26 @@ TaskOutcome ApplicationController::execute(
   if (probe_) {
     const double load = probe_();
     if (load > threshold_) {
-      RescheduleRequest req;
-      req.app = app_;
-      req.task = wiring_.task;
-      req.host = host_;
-      req.observed_load = load;
-      req.kind = RescheduleRequest::Kind::kLoadThreshold;
-      req.reason = "load " + std::to_string(load) + " above threshold " +
-                   std::to_string(threshold_);
-      outcome.reschedule = req;
-      outcome.io_stats = dm_.stats();
-      return outcome;
+      return refuse(RescheduleRequest::Kind::kLoadThreshold,
+                    "load " + std::to_string(load) + " above threshold " +
+                        std::to_string(threshold_),
+                    load);
     }
   }
 
   const auto t0 = std::chrono::steady_clock::now();
-  outcome.payload = dm_.run(registry, library_task, ctx, console);
+  auto payload = dm_.run_frame(registry, library_task, ctx, console);
   const auto t1 = std::chrono::steady_clock::now();
+  outcome.io_stats = dm_.stats();
+  if (!payload) {
+    outcome.end_of_stream = true;
+    return outcome;
+  }
+  outcome.payload = std::move(*payload);
   outcome.compute_elapsed_s =
       std::chrono::duration<double>(t1 - t0).count();
   outcome.completed = true;
   outcome.output_frame = dm_.output_frame();
-  outcome.io_stats = dm_.stats();
   return outcome;
 }
 

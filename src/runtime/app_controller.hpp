@@ -45,10 +45,13 @@ struct TaskOutcome {
   /// caller owns teardown (the engine's retry loop reuses or rebinds
   /// them; anyone else must call shutdown()).
   std::optional<RescheduleRequest> reschedule;
+  /// Set instead of `payload` when the task's first input was at end of
+  /// stream: the frame never ran (the stream is over).
+  bool end_of_stream = false;
   tasklib::Payload payload;
   /// The output's wire image as a pooled frame view -- the same slab
-  /// the Data Manager's send threads shipped, handed to the checkpoint
-  /// store without another copy (D13).  Invalid on refusal paths.
+  /// the Data Manager's sends shipped, handed to the checkpoint store
+  /// without another copy (D13).  Invalid on refusal paths.
   dm::FrameView output_frame;
   /// Compute-phase wall time, seconds (what the Site Manager stores in
   /// the task-performance database).
@@ -87,8 +90,9 @@ class ApplicationController {
   void rebind_host(HostId host) { host_ = host; }
   [[nodiscard]] HostId host() const { return host_; }
 
-  /// Phase 2 (after the startup signal): runs the task under the Data
-  /// Manager, timing the compute phase.
+  /// Phase 2 (after the startup signal): runs one frame of the task
+  /// under the Data Manager, timing the compute phase.  Every call
+  /// consults the fault guard first, then the load guard.
   [[nodiscard]] TaskOutcome execute(const tasklib::TaskRegistry& registry,
                                     const std::string& library_task,
                                     const tasklib::TaskContext& ctx,

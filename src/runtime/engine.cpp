@@ -1,30 +1,42 @@
+// The one stage runner behind ExecutionEngine and StreamingEngine
+// (DESIGN.md D9): rounds of stage threads, the per-frame step, and the
+// single recovery model.  A batch run is a one-frame stream whose
+// finished outputs are kept; a stream ledgers its sinks instead.
 #include "runtime/engine.hpp"
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <exception>
 #include <latch>
-#include <semaphore>
+#include <limits>
+#include <mutex>
 #include <thread>
 #include <unordered_map>
 
 #include "common/error.hpp"
 #include "common/log.hpp"
 #include "common/metrics.hpp"
+#include "common/serialize.hpp"
 #include "common/trace.hpp"
 #include "datamgr/mplib.hpp"
 #include "runtime/checkpoint.hpp"
+#include "runtime/streaming.hpp"
 
 namespace vdce::rt {
 
 namespace {
 
 /// Message tag of inter-task payload frames; must match the Data
-/// Manager's payload tag so replayed inputs are indistinguishable from
+/// Manager's payload tag so restored inputs are indistinguishable from
 /// live ones.
 constexpr int kPayloadTag = 7;
+constexpr std::uint64_t kFnvOffset = 0xCBF29CE484222325ull;
 
-std::chrono::duration<double> seconds(double s) {
-  return std::chrono::duration<double>(s);
+using Clock = std::chrono::steady_clock;
+
+double seconds_since(Clock::time_point t0) {
+  return std::chrono::duration<double>(Clock::now() - t0).count();
 }
 
 std::string hosts_csv(const std::vector<common::HostId>& hosts) {
@@ -35,6 +47,573 @@ std::string hosts_csv(const std::vector<common::HostId>& hosts) {
   }
   return out;
 }
+
+std::uint64_t fnv1a(std::uint64_t h, std::span<const std::byte> bytes) {
+  for (const std::byte b : bytes) {
+    h ^= static_cast<std::uint64_t>(b);
+    h *= 0x100000001B3ull;
+  }
+  return h;
+}
+
+/// Durable sink-state wire image (the per-window checkpoint payload):
+///   u64 watermark (== frames_emitted)   u64 digest   u64 bytes
+///   u32 retained-output count, then each output length-prefixed.
+dm::FrameView encode_sink(const SinkStreamResult& r) {
+  common::WireWriter w;
+  w.write_u64(r.frames_emitted);
+  w.write_u64(r.digest);
+  w.write_u64(r.bytes_emitted);
+  w.write_u32(static_cast<std::uint32_t>(r.outputs.size()));
+  for (const auto& out : r.outputs) w.write_bytes(out);
+  return dm::FramePool::global().copy_of(w.bytes());
+}
+
+void decode_sink(const dm::FrameView& fv, SinkStreamResult& r) {
+  common::WireReader rd(fv.bytes());
+  r.frames_emitted = rd.read_u64();
+  r.digest = rd.read_u64();
+  r.bytes_emitted = rd.read_u64();
+  r.outputs.clear();
+  const std::uint32_t kept = rd.read_count(4);
+  for (std::uint32_t i = 0; i < kept; ++i) {
+    r.outputs.push_back(rd.read_bytes());
+  }
+}
+
+/// One execute() of either engine: the stages of one AFG, their
+/// placements, and the rounds that run them.  `stream` null is a batch
+/// run: frame 0 only, every finished output kept and fed to later
+/// rounds.  Otherwise the stages run the stream's frames and its sinks
+/// are ledgered, checkpointed per window, and resumed.
+class StageRunner {
+ public:
+  struct Stage {
+    const afg::TaskNode* node = nullptr;
+    HostId host;
+    bool source = false;
+    int attempts = 0;              // attempts started, every round
+    std::size_t moves = 0;         // successful re-placements
+    bool had_failure = false;      // some attempt did not complete
+    bool done = false;             // output final and kept (batch)
+    bool replayed = false;         // restored from the CheckpointStore
+    std::string error;             // why this round's attempt failed
+    std::vector<HostId> excluded;  // hosts this task must avoid
+    double backoff_s = 0.0;        // the next retry nap
+    double backoff_spent_s = 0.0;  // cumulative backoff slept so far
+    TaskOutcome outcome;           // the last frame's outcome
+    Duration turnaround_s = 0.0;   // first start signal to completion
+    std::uint64_t frames = 0;      // frames computed, every round
+    // A stream sink's ledger.  It outlives rounds: a sink whose host
+    // survived keeps its watermark (frames_emitted) across a restart.
+    std::optional<SinkStreamResult> sink;
+    bool sink_lost = false;  // host died: roll back to the durable window
+  };
+
+  StageRunner(const tasklib::TaskRegistry& registry,
+              const EngineConfig& config, const afg::FlowGraph& graph,
+              const sched::AllocationTable& allocation,
+              const FaultTolerance* ft, common::AppId app,
+              dm::ConsoleService* console,
+              const StreamingConfig* stream = nullptr,
+              CheckpointStore* checkpoint = nullptr,
+              const std::atomic<std::uint64_t>* stop = nullptr)
+      : registry_(registry),
+        config_(config),
+        graph_(graph),
+        ft_(ft),
+        app_(app),
+        console_(console),
+        stream_(stream),
+        checkpoint_(checkpoint),
+        stop_(stop),
+        stop_generation_(stop != nullptr ? stop->load() : 0),
+        broker_(config.transport),
+        recovery_on_(ft != nullptr && ft->reschedule != nullptr),
+        windowed_(stream != nullptr && checkpoint != nullptr &&
+                  stream->checkpoint_window > 0) {
+    graph.validate();
+    const std::vector<TaskId> topo = graph.topological_order();
+    for (std::size_t i = 0; i < topo.size(); ++i) rank_.emplace(topo[i], i);
+    stages.reserve(graph.task_count());
+    for (const afg::TaskNode& node : graph.tasks()) {
+      if (!allocation.contains(node.id)) {
+        throw common::StateError("allocation table misses task " +
+                                 node.label);
+      }
+      Stage& s = stages.emplace_back();
+      s.node = &node;
+      s.host = allocation.entry(node.id).primary_host();
+      s.source = graph.parents(node.id).empty();
+      s.backoff_s = config.retry_backoff_s;
+      index_.emplace(node.id, stages.size() - 1);
+    }
+    if (stream == nullptr) return;
+    for (const TaskId t : graph.exit_tasks()) {
+      SinkStreamResult& sink = stages[index_.at(t)].sink.emplace();
+      sink.task = t;
+      sink.label = graph.task(t).label;
+      sink.digest = kFnvOffset;
+    }
+  }
+
+  /// Runs rounds until every stage finished.  Throws StateError naming
+  /// the failing task once recovery is off, out of budget, or out of
+  /// hosts; every stage thread is joined first.
+  void run() {
+    for (int round = 1;; ++round) {
+      const std::uint64_t resume =
+          stream_ != nullptr ? resume_frame(round) : 0;
+      if (run_round(round, resume)) return;
+      recover();
+      ++restarts;
+      if (stream_ != nullptr) metric("streaming.restarts").add(1);
+    }
+  }
+
+  std::vector<Stage> stages;  // graph.tasks() order
+  int restarts = 0;
+  std::uint64_t frames_resumed = 0;
+  std::size_t max_ring_occupancy = 0;
+  std::uint64_t producer_parks = 0;
+  std::vector<double> sink_latencies_s;
+
+ private:
+  static common::Counter& metric(const char* name) {
+    return common::MetricsRegistry::global().counter(name);
+  }
+
+  /// One round: every unfinished stage does the Figure 7 set-up and
+  /// acknowledgment, then runs its frames from `resume` after the
+  /// start signal.  True when no stage failed.
+  bool run_round(int round, std::uint64_t resume) {
+    broker_.clear_app(app_);  // the previous round's links are stale
+    cause_ = nullptr;
+    std::size_t live = 0;
+    for (Stage& s : stages) {
+      s.error.clear();
+      if (!s.done) ++live;
+    }
+    if (live == 0) return true;  // all restored from a checkpoint
+    common::log_info("engine", "app ", app_.value(), " '", graph_.name(),
+                     "': round ", round, " delivers execution requests to ",
+                     live, " tasks");
+    std::latch acks(static_cast<std::ptrdiff_t>(live));
+    std::latch start(1);  // Figure 7 step 5
+    {
+      // The D12 restore path: feeders stand in for finished stages'
+      // machines and push each kept output into its unfinished
+      // consumers' re-opened channels, indistinguishable from the live
+      // send.  (Unfinished producers do not wire finished consumers.)
+      std::vector<std::jthread> feeders;
+      for (const Stage& d : stages) {
+        if (!d.done) continue;
+        for (const TaskId child : graph_.children(d.node->id)) {
+          if (stages[index_.at(child)].done) continue;
+          feeders.emplace_back([this, &d, child] {
+            try {
+              dm::MessageEndpoint out(
+                  config_.library,
+                  broker_.open_send(dm::LinkKey{app_, d.node->id, child}));
+              out.send_frame(kPayloadTag, d.outcome.output_frame);
+              out.close();
+            } catch (const std::exception&) {
+              // The consuming stage's own receive error is authoritative.
+            }
+          });
+        }
+      }
+      std::vector<std::jthread> threads;
+      threads.reserve(live);
+      for (Stage& s : stages) {
+        if (s.done) continue;
+        threads.emplace_back([this, &s, round, resume, &acks, &start] {
+          stage_main(s, round, resume, acks, start);
+        });
+      }
+      // "When all the required acknowledgments are received an
+      // execution startup signal is sent to start the application
+      // execution."
+      acks.wait();
+      if (round == 1) gang_start_ = Clock::now();
+      start.count_down();
+    }  // join every stage, then the feeders
+    return cause_ == nullptr;
+  }
+
+  /// One stage thread: set-up and acknowledgment, the start signal,
+  /// then the frames.  The acknowledgment latch is counted down exactly
+  /// once whether set-up succeeds or throws.
+  void stage_main(Stage& s, int round, std::uint64_t resume, std::latch& acks,
+                  std::latch& start) {
+    ApplicationController controller(broker_, config_.library, app_, s.host);
+    if (ft_ != nullptr) {
+      double recv_s = config_.recv_timeout_s;
+      if (round > 1 && config_.attempt_timeout_s > 0.0 &&
+          (recv_s <= 0.0 || config_.attempt_timeout_s < recv_s)) {
+        recv_s = config_.attempt_timeout_s;
+      }
+      if (recv_s > 0.0) controller.set_recv_timeout(recv_s);
+      if (ft_->host_alive) controller.set_fault_guard(ft_->host_alive);
+      arm_load_guard(controller, s.host);
+    }
+    bool acked = false;
+    try {
+      // Unfinished children in topological rank: with every stage
+      // sending in that order and receiving in port order, blocked
+      // stages cannot wait in a cycle (DESIGN.md D9).
+      std::vector<TaskId> children;
+      for (const TaskId c : graph_.children(s.node->id)) {
+        if (!stages[index_.at(c)].done) children.push_back(c);
+      }
+      std::sort(children.begin(), children.end(),
+                [&](TaskId a, TaskId b) { return rank_.at(a) < rank_.at(b); });
+      const dm::TaskWiring wiring{
+          app_, s.node->id, graph_.ordered_parents(s.node->id),
+          std::move(children),
+          stream_ != nullptr ? stream_->channel_capacity : 0};
+      {
+        common::ScopedSpan setup_span("channel_setup", "engine");
+        if (setup_span.active()) {
+          setup_span.arg("task", s.node->label);
+          setup_span.arg("host", s.host.value());
+        }
+        controller.activate(wiring);  // channel setup + ack
+      }
+      acks.count_down();
+      acked = true;
+      start.wait();  // the execution startup signal
+      run_frames(s, controller, resume);
+    } catch (const std::exception& e) {
+      {
+        std::lock_guard lk(mu_);
+        s.error = e.what();
+        if (cause_ == nullptr) cause_ = &s;  // the round's first failure
+      }
+      // A stream's rings are aborted so every parked stage wakes; batch
+      // links unblock through this stage's own channel close below.
+      if (stream_ != nullptr) broker_.clear_app(app_);
+      if (!acked) acks.count_down();
+    }
+    // Closing retires this stage from every link: end of stream for its
+    // consumers after a clean finish, unblocked peers after a failure.
+    controller.shutdown();
+    const auto& rings = controller.data_manager().input_rings();
+    if (!rings.empty()) {
+      std::lock_guard lk(mu_);
+      for (const auto& ring : rings) {
+        const dm::RingChannelStats rs = ring->stats();
+        max_ring_occupancy = std::max(max_ring_occupancy, rs.high_water);
+        producer_parks += rs.producer_parks;
+      }
+    }
+  }
+
+  /// The frame loop, once per attempt: a guard check, one receive per
+  /// parent in port order, the compute, one send per child.  Sources
+  /// stop at the frame count (1 for batch) or a stop request, every
+  /// other stage at the frame count or end of stream.
+  void run_frames(Stage& s, ApplicationController& controller,
+                  std::uint64_t k) {
+    const std::uint64_t first = k;
+    const std::uint64_t frames = stream_ != nullptr ? stream_->frames : 1;
+    for (;;) {
+      ++s.attempts;
+      std::optional<RescheduleRequest> refusal;
+      {
+        common::ScopedSpan span("attempt", "engine.task");
+        if (span.active()) {
+          span.rename("task:" + s.node->label);
+          span.arg("app", app_.value());
+          span.arg("host", s.host.value());
+          span.arg("attempt", s.attempts);
+          if (!s.excluded.empty()) span.arg("excluded", hosts_csv(s.excluded));
+        }
+        for (; frames == 0 || k < frames; ++k) {
+          if (s.source && stop_ != nullptr &&
+              stop_->load(std::memory_order_relaxed) != stop_generation_) {
+            break;
+          }
+          if (s.source && stream_ != nullptr && stream_->track_latency) {
+            std::lock_guard lk(latency_mu_);  // birth: before the sends
+            born_[k] = Clock::now();
+          }
+          tasklib::TaskContext ctx;
+          ctx.input_size = s.node->props.input_size;
+          common::Rng rng(
+              stream_frame_seed(config_.seed, k) ^
+              (static_cast<std::uint64_t>(app_.value()) << 32) ^
+              s.node->id.value());
+          ctx.rng = &rng;
+          TaskOutcome out = controller.execute(
+              registry_, s.node->library_task, ctx, console_);
+          if (out.reschedule) {
+            refusal = std::move(out.reschedule);
+            break;
+          }
+          if (out.end_of_stream) {
+            if (stream_ == nullptr) {
+              throw common::TransportError(
+                  "input channel closed before delivering data");
+            }
+            break;
+          }
+          ++s.frames;
+          if (s.sink) sink_frame(s, k, out);  // stream sinks only
+          s.outcome = std::move(out);
+        }
+        if (span.active()) {
+          span.arg("outcome", refusal ? "refused" : "completed");
+        }
+      }
+      if (!refusal) break;
+      // A refusal before the stage's first frame of this round is
+      // re-placed right here, channels intact; a later one ends the
+      // round (the stage has already passed frames on).
+      if (k != first || !re_place(s, controller, *refusal)) {
+        throw common::StateError("refused by its Application Controller: " +
+                                 refusal->reason);
+      }
+    }
+    if (stream_ == nullptr) s.done = true;
+    s.turnaround_s = seconds_since(gang_start_);
+  }
+
+  /// Stream sink bookkeeping after frame `k`: exactly-once counting,
+  /// latency samples, and windowed checkpoints.
+  void sink_frame(Stage& s, std::uint64_t k, const TaskOutcome& out) {
+    SinkStreamResult& r = *s.sink;
+    if (k < r.frames_emitted) {
+      // A frame below the watermark re-flowed after a resume: already
+      // counted, never emit twice.
+      ++r.frames_skipped;
+      m_skipped_.add(1);
+      return;
+    }
+    const std::span<const std::byte> wire = out.output_frame.bytes();
+    r.digest = fnv1a(r.digest, wire);
+    r.bytes_emitted += wire.size();
+    ++r.frames_emitted;
+    m_emitted_.add(1);
+    if (stream_->collect_outputs) {
+      r.outputs.emplace_back(wire.begin(), wire.end());
+    }
+    if (stream_->track_latency) {
+      std::lock_guard lk(latency_mu_);
+      if (const auto it = born_.find(k); it != born_.end()) {
+        sink_latencies_s.push_back(seconds_since(it->second));
+        born_.erase(it);
+      }
+    }
+    if (stream_->on_sink_frame) stream_->on_sink_frame(s.node->id, k);
+    if (windowed_ && r.frames_emitted % stream_->checkpoint_window == 0) {
+      checkpoint_->record(
+          app_, s.node->id,
+          static_cast<int>(r.frames_emitted / stream_->checkpoint_window),
+          s.host, encode_sink(r), 0.0);
+      ++r.windows_captured;
+      m_windows_.add(1);
+    }
+  }
+
+  /// The stream's resume point for the next round: the lowest durable
+  /// sink window.  Reconciles every sink with its durable state first.
+  std::uint64_t resume_frame(int round) {
+    {
+      std::lock_guard lk(latency_mu_);
+      born_.clear();
+    }
+    std::uint64_t resume = std::numeric_limits<std::uint64_t>::max();
+    for (Stage& s : stages) {
+      if (!s.sink) continue;
+      SinkStreamResult durable;
+      durable.digest = kFnvOffset;
+      if (windowed_) {
+        if (const auto entry = checkpoint_->replay(app_, s.node->id)) {
+          decode_sink(entry->frame, durable);
+        }
+      }
+      SinkStreamResult& r = *s.sink;
+      // A sink whose host died lost its in-memory state and re-emits
+      // from its last durable window; a fresh execute() of an app the
+      // store already holds starts there too.
+      if (s.sink_lost || durable.frames_emitted > r.frames_emitted) {
+        if (s.sink_lost && r.frames_emitted > durable.frames_emitted) {
+          const std::uint64_t lost = r.frames_emitted - durable.frames_emitted;
+          r.frames_rolled_back += lost;
+          metric("streaming.frames_rolled_back").add(lost);
+        }
+        r.frames_emitted = durable.frames_emitted;
+        r.digest = durable.digest;
+        r.bytes_emitted = durable.bytes_emitted;
+        r.outputs = std::move(durable.outputs);
+        s.sink_lost = false;
+      }
+      resume = std::min(resume, durable.frames_emitted);
+    }
+    if (round > 1) {
+      frames_resumed += resume;
+      metric("streaming.frames_resumed").add(resume);
+      if (resume > 0) {
+        common::log_info("engine", "app ", app_.value(),
+                         ": resuming from checkpoint window at frame ",
+                         resume);
+      }
+    }
+    return resume;
+  }
+
+  /// In-place re-placement after an early guard refusal: report,
+  /// exclude the refusing host, re-place, rebind, back off.  False when
+  /// the refusal must stand (no recovery, no budget, no host).
+  bool re_place(Stage& s, ApplicationController& controller,
+                const RescheduleRequest& refusal) {
+    if (!recovery_on_ || s.attempts >= config_.max_attempts) return false;
+    if (ft_->on_failure) ft_->on_failure(refusal);
+    if (!relocate(s)) return false;  // nowhere left to go
+    controller.rebind_host(s.host);
+    arm_load_guard(controller, s.host);
+    backoff_sleep(s);
+    return true;
+  }
+
+  /// After a failed round: report every failed stage, re-place every
+  /// unfinished stage whose host is dead, and back off.  Throws when
+  /// recovery is off or a stage to re-run has no attempt left.
+  void recover() {
+    Stage& cause = *cause_;
+    const std::string what =
+        "task " + cause.node->label + " failed: " + cause.error;
+    if (!recovery_on_) throw common::StateError(what);
+    for (const Stage& s : stages) {
+      if (!s.done && s.attempts >= config_.max_attempts) {
+        throw common::StateError(what);
+      }
+    }
+    for (Stage& s : stages) {
+      if (s.done) continue;
+      const bool dead = ft_->host_alive && !ft_->host_alive(s.host);
+      if (!s.error.empty()) {
+        s.had_failure = true;
+        if (ft_->on_failure) {
+          RescheduleRequest report;
+          report.app = app_;
+          report.task = s.node->id;
+          report.host = s.host;
+          report.kind = dead ? RescheduleRequest::Kind::kHostFailure
+                             : RescheduleRequest::Kind::kTaskError;
+          report.reason = s.error;
+          ft_->on_failure(report);
+        }
+      }
+      if (!dead) continue;  // a live host retries in place
+      s.sink_lost = s.sink.has_value();
+      if (!relocate(s)) {
+        throw common::StateError("no feasible host left for task " +
+                                 s.node->label + " (" + what + ")");
+      }
+    }
+    backoff_sleep(cause);
+    common::log_info("engine", "app ", app_.value(), ": ", what,
+                     "; starting round ", restarts + 2, " of at most ",
+                     config_.max_attempts);
+  }
+
+  /// Excludes the stage's host and asks the rescheduler for another;
+  /// false when no feasible host remains.
+  bool relocate(Stage& s) {
+    s.excluded.push_back(s.host);
+    const auto replacement = ft_->reschedule(*s.node, s.excluded);
+    if (!replacement) return false;
+    s.host = replacement->primary_host();
+    ++s.moves;
+    s.had_failure = true;
+    common::log_info("engine", "app ", app_.value(), " task ",
+                     s.node->label, " re-placed on host ", s.host.value());
+    if (common::trace_enabled()) {
+      common::trace_instant("re_placed", "engine",
+                            {{"task", s.node->label},
+                             {"host", std::to_string(s.host.value())},
+                             {"excluded", hosts_csv(s.excluded)}});
+    }
+    return true;
+  }
+
+  void arm_load_guard(ApplicationController& controller, HostId host) {
+    if (ft_ == nullptr || !ft_->host_load ||
+        !std::isfinite(config_.load_threshold)) {
+      return;
+    }
+    controller.set_load_guard(
+        [probe = ft_->host_load, host] { return probe(host); },
+        config_.load_threshold);
+  }
+
+  /// One retry-backoff nap: jittered so lockstep retries de-correlate,
+  /// clamped so the task's CUMULATIVE backoff never exceeds
+  /// max_total_backoff_s (an in-place sleep stalls every peer blocked
+  /// on this task's channels), routed through the FaultTolerance sleep
+  /// hook when one is installed (tests sleep virtually), and advanced
+  /// for the next retry.  The jitter draw is seeded from (engine seed,
+  /// app, task, attempt) -- never from implicit global state -- so a
+  /// replay with the same seed sleeps the exact same schedule.
+  void backoff_sleep(Stage& s) {
+    double nap = 0.0;
+    if (config_.max_total_backoff_s > 0.0) {
+      double jittered = s.backoff_s;
+      if (config_.retry_backoff_jitter > 0.0) {
+        common::Rng jitter_rng(
+            config_.seed ^ (static_cast<std::uint64_t>(app_.value()) << 32) ^
+            s.node->id.value() ^
+            (0xC4CEB9FE1A85EC53ull * static_cast<std::uint64_t>(s.attempts)));
+        jittered *=
+            1.0 + config_.retry_backoff_jitter * (jitter_rng.uniform() - 0.5);
+      }
+      nap = std::min(jittered,
+                     config_.max_total_backoff_s - s.backoff_spent_s);
+    }
+    if (nap > 0.0) {
+      if (common::trace_enabled()) {
+        common::trace_instant(
+            "retry_backoff", "engine",
+            {{"task", s.node->label}, {"sleep_s", std::to_string(nap)}});
+      }
+      if (ft_ != nullptr && ft_->sleep) {
+        ft_->sleep(nap);
+      } else {
+        std::this_thread::sleep_for(std::chrono::duration<double>(nap));
+      }
+      s.backoff_spent_s += nap;
+    }
+    s.backoff_s *= config_.retry_backoff_multiplier;
+  }
+
+  const tasklib::TaskRegistry& registry_;
+  const EngineConfig& config_;
+  const afg::FlowGraph& graph_;
+  const FaultTolerance* ft_;
+  const common::AppId app_;
+  dm::ConsoleService* console_;
+  const StreamingConfig* stream_;
+  CheckpointStore* checkpoint_;
+  const std::atomic<std::uint64_t>* stop_;
+  const std::uint64_t stop_generation_;
+  dm::ChannelBroker broker_;
+  const bool recovery_on_;
+  const bool windowed_;
+  std::unordered_map<TaskId, std::size_t> index_;
+  std::unordered_map<TaskId, std::size_t> rank_;  // topological position
+  Clock::time_point gang_start_ = Clock::now();
+  // mu_ guards cause_, the stage errors and the ring totals;
+  // latency_mu_ guards born_ and sink_latencies_s.
+  std::mutex mu_;
+  Stage* cause_ = nullptr;
+  std::mutex latency_mu_;
+  std::map<std::uint64_t, Clock::time_point> born_;
+  common::Counter& m_emitted_ = metric("streaming.frames_emitted");
+  common::Counter& m_skipped_ = metric("streaming.frames_skipped");
+  common::Counter& m_windows_ = metric("streaming.windows_captured");
+};
 
 }  // namespace
 
@@ -49,18 +628,10 @@ RunResult ExecutionEngine::execute(const afg::FlowGraph& graph,
                                    const FaultTolerance* ft,
                                    common::AppId app,
                                    CheckpointStore* checkpoint) {
-  graph.validate();
-  for (const afg::TaskNode& node : graph.tasks()) {
-    if (!allocation.contains(node.id)) {
-      throw common::StateError("allocation table misses task " + node.label);
-    }
-  }
-
   if (!app.valid()) {
-    app = common::AppId{
-        next_app_.fetch_add(1, std::memory_order_relaxed)};
+    app = common::AppId{next_app_.fetch_add(1, std::memory_order_relaxed)};
   }
-  dm::ChannelBroker broker(config_.transport);
+  StageRunner runner(*registry_, config_, graph, allocation, ft, app, console);
 
   common::ScopedSpan app_span("execute", "engine");
   if (app_span.active()) {
@@ -69,597 +640,96 @@ RunResult ExecutionEngine::execute(const afg::FlowGraph& graph,
     app_span.arg("tasks", graph.task_count());
   }
   auto& metrics = common::MetricsRegistry::global();
-  common::Counter& m_tasks = metrics.counter("engine.tasks_completed");
-  common::Counter& m_attempts = metrics.counter("engine.attempts");
-  common::Counter& m_retries = metrics.counter("engine.retries");
-  common::Counter& m_reschedules = metrics.counter("engine.reschedules");
-  common::Counter& m_recovered =
-      metrics.counter("engine.failures_recovered");
-  common::Histogram& m_turnaround =
-      metrics.histogram("engine.turnaround_s");
-  common::Counter& m_ckpt_captured =
-      metrics.counter("engine.checkpoint.captured");
-  common::Counter& m_ckpt_replayed =
-      metrics.counter("engine.checkpoint.replayed");
-  common::Counter& m_ckpt_bytes =
-      metrics.counter("engine.checkpoint.bytes_captured");
-
-  const bool recovery_on = ft != nullptr && ft->reschedule != nullptr;
-  const bool load_guarded =
-      ft != nullptr && ft->host_load != nullptr &&
-      std::isfinite(config_.load_threshold);
-
-  struct Slot {
-    const afg::TaskNode* node = nullptr;
-    HostId host;
-    TaskOutcome outcome;
-    Duration turnaround_s = 0.0;
-    std::string error;
-    int attempts = 1;
-    bool had_failure = false;   // at least one attempt did not complete
-    bool replayed = false;      // restored from a checkpoint, never ran
-    std::size_t moves = 0;      // successful re-placements
-    std::vector<HostId> excluded;  // hosts this task must avoid
-    double backoff_spent_s = 0.0;  // cumulative backoff slept so far
-  };
-  std::vector<Slot> slots(graph.task_count());
-  {
-    std::size_t i = 0;
-    for (const afg::TaskNode& node : graph.tasks()) {
-      slots[i].node = &node;
-      slots[i].host = allocation.entry(node.id).primary_host();
-      ++i;
-    }
-  }
-  std::unordered_map<TaskId, std::size_t> slot_of;
-  slot_of.reserve(slots.size());
-  for (std::size_t i = 0; i < slots.size(); ++i) {
-    slot_of.emplace(slots[i].node->id, i);
-  }
 
   // Checkpoint restore: tasks the store already holds for this app are
-  // not executed again.  Their recorded frames are replayed into the
-  // fresh broker below, so successor tasks receive inputs bit-identical
-  // to the capturing run's live sends.
-  std::size_t live_count = slots.size();
-  if (checkpoint != nullptr) {
-    for (Slot& slot : slots) {
-      auto entry = checkpoint->replay(app, slot.node->id);
-      if (!entry) continue;
-      slot.replayed = true;
-      slot.host = entry->host;
-      slot.attempts = entry->attempt;
-      slot.outcome.completed = true;
-      slot.outcome.compute_elapsed_s = entry->compute_s;
-      slot.outcome.payload =
-          tasklib::Payload::from_wire(entry->frame.to_vector());
-      // Keep the pinned frame: replay feeders send it zero-copy, and a
-      // re-capture below shares the same slab.
-      slot.outcome.output_frame = std::move(entry->frame);
-      --live_count;
-    }
-    if (live_count != slots.size()) {
-      m_ckpt_replayed.add(slots.size() - live_count);
-      common::log_info("engine", "app ", app.value(), ": restored ",
-                       slots.size() - live_count, "/", slots.size(),
-                       " tasks from checkpoint");
-      if (common::trace_enabled()) {
-        common::trace_instant(
-            "checkpoint_restore", "engine",
-            {{"app", std::to_string(app.value())},
-             {"tasks", std::to_string(slots.size() - live_count)}});
-      }
+  // finished before the first round; the feeders replay their recorded
+  // frames (zero-copy, the pinned slab), so successor tasks receive
+  // inputs bit-identical to the capturing run's live sends.
+  std::size_t restored = 0;
+  for (StageRunner::Stage& s : runner.stages) {
+    auto entry = checkpoint != nullptr ? checkpoint->replay(app, s.node->id)
+                                       : std::nullopt;
+    if (!entry) continue;
+    s.done = s.replayed = true;
+    s.host = entry->host;
+    s.attempts = entry->attempt;
+    s.outcome.compute_elapsed_s = entry->compute_s;
+    s.outcome.payload = tasklib::Payload::from_wire(entry->frame.to_vector());
+    s.outcome.output_frame = std::move(entry->frame);
+    ++restored;
+  }
+  if (restored > 0) {
+    metrics.counter("engine.checkpoint.replayed").add(restored);
+    common::log_info("engine", "app ", app.value(), ": restored ", restored,
+                     "/", runner.stages.size(), " tasks from checkpoint");
+    if (common::trace_enabled()) {
+      common::trace_instant("checkpoint_restore", "engine",
+                            {{"app", std::to_string(app.value())},
+                             {"tasks", std::to_string(restored)}});
     }
   }
 
-  std::latch setup_acks(static_cast<std::ptrdiff_t>(live_count));
-  std::latch start_signal(1);           // Figure 7 step 5
-
-  // Deterministic per-task RNG seed: recovery attempts reuse it, so a
-  // re-placed task produces the same output the original would have.
-  const auto task_seed = [&](TaskId task) {
-    return config_.seed ^
-           (static_cast<std::uint64_t>(app.value()) << 32) ^ task.value();
-  };
-
-  // One retry-backoff nap: jittered so lockstep retries de-correlate,
-  // clamped so the task's CUMULATIVE backoff never exceeds
-  // max_total_backoff_s (an in-gang sleep stalls every peer blocked on
-  // this task's channels), routed through the FaultTolerance sleep hook
-  // when one is installed (tests sleep virtually), and advanced for the
-  // next round.  `backoff` is the caller's current-round duration.  The
-  // jitter draw is seeded from (engine seed, app, task, attempt) --
-  // never from implicit global state -- so a replay with the same seed
-  // sleeps the exact same schedule through recovery.
-  const auto backoff_sleep = [&](Slot& slot, double& backoff) {
-    double nap = 0.0;
-    if (config_.max_total_backoff_s > 0.0) {
-      double jittered = backoff;
-      if (config_.retry_backoff_jitter > 0.0) {
-        common::Rng jitter_rng(
-            task_seed(slot.node->id) ^
-            (0xC4CEB9FE1A85EC53ull *
-             static_cast<std::uint64_t>(slot.attempts)));
-        jittered *= 1.0 + config_.retry_backoff_jitter *
-                              (jitter_rng.uniform() - 0.5);
-      }
-      nap = std::min(jittered,
-                     config_.max_total_backoff_s - slot.backoff_spent_s);
-    }
-    if (nap > 0.0) {
-      if (common::trace_enabled()) {
-        common::trace_instant(
-            "retry_backoff", "engine",
-            {{"task", slot.node->label}, {"sleep_s", std::to_string(nap)}});
-      }
-      if (ft != nullptr && ft->sleep) {
-        ft->sleep(nap);
-      } else {
-        std::this_thread::sleep_for(seconds(nap));
-      }
-      slot.backoff_spent_s += nap;
-    }
-    backoff *= config_.retry_backoff_multiplier;
-  };
-
-  // Controllers must outlive the worker threads.
-  std::vector<ApplicationController> controllers;
-  controllers.reserve(graph.task_count());
-  for (const Slot& slot : slots) {
-    controllers.emplace_back(broker, config_.library, app, slot.host);
-  }
-  const auto arm_guards = [&](ApplicationController& controller,
-                              HostId host) {
-    if (ft == nullptr) return;
-    if (config_.recv_timeout_s > 0.0) {
-      controller.set_recv_timeout(config_.recv_timeout_s);
-    }
-    if (ft->host_alive) controller.set_fault_guard(ft->host_alive);
-    if (load_guarded) {
-      controller.set_load_guard([probe = ft->host_load, host] {
-        return probe(host);
-      }, config_.load_threshold);
-    }
-  };
-  for (std::size_t i = 0; i < slots.size(); ++i) {
-    arm_guards(controllers[i], slots[i].host);
-  }
-
-  common::log_info("engine", "app ", app.value(), " '", graph.name(),
-                   "': delivering execution requests to ", live_count,
-                   " tasks");
-
-  std::chrono::steady_clock::time_point gang_start;
-  {
-    // Checkpoint replay threads stand in for the completed tasks'
-    // machines: feeders push each restored frame into every live
-    // consumer's re-opened channel (indistinguishable from the live
-    // send), and drainers absorb live producers' sends into completed
-    // consumers so no send thread blocks on a task that will never run.
-    // Declared before `machines` so they join last: a drainer can only
-    // unblock once the producing machine closed its channels.
-    std::vector<std::jthread> replayers;
-    const double drain_timeout_s =
-        config_.recv_timeout_s > 0.0 ? config_.recv_timeout_s : 60.0;
-    for (const Slot& slot : slots) {
-      if (!slot.replayed) continue;
-      const TaskId done = slot.node->id;
-      for (const TaskId child : graph.children(done)) {
-        if (slots[slot_of.at(child)].replayed) continue;
-        replayers.emplace_back([&, done, child] {
-          try {
-            dm::MessageEndpoint out(
-                config_.library,
-                broker.open_send(dm::LinkKey{app, done, child}));
-            const Slot& src = slots[slot_of.at(done)];
-            if (src.outcome.output_frame.valid()) {
-              out.send_frame(kPayloadTag, src.outcome.output_frame);
-            } else {
-              out.send(kPayloadTag, src.outcome.payload.to_wire());
-            }
-            out.close();
-          } catch (const std::exception&) {
-            // The consuming task's own receive error is authoritative.
-          }
-        });
-      }
-      for (const TaskId parent : graph.parents(done)) {
-        if (slots[slot_of.at(parent)].replayed) continue;
-        replayers.emplace_back([&, parent, done] {
-          try {
-            dm::MessageEndpoint in(
-                config_.library,
-                broker.open_receive(dm::LinkKey{app, parent, done}));
-            while (in.receive_for(drain_timeout_s).has_value()) {
-            }
-            in.close();
-          } catch (const std::exception&) {
-            // The producing task's own send error is authoritative.
-          }
-        });
-      }
-    }
-
-    std::vector<std::jthread> machines;
-    machines.reserve(live_count);
-    for (std::size_t i = 0; i < slots.size(); ++i) {
-      if (slots[i].replayed) continue;
-      machines.emplace_back([&, i] {
-        Slot& slot = slots[i];
-        ApplicationController& controller = controllers[i];
-        // One acknowledgment per machine: the latch must be counted
-        // down exactly once whether activate() succeeds, activate()
-        // throws, or a later phase throws.
-        bool acked = false;
-        try {
-          dm::TaskWiring wiring;
-          wiring.app = app;
-          wiring.task = slot.node->id;
-          wiring.parents = graph.ordered_parents(slot.node->id);
-          wiring.children = graph.children(slot.node->id);
-          {
-            common::ScopedSpan setup_span("channel_setup", "engine");
-            if (setup_span.active()) {
-              setup_span.arg("task", slot.node->label);
-              setup_span.arg("host", slot.host.value());
-            }
-            controller.activate(wiring);  // channel setup + ack
-          }
-          setup_acks.count_down();
-          acked = true;
-
-          start_signal.wait();  // the execution startup signal
-
-          const auto t0 = std::chrono::steady_clock::now();
-          tasklib::TaskContext ctx;
-          ctx.input_size = slot.node->props.input_size;
-          common::Rng rng(task_seed(slot.node->id));
-          ctx.rng = &rng;
-
-          // Pre-compute guard refusals (host dead, load above the
-          // threshold) happen before any channel is consumed, so the
-          // supervised retry runs right here inside the gang: report,
-          // re-place with the refusing host excluded, rebind, re-run.
-          double backoff = config_.retry_backoff_s;
-          for (;;) {
-            {
-              common::ScopedSpan attempt_span("attempt", "engine.task");
-              if (attempt_span.active()) {
-                attempt_span.rename("task:" + slot.node->label);
-                attempt_span.arg("app", app.value());
-                attempt_span.arg("host", controller.host().value());
-                attempt_span.arg("attempt", slot.attempts);
-                if (!slot.excluded.empty()) {
-                  attempt_span.arg("excluded", hosts_csv(slot.excluded));
-                }
-              }
-              slot.outcome = controller.execute(
-                  *registry_, slot.node->library_task, ctx, console);
-              if (attempt_span.active()) {
-                attempt_span.arg("outcome", slot.outcome.reschedule
-                                                ? "refused"
-                                                : "completed");
-              }
-            }
-            if (!slot.outcome.reschedule) break;
-            if (!recovery_on || slot.attempts >= config_.max_attempts) {
-              break;  // refusal stands; reported after the join
-            }
-            if (ft->on_failure) ft->on_failure(*slot.outcome.reschedule);
-            slot.excluded.push_back(controller.host());
-            const auto replacement =
-                ft->reschedule(*slot.node, slot.excluded);
-            if (!replacement) break;  // nowhere left to go
-            ++slot.attempts;
-            slot.had_failure = true;
-            ++slot.moves;
-            slot.host = replacement->primary_host();
-            controller.rebind_host(slot.host);
-            if (load_guarded) {
-              controller.set_load_guard(
-                  [probe = ft->host_load, host = slot.host] {
-                    return probe(host);
-                  },
-                  config_.load_threshold);
-            }
-            common::log_info("engine", "app ", app.value(), " task ",
-                             slot.node->label, " re-placed on host ",
-                             slot.host.value(), " (attempt ",
-                             slot.attempts, ")");
-            if (common::trace_enabled()) {
-              common::trace_instant(
-                  "re_placed", "engine",
-                  {{"task", slot.node->label},
-                   {"host", std::to_string(slot.host.value())},
-                   {"excluded", hosts_csv(slot.excluded)}});
-            }
-            backoff_sleep(slot, backoff);
-          }
-          slot.turnaround_s = std::chrono::duration<double>(
-                                  std::chrono::steady_clock::now() - t0)
-                                  .count();
-          controller.shutdown();
-        } catch (const std::exception& e) {
-          slot.error = e.what();
-          // Unblock peers: close this task's channels, then make sure
-          // the barrier protocol cannot deadlock the other machines.
-          controller.shutdown();
-          if (!acked) setup_acks.count_down();
-        }
-      });
-    }
-
-    // "When all the required acknowledgments are received an execution
-    // startup signal is sent to start the application execution."
-    setup_acks.wait();
-    common::log_info("engine", "app ", app.value(),
-                     ": all channel-setup acks received; sending startup "
-                     "signal");
-    gang_start = std::chrono::steady_clock::now();
-    start_signal.count_down();
-  }  // join all machine threads
-
-  // Supervised recovery of tasks that *failed* mid-gang (task error or
-  // transport collapse, including the cascade a failure inflicts on its
-  // consumers).  Processed in topological order so a recovered parent's
-  // recorded output is available to replay into its retried children.
-  if (recovery_on) {
-    for (const TaskId task : graph.topological_order()) {
-      Slot& slot = slots[slot_of.at(task)];
-      if (slot.error.empty()) continue;
-
-      // A child can only be replayed from completed parent outputs.
-      bool parents_ok = true;
-      for (const TaskId parent : graph.parents(task)) {
-        const Slot& ps = slots[slot_of.at(parent)];
-        if (!ps.error.empty() || !ps.outcome.completed) {
-          parents_ok = false;
-          break;
-        }
-      }
-      if (!parents_ok) continue;  // the parent's own error is reported
-
-      double backoff = config_.retry_backoff_s;
-      // A guard refusal during recovery arrives pre-classified; other
-      // failures are classified by probing the host.
-      std::optional<RescheduleRequest> pending;
-      while (!slot.error.empty() &&
-             slot.attempts < config_.max_attempts) {
-        // Report the failure we just observed; an unusable host (dead,
-        // or refusing on load) is excluded and the task re-placed, a
-        // live host gets an in-place retry (the error may have been
-        // transient).
-        RescheduleRequest report;
-        if (pending) {
-          report = *pending;
-          pending.reset();
-        } else {
-          report.app = app;
-          report.task = task;
-          report.host = slot.host;
-          const bool dead =
-              ft->host_alive != nullptr && !ft->host_alive(slot.host);
-          report.kind = dead ? RescheduleRequest::Kind::kHostFailure
-                             : RescheduleRequest::Kind::kTaskError;
-          report.reason = slot.error;
-        }
-        if (ft->on_failure) ft->on_failure(report);
-        if (report.kind != RescheduleRequest::Kind::kTaskError) {
-          slot.excluded.push_back(slot.host);
-          const auto replacement =
-              ft->reschedule(*slot.node, slot.excluded);
-          if (!replacement) break;  // nowhere left to go
-          slot.host = replacement->primary_host();
-          ++slot.moves;
-        }
-        ++slot.attempts;
-        slot.had_failure = true;
-        backoff_sleep(slot, backoff);
-        common::log_info("engine", "app ", app.value(), " task ",
-                         slot.node->label, ": recovery attempt ",
-                         slot.attempts, " on host ", slot.host.value());
-
-        // Channel teardown/re-setup: drop every stale registration of
-        // this application, then re-open the task's inputs fresh.
-        broker.clear_app(app);
-        ApplicationController retry(broker, config_.library, app,
-                                    slot.host);
-        arm_guards(retry, slot.host);
-
-        dm::TaskWiring wiring;
-        wiring.app = app;
-        wiring.task = task;
-        wiring.parents = graph.ordered_parents(task);
-        // No children: consumers are replayed from this task's recorded
-        // output in their own recovery round, never live.
-
-        std::string attempt_error;
-        TaskOutcome outcome;
-        std::binary_semaphore attempt_done(0);
-        std::thread attempt([&] {
-          common::ScopedSpan attempt_span("recovery_attempt",
-                                          "engine.task");
-          if (attempt_span.active()) {
-            attempt_span.rename("task:" + slot.node->label);
-            attempt_span.arg("app", app.value());
-            attempt_span.arg("host", slot.host.value());
-            attempt_span.arg("attempt", slot.attempts);
-            if (!slot.excluded.empty()) {
-              attempt_span.arg("excluded", hosts_csv(slot.excluded));
-            }
-          }
-          try {
-            retry.activate(wiring);
-            tasklib::TaskContext ctx;
-            ctx.input_size = slot.node->props.input_size;
-            common::Rng rng(task_seed(task));
-            ctx.rng = &rng;
-            outcome = retry.execute(*registry_, slot.node->library_task,
-                                    ctx, console);
-          } catch (const std::exception& e) {
-            attempt_error = e.what();
-          }
-          if (attempt_span.active()) {
-            attempt_span.arg("outcome",
-                             !attempt_error.empty()  ? "error"
-                             : outcome.reschedule    ? "refused"
-                                                     : "completed");
-          }
-          attempt_done.release();
-        });
-
-        // Replay the recorded parent outputs into the fresh channels.
-        {
-          std::vector<std::jthread> feeders;
-          feeders.reserve(wiring.parents.size());
-          for (const TaskId parent : wiring.parents) {
-            feeders.emplace_back([&, parent] {
-              try {
-                dm::MessageEndpoint out(
-                    config_.library,
-                    broker.open_send(dm::LinkKey{app, parent, task}));
-                const Slot& src = slots[slot_of.at(parent)];
-                if (src.outcome.output_frame.valid()) {
-                  out.send_frame(kPayloadTag, src.outcome.output_frame);
-                } else {
-                  out.send(kPayloadTag, src.outcome.payload.to_wire());
-                }
-                out.close();
-              } catch (const std::exception&) {
-                // The attempt's own receive error is authoritative.
-              }
-            });
-          }
-
-          bool finished = true;
-          if (config_.attempt_timeout_s > 0.0) {
-            finished = attempt_done.try_acquire_for(
-                seconds(config_.attempt_timeout_s));
-          } else {
-            attempt_done.acquire();
-          }
-          if (!finished) {
-            // Per-attempt timeout: close the channels so the attempt
-            // unblocks, then record the overrun as this round's error.
-            retry.shutdown();
-            attempt_done.acquire();
-            attempt_error =
-                "recovery attempt exceeded " +
-                std::to_string(config_.attempt_timeout_s) + "s";
-          }
-        }  // join feeders
-        attempt.join();
-        retry.shutdown();
-
-        if (!attempt_error.empty()) {
-          slot.error = attempt_error;
-          continue;
-        }
-        if (outcome.reschedule) {
-          // Refused again (load/fault guard on the replacement); the
-          // next round reports it as-is and re-places the task.
-          slot.error = outcome.reschedule->reason;
-          pending = *outcome.reschedule;
-          continue;
-        }
-        slot.outcome = std::move(outcome);
-        slot.error.clear();
-        slot.turnaround_s = std::chrono::duration<double>(
-                                std::chrono::steady_clock::now() -
-                                gang_start)
-                                .count();
-        common::log_info("engine", "app ", app.value(), " task ",
-                         slot.node->label, " recovered on host ",
-                         slot.host.value(), " after ", slot.attempts,
-                         " attempts");
-        if (common::trace_enabled()) {
-          common::trace_instant(
-              "recovered", "engine",
-              {{"task", slot.node->label},
-               {"host", std::to_string(slot.host.value())},
-               {"attempts", std::to_string(slot.attempts)}});
-        }
-      }
-    }
+  std::exception_ptr failure;
+  try {
+    runner.run();
+  } catch (...) {
+    failure = std::current_exception();
   }
 
   // Checkpoint capture: every completion this run produced is durable
   // BEFORE any failure is reported, so a partially-failed run still
   // advances the completed frontier and a restart re-executes zero
   // finished tasks.
-  if (checkpoint != nullptr) {
-    for (const Slot& slot : slots) {
-      if (slot.replayed || !slot.error.empty() ||
-          !slot.outcome.completed || slot.outcome.reschedule) {
-        continue;
-      }
-      if (slot.outcome.output_frame.valid()) {
-        // Zero-copy capture: the store pins the very frame the send
-        // threads shipped.
-        checkpoint->record(app, slot.node->id, slot.attempts, slot.host,
-                           slot.outcome.output_frame,
-                           slot.outcome.compute_elapsed_s);
-        m_ckpt_bytes.add(slot.outcome.output_frame.size());
-      } else {
-        checkpoint->record(app, slot.node->id, slot.attempts, slot.host,
-                           slot.outcome.payload,
-                           slot.outcome.compute_elapsed_s);
-        m_ckpt_bytes.add(slot.outcome.payload.to_wire().size());
-      }
-      m_ckpt_captured.add(1);
-    }
+  for (const StageRunner::Stage& s : runner.stages) {
+    if (checkpoint == nullptr || !s.done || s.replayed) continue;
+    // Zero-copy capture: the store pins the very frame the sends shipped.
+    checkpoint->record(app, s.node->id, s.attempts, s.host,
+                       s.outcome.output_frame, s.outcome.compute_elapsed_s);
+    metrics.counter("engine.checkpoint.bytes_captured")
+        .add(s.outcome.output_frame.size());
+    metrics.counter("engine.checkpoint.captured").add(1);
   }
-
-  for (const Slot& slot : slots) {
-    if (!slot.error.empty()) {
-      throw common::StateError("task " + slot.node->label +
-                               " failed: " + slot.error);
-    }
-    if (slot.outcome.reschedule) {
-      throw common::StateError(
-          "task " + slot.node->label +
-          " refused by its Application Controller: " +
-          slot.outcome.reschedule->reason);
-    }
-  }
+  if (failure) std::rethrow_exception(failure);
 
   RunResult result;
   result.app = app;
-  for (Slot& slot : slots) {
+  for (StageRunner::Stage& s : runner.stages) {
     TaskRunRecord rec;
-    rec.task = slot.node->id;
-    rec.label = slot.node->label;
-    rec.library_task = slot.node->library_task;
-    rec.host = slot.host;
-    rec.turnaround_s = slot.turnaround_s;
-    rec.compute_s = slot.outcome.compute_elapsed_s;
-    rec.bytes_sent = slot.outcome.io_stats.bytes_sent;
-    rec.bytes_received = slot.outcome.io_stats.bytes_received;
-    rec.attempts = slot.attempts;
-    rec.replayed = slot.replayed;
-    if (slot.replayed) {
-      // Replayed tasks never ran here: no turnaround, no engine.tasks
+    rec.task = s.node->id;
+    rec.label = s.node->label;
+    rec.library_task = s.node->library_task;
+    rec.host = s.host;
+    rec.turnaround_s = s.turnaround_s;
+    rec.compute_s = s.outcome.compute_elapsed_s;
+    rec.bytes_sent = s.outcome.io_stats.bytes_sent;
+    rec.bytes_received = s.outcome.io_stats.bytes_received;
+    rec.attempts = s.attempts;
+    rec.replayed = s.replayed;
+    if (s.replayed) {
+      // Restored tasks never ran here: no turnaround, no engine.tasks
       // metric, no feedback (the capturing run already recorded its
       // measured compute time into the performance database).
       ++result.tasks_replayed;
     } else {
-      result.makespan_s = std::max(result.makespan_s, slot.turnaround_s);
-      if (slot.had_failure) ++result.failures_recovered;
-      result.reschedules += slot.moves;
-      m_tasks.add(1);
-      m_attempts.add(static_cast<std::uint64_t>(slot.attempts));
-      m_retries.add(static_cast<std::uint64_t>(slot.attempts - 1));
-      m_turnaround.observe(slot.turnaround_s);
+      result.makespan_s = std::max(result.makespan_s, s.turnaround_s);
+      if (s.had_failure) ++result.failures_recovered;
+      result.reschedules += s.moves;
+      metrics.counter("engine.tasks_completed").add(1);
+      metrics.counter("engine.attempts")
+          .add(static_cast<std::uint64_t>(s.attempts));
+      metrics.counter("engine.retries")
+          .add(static_cast<std::uint64_t>(s.attempts - 1));
+      metrics.histogram("engine.turnaround_s").observe(s.turnaround_s);
       if (feedback != nullptr) {
-        feedback->record_task_time(slot.node->library_task,
-                                   slot.outcome.compute_elapsed_s);
+        feedback->record_task_time(s.node->library_task,
+                                   s.outcome.compute_elapsed_s);
       }
     }
     result.records.push_back(rec);
-    result.outputs.emplace(slot.node->id, std::move(slot.outcome.payload));
+    result.outputs.emplace(s.node->id, std::move(s.outcome.payload));
   }
-  m_reschedules.add(result.reschedules);
-  m_recovered.add(result.failures_recovered);
+  metrics.counter("engine.reschedules").add(result.reschedules);
+  metrics.counter("engine.failures_recovered").add(result.failures_recovered);
   if (app_span.active()) {
     app_span.arg("makespan_s", result.makespan_s);
     app_span.arg("failures_recovered", result.failures_recovered);
@@ -671,6 +741,38 @@ RunResult ExecutionEngine::execute(const afg::FlowGraph& graph,
                    " failures recovered, ", result.reschedules,
                    " reschedules)");
   return result;
+}
+
+StreamingEngine::StreamingEngine(const tasklib::TaskRegistry& registry,
+                                 StreamingConfig config)
+    : registry_(&registry), config_(std::move(config)) {}
+
+StreamRunResult StreamingEngine::execute(const afg::FlowGraph& graph,
+                                         const sched::AllocationTable& alloc,
+                                         const FaultTolerance* ft,
+                                         common::AppId app,
+                                         CheckpointStore* checkpoint) {
+  if (!app.valid()) app = common::AppId(next_app_.fetch_add(1));
+  const auto t_start = Clock::now();
+  StageRunner runner(*registry_, config_, graph, alloc, ft, app, nullptr,
+                     &config_, checkpoint, &stop_);
+  runner.run();
+
+  StreamRunResult run;
+  run.app = app;
+  for (StageRunner::Stage& s : runner.stages) {
+    run.stage_frames[s.node->id] = s.frames;
+    if (s.source) run.source_frames += s.frames;
+    run.reschedules += s.moves;
+    if (s.sink) run.sinks[s.node->id] = std::move(*s.sink);
+  }
+  run.frames_resumed = runner.frames_resumed;
+  run.restarts = runner.restarts;
+  run.max_ring_occupancy = runner.max_ring_occupancy;
+  run.producer_parks = runner.producer_parks;
+  run.sink_latencies_s = std::move(runner.sink_latencies_s);
+  run.elapsed_s = seconds_since(t_start);
+  return run;
 }
 
 }  // namespace vdce::rt

@@ -1,7 +1,8 @@
 // The real-threaded execution engine: Figure 7 end-to-end.
 //
-// Every task of a scheduled application runs on its own thread (the
-// stand-in for its assigned machine), with a full Figure 7 lifecycle:
+// One stage runner executes every AFG, batch or stream (DESIGN.md D9).
+// Every task is one stage thread (the stand-in for its assigned
+// machine) with the full Figure 7 lifecycle:
 //
 //   1. the engine (as Site Manager / Group Manager) delivers the
 //      execution request to each task's Application Controller;
@@ -9,9 +10,12 @@
 //      communication channels through the broker and acknowledges;
 //   3. when every acknowledgment has arrived the engine issues the
 //      execution startup signal;
-//   4. tasks exchange payloads over the configured transport
-//      (in-process queues or real TCP loopback sockets) using the
-//      configured message-passing library facade;
+//   4. each stage loops over frames from its resume point: a guard
+//      check, one receive per parent in port order, the compute, one
+//      send per child, over the configured transport (in-process
+//      queues or rings, or real TCP loopback sockets) and
+//      message-passing library facade.  A batch run is frame 0 only;
+//      a stream (StreamingEngine) runs until its sources finish;
 //   5. measured execution times flow back into the task-performance
 //      database via the Site Manager.
 //
@@ -20,11 +24,13 @@
 // guard-refused task is not fatal.  The engine plays the Control
 // Manager: it reports the failure, asks the Site Scheduler for a
 // replacement placement with the failed host excluded, and re-runs the
-// task — pre-compute refusals retry inside the gang (channels intact);
-// post-failure recovery re-opens the task's channels and replays its
-// recorded inputs.  Retries are bounded by max_attempts with
-// exponential backoff, and receive/attempt timeouts keep a dead peer
-// from hanging a machine thread forever.
+// task.  A refusal before a stage's first frame of a round is re-placed
+// in place; any other failure ends the round, every stage on a dead
+// host is re-placed, and the next round re-runs only unfinished stages
+// -- finished outputs are fed back in, streams resume from the lowest
+// durable sink window.  Attempts are bounded by max_attempts with
+// exponential backoff, and receive timeouts keep a dead peer from
+// hanging a stage forever.
 #pragma once
 
 #include <atomic>
@@ -105,17 +111,17 @@ struct EngineConfig {
   /// 0 disables jitter.
   double retry_backoff_jitter = 0.5;
   /// Cap on the CUMULATIVE backoff slept for one task across all of its
-  /// retries (gang and recovery rounds combined).  In-gang retries
-  /// sleep on the task's machine thread, which stalls gang peers
-  /// blocked on its channels -- the cap bounds that stall however the
-  /// backoff schedule is configured.  <= 0 disables backoff entirely.
+  /// retries (in-place and between rounds).  An in-place retry sleeps
+  /// on the task's stage thread, which stalls peers blocked on its
+  /// channels -- the cap bounds that stall however the backoff schedule
+  /// is configured.  <= 0 disables backoff entirely.
   double max_total_backoff_s = 2.0;
-  /// Wall-clock cap on one recovery attempt; an attempt that neither
-  /// completes nor fails within this window is shut down and counted as
-  /// failed.  <= 0 disables the cap.
+  /// Receive deadline of every stage in a recovery round (any round
+  /// after the first) when tighter than recv_timeout_s: a re-run whose
+  /// inputs never arrive fails within this window.  <= 0 disables it.
   double attempt_timeout_s = 30.0;
   /// Data Manager receive timeout armed when fault tolerance is on, so
-  /// a dead peer cannot hang a machine thread.  <= 0 blocks forever.
+  /// a dead peer cannot hang a stage thread.  <= 0 blocks forever.
   double recv_timeout_s = 60.0;
   /// Load-guard threshold applied to every task when the hooks provide
   /// a host_load probe (infinity = guard disabled).
@@ -123,7 +129,7 @@ struct EngineConfig {
 };
 
 /// The Control Manager's hooks into the live execution path.  All
-/// callables may be invoked concurrently from machine threads and must
+/// callables may be invoked concurrently from stage threads and must
 /// be thread-safe.  Any member may be empty; `reschedule` empty turns
 /// recovery off (failures become fatal as without hooks).
 struct FaultTolerance {
@@ -135,7 +141,9 @@ struct FaultTolerance {
 
   Rescheduler reschedule;
   /// Liveness probe (testbed fault windows or Group-Manager belief);
-  /// also installed as every controller's fault guard.
+  /// also installed as every controller's fault guard, so it is called
+  /// once per stage per frame before that frame's receive, and on every
+  /// unfinished stage's host after a failed round.
   std::function<bool(HostId)> host_alive;
   /// Load probe backing the pre-compute load guard.
   std::function<double(HostId)> host_load;
@@ -146,10 +154,10 @@ struct FaultTolerance {
   std::function<void(const RescheduleRequest&)> on_failure;
   /// Retry-backoff sleep hook.  Empty = real wall-clock sleep
   /// (std::this_thread::sleep_for).  Tests and simulations install a
-  /// virtual sleep so retries cost no wall-clock: an in-gang retry
-  /// sleeping for real stalls every gang peer blocked on the task's
+  /// virtual sleep so retries cost no wall-clock: an in-place retry
+  /// sleeping for real stalls every peer blocked on the task's
   /// channels.  Called with the (cap-clamped) seconds to sleep; may be
-  /// invoked concurrently from machine threads.
+  /// invoked concurrently from stage threads.
   std::function<void(double)> sleep;
 };
 
@@ -169,7 +177,7 @@ class ExecutionEngine {
   /// fails; all other tasks are unblocked and joined first.
   ///
   /// Re-entrant: concurrent execute() calls on one engine are safe --
-  /// every run owns its broker, controllers and machine threads, and
+  /// every run owns its broker, controllers and stage threads, and
   /// app-id assignment is atomic.  `app`, when valid, names the run
   /// explicitly (the submission service keys runs by its own tickets,
   /// and a replay with the same app id reproduces the same per-task
@@ -180,7 +188,7 @@ class ExecutionEngine {
   /// run ultimately throws), and tasks the store already holds for
   /// `app` are NOT re-executed -- their recorded frames are replayed
   /// into the fresh broker so successor tasks receive bit-identical
-  /// inputs (DESIGN.md D12).
+  /// inputs (DESIGN.md D9).
   [[nodiscard]] RunResult execute(const afg::FlowGraph& graph,
                                   const sched::AllocationTable& allocation,
                                   SiteManager* feedback = nullptr,

@@ -1,25 +1,26 @@
 // Streaming execution: long-lived stages, bounded channels, windowed
-// checkpoints (DESIGN.md D16).
+// checkpoints (DESIGN.md D9).
 //
-// The batch ExecutionEngine runs an AFG as a gang: every task fires
-// once, the gang completes, the run is over.  The paper's C3I tracking
-// scenario has no such end — frames arrive forever — so the
-// StreamingEngine runs the SAME graph in a different shape:
+// The paper's C3I tracking scenario has no end — frames arrive forever
+// — so the StreamingEngine runs an AFG as a pipeline.  It is the same
+// stage runner as the batch ExecutionEngine (engine.cpp); a batch run
+// is the one-frame case of a stream:
 //
-//   * every task becomes a long-lived stage thread that maps one input
-//     window to one output window per iteration (tasklib functions are
+//   * every task is a long-lived stage thread that maps one input
+//     window to one output window per frame (tasklib functions are
 //     per-frame pure, so a stream is just repeated invocation);
-//   * every AFG link becomes a bounded dm::RingChannel registered
-//     through the run's ChannelBroker: a fast producer parks when the
-//     ring fills (backpressure) instead of buffering without limit, so
-//     memory stays flat however long the stream runs;
+//   * in-process, every AFG link is a bounded dm::RingChannel: a fast
+//     producer parks when the ring fills (backpressure) instead of
+//     buffering without limit, so memory stays flat however long the
+//     stream runs.  Over TCP the event loop's high-water pause bounds
+//     each link the same way, and the configured message-passing
+//     library frames every message;
 //   * there is no gang-completes barrier.  Sources emit frame windows
 //     until the configured frame count (or request_stop()), then close
-//     their rings; end-of-stream drains through the pipeline stage by
+//     their links; end-of-stream drains through the pipeline stage by
 //     stage.
 //
-// Determinism is per FRAME, extending the batch engine's per-task rule:
-// frame k of task t computes with Rng seed
+// Determinism is per FRAME: frame k of task t computes with Rng seed
 //
 //     stream_frame_seed(seed, k) ^ (app << 32) ^ t
 //
@@ -33,11 +34,11 @@
 // once per checkpoint_window emitted frames, keyed by the window index
 // in the store's attempt slot (higher window replaces, same window is
 // idempotent — the frames are bit-fixed anyway).  When a stage's host
-// dies mid-stream, the failing stage aborts the run's rings through
-// ChannelBroker::clear_app (waking every parked producer and
+// dies mid-stream the round ends: the run's rings are aborted and the
+// failed stage's links closed (waking every parked producer and
 // consumer), dead hosts are re-placed through the FaultTolerance
-// rescheduler, and the stream RESUMES from the smallest durable sink
-// watermark rather than replaying from frame zero.  Sinks that
+// rescheduler, and the next round RESUMES from the smallest durable
+// sink watermark rather than replaying from frame zero.  Sinks that
 // survived keep their in-memory state and skip the re-flowing frames
 // below their watermark, so every frame is counted into the sink
 // exactly once; a sink whose own host died rolls back to its last
@@ -60,12 +61,14 @@ namespace vdce::rt {
 
 class CheckpointStore;
 
-/// Streaming-run configuration.
-struct StreamingConfig {
-  /// Base seed; frame k of the stream derives stream_frame_seed(seed, k).
-  std::uint64_t seed = 1;
-  /// Ring capacity of every link, in frames.  The whole pipeline's
-  /// buffered memory is bounded by links * capacity * frame size.
+/// Streaming-run configuration: the engine settings (transport,
+/// library, seed, retry budget, backoff, receive deadline) plus the
+/// stream's own.  max_attempts bounds a stream's rounds (first run
+/// included), so it allows max_attempts - 1 restarts.
+struct StreamingConfig : EngineConfig {
+  /// Ring capacity of every in-process link, in frames.  The whole
+  /// pipeline's buffered memory is bounded by links * capacity * frame
+  /// size.
   std::size_t channel_capacity = 8;
   /// Total frames each source emits; 0 = stream until request_stop().
   std::uint64_t frames = 0;
@@ -77,15 +80,6 @@ struct StreamingConfig {
   bool collect_outputs = false;
   /// Record per-frame source-to-sink latency samples in the result.
   bool track_latency = false;
-  /// Total stream attempts (first run included) when fault-tolerance
-  /// hooks are supplied.
-  int max_attempts = 3;
-  /// Ring receive deadline so a dead upstream cannot park a stage
-  /// forever.  <= 0 blocks indefinitely.
-  double recv_timeout_s = 30.0;
-  /// Sleep before a restart attempt, seconds (routed through the
-  /// FaultTolerance sleep hook when installed).
-  double retry_backoff_s = 0.01;
   /// Test/bench hook, fired after a sink counts frame k (never for
   /// skipped duplicates).  Called from the sink's stage thread.
   std::function<void(TaskId sink, std::uint64_t k)> on_sink_frame;
@@ -117,9 +111,9 @@ struct StreamRunResult {
   common::AppId app;
   /// Per-sink accounting, keyed by (exit) task id.
   std::map<TaskId, SinkStreamResult> sinks;
-  /// Frames each stage processed, summed across attempts.
+  /// Frames each stage processed, summed across rounds.
   std::map<TaskId, std::uint64_t> stage_frames;
-  /// Frames the sources produced, summed across attempts.
+  /// Frames the sources produced, summed across rounds.
   std::uint64_t source_frames = 0;
   /// Sum over restarts of the resume watermark (frames NOT replayed
   /// from zero thanks to the windowed checkpoints).
@@ -164,14 +158,16 @@ class StreamingEngine {
       const FaultTolerance* ft = nullptr, common::AppId app = {},
       CheckpointStore* checkpoint = nullptr);
 
-  /// Asks every source of every in-flight run to finish its current
+  /// Asks every source of every run in flight to finish its current
   /// frame and close the stream (the unbounded-stream off switch).
-  void request_stop() { stop_.store(true, std::memory_order_relaxed); }
+  /// Runs started later are unaffected: each run compares the stop
+  /// generation against the one it captured at start.
+  void request_stop() { stop_.fetch_add(1, std::memory_order_relaxed); }
 
  private:
   const tasklib::TaskRegistry* registry_;
   StreamingConfig config_;
-  std::atomic<bool> stop_{false};
+  std::atomic<std::uint64_t> stop_{0};
   std::atomic<std::uint32_t> next_app_{1};
 };
 

@@ -75,13 +75,13 @@ void write_selection(WireWriter& w, const sched::HostSelection& s) {
 
 sched::HostSelection read_selection(WireReader& r) {
   sched::HostSelection s;
-  const std::uint32_t hosts = r.read_u32();
+  const std::uint32_t hosts = r.read_count(4);
   s.hosts.reserve(hosts);
   for (std::uint32_t i = 0; i < hosts; ++i) {
     s.hosts.emplace_back(r.read_u32());
   }
   s.predicted_s = r.read_f64();
-  const std::uint32_t scored = r.read_u32();
+  const std::uint32_t scored = r.read_count(12);
   s.scored.reserve(scored);
   for (std::uint32_t i = 0; i < scored; ++i) {
     const double t = r.read_f64();
@@ -267,7 +267,7 @@ PeerDigest decode_peer_digest(std::span<const std::byte> frame) {
   PeerDigest m;
   m.origin_site = common::SiteId(r.read_u32());
   m.origin_incarnation = r.read_u32();
-  const std::uint32_t peers = r.read_u32();
+  const std::uint32_t peers = r.read_count(17);
   m.peers.reserve(peers);
   for (std::uint32_t i = 0; i < peers; ++i) {
     PeerHealth p;
@@ -365,7 +365,7 @@ std::vector<std::byte> encode(const PeerRoster& m) {
 PeerRoster decode_peer_roster(std::span<const std::byte> frame) {
   WireReader r = payload_reader(frame, MsgType::kPeerRoster);
   PeerRoster m;
-  const std::uint32_t peers = r.read_u32();
+  const std::uint32_t peers = r.read_count(11);
   m.peers.reserve(peers);
   for (std::uint32_t i = 0; i < peers; ++i) {
     PeerEndpoint p;
@@ -493,7 +493,7 @@ ReselectionRequest decode_reselection_request(
   m.input_size = r.read_f64();
   m.num_processors = r.read_u32();
   m.parallel = r.read_u8() != 0;
-  const std::uint32_t excluded = r.read_u32();
+  const std::uint32_t excluded = r.read_count(4);
   m.excluded.reserve(excluded);
   for (std::uint32_t i = 0; i < excluded; ++i) {
     m.excluded.emplace_back(r.read_u32());

@@ -181,7 +181,7 @@ Matrix Payload::as_matrix() const {
   require(PayloadType::kMatrix);
   WireReader r(bytes_);
   const std::uint32_t rows = r.read_u32();
-  const std::uint32_t cols = r.read_u32();
+  const std::uint32_t cols = r.read_count(std::size_t{8} * rows);  // columns
   Matrix m(rows, cols);
   for (double& v : m.data()) v = r.read_f64();
   return m;
@@ -190,7 +190,11 @@ Matrix Payload::as_matrix() const {
 LuFactors Payload::as_lu() const {
   require(PayloadType::kLuFactors);
   WireReader r(bytes_);
-  const std::uint32_t n = r.read_u32();
+  // n rows of n doubles plus a 4-byte permutation entry each.
+  const std::uint32_t n = r.read_count(12);
+  if (std::uint64_t{n} * n > r.remaining() / 8) {
+    throw ParseError("lu factors exceed the message");
+  }
   LuFactors f;
   f.lu = Matrix(n, n);
   for (double& v : f.lu.data()) v = r.read_f64();
@@ -203,7 +207,7 @@ LuFactors Payload::as_lu() const {
 std::vector<Complex> Payload::as_complex_vector() const {
   require(PayloadType::kComplexVector);
   WireReader r(bytes_);
-  const std::uint32_t n = r.read_u32();
+  const std::uint32_t n = r.read_count(16);
   std::vector<Complex> out;
   out.reserve(n);
   for (std::uint32_t i = 0; i < n; ++i) {
@@ -217,11 +221,11 @@ std::vector<Complex> Payload::as_complex_vector() const {
 std::vector<std::vector<SensorReport>> Payload::as_report_scans() const {
   require(PayloadType::kReportScans);
   WireReader r(bytes_);
-  const std::uint32_t nscans = r.read_u32();
+  const std::uint32_t nscans = r.read_count(4);
   std::vector<std::vector<SensorReport>> out;
   out.reserve(nscans);
   for (std::uint32_t s = 0; s < nscans; ++s) {
-    const std::uint32_t n = r.read_u32();
+    const std::uint32_t n = r.read_count(32);
     std::vector<SensorReport> scan;
     scan.reserve(n);
     for (std::uint32_t i = 0; i < n; ++i) {
@@ -240,11 +244,11 @@ std::vector<std::vector<SensorReport>> Payload::as_report_scans() const {
 std::vector<std::vector<Detection>> Payload::as_detection_scans() const {
   require(PayloadType::kDetectionScans);
   WireReader r(bytes_);
-  const std::uint32_t nscans = r.read_u32();
+  const std::uint32_t nscans = r.read_count(4);
   std::vector<std::vector<Detection>> out;
   out.reserve(nscans);
   for (std::uint32_t s = 0; s < nscans; ++s) {
-    const std::uint32_t n = r.read_u32();
+    const std::uint32_t n = r.read_count(32);
     std::vector<Detection> scan;
     scan.reserve(n);
     for (std::uint32_t i = 0; i < n; ++i) {
@@ -263,7 +267,7 @@ std::vector<std::vector<Detection>> Payload::as_detection_scans() const {
 std::vector<Track> Payload::as_tracks() const {
   require(PayloadType::kTracks);
   WireReader r(bytes_);
-  const std::uint32_t n = r.read_u32();
+  const std::uint32_t n = r.read_count(52);
   std::vector<Track> out;
   out.reserve(n);
   for (std::uint32_t i = 0; i < n; ++i) {
@@ -284,7 +288,7 @@ std::vector<Track> Payload::as_tracks() const {
 std::vector<Threat> Payload::as_threats() const {
   require(PayloadType::kThreats);
   WireReader r(bytes_);
-  const std::uint32_t n = r.read_u32();
+  const std::uint32_t n = r.read_count(12);
   std::vector<Threat> out;
   out.reserve(n);
   for (std::uint32_t i = 0; i < n; ++i) {

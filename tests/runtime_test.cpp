@@ -512,5 +512,66 @@ TEST(AppControllerTest, RunsWhenUnderThreshold) {
   EXPECT_GT(outcome.compute_elapsed_s, 0.0);
 }
 
+// ------------------------------------------------- crossed diamond
+
+TEST(StageRunnerTest, CrossedDiamondOfLargePayloadsCannotDeadlock) {
+  // Two sources of payloads larger than the TCP event loop's 8 MiB
+  // high-water mark feed two consumers that read them in opposite port
+  // orders.  Every stage receives in port order and sends in child
+  // order on its own thread, so a send can block until its consumer
+  // reaches that port; the run must still finish on every library (PVM
+  // fragments each payload into thousands of frames) and transport.
+  afg::FlowGraph g("crossed");
+  afg::TaskProperties big;
+  big.input_size = 1536.0;  // 1536 * 1024 doubles: about 12.6 MB
+  const auto a = g.add_task("synth_source", "a", big);
+  const auto b = g.add_task("synth_source", "b", big);
+  const auto ab = g.add_task("synth_sink", "ab");
+  const auto ba = g.add_task("synth_sink", "ba");
+  g.add_link(a, ab, 1.0);
+  g.add_link(b, ab, 1.0);
+  g.add_link(b, ba, 1.0);
+  g.add_link(a, ba, 1.0);
+  ASSERT_EQ(g.ordered_parents(ab), (std::vector<common::TaskId>{a, b}));
+  ASSERT_EQ(g.ordered_parents(ba), (std::vector<common::TaskId>{b, a}));
+
+  sched::AllocationTable allocation("crossed");
+  for (const auto& node : g.tasks()) {
+    sched::AllocationEntry entry;
+    entry.task = node.id;
+    entry.task_label = node.label;
+    entry.library_task = node.library_task;
+    entry.hosts = {HostId(node.id.value())};
+    entry.site = SiteId(0);
+    allocation.add(entry);
+  }
+
+  for (const auto transport :
+       {dm::TransportKind::kInProcess, dm::TransportKind::kTcp}) {
+    for (const auto lib : {dm::MpLibrary::kP4, dm::MpLibrary::kPvm,
+                           dm::MpLibrary::kMpi, dm::MpLibrary::kNcs}) {
+      EngineConfig config;
+      config.transport = transport;
+      config.library = lib;
+      const auto result = ExecutionEngine(tasklib::builtin_registry(), config)
+                              .execute(g, allocation);
+      const std::size_t a_bytes = result.outputs.at(a).size_bytes();
+      const std::size_t b_bytes = result.outputs.at(b).size_bytes();
+      ASSERT_GT(a_bytes, std::size_t{8} << 20);
+      ASSERT_GT(b_bytes, std::size_t{8} << 20);
+      for (const auto sink : {ab, ba}) {
+        EXPECT_EQ(result.outputs.at(sink).as_scalar(),
+                  static_cast<double>(a_bytes + b_bytes))
+            << dm::to_string(lib);
+      }
+      for (const auto& rec : result.records) {
+        if (rec.task == ab || rec.task == ba) {
+          EXPECT_EQ(rec.bytes_received, a_bytes + b_bytes);
+        }
+      }
+    }
+  }
+}
+
 }  // namespace
 }  // namespace vdce::rt

@@ -217,6 +217,43 @@ TEST(StreamingEngine, RequestStopEndsAnUnboundedStream) {
   EXPECT_EQ(sink.frames_emitted, run.stage_frames.at(id_of(graph, "sink")));
 }
 
+TEST(StreamingEngine, RequestStopOnlyEndsRunsInFlight) {
+  // A stop applies to the runs in flight when it is called: a stop with
+  // no run in flight, or one that ended an earlier run, must not make
+  // later runs on the same engine emit nothing.
+  const auto graph = make_pipeline();
+  const auto alloc = make_alloc(graph, fake_hosts());
+  const TaskId sink = id_of(graph, "sink");
+  StreamingEngine* engine_ptr = nullptr;
+  std::atomic<bool> stop_at_3{false};
+  StreamingConfig cfg;
+  cfg.seed = 12;
+  cfg.frames = 50;
+  cfg.channel_capacity = 1;  // the source runs at most a few frames ahead
+  cfg.on_sink_frame = [&](TaskId, std::uint64_t k) {
+    if (k == 3 && stop_at_3.load()) engine_ptr->request_stop();
+  };
+  StreamingEngine engine(tasklib::builtin_registry(), cfg);
+  engine_ptr = &engine;
+
+  engine.request_stop();  // nothing in flight
+  EXPECT_EQ(engine.execute(graph, alloc, nullptr, AppId(36))
+                .sinks.at(sink)
+                .frames_emitted,
+            50u);
+
+  stop_at_3 = true;  // this run is stopped mid-stream ...
+  const auto stopped = engine.execute(graph, alloc, nullptr, AppId(37));
+  EXPECT_GE(stopped.sinks.at(sink).frames_emitted, 4u);
+  EXPECT_LT(stopped.source_frames, 50u);
+
+  stop_at_3 = false;  // ... and the next one is not
+  EXPECT_EQ(engine.execute(graph, alloc, nullptr, AppId(38))
+                .sinks.at(sink)
+                .frames_emitted,
+            50u);
+}
+
 // --------------------------------------------- differential test wall
 
 /// A finite stream must be bit-identical to the batch ExecutionEngine:
@@ -259,6 +296,106 @@ TEST_P(StreamBatchDifferential, FiniteStreamMatchesBatchEngine) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, StreamBatchDifferential,
                          ::testing::Values(11u, 29u, 47u));
+
+/// A diamond with a shortcut: src fans out to a resampler and a
+/// spectrum stage, and the sink fans them back in together with src
+/// itself.  The sink is added before the middle stages, so task ids are
+/// not a topological order: sending to children in raw id order would
+/// let src fill its one-frame link to the sink with PVM fragments while
+/// the sink waits on the resampler, which waits on src.
+afg::FlowGraph make_diamond() {
+  afg::FlowGraph g("stream_diamond");
+  const TaskId src = g.add_task("stream_window_source", "src");
+  const TaskId sink = g.add_task("stream_sink", "sink");
+  const TaskId rs = g.add_task("stream_resample", "rs");
+  const TaskId fft = g.add_task("stream_window_fft", "fft");
+  g.add_link(src, rs, 0.001);
+  g.add_link(src, fft, 0.001);
+  g.add_link(rs, sink, 0.001);
+  g.add_link(fft, sink, 0.001);
+  g.add_link(src, sink, 0.001);
+  return g;
+}
+
+class StreamDiamond : public ::testing::TestWithParam<dm::MpLibrary> {};
+
+TEST_P(StreamDiamond, UnitRingsRunToEosAndMatchBatchFrameByFrame) {
+  // One-frame rings: every send waits for its consumer's receive (PVM
+  // splits each frame into a header and fragments, so even one frame
+  // overfills a ring).  The stream must still drain to end of stream
+  // and equal the batch engine frame by frame.
+  constexpr std::uint64_t kFrames = 6;
+  const auto graph = make_diamond();
+  const auto alloc = make_alloc(graph, fake_hosts());
+  const TaskId sink = id_of(graph, "sink");
+  const AppId app(56);
+
+  StreamingConfig cfg;
+  cfg.seed = 13;
+  cfg.frames = kFrames;
+  cfg.channel_capacity = 1;
+  cfg.collect_outputs = true;
+  cfg.library = GetParam();
+  cfg.recv_timeout_s = 10.0;  // a deadlock fails instead of hanging
+  FaultTolerance deadlines;   // no rescheduler: recovery stays off
+  StreamingEngine engine(tasklib::builtin_registry(), cfg);
+  const auto run = engine.execute(graph, alloc, &deadlines, app);
+
+  const auto& s = run.sinks.at(sink);
+  ASSERT_EQ(s.outputs.size(), kFrames);
+  EXPECT_LE(run.max_ring_occupancy, 1u);
+  for (const auto& node : graph.tasks()) {
+    EXPECT_EQ(run.stage_frames.at(node.id), kFrames) << node.label;
+  }
+  for (std::uint64_t k = 0; k < kFrames; ++k) {
+    EngineConfig batch_cfg;
+    batch_cfg.seed = stream_frame_seed(cfg.seed, k);
+    const auto batch = ExecutionEngine(tasklib::builtin_registry(), batch_cfg)
+                           .execute(graph, alloc, nullptr, nullptr, nullptr,
+                                    app);
+    EXPECT_EQ(batch.outputs.at(sink).to_wire(), s.outputs[k])
+        << "frame " << k << " diverged from the batch engine";
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Libraries, StreamDiamond,
+                         ::testing::Values(dm::MpLibrary::kP4,
+                                           dm::MpLibrary::kPvm,
+                                           dm::MpLibrary::kMpi,
+                                           dm::MpLibrary::kNcs));
+
+class StreamOverTcp : public ::testing::TestWithParam<dm::MpLibrary> {};
+
+TEST_P(StreamOverTcp, FiniteStreamHasTheInProcessSinkDigest) {
+  constexpr std::uint64_t kFrames = 16;
+  const auto graph = make_pipeline();
+  const auto alloc = make_alloc(graph, fake_hosts());
+  const TaskId sink = id_of(graph, "sink");
+  const AppId app(57);
+
+  StreamingConfig cfg;
+  cfg.seed = 23;
+  cfg.frames = kFrames;
+  const auto in_process = StreamingEngine(tasklib::builtin_registry(), cfg)
+                              .execute(graph, alloc, nullptr, app);
+
+  cfg.transport = dm::TransportKind::kTcp;
+  cfg.library = GetParam();
+  const auto tcp = StreamingEngine(tasklib::builtin_registry(), cfg)
+                       .execute(graph, alloc, nullptr, app);
+
+  const auto& s = tcp.sinks.at(sink);
+  EXPECT_EQ(s.frames_emitted, kFrames);
+  EXPECT_EQ(s.digest, in_process.sinks.at(sink).digest);
+  EXPECT_EQ(s.bytes_emitted, in_process.sinks.at(sink).bytes_emitted);
+  EXPECT_EQ(tcp.max_ring_occupancy, 0u);  // no rings: real sockets
+}
+
+INSTANTIATE_TEST_SUITE_P(Libraries, StreamOverTcp,
+                         ::testing::Values(dm::MpLibrary::kP4,
+                                           dm::MpLibrary::kPvm,
+                                           dm::MpLibrary::kMpi,
+                                           dm::MpLibrary::kNcs));
 
 // ------------------------------------- faults, checkpoints, resume
 
@@ -427,6 +564,46 @@ TEST(StreamingEngine, FailureWithoutReschedulerThrowsAfterUnparking) {
   // here is the bug this guards against.
   EXPECT_THROW((void)engine.execute(graph, alloc, &ft, AppId(63)),
                common::StateError);
+}
+
+TEST(StreamingEngine, TcpStreamResumesAfterACrash) {
+  // Over TCP nothing aborts a ring: a failed stage's closed sockets
+  // unblock its peers (end of stream downstream, send errors upstream),
+  // and the next round still resumes from a durable window.  The
+  // resampler's host dies at the resampler's frame 20 guard check.
+  const auto graph = make_pipeline();
+  const auto alloc = make_alloc(graph, fake_hosts());
+  const TaskId sink = id_of(graph, "sink");
+  const HostId victim = alloc.entry(id_of(graph, "rs")).primary_host();
+  constexpr std::uint64_t kFrames = 40;
+  constexpr std::uint64_t kWindow = 8;
+  const AppId app(65);
+
+  StreamingConfig cfg;
+  cfg.seed = 31;
+  cfg.frames = kFrames;
+  cfg.checkpoint_window = kWindow;
+  cfg.transport = dm::TransportKind::kTcp;
+  cfg.library = dm::MpLibrary::kPvm;
+  const auto reference = StreamingEngine(tasklib::builtin_registry(), cfg)
+                             .execute(graph, alloc, nullptr, app);
+
+  FaultPlan plan;
+  FaultTolerance ft = plan.hooks();
+  std::atomic<int> victim_checks{0};
+  ft.host_alive = [&](HostId h) {
+    return h != victim || victim_checks.fetch_add(1) < 20;
+  };
+  CheckpointStore store;
+  const auto run = StreamingEngine(tasklib::builtin_registry(), cfg)
+                       .execute(graph, alloc, &ft, app, &store);
+
+  const auto& s = run.sinks.at(sink);
+  EXPECT_EQ(run.restarts, 1);
+  EXPECT_EQ(run.reschedules, 1u);
+  EXPECT_EQ(run.frames_resumed % kWindow, 0u);
+  EXPECT_EQ(s.frames_emitted, kFrames);
+  EXPECT_EQ(s.digest, reference.sinks.at(sink).digest);
 }
 
 // ------------------------------------------------------- chaos soak

@@ -568,6 +568,66 @@ TEST(PayloadTest, BadWireImageThrows) {
                common::ParseError);
 }
 
+TEST(PayloadTest, GarbageBodiesNeverEscapeParseError) {
+  // Fuzz: a well-typed payload with a random body must either decode or
+  // throw ParseError -- never size an allocation from a garbage count.
+  Rng rng(71);
+  for (std::uint8_t tag = 1; tag <= 10; ++tag) {
+    for (int i = 0; i < 200; ++i) {
+      std::vector<std::byte> wire = {std::byte{tag}};
+      const std::size_t len = rng.uniform_int(64);
+      for (std::size_t b = 0; b < len; ++b) {
+        wire.push_back(
+            std::byte{static_cast<std::uint8_t>(rng.uniform_int(256))});
+      }
+      // Half the bodies lead with all-ones counts.
+      for (std::size_t b = 1; b < wire.size() && b <= 8 && i % 2 == 0; ++b) {
+        wire[b] = std::byte{0xFF};
+      }
+      const Payload p = Payload::from_wire(wire);
+      try {
+        switch (p.type()) {
+          case PayloadType::kScalar:
+            (void)p.as_scalar();
+            break;
+          case PayloadType::kVector:
+            (void)p.as_vector();
+            break;
+          case PayloadType::kMatrix:
+            (void)p.as_matrix();
+            break;
+          case PayloadType::kLuFactors:
+            (void)p.as_lu();
+            break;
+          case PayloadType::kComplexVector:
+            (void)p.as_complex_vector();
+            break;
+          case PayloadType::kReportScans:
+            (void)p.as_report_scans();
+            break;
+          case PayloadType::kDetectionScans:
+            (void)p.as_detection_scans();
+            break;
+          case PayloadType::kTracks:
+            (void)p.as_tracks();
+            break;
+          case PayloadType::kThreats:
+            (void)p.as_threats();
+            break;
+          case PayloadType::kText:
+            (void)p.as_text();
+            break;
+        }
+      } catch (const common::ParseError&) {
+        // the only acceptable failure
+      } catch (const std::exception& e) {
+        ADD_FAILURE() << to_string(p.type()) << " body of " << len
+                      << " bytes escaped as: " << e.what();
+      }
+    }
+  }
+}
+
 // ------------------------------------------------------------ registry
 
 TEST(RegistryTest, BuiltinsPresent) {

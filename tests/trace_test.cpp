@@ -8,6 +8,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <map>
 #include <sstream>
 #include <thread>
 #include <vector>
@@ -16,6 +17,7 @@
 #include "common/metrics.hpp"
 #include "common/trace.hpp"
 #include "runtime/engine.hpp"
+#include "runtime/streaming.hpp"
 #include "scheduler/allocation.hpp"
 #include "tasklib/registry.hpp"
 
@@ -452,6 +454,68 @@ TEST(EngineTraceTest, BackoffIsCappedCumulatively) {
   EXPECT_LE(total_slept, config.max_total_backoff_s + 1e-12);
   EXPECT_GT(total_slept, 0.0);
 }
+
+#ifndef VDCE_TRACE_DISABLED
+TEST(EngineTraceTest, StreamCrashEmitsOneSpanPerStagePerRound) {
+  // Streams run on the same stage runner as batch runs, so they carry
+  // the same per-attempt spans: one engine.task span per stage per
+  // round.  A host death mid-stream makes exactly two rounds.
+  afg::FlowGraph g("traced-stream");
+  const auto src = g.add_task("stream_window_source", "src");
+  const auto rs = g.add_task("stream_resample", "rs");
+  const auto sink = g.add_task("stream_sink", "sink");
+  g.add_link(src, rs, 0.001);
+  g.add_link(rs, sink, 0.001);
+
+  sched::AllocationTable allocation("traced-stream");
+  for (const auto& node : g.tasks()) {
+    sched::AllocationEntry entry;
+    entry.task = node.id;
+    entry.task_label = node.label;
+    entry.library_task = node.library_task;
+    entry.hosts = {HostId(1 + node.id.value())};
+    entry.site = SiteId(0);
+    allocation.add(entry);
+  }
+  const HostId victim = allocation.entry(rs).primary_host();
+
+  std::atomic<bool> dead{false};
+  FaultTolerance ft;
+  ft.host_alive = [&](HostId h) { return !(dead.load() && h == victim); };
+  ft.reschedule = [](const afg::TaskNode& node, const std::vector<HostId>&)
+      -> std::optional<sched::AllocationEntry> {
+    sched::AllocationEntry e;
+    e.task = node.id;
+    e.task_label = node.label;
+    e.library_task = node.library_task;
+    e.hosts = {HostId(90 + node.id.value())};
+    e.site = SiteId(0);
+    return e;
+  };
+  ft.sleep = [](double) {};
+
+  rt::StreamingConfig config;
+  config.frames = 20;
+  config.channel_capacity = 2;
+  config.on_sink_frame = [&](common::TaskId, std::uint64_t k) {
+    if (k == 6) dead.store(true);
+  };
+  TraceRecorder recorder;
+  TraceRecorder::install(&recorder);
+  rt::StreamingEngine engine(tasklib::builtin_registry(), config);
+  const auto run = engine.execute(g, allocation, &ft);
+  TraceRecorder::install(nullptr);
+
+  ASSERT_EQ(run.restarts, 1);
+  EXPECT_EQ(run.sinks.at(sink).frames_emitted, 20u);
+  std::map<std::string, int> spans;
+  for (const auto& ev : recorder.snapshot()) {
+    if (ev.category == "engine.task") ++spans[ev.name];
+  }
+  EXPECT_EQ(spans, (std::map<std::string, int>{
+                       {"task:rs", 2}, {"task:sink", 2}, {"task:src", 2}}));
+}
+#endif  // !VDCE_TRACE_DISABLED
 
 }  // namespace
 }  // namespace vdce::common
