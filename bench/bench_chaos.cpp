@@ -156,7 +156,6 @@ CellResult run_cell(double intensity, bool checkpointing) {
   rt::AppSubmissionService service(SiteId(0), v.repo_directory, registry,
                                    config);
   const auto probe = schedule.liveness_probe(*v.testbed, SiteId(0));
-  service.set_health_probe(probe);
   service.set_fault_hooks(
       [&probe](const afg::FlowGraph&, const sched::AllocationTable&) {
         rt::FaultTolerance ft;

@@ -134,7 +134,7 @@ void ChaosSchedule::apply(VirtualTestbed& bed) const {
       case ChaosEventKind::kDeadlineStorm: {
         // `pulses` short crashes spread evenly over the window; the
         // host flaps dead/alive, firing receive deadlines without a
-        // durable outage -- circuit-breaker bait.
+        // durable outage -- flap-quarantine bait.
         const int n = std::max(1, event.pulses);
         const Duration pulse = event.length / (2.0 * n);
         for (int i = 0; i < n; ++i) {

@@ -6,9 +6,9 @@
 // composable (a site outage overlapping a gray host overlapping a
 // partition), and (c) driven entirely through the existing testbed
 // fault windows and FaultTolerance hooks, so the engine, the
-// submission service's failover loop and the circuit breaker see
-// exactly what they would see in production.  A ChaosSchedule is a
-// list of timed events:
+// submission service's failover loop and the liveness directory's host
+// flap policy see exactly what they would see in production.  A
+// ChaosSchedule is a list of timed events:
 //
 //   * kHostCrash       one host stops answering for a window;
 //   * kSiteOutage      every host of a site goes dark at once (the
@@ -21,7 +21,7 @@
 //                      the load guard, not the fault guard);
 //   * kDeadlineStorm   a burst of short crash pulses on one host --
 //                      receive deadlines fire repeatedly, which is
-//                      what trips the flapping-host circuit breaker;
+//                      what raises a host's flap score to quarantine;
 //   * kDaemonKill      SIGKILL the site daemon PROCESS of one site
 //                      (D14): not a simulated window but a real
 //                      process death, delivered through the killer

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 
 #include "common/log.hpp"
 #include "common/metrics.hpp"
@@ -41,13 +42,7 @@ void LivenessDirectory::set_clock(std::function<double()> clock) {
 
 void LivenessDirectory::track(SiteId site, std::uint32_t incarnation) {
   const std::lock_guard lock(mu_);
-  Entry& e = entries_[site];
-  e.state = SiteLiveness::kAlive;
-  e.incarnation = incarnation;
-  e.votes.clear();
-  e.suspect_since_s = 0.0;
-  e.last_refutation_s = 0.0;
-  e.reason = "tracked";
+  retrack(entries_[site], incarnation, "tracked");
 }
 
 void LivenessDirectory::direct_alive(SiteId site, std::uint32_t incarnation) {
@@ -60,12 +55,7 @@ void LivenessDirectory::direct_alive(SiteId site, std::uint32_t incarnation) {
     return;  // the verdict on this incarnation is final
   }
   const bool recovered = e.state == SiteLiveness::kSuspect;
-  e.state = SiteLiveness::kAlive;
-  e.incarnation = incarnation;
-  e.votes.clear();
-  e.suspect_since_s = 0.0;
-  e.last_refutation_s = 0.0;
-  e.reason = "heartbeat";
+  retrack(e, incarnation, "heartbeat");
   if (recovered) {
     ++stats_.false_alarm_recoveries;
     bump("liveness.false_alarm_recoveries");
@@ -112,12 +102,7 @@ SiteLiveness LivenessDirectory::refute(SiteId site, std::uint32_t incarnation,
   if (incarnation > e.incarnation) {
     // The site restarted and a peer already heard the new incarnation:
     // everything known about the old one is void.
-    e.state = SiteLiveness::kAlive;
-    e.incarnation = incarnation;
-    e.votes.clear();
-    e.suspect_since_s = 0.0;
-    e.last_refutation_s = 0.0;
-    e.reason = "refuted by higher incarnation";
+    retrack(e, incarnation, "refuted by higher incarnation");
     ++stats_.refutations;
     bump("liveness.refutations");
     return e.state;
@@ -167,6 +152,13 @@ std::vector<SiteId> LivenessDirectory::poll() {
   return died;
 }
 
+void LivenessDirectory::retrack(Entry& e, std::uint32_t incarnation,
+                                const char* why) {
+  e = Entry{};
+  e.incarnation = incarnation;
+  e.reason = why;
+}
+
 void LivenessDirectory::die_locked(SiteId site, Entry& e,
                                    const std::string& why,
                                    std::uint64_t LivenessStats::*counter,
@@ -202,6 +194,57 @@ SiteLivenessStatus LivenessDirectory::status(SiteId site) const {
 LivenessStats LivenessDirectory::stats() const {
   const std::lock_guard lock(mu_);
   return stats_;
+}
+
+LivenessDirectory::HostFlap LivenessDirectory::decayed(HostFlap flap,
+                                                       double now) const {
+  if (config_.flap_half_life_s > 0.0 && now > flap.updated_s) {
+    flap.score *= std::exp2(-(now - flap.updated_s) / config_.flap_half_life_s);
+    flap.updated_s = now;
+  }
+  if (flap.open && flap.score < config_.flap_close_threshold) {
+    flap.open = false;
+  }
+  return flap;
+}
+
+LivenessDirectory::HostFlap LivenessDirectory::flap_locked(HostId host) const {
+  const auto it = hosts_.find(host);
+  return it == hosts_.end() ? HostFlap{} : decayed(it->second, clock_());
+}
+
+bool LivenessDirectory::report_host_failure(HostId host) {
+  const std::lock_guard lock(mu_);
+  HostFlap& flap = hosts_[host];
+  flap = decayed(flap, clock_());
+  flap.score += 1.0;
+  if (flap.open || flap.score < config_.flap_open_threshold) return false;
+  flap.open = true;
+  ++stats_.quarantines;
+  bump("liveness.quarantines");
+  common::log_warn("liveness", "host ", host.value(),
+                   " quarantined (flap score ", flap.score, ")");
+  return true;
+}
+
+bool LivenessDirectory::quarantined(HostId host) const {
+  const std::lock_guard lock(mu_);
+  return flap_locked(host).open;
+}
+
+std::vector<HostId> LivenessDirectory::quarantined_hosts() const {
+  const std::lock_guard lock(mu_);
+  std::vector<HostId> out;
+  const double now = clock_();
+  for (const auto& [host, flap] : hosts_) {
+    if (decayed(flap, now).open) out.push_back(host);
+  }
+  return out;
+}
+
+double LivenessDirectory::flap_score(HostId host) const {
+  const std::lock_guard lock(mu_);
+  return flap_locked(host).score;
 }
 
 }  // namespace vdce::rt

@@ -26,13 +26,17 @@
 // limping back cannot vouch for -- or be blamed as -- its successor).
 // A refutation from a higher incarnation cancels suspicion outright.
 //
-// The directory is clock-injectable (tests drive virtual time), fully
-// thread-safe, and never calls back into its callers, so callers may
-// hold their own locks across calls.
+// Hosts only carry a decayed FLAP SCORE (no incarnations, no votes):
+// reported failures past `flap_open_threshold` quarantine a host until
+// the score decays below `flap_close_threshold`.  This is the
+// coordinator's only liveness judge.  It is clock-injectable (tests
+// drive virtual time), fully thread-safe, and never calls back into
+// its callers, so callers may hold their own locks across calls.
 #pragma once
 
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <map>
 #include <mutex>
 #include <set>
@@ -43,6 +47,7 @@
 
 namespace vdce::rt {
 
+using common::HostId;
 using common::SiteId;
 
 enum class SiteLiveness : std::uint8_t {
@@ -64,6 +69,12 @@ struct LivenessConfig {
   double suspicion_timeout_s = 1.0;
   /// Digest entries older than this are too stale to refute with.
   double freshness_s = 0.5;
+  /// Host flap policy.  The default never quarantines: quarantine
+  /// changes which hosts the engine trusts, so failover deployments opt
+  /// in by lowering the open threshold.
+  double flap_open_threshold = std::numeric_limits<double>::infinity();
+  double flap_close_threshold = 1.0;
+  double flap_half_life_s = 30.0;
 };
 
 /// Point-in-time liveness snapshot of one site.
@@ -86,9 +97,12 @@ struct LivenessStats {
   std::uint64_t deaths_timeout = 0;
   std::uint64_t deaths_conclusive = 0;
   std::uint64_t false_alarm_recoveries = 0;
+  /// Host flap-policy quarantines opened.
+  std::uint64_t quarantines = 0;
 };
 
-/// Multi-witness per-site liveness state machines (D17).
+/// Multi-witness per-site liveness state machines plus the per-host
+/// flap policy (D17).
 class LivenessDirectory {
  public:
   explicit LivenessDirectory(LivenessConfig config = {});
@@ -143,6 +157,16 @@ class LivenessDirectory {
   [[nodiscard]] SiteLivenessStatus status(SiteId site) const;
   [[nodiscard]] LivenessStats stats() const;
 
+  /// One engine-reported failure of `host` (flap policy).  Returns true
+  /// when this report opened a quarantine; the caller drops what it
+  /// cached about the host.  Never touches any site's state.
+  bool report_host_failure(HostId host);
+  /// Whether `host` is quarantined now (decay applies at read time).
+  [[nodiscard]] bool quarantined(HostId host) const;
+  [[nodiscard]] std::vector<HostId> quarantined_hosts() const;
+  /// Decayed flap score now (0 for a host never reported).
+  [[nodiscard]] double flap_score(HostId host) const;
+
  private:
   struct Entry {
     SiteLiveness state = SiteLiveness::kAlive;
@@ -154,14 +178,27 @@ class LivenessDirectory {
     std::string reason;
   };
 
+  struct HostFlap {
+    double score = 0.0;
+    double updated_s = 0.0;
+    bool open = false;
+  };
+
+  /// Resets `e` to a fresh subject at `incarnation`: alive, no votes.
+  static void retrack(Entry& e, std::uint32_t incarnation, const char* why);
   /// Transitions `e` to dead (lock held).
   void die_locked(SiteId site, Entry& e, const std::string& why,
                   std::uint64_t LivenessStats::*counter, const char* metric);
+  /// `flap` decayed to `now`, released when below the close threshold.
+  [[nodiscard]] HostFlap decayed(HostFlap flap, double now) const;
+  /// The decayed flap state of `host` now (lock held).
+  [[nodiscard]] HostFlap flap_locked(HostId host) const;
 
   LivenessConfig config_;
   std::function<double()> clock_;
   mutable std::mutex mu_;
   std::map<SiteId, Entry> entries_;
+  std::map<HostId, HostFlap> hosts_;
   LivenessStats stats_;
 };
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <limits>
 #include <thread>
 #include <utility>
@@ -28,95 +27,6 @@ void bump(const char* name) {
 }
 
 }  // namespace
-
-HostCircuitBreaker::HostCircuitBreaker(CircuitBreakerConfig config)
-    : config_(config) {}
-
-void HostCircuitBreaker::set_clock(std::function<double()> clock) {
-  std::lock_guard lk(mu_);
-  clock_ = std::move(clock);
-}
-
-void HostCircuitBreaker::set_on_open(
-    std::function<void(common::HostId)> callback) {
-  std::lock_guard lk(mu_);
-  on_open_ = std::move(callback);
-}
-
-double HostCircuitBreaker::now() const {
-  // mu_ held by every caller.
-  if (clock_) return clock_();
-  return std::chrono::duration<double>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-
-void HostCircuitBreaker::refresh_locked(Entry& entry, double t) const {
-  if (config_.decay_half_life_s > 0.0 && t > entry.updated_at) {
-    entry.score *= std::exp2(-(t - entry.updated_at) /
-                             config_.decay_half_life_s);
-  }
-  entry.updated_at = std::max(entry.updated_at, t);
-  if (entry.open && entry.score < config_.close_threshold) {
-    entry.open = false;
-  }
-}
-
-bool HostCircuitBreaker::record_failure(common::HostId host) {
-  bool opened = false;
-  std::function<void(common::HostId)> on_open;
-  {
-    std::lock_guard lk(mu_);
-    if (!config_.enabled) return false;
-    Entry& entry = entries_[host];
-    refresh_locked(entry, now());
-    entry.score += 1.0;
-    if (!entry.open && entry.score >= config_.open_threshold) {
-      entry.open = true;
-      opened = true;
-      trips_.fetch_add(1, std::memory_order_relaxed);
-      on_open = on_open_;
-    }
-  }
-  // Outside the lock: the callback takes the service lock (counter and
-  // forecaster bookkeeping) and the service lock may be held while
-  // consulting quarantined().
-  if (opened && on_open) on_open(host);
-  return opened;
-}
-
-bool HostCircuitBreaker::quarantined(common::HostId host) {
-  std::lock_guard lk(mu_);
-  if (!config_.enabled) return false;
-  const auto it = entries_.find(host);
-  if (it == entries_.end()) return false;
-  refresh_locked(it->second, now());
-  return it->second.open;
-}
-
-std::vector<common::HostId> HostCircuitBreaker::quarantined_hosts() {
-  std::lock_guard lk(mu_);
-  std::vector<common::HostId> out;
-  if (!config_.enabled) return out;
-  const double t = now();
-  for (auto& [host, entry] : entries_) {
-    refresh_locked(entry, t);
-    if (entry.open) out.push_back(host);
-  }
-  return out;
-}
-
-double HostCircuitBreaker::score(common::HostId host) {
-  std::lock_guard lk(mu_);
-  const auto it = entries_.find(host);
-  if (it == entries_.end()) return 0.0;
-  refresh_locked(it->second, now());
-  return it->second.score;
-}
-
-std::uint64_t HostCircuitBreaker::trips() const {
-  return trips_.load(std::memory_order_relaxed);
-}
 
 const char* to_string(SubmissionState state) {
   switch (state) {
@@ -171,25 +81,9 @@ AppSubmissionService::AppSubmissionService(
       directory_(&directory),
       registry_(&registry),
       config_(config),
-      breaker_(config.breaker),
       queue_(config.fair_share),
       paused_(config.start_paused) {
   config_.slots = std::max<std::size_t>(config_.slots, 1);
-  // An open transition version-bumps every registered forecaster via
-  // forget(host): the prediction cache's epoch moves, so Predict scores
-  // computed while the flapping host looked healthy are unservable.
-  breaker_.set_on_open([this](common::HostId host) {
-    std::lock_guard lk(mu_);
-    ++stats_.breaker_trips;
-    bump("submission.breaker_trips");
-    for (predict::LoadForecaster* f : forecasters_) f->forget(host);
-    common::log_info("submission", "circuit breaker OPEN for host ",
-                     host.value(), " (flapping)");
-    if (common::trace_enabled()) {
-      common::trace_instant("breaker_open", "submission",
-                            {{"host", std::to_string(host.value())}});
-    }
-  });
   workers_.reserve(config_.slots);
   for (std::size_t i = 0; i < config_.slots; ++i) {
     workers_.emplace_back([this] { worker_loop(); });
@@ -211,18 +105,21 @@ void AppSubmissionService::add_forecaster(
   forecasters_.push_back(forecaster);
 }
 
-void AppSubmissionService::note_site_liveness(common::SiteId site, bool dead) {
-  std::lock_guard lk(mu_);
-  if (dead) {
-    dead_sites_.insert(site);
-  } else {
-    dead_sites_.erase(site);
+bool AppSubmissionService::report_host_failure(common::HostId host) {
+  if (liveness_ == nullptr || !liveness_->report_host_failure(host)) {
+    return false;
   }
-}
-
-std::vector<common::SiteId> AppSubmissionService::dead_sites() const {
+  // Outside the directory lock: a fresh quarantine version-bumps every
+  // forecaster via forget(host), so the prediction cache's epoch moves
+  // and Predict scores computed while the flapping host looked healthy
+  // are unservable.
   std::lock_guard lk(mu_);
-  return {dead_sites_.begin(), dead_sites_.end()};
+  for (predict::LoadForecaster* f : forecasters_) f->forget(host);
+  if (common::trace_enabled()) {
+    common::trace_instant("host_quarantined", "submission",
+                          {{"host", std::to_string(host.value())}});
+  }
+  return true;
 }
 
 common::AppId AppSubmissionService::submit(SubmissionRequest request) {
@@ -561,15 +458,15 @@ std::size_t AppSubmissionService::shed_queued(int below_priority) {
 }
 
 FaultTolerance AppSubmissionService::wrap_hooks(FaultTolerance hooks) {
-  if (!config_.breaker.enabled) return hooks;
-  // on_failure: every reported host failure feeds the breaker (task
+  if (liveness_ == nullptr) return hooks;
+  // on_failure: every reported host failure feeds the flap policy (task
   // errors on a live host do not -- a flaky task must not quarantine a
   // healthy machine).
   hooks.on_failure = [this, inner = std::move(hooks.on_failure)](
                          const RescheduleRequest& request) {
     if (inner) inner(request);
     if (request.kind == RescheduleRequest::Kind::kHostFailure) {
-      breaker_.record_failure(request.host);
+      (void)report_host_failure(request.host);
     }
   };
   // host_alive: a quarantined host reads as dead, so in-gang fault
@@ -577,14 +474,15 @@ FaultTolerance AppSubmissionService::wrap_hooks(FaultTolerance hooks) {
   // host happens to answer probes.
   hooks.host_alive = [this, inner = std::move(hooks.host_alive)](
                          common::HostId host) {
-    if (breaker_.quarantined(host)) return false;
+    if (liveness_->quarantined(host)) return false;
     return inner ? inner(host) : true;
   };
   return hooks;
 }
 
-bool AppSubmissionService::replan_for_restart(AppRecord& rec,
-                                              const std::string& why) {
+bool AppSubmissionService::replan_for_restart(
+    AppRecord& rec, const std::string& why,
+    const std::function<bool(common::HostId)>& host_alive) {
   common::ScopedSpan span("app_restart", "submission");
   if (span.active()) {
     span.arg("app", rec.app.value());
@@ -592,17 +490,25 @@ bool AppSubmissionService::replan_for_restart(AppRecord& rec,
     span.arg("reason", why);
   }
 
+  // One predicate for the first exclusion and the widening loop: a
+  // host is usable unless the directory quarantined it or declared its
+  // site dead (a merely suspect site keeps its placements), or the
+  // attempt's host_alive reads it dead.
+  const auto usable = [&](common::HostId host, common::SiteId site) {
+    if (liveness_ != nullptr &&
+        (liveness_->quarantined(host) ||
+         liveness_->state(site) == SiteLiveness::kDead)) {
+      return false;
+    }
+    return !host_alive || host_alive(host);
+  };
+
   std::lock_guard lk(mu_);
-  // Quarantine: hosts the health probe reports dead, hosts on sites
-  // the quorum declared dead (D17), plus everything the circuit
-  // breaker holds open.
-  std::vector<common::HostId> excluded = breaker_.quarantined_hosts();
+  std::vector<common::HostId> excluded;
   for (const auto& row : rec.allocation.rows()) {
     const common::HostId host = row.primary_host();
-    const bool dead = (health_probe_ && !health_probe_(host)) ||
-                      dead_sites_.count(row.site) > 0;
-    if (dead && std::find(excluded.begin(), excluded.end(), host) ==
-                    excluded.end()) {
+    if (!usable(host, row.site) &&
+        std::find(excluded.begin(), excluded.end(), host) == excluded.end()) {
       excluded.push_back(host);
     }
   }
@@ -613,7 +519,7 @@ bool AppSubmissionService::replan_for_restart(AppRecord& rec,
 
   // Re-place only the *incomplete* subgraph (checkpointed tasks never
   // re-execute, so their rows only matter as parent-site transfer
-  // anchors) and only rows whose host is quarantined.
+  // anchors) and only rows whose host is excluded.
   sched::SiteScheduler scheduler(local_site_, *directory_,
                                  config_.scheduler);
   std::size_t moved = 0;
@@ -628,12 +534,11 @@ bool AppSubmissionService::replan_for_restart(AppRecord& rec,
     }
     // The scheduler only knows the exclusion list, not liveness: a
     // whole-site outage leaves sibling hosts it would happily pick, so
-    // probe each candidate and widen the quarantine until one is alive.
+    // check each candidate and widen the exclusion until one is usable.
     auto replacement = scheduler.reschedule(rec.request.graph,
                                             rec.allocation, task, excluded);
     while (replacement &&
-           ((health_probe_ && !health_probe_(replacement->primary_host())) ||
-            dead_sites_.count(replacement->site) > 0)) {
+           !usable(replacement->primary_host(), replacement->site)) {
       excluded.push_back(replacement->primary_host());
       replacement = scheduler.reschedule(rec.request.graph, rec.allocation,
                                          task, excluded);
@@ -670,7 +575,7 @@ bool AppSubmissionService::replan_for_restart(AppRecord& rec,
   }
   common::log_info("submission", "app ", rec.app.value(), " restart ",
                    rec.restarts, ": ", moved, " tasks re-placed, ",
-                   excluded.size(), " hosts quarantined (", why, ")");
+                   excluded.size(), " hosts excluded (", why, ")");
   return true;
 }
 
@@ -751,7 +656,7 @@ void AppSubmissionService::worker_loop() {
                                std::max(config_.max_restarts, 0))) {
         break;
       }
-      if (!replan_for_restart(*rec, error)) {
+      if (!replan_for_restart(*rec, error, hooks.host_alive)) {
         error = rec->error;  // the replan's refusal reason is terminal
         break;
       }
@@ -822,24 +727,27 @@ SubmissionStatus AppSubmissionService::snapshot_locked(
   return status;
 }
 
+SubmissionStatus AppSubmissionService::retired_snapshot_locked(
+    common::AppId app) const {
+  const auto it = retired_.find(app);
+  if (it == retired_.end()) {
+    throw common::NotFoundError("unknown submission ticket");
+  }
+  SubmissionStatus status;
+  status.app = app;
+  status.state = it->second.state;
+  status.grant_index = it->second.grant_index;
+  status.restarts = it->second.restarts;
+  status.retired = true;
+  return status;
+}
+
 SubmissionStatus AppSubmissionService::wait(common::AppId app) const {
   std::unique_lock lk(mu_);
   const auto it = records_.find(app);
-  if (it == records_.end()) {
-    // Retired submissions are terminal by construction: the stub is the
-    // final answer.
-    const auto rit = retired_.find(app);
-    if (rit == retired_.end()) {
-      throw common::NotFoundError("unknown submission ticket");
-    }
-    SubmissionStatus status;
-    status.app = app;
-    status.state = rit->second.state;
-    status.grant_index = rit->second.grant_index;
-    status.restarts = rit->second.restarts;
-    status.retired = true;
-    return status;
-  }
+  // Retired submissions are terminal by construction: the stub is the
+  // final answer.
+  if (it == records_.end()) return retired_snapshot_locked(app);
   const auto rec = it->second;
   cv_.wait(lk, [&] { return is_terminal(rec->state); });
   return snapshot_locked(*rec);
@@ -848,19 +756,7 @@ SubmissionStatus AppSubmissionService::wait(common::AppId app) const {
 SubmissionStatus AppSubmissionService::status(common::AppId app) const {
   std::lock_guard lk(mu_);
   const auto it = records_.find(app);
-  if (it == records_.end()) {
-    const auto rit = retired_.find(app);
-    if (rit == retired_.end()) {
-      throw common::NotFoundError("unknown submission ticket");
-    }
-    SubmissionStatus status;
-    status.app = app;
-    status.state = rit->second.state;
-    status.grant_index = rit->second.grant_index;
-    status.restarts = rit->second.restarts;
-    status.retired = true;
-    return status;
-  }
+  if (it == records_.end()) return retired_snapshot_locked(app);
   return snapshot_locked(*it->second);
 }
 

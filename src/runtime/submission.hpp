@@ -47,14 +47,12 @@
 // so tests fix the queue contents before releasing the workers.
 #pragma once
 
-#include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
 #include <functional>
 #include <limits>
 #include <map>
-#include <set>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -66,74 +64,11 @@
 #include "runtime/checkpoint.hpp"
 #include "runtime/engine.hpp"
 #include "runtime/fair_share.hpp"
+#include "runtime/liveness.hpp"
 #include "scheduler/qos.hpp"
 #include "scheduler/site_scheduler.hpp"
 
 namespace vdce::rt {
-
-/// Flapping-host circuit breaker tunables (DESIGN.md D12).  A host
-/// accumulates one point per reported host-failure; the score decays
-/// exponentially with `decay_half_life_s`.  Crossing `open_threshold`
-/// quarantines the host (probes report it dead, replans exclude it);
-/// decaying below `close_threshold` readmits it.
-struct CircuitBreakerConfig {
-  /// Off by default: quarantine changes which hosts the engine trusts,
-  /// so it is an explicit opt-in of the failover deployments.
-  bool enabled = false;
-  double open_threshold = 3.0;
-  double close_threshold = 1.0;
-  double decay_half_life_s = 30.0;
-};
-
-/// Thread-safe decayed-failure-rate quarantine.  Machine threads feed
-/// it via the wrapped FaultTolerance::on_failure hook; probes and the
-/// failover replanner consult quarantined().  The on-open callback
-/// fires OUTSIDE the breaker's lock (it takes the service lock to bump
-/// counters and invalidate forecasters).
-class HostCircuitBreaker {
- public:
-  explicit HostCircuitBreaker(CircuitBreakerConfig config = {});
-
-  /// Injectable clock (seconds, monotone); tests pin virtual time.
-  /// Default: wall-clock steady_clock seconds.
-  void set_clock(std::function<double()> clock);
-  /// Fired once per open transition, outside the internal lock.
-  void set_on_open(std::function<void(common::HostId)> callback);
-
-  /// Records one failure report; returns true when this report opened
-  /// the breaker (after invoking the on-open callback).
-  bool record_failure(common::HostId host);
-
-  /// Whether the host is currently quarantined (decay is evaluated and
-  /// may close the breaker on the spot).
-  [[nodiscard]] bool quarantined(common::HostId host);
-  [[nodiscard]] std::vector<common::HostId> quarantined_hosts();
-  /// Decayed failure score right now (0 for never-failed hosts).
-  [[nodiscard]] double score(common::HostId host);
-  /// Total open transitions.
-  [[nodiscard]] std::uint64_t trips() const;
-
-  [[nodiscard]] const CircuitBreakerConfig& config() const {
-    return config_;
-  }
-
- private:
-  struct Entry {
-    double score = 0.0;
-    double updated_at = 0.0;
-    bool open = false;
-  };
-  /// Decays `entry` to `now` and applies the close threshold; lock held.
-  void refresh_locked(Entry& entry, double now) const;
-  [[nodiscard]] double now() const;
-
-  CircuitBreakerConfig config_;
-  std::function<double()> clock_;
-  std::function<void(common::HostId)> on_open_;
-  mutable std::mutex mu_;
-  std::map<common::HostId, Entry> entries_;
-  std::atomic<std::uint64_t> trips_{0};
-};
 
 /// One application submission: the AFG plus the user's QoS contract.
 struct SubmissionRequest {
@@ -228,8 +163,6 @@ struct SubmissionStats {
   std::uint64_t retired = 0;
   /// Site-level failover restarts across all submissions.
   std::uint64_t restarts = 0;
-  /// Circuit-breaker open transitions.
-  std::uint64_t breaker_trips = 0;
   std::size_t running = 0;
   std::size_t queue_depth = 0;
   /// Full records currently held (bounded by terminal_record_cap plus
@@ -276,8 +209,9 @@ struct AppSubmissionConfig {
   EngineConfig engine;
 
   /// Site-level failover (DESIGN.md D12): when an admitted app's engine
-  /// surfaces an unrecoverable failure, quarantine the hosts the health
-  /// probe reports dead, re-run the Figure-4 scheduler over surviving
+  /// surfaces an unrecoverable failure, exclude the hosts that are not
+  /// usable (quarantined, on a dead site, or dead to the attempt's
+  /// host_alive), re-run the Figure-4 scheduler over surviving
   /// resources for the *incomplete* subgraph, re-admit through
   /// residual-capacity QoS, and resume from checkpoint.  0 = failover
   /// off (a fatal engine error fails the submission, the seed
@@ -292,8 +226,6 @@ struct AppSubmissionConfig {
   /// restarts from the completed frontier.  Off: restarts re-execute
   /// the whole graph (the wasted-work baseline of EXPERIMENTS.md E18).
   bool checkpointing = true;
-  /// Flapping-host circuit breaker (off unless breaker.enabled).
-  CircuitBreakerConfig breaker;
 };
 
 /// Builds the per-application FaultTolerance hook set for one admitted
@@ -327,22 +259,18 @@ class AppSubmissionService {
   void set_fault_hooks(FaultHookFactory factory) {
     fault_hooks_ = std::move(factory);
   }
-  /// Cluster-health probe the failover replanner consults: hosts the
-  /// probe reports dead are quarantined (excluded from replacement
-  /// placements).  Typically the testbed/chaos liveness probe; unset =
-  /// only circuit-breaker quarantine excludes hosts.
-  void set_health_probe(std::function<bool(common::HostId)> probe) {
-    std::lock_guard lk(mu_);
-    health_probe_ = std::move(probe);
-  }
-  /// D17 quorum verdict feed: the watchdog's on_site_down/on_site_up
-  /// hooks mark a whole site dead (its hosts are excluded from
-  /// failover replacement placements) or alive again.  Only the
-  /// quorum-confirmed verdict should be fed here -- a merely SUSPECT
-  /// site keeps its placements.
-  void note_site_liveness(common::SiteId site, bool dead);
-  /// Sites currently marked dead via note_site_liveness (sorted).
-  [[nodiscard]] std::vector<common::SiteId> dead_sites() const;
+  /// The liveness judge (DESIGN.md D17); in daemon deployments the
+  /// watchdog's directory.  `liveness` must outlive the service.  With
+  /// one attached, reported host failures feed its flap policy, a
+  /// quarantined host reads dead to the engine, and failover replans
+  /// avoid quarantined hosts and dead sites.  Unset = the factory's
+  /// hooks run untouched.
+  void set_liveness(LivenessDirectory* liveness) { liveness_ = liveness; }
+  /// One host failure, as the wrapped on_failure hook reports it: feeds
+  /// the attached directory's flap policy and, when that opened a
+  /// quarantine, calls forget(host) on every forecaster.  Returns
+  /// whether a quarantine opened (never without a directory).
+  bool report_host_failure(common::HostId host);
 
   /// Schedules + admits one application; thread-safe.  Placement runs
   /// outside the service lock, admission bookkeeping inside it; the
@@ -389,8 +317,6 @@ class AppSubmissionService {
 
   /// The service's checkpoint store (tests inspect frontier sizes).
   [[nodiscard]] CheckpointStore& checkpoints() { return checkpoints_; }
-  /// The flapping-host circuit breaker (tests pin its clock).
-  [[nodiscard]] HostCircuitBreaker& breaker() { return breaker_; }
   /// The sharded stride queue (tests inspect user/renorm counters).
   [[nodiscard]] FairShareQueue& fair_share() { return queue_; }
 
@@ -406,14 +332,17 @@ class AppSubmissionService {
   struct Prepared;
 
   void worker_loop();
-  /// Site-level failover: quarantine dead/quarantined hosts, re-place
-  /// the incomplete subgraph, re-admit through residual-capacity QoS.
+  /// Site-level failover: exclude unusable hosts, re-place the
+  /// incomplete subgraph, re-admit through residual-capacity QoS.
+  /// `host_alive` is the failed attempt's (wrapped) probe, if any.
   /// Returns false (with `rec.error` set) when no feasible restart
   /// exists; mu_ must NOT be held.
-  [[nodiscard]] bool replan_for_restart(AppRecord& rec,
-                                        const std::string& why);
-  /// Wraps factory-produced hooks with circuit-breaker feeding
-  /// (on_failure) and quarantine-aware liveness (host_alive).
+  [[nodiscard]] bool replan_for_restart(
+      AppRecord& rec, const std::string& why,
+      const std::function<bool(common::HostId)>& host_alive);
+  /// Wraps factory-produced hooks with flap reporting (on_failure) and
+  /// quarantine-aware liveness (host_alive) when a directory is
+  /// attached.
   [[nodiscard]] FaultTolerance wrap_hooks(FaultTolerance hooks);
   /// Registers/releases an app's occupancy, forecaster commitments and
   /// pending-prediction (ETA) charge; mu_ must be held.
@@ -428,6 +357,10 @@ class AppSubmissionService {
   /// into compact stubs; mu_ must be held.
   void note_terminal_locked(const std::shared_ptr<AppRecord>& record);
   [[nodiscard]] SubmissionStatus snapshot_locked(const AppRecord& rec) const;
+  /// The stub of a retired ticket; throws NotFoundError for an unknown
+  /// one.  mu_ must be held.
+  [[nodiscard]] SubmissionStatus retired_snapshot_locked(
+      common::AppId app) const;
 
   SiteId local_site_;
   sched::SiteDirectory* directory_;
@@ -436,11 +369,8 @@ class AppSubmissionService {
   SiteManager* feedback_ = nullptr;
   std::vector<predict::LoadForecaster*> forecasters_;
   FaultHookFactory fault_hooks_;
-  std::function<bool(common::HostId)> health_probe_;
-  /// Sites quorum-declared dead (note_site_liveness); guarded by mu_.
-  std::set<common::SiteId> dead_sites_;
+  LivenessDirectory* liveness_ = nullptr;
   CheckpointStore checkpoints_;
-  HostCircuitBreaker breaker_;
   /// Sharded stride ready queue; all mutations happen under mu_ (its
   /// internal shard locks nest beneath), reads like grant_pass() are
   /// lock-free.

@@ -74,6 +74,7 @@ void Watchdog::launch_locked(Daemon& d) {
   d.rpc_port = 0;
   d.gossip_port = 0;
   d.up = false;
+  d.restart_at_s = 0.0;
   d.last_beat_s = now_s();  // grace: the timeout clock starts at launch
   liveness_.track(d.site, d.incarnation);
 
@@ -245,41 +246,39 @@ void Watchdog::beat_loop(std::shared_ptr<dm::TcpChannel> channel) {
     cv_.notify_all();
     if (fire_up && up_cb) up_cb(bound_site);
   }
-  // Connection gone.  If it belonged to the current incarnation and the
-  // daemon was considered up, that is a crash notice faster than the
-  // heartbeat deadline -- first-hand when trust_process_exit, otherwise
-  // just the watchdog's suspicion vote (quorum decides).
+  // Connection gone: a crash notice faster than the heartbeat deadline
+  // about the incarnation this connection authenticated as (the
+  // directory fences it if that incarnation is already gone).  Wake the
+  // monitor so its verdict sweep acts without waiting for the next poll.
   if (bound_incarnation == 0) return;
-  bool fire_down = false;
-  std::function<void(SiteId)> down_cb;
   {
     std::lock_guard lock(mu_);
     if (stopping_) return;
-    const auto it = daemons_.find(bound_site);
-    if (it == daemons_.end()) return;
-    Daemon& d = it->second;
-    if (d.incarnation != bound_incarnation || !d.up) return;
-    if (!config_.trust_process_exit) {
-      (void)liveness_.suspect(bound_site, bound_incarnation,
-                              LivenessDirectory::watchdog_witness(),
-                              "heartbeat connection lost");
-      return;
-    }
-    declare_down(d, "heartbeat connection lost");
-    fire_down = true;
-    down_cb = on_site_down_;
+    note_exit(bound_site, bound_incarnation, "heartbeat connection lost");
+    sweep_now_ = true;
   }
-  if (fire_down && down_cb) down_cb(bound_site);
+  cv_.notify_all();
+}
+
+void Watchdog::note_exit(SiteId site, std::uint32_t incarnation,
+                         const std::string& why) {
+  if (config_.trust_process_exit) {
+    (void)liveness_.conclusive_dead(site, incarnation, why);
+  } else {
+    // Quorum mode: even first-hand process exit is only this watchdog's
+    // vote (tests force the full gossip/quorum path).
+    (void)liveness_.suspect(site, incarnation,
+                            LivenessDirectory::watchdog_witness(), why);
+  }
 }
 
 void Watchdog::declare_down(Daemon& d, const std::string& why) {
-  // Lock held by the caller.  The daemon may still be running (hung);
-  // make the death real before restarting so two incarnations never
-  // serve the same site.
+  // The daemon may still be running (hung); make the death real before
+  // restarting so two incarnations never serve the same site.
   common::log_warn("watchdog", "site ", d.site.value(), " down (", why,
                    "), pid ", d.pid);
   common::MetricsRegistry::global().counter("watchdog.site_down").add(1);
-  (void)liveness_.conclusive_dead(d.site, d.incarnation, why);
+  d.declared_incarnation = d.incarnation;
   d.up = false;
   d.rpc_port = 0;
   d.gossip_port = 0;
@@ -293,20 +292,23 @@ void Watchdog::declare_down(Daemon& d, const std::string& why) {
     d.abandoned = true;
     return;
   }
-  const double backoff = restart_backoff(config_, d.site, d.restarts);
-  restart_queue_.emplace_back(now_s() + backoff, d.site);
+  d.restart_at_s = now_s() + restart_backoff(config_, d.site, d.restarts);
 }
 
 void Watchdog::monitor_loop() {
   const auto poll = std::chrono::duration<double>(
       std::max(0.01, config_.heartbeat_period_s / 2.0));
+  const double launch_grace_s =
+      config_.heartbeat_timeout_s + config_.restart_backoff_s;
   std::unique_lock lock(mu_);
   while (!stopping_) {
-    cv_.wait_for(lock, poll, [this] { return stopping_; });
+    cv_.wait_for(lock, poll, [this] { return stopping_ || sweep_now_; });
     if (stopping_) return;
+    sweep_now_ = false;
     const double now = now_s();
-    std::vector<SiteId> downs;
+    // Evidence only: nothing here declares a site down.
     for (auto& [site, d] : daemons_) {
+      if (d.declared_incarnation == d.incarnation) continue;  // acted on
       if (d.pid > 0) {
         // A reaped child is the fastest SIGKILL detector...
         int status = 0;
@@ -314,55 +316,43 @@ void Watchdog::monitor_loop() {
             ::waitpid(static_cast<pid_t>(d.pid), &status, WNOHANG);
         if (reaped == static_cast<pid_t>(d.pid)) {
           d.pid = -1;
-          if (config_.trust_process_exit) {
-            declare_down(d, "process exited");
-            downs.push_back(site);
-            continue;
-          }
-          // Quorum mode: even first-hand process exit is only this
-          // watchdog's vote (tests force the full gossip/quorum path).
-          (void)liveness_.suspect(site, d.incarnation,
-                                  LivenessDirectory::watchdog_witness(),
-                                  "process exited");
+          note_exit(site, d.incarnation, "process exited");
         }
       }
       // ...and the heartbeat deadline catches hangs and partitions --
       // but it is a witness vote now, not a verdict.
-      if (d.up && now - d.last_beat_s > config_.heartbeat_timeout_s) {
+      const double silent_s = now - d.last_beat_s;
+      if (d.up && silent_s > config_.heartbeat_timeout_s) {
         (void)liveness_.suspect(site, d.incarnation,
                                 LivenessDirectory::watchdog_witness(),
                                 "missed heartbeat deadline");
-      } else if (!d.up && !d.abandoned && d.pid > 0 &&
-                 now - d.last_beat_s > config_.heartbeat_timeout_s +
-                                           config_.restart_backoff_s) {
-        // Launched but never beat (crashed before the first beat); no
-        // peer ever heard this incarnation, so no quorum can form --
-        // first-hand judgment stays.
-        declare_down(d, "no heartbeat after launch");
-        downs.push_back(site);
+      } else if (!d.up && silent_s > launch_grace_s) {
+        // Launched but never beat (maybe crashed before the first
+        // beat); no peer ever heard this incarnation, so no quorum can
+        // form -- first-hand judgment in both modes.
+        (void)liveness_.conclusive_dead(site, d.incarnation,
+                                        "no heartbeat after launch");
       }
     }
-    // The directory's verdict: suspicions that ran out of time...
+    // The verdict sweep, the only place a site goes down: suspicions
+    // that ran out of time die, then every incarnation the directory
+    // holds dead is declared down exactly once.
     (void)liveness_.poll();
-    // ...and quorum/timeout deaths become the site-down declaration.
+    std::vector<SiteId> downs;
     for (auto& [site, d] : daemons_) {
-      if (!d.up && d.pid <= 0) continue;  // already declared (or idle)
-      if (liveness_.state(site) != SiteLiveness::kDead) continue;
-      declare_down(d, "liveness verdict: " + liveness_.status(site).reason);
+      if (d.declared_incarnation == d.incarnation) continue;
+      const SiteLivenessStatus verdict = liveness_.status(site);
+      if (verdict.state != SiteLiveness::kDead ||
+          verdict.incarnation != d.incarnation) {
+        continue;
+      }
+      declare_down(d, "liveness verdict: " + verdict.reason);
       downs.push_back(site);
     }
     // Due restarts.
-    std::vector<std::pair<double, SiteId>> later;
-    for (const auto& [when, site] : restart_queue_) {
-      if (when > now) {
-        later.emplace_back(when, site);
-        continue;
-      }
-      const auto it = daemons_.find(site);
-      if (it == daemons_.end() || it->second.abandoned) continue;
-      launch_locked(it->second);
+    for (auto& [site, d] : daemons_) {
+      if (d.restart_at_s > 0.0 && d.restart_at_s <= now) launch_locked(d);
     }
-    restart_queue_ = std::move(later);
 
     if (!downs.empty()) {
       auto cb = on_site_down_;
@@ -510,18 +500,7 @@ DaemonStatus Watchdog::status(SiteId site) const {
   const std::lock_guard lock(mu_);
   const auto it = daemons_.find(site);
   common::expects(it != daemons_.end(), "site not supervised");
-  const Daemon& d = it->second;
-  DaemonStatus s;
-  s.site = d.site;
-  s.pid = d.pid;
-  s.rpc_port = d.rpc_port;
-  s.gossip_port = d.gossip_port;
-  s.incarnation = d.incarnation;
-  s.heartbeats = d.heartbeats;
-  s.up = d.up;
-  s.restarts = d.restarts;
-  s.abandoned = d.abandoned;
-  return s;
+  return static_cast<const DaemonStatus&>(it->second);
 }
 
 std::size_t Watchdog::total_restarts() const {
@@ -549,7 +528,6 @@ void Watchdog::stop() {
     const std::lock_guard lock(mu_);
     if (stopping_) return;
     stopping_ = true;
-    restart_queue_.clear();
     channels = beat_channels_;
     for (auto& [site, d] : daemons_) {
       if (d.pid > 0) pids.push_back(d.pid);

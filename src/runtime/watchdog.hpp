@@ -10,19 +10,21 @@
 //   * listens on a TCP heartbeat port every daemon beats into; the
 //     first beat of an incarnation announces the daemon's
 //     kernel-assigned RPC port (the coordinator connects there);
-//   * feeds every piece of death evidence into the D17
-//     LivenessDirectory instead of acting on it alone: a reaped child
+//   * writes every piece of death evidence into the D17
+//     LivenessDirectory and acts on none of it alone: a reaped child
 //     or a heartbeat-connection EOF is first-hand (conclusive, when
-//     trust_process_exit), while a missed heartbeat deadline is merely
-//     the watchdog's own suspicion VOTE -- peer daemons gossip-probe
-//     each other, piggyback peer-health digests on their heartbeats,
-//     answer indirect ping-req probes, and send refutations, so a
+//     trust_process_exit; otherwise the watchdog's vote), a daemon
+//     that never beat after launch is first-hand in both modes, and a
+//     missed heartbeat deadline is merely the watchdog's own suspicion
+//     VOTE -- peer daemons gossip-probe each other, piggyback
+//     peer-health digests on their heartbeats, answer indirect
+//     ping-req probes, and send refutations, so a
 //     partitioned-but-healthy site is suspected but never declared
 //     dead;
-//   * declares a site DOWN only on the directory's verdict (quorum of
-//     witnesses, an unrefuted suspicion deadline, or first-hand death)
-//     and invokes on_site_down (the hook the submission service's
-//     failover/circuit-breaker path subscribes to);
+//   * declares a site DOWN in one place, a verdict sweep that acts on
+//     the directory's verdict (quorum of witnesses, an unrefuted
+//     suspicion deadline, or first-hand death) once per incarnation,
+//     and invokes on_site_down;
 //   * restarts the daemon with jittered exponential backoff (seeded
 //     per site and restart, so a multi-site outage cannot produce a
 //     synchronized fork/exec storm), bumping the incarnation so stale
@@ -160,8 +162,9 @@ class Watchdog {
   /// Total restarts across all sites.
   [[nodiscard]] std::size_t total_restarts() const;
 
-  /// The D17 quorum-liveness directory (tests and benches inspect the
-  /// per-site state machines directly).
+  /// The D17 liveness directory: the coordinator's one liveness judge
+  /// (attach it to the submission service with set_liveness; tests and
+  /// benches inspect the per-site state machines directly).
   [[nodiscard]] LivenessDirectory& liveness() { return liveness_; }
   /// Convenience: the directory's verdict for `site`.
   [[nodiscard]] SiteLiveness site_liveness(SiteId site) const {
@@ -188,18 +191,13 @@ class Watchdog {
   void stop();
 
  private:
-  struct Daemon {
-    SiteId site;
-    std::int64_t pid = -1;
-    std::uint32_t incarnation = 0;
-    std::uint16_t rpc_port = 0;
-    std::uint16_t gossip_port = 0;
-    std::uint64_t heartbeats = 0;
+  struct Daemon : DaemonStatus {
     /// steady-clock seconds of the last accepted beat.
     double last_beat_s = 0.0;
-    bool up = false;
-    std::size_t restarts = 0;
-    bool abandoned = false;
+    /// The incarnation the verdict sweep last declared down (0 = none).
+    std::uint32_t declared_incarnation = 0;
+    /// steady-clock seconds the pending restart is due (0 = none).
+    double restart_at_s = 0.0;
   };
 
   void accept_loop();
@@ -211,8 +209,13 @@ class Watchdog {
   void apply_digest(const wire::PeerDigest& digest);
   /// Fork/execs one daemon for `d` (lock held); bumps the incarnation.
   void launch_locked(Daemon& d);
-  /// Declares `d` down and schedules its restart; returns the
-  /// callback to fire outside the lock (or nullptr).
+  /// Writes a reaped child / heartbeat EOF of `incarnation` as evidence:
+  /// conclusive death when trust_process_exit, else the watchdog's vote.
+  void note_exit(SiteId site, std::uint32_t incarnation,
+                 const std::string& why);
+  /// Acts on the directory's death verdict for `d`'s current
+  /// incarnation (lock held; the verdict sweep is the only caller):
+  /// makes the death real, then schedules the restart or abandons.
   void declare_down(Daemon& d, const std::string& why);
   [[nodiscard]] static double now_s();
 
@@ -225,11 +228,12 @@ class Watchdog {
   mutable std::mutex mu_;
   std::condition_variable cv_;
   bool stopping_ = false;
+  /// Set by a beat reader that wrote EOF evidence: the monitor runs its
+  /// verdict sweep now instead of at the next poll.
+  bool sweep_now_ = false;
   std::map<SiteId, Daemon> daemons_;
   /// Heartbeat channels, closed on stop() to unblock readers.
   std::vector<std::shared_ptr<dm::TcpChannel>> beat_channels_;
-  /// Pending restart deadlines: (steady seconds, site).
-  std::vector<std::pair<double, SiteId>> restart_queue_;
 
   std::thread acceptor_;
   std::thread monitor_;

@@ -1,5 +1,5 @@
 // Chaos and failover tests (DESIGN.md D12): the CheckpointStore, the
-// flapping-host circuit breaker, the ChaosSchedule fault harness, and
+// liveness directory's host flap policy, the ChaosSchedule fault harness, and
 // the AppSubmissionService's site-level failover loop -- including the
 // acceptance property that a run killed mid-flight resumes from its
 // checkpoint on surviving resources, re-executes zero completed tasks,
@@ -19,6 +19,7 @@
 #include "netsim/chaos.hpp"
 #include "netsim/testbed.hpp"
 #include "runtime/checkpoint.hpp"
+#include "runtime/liveness.hpp"
 #include "runtime/submission.hpp"
 #include "scheduler/qos.hpp"
 #include "sim/workloads.hpp"
@@ -123,54 +124,52 @@ TEST(CheckpointStore, ReplayBitIdenticalAfterSlabRecycled) {
   store.drop_app(app);
 }
 
-// -------------------------------------------------- HostCircuitBreaker
+// ------------------------------------- LivenessDirectory host flap policy
 
-TEST(HostCircuitBreaker, OpensOnFailureRateAndDecaysClosed) {
-  CircuitBreakerConfig config;
-  config.enabled = true;
-  config.open_threshold = 3.0;
-  config.close_threshold = 1.0;
-  config.decay_half_life_s = 10.0;
-  HostCircuitBreaker breaker(config);
+TEST(LivenessFlapPolicy, OpensOnFailureRateAndDecaysClosed) {
+  LivenessConfig config;
+  config.flap_open_threshold = 3.0;
+  config.flap_close_threshold = 1.0;
+  config.flap_half_life_s = 10.0;
+  LivenessDirectory liveness(config);
 
   double now = 0.0;
-  breaker.set_clock([&now] { return now; });
+  liveness.set_clock([&now] { return now; });
 
   const HostId flappy(4);
-  EXPECT_FALSE(breaker.record_failure(flappy));
-  EXPECT_FALSE(breaker.record_failure(flappy));
-  EXPECT_FALSE(breaker.quarantined(flappy));
-  EXPECT_TRUE(breaker.record_failure(flappy));  // 3rd: opens
-  EXPECT_TRUE(breaker.quarantined(flappy));
-  EXPECT_EQ(breaker.trips(), 1u);
-  EXPECT_EQ(breaker.quarantined_hosts(),
-            std::vector<HostId>{flappy});
+  EXPECT_FALSE(liveness.report_host_failure(flappy));
+  EXPECT_FALSE(liveness.report_host_failure(flappy));
+  EXPECT_FALSE(liveness.quarantined(flappy));
+  EXPECT_TRUE(liveness.report_host_failure(flappy));  // 3rd: opens
+  EXPECT_TRUE(liveness.quarantined(flappy));
+  EXPECT_EQ(liveness.stats().quarantines, 1u);
+  EXPECT_EQ(liveness.quarantined_hosts(), std::vector<HostId>{flappy});
 
   // Other hosts are unaffected.
-  EXPECT_FALSE(breaker.quarantined(HostId(5)));
-  EXPECT_EQ(breaker.score(HostId(5)), 0.0);
+  EXPECT_FALSE(liveness.quarantined(HostId(5)));
+  EXPECT_EQ(liveness.flap_score(HostId(5)), 0.0);
 
   // Two half-lives later the score decays 3 -> 0.75 < close threshold:
-  // the breaker closes (hysteresis: it opened at 3, closes below 1).
+  // the quarantine lifts (hysteresis: it opened at 3, closes below 1).
   now = 20.0;
-  EXPECT_FALSE(breaker.quarantined(flappy));
-  EXPECT_NEAR(breaker.score(flappy), 0.75, 1e-9);
+  EXPECT_FALSE(liveness.quarantined(flappy));
+  EXPECT_NEAR(liveness.flap_score(flappy), 0.75, 1e-9);
 
   // Re-opening requires climbing back over the open threshold.
-  EXPECT_FALSE(breaker.record_failure(flappy));
-  EXPECT_FALSE(breaker.record_failure(flappy));
-  EXPECT_TRUE(breaker.record_failure(flappy));
-  EXPECT_EQ(breaker.trips(), 2u);
+  EXPECT_FALSE(liveness.report_host_failure(flappy));
+  EXPECT_FALSE(liveness.report_host_failure(flappy));
+  EXPECT_TRUE(liveness.report_host_failure(flappy));
+  EXPECT_EQ(liveness.stats().quarantines, 2u);
 }
 
-TEST(HostCircuitBreaker, DisabledBreakerNeverQuarantines) {
-  HostCircuitBreaker breaker;  // enabled = false
+TEST(LivenessFlapPolicy, DefaultConfigNeverQuarantines) {
+  LivenessDirectory liveness;  // flap_open_threshold = +inf
   for (int i = 0; i < 10; ++i) {
-    EXPECT_FALSE(breaker.record_failure(HostId(1)));
+    EXPECT_FALSE(liveness.report_host_failure(HostId(1)));
   }
-  EXPECT_FALSE(breaker.quarantined(HostId(1)));
-  EXPECT_TRUE(breaker.quarantined_hosts().empty());
-  EXPECT_EQ(breaker.trips(), 0u);
+  EXPECT_FALSE(liveness.quarantined(HostId(1)));
+  EXPECT_TRUE(liveness.quarantined_hosts().empty());
+  EXPECT_EQ(liveness.stats().quarantines, 0u);
 }
 
 // --------------------------------------------------------- ChaosSchedule
@@ -411,7 +410,6 @@ class FailoverEnv : public ::testing::Test {
     config.engine.recv_timeout_s = 5.0;
     auto service = std::make_unique<AppSubmissionService>(
         SiteId(0), directory_, registry_, config);
-    service->set_health_probe(testbed_->liveness_probe());
     service->set_fault_hooks(
         [this](const afg::FlowGraph&, const sched::AllocationTable&) {
           FaultTolerance ft;
@@ -647,32 +645,33 @@ TEST_F(FailoverEnv, CheckpointReplayBitIdenticalAcrossSeedsAndSchedules) {
   }
 }
 
-// ------------------------------------------- circuit breaker x service
+// ------------------------------------------- host flap policy x service
 
 TEST_F(FailoverEnv, BreakerTripBumpsStatsAndInvalidatesPredictions) {
+  double now = 0.0;
+  LivenessConfig liveness_config;
+  liveness_config.flap_open_threshold = 3.0;
+  LivenessDirectory liveness(liveness_config);
+  liveness.set_clock([&now] { return now; });
   AppSubmissionConfig config;
-  config.breaker.enabled = true;
-  config.breaker.open_threshold = 3.0;
   AppSubmissionService service(SiteId(0), directory_, registry_, config);
+  service.set_liveness(&liveness);
   for (auto& forecaster : forecasters_) {
     service.add_forecaster(forecaster.get());
   }
 
-  double now = 0.0;
-  service.breaker().set_clock([&now] { return now; });
-
   const HostId flappy = testbed_->all_hosts().front();
   const auto version_before = forecasters_.front()->version();
-  const auto trips_before = counter_value("submission.breaker_trips");
+  const auto trips_before = counter_value("liveness.quarantines");
 
-  service.breaker().record_failure(flappy);
-  service.breaker().record_failure(flappy);
-  EXPECT_EQ(service.stats().breaker_trips, 0u);
-  service.breaker().record_failure(flappy);  // opens
+  service.report_host_failure(flappy);
+  service.report_host_failure(flappy);
+  EXPECT_EQ(liveness.stats().quarantines, 0u);
+  service.report_host_failure(flappy);  // opens
 
-  EXPECT_TRUE(service.breaker().quarantined(flappy));
-  EXPECT_EQ(service.stats().breaker_trips, 1u);
-  EXPECT_EQ(counter_value("submission.breaker_trips") - trips_before, 1u);
+  EXPECT_TRUE(liveness.quarantined(flappy));
+  EXPECT_EQ(liveness.stats().quarantines, 1u);
+  EXPECT_EQ(counter_value("liveness.quarantines") - trips_before, 1u);
   // The open transition version-bumped the forecaster (forget(host)),
   // so prediction-cache entries computed before the flap are stale.
   EXPECT_GT(forecasters_.front()->version(), version_before);
@@ -682,15 +681,15 @@ TEST_F(FailoverEnv, QuarantinedHostIsExcludedByWrappedLiveness) {
   // The service wraps factory hooks so a quarantined host reads dead
   // even when the raw probe says alive: the engine's fault guard and
   // recovery then steer around the flapping machine.
+  LivenessConfig liveness_config;
+  liveness_config.flap_open_threshold = 1.0;   // first failure quarantines
+  liveness_config.flap_close_threshold = 0.1;  // ...and it stays open a while
+  LivenessDirectory liveness(liveness_config);
   AppSubmissionConfig config;
-  config.breaker.enabled = true;
-  config.breaker.open_threshold = 1.0;   // first failure quarantines
-  config.breaker.close_threshold = 0.1;  // ...and it stays open a while
   config.max_restarts = 1;
   config.engine.max_attempts = 1;
   AppSubmissionService service(SiteId(0), directory_, registry_, config);
-  service.set_health_probe(
-      [this](HostId host) { return testbed_->is_alive_now(host); });
+  service.set_liveness(&liveness);
   service.set_fault_hooks(
       [this](const afg::FlowGraph&, const sched::AllocationTable&) {
         FaultTolerance ft;
@@ -700,8 +699,8 @@ TEST_F(FailoverEnv, QuarantinedHostIsExcludedByWrappedLiveness) {
       });
 
   const HostId flappy = testbed_->all_hosts().front();
-  service.breaker().record_failure(flappy);
-  ASSERT_TRUE(service.breaker().quarantined(flappy));
+  service.report_host_failure(flappy);
+  ASSERT_TRUE(liveness.quarantined(flappy));
 
   // A healthy app run completes while steering clear of the
   // quarantined host (host_alive reads false for it pre-compute).
@@ -714,6 +713,70 @@ TEST_F(FailoverEnv, QuarantinedHostIsExcludedByWrappedLiveness) {
   ASSERT_EQ(status.state, SubmissionState::kCompleted) << status.error;
   for (const auto& record : status.result.records) {
     EXPECT_NE(record.host, flappy);
+  }
+}
+
+// ------------------------------- failover reads the liveness verdict
+
+TEST_F(FailoverEnv, OnlyADeadSiteVerdictMovesTasksOffTheSite) {
+  // No outage window exists, so the testbed probe reads every host
+  // alive: the hand-driven directory's site verdict is the only thing
+  // that can move task c.  A suspect site keeps its placements; a dead
+  // one does not.
+  LivenessDirectory liveness;  // quorum 2
+  liveness.set_clock([] { return 0.0; });  // nothing polls: no timeouts
+  for (const SiteId site : testbed_->sites()) liveness.track(site, 1);
+  auto service = make_service(/*max_restarts=*/1, /*checkpointing=*/true,
+                              /*paused=*/true);
+  service->set_liveness(&liveness);
+
+  const auto task_c_of = [](const sched::AllocationTable& allocation) {
+    for (const auto& row : allocation.rows()) {
+      if (row.library_task == "chaos_trip") return row.task;
+    }
+    return TaskId{};
+  };
+
+  // 1 of 2 votes: c trips, and the restart keeps c's host.
+  state_->remaining_trips.store(1);
+  const AppId first = service->submit(request_for(trip_pipeline(), 11));
+  const auto queued = service->status(first);
+  ASSERT_TRUE(queued.admission.admitted) << queued.error;
+  const TaskId task_c = task_c_of(queued.allocation);
+  const SiteId doomed = queued.allocation.entry(task_c).site;
+  const HostId doomed_host = queued.allocation.entry(task_c).primary_host();
+  state_->on_trip = [&liveness, doomed] {
+    (void)liveness.suspect(doomed, 1, SiteId(100), "one witness");
+  };
+  service->resume();
+  const auto kept = service->wait(first);
+  ASSERT_EQ(kept.state, SubmissionState::kCompleted) << kept.error;
+  EXPECT_EQ(kept.restarts, 1u);
+  EXPECT_EQ(kept.allocation.entry(task_c).primary_host(), doomed_host);
+  EXPECT_EQ(liveness.state(doomed), SiteLiveness::kSuspect);
+  EXPECT_EQ(liveness.status(doomed).witnesses, 1u);
+
+  // The directory now holds the site dead: the next tripped app moves
+  // c (and anything else unfinished there) to another site.
+  (void)liveness.conclusive_dead(doomed, 1, "test verdict");
+  service->pause();
+  state_->on_trip = nullptr;
+  state_->remaining_trips.store(1);
+  const AppId second = service->submit(request_for(trip_pipeline(), 12));
+  const auto placed = service->status(second);
+  ASSERT_EQ(task_c_of(placed.allocation), task_c);
+  ASSERT_EQ(placed.allocation.entry(task_c).site, doomed)
+      << "placement no longer puts c on the doomed site; the case is moot";
+  service->resume();
+  const auto moved = service->wait(second);
+  ASSERT_EQ(moved.state, SubmissionState::kCompleted) << moved.error;
+  EXPECT_EQ(moved.restarts, 1u);
+  EXPECT_NE(moved.allocation.entry(task_c).site, doomed);
+  for (const auto& record : moved.result.records) {
+    if (!record.replayed) {
+      EXPECT_NE(testbed_->site_of(record.host), doomed)
+          << "task re-executed on the dead site";
+    }
   }
 }
 

@@ -1243,7 +1243,6 @@ class ControlPlaneFailover : public ::testing::Test {
     config.engine.recv_timeout_s = 5.0;
     auto service = std::make_unique<AppSubmissionService>(
         SiteId(0), directory_, registry_, config);
-    service->set_health_probe(testbed_->liveness_probe());
     service->set_fault_hooks(
         [this](const afg::FlowGraph&, const sched::AllocationTable&) {
           FaultTolerance ft;
@@ -1398,6 +1397,72 @@ TEST_F(ControlPlaneFailover, SigkilledDaemonTriggersRestartAndAppFailover) {
   EXPECT_EQ(counter_value("submission.restarts") - restarts_before, 1u);
   EXPECT_EQ(counter_value("watchdog.site_down") - site_down_before, 1u);
   EXPECT_EQ(counter_value("watchdog.restarts") - wd_restarts_before, 1u);
+}
+
+TEST_F(ControlPlaneFailover, SigkillVerdictAloneMovesTheAppOffTheDeadSite) {
+  // Only the process dies: there is no virtual outage window, so the
+  // testbed probe reads every host alive and the watchdog directory's
+  // verdict is the only thing that can move task c.  max_restarts = 0
+  // keeps that verdict standing through the replan (no reincarnation
+  // re-tracks the site).
+  const std::uint64_t kSeed = 1234;
+
+  std::map<TaskId, std::vector<std::byte>> reference;
+  {
+    state_->remaining_trips.store(0);
+    auto service = make_service(/*max_restarts=*/0, /*checkpointing=*/false);
+    const AppId app = service->submit(request_for(trip_pipeline(), kSeed));
+    const auto status = service->wait(app);
+    ASSERT_EQ(status.state, SubmissionState::kCompleted) << status.error;
+    for (const auto& [task, payload] : status.result.outputs) {
+      reference[task] = payload.to_wire();
+    }
+  }
+
+  auto config = test_watchdog_config();
+  config.max_restarts = 0;
+  Watchdog watchdog(config);
+  for (const SiteId site : testbed_->sites()) {
+    watchdog.spawn(site);
+    (void)watchdog.rpc_port(site);
+  }
+
+  state_->remaining_trips.store(1);
+  state_->invocations.store(0);
+  auto service = make_service(/*max_restarts=*/2, /*checkpointing=*/true,
+                              /*paused=*/true);
+  service->set_liveness(&watchdog.liveness());
+  const AppId app = service->submit(request_for(trip_pipeline(), kSeed));
+  const auto queued = service->status(app);
+  ASSERT_TRUE(queued.admission.admitted) << queued.error;
+  TaskId task_c{};
+  for (const auto& row : queued.allocation.rows()) {
+    if (row.library_task == "chaos_trip") task_c = row.task;
+  }
+  const SiteId doomed = queued.allocation.entry(task_c).site;
+  state_->on_trip = [&watchdog, doomed] {
+    watchdog.kill_daemon(doomed, SIGKILL);
+    const double deadline = steady_s() + 15.0;
+    while (watchdog.site_liveness(doomed) != SiteLiveness::kDead &&
+           steady_s() < deadline) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    }
+  };
+  service->resume();
+
+  const auto final_status = service->wait(app);
+  ASSERT_EQ(final_status.state, SubmissionState::kCompleted)
+      << final_status.error;
+  EXPECT_EQ(watchdog.site_liveness(doomed), SiteLiveness::kDead);
+  EXPECT_EQ(final_status.restarts, 1u);
+  EXPECT_NE(final_status.allocation.entry(task_c).site, doomed);
+  EXPECT_EQ(state_->invocations.load(), 2);
+
+  ASSERT_EQ(final_status.result.outputs.size(), reference.size());
+  for (const auto& [task, payload] : final_status.result.outputs) {
+    EXPECT_EQ(payload.to_wire(), reference.at(task))
+        << "task " << task.value() << " output diverged";
+  }
 }
 
 }  // namespace

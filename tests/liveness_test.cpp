@@ -558,5 +558,53 @@ TEST(QuorumLiveness, RpcEndpointIsFencedAcrossARestartRace) {
   EXPECT_EQ(client.incarnation(), 2u);
 }
 
+// ------------------ the watchdog restarts only on the directory verdict
+
+/// A daemon binary that exits at once, before its first beat: in either
+/// trust mode every incarnation must reach a directory verdict, be
+/// declared down exactly once, and be restarted until the budget runs
+/// out (the verdict sweep keys on the incarnation, not on up/pid).
+void expect_pre_beat_crashes_restart_until_abandoned(bool trust_exit) {
+  const auto site_down_before = counter_value("watchdog.site_down");
+  WatchdogConfig config;
+  config.daemon_path = "/bin/false";
+  config.trust_process_exit = trust_exit;
+  config.max_restarts = 2;
+  config.heartbeat_period_s = 0.02;
+  config.heartbeat_timeout_s = 0.1;
+  config.restart_backoff_s = 0.02;
+  config.gossip = false;
+  Watchdog watchdog(config);
+  std::atomic<int> down_events{0};
+  watchdog.set_on_site_down([&](SiteId) { down_events.fetch_add(1); });
+  watchdog.spawn(SiteId(0));
+
+  const double deadline = steady_s() + 5.0;
+  while (steady_s() < deadline &&
+         !(watchdog.status(SiteId(0)).abandoned && down_events.load() == 3)) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  const DaemonStatus status = watchdog.status(SiteId(0));
+  EXPECT_TRUE(status.abandoned);
+  EXPECT_EQ(status.restarts, 2u);
+  EXPECT_EQ(status.incarnation, 3u);
+  EXPECT_FALSE(status.up);
+  EXPECT_EQ(down_events.load(), 3);  // one per incarnation
+  EXPECT_EQ(counter_value("watchdog.site_down") - site_down_before, 3u);
+  EXPECT_EQ(watchdog.site_liveness(SiteId(0)), SiteLiveness::kDead);
+  const auto stats = watchdog.liveness().stats();
+  EXPECT_EQ(stats.deaths_quorum + stats.deaths_timeout +
+                stats.deaths_conclusive,
+            3u);
+}
+
+TEST(WatchdogVerdict, PreBeatCrashIsRestartedUntilAbandonedInQuorumMode) {
+  expect_pre_beat_crashes_restart_until_abandoned(/*trust_exit=*/false);
+}
+
+TEST(WatchdogVerdict, PreBeatCrashIsRestartedUntilAbandonedOnTrustedExit) {
+  expect_pre_beat_crashes_restart_until_abandoned(/*trust_exit=*/true);
+}
+
 }  // namespace
 }  // namespace vdce::rt

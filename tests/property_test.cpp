@@ -6,16 +6,22 @@
 #include <atomic>
 #include <cstring>
 #include <filesystem>
+#include <limits>
 #include <map>
+#include <set>
 #include <thread>
+#include <tuple>
 
 #include "afg/levels.hpp"
 #include "afg/serialize.hpp"
 #include "common/error.hpp"
+#include "common/log.hpp"
+#include "common/metrics.hpp"
 #include "common/rng.hpp"
 #include "datamgr/frame.hpp"
 #include "datamgr/ring_channel.hpp"
 #include "repository/repository.hpp"
+#include "runtime/liveness.hpp"
 #include "scheduler/qos.hpp"
 #include "scheduler/site_scheduler.hpp"
 #include "sim/static_sim.hpp"
@@ -537,6 +543,475 @@ TEST(RingChannelChurn, AbortRacingProducersAndConsumers) {
     std::map<std::pair<std::uint64_t, std::uint64_t>, int> counts;
     for (const auto& tag : popped) ++counts[tag];
     for (const auto& [tag, n] : counts) EXPECT_EQ(n, 1);
+  }
+}
+
+// ---------------------------------------- liveness directory laws (D17)
+
+/// Silences the directory's per-transition log lines while a property
+/// run drives thousands of transitions.
+class QuietLogs {
+ public:
+  QuietLogs() : saved_(common::log_level()) {
+    common::set_log_level(common::LogLevel::kError);
+  }
+  ~QuietLogs() { common::set_log_level(saved_); }
+  QuietLogs(const QuietLogs&) = delete;
+  QuietLogs& operator=(const QuietLogs&) = delete;
+
+ private:
+  common::LogLevel saved_;
+};
+
+/// Everything one site's state machine exposes.
+auto site_view(const rt::LivenessDirectory& dir, SiteId site) {
+  const rt::SiteLivenessStatus s = dir.status(site);
+  return std::make_tuple(s.state, s.incarnation, s.witnesses,
+                         s.suspect_since_s, s.reason);
+}
+
+/// The directory's counters, in kLivenessMetrics order.
+std::vector<std::uint64_t> stats_vector(const rt::LivenessStats& s) {
+  return {s.suspects,          s.refutations,
+          s.deaths_quorum,     s.deaths_timeout,
+          s.deaths_conclusive, s.false_alarm_recoveries,
+          s.quarantines};
+}
+
+constexpr const char* kLivenessMetrics[] = {
+    "liveness.suspects",          "liveness.refutations",
+    "liveness.deaths_quorum",     "liveness.deaths_timeout",
+    "liveness.deaths_conclusive", "liveness.false_alarm_recoveries",
+    "liveness.quarantines"};
+
+std::vector<std::uint64_t> liveness_metrics() {
+  std::vector<std::uint64_t> out;
+  for (const char* name : kLivenessMetrics) {
+    out.push_back(common::MetricsRegistry::global().counter(name).value());
+  }
+  return out;
+}
+
+std::uint64_t deaths(const rt::LivenessStats& s) {
+  return s.deaths_quorum + s.deaths_timeout + s.deaths_conclusive;
+}
+
+/// Every liveness.* metric moved by exactly the directory's own count
+/// since `before`.
+void expect_metrics_mirror(const std::vector<std::uint64_t>& before,
+                           const rt::LivenessStats& stats) {
+  const auto after = liveness_metrics();
+  const auto counted = stats_vector(stats);
+  for (std::size_t k = 0; k < counted.size(); ++k) {
+    EXPECT_EQ(after[k] - before[k], counted[k]) << kLivenessMetrics[k];
+  }
+}
+
+/// Random evidence schedules against one directory on a virtual clock:
+/// votes, refutations, heartbeats and first-hand deaths about current,
+/// stale and successor incarnations, relaunches, polls, clock ticks and
+/// host flap reports, with every law checked after every step.
+class LivenessDirectoryProperty : public ::testing::TestWithParam<int> {};
+
+TEST_P(LivenessDirectoryProperty, RandomEvidenceKeepsTheLaws) {
+  const QuietLogs quiet;
+  const auto metrics_before = liveness_metrics();
+  Rng rng(7300 + GetParam());
+  rt::LivenessConfig config;
+  config.quorum = 1 + static_cast<int>(rng.uniform_int(3));
+  config.suspicion_timeout_s = rng.uniform(0.5, 1.5);
+  config.flap_open_threshold =
+      rng.uniform_int(4) == 0
+          ? std::numeric_limits<double>::infinity()
+          : 2.0 + static_cast<double>(rng.uniform_int(3));
+  config.flap_close_threshold = rng.uniform_int(2) == 0 ? 0.5 : 1.0;
+  config.flap_half_life_s = rng.uniform(1.0, 5.0);
+  rt::LivenessDirectory dir(config);
+  double now = 0.0;
+  dir.set_clock([&now] { return now; });
+
+  const std::vector<SiteId> sites = {SiteId(0), SiteId(1), SiteId(2)};
+  const std::vector<HostId> hosts = {HostId(0), HostId(1), HostId(2),
+                                     HostId(3)};
+  for (const SiteId site : sites) dir.track(site, 1);
+
+  enum Op {
+    kTrack,
+    kHeartbeat,
+    kSuspect,
+    kRefute,
+    kConclusive,
+    kPoll,
+    kTick,
+    kHostFailure
+  };
+  // Weighted: suspicion votes are the most common evidence.
+  const auto pick_op = [&rng] {
+    const std::uint64_t roll = rng.uniform_int(20);
+    if (roll < 1) return kTrack;
+    if (roll < 4) return kHeartbeat;
+    if (roll < 9) return kSuspect;
+    if (roll < 11) return kRefute;
+    if (roll < 12) return kConclusive;
+    if (roll < 14) return kPoll;
+    if (roll < 17) return kTick;
+    return kHostFailure;
+  };
+
+  std::set<std::pair<SiteId, std::uint32_t>> timeout_deaths;
+  std::uint64_t into_dead = 0;
+  std::uint64_t into_suspect = 0;
+  std::uint64_t opened = 0;
+  using rt::SiteLiveness;
+
+  for (int step = 0; step < 4000; ++step) {
+    const SiteId site = sites[rng.uniform_int(sites.size())];
+    const std::uint32_t cur = dir.status(site).incarnation;
+    std::uint32_t inc = cur;  // mostly the current incarnation,
+    const std::uint64_t skew = rng.uniform_int(6);
+    if (skew == 0) inc = cur - 1;  // sometimes a stale one,
+    if (skew == 1) inc = cur + 1;  // sometimes its successor
+    const SiteId witness(100 + static_cast<std::uint32_t>(rng.uniform_int(4)));
+    const HostId host = hosts[rng.uniform_int(hosts.size())];
+    const Op op = pick_op();
+
+    std::vector<decltype(site_view(dir, site))> before;
+    for (const SiteId s : sites) before.push_back(site_view(dir, s));
+    const rt::LivenessStats stats_before = dir.stats();
+    std::vector<bool> q_before;
+    for (const HostId h : hosts) q_before.push_back(dir.quarantined(h));
+
+    std::vector<SiteId> polled;
+    bool opened_now = false;
+    switch (op) {
+      case kTrack:
+        dir.track(site, cur + 1);  // a relaunch: a new subject
+        break;
+      case kHeartbeat:
+        dir.direct_alive(site, inc);
+        break;
+      case kSuspect:
+        (void)dir.suspect(site, inc, witness, "vote");
+        break;
+      case kRefute:
+        (void)dir.refute(site, inc, witness);
+        break;
+      case kConclusive:
+        (void)dir.conclusive_dead(site, inc, "exit");
+        break;
+      case kPoll:
+        polled = dir.poll();
+        break;
+      case kTick:
+        now += rng.uniform(0.0, config.suspicion_timeout_s);
+        break;
+      case kHostFailure:
+        opened_now = dir.report_host_failure(host);
+        break;
+    }
+
+    std::vector<decltype(site_view(dir, site))> after;
+    for (const SiteId s : sites) after.push_back(site_view(dir, s));
+    const rt::LivenessStats stats = dir.stats();
+
+    // Evidence about another incarnation changes nothing: votes and
+    // first-hand deaths about any other one, heartbeats and
+    // refutations about a past one.  Host flap reports never touch a
+    // site.
+    const bool foreign =
+        ((op == kSuspect || op == kConclusive) && inc != cur) ||
+        ((op == kHeartbeat || op == kRefute) && inc < cur);
+    if (foreign) {
+      EXPECT_EQ(after, before);
+      EXPECT_EQ(stats_vector(stats), stats_vector(stats_before));
+    }
+    if (op == kHostFailure) {
+      EXPECT_EQ(after, before);
+    }
+
+    const bool reregisters =
+        op == kTrack || ((op == kHeartbeat || op == kRefute) && inc > cur);
+    for (std::size_t i = 0; i < sites.size(); ++i) {
+      const SiteLiveness was = std::get<0>(before[i]);
+      const SiteLiveness is = std::get<0>(after[i]);
+      // kDead is final for its incarnation.
+      if (was == SiteLiveness::kDead && !(reregisters && sites[i] == site)) {
+        EXPECT_EQ(is, SiteLiveness::kDead);
+        EXPECT_EQ(std::get<1>(after[i]), std::get<1>(before[i]));
+      }
+      if (was != SiteLiveness::kDead && is == SiteLiveness::kDead) {
+        ++into_dead;
+      }
+      // With quorum 1 a first vote passes through suspect into dead.
+      if (was == SiteLiveness::kAlive &&
+          (is == SiteLiveness::kSuspect ||
+           (is == SiteLiveness::kDead && op == kSuspect))) {
+        ++into_suspect;
+      }
+    }
+
+    // poll() reports each timeout death once, and changes nothing else.
+    for (const SiteId dead : polled) {
+      const std::size_t i = dead.value();
+      EXPECT_EQ(std::get<0>(before[i]), SiteLiveness::kSuspect);
+      EXPECT_EQ(std::get<0>(after[i]), SiteLiveness::kDead);
+      EXPECT_TRUE(timeout_deaths.emplace(dead, std::get<1>(after[i])).second)
+          << "site " << dead.value() << " reported dead twice";
+    }
+    if (op == kPoll) {
+      for (std::size_t i = 0; i < sites.size(); ++i) {
+        if (std::find(polled.begin(), polled.end(), sites[i]) ==
+            polled.end()) {
+          EXPECT_EQ(after[i], before[i]);
+        }
+      }
+    }
+
+    // Flap hysteresis: only a report opens a quarantine, nothing
+    // releases one above the close threshold, and the read side agrees
+    // with itself.
+    std::vector<HostId> expected_quarantined;
+    for (std::size_t h = 0; h < hosts.size(); ++h) {
+      const bool q = dir.quarantined(hosts[h]);
+      const double score = dir.flap_score(hosts[h]);
+      if (q) {
+        expected_quarantined.push_back(hosts[h]);
+        EXPECT_GE(score, config.flap_close_threshold);
+      }
+      if (score >= config.flap_open_threshold) {
+        EXPECT_TRUE(q);
+      }
+      if (op == kHostFailure && hosts[h] == host) {
+        EXPECT_EQ(opened_now, !q_before[h] && q);
+        if (q_before[h]) {
+          EXPECT_TRUE(q) << "a report released a quarantine";
+        } else {
+          EXPECT_EQ(q, score >= config.flap_open_threshold);
+        }
+      } else {
+        if (!q_before[h]) {
+          EXPECT_FALSE(q) << "opened without a report";
+        }
+        if (q_before[h] && score >= config.flap_close_threshold) {
+          EXPECT_TRUE(q) << "released above the close threshold";
+        }
+      }
+    }
+    EXPECT_EQ(dir.quarantined_hosts(), expected_quarantined);
+    if (opened_now) ++opened;
+
+    // Exact reconciliation of the counters with observed transitions.
+    EXPECT_EQ(deaths(stats), into_dead);
+    EXPECT_EQ(stats.suspects, into_suspect);
+    EXPECT_EQ(stats.deaths_timeout, timeout_deaths.size());
+    EXPECT_EQ(stats.quarantines, opened);
+    if (HasFailure()) {
+      ADD_FAILURE() << "seed " << GetParam() << " step " << step << " op "
+                    << op << " site " << site.value() << " inc " << inc
+                    << " (current " << cur << ")";
+      return;
+    }
+  }
+  // The schedule exercised the machine, and the metrics mirror it.
+  EXPECT_GT(into_dead, 0u);
+  EXPECT_GT(into_suspect, 0u);
+  if (config.quorum > 1) {
+    EXPECT_GT(timeout_deaths.size(), 0u);  // quorum 1 kills on first vote
+  }
+  expect_metrics_mirror(metrics_before, dir.stats());
+}
+
+TEST_P(LivenessDirectoryProperty, RefutedMinorityNeverKillsASite) {
+  // Fewer than `quorum` distinct witnesses ever vote, and some witness
+  // refutes inside every suspicion_timeout_s window: whatever the
+  // interleaving of votes, refutations, heartbeats and polls, the site
+  // never dies.
+  const QuietLogs quiet;
+  Rng rng(8300 + GetParam());
+  rt::LivenessConfig config;
+  config.quorum = 2 + static_cast<int>(rng.uniform_int(2));
+  config.suspicion_timeout_s = rng.uniform(0.5, 1.5);
+  rt::LivenessDirectory dir(config);
+  double now = 0.0;
+  dir.set_clock([&now] { return now; });
+  const SiteId site(0);
+  dir.track(site, 1);
+
+  const std::uint64_t voters =
+      1 + rng.uniform_int(static_cast<std::uint64_t>(config.quorum - 1));
+  const auto any_witness = [&] {
+    return SiteId(100 + static_cast<std::uint32_t>(rng.uniform_int(6)));
+  };
+  double last_refutation = 0.0;
+  const auto refute = [&](SiteId witness) {
+    (void)dir.refute(site, 1, witness);
+    last_refutation = now;
+  };
+  for (int step = 0; step < 3000; ++step) {
+    now += rng.uniform(0.0, config.suspicion_timeout_s / 4.0);
+    if (now - last_refutation >= config.suspicion_timeout_s / 2.0) {
+      refute(any_witness());
+    }
+    switch (rng.uniform_int(6)) {
+      case 0:
+      case 1:
+      case 2:
+        (void)dir.suspect(
+            site, 1,
+            SiteId(100 + static_cast<std::uint32_t>(rng.uniform_int(voters))),
+            "minority vote");
+        break;
+      case 3:
+        refute(any_witness());
+        break;
+      case 4:
+        (void)dir.poll();
+        break;
+      default:
+        if (rng.uniform_int(4) == 0) dir.direct_alive(site, 1);
+        break;
+    }
+    ASSERT_NE(dir.state(site), rt::SiteLiveness::kDead)
+        << "seed " << GetParam() << " step " << step;
+  }
+  EXPECT_EQ(deaths(dir.stats()), 0u);
+  EXPECT_GT(dir.stats().suspects, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, LivenessDirectoryProperty,
+                         ::testing::Range(0, 12));
+
+/// Concurrent variant (run under TSan): four evidence writers, a poller
+/// that -- like the watchdog's verdict sweep -- re-tracks every site it
+/// finds dead at a new incarnation, and a reader checking that no
+/// verdict is ever revoked.  At the end every death is accounted for
+/// exactly once and the metrics mirror the directory's counters.
+TEST(LivenessDirectoryChurn, WritersPollerAndReaderReconcile) {
+  const QuietLogs quiet;
+  constexpr std::size_t kSites = 4;
+  constexpr std::uint64_t kHosts = 4;
+  for (int trial = 0; trial < 3; ++trial) {
+    const auto metrics_before = liveness_metrics();
+    rt::LivenessConfig config;
+    config.quorum = 2;
+    config.suspicion_timeout_s = 0.05;
+    config.flap_open_threshold = 3.0;
+    config.flap_half_life_s = 0.1;
+    rt::LivenessDirectory dir(config);
+    std::atomic<double> now{0.0};
+    dir.set_clock([&now] { return now.load(); });
+    // The current incarnation per site; only the poller moves it, and
+    // only after re-tracking, so no writer ever sends evidence about an
+    // incarnation the directory has not reached.
+    std::array<std::atomic<std::uint32_t>, kSites> incarnation;
+    for (std::size_t i = 0; i < kSites; ++i) {
+      dir.track(SiteId(static_cast<std::uint32_t>(i)), 1);
+      incarnation[i].store(1);
+    }
+
+    std::atomic<bool> writers_done{false};
+    std::atomic<int> revoked{0};
+    std::uint64_t observed_deaths = 0;  // poller-owned until joined
+    std::uint64_t polled = 0;           // poller-owned until joined
+    {
+      std::jthread poller([&] {
+        while (!writers_done.load()) {
+          now.store(now.load() + 0.01);
+          polled += dir.poll().size();
+          for (std::size_t i = 0; i < kSites; ++i) {
+            const SiteId site(static_cast<std::uint32_t>(i));
+            if (dir.state(site) != rt::SiteLiveness::kDead) continue;
+            ++observed_deaths;
+            const std::uint32_t inc = incarnation[i].load();
+            dir.track(site, inc + 1);
+            incarnation[i].store(inc + 1);
+          }
+          std::this_thread::yield();
+        }
+      });
+      std::jthread reader([&] {
+        std::array<std::uint32_t, kSites> seen_inc{};
+        std::array<bool, kSites> seen_dead{};
+        rt::LivenessStats last;
+        while (!writers_done.load()) {
+          for (std::size_t i = 0; i < kSites; ++i) {
+            const auto st = dir.status(SiteId(static_cast<std::uint32_t>(i)));
+            const bool dead = st.state == rt::SiteLiveness::kDead;
+            if (st.incarnation < seen_inc[i] ||
+                (st.incarnation == seen_inc[i] && seen_dead[i] && !dead)) {
+              revoked.fetch_add(1);
+            }
+            seen_inc[i] = st.incarnation;
+            seen_dead[i] = dead;
+          }
+          const rt::LivenessStats stats = dir.stats();
+          const auto was = stats_vector(last);
+          const auto is = stats_vector(stats);
+          for (std::size_t k = 0; k < is.size(); ++k) {
+            if (is[k] < was[k]) revoked.fetch_add(1);
+          }
+          last = stats;
+          for (const HostId h : dir.quarantined_hosts()) {
+            if (h.value() >= kHosts) revoked.fetch_add(1);
+          }
+          std::this_thread::yield();
+        }
+      });
+      {
+        std::vector<std::jthread> writers;
+        for (int w = 0; w < 4; ++w) {
+          writers.emplace_back([&, w] {
+            Rng rng(9900 + 10 * trial + w);
+            const SiteId self(100 + static_cast<std::uint32_t>(w));
+            for (int i = 0; i < 3000; ++i) {
+              const std::size_t s = rng.uniform_int(kSites);
+              const SiteId site(static_cast<std::uint32_t>(s));
+              std::uint32_t inc = incarnation[s].load();
+              if (rng.uniform_int(5) == 0) --inc;  // stale evidence
+              switch (rng.uniform_int(8)) {
+                case 0:
+                  dir.direct_alive(site, inc);
+                  break;
+                case 1:
+                case 2:
+                case 3:
+                  (void)dir.suspect(site, inc, self, "vote");
+                  break;
+                case 4:
+                case 5:
+                  (void)dir.refute(site, inc, self);
+                  break;
+                case 6:
+                  if (rng.uniform_int(20) == 0) {
+                    (void)dir.conclusive_dead(site, inc, "exit");
+                  }
+                  break;
+                default:
+                  (void)dir.report_host_failure(
+                      HostId(static_cast<std::uint32_t>(
+                          rng.uniform_int(kHosts))));
+                  break;
+              }
+            }
+          });
+        }
+      }  // joins the writers
+      writers_done.store(true);
+    }  // joins the poller and the reader
+
+    const rt::LivenessStats stats = dir.stats();
+    std::uint64_t dead_now = 0;
+    for (std::size_t i = 0; i < kSites; ++i) {
+      if (dir.state(SiteId(static_cast<std::uint32_t>(i))) ==
+          rt::SiteLiveness::kDead) {
+        ++dead_now;
+      }
+    }
+    EXPECT_EQ(revoked.load(), 0) << "trial " << trial;
+    EXPECT_GT(deaths(stats), 0u) << "trial " << trial;
+    EXPECT_EQ(deaths(stats), observed_deaths + dead_now) << "trial " << trial;
+    EXPECT_EQ(stats.deaths_timeout, polled) << "trial " << trial;
+    expect_metrics_mirror(metrics_before, stats);
   }
 }
 
