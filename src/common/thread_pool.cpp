@@ -1,6 +1,7 @@
 #include "common/thread_pool.hpp"
 
 #include <algorithm>
+#include <utility>
 
 namespace vdce::common {
 
@@ -92,6 +93,94 @@ void ThreadPool::parallel_for(std::size_t begin, std::size_t end,
     return state->done_chunks.load() == state->total_chunks;
   });
   if (state->error) std::rethrow_exception(state->error);
+}
+
+struct ParkedThreadPool::Worker {
+  std::condition_variable wake;
+  // Handed over under the pool's mutex; empty while parked.
+  std::function<void()> job;
+  Gang* gang = nullptr;
+  std::thread thread;
+};
+
+ParkedThreadPool::ParkedThreadPool() = default;
+
+ParkedThreadPool::~ParkedThreadPool() {
+  {
+    std::lock_guard lk(mu_);
+    stopping_ = true;
+  }
+  for (const auto& w : workers_) w->wake.notify_one();
+  for (const auto& w : workers_) w->thread.join();
+}
+
+ParkedThreadPool& ParkedThreadPool::global() {
+  static ParkedThreadPool* pool = new ParkedThreadPool;  // leaked on purpose
+  return *pool;
+}
+
+std::size_t ParkedThreadPool::threads() const {
+  std::lock_guard lk(mu_);
+  return workers_.size();
+}
+
+std::size_t ParkedThreadPool::parked() const {
+  std::lock_guard lk(mu_);
+  return idle_.size();
+}
+
+void ParkedThreadPool::launch(Gang& gang, std::function<void()> job) {
+  std::unique_lock lk(mu_);
+  if (idle_.empty()) {
+    // Nothing parked: start one more thread rather than queue.  Room is
+    // made first, so no push_back can throw once the thread runs.
+    workers_.reserve(workers_.size() + 1);
+    idle_.reserve(workers_.size() + 1);
+    auto fresh = std::make_unique<Worker>();
+    fresh->thread = std::thread([this, w = fresh.get()] { serve(*w); });
+    workers_.push_back(std::move(fresh));
+    idle_.push_back(workers_.back().get());
+  }
+  Worker* w = idle_.back();
+  idle_.pop_back();
+  w->job = std::move(job);
+  w->gang = &gang;
+  {
+    std::lock_guard gang_lk(gang.mu_);
+    ++gang.running_;
+  }
+  lk.unlock();
+  w->wake.notify_one();
+}
+
+void ParkedThreadPool::serve(Worker& w) {
+  std::unique_lock lk(mu_);
+  for (;;) {
+    w.wake.wait(lk, [&] { return w.job != nullptr || stopping_; });
+    if (w.job == nullptr) return;
+    std::function<void()> job = std::exchange(w.job, nullptr);
+    Gang* gang = std::exchange(w.gang, nullptr);
+    lk.unlock();
+    [&]() noexcept { job(); }();
+    job = nullptr;  // the job's captures die before its gang hears of it
+    lk.lock();
+    idle_.push_back(&w);  // parked before done
+    lk.unlock();
+    gang->finished();
+    lk.lock();
+  }
+}
+
+void ParkedThreadPool::Gang::join() {
+  std::unique_lock lk(mu_);
+  cv_.wait(lk, [&] { return running_ == 0; });
+}
+
+void ParkedThreadPool::Gang::finished() {
+  // Notified under the lock: join() cannot return, and the gang cannot
+  // be destroyed, until this call no longer touches it.
+  std::lock_guard lk(mu_);
+  if (--running_ == 0) cv_.notify_all();
 }
 
 }  // namespace vdce::common

@@ -1,10 +1,10 @@
-// Shared fixed-size thread pool: the one sanctioned fan-out primitive.
+// The shared thread pools: the sanctioned fan-out primitives.
 //
 // The runtime modules used to spin up ad-hoc std::jthread batches for
-// every parallel section (datamgr transfers, engine machines, dsm
-// service).  Scheduling adds hot-path parallelism (the Figure-4 AFG
-// multicast and Predict scoring), which needs reusable workers instead
-// of per-call thread churn.  This pool provides:
+// every parallel section (datamgr transfers, dsm service).  Scheduling
+// adds hot-path parallelism (the Figure-4 AFG multicast and Predict
+// scoring), which needs reusable workers instead of per-call thread
+// churn.  ThreadPool provides:
 //
 //   * submit(fn)            -- run one job, get a std::future;
 //   * parallel_for(...)     -- grain-size-chunked index loop where the
@@ -17,6 +17,9 @@
 // parallel_for makes no ordering promise: the body must write results
 // by index (or otherwise commute) so that the outcome is identical to
 // the serial loop -- parallelism changes wall-clock, never results.
+//
+// ParkedThreadPool serves the stage runner's gangs (DESIGN.md D9): jobs
+// that must all be live at once, so it never queues.
 #pragma once
 
 #include <atomic>
@@ -82,6 +85,77 @@ class ThreadPool {
 
   MessageQueue<std::function<void()>> jobs_;
   std::vector<std::jthread> workers_;
+};
+
+/// Threads that outlive their jobs, for gangs whose jobs block on each
+/// other: the stage threads and restore feeders of one round (D9).  A
+/// launch never queues -- it hands the job to a parked thread, or
+/// starts a new one when none is parked -- because a stage waits in
+/// set-up for its consumers and the round waits for every
+/// acknowledgment, so a queued stage would deadlock the gang.  A thread
+/// parks itself before its gang counts the job finished, so once a
+/// gang's join returns every thread it used is parked again.  There is
+/// no size, cap or idle timeout: the pool holds the peak number of jobs
+/// that were live at once.  An exception escaping a job terminates the
+/// process, as it would on a std::jthread.
+class ParkedThreadPool {
+ public:
+  /// Jobs launched together and joined together; the destructor joins.
+  class Gang {
+   public:
+    explicit Gang(ParkedThreadPool& pool = ParkedThreadPool::global())
+        : pool_(pool) {}
+    ~Gang() { join(); }
+
+    Gang(const Gang&) = delete;
+    Gang& operator=(const Gang&) = delete;
+
+    /// Starts `job` on a thread of its own at once.
+    void launch(std::function<void()> job) {
+      pool_.launch(*this, std::move(job));
+    }
+
+    /// Returns when every launched job has finished, its captures are
+    /// destroyed and its thread is parked.
+    void join();
+
+   private:
+    friend class ParkedThreadPool;
+    void finished();
+
+    ParkedThreadPool& pool_;
+    std::mutex mu_;
+    std::condition_variable cv_;
+    std::size_t running_ = 0;
+  };
+
+  ParkedThreadPool();
+
+  /// Wakes and joins every thread.  No gang may still be running.
+  ~ParkedThreadPool();
+
+  ParkedThreadPool(const ParkedThreadPool&) = delete;
+  ParkedThreadPool& operator=(const ParkedThreadPool&) = delete;
+
+  /// The process-wide pool.  Leaked on purpose: its parked threads are
+  /// never joined, so they cannot hold up process exit.
+  static ParkedThreadPool& global();
+
+  /// Threads started so far.
+  [[nodiscard]] std::size_t threads() const;
+  /// Threads parked now, waiting for a job.
+  [[nodiscard]] std::size_t parked() const;
+
+ private:
+  struct Worker;
+
+  void launch(Gang& gang, std::function<void()> job);
+  void serve(Worker& worker);
+
+  mutable std::mutex mu_;
+  std::vector<std::unique_ptr<Worker>> workers_;
+  std::vector<Worker*> idle_;
+  bool stopping_ = false;
 };
 
 }  // namespace vdce::common

@@ -1,5 +1,7 @@
 #include "datamgr/data_manager.hpp"
 
+#include <chrono>
+
 #include "common/error.hpp"
 #include "common/metrics.hpp"
 
@@ -85,11 +87,14 @@ std::optional<tasklib::Payload> DataManager::run_frame(
   // Compute (honours the console service around the computation).
   if (console != nullptr) console->checkpoint();
   tasklib::Payload output;
+  using Clock = std::chrono::steady_clock;
+  const Clock::time_point t0 = Clock::now();
   try {
     output = registry.run(library_task, received, ctx);
   } catch (const std::exception& e) {
     throw StateError("task " + library_task + " failed: " + e.what());
   }
+  compute_s_ = std::chrono::duration<double>(Clock::now() - t0).count();
   if (console != nullptr) console->checkpoint();
 
   // Send: replicate the output on every out-edge.  The wire image is

@@ -100,6 +100,10 @@ class DataManager {
 
   [[nodiscard]] const ExecutionStats& stats() const { return stats_; }
 
+  /// Wall seconds of the last run_frame()'s task function alone: the
+  /// wait for inputs before it and the sends after it are not counted.
+  [[nodiscard]] double compute_s() const { return compute_s_; }
+
   /// The wire image (type tag + body) of the last run()'s output as a
   /// pooled frame view — the very slab the sends shipped, so a
   /// checkpoint capture of it costs a refcount bump, not a copy.
@@ -125,6 +129,7 @@ class DataManager {
   std::vector<MessageEndpoint> outputs_;  // one per child, same order
   std::vector<std::shared_ptr<RingChannel>> input_rings_;
   ExecutionStats stats_;
+  double compute_s_ = 0.0;
   FrameView output_frame_;
 };
 

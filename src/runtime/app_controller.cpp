@@ -1,7 +1,5 @@
 #include "runtime/app_controller.hpp"
 
-#include <chrono>
-
 namespace vdce::rt {
 
 ApplicationController::ApplicationController(dm::ChannelBroker& broker,
@@ -64,17 +62,14 @@ TaskOutcome ApplicationController::execute(
     }
   }
 
-  const auto t0 = std::chrono::steady_clock::now();
   auto payload = dm_.run_frame(registry, library_task, ctx, console);
-  const auto t1 = std::chrono::steady_clock::now();
   outcome.io_stats = dm_.stats();
   if (!payload) {
     outcome.end_of_stream = true;
     return outcome;
   }
   outcome.payload = std::move(*payload);
-  outcome.compute_elapsed_s =
-      std::chrono::duration<double>(t1 - t0).count();
+  outcome.compute_elapsed_s = dm_.compute_s();
   outcome.completed = true;
   outcome.output_frame = dm_.output_frame();
   return outcome;

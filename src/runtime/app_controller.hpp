@@ -53,8 +53,9 @@ struct TaskOutcome {
   /// the Data Manager's sends shipped, handed to the checkpoint store
   /// without another copy (D13).  Invalid on refusal paths.
   dm::FrameView output_frame;
-  /// Compute-phase wall time, seconds (what the Site Manager stores in
-  /// the task-performance database).
+  /// Compute-phase wall time, seconds: the task function alone, not the
+  /// wait for inputs or the sends (what the Site Manager stores in the
+  /// task-performance database).
   Duration compute_elapsed_s = 0.0;
   dm::ExecutionStats io_stats;
 };

@@ -18,6 +18,7 @@
 #include "common/log.hpp"
 #include "common/metrics.hpp"
 #include "common/serialize.hpp"
+#include "common/thread_pool.hpp"
 #include "common/trace.hpp"
 #include "datamgr/mplib.hpp"
 #include "runtime/checkpoint.hpp"
@@ -37,6 +38,13 @@ using Clock = std::chrono::steady_clock;
 
 double seconds_since(Clock::time_point t0) {
   return std::chrono::duration<double>(Clock::now() - t0).count();
+}
+
+/// Resolves an instrument.  Callers hold the reference in a function-
+/// local static (registry references are stable), so no run takes the
+/// registry's mutex.
+common::Counter& metric(const char* name) {
+  return common::MetricsRegistry::global().counter(name);
 }
 
 std::string hosts_csv(const std::vector<common::HostId>& hosts) {
@@ -167,7 +175,10 @@ class StageRunner {
       if (run_round(round, resume)) return;
       recover();
       ++restarts;
-      if (stream_ != nullptr) metric("streaming.restarts").add(1);
+      if (stream_ != nullptr) {
+        static common::Counter& m_restarts = metric("streaming.restarts");
+        m_restarts.add(1);
+      }
     }
   }
 
@@ -179,10 +190,6 @@ class StageRunner {
   std::vector<double> sink_latencies_s;
 
  private:
-  static common::Counter& metric(const char* name) {
-    return common::MetricsRegistry::global().counter(name);
-  }
-
   /// One round: every unfinished stage does the Figure 7 set-up and
   /// acknowledgment, then runs its frames from `resume` after the
   /// start signal.  True when no stage failed.
@@ -201,16 +208,18 @@ class StageRunner {
     std::latch acks(static_cast<std::ptrdiff_t>(live));
     std::latch start(1);  // Figure 7 step 5
     {
+      // Every stage and feeder runs on a parked pool thread of its own
+      // (the stand-in for its machine), all live at once.
+      common::ParkedThreadPool::Gang gang;
       // The D12 restore path: feeders stand in for finished stages'
       // machines and push each kept output into its unfinished
       // consumers' re-opened channels, indistinguishable from the live
       // send.  (Unfinished producers do not wire finished consumers.)
-      std::vector<std::jthread> feeders;
       for (const Stage& d : stages) {
         if (!d.done) continue;
         for (const TaskId child : graph_.children(d.node->id)) {
           if (stages[index_.at(child)].done) continue;
-          feeders.emplace_back([this, &d, child] {
+          gang.launch([this, &d, child] {
             try {
               dm::MessageEndpoint out(
                   config_.library,
@@ -223,11 +232,9 @@ class StageRunner {
           });
         }
       }
-      std::vector<std::jthread> threads;
-      threads.reserve(live);
       for (Stage& s : stages) {
         if (s.done) continue;
-        threads.emplace_back([this, &s, round, resume, &acks, &start] {
+        gang.launch([this, &s, round, resume, &acks, &start] {
           stage_main(s, round, resume, acks, start);
         });
       }
@@ -237,7 +244,7 @@ class StageRunner {
       acks.wait();
       if (round == 1) gang_start_ = Clock::now();
       start.count_down();
-    }  // join every stage, then the feeders
+    }  // join every stage and feeder
     return cause_ == nullptr;
   }
 
@@ -382,19 +389,22 @@ class StageRunner {
   /// Stream sink bookkeeping after frame `k`: exactly-once counting,
   /// latency samples, and windowed checkpoints.
   void sink_frame(Stage& s, std::uint64_t k, const TaskOutcome& out) {
+    static common::Counter& m_emitted = metric("streaming.frames_emitted");
+    static common::Counter& m_skipped = metric("streaming.frames_skipped");
+    static common::Counter& m_windows = metric("streaming.windows_captured");
     SinkStreamResult& r = *s.sink;
     if (k < r.frames_emitted) {
       // A frame below the watermark re-flowed after a resume: already
       // counted, never emit twice.
       ++r.frames_skipped;
-      m_skipped_.add(1);
+      m_skipped.add(1);
       return;
     }
     const std::span<const std::byte> wire = out.output_frame.bytes();
     r.digest = fnv1a(r.digest, wire);
     r.bytes_emitted += wire.size();
     ++r.frames_emitted;
-    m_emitted_.add(1);
+    m_emitted.add(1);
     if (stream_->collect_outputs) {
       r.outputs.emplace_back(wire.begin(), wire.end());
     }
@@ -412,7 +422,7 @@ class StageRunner {
           static_cast<int>(r.frames_emitted / stream_->checkpoint_window),
           s.host, encode_sink(r), 0.0);
       ++r.windows_captured;
-      m_windows_.add(1);
+      m_windows.add(1);
     }
   }
 
@@ -441,7 +451,9 @@ class StageRunner {
         if (s.sink_lost && r.frames_emitted > durable.frames_emitted) {
           const std::uint64_t lost = r.frames_emitted - durable.frames_emitted;
           r.frames_rolled_back += lost;
-          metric("streaming.frames_rolled_back").add(lost);
+          static common::Counter& m_rolled_back =
+              metric("streaming.frames_rolled_back");
+          m_rolled_back.add(lost);
         }
         r.frames_emitted = durable.frames_emitted;
         r.digest = durable.digest;
@@ -453,7 +465,8 @@ class StageRunner {
     }
     if (round > 1) {
       frames_resumed += resume;
-      metric("streaming.frames_resumed").add(resume);
+      static common::Counter& m_resumed = metric("streaming.frames_resumed");
+      m_resumed.add(resume);
       if (resume > 0) {
         common::log_info("engine", "app ", app_.value(),
                          ": resuming from checkpoint window at frame ",
@@ -610,9 +623,6 @@ class StageRunner {
   Stage* cause_ = nullptr;
   std::mutex latency_mu_;
   std::map<std::uint64_t, Clock::time_point> born_;
-  common::Counter& m_emitted_ = metric("streaming.frames_emitted");
-  common::Counter& m_skipped_ = metric("streaming.frames_skipped");
-  common::Counter& m_windows_ = metric("streaming.windows_captured");
 };
 
 }  // namespace
@@ -639,7 +649,6 @@ RunResult ExecutionEngine::execute(const afg::FlowGraph& graph,
     app_span.arg("app", app.value());
     app_span.arg("tasks", graph.task_count());
   }
-  auto& metrics = common::MetricsRegistry::global();
 
   // Checkpoint restore: tasks the store already holds for this app are
   // finished before the first round; the feeders replay their recorded
@@ -659,7 +668,8 @@ RunResult ExecutionEngine::execute(const afg::FlowGraph& graph,
     ++restored;
   }
   if (restored > 0) {
-    metrics.counter("engine.checkpoint.replayed").add(restored);
+    static common::Counter& m_replayed = metric("engine.checkpoint.replayed");
+    m_replayed.add(restored);
     common::log_info("engine", "app ", app.value(), ": restored ", restored,
                      "/", runner.stages.size(), " tasks from checkpoint");
     if (common::trace_enabled()) {
@@ -682,15 +692,24 @@ RunResult ExecutionEngine::execute(const afg::FlowGraph& graph,
   // finished tasks.
   for (const StageRunner::Stage& s : runner.stages) {
     if (checkpoint == nullptr || !s.done || s.replayed) continue;
+    static common::Counter& m_bytes_captured =
+        metric("engine.checkpoint.bytes_captured");
+    static common::Counter& m_captured = metric("engine.checkpoint.captured");
     // Zero-copy capture: the store pins the very frame the sends shipped.
     checkpoint->record(app, s.node->id, s.attempts, s.host,
                        s.outcome.output_frame, s.outcome.compute_elapsed_s);
-    metrics.counter("engine.checkpoint.bytes_captured")
-        .add(s.outcome.output_frame.size());
-    metrics.counter("engine.checkpoint.captured").add(1);
+    m_bytes_captured.add(s.outcome.output_frame.size());
+    m_captured.add(1);
   }
   if (failure) std::rethrow_exception(failure);
 
+  static common::Counter& m_completed = metric("engine.tasks_completed");
+  static common::Counter& m_attempts = metric("engine.attempts");
+  static common::Counter& m_retries = metric("engine.retries");
+  static common::Histogram& m_turnaround =
+      common::MetricsRegistry::global().histogram("engine.turnaround_s");
+  static common::Counter& m_reschedules = metric("engine.reschedules");
+  static common::Counter& m_recovered = metric("engine.failures_recovered");
   RunResult result;
   result.app = app;
   for (StageRunner::Stage& s : runner.stages) {
@@ -714,12 +733,10 @@ RunResult ExecutionEngine::execute(const afg::FlowGraph& graph,
       result.makespan_s = std::max(result.makespan_s, s.turnaround_s);
       if (s.had_failure) ++result.failures_recovered;
       result.reschedules += s.moves;
-      metrics.counter("engine.tasks_completed").add(1);
-      metrics.counter("engine.attempts")
-          .add(static_cast<std::uint64_t>(s.attempts));
-      metrics.counter("engine.retries")
-          .add(static_cast<std::uint64_t>(s.attempts - 1));
-      metrics.histogram("engine.turnaround_s").observe(s.turnaround_s);
+      m_completed.add(1);
+      m_attempts.add(static_cast<std::uint64_t>(s.attempts));
+      m_retries.add(static_cast<std::uint64_t>(s.attempts - 1));
+      m_turnaround.observe(s.turnaround_s);
       if (feedback != nullptr) {
         feedback->record_task_time(s.node->library_task,
                                    s.outcome.compute_elapsed_s);
@@ -728,8 +745,8 @@ RunResult ExecutionEngine::execute(const afg::FlowGraph& graph,
     result.records.push_back(rec);
     result.outputs.emplace(s.node->id, std::move(s.outcome.payload));
   }
-  metrics.counter("engine.reschedules").add(result.reschedules);
-  metrics.counter("engine.failures_recovered").add(result.failures_recovered);
+  m_reschedules.add(result.reschedules);
+  m_recovered.add(result.failures_recovered);
   if (app_span.active()) {
     app_span.arg("makespan_s", result.makespan_s);
     app_span.arg("failures_recovered", result.failures_recovered);

@@ -1,8 +1,11 @@
 // The real-threaded execution engine: Figure 7 end-to-end.
 //
 // One stage runner executes every AFG, batch or stream (DESIGN.md D9).
-// Every task is one stage thread (the stand-in for its assigned
-// machine) with the full Figure 7 lifecycle:
+// In every round each unfinished task owns one stage thread, the
+// stand-in for its assigned machine: a thread of the process-wide
+// common::ParkedThreadPool, already running like the paper's per-host
+// daemons and parked again when the round is joined.  Each stage goes
+// through the full Figure 7 lifecycle:
 //
 //   1. the engine (as Site Manager / Group Manager) delivers the
 //      execution request to each task's Application Controller;
@@ -61,7 +64,8 @@ struct TaskRunRecord {
   /// (includes waiting for inputs, and for recovered tasks every failed
   /// attempt plus backoff before the one that succeeded).
   Duration turnaround_s = 0.0;
-  /// Compute-phase seconds only.
+  /// Compute-phase seconds only: the task function, not the wait for
+  /// inputs.
   Duration compute_s = 0.0;
   std::size_t bytes_sent = 0;
   std::size_t bytes_received = 0;
@@ -177,8 +181,9 @@ class ExecutionEngine {
   /// fails; all other tasks are unblocked and joined first.
   ///
   /// Re-entrant: concurrent execute() calls on one engine are safe --
-  /// every run owns its broker, controllers and stage threads, and
-  /// app-id assignment is atomic.  `app`, when valid, names the run
+  /// every run owns its broker and controllers, each of its rounds holds
+  /// a pool thread per stage until it is joined, and app-id assignment
+  /// is atomic.  `app`, when valid, names the run
   /// explicitly (the submission service keys runs by its own tickets,
   /// and a replay with the same app id reproduces the same per-task
   /// RNG seeds); when invalid an id is drawn from the engine's counter.

@@ -1,9 +1,16 @@
 // Unit tests for vdce_common: ids, clocks, rng, serialization,
-// statistics, queues, string helpers.
+// statistics, queues, string helpers, the parked thread pool.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
+#include <atomic>
+#include <chrono>
 #include <cmath>
+#include <condition_variable>
+#include <filesystem>
+#include <mutex>
 #include <set>
+#include <string>
 #include <thread>
 
 #include "common/clock.hpp"
@@ -14,6 +21,7 @@
 #include "common/serialize.hpp"
 #include "common/stats.hpp"
 #include "common/strings.hpp"
+#include "common/thread_pool.hpp"
 
 namespace vdce::common {
 namespace {
@@ -501,6 +509,112 @@ TEST(StringsTest, Join) {
   EXPECT_EQ(join({"a", "b", "c"}, ", "), "a, b, c");
   EXPECT_EQ(join({}, ","), "");
   EXPECT_EQ(join({"solo"}, ","), "solo");
+}
+
+// ---------------------------------------------------- parked threads
+
+/// A barrier whose waiters give up at a deadline, so a pool that queued
+/// part of a gang fails the test instead of hanging it.
+class DeadlineBarrier {
+ public:
+  explicit DeadlineBarrier(std::size_t parties) : parties_(parties) {}
+
+  /// True when every party arrived within `limit`.
+  bool arrive_and_wait(std::chrono::milliseconds limit) {
+    std::unique_lock lk(mu_);
+    if (++arrived_ == parties_) cv_.notify_all();
+    return cv_.wait_for(lk, limit, [&] { return arrived_ >= parties_; });
+  }
+
+ private:
+  const std::size_t parties_;
+  std::size_t arrived_ = 0;
+  std::mutex mu_;
+  std::condition_variable cv_;
+};
+
+constexpr std::chrono::milliseconds kGangDeadline{10000};
+
+/// Runs a gang of `n` jobs that all meet at one barrier; returns the
+/// kernel thread id of every job that met the others in time.  Kernel
+/// ids, not std::thread::id, which the C library recycles.
+std::multiset<pid_t> run_barrier_gang(ParkedThreadPool& pool, std::size_t n) {
+  DeadlineBarrier barrier(n);
+  std::mutex mu;
+  std::multiset<pid_t> met;
+  {
+    ParkedThreadPool::Gang gang(pool);
+    for (std::size_t i = 0; i < n; ++i) {
+      gang.launch([&] {
+        if (!barrier.arrive_and_wait(kGangDeadline)) return;
+        std::lock_guard lk(mu);
+        met.insert(gettid());
+      });
+    }
+  }
+  return met;
+}
+
+std::set<pid_t> live_tids() {
+  std::set<pid_t> tids;
+  for (const auto& entry :
+       std::filesystem::directory_iterator("/proc/self/task")) {
+    tids.insert(static_cast<pid_t>(std::stoi(entry.path().filename())));
+  }
+  return tids;
+}
+
+TEST(ParkedThreadPoolTest, GangLargerThanTheParkedSetNeverQueues) {
+  ParkedThreadPool pool;
+  EXPECT_EQ(run_barrier_gang(pool, 3).size(), 3u);
+  ASSERT_EQ(pool.parked(), 3u);
+  // Eight jobs that can only finish together, with three threads parked:
+  // the launch must start five more rather than queue behind the three.
+  const auto met = run_barrier_gang(pool, 8);
+  EXPECT_EQ(met.size(), 8u);
+  EXPECT_EQ(std::set<pid_t>(met.begin(), met.end()).size(), 8u);
+  EXPECT_EQ(pool.threads(), 8u);
+  EXPECT_EQ(pool.parked(), 8u);
+}
+
+TEST(ParkedThreadPoolTest, SecondGangRunsOnlyOnThreadsThatAlreadyExisted) {
+  ParkedThreadPool pool;
+  const auto first = run_barrier_gang(pool, 6);
+  ASSERT_EQ(first.size(), 6u);
+  // Parked before done: the join returned, so all six are parked again.
+  EXPECT_EQ(pool.parked(), 6u);
+  const std::set<pid_t> before = live_tids();
+  const auto second = run_barrier_gang(pool, 6);
+  ASSERT_EQ(second.size(), 6u);
+  for (const pid_t tid : second) {
+    EXPECT_TRUE(before.contains(tid)) << "gang ran on a new thread " << tid;
+  }
+  EXPECT_EQ(std::set<pid_t>(second.begin(), second.end()),
+            std::set<pid_t>(first.begin(), first.end()));
+  EXPECT_EQ(pool.threads(), 6u);
+}
+
+TEST(ParkedThreadPoolTest, ConcurrentLaunchersEachGetAWholeGang) {
+  ParkedThreadPool pool;
+  constexpr std::size_t kLaunchers = 4;
+  constexpr std::size_t kJobs = 5;
+  constexpr int kRounds = 25;
+  std::atomic<std::size_t> met{0};
+  {
+    std::vector<std::jthread> launchers;
+    for (std::size_t l = 0; l < kLaunchers; ++l) {
+      launchers.emplace_back([&] {
+        for (int r = 0; r < kRounds; ++r) {
+          met += run_barrier_gang(pool, kJobs).size();
+        }
+      });
+    }
+  }
+  EXPECT_EQ(met.load(), kLaunchers * kJobs * kRounds);
+  // Never more threads than jobs were live at once, all parked at rest.
+  EXPECT_GE(pool.threads(), kJobs);
+  EXPECT_LE(pool.threads(), kLaunchers * kJobs);
+  EXPECT_EQ(pool.parked(), pool.threads());
 }
 
 }  // namespace

@@ -3,8 +3,15 @@
 // wiring, the Site-Manager-backed scheduling directory, and the
 // real-threaded execution engine.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
+#include <chrono>
+#include <filesystem>
 #include <memory>
+#include <mutex>
+#include <set>
+#include <string>
+#include <thread>
 
 #include "common/error.hpp"
 #include "netsim/testbed.hpp"
@@ -569,6 +576,147 @@ TEST(StageRunnerTest, CrossedDiamondOfLargePayloadsCannotDeadlock) {
           EXPECT_EQ(rec.bytes_received, a_bytes + b_bytes);
         }
       }
+    }
+  }
+}
+
+// ------------------------------------------------------ stage threads
+
+/// Every task on a host of its own at site 0.
+sched::AllocationTable host_per_task(const afg::FlowGraph& g) {
+  sched::AllocationTable allocation(g.name());
+  for (const auto& node : g.tasks()) {
+    const HostId host(node.id.value());
+    sched::AllocationEntry entry;
+    entry.task = node.id;
+    entry.task_label = node.label;
+    entry.library_task = node.library_task;
+    entry.hosts = {host};
+    entry.site = SiteId(0);
+    allocation.add(entry);
+  }
+  return allocation;
+}
+
+/// Kernel ids of the process's threads now.  Kernel ids, not
+/// std::thread::id, which the C library recycles.
+std::set<pid_t> live_tids() {
+  std::set<pid_t> tids;
+  for (const auto& entry :
+       std::filesystem::directory_iterator("/proc/self/task")) {
+    tids.insert(static_cast<pid_t>(std::stoi(entry.path().filename())));
+  }
+  return tids;
+}
+
+/// A registry whose one task, "tid_probe", records the kernel id of the
+/// thread it computes on, over a fan graph: src -> four stages -> sink.
+class TidProbe {
+ public:
+  TidProbe() {
+    tasklib::LibraryEntry entry;
+    entry.name = "tid_probe";
+    entry.menu = "synthetic";
+    entry.description = "records the thread that computes it";
+    entry.min_inputs = 0;
+    entry.max_inputs = 8;
+    entry.fn = [this](const std::vector<tasklib::Payload>&,
+                      const tasklib::TaskContext&) {
+      std::lock_guard lk(mu_);
+      tids_.push_back(gettid());
+      return tasklib::Payload::of_scalar(1.0);
+    };
+    registry_.add(std::move(entry));
+    const auto src = graph_.add_task("tid_probe", "src");
+    const auto sink = graph_.add_task("tid_probe", "sink");
+    for (int i = 0; i < 4; ++i) {
+      const auto mid = graph_.add_task("tid_probe", "mid" + std::to_string(i));
+      graph_.add_link(src, mid, 0.1);
+      graph_.add_link(mid, sink, 0.1);
+    }
+    allocation_ = host_per_task(graph_);
+  }
+
+  /// One execute() of the fan graph; the stages' thread ids, one per
+  /// computed task.
+  std::vector<pid_t> run() {
+    {
+      std::lock_guard lk(mu_);
+      tids_.clear();
+    }
+    (void)ExecutionEngine(registry_).execute(graph_, allocation_);
+    std::lock_guard lk(mu_);
+    return tids_;
+  }
+
+  [[nodiscard]] std::size_t tasks() const { return graph_.task_count(); }
+
+ private:
+  tasklib::TaskRegistry registry_;
+  afg::FlowGraph graph_{"tid-fan"};
+  sched::AllocationTable allocation_{"tid-fan"};
+  std::mutex mu_;
+  std::vector<pid_t> tids_;
+};
+
+TEST(StageThreadTest, EveryStageOfARunHasAThreadOfItsOwn) {
+  TidProbe probe;
+  const std::vector<pid_t> tids = probe.run();
+  ASSERT_EQ(tids.size(), probe.tasks());
+  EXPECT_EQ(std::set<pid_t>(tids.begin(), tids.end()).size(), probe.tasks());
+}
+
+TEST(StageThreadTest, SecondRunOfAGraphStartsNoThread) {
+  // The first run's stage threads park when its round is joined; the
+  // second run's stages all compute on them.
+  TidProbe probe;
+  ASSERT_EQ(probe.run().size(), probe.tasks());
+  const std::set<pid_t> before = live_tids();
+  const std::vector<pid_t> tids = probe.run();
+  ASSERT_EQ(tids.size(), probe.tasks());
+  EXPECT_EQ(std::set<pid_t>(tids.begin(), tids.end()).size(), probe.tasks());
+  for (const pid_t tid : tids) {
+    EXPECT_TRUE(before.contains(tid)) << "stage ran on a new thread " << tid;
+  }
+}
+
+TEST(StageThreadTest, ComputeSecondsExcludeTheWaitForInputs) {
+  // A source that sleeps 50 ms feeds a pass-through child.  The child
+  // waits those 50 ms for its input, but computes for microseconds.
+  tasklib::TaskRegistry registry;
+  tasklib::LibraryEntry slow;
+  slow.name = "slow_source";
+  slow.menu = "synthetic";
+  slow.description = "sleeps 50 ms, then emits a scalar";
+  slow.fn = [](const std::vector<tasklib::Payload>&,
+               const tasklib::TaskContext&) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    return tasklib::Payload::of_scalar(1.0);
+  };
+  registry.add(std::move(slow));
+  tasklib::LibraryEntry pass;
+  pass.name = "pass_through";
+  pass.menu = "synthetic";
+  pass.description = "forwards its input";
+  pass.min_inputs = 1;
+  pass.max_inputs = 1;
+  pass.fn = [](const std::vector<tasklib::Payload>& in,
+               const tasklib::TaskContext&) { return in.front(); };
+  registry.add(std::move(pass));
+
+  afg::FlowGraph g("slow-chain");
+  const auto src = g.add_task("slow_source", "src");
+  const auto child = g.add_task("pass_through", "child");
+  g.add_link(src, child, 0.1);
+  const auto result = ExecutionEngine(registry).execute(g, host_per_task(g));
+
+  for (const auto& rec : result.records) {
+    if (rec.task == src) {
+      EXPECT_GE(rec.compute_s, 0.050);
+    } else {
+      ASSERT_EQ(rec.task, child);
+      EXPECT_LT(rec.compute_s, 0.010);
+      EXPECT_GE(rec.turnaround_s, 0.050);  // the wait is turnaround
     }
   }
 }
