@@ -3,7 +3,7 @@
 //
 // Two modes:
 //   * default: google-benchmark micro-benchmarks over real code paths
-//     (channel setup latency, point-to-point throughput, mp-library
+//     (a link's whole lifecycle, point-to-point throughput, mp-library
 //     envelope overhead, heterogeneous data conversion);
 //   * --json [path] [--quick]: the D13/D14 sweep.  Runs the P4
 //     endpoint pipeline over both transports and a range of frame
@@ -12,18 +12,24 @@
 //     notify per frame) and once with batched publication (one lock +
 //     notify per wakeup), recording throughput, allocations per frame
 //     (via global operator new interposition), and p99
-//     producer-to-consumer frame latency.  Written to
-//     BENCH_datamgr.json by default; cited by EXPERIMENTS.md E19 and
+//     producer-to-consumer frame latency.  Then one link_lifecycle row
+//     per transport: links per second and process CPU per link for
+//     register, connect, one 4 KiB P4 frame and both closes.  Written
+//     to BENCH_datamgr.json by default; cited by EXPERIMENTS.md E19 and
 //     run as the datamgr-perf-smoke CI job.
 #include <benchmark/benchmark.h>
+
+#include <time.h>
 
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <mutex>
 #include <new>
 #include <string>
 #include <thread>
@@ -83,27 +89,92 @@ std::vector<std::byte> make_blob(std::size_t n) {
   return out;
 }
 
+/// One link's whole lifecycle against a persistent consumer thread, the
+/// stand-in for a stage thread that outlives its links: the consumer
+/// registers the link and receives one 4 KiB P4 frame, the caller
+/// connects, sends it and closes, and the consumer closes its end.
+/// Uses only the public broker API.
+class LinkLifecycleRig {
+ public:
+  explicit LinkLifecycleRig(TransportKind kind)
+      : broker_(kind), blob_(make_blob(4096)) {
+    consumer_ = std::jthread([this] { consume(); });
+  }
+
+  ~LinkLifecycleRig() {
+    {
+      std::lock_guard lk(mu_);
+      stop_ = true;
+    }
+    cv_.notify_all();
+  }
+
+  LinkLifecycleRig(const LinkLifecycleRig&) = delete;
+  LinkLifecycleRig& operator=(const LinkLifecycleRig&) = delete;
+
+  void run_one() {
+    std::uint32_t link = 0;
+    {
+      std::lock_guard lk(mu_);
+      link = ++posted_;
+    }
+    cv_.notify_all();
+    MessageEndpoint out(MpLibrary::kP4, broker_.open_send(key(link)));
+    out.send(7, blob_);
+    out.close();
+    std::unique_lock lk(mu_);
+    cv_.wait(lk, [&] { return done_ == link; });
+    lk.unlock();
+    broker_.clear_app(common::AppId(1));  // keep the registry at one link
+  }
+
+ private:
+  static LinkKey key(std::uint32_t link) {
+    return LinkKey{common::AppId(1), common::TaskId(2 * link),
+                   common::TaskId(2 * link + 1)};
+  }
+
+  void consume() {
+    for (;;) {
+      std::uint32_t link = 0;
+      {
+        std::unique_lock lk(mu_);
+        cv_.wait(lk, [&] { return stop_ || posted_ != done_; });
+        if (stop_) return;
+        link = posted_;
+      }
+      MessageEndpoint in(MpLibrary::kP4, broker_.open_receive(key(link)));
+      benchmark::DoNotOptimize(in.receive_frame());
+      in.close();
+      {
+        std::lock_guard lk(mu_);
+        done_ = link;
+      }
+      cv_.notify_all();
+    }
+  }
+
+  ChannelBroker broker_;
+  const std::vector<std::byte> blob_;
+  std::mutex mu_;
+  std::condition_variable cv_;
+  std::uint32_t posted_ = 0;
+  std::uint32_t done_ = 0;
+  bool stop_ = false;
+  std::jthread consumer_;  // last: joined before the state it uses dies
+};
+
 void BM_ChannelSetup(benchmark::State& state) {
   const auto kind = static_cast<TransportKind>(state.range(0));
-  std::uint32_t link = 0;
-  for (auto _ : state) {
-    ChannelBroker broker(kind);
-    const LinkKey key{common::AppId(1), common::TaskId(link),
-                      common::TaskId(link + 1)};
-    link += 2;
-    std::shared_ptr<dm::Channel> rx;
-    std::jthread consumer([&] { rx = broker.open_receive(key); });
-    auto tx = broker.open_send(key);
-    consumer.join();
-    // Complete the Figure 7 handshake with one ack round trip.
-    tx->send(make_blob(8));
-    benchmark::DoNotOptimize(rx->receive());
-  }
+  LinkLifecycleRig rig(kind);
+  for (auto _ : state) rig.run_one();
   state.SetLabel(kind == TransportKind::kInProcess ? "in-process" : "tcp");
 }
 BENCHMARK(BM_ChannelSetup)
     ->Arg(static_cast<int>(TransportKind::kInProcess))
-    ->Arg(static_cast<int>(TransportKind::kTcp));
+    ->Arg(static_cast<int>(TransportKind::kTcp))
+    ->MeasureProcessCPUTime()
+    ->UseRealTime();
 
 void BM_Throughput(benchmark::State& state) {
   const auto kind = static_cast<TransportKind>(state.range(0));
@@ -327,6 +398,40 @@ CellResult run_cell(TransportKind kind, std::size_t size, bool batched,
   return cell;
 }
 
+struct LifecycleResult {
+  std::string transport;
+  std::size_t links = 0;
+  double links_per_s = 0.0;
+  double cpu_us_per_link = 0.0;
+};
+
+double process_cpu_s() {
+  timespec ts{};
+  ::clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts);
+  return static_cast<double>(ts.tv_sec) +
+         static_cast<double>(ts.tv_nsec) * 1e-9;
+}
+
+/// `links` full link lifecycles after a warm-up; CPU is the whole
+/// process's (the event loop included).
+LifecycleResult run_lifecycle(TransportKind kind, std::size_t links) {
+  LinkLifecycleRig rig(kind);
+  for (int i = 0; i < 64; ++i) rig.run_one();
+  const double cpu0 = process_cpu_s();
+  const auto t0 = std::chrono::steady_clock::now();
+  for (std::size_t i = 0; i < links; ++i) rig.run_one();
+  const double wall =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+          .count();
+  LifecycleResult r;
+  r.transport = kind == TransportKind::kInProcess ? "inproc" : "tcp";
+  r.links = links;
+  r.links_per_s = static_cast<double>(links) / wall;
+  r.cpu_us_per_link =
+      (process_cpu_s() - cpu0) * 1e6 / static_cast<double>(links);
+  return r;
+}
+
 std::string json_cell(const CellResult& c) {
   std::string out = "    {";
   out += "\"transport\": \"" + c.transport + "\", ";
@@ -402,6 +507,14 @@ int run_json_sweep(const std::string& out_path, bool quick) {
     }
   }
 
+  std::vector<LifecycleResult> lifecycles;
+  for (const auto kind : {TransportKind::kInProcess, TransportKind::kTcp}) {
+    lifecycles.push_back(run_lifecycle(kind, quick ? 2000 : 10000));
+    const auto& l = lifecycles.back();
+    std::cout << l.transport << " link lifecycle: " << l.links_per_s
+              << " links/s, " << l.cpu_us_per_link << " us CPU per link\n";
+  }
+
   std::ofstream out(out_path);
   if (!out) {
     std::cerr << "cannot write " << out_path << "\n";
@@ -412,6 +525,16 @@ int run_json_sweep(const std::string& out_path, bool quick) {
   out << "  \"cells\": [\n";
   for (std::size_t i = 0; i < cells.size(); ++i) {
     out << json_cell(cells[i]) << (i + 1 < cells.size() ? ",\n" : "\n");
+  }
+  out << "  ],\n";
+  out << "  \"link_lifecycle\": [\n";
+  for (std::size_t i = 0; i < lifecycles.size(); ++i) {
+    const auto& l = lifecycles[i];
+    out << "    {\"transport\": \"" << l.transport
+        << "\", \"links\": " << l.links
+        << ", \"links_per_s\": " << std::to_string(l.links_per_s)
+        << ", \"cpu_us_per_link\": " << std::to_string(l.cpu_us_per_link)
+        << "}" << (i + 1 < lifecycles.size() ? ",\n" : "\n");
   }
   out << "  ],\n";
   out << "  \"summary\": {\n";

@@ -3,62 +3,8 @@
 #include <chrono>
 
 #include "common/error.hpp"
-#include "datamgr/tcp.hpp"
 
 namespace vdce::dm {
-
-namespace {
-
-/// Receiving channel that performs the TCP accept lazily on the first
-/// receive (on the consuming stage's thread, matching the proxy
-/// handshake of Figure 7).
-class LazyAcceptChannel final : public Channel {
- public:
-  explicit LazyAcceptChannel(std::unique_ptr<TcpListener> listener)
-      : listener_(std::move(listener)) {}
-
-  void send_frame(const FrameView&) override {
-    throw common::TransportError("send on a receive-only channel");
-  }
-
-  std::optional<FrameView> receive_frame_for(double timeout_s) override {
-    ensure_accepted(timeout_s);
-    return inner_ ? inner_->receive_frame_for(timeout_s) : std::nullopt;
-  }
-
-  void close() override {
-    std::lock_guard lk(mu_);
-    closed_ = true;
-    if (listener_) listener_->close();
-    if (inner_) inner_->close();
-  }
-
-  std::size_t bytes_sent() const override { return 0; }
-
- private:
-  void ensure_accepted(double timeout_s) {
-    std::lock_guard lk(mu_);
-    if (inner_ || !listener_) return;
-    try {
-      inner_ = timeout_s > 0.0 ? listener_->accept_for(timeout_s)
-                               : listener_->accept();
-    } catch (const common::TransportError&) {
-      listener_.reset();
-      // Listener was closed before a producer connected: orderly EOF.
-      // An accept timeout, by contrast, is a real receive failure.
-      if (closed_) return;
-      throw;
-    }
-    listener_.reset();
-  }
-
-  std::mutex mu_;
-  bool closed_ = false;
-  std::unique_ptr<TcpListener> listener_;
-  std::unique_ptr<TcpChannel> inner_;
-};
-
-}  // namespace
 
 std::shared_ptr<Channel> ChannelBroker::open_receive(const LinkKey& key) {
   std::lock_guard lk(mu_);
@@ -72,9 +18,9 @@ std::shared_ptr<Channel> ChannelBroker::open_receive(const LinkKey& key) {
     reg.inproc_sender = std::move(pair.sender);
     receiver = std::move(pair.receiver);
   } else {
-    auto listener = std::make_unique<TcpListener>();
-    reg.port = listener->port();
-    receiver = std::make_shared<LazyAcceptChannel>(std::move(listener));
+    CommProxy::Link link = CommProxy::global().open_link();
+    reg.proxy = link.address;
+    receiver = std::move(link.receiver);
   }
   registrations_.emplace(key, std::move(reg));
   cv_.notify_all();
@@ -122,9 +68,9 @@ std::shared_ptr<Channel> ChannelBroker::open_send(const LinkKey& key,
     }
     return std::move(reg.inproc_sender);
   }
-  const std::uint16_t port = reg.port;
-  lk.unlock();  // connect outside the lock; tcp_connect may retry/sleep
-  return tcp_connect(port);
+  const ProxyAddress address = reg.proxy;
+  lk.unlock();  // lease outside the lock; a new connection connects
+  return CommProxy::global().lease(address);
 }
 
 std::shared_ptr<RingChannel> ChannelBroker::open_stream_receive(

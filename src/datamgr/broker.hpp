@@ -6,9 +6,10 @@
 // address for target machine, etc., that will be used for communication
 // channel setup."  The broker is that allocation-information exchange:
 // the consuming side of every AFG link registers its endpoint (a queue,
-// or a listening TCP socket whose kernel-assigned port is the paper's
-// "socket number"), and the producing side looks the endpoint up and
-// connects.
+// or a link id on its process's communication proxy, whose listening
+// port is the paper's "socket number"), and the producing side looks
+// the endpoint up and connects (over TCP: leases a persistent proxy
+// connection, see proxy.hpp).
 #pragma once
 
 #include <condition_variable>
@@ -19,6 +20,7 @@
 #include "common/clock.hpp"
 #include "common/ids.hpp"
 #include "datamgr/channel.hpp"
+#include "datamgr/proxy.hpp"
 #include "datamgr/ring_channel.hpp"
 
 namespace vdce::dm {
@@ -97,8 +99,8 @@ class ChannelBroker {
   struct Registration {
     // In-process: the pre-made sending end.
     std::shared_ptr<Channel> inproc_sender;
-    // TCP: the advertised port.
-    std::uint16_t port = 0;
+    // TCP: the consumer's proxy port and link id.
+    ProxyAddress proxy;
     // Streaming: the shared bounded ring (null for batch links).
     std::shared_ptr<RingChannel> ring;
     // The ring is created with one attached producer; the first

@@ -2,12 +2,13 @@
 
 #include <sys/epoll.h>
 #include <sys/eventfd.h>
-#include <sys/socket.h>
 #include <unistd.h>
 
+#include <array>
 #include <cerrno>
 #include <cstdlib>
 #include <cstring>
+#include <utility>
 
 #include "common/error.hpp"
 #include "common/metrics.hpp"
@@ -19,6 +20,113 @@ using common::TransportError;
 namespace {
 std::atomic<bool> g_batch_publish{true};
 }  // namespace
+
+// -- RxInbox --------------------------------------------------------------
+
+std::string RxInbox::take_error() {
+  std::lock_guard lock(error_mu);
+  return error;
+}
+
+std::optional<FrameView> RxInbox::receive_for(double timeout_s) {
+  auto finish = [this](std::optional<FrameView> view)
+      -> std::optional<FrameView> {
+    if (view) {
+      const std::size_t before =
+          queued_bytes.fetch_sub(view->size(), std::memory_order_acq_rel);
+      if (paused.load() &&
+          before - view->size() < TcpEventLoop::kLowWaterBytes) {
+        TcpEventLoop::global().rearm(feeder_fd.load());
+      }
+      return view;
+    }
+    // Queue closed and drained: orderly EOF is nullopt, a transport
+    // failure re-throws here on the consumer thread.
+    const std::string failure = take_error();
+    if (!failure.empty()) throw TransportError(failure);
+    return std::nullopt;
+  };
+
+  if (timeout_s <= 0.0) return finish(queue.pop());
+  auto view = queue.pop_for(std::chrono::duration<double>(timeout_s));
+  if (view) return finish(std::move(view));
+  // pop_for returns nullopt both on timeout and on close; only the
+  // former is a deadline expiry.
+  if (auto late = queue.try_pop()) return finish(std::move(late));
+  if (queue.closed()) return finish(std::nullopt);
+  common::MetricsRegistry::global()
+      .counter("datamgr.deadline_expiries")
+      .add(1);
+  throw TransportError("tcp receive timed out after " +
+                       std::to_string(timeout_s) + "s");
+}
+
+// -- InboxFeed ------------------------------------------------------------
+
+void InboxFeed::bind(std::shared_ptr<RxInbox> inbox) {
+  inbox_ = std::move(inbox);
+}
+
+void InboxFeed::unbind() {
+  pending_.clear();
+  inbox_.reset();
+}
+
+bool InboxFeed::flush() {
+  if (pending_.empty()) return true;
+  std::size_t bytes = 0;
+  for (const FrameView& v : pending_) bytes += v.size();
+  if (inbox_->queue.push_many(pending_) == 0) {
+    // The consumer closed: drop the batch and its accounting.
+    inbox_->queued_bytes.fetch_sub(bytes, std::memory_order_release);
+    pending_.clear();
+    return false;
+  }
+  return true;
+}
+
+InboxFeed::State InboxFeed::deliver(TcpEventLoop& loop, int fd,
+                                    LoopReader& reader, FrameView view) {
+  RxInbox& in = *inbox_;
+  in.queued_bytes.fetch_add(view.size(), std::memory_order_release);
+  pending_.push_back(std::move(view));
+  if (in.queued_bytes.load(std::memory_order_acquire) >=
+          TcpEventLoop::kHighWaterBytes ||
+      in.queue.size() + pending_.size() >= TcpEventLoop::kMaxQueuedFrames) {
+    if (!flush()) return State::kConsumerGone;
+    in.paused.store(true);
+    loop.disarm(fd, reader);
+    // Re-check: the consumer may have drained or closed (and skipped
+    // its re-arm, seeing paused == false) between the flush above and
+    // the pause.
+    if ((in.queued_bytes.load(std::memory_order_acquire) <
+             TcpEventLoop::kLowWaterBytes &&
+         in.queue.size() < TcpEventLoop::kMaxQueuedFrames) ||
+        in.queue.closed()) {
+      in.paused.store(false);
+      loop.arm(fd, reader);
+    } else {
+      return State::kPaused;
+    }
+  } else if (!TcpEventLoop::batch_publish() ||
+             pending_.size() >= TcpEventLoop::kFlushBatchFrames) {
+    if (!flush()) return State::kConsumerGone;
+  }
+  return State::kReading;
+}
+
+void InboxFeed::finish(const std::string& error) {
+  if (!error.empty()) {
+    std::lock_guard lock(inbox_->error_mu);
+    if (inbox_->error.empty()) inbox_->error = error;
+  }
+  // Close AFTER the error is recorded: consumers drain queued frames,
+  // hit nullopt, then check for an error to re-throw.
+  flush();
+  inbox_->queue.close();
+}
+
+// -- TcpEventLoop ---------------------------------------------------------
 
 void TcpEventLoop::set_batch_publish(bool on) {
   g_batch_publish.store(on, std::memory_order_relaxed);
@@ -50,9 +158,9 @@ TcpEventLoop::~TcpEventLoop() {
   stop();
   if (wake_fd_ >= 0) ::close(wake_fd_);
   if (epoll_fd_ >= 0) ::close(epoll_fd_);
-  // Any still-registered fds belong to channels that never called
+  // Any still-registered fds belong to owners that never called
   // remove(); close them so a short-lived non-global loop cannot leak.
-  for (auto& [fd, st] : channels_) ::close(fd);
+  for (auto& [fd, reader] : readers_) ::close(fd);
 }
 
 void TcpEventLoop::stop() {
@@ -73,9 +181,9 @@ void TcpEventLoop::enqueue(Op op) {
   wake();
 }
 
-void TcpEventLoop::add(int fd, std::shared_ptr<TcpRxState> state) {
+void TcpEventLoop::add(int fd, std::shared_ptr<LoopReader> reader) {
   registered_.fetch_add(1, std::memory_order_relaxed);
-  enqueue(Op{Op::Kind::kAdd, fd, std::move(state)});
+  enqueue(Op{Op::Kind::kAdd, fd, std::move(reader)});
 }
 
 void TcpEventLoop::remove(int fd) {
@@ -91,51 +199,37 @@ std::size_t TcpEventLoop::channel_count() const {
   return registered_.load(std::memory_order_relaxed);
 }
 
-void TcpEventLoop::arm(int fd, TcpRxState& st) {
-  if (st.armed) return;
+void TcpEventLoop::adopt(int fd, std::shared_ptr<LoopReader> reader) {
+  registered_.fetch_add(1, std::memory_order_relaxed);
+  LoopReader& r = *reader;
+  readers_.emplace(fd, std::move(reader));
+  arm(fd, r);
+}
+
+void TcpEventLoop::drop(int fd, LoopReader& reader) {
+  // Out of the interest set now; unregistered and closed by the op, so
+  // no event of this batch can reach a newcomer on the same fd number.
+  disarm(fd, reader);
+  remove(fd);
+}
+
+void TcpEventLoop::arm(int fd, LoopReader& reader) {
+  if (reader.armed_) return;
   epoll_event ev{};
   ev.events = EPOLLIN;  // level-triggered: unread bytes keep firing
   ev.data.fd = fd;
-  if (::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, fd, &ev) < 0) {
-    fail_channel(fd, st, std::string("epoll add: ") + std::strerror(errno));
+  if (::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, fd, &ev) == 0) {
+    reader.armed_ = true;
     return;
   }
-  st.armed = true;
+  unwatchable_.emplace_back(fd, std::string("epoll add: ") +
+                                    std::strerror(errno));
 }
 
-void TcpEventLoop::disarm(int fd, TcpRxState& st) {
-  if (!st.armed) return;
+void TcpEventLoop::disarm(int fd, LoopReader& reader) {
+  if (!reader.armed_) return;
   ::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, fd, nullptr);
-  st.armed = false;
-}
-
-void TcpEventLoop::fail_channel(int fd, TcpRxState& st,
-                                const std::string& what) {
-  {
-    std::lock_guard lock(st.error_mu);
-    if (st.error.empty()) st.error = what;
-  }
-  finish_channel(fd, st);
-}
-
-void TcpEventLoop::finish_channel(int fd, TcpRxState& st) {
-  if (st.done) return;
-  st.done = true;
-  if (!st.pending.empty()) {
-    // Publish frames parsed before the EOF/error; if the receiver
-    // already closed, drop them and undo the byte accounting.
-    std::size_t bytes = 0;
-    for (const FrameView& v : st.pending) bytes += v.size();
-    if (st.queue.push_many(st.pending) == 0) {
-      st.queued_bytes.fetch_sub(bytes, std::memory_order_release);
-      st.pending.clear();
-    }
-  }
-  st.body.reset();
-  disarm(fd, st);
-  // Close AFTER the error is recorded: consumers drain queued frames,
-  // hit nullopt, then check for an error to re-throw.
-  st.queue.close();
+  reader.armed_ = false;
 }
 
 void TcpEventLoop::apply_ops() {
@@ -147,144 +241,27 @@ void TcpEventLoop::apply_ops() {
   for (Op& op : ops) {
     switch (op.kind) {
       case Op::Kind::kAdd: {
-        TcpRxState& st = *op.state;
-        {
-          std::lock_guard lock(mu_);
-          channels_.emplace(op.fd, std::move(op.state));
-        }
-        arm(op.fd, st);
+        LoopReader& r = *op.reader;
+        readers_.emplace(op.fd, std::move(op.reader));
+        arm(op.fd, r);
         break;
       }
       case Op::Kind::kRemove: {
-        const auto it = channels_.find(op.fd);
-        if (it != channels_.end()) {
+        const auto it = readers_.find(op.fd);
+        if (it != readers_.end()) {
           disarm(op.fd, *it->second);
-          std::lock_guard lock(mu_);
-          channels_.erase(op.fd);
+          readers_.erase(it);
         }
         ::close(op.fd);
         break;
       }
       case Op::Kind::kRearm: {
-        const auto it = channels_.find(op.fd);
-        if (it == channels_.end() || it->second->done) break;
-        TcpRxState& st = *it->second;
-        if (st.paused.load(std::memory_order_acquire)) {
-          st.paused.store(false, std::memory_order_release);
-          arm(op.fd, st);
-        }
+        const auto it = readers_.find(op.fd);
+        if (it != readers_.end()) it->second->on_rearm(*this, op.fd);
         break;
       }
     }
   }
-}
-
-bool TcpEventLoop::flush(int fd, TcpRxState& st) {
-  if (st.pending.empty()) return true;
-  std::size_t bytes = 0;
-  for (const FrameView& v : st.pending) bytes += v.size();
-  if (st.queue.push_many(st.pending) == 0) {
-    // Receiver closed the channel: stop reading this connection.
-    st.queued_bytes.fetch_sub(bytes, std::memory_order_release);
-    st.pending.clear();
-    finish_channel(fd, st);
-    return false;
-  }
-  return true;
-}
-
-bool TcpEventLoop::deliver(int fd, TcpRxState& st) {
-  FrameView view = st.body.view();
-  st.body.reset();
-  st.in_body = false;
-  st.header_fill = 0;
-  const std::size_t n = view.size();
-  st.queued_bytes.fetch_add(n, std::memory_order_release);
-  st.pending.push_back(std::move(view));
-  if (st.queued_bytes.load(std::memory_order_acquire) >= kHighWaterBytes ||
-      st.queue.size() + st.pending.size() >= kMaxQueuedFrames) {
-    if (!flush(fd, st)) return false;
-    st.paused.store(true, std::memory_order_release);
-    disarm(fd, st);
-    // Re-check: the consumer may have drained (and skipped its rearm,
-    // seeing paused == false) between the flush above and the pause.
-    if (st.queued_bytes.load(std::memory_order_acquire) < kLowWaterBytes &&
-        st.queue.size() < kMaxQueuedFrames) {
-      st.paused.store(false, std::memory_order_release);
-      arm(fd, st);
-    } else {
-      return false;
-    }
-  } else if (!batch_publish() || st.pending.size() >= kFlushBatchFrames) {
-    if (!flush(fd, st)) return false;
-  }
-  return true;
-}
-
-void TcpEventLoop::service(int fd, TcpRxState& st) {
-  if (st.done || st.paused.load(std::memory_order_acquire)) return;
-  // Parse until the socket runs dry, batching parsed frames in
-  // st.pending; the flush below publishes the whole wakeup's worth
-  // with one queue lock and one notify.
-  for (;;) {
-    if (!st.in_body) {
-      const ssize_t r =
-          ::recv(fd, st.header.data() + st.header_fill,
-                 st.header.size() - st.header_fill, 0);
-      if (r < 0) {
-        if (errno == EINTR) continue;
-        if (errno == EAGAIN || errno == EWOULDBLOCK) break;
-        fail_channel(fd, st, std::string("tcp recv: ") + std::strerror(errno));
-        return;
-      }
-      if (r == 0) {
-        if (st.header_fill == 0) {
-          finish_channel(fd, st);  // orderly EOF at a frame boundary
-        } else {
-          fail_channel(fd, st, "tcp peer closed mid-message");
-        }
-        return;
-      }
-      st.header_fill += static_cast<std::size_t>(r);
-      if (st.header_fill < st.header.size()) continue;
-      std::uint32_t n = 0;
-      for (const std::byte b : st.header) {
-        n = (n << 8) | static_cast<std::uint8_t>(b);
-      }
-      // Bounds-check the decoded length before allocating: a corrupt or
-      // hostile header must not provoke a giant allocation.
-      const std::size_t limit =
-          st.max_message_bytes.load(std::memory_order_relaxed);
-      if (n > limit) {
-        fail_channel(
-            fd, st,
-            "tcp frame header claims " + std::to_string(n) +
-                " bytes, above the frame limit of " + std::to_string(limit) +
-                " bytes (corrupt stream?)");
-        return;
-      }
-      st.in_body = true;
-      st.body_fill = 0;
-      st.body = FramePool::global().allocate(n);
-      if (n == 0 && !deliver(fd, st)) return;
-    } else {
-      const ssize_t r = ::recv(fd, st.body.data() + st.body_fill,
-                               st.body.size() - st.body_fill, 0);
-      if (r < 0) {
-        if (errno == EINTR) continue;
-        if (errno == EAGAIN || errno == EWOULDBLOCK) break;
-        fail_channel(fd, st, std::string("tcp recv: ") + std::strerror(errno));
-        return;
-      }
-      if (r == 0) {
-        fail_channel(fd, st, "tcp peer closed mid-message");
-        return;
-      }
-      st.body_fill += static_cast<std::size_t>(r);
-      if (st.body_fill == st.body.size() && !deliver(fd, st)) return;
-    }
-  }
-  flush(fd, st);
 }
 
 void TcpEventLoop::run() {
@@ -306,10 +283,19 @@ void TcpEventLoop::run() {
         [[maybe_unused]] ssize_t r = ::read(wake_fd_, &drain, sizeof(drain));
         continue;
       }
-      const auto it = channels_.find(fd);
-      if (it != channels_.end()) service(fd, *it->second);
+      const auto it = readers_.find(fd);
+      if (it == readers_.end()) continue;
+      // Not it->second across the call: an accept may rehash readers_.
+      // The reader itself lives on, as only apply_ops() erases.
+      LoopReader* const reader = it->second.get();
+      if (reader->armed_) reader->on_readable(*this, fd);
     }
     apply_ops();
+    if (unwatchable_.empty()) continue;
+    for (const auto& [fd, what] : std::exchange(unwatchable_, {})) {
+      const auto it = readers_.find(fd);
+      if (it != readers_.end()) it->second->on_unwatchable(*this, fd, what);
+    }
   }
 }
 

@@ -1,21 +1,26 @@
-// Single-threaded epoll event loop for all TCP channel receives
-// (design D13).
+// Single-threaded epoll event loop for every socket receive (design
+// D13).
 //
 // Before D13 every TcpChannel receive parked one kernel thread in a
 // blocking recv(); a run with T tasks and E edges burned E threads just
 // waiting for bytes.  The event loop inverts that: one thread owns an
-// epoll set over every registered channel fd, parses the 4-byte
-// length-prefixed frames into pooled Frames, and pushes FrameViews onto
-// a per-channel queue.  Channel::receive()/receive_for() become
-// condition-variable waits on that queue, so the Channel contract
+// epoll set over every registered fd and hands each readable fd to its
+// LoopReader, which parses frames into pooled Frames and publishes
+// FrameViews into an RxInbox.  Channel receives become
+// condition-variable waits on that inbox, so the Channel contract
 // (deadlines, orderly EOF as nullopt, errors as TransportError,
 // clear_app abort) is preserved with zero semantic change upstream.
+//
+// Two kinds of reader exist: a TcpChannel's (one length-prefixed frame
+// stream per socket, tcp.cpp) and the communication proxy's (its
+// listener, whose accepts the loop performs, and the persistent
+// connections that carry one link at a time, proxy.cpp).
 //
 // Threading rules:
 //   * All epoll registration changes and all parse-state mutation
 //     happen on the loop thread.  Other threads communicate through an
 //     op queue plus an eventfd wakeup.
-//   * The loop owns every registered fd and closes it when the channel
+//   * The loop owns every registered fd and closes it when its owner
 //     asks for removal.
 //   * Backpressure: a connection that outruns its consumer is paused
 //     (dropped from the epoll set) at a byte high-water mark and
@@ -23,11 +28,11 @@
 //     so a slow consumer bounds memory instead of ballooning its queue.
 #pragma once
 
-#include <array>
 #include <atomic>
 #include <cstddef>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 #include <unordered_map>
@@ -38,47 +43,94 @@
 
 namespace vdce::dm {
 
-/// Per-channel receive state shared between a TcpChannel (consumer
-/// side) and the TcpEventLoop (producer side).
-struct TcpRxState {
-  explicit TcpRxState(std::size_t max_bytes) : max_message_bytes(max_bytes) {}
+class TcpEventLoop;
 
-  // -- consumer-facing (thread-safe) -------------------------------------
-  common::MessageQueue<FrameView> queue;  // loop pushes, channel pops
-  std::atomic<std::size_t> max_message_bytes;
+/// The consumer-facing half of one socket receive: the queue a
+/// channel's receives wait on, its byte accounting, its pause flag and
+/// its error.  The loop thread publishes into it (InboxFeed); one
+/// receiving channel drains it.
+struct RxInbox {
+  common::MessageQueue<FrameView> queue;
   std::atomic<std::size_t> queued_bytes{0};
+  /// Set while the connection feeding this inbox is paused for it.
   std::atomic<bool> paused{false};
+  /// That connection: where the consumer's re-arm goes.
+  std::atomic<int> feeder_fd{-1};
 
   /// Set (under error_mu) before queue.close() on a transport failure;
   /// the consumer re-throws it once the queue drains.
   std::mutex error_mu;
   std::string error;
 
-  [[nodiscard]] std::string take_error() {
-    std::lock_guard lock(error_mu);
-    return error;
-  }
+  [[nodiscard]] std::string take_error();
 
-  // -- loop-private parse state (loop thread only) -----------------------
-  std::array<std::byte, 4> header{};
-  std::size_t header_fill = 0;
-  bool in_body = false;
-  Frame body;
-  std::size_t body_fill = 0;
-  bool armed = false;  // fd currently in the epoll interest set
-  bool done = false;   // EOF or error: never read this fd again
-  /// Frames parsed this wakeup but not yet published to the queue;
-  /// flushed as one push_many (single lock + notify) when the socket
-  /// runs dry or the batch budget is hit.
-  std::vector<FrameView> pending;
+  /// The Channel receive contract: the next frame, nullopt once the
+  /// queue is closed and drained, TransportError for a recorded failure
+  /// or when `timeout_s > 0` passes with nothing queued (counted as a
+  /// datamgr.deadline_expiries).  Re-arms a paused feeder once the
+  /// consumer drains below the low water.
+  [[nodiscard]] std::optional<FrameView> receive_for(double timeout_s);
 };
 
-/// The epoll loop servicing every TcpChannel fd.  One instance (and one
-/// thread) per process; see global().
+/// A registered fd's reader.  Every method runs on the loop thread.
+class LoopReader {
+ public:
+  virtual ~LoopReader() = default;
+
+  /// The fd is readable (level-triggered: unread bytes fire again).
+  virtual void on_readable(TcpEventLoop& loop, int fd) = 0;
+
+  /// A consumer asked to resume reading after a backpressure pause.
+  /// Must be harmless when nothing is paused.
+  virtual void on_rearm(TcpEventLoop& /*loop*/, int /*fd*/) {}
+
+  /// The loop cannot watch the fd (epoll refused it): it will never be
+  /// read.  Called after the event batch, never from inside a reader.
+  virtual void on_unwatchable(TcpEventLoop& loop, int fd,
+                              const std::string& what) = 0;
+
+ private:
+  friend class TcpEventLoop;
+  bool armed_ = false;  // fd currently in the epoll interest set
+};
+
+/// The loop-thread side of publishing into one inbox: frames parsed
+/// during a wakeup collect in a pending batch, published with one queue
+/// lock and one notify; at the high water the feeding fd is paused.
+class InboxFeed {
+ public:
+  enum class State : std::uint8_t { kReading, kPaused, kConsumerGone };
+
+  /// Starts feeding `inbox` (the feed is idle until bound).
+  void bind(std::shared_ptr<RxInbox> inbox);
+  void unbind();
+  [[nodiscard]] RxInbox& inbox() { return *inbox_; }
+
+  /// Queues one parsed frame from `fd`; publishes the batch when it is
+  /// due and pauses the fd at the high water.  kConsumerGone: the
+  /// consumer has closed and the frames were dropped.
+  State deliver(TcpEventLoop& loop, int fd, LoopReader& reader,
+                FrameView view);
+
+  /// Publishes the pending batch; false (batch dropped, byte accounting
+  /// undone) once the consumer has closed.
+  bool flush();
+
+  /// Publishes what is pending, records `error` (empty: orderly end of
+  /// stream) and closes the inbox.
+  void finish(const std::string& error);
+
+ private:
+  std::shared_ptr<RxInbox> inbox_;
+  std::vector<FrameView> pending_;
+};
+
+/// The epoll loop servicing every socket receive.  One instance (and
+/// one thread) per process; see global().
 class TcpEventLoop {
  public:
   /// Pause reading a connection once this many bytes sit unconsumed in
-  /// its queue; resume once the consumer drains below the low water.
+  /// its inbox; resume once the consumer drains below the low water.
   static constexpr std::size_t kHighWaterBytes = std::size_t{8} << 20;
   static constexpr std::size_t kLowWaterBytes = std::size_t{1} << 20;
   /// Frame-count backstop for floods of tiny messages.
@@ -92,10 +144,9 @@ class TcpEventLoop {
   TcpEventLoop(const TcpEventLoop&) = delete;
   TcpEventLoop& operator=(const TcpEventLoop&) = delete;
 
-  /// Registers a connected fd (made non-blocking by the caller).  The
-  /// loop takes ownership: the fd is closed by remove(), not by the
-  /// caller.
-  void add(int fd, std::shared_ptr<TcpRxState> state);
+  /// Registers a non-blocking fd and its reader.  The loop takes
+  /// ownership: the fd is closed by remove(), not by the caller.
+  void add(int fd, std::shared_ptr<LoopReader> reader);
 
   /// Unregisters the fd and closes it (on the loop thread).
   void remove(int fd);
@@ -104,10 +155,19 @@ class TcpEventLoop {
   /// backpressure.  Harmless if the fd is unpaused, done, or gone.
   void rearm(int fd);
 
-  /// Logically registered connections: counted at add()/remove() time,
-  /// not when the loop thread applies the op, so callers observe their
-  /// own registrations immediately (test support).
+  /// Logically registered fds: counted at add()/remove() time, not when
+  /// the loop thread applies the op, so callers observe their own
+  /// registrations immediately (test support).
   [[nodiscard]] std::size_t channel_count() const;
+
+  // -- loop thread only (called from a LoopReader) ---------------------
+  /// Registers an fd the loop thread itself opened (an accept).
+  void adopt(int fd, std::shared_ptr<LoopReader> reader);
+  /// Stops watching an fd whose reader gave up on it; it is closed once
+  /// the current event batch is serviced.
+  void drop(int fd, LoopReader& reader);
+  void arm(int fd, LoopReader& reader);
+  void disarm(int fd, LoopReader& reader);
 
   /// Stops and joins the loop thread.  Called automatically at process
   /// exit for the global loop.
@@ -129,18 +189,11 @@ class TcpEventLoop {
   struct Op {
     enum class Kind : std::uint8_t { kAdd, kRemove, kRearm } kind;
     int fd = -1;
-    std::shared_ptr<TcpRxState> state;
+    std::shared_ptr<LoopReader> reader;
   };
 
   void run();
   void apply_ops();
-  void service(int fd, TcpRxState& st);
-  bool deliver(int fd, TcpRxState& st);
-  bool flush(int fd, TcpRxState& st);
-  void fail_channel(int fd, TcpRxState& st, const std::string& what);
-  void finish_channel(int fd, TcpRxState& st);
-  void arm(int fd, TcpRxState& st);
-  void disarm(int fd, TcpRxState& st);
   void enqueue(Op op);
   void wake();
 
@@ -148,15 +201,16 @@ class TcpEventLoop {
   int wake_fd_ = -1;
   std::atomic<bool> stop_{false};
 
-  mutable std::mutex mu_;  // guards ops_ and channels_ mutations
+  std::mutex mu_;  // guards ops_
   std::vector<Op> ops_;
-  // add()/remove() are exactly paired per channel (TcpChannel ctor and
-  // dtor), so this is the logical registration count -- channels_ only
-  // catches up once the loop thread applies the queued ops.
+  // add()/adopt() and remove()/drop() are exactly paired per fd, so
+  // this is the logical registration count -- readers_ only catches up
+  // once the loop thread applies the queued ops.
   std::atomic<std::size_t> registered_{0};
-  // Written only by the loop thread (under mu_ so channel_count() can
-  // read from other threads); read lock-free by the loop thread.
-  std::unordered_map<int, std::shared_ptr<TcpRxState>> channels_;
+  // Loop thread only (and the destructor, after the join).
+  std::unordered_map<int, std::shared_ptr<LoopReader>> readers_;
+  // fds arm() failed on, reported after the current batch.
+  std::vector<std::pair<int, std::string>> unwatchable_;
 
   std::thread thread_;
 };

@@ -9,6 +9,7 @@
 #include <sys/uio.h>
 #include <unistd.h>
 
+#include <array>
 #include <cerrno>
 #include <chrono>
 #include <cstring>
@@ -16,7 +17,7 @@
 #include <thread>
 
 #include "common/error.hpp"
-#include "common/metrics.hpp"
+#include "datamgr/event_loop.hpp"
 
 namespace vdce::dm {
 
@@ -28,11 +29,20 @@ namespace {
   throw TransportError(what + ": " + std::strerror(errno));
 }
 
-/// One scatter/gather write of header + body (the writev path of D13:
-/// sendmsg is vectored like writev but honours MSG_NOSIGNAL).  The fd
-/// may be non-blocking; EAGAIN waits for POLLOUT and resumes.
-void sendv_all(int fd, std::span<const std::byte> header,
-               std::span<const std::byte> body) {
+void encode_header(std::byte (&header)[4], std::size_t size) {
+  const auto n = static_cast<std::uint32_t>(size);
+  header[0] = std::byte{static_cast<std::uint8_t>(n >> 24)};
+  header[1] = std::byte{static_cast<std::uint8_t>(n >> 16)};
+  header[2] = std::byte{static_cast<std::uint8_t>(n >> 8)};
+  header[3] = std::byte{static_cast<std::uint8_t>(n)};
+}
+
+}  // namespace
+
+// The writev path of D13: sendmsg is vectored like writev but honours
+// MSG_NOSIGNAL.
+void send_all(int fd, std::span<const std::byte> header,
+              std::span<const std::byte> body) {
   iovec iov[2] = {
       {const_cast<std::byte*>(header.data()), header.size()},
       {const_cast<std::byte*>(body.data()), body.size()},
@@ -65,15 +75,129 @@ void sendv_all(int fd, std::span<const std::byte> header,
   }
 }
 
-void encode_header(std::byte (&header)[4], std::size_t size) {
-  const auto n = static_cast<std::uint32_t>(size);
-  header[0] = std::byte{static_cast<std::uint8_t>(n >> 24)};
-  header[1] = std::byte{static_cast<std::uint8_t>(n >> 16)};
-  header[2] = std::byte{static_cast<std::uint8_t>(n >> 8)};
-  header[3] = std::byte{static_cast<std::uint8_t>(n)};
-}
+/// TcpChannel's receive side: a loop reader that parses 4-byte
+/// length-prefixed frames from one socket into the channel's inbox.
+class TcpRxState final : public LoopReader {
+ public:
+  explicit TcpRxState(std::size_t max_bytes) : max_message_bytes(max_bytes) {
+    feed_.bind(inbox);
+  }
 
-}  // namespace
+  const std::shared_ptr<RxInbox> inbox = std::make_shared<RxInbox>();
+  std::atomic<std::size_t> max_message_bytes;
+
+  void on_readable(TcpEventLoop& loop, int fd) override;
+
+  void on_rearm(TcpEventLoop& loop, int fd) override {
+    if (done_ || !inbox->paused.load()) return;
+    inbox->paused.store(false);
+    loop.arm(fd, *this);
+  }
+
+  void on_unwatchable(TcpEventLoop& loop, int fd,
+                      const std::string& what) override {
+    finish(loop, fd, what);
+  }
+
+ private:
+  /// EOF or error: publish what is parsed, close the inbox, never read
+  /// this fd again.
+  void finish(TcpEventLoop& loop, int fd, const std::string& error) {
+    if (done_) return;
+    done_ = true;
+    body_.reset();
+    loop.disarm(fd, *this);
+    feed_.finish(error);
+  }
+
+  /// The frame in body_ is complete; false once reading must stop.
+  bool deliver(TcpEventLoop& loop, int fd) {
+    in_body_ = false;
+    header_fill_ = 0;
+    FrameView view = body_.view();
+    body_.reset();
+    switch (feed_.deliver(loop, fd, *this, std::move(view))) {
+      case InboxFeed::State::kReading:
+        return true;
+      case InboxFeed::State::kPaused:
+        return false;
+      case InboxFeed::State::kConsumerGone:
+        finish(loop, fd, "");  // receiver closed: stop reading
+        return false;
+    }
+    return false;
+  }
+
+  std::array<std::byte, 4> header_{};
+  std::size_t header_fill_ = 0;
+  bool in_body_ = false;
+  Frame body_;
+  std::size_t body_fill_ = 0;
+  bool done_ = false;
+  InboxFeed feed_;
+};
+
+void TcpRxState::on_readable(TcpEventLoop& loop, int fd) {
+  if (done_) return;
+  // Parse until the socket runs dry, batching parsed frames in the
+  // feed; the flush below publishes the whole wakeup's worth with one
+  // queue lock and one notify.
+  for (;;) {
+    if (!in_body_) {
+      const ssize_t r = ::recv(fd, header_.data() + header_fill_,
+                               header_.size() - header_fill_, 0);
+      if (r < 0) {
+        if (errno == EINTR) continue;
+        if (errno == EAGAIN || errno == EWOULDBLOCK) break;
+        finish(loop, fd, std::string("tcp recv: ") + std::strerror(errno));
+        return;
+      }
+      if (r == 0) {
+        // Orderly EOF at a frame boundary, else a torn frame.
+        finish(loop, fd,
+               header_fill_ == 0 ? "" : "tcp peer closed mid-message");
+        return;
+      }
+      header_fill_ += static_cast<std::size_t>(r);
+      if (header_fill_ < header_.size()) continue;
+      std::uint32_t n = 0;
+      for (const std::byte b : header_) {
+        n = (n << 8) | static_cast<std::uint8_t>(b);
+      }
+      // Bounds-check the decoded length before allocating: a corrupt or
+      // hostile header must not provoke a giant allocation.
+      const std::size_t limit =
+          max_message_bytes.load(std::memory_order_relaxed);
+      if (n > limit) {
+        finish(loop, fd,
+               "tcp frame header claims " + std::to_string(n) +
+                   " bytes, above the frame limit of " +
+                   std::to_string(limit) + " bytes (corrupt stream?)");
+        return;
+      }
+      in_body_ = true;
+      body_fill_ = 0;
+      body_ = FramePool::global().allocate(n);
+      if (n == 0 && !deliver(loop, fd)) return;
+    } else {
+      const ssize_t r = ::recv(fd, body_.data() + body_fill_,
+                               body_.size() - body_fill_, 0);
+      if (r < 0) {
+        if (errno == EINTR) continue;
+        if (errno == EAGAIN || errno == EWOULDBLOCK) break;
+        finish(loop, fd, std::string("tcp recv: ") + std::strerror(errno));
+        return;
+      }
+      if (r == 0) {
+        finish(loop, fd, "tcp peer closed mid-message");
+        return;
+      }
+      body_fill_ += static_cast<std::size_t>(r);
+      if (body_fill_ == body_.size() && !deliver(loop, fd)) return;
+    }
+  }
+  if (!feed_.flush()) finish(loop, fd, "");
+}
 
 TcpChannel::TcpChannel(int fd) : fd_(fd) {
   int one = 1;
@@ -81,6 +205,7 @@ TcpChannel::TcpChannel(int fd) : fd_(fd) {
   const int flags = ::fcntl(fd_, F_GETFL, 0);
   ::fcntl(fd_, F_SETFL, flags | O_NONBLOCK);
   rx_ = std::make_shared<TcpRxState>(kDefaultMaxMessageBytes);
+  rx_->inbox->feeder_fd.store(fd_);
   TcpEventLoop::global().add(fd_, rx_);
 }
 
@@ -106,7 +231,7 @@ void TcpChannel::send_bytes(std::span<const std::byte> body) {
   }
   std::byte header[4];
   encode_header(header, body.size());
-  sendv_all(fd_, std::span<const std::byte>(header, 4), body);
+  send_all(fd_, std::span<const std::byte>(header, 4), body);
   bytes_sent_.fetch_add(body.size(), std::memory_order_relaxed);
 }
 
@@ -119,36 +244,7 @@ void TcpChannel::send_frame(const FrameView& frame) {
 }
 
 std::optional<FrameView> TcpChannel::receive_frame_for(double timeout_s) {
-  auto finish = [this](std::optional<FrameView> view)
-      -> std::optional<FrameView> {
-    if (view) {
-      const std::size_t before = rx_->queued_bytes.fetch_sub(
-          view->size(), std::memory_order_acq_rel);
-      if (rx_->paused.load(std::memory_order_acquire) &&
-          before - view->size() < TcpEventLoop::kLowWaterBytes) {
-        TcpEventLoop::global().rearm(fd_);
-      }
-      return view;
-    }
-    // Queue closed and drained: orderly EOF is nullopt, a transport
-    // failure re-throws here on the consumer thread.
-    const std::string error = rx_->take_error();
-    if (!error.empty()) throw TransportError(error);
-    return std::nullopt;
-  };
-
-  if (timeout_s <= 0.0) return finish(rx_->queue.pop());
-  auto view = rx_->queue.pop_for(std::chrono::duration<double>(timeout_s));
-  if (view) return finish(std::move(view));
-  // pop_for returns nullopt both on timeout and on close; only the
-  // former is a deadline expiry.
-  if (auto late = rx_->queue.try_pop()) return finish(std::move(late));
-  if (rx_->queue.closed()) return finish(std::nullopt);
-  common::MetricsRegistry::global()
-      .counter("datamgr.deadline_expiries")
-      .add(1);
-  throw TransportError("tcp receive timed out after " +
-                       std::to_string(timeout_s) + "s");
+  return rx_->inbox->receive_for(timeout_s);
 }
 
 void TcpChannel::set_max_message_bytes(std::size_t limit) {
@@ -156,7 +252,7 @@ void TcpChannel::set_max_message_bytes(std::size_t limit) {
                       limit <= std::numeric_limits<std::uint32_t>::max(),
                   "frame limit must fit the 4-byte length header");
   max_message_bytes_.store(limit, std::memory_order_relaxed);
-  if (rx_) rx_->max_message_bytes.store(limit, std::memory_order_relaxed);
+  rx_->max_message_bytes.store(limit, std::memory_order_relaxed);
 }
 
 void TcpChannel::close() {
@@ -170,7 +266,8 @@ std::size_t TcpChannel::bytes_sent() const {
   return bytes_sent_.load(std::memory_order_relaxed);
 }
 
-TcpListener::TcpListener() : fd_(::socket(AF_INET, SOCK_STREAM, 0)) {
+TcpListener::TcpListener()
+    : fd_(::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0)) {
   if (fd_ < 0) fail("tcp socket");
   int one = 1;
   ::setsockopt(fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
@@ -195,7 +292,7 @@ std::unique_ptr<TcpChannel> TcpListener::accept() {
   const int fd = fd_.load(std::memory_order_acquire);
   if (fd < 0) throw TransportError("accept on closed listener");
   for (;;) {
-    const int conn = ::accept(fd, nullptr, nullptr);
+    const int conn = ::accept4(fd, nullptr, nullptr, SOCK_CLOEXEC);
     if (conn >= 0) return std::make_unique<TcpChannel>(conn);
     if (errno == EINTR) continue;
     fail("tcp accept");
@@ -247,7 +344,7 @@ void TcpListener::close() {
 std::unique_ptr<TcpChannel> tcp_connect(std::uint16_t port) {
   using namespace std::chrono_literals;
   for (int attempt = 0; attempt < 50; ++attempt) {
-    const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+    const int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
     if (fd < 0) fail("tcp socket");
     sockaddr_in addr{};
     addr.sin_family = AF_INET;

@@ -5,23 +5,31 @@
 // kernel socket path.  Messages are framed with a 4-byte big-endian
 // length prefix.
 //
+// TcpChannel, TcpListener and tcp_connect carry the control plane
+// (daemon RPC, heartbeats, gossip): one connection per peer session.
+// Inter-task data links do not use them; they ride the persistent
+// connections of the communication proxy (proxy.hpp).
+//
 // Since D13 the receive side is serviced by the shared TcpEventLoop:
 // the channel's fd is non-blocking and owned by the loop, which parses
-// frames into pooled buffers and fills a per-channel queue;
-// receive()/receive_for() wait on that queue.  Sends are a single
+// frames into pooled buffers and fills the channel's inbox;
+// receive()/receive_for() wait on that inbox.  Sends are a single
 // scatter/gather sendmsg of header + body straight out of the caller's
-// buffer (or pooled frame) — no concatenation copy.
+// buffer (or pooled frame) — no concatenation copy.  Every socket is
+// close-on-exec, so a spawned site daemon inherits none of them.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 
 #include "datamgr/channel.hpp"
-#include "datamgr/event_loop.hpp"
 
 namespace vdce::dm {
+
+class TcpRxState;
 
 /// A channel over a connected TCP socket.
 class TcpChannel final : public Channel {
@@ -62,7 +70,7 @@ class TcpChannel final : public Channel {
   std::atomic<bool> shut_{false};
   std::atomic<std::size_t> bytes_sent_{0};
   std::atomic<std::size_t> max_message_bytes_{kDefaultMaxMessageBytes};
-  std::shared_ptr<TcpRxState> rx_;  // event-loop mode only
+  std::shared_ptr<TcpRxState> rx_;
 };
 
 /// A listening socket on 127.0.0.1 with a kernel-assigned port.
@@ -98,5 +106,12 @@ class TcpListener {
 /// Connects to 127.0.0.1:`port`; retries briefly while the listener
 /// races to bind.  Throws TransportError on failure.
 [[nodiscard]] std::unique_ptr<TcpChannel> tcp_connect(std::uint16_t port);
+
+/// Writes `header` then `body` to a connected socket with one
+/// scatter/gather sendmsg (MSG_NOSIGNAL), resuming after partial writes
+/// and waiting for POLLOUT while a non-blocking socket is full.  Throws
+/// TransportError when the socket fails.
+void send_all(int fd, std::span<const std::byte> header,
+              std::span<const std::byte> body);
 
 }  // namespace vdce::dm

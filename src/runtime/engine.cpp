@@ -282,8 +282,11 @@ class StageRunner {
       {
         common::ScopedSpan setup_span("channel_setup", "engine");
         if (setup_span.active()) {
+          setup_span.arg("app", app_.value());
           setup_span.arg("task", s.node->label);
           setup_span.arg("host", s.host.value());
+          setup_span.arg("links",
+                         wiring.parents.size() + wiring.children.size());
         }
         controller.activate(wiring);  // channel setup + ack
       }

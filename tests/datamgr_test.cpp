@@ -1,11 +1,17 @@
 // Tests for the Data Manager stack: channels (in-process and TCP),
-// the rendezvous broker, message-passing library facades, services,
-// and the send/receive/compute thread lifecycle.
+// the rendezvous broker, the communication proxy, message-passing
+// library facades, services, and the send/receive/compute thread
+// lifecycle.
 #include <gtest/gtest.h>
+#include <netinet/in.h>
+#include <netinet/tcp.h>
+#include <sys/socket.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <thread>
@@ -20,8 +26,13 @@
 #include "datamgr/event_loop.hpp"
 #include "datamgr/frame.hpp"
 #include "datamgr/mplib.hpp"
+#include "datamgr/proxy.hpp"
 #include "datamgr/services.hpp"
 #include "datamgr/tcp.hpp"
+#include "runtime/engine.hpp"
+#include "scheduler/allocation.hpp"
+#include "sim/workloads.hpp"
+#include "tasklib/registry.hpp"
 
 namespace vdce::dm {
 namespace {
@@ -1160,6 +1171,512 @@ TEST(MpLib, PvmHasNoSingleEnvelope) {
   auto pair = make_inproc_pair();
   MessageEndpoint tx(MpLibrary::kPvm, pair.sender);
   EXPECT_THROW((void)tx.prepare(1, 16), StateError);
+}
+
+
+// --------------------------------------------- communication proxy (D13)
+
+std::uint64_t counter_value(const char* name) {
+  return common::MetricsRegistry::global().counter(name).value();
+}
+
+std::size_t open_fd_count() {
+  std::size_t n = 0;
+  for ([[maybe_unused]] const auto& entry :
+       std::filesystem::directory_iterator("/proc/self/fd")) {
+    ++n;
+  }
+  return n;
+}
+
+double seconds_since(std::chrono::steady_clock::time_point t0) {
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+      .count();
+}
+
+TEST(CommProxy, ReusesConnectionsAcrossEngineRuns) {
+  // Fifty runs of the five-link C3I pipeline over TCP on one engine:
+  // every link is carried by the proxy, and after the first run every
+  // link leases a connection the previous run returned.
+  const afg::FlowGraph graph = sim::make_c3i_graph();
+  ASSERT_EQ(graph.link_count(), 5u);
+  sched::AllocationTable allocation("c3i");
+  std::uint32_t host = 0;
+  for (const auto& node : graph.tasks()) {
+    sched::AllocationEntry entry;
+    entry.task = node.id;
+    entry.task_label = node.label;
+    entry.library_task = node.library_task;
+    entry.hosts = {common::HostId(host++)};
+    entry.site = common::SiteId(0);
+    allocation.add(entry);
+  }
+  rt::EngineConfig config;
+  config.transport = TransportKind::kTcp;
+  rt::ExecutionEngine engine(tasklib::builtin_registry(), config);
+
+  const std::uint64_t links0 = counter_value("datamgr.proxy.links");
+  const std::uint64_t opened0 =
+      counter_value("datamgr.proxy.connections_opened");
+  std::uint64_t opened_after_warmup = 0;
+  std::size_t fds_after_warmup = 0;
+  for (int run = 0; run < 50; ++run) {
+    const auto result = engine.execute(graph, allocation);
+    ASSERT_EQ(result.records.size(), graph.task_count());
+    if (run == 2) {
+      opened_after_warmup = counter_value("datamgr.proxy.connections_opened");
+      fds_after_warmup = open_fd_count();
+    }
+  }
+  EXPECT_EQ(counter_value("datamgr.proxy.links") - links0, 250u);
+  const std::uint64_t opened =
+      counter_value("datamgr.proxy.connections_opened");
+  EXPECT_EQ(opened, opened_after_warmup) << "connections kept being opened";
+  EXPECT_LE(opened - opened0, graph.link_count())
+      << "more connections than links open at once";
+  EXPECT_EQ(open_fd_count(), fds_after_warmup);
+}
+
+TEST(CommProxy, EarlyClosingConsumersCostNoConnection) {
+  // A batch consumer reads its one frame and closes before the end
+  // marker arrives.  The proxy discards nothing and resets nothing, and
+  // the connection goes back to the idle set intact every time.
+  ChannelBroker broker(TransportKind::kTcp);
+  const std::uint64_t opened0 =
+      counter_value("datamgr.proxy.connections_opened");
+  const std::uint64_t resets0 = counter_value("datamgr.proxy.resets");
+  for (std::uint32_t i = 0; i < 1000; ++i) {
+    const LinkKey key{AppId(40), TaskId(i), TaskId(i + 1)};
+    auto receiver = broker.open_receive(key);
+    auto sender = broker.open_send(key, 5.0);
+    const std::string frame = "frame " + std::to_string(i);
+    sender->send(bytes_of(frame));
+    auto got = receiver->receive_for(5.0);
+    ASSERT_TRUE(got.has_value()) << i;
+    ASSERT_EQ(string_of(*got), frame);
+    receiver->close();  // before the end marker
+    sender->close();
+  }
+  EXPECT_LE(counter_value("datamgr.proxy.connections_opened") - opened0, 1u);
+  EXPECT_EQ(counter_value("datamgr.proxy.resets"), resets0);
+}
+
+TEST(CommProxy, ProducerThatSendsNothingStillEndsTheStream) {
+  // The open header rides with the end marker when no frame went first,
+  // so the consumer sees end of stream, not a deadline.
+  ChannelBroker broker(TransportKind::kTcp);
+  const LinkKey key{AppId(47), TaskId(0), TaskId(1)};
+  auto receiver = broker.open_receive(key);
+  broker.open_send(key, 5.0)->close();
+  EXPECT_EQ(receiver->receive_for(5.0), std::nullopt);
+}
+
+TEST(CommProxy, ConsumerThatLeavesResetsItsProducer) {
+  // A streaming producer whose consumer closes after three frames gets
+  // TransportError within a second, as a peer's shutdown gave it, and
+  // the connection it used carries the next link intact.
+  ChannelBroker broker(TransportKind::kTcp);
+  const LinkKey key{AppId(41), TaskId(0), TaskId(1)};
+  auto receiver = broker.open_receive(key);
+  auto sender = broker.open_send(key, 5.0);
+
+  using Clock = std::chrono::steady_clock;
+  std::atomic<Clock::rep> closed_at{0};
+  std::jthread consumer([&] {
+    for (int i = 0; i < 3; ++i) ASSERT_TRUE(receiver->receive_for(5.0));
+    receiver->close();
+    closed_at.store(Clock::now().time_since_epoch().count());
+  });
+  const auto t0 = Clock::now();
+  bool reset = false;
+  try {
+    while (seconds_since(t0) < 10.0) {
+      sender->send(bytes_of("stream frame"));
+      std::this_thread::sleep_for(std::chrono::microseconds(200));
+    }
+  } catch (const TransportError&) {
+    reset = true;
+  }
+  const auto threw_at = Clock::now();
+  consumer.join();
+  ASSERT_TRUE(reset) << "the producer never learned its consumer left";
+  const Clock::time_point closed(Clock::duration(closed_at.load()));
+  EXPECT_LT(std::chrono::duration<double>(threw_at - closed).count(), 1.0);
+  sender->close();  // end marker: the proxy unbinds the connection
+
+  const std::uint64_t opened0 =
+      counter_value("datamgr.proxy.connections_opened");
+  const LinkKey next{AppId(41), TaskId(2), TaskId(3)};
+  auto next_receiver = broker.open_receive(next);
+  auto next_sender = broker.open_send(next, 5.0);
+  next_sender->send(bytes_of("intact"));
+  next_sender->close();
+  EXPECT_EQ(string_of(*next_receiver->receive_for(5.0)), "intact");
+  EXPECT_EQ(next_receiver->receive_for(5.0), std::nullopt);
+  EXPECT_EQ(counter_value("datamgr.proxy.connections_opened"), opened0)
+      << "the reset connection was not reused";
+}
+
+TEST(CommProxy, SlowLinkDoesNotStallAnother) {
+  // Link 1's consumer stops reading, so its connection pauses at 8 MiB
+  // with the rest of its bytes still in flight.  Link 2, open at the
+  // same time, still delivers: the pause stops only link 1's
+  // connection, where a connection shared by both links would hold
+  // link 2's frame behind link 1's unread bytes.
+  ChannelBroker broker(TransportKind::kTcp);
+  const LinkKey slow{AppId(44), TaskId(0), TaskId(1)};
+  const LinkKey fast{AppId(44), TaskId(2), TaskId(3)};
+  auto slow_rx = broker.open_receive(slow);
+  auto fast_rx = broker.open_receive(fast);
+  auto slow_tx = broker.open_send(slow, 5.0);
+  auto fast_tx = broker.open_send(fast, 5.0);
+
+  constexpr int kChunks = 64;  // 64 MiB: past the pause and the buffers
+  const std::vector<std::byte> chunk(std::size_t{1} << 20, std::byte{7});
+  std::atomic<int> sent{0};
+  std::jthread flooder([&] {
+    for (int i = 0; i < kChunks; ++i) {
+      slow_tx->send(chunk);
+      sent.fetch_add(1);
+    }
+    slow_tx->close();
+  });
+  // Let link 1 run into its pause: its producer stops making progress,
+  // blocked or done once the socket buffers took the rest.
+  int last = -1;
+  for (int stable = 0; stable < 5;) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    const int now = sent.load();
+    stable = now == last ? stable + 1 : 0;
+    last = now;
+  }
+  ASSERT_GT(sent.load(), 8) << "link 1 never reached the pause";
+
+  fast_tx->send(bytes_of("not stalled"));
+  EXPECT_EQ(string_of(*fast_rx->receive_for(5.0)), "not stalled");
+
+  // Link 1's consumer catches up: every chunk, then end of stream.
+  for (int i = 0; i < kChunks; ++i) {
+    auto got = slow_rx->receive_for(10.0);
+    ASSERT_TRUE(got.has_value()) << i;
+    ASSERT_EQ(got->size(), chunk.size());
+  }
+  EXPECT_EQ(slow_rx->receive_for(10.0), std::nullopt);
+  fast_tx->close();
+  EXPECT_EQ(fast_rx->receive_for(5.0), std::nullopt);
+}
+
+TEST(CommProxy, PausedLinkDoesNotPassItsUnreadBytesToTheNextLink) {
+  // Link 1 sends just past the 8 MiB pause and closes while its
+  // consumer has read nothing, so its last frame and end marker still
+  // sit in the socket.  The next link must not lease that connection
+  // and queue behind them.
+  ChannelBroker broker(TransportKind::kTcp);
+  const LinkKey first{AppId(46), TaskId(0), TaskId(1)};
+  const LinkKey next{AppId(46), TaskId(2), TaskId(3)};
+  auto first_rx = broker.open_receive(first);
+  {
+    auto first_tx = broker.open_send(first, 5.0);
+    const std::vector<std::byte> chunk(std::size_t{1} << 20, std::byte{1});
+    for (int i = 0; i < 8; ++i) first_tx->send(chunk);
+    first_tx->send(bytes_of("tail"));
+    first_tx->close();
+  }
+  auto next_rx = broker.open_receive(next);
+  auto next_tx = broker.open_send(next, 5.0);
+  next_tx->send(bytes_of("not queued"));
+  next_tx->close();
+  EXPECT_EQ(string_of(*next_rx->receive_for(2.0)), "not queued");
+
+  for (int i = 0; i < 8; ++i) ASSERT_TRUE(first_rx->receive_for(5.0));
+  EXPECT_EQ(string_of(*first_rx->receive_for(5.0)), "tail");
+  EXPECT_EQ(first_rx->receive_for(5.0), std::nullopt);
+}
+
+TEST(CommProxy, ProducerToAClosedConsumerDoesNotStall) {
+  // A producer whose consumer has already closed is refused at once:
+  // no connect-retry loop, and its frame reaches no one -- not even a
+  // link registered later by another consumer.
+  ChannelBroker broker(TransportKind::kTcp);
+  const LinkKey gone{AppId(42), TaskId(0), TaskId(1)};
+  const LinkKey other{AppId(42), TaskId(2), TaskId(3)};
+  auto gone_rx = broker.open_receive(gone);
+  gone_rx->close();
+  auto other_rx = broker.open_receive(other);
+
+  const auto t0 = std::chrono::steady_clock::now();
+  try {
+    auto sender = broker.open_send(gone, 5.0);
+    sender->send(bytes_of("for no one"));
+    sender->close();
+  } catch (const TransportError&) {
+    // Refused: as good as a discarded frame.
+  }
+  EXPECT_LT(seconds_since(t0), 0.1);
+  EXPECT_EQ(gone_rx->receive_for(0.05), std::nullopt);
+  EXPECT_THROW((void)other_rx->receive_for(0.05), TransportError);
+}
+
+TEST(TcpChannel, SocketsAreCloseOnExec) {
+  // A site daemon fork+execs from the coordinator; it must inherit none
+  // of the coordinator's sockets: listeners, accepted and connected
+  // control channels, the proxy's listener and pooled data connections.
+  TcpListener listener;
+  std::unique_ptr<TcpChannel> server_end;
+  std::jthread acceptor([&] { server_end = listener.accept(); });
+  auto client_end = tcp_connect(listener.port());
+  acceptor.join();
+  ChannelBroker broker(TransportKind::kTcp);
+  const LinkKey key{AppId(43), TaskId(0), TaskId(1)};
+  auto receiver = broker.open_receive(key);
+  auto sender = broker.open_send(key, 5.0);
+  sender->send(bytes_of("x"));
+  ASSERT_EQ(string_of(*receiver->receive_for(5.0)), "x");
+
+  FILE* child = ::popen("ls -l /proc/self/fd", "r");
+  ASSERT_NE(child, nullptr);
+  std::string listing;
+  std::size_t sockets = 0;
+  char line[512];
+  while (std::fgets(line, sizeof(line), child) != nullptr) {
+    listing += line;
+    // "... <fd> -> socket:[inode]"; stdin, stdout and stderr are the
+    // test runner's, not ours.
+    const std::string entry = line;
+    const std::size_t arrow = entry.find(" -> socket:");
+    if (arrow == std::string::npos) continue;
+    const std::size_t name = entry.rfind(' ', arrow - 1) + 1;
+    if (std::stoi(entry.substr(name, arrow - name)) > 2) ++sockets;
+  }
+  ::pclose(child);
+  EXPECT_EQ(sockets, 0u) << listing;
+}
+
+// The proxy's framing wall: raw connections send truncated, corrupt and
+// out-of-order frames.  Only the offending connection, or the link it
+// had open, fails -- with TransportError -- and a healthy link open
+// through the proxy at the same time keeps delivering.
+
+/// A raw blocking connection to the proxy.
+class RawProxyConnection {
+ public:
+  RawProxyConnection() : fd_(::socket(AF_INET, SOCK_STREAM, 0)) {
+    int one = 1;
+    ::setsockopt(fd_, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    addr.sin_port = htons(CommProxy::global().port());
+    EXPECT_EQ(
+        ::connect(fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)), 0);
+  }
+  ~RawProxyConnection() { ::close(fd_); }
+  RawProxyConnection(const RawProxyConnection&) = delete;
+  RawProxyConnection& operator=(const RawProxyConnection&) = delete;
+
+  void write(std::span<const std::byte> bytes) {
+    EXPECT_EQ(::send(fd_, bytes.data(), bytes.size(), MSG_NOSIGNAL),
+              static_cast<ssize_t>(bytes.size()));
+  }
+  void write(proxy_wire::Kind kind, std::uint64_t arg) {
+    write(proxy_wire::encode(kind, arg));
+  }
+  /// Reads up to n bytes (fewer at EOF) within the timeout.
+  std::vector<std::byte> read(std::size_t n, double timeout_s = 5.0) {
+    timeval tv{static_cast<time_t>(timeout_s),
+               static_cast<suseconds_t>((timeout_s - static_cast<time_t>(
+                                                         timeout_s)) *
+                                        1e6)};
+    ::setsockopt(fd_, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
+    std::vector<std::byte> out(n);
+    std::size_t got = 0;
+    while (got < n) {
+      const ssize_t r = ::recv(fd_, out.data() + got, n - got, 0);
+      if (r <= 0) break;
+      got += static_cast<std::size_t>(r);
+    }
+    out.resize(got);
+    return out;
+  }
+
+ private:
+  int fd_;
+};
+
+/// A link registered with the proxy, with a healthy companion link
+/// opened through the broker alongside it.
+struct WallFixture {
+  ChannelBroker broker{TransportKind::kTcp};
+  LinkKey healthy_key{AppId(45), TaskId(0), TaskId(1)};
+  std::shared_ptr<Channel> healthy_rx = broker.open_receive(healthy_key);
+  std::shared_ptr<Channel> healthy_tx = broker.open_send(healthy_key, 5.0);
+  int healthy_frames = 0;
+
+  /// The healthy link still moves a frame.
+  void expect_healthy() {
+    const std::string frame = "healthy " + std::to_string(healthy_frames++);
+    healthy_tx->send(bytes_of(frame));
+    auto got = healthy_rx->receive_for(5.0);
+    ASSERT_TRUE(got.has_value());
+    EXPECT_EQ(string_of(*got), frame);
+  }
+  ~WallFixture() {
+    healthy_tx->close();
+    EXPECT_EQ(healthy_rx->receive_for(5.0), std::nullopt);
+  }
+};
+
+/// Drains `receiver` until it stops; returns the frames delivered and
+/// whether it ended in TransportError (true) or end of stream (false).
+std::pair<std::vector<std::string>, bool> drain(Channel& receiver,
+                                                double timeout_s = 5.0) {
+  std::vector<std::string> frames;
+  try {
+    while (auto got = receiver.receive_for(timeout_s)) {
+      frames.push_back(string_of(*got));
+    }
+  } catch (const TransportError&) {
+    return {frames, true};
+  }
+  return {frames, false};
+}
+
+TEST(CommProxy, FramingWallTruncationAtEveryPrefix) {
+  WallFixture wall;
+  const std::string body = "truncated body";
+  for (std::size_t cut = 0;; ++cut) {
+    CommProxy::Link link = CommProxy::global().open_link();
+    std::vector<std::byte> wire;
+    const auto append = [&wire](std::span<const std::byte> bytes) {
+      wire.insert(wire.end(), bytes.begin(), bytes.end());
+    };
+    append(proxy_wire::encode(proxy_wire::Kind::kOpen, link.address.link));
+    append(proxy_wire::encode(proxy_wire::Kind::kData, body.size()));
+    append(bytes_of(body));
+    append(proxy_wire::encode(proxy_wire::Kind::kEnd, link.address.link));
+    if (cut > wire.size()) break;
+    {
+      RawProxyConnection raw;
+      raw.write(std::span(wire.data(), cut));
+    }  // closed: the proxy sees EOF right after the prefix
+    constexpr std::size_t kOpen = proxy_wire::kHeaderBytes;
+    const std::size_t data_end = 2 * kOpen + body.size();
+    if (cut < kOpen) {
+      // The link was never opened: a well-formed producer still can.
+      auto sender = CommProxy::global().lease(link.address);
+      sender->send(bytes_of("late"));
+      sender->close();
+      const auto [frames, failed] = drain(*link.receiver);
+      EXPECT_EQ(frames, std::vector<std::string>{"late"}) << cut;
+      EXPECT_FALSE(failed) << cut;
+    } else {
+      const auto [frames, failed] = drain(*link.receiver);
+      if (cut == wire.size()) {
+        EXPECT_EQ(frames, std::vector<std::string>{body});
+        EXPECT_FALSE(failed);
+      } else {
+        EXPECT_EQ(frames.size(), cut >= data_end ? 1u : 0u) << cut;
+        EXPECT_TRUE(failed) << "cut at " << cut << " ended cleanly";
+      }
+    }
+    wall.expect_healthy();
+  }
+}
+
+TEST(CommProxy, FramingWallGarbageNeverEndsCleanly) {
+  WallFixture wall;
+  common::Rng rng(7);
+  for (int round = 0; round < 200; ++round) {
+    CommProxy::Link link = CommProxy::global().open_link();
+    std::vector<std::byte> garbage(1 + rng() % 64);
+    for (auto& b : garbage) b = static_cast<std::byte>(rng() & 0xFF);
+    {
+      RawProxyConnection raw;
+      if (round % 2 == 0) {
+        raw.write(proxy_wire::Kind::kOpen, link.address.link);
+      }
+      raw.write(garbage);
+    }
+    if (round % 2 == 0) {
+      const auto [frames, failed] = drain(*link.receiver);
+      EXPECT_TRUE(failed) << "garbage after open ended cleanly, round "
+                          << round;
+    } else {
+      // Garbage on an idle connection touches no link.
+      EXPECT_THROW((void)link.receiver->receive_for(0.001), TransportError);
+    }
+    wall.expect_healthy();
+  }
+}
+
+TEST(CommProxy, FramingWallOversizeLengthFailsTheLink) {
+  WallFixture wall;
+  CommProxy::Link link = CommProxy::global().open_link();
+  RawProxyConnection raw;
+  raw.write(proxy_wire::Kind::kOpen, link.address.link);
+  raw.write(proxy_wire::Kind::kData, std::uint64_t{1} << 40);
+  try {
+    (void)link.receiver->receive_for(5.0);
+    ADD_FAILURE() << "oversize frame delivered";
+  } catch (const TransportError& e) {
+    EXPECT_NE(std::string(e.what()).find("frame limit"), std::string::npos)
+        << e.what();
+  }
+  EXPECT_TRUE(raw.read(1).empty()) << "the proxy kept the connection";
+  wall.expect_healthy();
+}
+
+TEST(CommProxy, FramingWallUnknownLinkIsResetAndTheConnectionSurvives) {
+  WallFixture wall;
+  const std::uint64_t unknown = std::uint64_t{1} << 50;
+  RawProxyConnection raw;
+  raw.write(proxy_wire::Kind::kOpen, unknown);
+  raw.write(proxy_wire::Kind::kData, 5);
+  raw.write(bytes_of("lost!"));
+  const auto reply = raw.read(proxy_wire::kHeaderBytes);
+  ASSERT_EQ(reply.size(), proxy_wire::kHeaderBytes);
+  const auto expected = proxy_wire::encode(proxy_wire::Kind::kReset, unknown);
+  EXPECT_TRUE(std::equal(reply.begin(), reply.end(), expected.begin()));
+  raw.write(proxy_wire::Kind::kEnd, unknown);
+  wall.expect_healthy();
+
+  // The same connection then carries a registered link intact.
+  CommProxy::Link link = CommProxy::global().open_link();
+  raw.write(proxy_wire::Kind::kOpen, link.address.link);
+  raw.write(proxy_wire::Kind::kData, 6);
+  raw.write(bytes_of("intact"));
+  raw.write(proxy_wire::Kind::kEnd, link.address.link);
+  const auto [frames, failed] = drain(*link.receiver);
+  EXPECT_EQ(frames, std::vector<std::string>{"intact"});
+  EXPECT_FALSE(failed);
+}
+
+TEST(CommProxy, FramingWallSecondOpenWhileBoundFailsOnlyTheBoundLink) {
+  WallFixture wall;
+  CommProxy::Link bound = CommProxy::global().open_link();
+  CommProxy::Link second = CommProxy::global().open_link();
+  RawProxyConnection raw;
+  raw.write(proxy_wire::Kind::kOpen, bound.address.link);
+  raw.write(proxy_wire::Kind::kOpen, second.address.link);
+  EXPECT_TRUE(drain(*bound.receiver).second);
+  EXPECT_TRUE(raw.read(1).empty()) << "the proxy kept the connection";
+  wall.expect_healthy();
+  // The second link was never claimed: a well-formed producer opens it.
+  auto sender = CommProxy::global().lease(second.address);
+  sender->send(bytes_of("second"));
+  sender->close();
+  const auto [frames, failed] = drain(*second.receiver);
+  EXPECT_EQ(frames, std::vector<std::string>{"second"});
+  EXPECT_FALSE(failed);
+}
+
+TEST(CommProxy, FramingWallDataOutsideALinkDropsOnlyTheConnection) {
+  WallFixture wall;
+  RawProxyConnection raw;
+  raw.write(proxy_wire::Kind::kData, 4);
+  raw.write(bytes_of("oops"));
+  EXPECT_TRUE(raw.read(1).empty()) << "the proxy kept the connection";
+  wall.expect_healthy();
 }
 
 }  // namespace

@@ -456,6 +456,51 @@ TEST(EngineTraceTest, BackoffIsCappedCumulatively) {
 }
 
 #ifndef VDCE_TRACE_DISABLED
+TEST(EngineTraceTest, ChannelSetupSpansNameTheirAppOverTcp) {
+  // Figure 7 set-up time must be attributable to an app: every
+  // channel_setup span carries the app id and its link count (parents
+  // plus unfinished children), so a trace ties the set-up layer to the
+  // execute span of the same app.
+  afg::FlowGraph g("traced-setup");
+  const auto a = g.add_task("synth_source", "a");
+  const auto b = g.add_task("synth_source", "b");
+  const auto sink = g.add_task("synth_sink", "sink");
+  g.add_link(a, sink, 0.1);
+  g.add_link(b, sink, 0.1);
+
+  sched::AllocationTable allocation("traced-setup");
+  for (const auto& node : g.tasks()) {
+    sched::AllocationEntry entry;
+    entry.task = node.id;
+    entry.task_label = node.label;
+    entry.library_task = node.library_task;
+    entry.hosts = {HostId(node.id.value())};
+    entry.site = SiteId(0);
+    allocation.add(entry);
+  }
+
+  EngineConfig config;
+  config.transport = dm::TransportKind::kTcp;
+  TraceRecorder recorder;
+  TraceRecorder::install(&recorder);
+  const auto result = ExecutionEngine(tasklib::builtin_registry(), config)
+                          .execute(g, allocation);
+  TraceRecorder::install(nullptr);
+
+  std::size_t setups = 0;
+  std::size_t link_ends = 0;
+  for (const auto& ev : recorder.snapshot()) {
+    if (ev.name != "channel_setup") continue;
+    ++setups;
+    std::map<std::string, std::string> args(ev.args.begin(), ev.args.end());
+    EXPECT_EQ(args["app"], std::to_string(result.app.value()));
+    ASSERT_TRUE(args.contains("links"));
+    link_ends += std::stoul(args["links"]);
+  }
+  EXPECT_EQ(setups, g.task_count());
+  EXPECT_EQ(link_ends, 2 * g.link_count());  // both ends of every link
+}
+
 TEST(EngineTraceTest, StreamCrashEmitsOneSpanPerStagePerRound) {
   // Streams run on the same stage runner as batch runs, so they carry
   // the same per-attempt spans: one engine.task span per stage per
