@@ -1,16 +1,18 @@
 // E18: chaos sweep (D12) -- application completion rate and wasted-work
-// ratio as seeded fault schedules intensify, with checkpoint/restart
-// failover enabled vs disabled.
+// ratio as seeded fault schedules intensify.
 //
 // Each cell brings up a fresh campus VDCE, installs one generated
 // ChaosSchedule (host crashes, a whole-site outage, partitions, gray
 // hosts, receive-deadline storms), then drains a fixed serial workload
-// while the live clock steps across the schedule's horizon.  Every
-// library-task invocation is counted; wasted work is the invocations
-// that exceeded one-per-task-of-a-completed-app.  With checkpointing a
-// failover restart replays finished predecessors instead of re-running
-// them, so the wasted-work ratio stays near the failure floor; without
-// it every restart re-executes the whole prefix.
+// while the live clock steps across the schedule's horizon.  Recovery
+// is the engine's rounds alone, with the submission service's
+// reschedule hook (usable hosts only, QoS re-admission): a later round
+// re-runs only unfinished stages, so the wasted-work ratio stays near
+// the failure floor.  Every library-task invocation is counted; wasted
+// work is the invocations that exceeded one-per-task-of-a-completed-app.
+//
+// Usage: bench_chaos [summary.json].  Exits 1 unless intensity 0
+// completes every app with zero wasted invocations.
 #include <atomic>
 #include <chrono>
 #include <fstream>
@@ -24,6 +26,7 @@
 
 #include "bench/harness.hpp"
 #include "common/error.hpp"
+#include "common/metrics.hpp"
 #include "netsim/chaos.hpp"
 #include "runtime/submission.hpp"
 #include "scheduler/qos.hpp"
@@ -34,7 +37,7 @@ using namespace vdce;
 using common::SiteId;
 
 /// The workload unit: a six-stage pipeline, long enough that a failure
-/// striking one stage leaves a completed prefix worth checkpointing.
+/// striking one stage leaves a completed prefix worth keeping.
 afg::FlowGraph pipeline_graph(const std::string& name) {
   afg::FlowGraph g(name);
   const auto a = g.add_task("synth_source", "a");
@@ -66,11 +69,10 @@ struct ChaosCoupling {
 /// The builtin library with every task counted and slowed by 1 ms, and
 /// the sink stage crash-coupled to the fault schedule: when the sink's
 /// invocation lands inside a live crash/outage window, the "machine"
-/// dies mid-task -- after the whole pipeline prefix already completed.
-/// That is the case checkpointing exists for: on restart the prefix
-/// replays instead of re-executing.  (Gang-start failures -- a stage's
-/// host already dead at launch -- flow through the engine's pre-compute
-/// guard and hit both modes identically.)
+/// dies mid-task -- after the whole pipeline prefix already completed,
+/// so the next round re-runs the sink alone.  (Gang-start failures -- a
+/// stage's host already dead at launch -- flow through the engine's
+/// pre-compute guard and are re-placed before any work is lost.)
 tasklib::TaskRegistry counting_registry(std::shared_ptr<ChaosCoupling> chaos) {
   tasklib::TaskRegistry registry;
   for (const auto& name : tasklib::builtin_registry().all_tasks()) {
@@ -94,32 +96,35 @@ tasklib::TaskRegistry counting_registry(std::shared_ptr<ChaosCoupling> chaos) {
   return registry;
 }
 
+std::uint64_t counter_value(const char* name) {
+  return common::MetricsRegistry::global().counter(name).value();
+}
+
 struct CellResult {
   double intensity = 0.0;
-  bool checkpointing = false;
   std::size_t completed = 0;
   std::size_t failed = 0;
-  std::size_t restarts = 0;
+  /// engine.retries / engine.reschedules deltas over the cell (counted
+  /// for completed apps only).
+  std::uint64_t retries = 0;
+  std::uint64_t reschedules = 0;
   std::uint64_t invocations = 0;
   std::uint64_t useful = 0;
   double wasted_ratio = 0.0;
   std::size_t chaos_events = 0;
 };
 
-CellResult run_cell(double intensity, bool checkpointing) {
+CellResult run_cell(double intensity) {
   CellResult cell;
   cell.intensity = intensity;
-  cell.checkpointing = checkpointing;
 
   auto v = bench::bring_up(netsim::make_campus_testbed(13));
 
-  // One seeded schedule per intensity, identical across the two modes,
-  // installed before any engine thread exists (windows are inert until
-  // the atomic live clock enters them).
-  // Bias the mix toward single-host crashes: partial-site failures are
-  // where checkpointing pays (a whole-site outage at gang start kills
-  // every stage before any prefix completes, so both modes re-run the
-  // same work).
+  // One seeded schedule per intensity, installed before any engine
+  // thread exists (windows are inert until the atomic live clock enters
+  // them).  Bias the mix toward single-host crashes: partial-site
+  // failures strike after a prefix completed, which is where kept
+  // outputs pay.
   netsim::ChaosScheduleConfig chaos_config;
   chaos_config.seed = 4242;
   chaos_config.intensity = intensity;
@@ -148,10 +153,7 @@ CellResult run_cell(double intensity, bool checkpointing) {
 
   rt::AppSubmissionConfig config;
   config.slots = 1;  // serial drain: each app sees one clock position
-  config.max_restarts = 3;
-  config.checkpointing = checkpointing;
-  config.restart_backoff_s = 0.001;
-  config.engine.max_attempts = 1;  // no in-gang retry: failures escalate
+  config.engine.max_attempts = 4;
   config.engine.recv_timeout_s = 5.0;
   rt::AppSubmissionService service(SiteId(0), v.repo_directory, registry,
                                    config);
@@ -160,9 +162,12 @@ CellResult run_cell(double intensity, bool checkpointing) {
       [&probe](const afg::FlowGraph&, const sched::AllocationTable&) {
         rt::FaultTolerance ft;
         ft.host_alive = probe;
-        ft.sleep = [](double) {};  // failover backoff costs no wall-clock
+        ft.sleep = [](double) {};  // retry backoff costs no wall-clock
         return ft;
       });
+  const std::uint64_t retries_before = counter_value("engine.retries");
+  const std::uint64_t reschedules_before =
+      counter_value("engine.reschedules");
 
   // Step the live clock across the horizon: each submission lands at a
   // different point of the fault schedule.
@@ -181,9 +186,12 @@ CellResult run_cell(double intensity, bool checkpointing) {
       ++cell.completed;
     } else {
       ++cell.failed;
+      std::cerr << "intensity " << intensity << " app " << i
+                << " failed: " << status.error << "\n";
     }
-    cell.restarts += status.restarts;
   }
+  cell.retries = counter_value("engine.retries") - retries_before;
+  cell.reschedules = counter_value("engine.reschedules") - reschedules_before;
 
   cell.invocations = chaos->invocations.load();
   cell.useful = cell.completed * kTasksPerApp;
@@ -197,10 +205,10 @@ CellResult run_cell(double intensity, bool checkpointing) {
 
 std::string json_field(const CellResult& c) {
   std::ostringstream out;
-  out << "    {\"intensity\": " << c.intensity << ", \"checkpointing\": "
-      << (c.checkpointing ? "true" : "false")
+  out << "    {\"intensity\": " << c.intensity
       << ", \"completed\": " << c.completed << ", \"failed\": " << c.failed
-      << ", \"restarts\": " << c.restarts
+      << ", \"retries\": " << c.retries
+      << ", \"reschedules\": " << c.reschedules
       << ", \"invocations\": " << c.invocations
       << ", \"useful\": " << c.useful << ", \"wasted_ratio\": " << std::fixed
       << std::setprecision(4) << c.wasted_ratio
@@ -216,24 +224,21 @@ int main(int argc, char** argv) {
 
   bench::banner("E18",
                 "chaos sweep: completion and wasted work vs fault "
-                "intensity, with vs without checkpointing (D12)");
+                "intensity, recovered by engine rounds (D12)");
   bench::header(
-      "intensity,mode,completed,failed,restarts,invocations,useful,"
+      "intensity,completed,failed,retries,reschedules,invocations,useful,"
       "wasted_ratio,chaos_events");
 
   std::vector<CellResult> cells;
   for (const double intensity : {0.0, 0.25, 0.5, 0.75, 1.0}) {
-    for (const bool checkpointing : {true, false}) {
-      const CellResult cell = run_cell(intensity, checkpointing);
-      cells.push_back(cell);
-      std::cout << std::setprecision(2) << cell.intensity << ","
-                << (cell.checkpointing ? "ckpt" : "nockpt") << ","
-                << cell.completed << "," << cell.failed << ","
-                << cell.restarts << "," << cell.invocations << ","
-                << cell.useful << "," << std::fixed << std::setprecision(4)
-                << cell.wasted_ratio << std::defaultfloat << ","
-                << cell.chaos_events << "\n";
-    }
+    const CellResult cell = run_cell(intensity);
+    cells.push_back(cell);
+    std::cout << std::setprecision(2) << cell.intensity << ","
+              << cell.completed << "," << cell.failed << "," << cell.retries
+              << "," << cell.reschedules << "," << cell.invocations << ","
+              << cell.useful << "," << std::fixed << std::setprecision(4)
+              << cell.wasted_ratio << std::defaultfloat << ","
+              << cell.chaos_events << "\n";
   }
 
   std::ofstream summary(summary_path);
@@ -244,13 +249,19 @@ int main(int argc, char** argv) {
   summary << "  ]\n}\n";
   summary.close();
 
-  std::cout << "\nInterpretation: at intensity 0 both modes finish every "
-               "application with zero\nwaste.  As the fault schedule "
-               "intensifies, failover restarts appear; with\ncheckpointing "
-               "the replayed prefix keeps the wasted-work ratio near the "
-               "failure\nfloor, while the no-checkpoint runs re-execute "
-               "every completed predecessor on\neach restart and waste "
-               "strictly more invocations.\nSummary JSON: "
+  std::cout << "\nInterpretation: at intensity 0 every application finishes "
+               "with zero waste.  As\nthe fault schedule intensifies, retries "
+               "and re-placements appear; a failed\nround re-runs only the "
+               "unfinished stages, so the wasted-work ratio stays near\nthe "
+               "failure floor.\nSummary JSON: "
             << summary_path << "\n";
+
+  const CellResult& calm = cells.front();
+  if (calm.completed != kApps || calm.invocations != calm.useful) {
+    std::cerr << "E18 gate: intensity 0 completed " << calm.completed << "/"
+              << kApps << " apps with " << (calm.invocations - calm.useful)
+              << " wasted invocations\n";
+    return 1;
+  }
   return 0;
 }

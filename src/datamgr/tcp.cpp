@@ -14,7 +14,6 @@
 #include <chrono>
 #include <cstring>
 #include <limits>
-#include <thread>
 
 #include "common/error.hpp"
 #include "datamgr/event_loop.hpp"
@@ -342,23 +341,19 @@ void TcpListener::close() {
 }
 
 std::unique_ptr<TcpChannel> tcp_connect(std::uint16_t port) {
-  using namespace std::chrono_literals;
-  for (int attempt = 0; attempt < 50; ++attempt) {
-    const int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
-    if (fd < 0) fail("tcp socket");
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-    addr.sin_port = htons(port);
-    if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) ==
-        0) {
-      return std::make_unique<TcpChannel>(fd);
-    }
+  const int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
+  if (fd < 0) fail("tcp socket");
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  addr.sin_port = htons(port);
+  if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
+    const int err = errno;
     ::close(fd);
-    if (errno != ECONNREFUSED) fail("tcp connect");
-    std::this_thread::sleep_for(10ms);  // listener still coming up
+    errno = err;
+    fail("tcp connect");
   }
-  throw TransportError("tcp connect: no listener after retries");
+  return std::make_unique<TcpChannel>(fd);
 }
 
 }  // namespace vdce::dm

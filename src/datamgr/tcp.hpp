@@ -103,8 +103,10 @@ class TcpListener {
   std::uint16_t port_ = 0;
 };
 
-/// Connects to 127.0.0.1:`port`; retries briefly while the listener
-/// races to bind.  Throws TransportError on failure.
+/// Connects to 127.0.0.1:`port` once.  A TcpListener listens before
+/// its port can be read, so a refused connect means nothing listens
+/// there: it throws TransportError at once.  Callers that expect a peer
+/// to come back (DaemonClient) retry themselves.
 [[nodiscard]] std::unique_ptr<TcpChannel> tcp_connect(std::uint16_t port);
 
 /// Writes `header` then `body` to a connected socket with one

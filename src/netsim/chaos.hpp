@@ -5,14 +5,15 @@
 // manufacture failures that are (a) reproducible from a seed, (b)
 // composable (a site outage overlapping a gray host overlapping a
 // partition), and (c) driven entirely through the existing testbed
-// fault windows and FaultTolerance hooks, so the engine, the
-// submission service's failover loop and the liveness directory's host
-// flap policy see exactly what they would see in production.  A
+// fault windows and FaultTolerance hooks, so the engine's recovery
+// rounds, the submission service's wrapped hooks and the liveness
+// directory's host flap policy see exactly what they would see in
+// production.  A
 // ChaosSchedule is a list of timed events:
 //
 //   * kHostCrash       one host stops answering for a window;
 //   * kSiteOutage      every host of a site goes dark at once (the
-//                      trigger for AppSubmissionService failover);
+//                      service's re-placements must leave the site);
 //   * kPartition       two sites stay up but cannot see each other --
 //                      a partition-aware liveness probe reports the
 //                      far side dead while local probes stay green;

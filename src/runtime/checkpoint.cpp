@@ -3,8 +3,7 @@
 namespace vdce::rt {
 
 void CheckpointStore::record(AppId app, TaskId task, int attempt,
-                             HostId host, dm::FrameView frame,
-                             Duration compute_s) {
+                             HostId host, dm::FrameView frame) {
   std::lock_guard lk(mu_);
   auto& tasks = apps_[app];
   const auto it = tasks.find(task);
@@ -21,23 +20,14 @@ void CheckpointStore::record(AppId app, TaskId task, int attempt,
   entry.attempt = attempt;
   entry.host = host;
   entry.frame = std::move(frame);  // refcount bump upstream, no copy here
-  entry.compute_s = compute_s;
   stats_.bytes_captured += entry.frame.size();
   tasks[task] = std::move(entry);
 }
 
 void CheckpointStore::record(AppId app, TaskId task, int attempt,
-                             HostId host, const tasklib::Payload& output,
-                             Duration compute_s) {
+                             HostId host, const tasklib::Payload& output) {
   const auto wire = output.to_wire();
-  record(app, task, attempt, host, dm::FramePool::global().copy_of(wire),
-         compute_s);
-}
-
-bool CheckpointStore::completed(AppId app, TaskId task) const {
-  std::lock_guard lk(mu_);
-  const auto it = apps_.find(app);
-  return it != apps_.end() && it->second.contains(task);
+  record(app, task, attempt, host, dm::FramePool::global().copy_of(wire));
 }
 
 std::optional<CheckpointEntry> CheckpointStore::replay(AppId app,
@@ -49,33 +39,6 @@ std::optional<CheckpointEntry> CheckpointStore::replay(AppId app,
   if (entry == it->second.end()) return std::nullopt;
   ++stats_.frames_replayed;
   return entry->second;
-}
-
-std::size_t CheckpointStore::completed_count(AppId app) const {
-  std::lock_guard lk(mu_);
-  const auto it = apps_.find(app);
-  return it == apps_.end() ? 0 : it->second.size();
-}
-
-std::vector<TaskId> CheckpointStore::completed_tasks(AppId app) const {
-  std::lock_guard lk(mu_);
-  std::vector<TaskId> out;
-  const auto it = apps_.find(app);
-  if (it == apps_.end()) return out;
-  out.reserve(it->second.size());
-  for (const auto& [task, _] : it->second) out.push_back(task);
-  return out;
-}
-
-void CheckpointStore::drop_app(AppId app) {
-  std::lock_guard lk(mu_);
-  const auto it = apps_.find(app);
-  if (it == apps_.end()) return;
-  for (const auto& [_, entry] : it->second) {
-    stats_.bytes_captured -= entry.frame.size();
-  }
-  apps_.erase(it);
-  ++stats_.apps_dropped;
 }
 
 CheckpointStats CheckpointStore::stats() const {

@@ -1,30 +1,23 @@
-// Application checkpointing: the completed-frontier snapshot.
+// Durable stream windows: the checkpoint store behind a stream's resume.
 //
-// The paper's Application Scheduler (Figures 4-5) places an AFG once
-// and assumes the chosen sites stay reachable for the life of the run;
-// the engine's supervised retry (DESIGN.md D9) recovers individual
-// attempts, but when no feasible host remains the whole application
-// dies and every completed task's work is discarded.  The
-// CheckpointStore closes that gap: as the ExecutionEngine records task
-// completions it durably captures each finished task's output frame
-// (the same wire bytes that flowed through the ChannelBroker), keyed by
-// (AppId, task, attempt).  A later run of the same application replays
-// the captured frames into a fresh broker, feeding successor tasks
-// bit-identical inputs without re-executing finished predecessors --
-// the restart half of the site-level failover loop in
-// rt::AppSubmissionService (DESIGN.md D12).
+// A stream has no end, so a host death mid-stream cannot restart it
+// from frame zero.  Every checkpoint_window emitted frames each sink of
+// a StreamingEngine run captures its state (watermark, digest, byte
+// count, retained outputs) into this store, keyed by (AppId, task) with
+// the window index in the attempt slot; the next round, or a later
+// execute() of the same app, resumes from the lowest durable window
+// (DESIGN.md D9, *Windowed sink checkpoints*).  Batch runs keep their
+// finished outputs across rounds inside one execute() and use no store.
 //
-// Thread-safe: machine threads of one run record concurrently, and a
-// restarted run reads while unrelated applications keep writing.
+// Thread-safe: the sink stages of one run record concurrently, and a
+// resuming run reads while unrelated streams keep writing.
 #pragma once
 
 #include <cstdint>
 #include <map>
 #include <mutex>
 #include <optional>
-#include <vector>
 
-#include "common/clock.hpp"
 #include "common/ids.hpp"
 #include "datamgr/frame.hpp"
 #include "tasklib/payload.hpp"
@@ -32,75 +25,52 @@
 namespace vdce::rt {
 
 using common::AppId;
-using common::Duration;
 using common::HostId;
 using common::TaskId;
 
-/// One completed task's durable record.
+/// One task's durable record: a stream sink's latest window.
 struct CheckpointEntry {
   TaskId task;
-  /// The attempt that produced the output (1 = first try).  A
-  /// re-record under a higher attempt replaces the entry; re-recording
-  /// the same attempt is idempotent (the frame is already bit-fixed by
-  /// the per-task RNG seed).
+  /// The slot the record was captured under (a sink's window index).
+  /// A re-record under a higher attempt replaces the entry;
+  /// re-recording the same attempt is idempotent (the frame is already
+  /// bit-fixed by the per-frame RNG seeds).
   int attempt = 1;
-  /// The host the completing attempt ran on.
+  /// The host the capturing stage ran on.
   HostId host;
-  /// Wire-encoded output payload, pinned in the frame pool -- since D13
-  /// this is a VIEW of the very slab every consumer link carried, so
-  /// the capture costs a refcount bump instead of a copy, and the pool
-  /// cannot recycle the slab while the store holds the view (the
-  /// bit-identity guarantee replay depends on).
+  /// The wire image, pinned in the frame pool: the store holds a view
+  /// of the slab (D13), so the pool cannot recycle it while the store
+  /// holds it -- the bit-identity guarantee replay depends on.
   dm::FrameView frame;
-  /// Compute-phase seconds of the completing attempt (restored into the
-  /// restarted run's records so turnaround accounting survives).
-  Duration compute_s = 0.0;
 };
 
-/// Store-wide counters (mirrored as engine.checkpoint.* metrics by the
-/// engine).  After an application eventually completes,
-///   captured(app) == task_count   and
-///   replayed(app) == sum over restarts of the frontier size at restart.
+/// Store-wide counters.
 struct CheckpointStats {
   std::uint64_t tasks_captured = 0;
   std::uint64_t tasks_replaced = 0;  // re-captures under a higher attempt
   std::uint64_t frames_replayed = 0;
   std::uint64_t bytes_captured = 0;
-  std::uint64_t apps_dropped = 0;
 };
 
-/// Durable completed-frontier snapshots, one per in-flight application.
+/// Durable stream windows, one record per (app, task).
 class CheckpointStore {
  public:
-  /// Captures one finished task's output frame (the wire image, shared
-  /// zero-copy with the links that carried it).  Idempotent per (app,
-  /// task, attempt); a higher attempt replaces the stored entry.
+  /// Captures one wire image (shared zero-copy with its producer).
+  /// Idempotent per (app, task, attempt); a higher attempt replaces the
+  /// stored entry.
   void record(AppId app, TaskId task, int attempt, HostId host,
-              dm::FrameView frame, Duration compute_s);
+              dm::FrameView frame);
 
   /// Convenience: captures a payload by copying its wire image into a
   /// pooled frame (tests and callers without a frame at hand).
   void record(AppId app, TaskId task, int attempt, HostId host,
-              const tasklib::Payload& output, Duration compute_s);
-
-  /// Whether `task` of `app` has a captured completion.
-  [[nodiscard]] bool completed(AppId app, TaskId task) const;
+              const tasklib::Payload& output);
 
   /// The captured entry, or nullopt.  Returns a copy so the caller may
-  /// hold it across concurrent record()/drop_app() calls; counts one
-  /// frame replay when found.
+  /// hold it across concurrent record() calls; counts one frame replay
+  /// when found.
   [[nodiscard]] std::optional<CheckpointEntry> replay(AppId app,
                                                       TaskId task) const;
-
-  /// Number of captured completions for `app`.
-  [[nodiscard]] std::size_t completed_count(AppId app) const;
-
-  /// The captured task ids of `app`, ascending.
-  [[nodiscard]] std::vector<TaskId> completed_tasks(AppId app) const;
-
-  /// Drops an application's snapshot (run finished, or abandoned).
-  /// Idempotent.
-  void drop_app(AppId app);
 
   [[nodiscard]] CheckpointStats stats() const;
 

@@ -104,7 +104,6 @@ class StageRunner {
     std::size_t moves = 0;         // successful re-placements
     bool had_failure = false;      // some attempt did not complete
     bool done = false;             // output final and kept (batch)
-    bool replayed = false;         // restored from the CheckpointStore
     std::string error;             // why this round's attempt failed
     std::vector<HostId> excluded;  // hosts this task must avoid
     double backoff_s = 0.0;        // the next retry nap
@@ -201,7 +200,6 @@ class StageRunner {
       s.error.clear();
       if (!s.done) ++live;
     }
-    if (live == 0) return true;  // all restored from a checkpoint
     common::log_info("engine", "app ", app_.value(), " '", graph_.name(),
                      "': round ", round, " delivers execution requests to ",
                      live, " tasks");
@@ -211,10 +209,10 @@ class StageRunner {
       // Every stage and feeder runs on a parked pool thread of its own
       // (the stand-in for its machine), all live at once.
       common::ParkedThreadPool::Gang gang;
-      // The D12 restore path: feeders stand in for finished stages'
-      // machines and push each kept output into its unfinished
-      // consumers' re-opened channels, indistinguishable from the live
-      // send.  (Unfinished producers do not wire finished consumers.)
+      // The restore feeders: they stand in for finished stages' machines
+      // and push each kept output into its unfinished consumers'
+      // re-opened channels, indistinguishable from the live send.
+      // (Unfinished producers do not wire finished consumers.)
       for (const Stage& d : stages) {
         if (!d.done) continue;
         for (const TaskId child : graph_.children(d.node->id)) {
@@ -423,7 +421,7 @@ class StageRunner {
       checkpoint_->record(
           app_, s.node->id,
           static_cast<int>(r.frames_emitted / stream_->checkpoint_window),
-          s.host, encode_sink(r), 0.0);
+          s.host, encode_sink(r));
       ++r.windows_captured;
       m_windows.add(1);
     }
@@ -548,7 +546,8 @@ class StageRunner {
                      s.node->label, " re-placed on host ", s.host.value());
     if (common::trace_enabled()) {
       common::trace_instant("re_placed", "engine",
-                            {{"task", s.node->label},
+                            {{"app", std::to_string(app_.value())},
+                             {"task", s.node->label},
                              {"host", std::to_string(s.host.value())},
                              {"excluded", hosts_csv(s.excluded)}});
     }
@@ -590,9 +589,10 @@ class StageRunner {
     }
     if (nap > 0.0) {
       if (common::trace_enabled()) {
-        common::trace_instant(
-            "retry_backoff", "engine",
-            {{"task", s.node->label}, {"sleep_s", std::to_string(nap)}});
+        common::trace_instant("retry_backoff", "engine",
+                              {{"app", std::to_string(app_.value())},
+                               {"task", s.node->label},
+                               {"sleep_s", std::to_string(nap)}});
       }
       if (ft_ != nullptr && ft_->sleep) {
         ft_->sleep(nap);
@@ -639,8 +639,7 @@ RunResult ExecutionEngine::execute(const afg::FlowGraph& graph,
                                    SiteManager* feedback,
                                    dm::ConsoleService* console,
                                    const FaultTolerance* ft,
-                                   common::AppId app,
-                                   CheckpointStore* checkpoint) {
+                                   common::AppId app) {
   if (!app.valid()) {
     app = common::AppId{next_app_.fetch_add(1, std::memory_order_relaxed)};
   }
@@ -653,58 +652,7 @@ RunResult ExecutionEngine::execute(const afg::FlowGraph& graph,
     app_span.arg("tasks", graph.task_count());
   }
 
-  // Checkpoint restore: tasks the store already holds for this app are
-  // finished before the first round; the feeders replay their recorded
-  // frames (zero-copy, the pinned slab), so successor tasks receive
-  // inputs bit-identical to the capturing run's live sends.
-  std::size_t restored = 0;
-  for (StageRunner::Stage& s : runner.stages) {
-    auto entry = checkpoint != nullptr ? checkpoint->replay(app, s.node->id)
-                                       : std::nullopt;
-    if (!entry) continue;
-    s.done = s.replayed = true;
-    s.host = entry->host;
-    s.attempts = entry->attempt;
-    s.outcome.compute_elapsed_s = entry->compute_s;
-    s.outcome.payload = tasklib::Payload::from_wire(entry->frame.to_vector());
-    s.outcome.output_frame = std::move(entry->frame);
-    ++restored;
-  }
-  if (restored > 0) {
-    static common::Counter& m_replayed = metric("engine.checkpoint.replayed");
-    m_replayed.add(restored);
-    common::log_info("engine", "app ", app.value(), ": restored ", restored,
-                     "/", runner.stages.size(), " tasks from checkpoint");
-    if (common::trace_enabled()) {
-      common::trace_instant("checkpoint_restore", "engine",
-                            {{"app", std::to_string(app.value())},
-                             {"tasks", std::to_string(restored)}});
-    }
-  }
-
-  std::exception_ptr failure;
-  try {
-    runner.run();
-  } catch (...) {
-    failure = std::current_exception();
-  }
-
-  // Checkpoint capture: every completion this run produced is durable
-  // BEFORE any failure is reported, so a partially-failed run still
-  // advances the completed frontier and a restart re-executes zero
-  // finished tasks.
-  for (const StageRunner::Stage& s : runner.stages) {
-    if (checkpoint == nullptr || !s.done || s.replayed) continue;
-    static common::Counter& m_bytes_captured =
-        metric("engine.checkpoint.bytes_captured");
-    static common::Counter& m_captured = metric("engine.checkpoint.captured");
-    // Zero-copy capture: the store pins the very frame the sends shipped.
-    checkpoint->record(app, s.node->id, s.attempts, s.host,
-                       s.outcome.output_frame, s.outcome.compute_elapsed_s);
-    m_bytes_captured.add(s.outcome.output_frame.size());
-    m_captured.add(1);
-  }
-  if (failure) std::rethrow_exception(failure);
+  runner.run();
 
   static common::Counter& m_completed = metric("engine.tasks_completed");
   static common::Counter& m_attempts = metric("engine.attempts");
@@ -726,24 +674,16 @@ RunResult ExecutionEngine::execute(const afg::FlowGraph& graph,
     rec.bytes_sent = s.outcome.io_stats.bytes_sent;
     rec.bytes_received = s.outcome.io_stats.bytes_received;
     rec.attempts = s.attempts;
-    rec.replayed = s.replayed;
-    if (s.replayed) {
-      // Restored tasks never ran here: no turnaround, no engine.tasks
-      // metric, no feedback (the capturing run already recorded its
-      // measured compute time into the performance database).
-      ++result.tasks_replayed;
-    } else {
-      result.makespan_s = std::max(result.makespan_s, s.turnaround_s);
-      if (s.had_failure) ++result.failures_recovered;
-      result.reschedules += s.moves;
-      m_completed.add(1);
-      m_attempts.add(static_cast<std::uint64_t>(s.attempts));
-      m_retries.add(static_cast<std::uint64_t>(s.attempts - 1));
-      m_turnaround.observe(s.turnaround_s);
-      if (feedback != nullptr) {
-        feedback->record_task_time(s.node->library_task,
-                                   s.outcome.compute_elapsed_s);
-      }
+    result.makespan_s = std::max(result.makespan_s, s.turnaround_s);
+    if (s.had_failure) ++result.failures_recovered;
+    result.reschedules += s.moves;
+    m_completed.add(1);
+    m_attempts.add(static_cast<std::uint64_t>(s.attempts));
+    m_retries.add(static_cast<std::uint64_t>(s.attempts - 1));
+    m_turnaround.observe(s.turnaround_s);
+    if (feedback != nullptr) {
+      feedback->record_task_time(s.node->library_task,
+                                 s.outcome.compute_elapsed_s);
     }
     result.records.push_back(rec);
     result.outputs.emplace(s.node->id, std::move(s.outcome.payload));
@@ -754,7 +694,6 @@ RunResult ExecutionEngine::execute(const afg::FlowGraph& graph,
     app_span.arg("makespan_s", result.makespan_s);
     app_span.arg("failures_recovered", result.failures_recovered);
     app_span.arg("reschedules", result.reschedules);
-    app_span.arg("tasks_replayed", result.tasks_replayed);
   }
   common::log_info("engine", "app ", app.value(), " finished; makespan ",
                    result.makespan_s, "s (", result.failures_recovered,

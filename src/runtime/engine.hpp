@@ -33,7 +33,9 @@
 // -- finished outputs are fed back in, streams resume from the lowest
 // durable sink window.  Attempts are bounded by max_attempts with
 // exponential backoff, and receive timeouts keep a dead peer from
-// hanging a stage forever.
+// hanging a stage forever.  These rounds are the only recovery: the
+// submission service never re-runs execute(), it supplies the hooks
+// (DESIGN.md D12).
 #pragma once
 
 #include <atomic>
@@ -49,8 +51,6 @@
 #include "tasklib/registry.hpp"
 
 namespace vdce::rt {
-
-class CheckpointStore;
 
 /// Timing/traffic record of one executed task.
 struct TaskRunRecord {
@@ -71,10 +71,6 @@ struct TaskRunRecord {
   std::size_t bytes_received = 0;
   /// Execution attempts consumed (1 = succeeded first try).
   int attempts = 1;
-  /// True when the task was not executed at all: its recorded output
-  /// was replayed from a checkpoint (attempts then counts the attempts
-  /// the *capturing* run consumed).
-  bool replayed = false;
 };
 
 /// Result of one application run.
@@ -90,9 +86,6 @@ struct RunResult {
   std::size_t failures_recovered = 0;
   /// Successful re-placements (task moved to a different machine).
   std::size_t reschedules = 0;
-  /// Tasks whose outputs were replayed from a checkpoint instead of
-  /// being re-executed (site-level failover resumes, DESIGN.md D12).
-  std::size_t tasks_replayed = 0;
 };
 
 /// Engine configuration.
@@ -187,20 +180,12 @@ class ExecutionEngine {
   /// explicitly (the submission service keys runs by its own tickets,
   /// and a replay with the same app id reproduces the same per-task
   /// RNG seeds); when invalid an id is drawn from the engine's counter.
-  ///
-  /// `checkpoint`, when given, turns on checkpoint/restart semantics:
-  /// every task completion is captured into the store (even when the
-  /// run ultimately throws), and tasks the store already holds for
-  /// `app` are NOT re-executed -- their recorded frames are replayed
-  /// into the fresh broker so successor tasks receive bit-identical
-  /// inputs (DESIGN.md D9).
   [[nodiscard]] RunResult execute(const afg::FlowGraph& graph,
                                   const sched::AllocationTable& allocation,
                                   SiteManager* feedback = nullptr,
                                   dm::ConsoleService* console = nullptr,
                                   const FaultTolerance* ft = nullptr,
-                                  common::AppId app = {},
-                                  CheckpointStore* checkpoint = nullptr);
+                                  common::AppId app = {});
 
  private:
   const tasklib::TaskRegistry* registry_;

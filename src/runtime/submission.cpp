@@ -1,15 +1,12 @@
 #include "runtime/submission.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <limits>
-#include <thread>
 #include <utility>
 
 #include "common/error.hpp"
 #include "common/log.hpp"
 #include "common/metrics.hpp"
-#include "common/rng.hpp"
 #include "common/trace.hpp"
 
 namespace vdce::rt {
@@ -47,7 +44,9 @@ const char* to_string(SubmissionState state) {
 /// Everything the service tracks about one submission.  Owned by a
 /// shared_ptr so waiters and workers may hold it across unlocks; the
 /// graph/allocation members keep stable addresses for the run's
-/// FaultTolerance closures.
+/// FaultTolerance closures.  While it runs, `allocation` and
+/// `admission` change only under mu_ (a re-placement), and `error`
+/// holds the QoS refusal of the latest failed re-placement, if any.
 struct AppSubmissionService::AppRecord {
   SubmissionRequest request;
   common::AppId app;
@@ -56,7 +55,6 @@ struct AppSubmissionService::AppRecord {
   sched::AllocationTable allocation;
   double queue_eta_s = 0.0;
   std::size_t grant_index = 0;
-  std::size_t restarts = 0;   // failover restarts consumed
   std::uint64_t seq = 0;      // global submission order (FIFO tie-break)
   bool counted_queued = false;
   bool charged = false;
@@ -419,7 +417,6 @@ void AppSubmissionService::note_terminal_locked(
     stub.state = it->second->state;
     stub.grant_index =
         static_cast<std::uint32_t>(it->second->grant_index);
-    stub.restarts = static_cast<std::uint32_t>(it->second->restarts);
     records_.erase(it);
     retired_.emplace(oldest, stub);
     retired_fifo_.push_back(oldest);
@@ -457,7 +454,74 @@ std::size_t AppSubmissionService::shed_queued(int below_priority) {
   return dropped;
 }
 
-FaultTolerance AppSubmissionService::wrap_hooks(FaultTolerance hooks) {
+bool AppSubmissionService::usable(
+    common::HostId host, std::optional<common::SiteId> site,
+    const std::function<bool(common::HostId)>& probe) const {
+  if (liveness_ != nullptr &&
+      (liveness_->quarantined(host) ||
+       (site && liveness_->state(*site) == SiteLiveness::kDead))) {
+    return false;
+  }
+  return !probe || probe(host);
+}
+
+FaultTolerance AppSubmissionService::wrap_hooks(AppRecord& rec,
+                                                FaultTolerance hooks) {
+  const std::function<bool(common::HostId)> probe = hooks.host_alive;
+  FaultTolerance::Rescheduler inner = std::move(hooks.reschedule);
+  if (!inner) {
+    inner = [this, &rec](const afg::TaskNode& node,
+                         const std::vector<common::HostId>& excluded) {
+      return sched::SiteScheduler(local_site_, *directory_, config_.scheduler)
+          .reschedule(rec.request.graph, rec.allocation, node.id, excluded);
+    };
+  }
+  // reschedule: the inner rescheduler knows only the exclusion list, not
+  // liveness -- a whole-site outage leaves sibling hosts it would happily
+  // pick -- so widen the exclusion until a usable host or none remains.
+  // It runs outside mu_ (in daemon mode it makes RPCs), one call per app
+  // at a time (stage threads re-place concurrently); the move and the
+  // re-admission then happen under mu_.
+  hooks.reschedule =
+      [this, &rec, probe, inner = std::move(inner),
+       serial = std::make_shared<std::mutex>()](
+          const afg::TaskNode& node,
+          const std::vector<common::HostId>& excluded)
+      -> std::optional<sched::AllocationEntry> {
+    std::lock_guard one_at_a_time(*serial);
+    std::vector<common::HostId> widened = excluded;
+    auto candidate = inner(node, widened);
+    while (candidate && !usable(candidate->primary_host(), candidate->site,
+                                probe)) {
+      widened.push_back(candidate->primary_host());
+      candidate = inner(node, widened);
+    }
+    if (!candidate) return std::nullopt;
+
+    // Residual-capacity re-admission of the moved plan: release this
+    // app's charges first, so it never competes with its own old plan.
+    std::lock_guard lk(mu_);
+    const sched::AllocationEntry previous = rec.allocation.entry(node.id);
+    release_locked(rec);
+    rec.allocation.replace(*candidate);
+    const sched::QosAdmission admission =
+        sched::check_qos(rec.request.graph, rec.allocation, *directory_,
+                         rec.request.qos, occupancy_);
+    if (admission.admitted) {
+      rec.admission = admission;
+      rec.error.clear();
+    } else {
+      rec.allocation.replace(previous);
+      rec.error = "QoS re-admission refused on re-placing task " +
+                  node.label + ": slack " +
+                  std::to_string(admission.slack_s) + "s";
+      common::log_info("submission", "app ", rec.app.value(), ": ",
+                       rec.error);
+      candidate.reset();
+    }
+    charge_locked(rec);
+    return candidate;
+  };
   if (liveness_ == nullptr) return hooks;
   // on_failure: every reported host failure feeds the flap policy (task
   // errors on a live host do not -- a flaky task must not quarantine a
@@ -469,114 +533,21 @@ FaultTolerance AppSubmissionService::wrap_hooks(FaultTolerance hooks) {
       (void)report_host_failure(request.host);
     }
   };
-  // host_alive: a quarantined host reads as dead, so in-gang fault
-  // guards refuse it and recovery excludes it even while the flapping
-  // host happens to answer probes.
-  hooks.host_alive = [this, inner = std::move(hooks.host_alive)](
-                         common::HostId host) {
-    if (liveness_->quarantined(host)) return false;
-    return inner ? inner(host) : true;
+  // host_alive is the usability predicate, so the per-frame guard and
+  // recovery act on the directory's verdicts too: a quarantined host or
+  // one on a dead site reads dead even while it answers probes.  The
+  // site comes from the app's allocation, which re-placements keep
+  // current.
+  hooks.host_alive = [this, &rec, probe](common::HostId host) {
+    std::optional<common::SiteId> site;
+    {
+      std::lock_guard lk(mu_);
+      const auto rows = rec.allocation.portion_for_host(host);
+      if (!rows.empty()) site = rows.front().site;
+    }
+    return usable(host, site, probe);
   };
   return hooks;
-}
-
-bool AppSubmissionService::replan_for_restart(
-    AppRecord& rec, const std::string& why,
-    const std::function<bool(common::HostId)>& host_alive) {
-  common::ScopedSpan span("app_restart", "submission");
-  if (span.active()) {
-    span.arg("app", rec.app.value());
-    span.arg("restart", rec.restarts + 1);
-    span.arg("reason", why);
-  }
-
-  // One predicate for the first exclusion and the widening loop: a
-  // host is usable unless the directory quarantined it or declared its
-  // site dead (a merely suspect site keeps its placements), or the
-  // attempt's host_alive reads it dead.
-  const auto usable = [&](common::HostId host, common::SiteId site) {
-    if (liveness_ != nullptr &&
-        (liveness_->quarantined(host) ||
-         liveness_->state(site) == SiteLiveness::kDead)) {
-      return false;
-    }
-    return !host_alive || host_alive(host);
-  };
-
-  std::lock_guard lk(mu_);
-  std::vector<common::HostId> excluded;
-  for (const auto& row : rec.allocation.rows()) {
-    const common::HostId host = row.primary_host();
-    if (!usable(host, row.site) &&
-        std::find(excluded.begin(), excluded.end(), host) == excluded.end()) {
-      excluded.push_back(host);
-    }
-  }
-
-  // Release this app's commitments before re-admitting: the residual
-  // capacity it re-checks against must not charge its own old plan.
-  release_locked(rec);
-
-  // Re-place only the *incomplete* subgraph (checkpointed tasks never
-  // re-execute, so their rows only matter as parent-site transfer
-  // anchors) and only rows whose host is excluded.
-  sched::SiteScheduler scheduler(local_site_, *directory_,
-                                 config_.scheduler);
-  std::size_t moved = 0;
-  for (const TaskId task : rec.request.graph.topological_order()) {
-    if (config_.checkpointing && checkpoints_.completed(rec.app, task)) {
-      continue;
-    }
-    const common::HostId host = rec.allocation.entry(task).primary_host();
-    if (std::find(excluded.begin(), excluded.end(), host) ==
-        excluded.end()) {
-      continue;
-    }
-    // The scheduler only knows the exclusion list, not liveness: a
-    // whole-site outage leaves sibling hosts it would happily pick, so
-    // check each candidate and widen the exclusion until one is usable.
-    auto replacement = scheduler.reschedule(rec.request.graph,
-                                            rec.allocation, task, excluded);
-    while (replacement &&
-           !usable(replacement->primary_host(), replacement->site)) {
-      excluded.push_back(replacement->primary_host());
-      replacement = scheduler.reschedule(rec.request.graph, rec.allocation,
-                                         task, excluded);
-    }
-    if (!replacement) {
-      rec.error = "failover replan: no feasible host for task " +
-                  std::to_string(task.value()) + " (" + why + ")";
-      if (span.active()) span.arg("outcome", "no_feasible_host");
-      return false;
-    }
-    rec.allocation.replace(*replacement);
-    ++moved;
-  }
-
-  // Residual-capacity re-admission over the surviving plan.
-  rec.admission =
-      sched::check_qos(rec.request.graph, rec.allocation, *directory_,
-                       rec.request.qos, occupancy_);
-  if (!rec.admission.admitted) {
-    rec.error = "failover replan: QoS re-admission refused, slack " +
-                std::to_string(rec.admission.slack_s) + "s (" + why + ")";
-    if (span.active()) span.arg("outcome", "readmission_refused");
-    return false;
-  }
-  charge_locked(rec);
-
-  ++rec.restarts;
-  ++stats_.restarts;
-  bump("submission.restarts");
-  if (span.active()) {
-    span.arg("outcome", "restarting");
-    span.arg("tasks_moved", moved);
-    span.arg("excluded", excluded.size());
-  }
-  common::log_info("submission", "app ", rec.app.value(), " restart ",
-                   rec.restarts, ": ", moved, " tasks re-placed, ",
-                   excluded.size(), " hosts excluded (", why, ")");
-  return true;
 }
 
 void AppSubmissionService::worker_loop() {
@@ -613,74 +584,32 @@ void AppSubmissionService::worker_loop() {
     EngineConfig engine_config = config_.engine;
     engine_config.seed = rec->request.seed;
     ExecutionEngine engine(*registry_, engine_config);
-    CheckpointStore* checkpoint =
-        config_.checkpointing ? &checkpoints_ : nullptr;
+    FaultTolerance hooks;
+    if (fault_hooks_) {
+      hooks = wrap_hooks(*rec, fault_hooks_(rec->request.graph,
+                                            rec->allocation));
+    }
 
     RunResult result;
     std::string error;
-    double restart_backoff = config_.restart_backoff_s;
-    for (;;) {
-      FaultTolerance hooks;
-      const FaultTolerance* hooks_ptr = nullptr;
-      if (fault_hooks_) {
-        // Rebuilt per attempt: the factory's closures see the replanned
-        // allocation (stable address inside the record).
-        hooks = wrap_hooks(fault_hooks_(rec->request.graph,
-                                        rec->allocation));
-        hooks_ptr = &hooks;
+    {
+      common::ScopedSpan run_span("app_run", "submission");
+      if (run_span.active()) {
+        run_span.rename("run:" + rec->request.graph.name());
+        run_span.arg("app", rec->app.value());
+        run_span.arg("user", rec->request.user);
+        run_span.arg("grant", rec->grant_index);
       }
-
-      error.clear();
-      {
-        common::ScopedSpan run_span("app_run", "submission");
-        if (run_span.active()) {
-          run_span.rename("run:" + rec->request.graph.name());
-          run_span.arg("app", rec->app.value());
-          run_span.arg("user", rec->request.user);
-          run_span.arg("grant", rec->grant_index);
-          if (rec->restarts > 0) run_span.arg("restart", rec->restarts);
-        }
-        try {
-          result = engine.execute(rec->request.graph, rec->allocation,
-                                  feedback_, nullptr, hooks_ptr, rec->app,
-                                  checkpoint);
-        } catch (const std::exception& e) {
-          error = e.what();
-        }
-        if (run_span.active()) {
-          run_span.arg("outcome", error.empty() ? "completed" : "failed");
-        }
+      try {
+        result = engine.execute(rec->request.graph, rec->allocation,
+                                feedback_, nullptr,
+                                fault_hooks_ ? &hooks : nullptr, rec->app);
+      } catch (const std::exception& e) {
+        error = e.what();
       }
-      if (error.empty() ||
-          rec->restarts >= static_cast<std::size_t>(
-                               std::max(config_.max_restarts, 0))) {
-        break;
+      if (run_span.active()) {
+        run_span.arg("outcome", error.empty() ? "completed" : "failed");
       }
-      if (!replan_for_restart(*rec, error, hooks.host_alive)) {
-        error = rec->error;  // the replan's refusal reason is terminal
-        break;
-      }
-
-      // Exponential backoff with deterministic jitter seeded from
-      // (engine seed, app, restart attempt): lets the fault window pass
-      // and de-correlates simultaneous failovers without global state.
-      double nap = restart_backoff;
-      if (config_.restart_backoff_jitter > 0.0) {
-        common::Rng jitter(engine_config.seed ^
-                           (static_cast<std::uint64_t>(rec->app.value())
-                            << 32) ^
-                           (0x9E3779B97F4A7C15ull * rec->restarts));
-        nap *= 1.0 + config_.restart_backoff_jitter *
-                         (jitter.uniform() - 0.5);
-      }
-      if (nap > 0.0) {
-        if (hooks.sleep) {
-          hooks.sleep(nap);
-        } else {
-          std::this_thread::sleep_for(std::chrono::duration<double>(nap));
-        }
-      }
-      restart_backoff *= config_.restart_backoff_multiplier;
     }
 
     {
@@ -689,11 +618,15 @@ void AppSubmissionService::worker_loop() {
       --running_;
       if (error.empty()) {
         rec->result = std::move(result);
+        rec->error.clear();  // a refused re-placement the run outlived
         rec->state = SubmissionState::kCompleted;
         ++stats_.completed;
         bump("submission.completed");
       } else {
-        rec->error = std::move(error);
+        // A refused re-admission is the cause behind the engine's "no
+        // feasible host": lead with it.
+        rec->error = rec->error.empty() ? std::move(error)
+                                        : rec->error + "; " + error;
         rec->state = SubmissionState::kFailed;
         ++stats_.failed;
         bump("submission.failed");
@@ -705,8 +638,6 @@ void AppSubmissionService::worker_loop() {
           .set(static_cast<double>(running_));
       note_terminal_locked(rec);
     }
-    // Terminal either way: the frontier snapshot is no longer needed.
-    checkpoints_.drop_app(rec->app);
     cv_.notify_all();
   }
 }
@@ -721,7 +652,6 @@ SubmissionStatus AppSubmissionService::snapshot_locked(
   status.queue_eta_s = rec.queue_eta_s;
   status.allocation = rec.allocation;
   status.grant_index = rec.grant_index;
-  status.restarts = rec.restarts;
   status.result = rec.result;
   status.error = rec.error;
   return status;
@@ -737,7 +667,6 @@ SubmissionStatus AppSubmissionService::retired_snapshot_locked(
   status.app = app;
   status.state = it->second.state;
   status.grant_index = it->second.grant_index;
-  status.restarts = it->second.restarts;
   status.retired = true;
   return status;
 }

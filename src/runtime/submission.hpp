@@ -35,6 +35,10 @@
 //      -> execution on a pool of engine slots; each running app gets
 //         its own ExecutionEngine keyed by its AppId ticket (per-app
 //         broker, per-app seeds, per-app FaultTolerance hooks)
+//      -> recovery inside the engine's rounds only (DESIGN.md D12): the
+//         service's reschedule hook re-places one task at a time onto
+//         a usable host, replaces its allocation row and re-admits the
+//         app through residual-capacity QoS against current occupancy
 //      -> prediction feedback + submission.* metrics, spans carrying
 //         app= arguments; terminal records retire into compact stubs
 //         so millions of submissions do not grow the record map
@@ -55,13 +59,13 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 #include <unordered_map>
 #include <vector>
 
 #include "predict/forecaster.hpp"
-#include "runtime/checkpoint.hpp"
 #include "runtime/engine.hpp"
 #include "runtime/fair_share.hpp"
 #include "runtime/liveness.hpp"
@@ -117,13 +121,12 @@ struct SubmissionStatus {
   /// Queue-with-ETA backpressure signal: estimated seconds until this
   /// submission is granted a slot (0 when it ran immediately).
   double queue_eta_s = 0.0;
-  /// The allocation the admission was based on.
+  /// The app's allocation: the admitted plan, with every re-placement
+  /// the engine made while running it.
   sched::AllocationTable allocation;
   /// Execution grant order (1 = first grant; 0 = never granted).  The
   /// fair-share tests assert on this.
   std::size_t grant_index = 0;
-  /// Site-level failover restarts this submission consumed.
-  std::size_t restarts = 0;
   /// kCompleted only.
   RunResult result;
   /// kRejected / kFailed reason.
@@ -161,8 +164,6 @@ struct SubmissionStats {
   std::uint64_t early_shed = 0;
   /// Terminal records compacted into stubs (memory reclamation).
   std::uint64_t retired = 0;
-  /// Site-level failover restarts across all submissions.
-  std::uint64_t restarts = 0;
   std::size_t running = 0;
   std::size_t queue_depth = 0;
   /// Full records currently held (bounded by terminal_record_cap plus
@@ -189,7 +190,7 @@ struct AppSubmissionConfig {
   bool early_shed = false;
   /// Terminal (completed/failed/rejected) records beyond this many are
   /// retired: the heavy record (graph, allocation, outputs) is dropped
-  /// and a compact stub keeps state/grant_index/restarts for status().
+  /// and a compact stub keeps state/grant_index for status().
   /// 0 = retain everything (the pre-D15 behaviour).
   std::size_t terminal_record_cap = 65536;
   /// Retired stubs beyond this many are forgotten entirely (status()
@@ -205,32 +206,18 @@ struct AppSubmissionConfig {
   /// Per-submission Site Scheduler configuration.
   sched::SiteSchedulerConfig scheduler;
   /// Engine configuration template; `engine.seed` is overridden by
-  /// each submission's own seed.
+  /// each submission's own seed.  Its max_attempts and retry_backoff_*
+  /// are the only recovery budget and backoff (DESIGN.md D12).
   EngineConfig engine;
-
-  /// Site-level failover (DESIGN.md D12): when an admitted app's engine
-  /// surfaces an unrecoverable failure, exclude the hosts that are not
-  /// usable (quarantined, on a dead site, or dead to the attempt's
-  /// host_alive), re-run the Figure-4 scheduler over surviving
-  /// resources for the *incomplete* subgraph, re-admit through
-  /// residual-capacity QoS, and resume from checkpoint.  0 = failover
-  /// off (a fatal engine error fails the submission, the seed
-  /// behaviour).
-  int max_restarts = 0;
-  /// Exponential backoff between restart attempts; jitter is seeded
-  /// from (engine seed, app, restart attempt), never global state.
-  double restart_backoff_s = 0.05;
-  double restart_backoff_multiplier = 2.0;
-  double restart_backoff_jitter = 0.5;
-  /// Capture completions into the service checkpoint store and resume
-  /// restarts from the completed frontier.  Off: restarts re-execute
-  /// the whole graph (the wasted-work baseline of EXPERIMENTS.md E18).
-  bool checkpointing = true;
 };
 
 /// Builds the per-application FaultTolerance hook set for one admitted
-/// run; both references stay valid for the run's duration.  Empty
-/// factory = no fault tolerance (failures are fatal for that app only).
+/// run; both references stay valid for the run's duration (the
+/// allocation is the record's, kept current by every re-placement).
+/// The service wraps what the factory returns: it supplies `reschedule`
+/// (a Site Scheduler over the app's allocation) when the factory leaves
+/// it empty, and wraps the factory's own otherwise.  Empty factory = no
+/// fault tolerance (failures are fatal for that app only).
 using FaultHookFactory = std::function<FaultTolerance(
     const afg::FlowGraph& graph, const sched::AllocationTable& allocation)>;
 
@@ -261,10 +248,10 @@ class AppSubmissionService {
   }
   /// The liveness judge (DESIGN.md D17); in daemon deployments the
   /// watchdog's directory.  `liveness` must outlive the service.  With
-  /// one attached, reported host failures feed its flap policy, a
-  /// quarantined host reads dead to the engine, and failover replans
-  /// avoid quarantined hosts and dead sites.  Unset = the factory's
-  /// hooks run untouched.
+  /// one attached, reported host failures feed its flap policy, and a
+  /// host it quarantined or whose site it holds dead reads dead to the
+  /// engine's guard and recovery and is skipped by re-placements.
+  /// Unset = only the factory's host_alive judges a host.
   void set_liveness(LivenessDirectory* liveness) { liveness_ = liveness; }
   /// One host failure, as the wrapped on_failure hook reports it: feeds
   /// the attached directory's flap policy and, when that opened a
@@ -315,8 +302,6 @@ class AppSubmissionService {
   [[nodiscard]] SubmissionStats stats() const;
   [[nodiscard]] const AppSubmissionConfig& config() const { return config_; }
 
-  /// The service's checkpoint store (tests inspect frontier sizes).
-  [[nodiscard]] CheckpointStore& checkpoints() { return checkpoints_; }
   /// The sharded stride queue (tests inspect user/renorm counters).
   [[nodiscard]] FairShareQueue& fair_share() { return queue_; }
 
@@ -326,24 +311,25 @@ class AppSubmissionService {
   struct RetiredStub {
     SubmissionState state = SubmissionState::kCompleted;
     std::uint32_t grant_index = 0;
-    std::uint32_t restarts = 0;
   };
   /// One submission mid-flight through submit_batch's phases.
   struct Prepared;
 
   void worker_loop();
-  /// Site-level failover: exclude unusable hosts, re-place the
-  /// incomplete subgraph, re-admit through residual-capacity QoS.
-  /// `host_alive` is the failed attempt's (wrapped) probe, if any.
-  /// Returns false (with `rec.error` set) when no feasible restart
-  /// exists; mu_ must NOT be held.
-  [[nodiscard]] bool replan_for_restart(
-      AppRecord& rec, const std::string& why,
-      const std::function<bool(common::HostId)>& host_alive);
-  /// Wraps factory-produced hooks with flap reporting (on_failure) and
-  /// quarantine-aware liveness (host_alive) when a directory is
-  /// attached.
-  [[nodiscard]] FaultTolerance wrap_hooks(FaultTolerance hooks);
+  /// The one usability predicate: false when the attached directory
+  /// quarantined `host` or holds `site` dead (a suspect site keeps its
+  /// placements), or when `probe` reads the host dead.  mu_ must NOT be
+  /// held.
+  [[nodiscard]] bool usable(common::HostId host,
+                            std::optional<common::SiteId> site,
+                            const std::function<bool(common::HostId)>& probe)
+      const;
+  /// Wraps factory-produced hooks for `rec`'s run: reschedule widens
+  /// past unusable hosts, then moves the allocation row and re-admits
+  /// through residual-capacity QoS; with a directory attached,
+  /// on_failure feeds its flap policy and host_alive becomes usable().
+  [[nodiscard]] FaultTolerance wrap_hooks(AppRecord& rec,
+                                          FaultTolerance hooks);
   /// Registers/releases an app's occupancy, forecaster commitments and
   /// pending-prediction (ETA) charge; mu_ must be held.
   void charge_locked(AppRecord& record);
@@ -370,7 +356,6 @@ class AppSubmissionService {
   std::vector<predict::LoadForecaster*> forecasters_;
   FaultHookFactory fault_hooks_;
   LivenessDirectory* liveness_ = nullptr;
-  CheckpointStore checkpoints_;
   /// Sharded stride ready queue; all mutations happen under mu_ (its
   /// internal shard locks nest beneath), reads like grant_pass() are
   /// lock-free.

@@ -1,9 +1,9 @@
 // Chaos and failover tests (DESIGN.md D12): the CheckpointStore, the
-// liveness directory's host flap policy, the ChaosSchedule fault harness, and
-// the AppSubmissionService's site-level failover loop -- including the
-// acceptance property that a run killed mid-flight resumes from its
-// checkpoint on surviving resources, re-executes zero completed tasks,
-// and produces output bit-identical to a fault-free run.
+// liveness directory's host flap policy, the ChaosSchedule fault harness,
+// and failover through the AppSubmissionService's wrapped engine hooks --
+// including the acceptance property that a run killed mid-flight
+// finishes on surviving resources, re-executes zero completed tasks, and
+// produces output bit-identical to a fault-free run.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -39,35 +39,27 @@ std::uint64_t counter_value(const char* name) {
 
 // ------------------------------------------------------ CheckpointStore
 
-TEST(CheckpointStore, CapturesReplaysAndDrops) {
+TEST(CheckpointStore, CapturesAndReplays) {
   CheckpointStore store;
   const AppId app(1);
   const tasklib::Payload out = tasklib::Payload::of_scalar(42.0);
 
-  EXPECT_FALSE(store.completed(app, TaskId(0)));
-  store.record(app, TaskId(0), 1, HostId(3), out, 0.5);
-  EXPECT_TRUE(store.completed(app, TaskId(0)));
-  EXPECT_EQ(store.completed_count(app), 1u);
+  EXPECT_FALSE(store.replay(app, TaskId(0)).has_value());
+  store.record(app, TaskId(0), 1, HostId(3), out);
 
   const auto entry = store.replay(app, TaskId(0));
   ASSERT_TRUE(entry.has_value());
   EXPECT_EQ(entry->attempt, 1);
   EXPECT_EQ(entry->host, HostId(3));
-  EXPECT_EQ(entry->compute_s, 0.5);
   EXPECT_EQ(entry->frame.to_vector(), out.to_wire());
 
   EXPECT_FALSE(store.replay(app, TaskId(9)).has_value());
   EXPECT_FALSE(store.replay(AppId(2), TaskId(0)).has_value());
 
-  store.drop_app(app);
-  EXPECT_EQ(store.completed_count(app), 0u);
-  store.drop_app(app);  // idempotent
-
   const auto stats = store.stats();
   EXPECT_EQ(stats.tasks_captured, 1u);
-  EXPECT_EQ(stats.frames_replayed, 1u);
-  EXPECT_EQ(stats.bytes_captured, 0u);  // dropped
-  EXPECT_EQ(stats.apps_dropped, 1u);
+  EXPECT_EQ(stats.frames_replayed, 1u);  // misses count nothing
+  EXPECT_EQ(stats.bytes_captured, out.to_wire().size());
 }
 
 TEST(CheckpointStore, RecordIsIdempotentPerAttempt) {
@@ -76,17 +68,17 @@ TEST(CheckpointStore, RecordIsIdempotentPerAttempt) {
   const auto a = tasklib::Payload::of_scalar(1.0);
   const auto b = tasklib::Payload::of_vector({1.0, 2.0, 3.0});
 
-  store.record(app, TaskId(0), 1, HostId(1), a, 0.1);
-  store.record(app, TaskId(0), 1, HostId(2), b, 0.2);  // same attempt: kept
+  store.record(app, TaskId(0), 1, HostId(1), a);
+  store.record(app, TaskId(0), 1, HostId(2), b);  // same attempt: kept
   EXPECT_EQ(store.replay(app, TaskId(0))->host, HostId(1));
 
-  store.record(app, TaskId(0), 3, HostId(5), b, 0.3);  // higher: replaces
+  store.record(app, TaskId(0), 3, HostId(5), b);  // higher: replaces
   const auto entry = store.replay(app, TaskId(0));
   EXPECT_EQ(entry->attempt, 3);
   EXPECT_EQ(entry->host, HostId(5));
   EXPECT_EQ(entry->frame.to_vector(), b.to_wire());
 
-  store.record(app, TaskId(0), 2, HostId(9), a, 0.4);  // lower: ignored
+  store.record(app, TaskId(0), 2, HostId(9), a);  // lower: ignored
   EXPECT_EQ(store.replay(app, TaskId(0))->attempt, 3);
 
   const auto stats = store.stats();
@@ -109,7 +101,7 @@ TEST(CheckpointStore, ReplayBitIdenticalAfterSlabRecycled) {
   for (int i = 0; i < 4096; ++i) {
     wire.push_back(static_cast<std::byte>((i * 31) & 0xFF));
   }
-  store.record(app, TaskId(1), 1, HostId(2), pool.copy_of(wire), 0.1);
+  store.record(app, TaskId(1), 1, HostId(2), pool.copy_of(wire));
 
   // Churn the captured frame's size class hard; every one of these
   // slabs is allocated, scribbled over, and recycled.
@@ -121,7 +113,6 @@ TEST(CheckpointStore, ReplayBitIdenticalAfterSlabRecycled) {
   const auto entry = store.replay(app, TaskId(1));
   ASSERT_TRUE(entry.has_value());
   EXPECT_EQ(entry->frame.to_vector(), wire);
-  store.drop_app(app);
 }
 
 // ------------------------------------- LivenessDirectory host flap policy
@@ -374,7 +365,7 @@ tasklib::TaskRegistry trip_registry(std::shared_ptr<TripState> state) {
 }
 
 /// Full multi-site wiring (FaultEnv shape) with a submission service
-/// configured for site-level failover.
+/// whose engine recovers failures in rounds.
 class FailoverEnv : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -393,20 +384,16 @@ class FailoverEnv : public ::testing::Test {
     }
   }
 
-  /// A failover-enabled service.  The engine gets no reschedule hook
-  /// (the site's Control Manager is presumed lost with the site), so
-  /// any failure is engine-fatal and recovery happens at the service
-  /// level: quarantine via the testbed health probe, replan, resume
-  /// from checkpoint.
+  /// A service whose engine gets `max_attempts` attempts per task.  The
+  /// factory supplies only the testbed health probe, so the service
+  /// fills in the reschedule hook: re-placement over usable hosts and
+  /// QoS re-admission.  A failed round re-runs only unfinished stages.
   [[nodiscard]] std::unique_ptr<AppSubmissionService> make_service(
-      int max_restarts, bool checkpointing, bool paused = false) {
+      int max_attempts, bool paused = false) {
     AppSubmissionConfig config;
     config.slots = 1;
     config.start_paused = paused;
-    config.max_restarts = max_restarts;
-    config.checkpointing = checkpointing;
-    config.restart_backoff_s = 0.001;
-    config.engine.max_attempts = 1;  // no in-gang retry: fail fast
+    config.engine.max_attempts = max_attempts;
     config.engine.recv_timeout_s = 5.0;
     auto service = std::make_unique<AppSubmissionService>(
         SiteId(0), directory_, registry_, config);
@@ -414,7 +401,7 @@ class FailoverEnv : public ::testing::Test {
         [this](const afg::FlowGraph&, const sched::AllocationTable&) {
           FaultTolerance ft;
           ft.host_alive = testbed_->liveness_probe();
-          ft.sleep = [](double) {};  // virtual: restarts cost no wall-clock
+          ft.sleep = [](double) {};  // virtual: retries cost no wall-clock
           return ft;
         });
     return service;
@@ -442,6 +429,48 @@ class FailoverEnv : public ::testing::Test {
     return request;
   }
 
+  [[nodiscard]] static TaskId task_c_of(
+      const sched::AllocationTable& allocation) {
+    for (const auto& row : allocation.rows()) {
+      if (row.library_task == "chaos_trip") return row.task;
+    }
+    return TaskId{};
+  }
+
+  [[nodiscard]] static const TaskRunRecord& record_of(const RunResult& result,
+                                                      TaskId task) {
+    for (const TaskRunRecord& record : result.records) {
+      if (record.task == task) return record;
+    }
+    throw common::NotFoundError("no run record for task");
+  }
+
+  /// Fault-free outputs of trip_pipeline under `seed` (a fresh service,
+  /// so the ticket -- and with it every task RNG -- matches the next
+  /// fresh service's first submission).
+  [[nodiscard]] std::map<TaskId, std::vector<std::byte>> reference_outputs(
+      std::uint64_t seed) {
+    std::map<TaskId, std::vector<std::byte>> reference;
+    state_->remaining_trips.store(0);
+    auto service = make_service(/*max_attempts=*/1);
+    const auto status =
+        service->wait(service->submit(request_for(trip_pipeline(), seed)));
+    EXPECT_EQ(status.state, SubmissionState::kCompleted) << status.error;
+    for (const auto& [task, payload] : status.result.outputs) {
+      reference[task] = payload.to_wire();
+    }
+    return reference;
+  }
+
+  /// The service's books balance (SubmissionStats reconciliation).
+  static void expect_reconciled(const SubmissionStats& stats) {
+    EXPECT_EQ(stats.submitted, stats.admitted + stats.rejected + stats.queued);
+    EXPECT_EQ(stats.queued,
+              stats.queued_then_admitted + stats.preempted + stats.shed);
+    EXPECT_EQ(stats.completed + stats.failed,
+              stats.admitted + stats.queued_then_admitted);
+  }
+
   std::shared_ptr<TripState> state_;
   tasklib::TaskRegistry registry_;
   std::unique_ptr<netsim::VirtualTestbed> testbed_;
@@ -452,44 +481,28 @@ class FailoverEnv : public ::testing::Test {
 
 TEST_F(FailoverEnv, SiteOutageFailoverResumesFromCheckpoint) {
   // THE acceptance scenario: a seeded "chaos" event kills the entire
-  // site hosting task c mid-run.  The admitted app must resume on
-  // surviving sites from its checkpoint, re-execute zero completed
-  // tasks, and produce output bit-identical to a fault-free run.
+  // site hosting task c mid-run.  The admitted app must finish on
+  // surviving sites from the outputs its first round kept, re-execute
+  // zero completed tasks, and produce output bit-identical to a
+  // fault-free run.
   const std::uint64_t kSeed = 1234;
+  const auto reference = reference_outputs(kSeed);
 
-  // Fault-free reference outputs first (fresh service, same ticket
-  // counter, so the app id -- and with it every task RNG -- matches).
-  std::map<TaskId, std::vector<std::byte>> reference;
-  {
-    state_->remaining_trips.store(0);
-    auto service = make_service(/*max_restarts=*/0, /*checkpointing=*/false);
-    const AppId app =
-        service->submit(request_for(trip_pipeline(), kSeed));
-    const auto status = service->wait(app);
-    ASSERT_EQ(status.state, SubmissionState::kCompleted) << status.error;
-    for (const auto& [task, payload] : status.result.outputs) {
-      reference[task] = payload.to_wire();
-    }
-  }
-
-  const auto captured_before = counter_value("engine.checkpoint.captured");
-  const auto replayed_before = counter_value("engine.checkpoint.replayed");
-  const auto restarts_before = counter_value("submission.restarts");
+  const auto retries_before = counter_value("engine.retries");
+  const auto reschedules_before = counter_value("engine.reschedules");
 
   // Chaos run: start paused so the allocation is known before the trip
-  // is armed with "kill the site that hosts c".
+  // is armed with "kill the site that hosts c".  Three attempts: d may
+  // reach its guard only after the site died, and a guard refusal costs
+  // an attempt too.
   state_->remaining_trips.store(1);
   state_->invocations.store(0);  // don't count the reference run
-  auto service = make_service(/*max_restarts=*/2, /*checkpointing=*/true,
-                              /*paused=*/true);
+  auto service = make_service(/*max_attempts=*/3, /*paused=*/true);
   const AppId app = service->submit(request_for(trip_pipeline(), kSeed));
 
   const auto queued = service->status(app);
   ASSERT_TRUE(queued.admission.admitted) << queued.error;
-  TaskId task_c{};
-  for (const auto& row : queued.allocation.rows()) {
-    if (row.library_task == "chaos_trip") task_c = row.task;
-  }
+  const TaskId task_c = task_c_of(queued.allocation);
   const SiteId doomed = queued.allocation.entry(task_c).site;
   const HostId doomed_host = queued.allocation.entry(task_c).primary_host();
 
@@ -510,34 +523,38 @@ TEST_F(FailoverEnv, SiteOutageFailoverResumesFromCheckpoint) {
   const auto final_status = service->wait(app);
   ASSERT_EQ(final_status.state, SubmissionState::kCompleted)
       << final_status.error;
-  EXPECT_EQ(final_status.restarts, 1u);
 
-  // Resumed on surviving resources: every task that ran in the restart
-  // avoids the dead site; a/b stayed replayed from their checkpoint.
+  // c and d were unfinished when the site died: their last attempts ran
+  // on surviving resources, and the status shows every move.  c ran
+  // twice (trip + success); d once more if its guard refused it first.
   ASSERT_EQ(final_status.result.records.size(), 4u);
-  EXPECT_EQ(final_status.result.tasks_replayed, 2u);
-  std::size_t replayed_records = 0;
+  std::uint64_t retries = 0;
   for (const auto& record : final_status.result.records) {
-    if (record.replayed) {
-      ++replayed_records;
-    } else {
+    EXPECT_EQ(record.host,
+              final_status.allocation.entry(record.task).primary_host());
+    retries += static_cast<std::uint64_t>(record.attempts - 1);
+    if (record.task == task_c || record.label == "d") {
+      EXPECT_GE(record.attempts, 2) << record.label;
+      EXPECT_LE(record.attempts, record.task == task_c ? 2 : 3)
+          << record.label;
       EXPECT_NE(testbed_->site_of(record.host), doomed)
-          << "task re-executed on the dead site";
+          << "task " << record.label << " re-ran on the dead site";
       EXPECT_TRUE(testbed_->is_alive_now(record.host));
+    } else {
+      EXPECT_EQ(record.attempts, 1) << record.label << " re-executed";
     }
   }
-  EXPECT_EQ(replayed_records, 2u);
   EXPECT_NE(final_status.allocation.entry(task_c).primary_host(),
             doomed_host);
 
-  // Zero re-execution: c ran twice (trip + success), a/b/d exactly
-  // once; captured covers each task exactly once across both attempts.
+  // Zero re-execution: the trip task ran trips + 1 times and a/b once;
+  // c and d were the recovered failures, and at least c moved.
   EXPECT_EQ(state_->invocations.load(), 2);
-  EXPECT_EQ(counter_value("engine.checkpoint.captured") - captured_before,
-            4u);
-  EXPECT_EQ(counter_value("engine.checkpoint.replayed") - replayed_before,
-            2u);
-  EXPECT_EQ(counter_value("submission.restarts") - restarts_before, 1u);
+  EXPECT_EQ(final_status.result.failures_recovered, 2u);
+  EXPECT_GE(final_status.result.reschedules, 1u);
+  EXPECT_EQ(counter_value("engine.retries") - retries_before, retries);
+  EXPECT_EQ(counter_value("engine.reschedules") - reschedules_before,
+            final_status.result.reschedules);
 
   // Bit-identical to the fault-free run.
   ASSERT_EQ(final_status.result.outputs.size(), reference.size());
@@ -548,74 +565,65 @@ TEST_F(FailoverEnv, SiteOutageFailoverResumesFromCheckpoint) {
 }
 
 TEST_F(FailoverEnv, RestartBudgetExhaustionFailsTheSubmission) {
-  // More trips than max_restarts: the failover loop gives up and the
-  // submission lands in kFailed with the engine's error preserved.
+  // More trips than attempts: the engine gives up and the submission
+  // lands in kFailed with an error naming the task.
   state_->remaining_trips.store(10);
-  auto service = make_service(/*max_restarts=*/2, /*checkpointing=*/true);
+  state_->invocations.store(0);
+  auto service = make_service(/*max_attempts=*/3);
   const AppId app = service->submit(request_for(trip_pipeline(), 77));
   const auto status = service->wait(app);
   EXPECT_EQ(status.state, SubmissionState::kFailed);
-  EXPECT_EQ(status.restarts, 2u);
-  EXPECT_NE(status.error.find("chaos_trip"), std::string::npos);
+  EXPECT_NE(status.error.find("task c"), std::string::npos) << status.error;
+  EXPECT_NE(status.error.find("chaos_trip"), std::string::npos)
+      << status.error;
+  EXPECT_EQ(state_->invocations.load(), 3);  // one per attempt
 
   const auto stats = service->stats();
   EXPECT_EQ(stats.failed, 1u);
-  EXPECT_EQ(stats.restarts, 2u);
+  expect_reconciled(stats);
 }
 
 TEST_F(FailoverEnv, FailoverDisabledPreservesSeedBehaviour) {
-  // max_restarts = 0 (the default): a fatal engine error fails the
-  // submission on the spot, exactly as before this feature existed.
+  // max_attempts = 1: a failed task fails the submission on the spot,
+  // exactly as before recovery existed.
   state_->remaining_trips.store(1);
-  auto service = make_service(/*max_restarts=*/0, /*checkpointing=*/false);
+  state_->invocations.store(0);
+  auto service = make_service(/*max_attempts=*/1);
   const AppId app = service->submit(request_for(trip_pipeline(), 5));
   const auto status = service->wait(app);
   EXPECT_EQ(status.state, SubmissionState::kFailed);
-  EXPECT_EQ(status.restarts, 0u);
+  EXPECT_EQ(state_->invocations.load(), 1);
 }
 
 // --------------------------- bit-identity property (seeds x schedules)
 
 TEST_F(FailoverEnv, CheckpointReplayBitIdenticalAcrossSeedsAndSchedules) {
-  // Property: for every (seed, fault schedule), the checkpoint-resumed
-  // run's outputs are bit-identical to the uninterrupted run's, and the
-  // submission.* / engine.checkpoint.* counters reconcile exactly.
+  // Property: for every (seed, fault schedule), the recovered run's
+  // outputs are bit-identical to the uninterrupted run's, finished
+  // tasks never re-run, and the engine.* / submission.* counters
+  // reconcile exactly.
   const std::uint64_t seeds[] = {1, 7, 42};
   // Fault schedules: how many consecutive invocations of the trip task
-  // fail (1 = one mid-run failure, 2 = the restarted run is killed
-  // again and a second failover resumes it).
+  // fail (1 = one mid-run failure, 2 = the recovery round is killed
+  // again and a third round finishes it).
   const int schedules[] = {1, 2};
 
   for (const std::uint64_t seed : seeds) {
-    // Uninterrupted reference.
-    std::map<TaskId, std::vector<std::byte>> reference;
-    {
-      state_->remaining_trips.store(0);
-      auto service =
-          make_service(/*max_restarts=*/0, /*checkpointing=*/false);
-      const auto status =
-          service->wait(service->submit(request_for(trip_pipeline(), seed)));
-      ASSERT_EQ(status.state, SubmissionState::kCompleted) << status.error;
-      for (const auto& [task, payload] : status.result.outputs) {
-        reference[task] = payload.to_wire();
-      }
-    }
+    const auto reference = reference_outputs(seed);
 
     for (const int trips : schedules) {
-      const auto captured_before =
-          counter_value("engine.checkpoint.captured");
+      const auto retries_before = counter_value("engine.retries");
+      const auto reschedules_before = counter_value("engine.reschedules");
       const auto submitted_before = counter_value("submission.submitted");
       const auto completed_before = counter_value("submission.completed");
-      const auto restarts_before = counter_value("submission.restarts");
 
       state_->remaining_trips.store(trips);
-      auto service =
-          make_service(/*max_restarts=*/3, /*checkpointing=*/true);
+      state_->invocations.store(0);
+      auto service = make_service(/*max_attempts=*/4);
       const auto status =
           service->wait(service->submit(request_for(trip_pipeline(), seed)));
       ASSERT_EQ(status.state, SubmissionState::kCompleted)
           << "seed " << seed << " trips " << trips << ": " << status.error;
-      EXPECT_EQ(status.restarts, static_cast<std::size_t>(trips));
 
       for (const auto& [task, payload] : status.result.outputs) {
         EXPECT_EQ(payload.to_wire(), reference.at(task))
@@ -623,26 +631,95 @@ TEST_F(FailoverEnv, CheckpointReplayBitIdenticalAcrossSeedsAndSchedules) {
             << task.value();
       }
 
-      // Exact counter reconciliation: each of the 4 tasks is captured
-      // exactly once across all attempts (zero re-execution), and the
-      // service-level books balance.
-      EXPECT_EQ(
-          counter_value("engine.checkpoint.captured") - captured_before,
-          4u);
-      EXPECT_EQ(counter_value("submission.restarts") - restarts_before,
-                static_cast<std::uint64_t>(trips));
+      // Exact reconciliation: no host died, so c and d retried in place
+      // once per trip; a and b ran once (zero re-execution), and c ran
+      // trips + 1 times.
+      const TaskId task_c = task_c_of(status.allocation);
+      for (const auto& record : status.result.records) {
+        const bool retried = record.task == task_c || record.label == "d";
+        EXPECT_EQ(record.attempts, retried ? trips + 1 : 1)
+            << "seed " << seed << " trips " << trips << " task "
+            << record.label;
+      }
+      EXPECT_EQ(state_->invocations.load(), trips + 1);
+      EXPECT_EQ(status.result.failures_recovered, 2u);
+      EXPECT_EQ(status.result.reschedules, 0u);
+      EXPECT_EQ(counter_value("engine.retries") - retries_before,
+                static_cast<std::uint64_t>(2 * trips));
+      EXPECT_EQ(counter_value("engine.reschedules") - reschedules_before,
+                0u);
       EXPECT_EQ(counter_value("submission.submitted") - submitted_before,
                 1u);
       EXPECT_EQ(counter_value("submission.completed") - completed_before,
                 1u);
-      const auto stats = service->stats();
-      EXPECT_EQ(stats.submitted,
-                stats.admitted + stats.rejected + stats.queued);
-      EXPECT_EQ(stats.queued, stats.queued_then_admitted);
-      EXPECT_EQ(stats.completed + stats.failed,
-                stats.admitted + stats.queued_then_admitted);
+      expect_reconciled(service->stats());
     }
   }
+}
+
+// -------------------------------------- the QoS re-check on re-placement
+
+TEST_F(FailoverEnv, RefusedReadmissionFailsWithTheQosReasonAndReleasesCharges) {
+  // The deadline equals the admitted plan's own estimate, so no slower
+  // plan meets it.  When c's whole site dies, the only re-placements
+  // leave the site and cost WAN transfers: the QoS re-check must refuse
+  // them, the submission must fail with that reason, and its charges
+  // must be released.
+  const std::uint64_t kSeed = 99;
+  sched::QosAdmission planned;
+  {
+    auto probe = make_service(/*max_attempts=*/1);
+    planned =
+        probe->wait(probe->submit(request_for(trip_pipeline(), kSeed)))
+            .admission;
+    ASSERT_TRUE(planned.admitted);
+  }
+  auto tight = [&] {
+    SubmissionRequest request = request_for(trip_pipeline(), kSeed);
+    request.qos.deadline_s = planned.predicted_makespan_s;
+    return request;
+  };
+
+  state_->remaining_trips.store(1);
+  auto service = make_service(/*max_attempts=*/3, /*paused=*/true);
+  const AppId app = service->submit(tight());
+  const auto queued = service->status(app);
+  ASSERT_TRUE(queued.admission.admitted) << queued.error;
+  const TaskId task_c = task_c_of(queued.allocation);
+  const SiteId doomed = queued.allocation.entry(task_c).site;
+  const HostId doomed_host = queued.allocation.entry(task_c).primary_host();
+  netsim::ChaosSchedule chaos;
+  netsim::ChaosEvent outage;
+  outage.kind = netsim::ChaosEventKind::kSiteOutage;
+  outage.site = doomed;
+  outage.start = 100.0;
+  outage.length = 1e6;
+  chaos.add(outage);
+  chaos.apply(*testbed_);
+  state_->on_trip = [this] { testbed_->set_live_time(200.0); };
+  service->resume();
+
+  const auto failed = service->wait(app);
+  ASSERT_EQ(failed.state, SubmissionState::kFailed);
+  EXPECT_NE(failed.error.find("QoS re-admission refused on re-placing task c"),
+            std::string::npos)
+      << failed.error;
+  // A refusal moves nothing.
+  EXPECT_EQ(failed.allocation.entry(task_c).primary_host(), doomed_host);
+
+  // Released: the same plan is admitted again with the same estimate,
+  // so no residual occupancy of the failed app is charged against it.
+  service->pause();
+  const AppId next = service->submit(tight());
+  const auto again = service->status(next);
+  EXPECT_TRUE(again.admission.admitted) << again.error;
+  EXPECT_EQ(again.admission.predicted_makespan_s,
+            planned.predicted_makespan_s);
+  EXPECT_EQ(service->shed_queued(), 1u);
+  const auto stats = service->stats();
+  EXPECT_EQ(stats.failed, 1u);
+  EXPECT_EQ(stats.shed, 1u);
+  expect_reconciled(stats);
 }
 
 // ------------------------------------------- host flap policy x service
@@ -686,8 +763,7 @@ TEST_F(FailoverEnv, QuarantinedHostIsExcludedByWrappedLiveness) {
   liveness_config.flap_close_threshold = 0.1;  // ...and it stays open a while
   LivenessDirectory liveness(liveness_config);
   AppSubmissionConfig config;
-  config.max_restarts = 1;
-  config.engine.max_attempts = 1;
+  config.engine.max_attempts = 2;  // a guard refusal costs an attempt
   AppSubmissionService service(SiteId(0), directory_, registry_, config);
   service.set_liveness(&liveness);
   service.set_fault_hooks(
@@ -716,28 +792,94 @@ TEST_F(FailoverEnv, QuarantinedHostIsExcludedByWrappedLiveness) {
   }
 }
 
+TEST_F(FailoverEnv, FactoryReschedulerIsWrappedNotReplaced) {
+  // A factory that brings its own reschedule (perfbench's shape) keeps
+  // it: the service wraps it.  Its first answer is a host on a site the
+  // directory holds dead; the widening must skip that host, ask again,
+  // and the move must show in both the status and the run record.
+  LivenessDirectory liveness;
+  liveness.set_clock([] { return 0.0; });  // nothing polls: no timeouts
+  for (const SiteId site : testbed_->sites()) liveness.track(site, 1);
+
+  AppSubmissionConfig config;
+  config.slots = 1;
+  config.start_paused = true;
+  config.engine.max_attempts = 2;
+  config.engine.recv_timeout_s = 5.0;
+  AppSubmissionService service(SiteId(0), directory_, registry_, config);
+  service.set_liveness(&liveness);
+
+  std::atomic<int> calls{0};
+  std::atomic<int> decoys{0};
+  HostId victim;     // set before resume(): dead to the factory's probe
+  HostId decoy;      // on the dead site
+  SiteId dead_site;
+  service.set_fault_hooks([&](const afg::FlowGraph& graph,
+                              const sched::AllocationTable& allocation) {
+    FaultTolerance ft;
+    ft.host_alive = [&victim](HostId host) { return host != victim; };
+    ft.sleep = [](double) {};
+    ft.reschedule = [&](
+                        const afg::TaskNode& node,
+                        const std::vector<HostId>& excluded)
+        -> std::optional<sched::AllocationEntry> {
+      if (calls.fetch_add(1) == 0) {
+        ++decoys;
+        sched::AllocationEntry entry = allocation.entry(node.id);
+        entry.hosts = {decoy};
+        entry.site = dead_site;
+        return entry;
+      }
+      return sched::SiteScheduler(SiteId(0), directory_)
+          .reschedule(graph, allocation, node.id, excluded);
+    };
+    return ft;
+  });
+
+  state_->remaining_trips.store(0);
+  const AppId app = service.submit(request_for(trip_pipeline(), 31));
+  const auto queued = service.status(app);
+  ASSERT_TRUE(queued.admission.admitted) << queued.error;
+  const TaskId task_c = task_c_of(queued.allocation);
+  victim = queued.allocation.entry(task_c).primary_host();
+  const SiteId c_site = queued.allocation.entry(task_c).site;
+  for (const SiteId site : testbed_->sites()) {
+    if (site != c_site) dead_site = site;
+  }
+  decoy = testbed_->hosts_in_site(dead_site).front();
+  (void)liveness.conclusive_dead(dead_site, 1, "test verdict");
+  service.resume();
+
+  const auto status = service.wait(app);
+  ASSERT_EQ(status.state, SubmissionState::kCompleted) << status.error;
+  EXPECT_EQ(decoys.load(), 1);
+  EXPECT_GE(calls.load(), 2);  // the decoy was skipped, then asked again
+  for (const auto& record : status.result.records) {
+    EXPECT_EQ(record.host, status.allocation.entry(record.task).primary_host())
+        << record.label;
+    EXPECT_NE(record.host, victim) << record.label;
+    EXPECT_NE(record.host, decoy) << record.label;
+    EXPECT_NE(testbed_->site_of(record.host), dead_site) << record.label;
+  }
+  EXPECT_NE(record_of(status.result, task_c).host, victim);
+  EXPECT_GE(status.result.reschedules, 1u);
+}
+
 // ------------------------------- failover reads the liveness verdict
 
 TEST_F(FailoverEnv, OnlyADeadSiteVerdictMovesTasksOffTheSite) {
   // No outage window exists, so the testbed probe reads every host
   // alive: the hand-driven directory's site verdict is the only thing
   // that can move task c.  A suspect site keeps its placements; a dead
-  // one does not.
+  // one does not.  A guard refusal costs an attempt, so the dead-site
+  // app needs 3: the refusal, the trip, the retry.
   LivenessDirectory liveness;  // quorum 2
   liveness.set_clock([] { return 0.0; });  // nothing polls: no timeouts
   for (const SiteId site : testbed_->sites()) liveness.track(site, 1);
-  auto service = make_service(/*max_restarts=*/1, /*checkpointing=*/true,
-                              /*paused=*/true);
+  auto service = make_service(/*max_attempts=*/3, /*paused=*/true);
   service->set_liveness(&liveness);
 
-  const auto task_c_of = [](const sched::AllocationTable& allocation) {
-    for (const auto& row : allocation.rows()) {
-      if (row.library_task == "chaos_trip") return row.task;
-    }
-    return TaskId{};
-  };
-
-  // 1 of 2 votes: c trips, and the restart keeps c's host.
+  // 1 of 2 votes: c trips, and the retry keeps c's host.
   state_->remaining_trips.store(1);
   const AppId first = service->submit(request_for(trip_pipeline(), 11));
   const auto queued = service->status(first);
@@ -751,8 +893,10 @@ TEST_F(FailoverEnv, OnlyADeadSiteVerdictMovesTasksOffTheSite) {
   service->resume();
   const auto kept = service->wait(first);
   ASSERT_EQ(kept.state, SubmissionState::kCompleted) << kept.error;
-  EXPECT_EQ(kept.restarts, 1u);
+  EXPECT_EQ(record_of(kept.result, task_c).attempts, 2);
+  EXPECT_EQ(kept.result.reschedules, 0u);
   EXPECT_EQ(kept.allocation.entry(task_c).primary_host(), doomed_host);
+  EXPECT_EQ(record_of(kept.result, task_c).host, doomed_host);
   EXPECT_EQ(liveness.state(doomed), SiteLiveness::kSuspect);
   EXPECT_EQ(liveness.status(doomed).witnesses, 1u);
 
@@ -770,13 +914,12 @@ TEST_F(FailoverEnv, OnlyADeadSiteVerdictMovesTasksOffTheSite) {
   service->resume();
   const auto moved = service->wait(second);
   ASSERT_EQ(moved.state, SubmissionState::kCompleted) << moved.error;
-  EXPECT_EQ(moved.restarts, 1u);
+  EXPECT_GE(moved.result.reschedules, 1u);
   EXPECT_NE(moved.allocation.entry(task_c).site, doomed);
   for (const auto& record : moved.result.records) {
-    if (!record.replayed) {
-      EXPECT_NE(testbed_->site_of(record.host), doomed)
-          << "task re-executed on the dead site";
-    }
+    EXPECT_EQ(record.host, moved.allocation.entry(record.task).primary_host());
+    EXPECT_NE(testbed_->site_of(record.host), doomed)
+        << "task " << record.label << " ran on the dead site";
   }
 }
 

@@ -1231,15 +1231,15 @@ class ControlPlaneFailover : public ::testing::Test {
     }
   }
 
+  /// A service whose engine gets `max_attempts` attempts per task; the
+  /// factory supplies only the testbed probe, so the service fills in
+  /// the reschedule hook (chaos_test's FailoverEnv shape).
   [[nodiscard]] std::unique_ptr<AppSubmissionService> make_service(
-      int max_restarts, bool checkpointing, bool paused = false) {
+      int max_attempts, bool paused = false) {
     AppSubmissionConfig config;
     config.slots = 1;
     config.start_paused = paused;
-    config.max_restarts = max_restarts;
-    config.checkpointing = checkpointing;
-    config.restart_backoff_s = 0.001;
-    config.engine.max_attempts = 1;
+    config.engine.max_attempts = max_attempts;
     config.engine.recv_timeout_s = 5.0;
     auto service = std::make_unique<AppSubmissionService>(
         SiteId(0), directory_, registry_, config);
@@ -1288,15 +1288,15 @@ TEST_F(ControlPlaneFailover, SigkilledDaemonTriggersRestartAndAppFailover) {
   // SIGKILLs the REAL site daemon process of the site hosting task c
   // while a site-outage window takes the virtual site down.  The
   // watchdog must detect the death and restart the daemon (incarnation
-  // 2 answering RPCs); the submission service must fail the application
-  // over to surviving sites; and every counter must reconcile exactly.
+  // 2 answering RPCs); the engine must move the application's unfinished
+  // tasks to surviving sites; and every counter must reconcile exactly.
   const std::uint64_t kSeed = 1234;
 
   // Fault-free reference outputs (fresh service, same ticket counter).
   std::map<TaskId, std::vector<std::byte>> reference;
   {
     state_->remaining_trips.store(0);
-    auto service = make_service(/*max_restarts=*/0, /*checkpointing=*/false);
+    auto service = make_service(/*max_attempts=*/1);
     const AppId app = service->submit(request_for(trip_pipeline(), kSeed));
     const auto status = service->wait(app);
     ASSERT_EQ(status.state, SubmissionState::kCompleted) << status.error;
@@ -1314,17 +1314,17 @@ TEST_F(ControlPlaneFailover, SigkilledDaemonTriggersRestartAndAppFailover) {
     (void)watchdog.rpc_port(site);  // all daemons up before the chaos
   }
 
-  const auto captured_before = counter_value("engine.checkpoint.captured");
-  const auto replayed_before = counter_value("engine.checkpoint.replayed");
-  const auto restarts_before = counter_value("submission.restarts");
+  const auto retries_before = counter_value("engine.retries");
+  const auto reschedules_before = counter_value("engine.reschedules");
   const auto site_down_before = counter_value("watchdog.site_down");
   const auto wd_restarts_before = counter_value("watchdog.restarts");
 
   // Paused submit so the doomed site is known before the trip is armed.
+  // Three attempts: d may reach its guard only after the site died, and
+  // a guard refusal costs an attempt too.
   state_->remaining_trips.store(1);
   state_->invocations.store(0);
-  auto service = make_service(/*max_restarts=*/2, /*checkpointing=*/true,
-                              /*paused=*/true);
+  auto service = make_service(/*max_attempts=*/3, /*paused=*/true);
   const AppId app = service->submit(request_for(trip_pipeline(), kSeed));
   const auto queued = service->status(app);
   ASSERT_TRUE(queued.admission.admitted) << queued.error;
@@ -1361,9 +1361,24 @@ TEST_F(ControlPlaneFailover, SigkilledDaemonTriggersRestartAndAppFailover) {
   const auto final_status = service->wait(app);
   ASSERT_EQ(final_status.state, SubmissionState::kCompleted)
       << final_status.error;
-  EXPECT_EQ(final_status.restarts, 1u);
   EXPECT_NE(final_status.allocation.entry(task_c).primary_host(),
             doomed_host);
+  // c and d were unfinished when the site died; a and b ran once.  c
+  // ran twice, d once more if its guard refused it first.
+  std::uint64_t retries = 0;
+  for (const auto& record : final_status.result.records) {
+    EXPECT_EQ(record.host,
+              final_status.allocation.entry(record.task).primary_host());
+    retries += static_cast<std::uint64_t>(record.attempts - 1);
+    if (record.task == task_c || record.label == "d") {
+      EXPECT_GE(record.attempts, 2) << record.label;
+      EXPECT_LE(record.attempts, record.task == task_c ? 2 : 3)
+          << record.label;
+      EXPECT_NE(testbed_->site_of(record.host), doomed) << record.label;
+    } else {
+      EXPECT_EQ(record.attempts, 1) << record.label;
+    }
+  }
 
   // Bit-identical to the fault-free run despite the mid-flight kill.
   ASSERT_EQ(final_status.result.outputs.size(), reference.size());
@@ -1390,11 +1405,11 @@ TEST_F(ControlPlaneFailover, SigkilledDaemonTriggersRestartAndAppFailover) {
 
   // Exact counter reconciliation across both layers.
   EXPECT_EQ(state_->invocations.load(), 2);
-  EXPECT_EQ(counter_value("engine.checkpoint.captured") - captured_before,
-            4u);
-  EXPECT_EQ(counter_value("engine.checkpoint.replayed") - replayed_before,
-            2u);
-  EXPECT_EQ(counter_value("submission.restarts") - restarts_before, 1u);
+  EXPECT_EQ(final_status.result.failures_recovered, 2u);
+  EXPECT_GE(final_status.result.reschedules, 1u);
+  EXPECT_EQ(counter_value("engine.retries") - retries_before, retries);
+  EXPECT_EQ(counter_value("engine.reschedules") - reschedules_before,
+            final_status.result.reschedules);
   EXPECT_EQ(counter_value("watchdog.site_down") - site_down_before, 1u);
   EXPECT_EQ(counter_value("watchdog.restarts") - wd_restarts_before, 1u);
 }
@@ -1402,15 +1417,15 @@ TEST_F(ControlPlaneFailover, SigkilledDaemonTriggersRestartAndAppFailover) {
 TEST_F(ControlPlaneFailover, SigkillVerdictAloneMovesTheAppOffTheDeadSite) {
   // Only the process dies: there is no virtual outage window, so the
   // testbed probe reads every host alive and the watchdog directory's
-  // verdict is the only thing that can move task c.  max_restarts = 0
-  // keeps that verdict standing through the replan (no reincarnation
-  // re-tracks the site).
+  // verdict is the only thing that can move task c.  The watchdog's
+  // max_restarts = 0 keeps that verdict standing through recovery (no
+  // reincarnation re-tracks the site).
   const std::uint64_t kSeed = 1234;
 
   std::map<TaskId, std::vector<std::byte>> reference;
   {
     state_->remaining_trips.store(0);
-    auto service = make_service(/*max_restarts=*/0, /*checkpointing=*/false);
+    auto service = make_service(/*max_attempts=*/1);
     const AppId app = service->submit(request_for(trip_pipeline(), kSeed));
     const auto status = service->wait(app);
     ASSERT_EQ(status.state, SubmissionState::kCompleted) << status.error;
@@ -1429,8 +1444,7 @@ TEST_F(ControlPlaneFailover, SigkillVerdictAloneMovesTheAppOffTheDeadSite) {
 
   state_->remaining_trips.store(1);
   state_->invocations.store(0);
-  auto service = make_service(/*max_restarts=*/2, /*checkpointing=*/true,
-                              /*paused=*/true);
+  auto service = make_service(/*max_attempts=*/3, /*paused=*/true);
   service->set_liveness(&watchdog.liveness());
   const AppId app = service->submit(request_for(trip_pipeline(), kSeed));
   const auto queued = service->status(app);
@@ -1454,8 +1468,12 @@ TEST_F(ControlPlaneFailover, SigkillVerdictAloneMovesTheAppOffTheDeadSite) {
   ASSERT_EQ(final_status.state, SubmissionState::kCompleted)
       << final_status.error;
   EXPECT_EQ(watchdog.site_liveness(doomed), SiteLiveness::kDead);
-  EXPECT_EQ(final_status.restarts, 1u);
   EXPECT_NE(final_status.allocation.entry(task_c).site, doomed);
+  EXPECT_GE(final_status.result.reschedules, 1u);
+  for (const auto& record : final_status.result.records) {
+    EXPECT_EQ(record.host,
+              final_status.allocation.entry(record.task).primary_host());
+  }
   EXPECT_EQ(state_->invocations.load(), 2);
 
   ASSERT_EQ(final_status.result.outputs.size(), reference.size());

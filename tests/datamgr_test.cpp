@@ -147,13 +147,17 @@ TEST(TcpChannel, OrderlyEofOnClose) {
 }
 
 TEST(TcpChannel, ConnectToDeadPortThrows) {
-  // Grab a port then close the listener so nothing is listening.
+  // Grab a port then close the listener so nothing is listening.  The
+  // refusal is final at once: nothing retries it.
   std::uint16_t port;
   {
     TcpListener listener;
     port = listener.port();
   }
+  const auto start = std::chrono::steady_clock::now();
   EXPECT_THROW((void)tcp_connect(port), TransportError);
+  EXPECT_LT(std::chrono::steady_clock::now() - start,
+            std::chrono::milliseconds(50));
 }
 
 TEST(TcpChannel, RejectsOversizedSend) {

@@ -501,6 +501,66 @@ TEST(EngineTraceTest, ChannelSetupSpansNameTheirAppOverTcp) {
   EXPECT_EQ(link_ends, 2 * g.link_count());  // both ends of every link
 }
 
+TEST(EngineTraceTest, RecoveryInstantsNameTheirApp) {
+  // A guard refusal re-places its stage in place.  The re_placed and
+  // retry_backoff instants must carry the app id, so a trace ties
+  // recovery to the submission that paid for it.
+  afg::FlowGraph g("traced-refusal");
+  const auto src = g.add_task("synth_source", "src");
+  const auto sink = g.add_task("synth_sink", "sink");
+  g.add_link(src, sink, 0.1);
+
+  sched::AllocationTable allocation("traced-refusal");
+  for (const auto& node : g.tasks()) {
+    sched::AllocationEntry entry;
+    entry.task = node.id;
+    entry.task_label = node.label;
+    entry.library_task = node.library_task;
+    entry.hosts = {HostId(1 + node.id.value())};
+    entry.site = SiteId(0);
+    allocation.add(entry);
+  }
+  const HostId victim = allocation.entry(src).primary_host();
+
+  std::atomic<bool> tripped{false};
+  FaultTolerance ft;
+  ft.host_alive = [&](HostId h) {
+    return !(h == victim && !tripped.exchange(true));
+  };
+  ft.reschedule = [](const afg::TaskNode& node, const std::vector<HostId>&)
+      -> std::optional<sched::AllocationEntry> {
+    sched::AllocationEntry e;
+    e.task = node.id;
+    e.task_label = node.label;
+    e.library_task = node.library_task;
+    e.hosts = {HostId(90 + node.id.value())};
+    e.site = SiteId(0);
+    return e;
+  };
+  ft.sleep = [](double) {};
+
+  EngineConfig config;
+  config.retry_backoff_s = 0.001;
+  TraceRecorder recorder;
+  TraceRecorder::install(&recorder);
+  const auto result = ExecutionEngine(tasklib::builtin_registry(), config)
+                          .execute(g, allocation, nullptr, nullptr, &ft,
+                                   AppId(77));
+  TraceRecorder::install(nullptr);
+
+  ASSERT_EQ(result.reschedules, 1u);
+  std::map<std::string, int> instants;
+  for (const auto& ev : recorder.snapshot()) {
+    if (ev.name != "re_placed" && ev.name != "retry_backoff") continue;
+    ++instants[ev.name];
+    std::map<std::string, std::string> args(ev.args.begin(), ev.args.end());
+    EXPECT_EQ(args["app"], std::to_string(result.app.value())) << ev.name;
+    EXPECT_EQ(args["task"], "src") << ev.name;
+  }
+  EXPECT_EQ(instants, (std::map<std::string, int>{{"re_placed", 1},
+                                                  {"retry_backoff", 1}}));
+}
+
 TEST(EngineTraceTest, StreamCrashEmitsOneSpanPerStagePerRound) {
   // Streams run on the same stage runner as batch runs, so they carry
   // the same per-attempt spans: one engine.task span per stage per
