@@ -28,6 +28,7 @@
 
 #include "bench/harness.hpp"
 #include "runtime/fair_share.hpp"
+#include "runtime/site_stack.hpp"
 #include "runtime/submission.hpp"
 
 namespace {
@@ -234,7 +235,7 @@ struct ServiceCell {
   return request;
 }
 
-ServiceCell run_service_cell(bench::Vdce& v, std::size_t backlog,
+ServiceCell run_service_cell(rt::LocalVdce& v, std::size_t backlog,
                              std::size_t timed_submits) {
   ServiceCell cell;
   cell.backlog = backlog;
@@ -244,7 +245,7 @@ ServiceCell run_service_cell(bench::Vdce& v, std::size_t backlog,
   config.slots = 2;
   config.start_paused = true;
   config.max_queue = backlog + timed_submits + 1;
-  rt::AppSubmissionService service(common::SiteId(0), v.repo_directory,
+  rt::AppSubmissionService service(common::SiteId(0), v.repository_directory,
                                    tasklib::builtin_registry(), config);
 
   // Build the backlog with batched bursts (also the burst-throughput
@@ -378,7 +379,7 @@ int run_json_sweep(const std::string& out_path, bool quick) {
               << c.speedup_p99 << "\n";
   }
 
-  auto v = bench::bring_up(netsim::make_campus_testbed(13), 0.0);
+  rt::LocalVdce v(netsim::make_campus_testbed(13));
   bench::header("backlog,submit_p50_us,submit_p99_us,batch_submits_per_s");
   std::vector<ServiceCell> service_cells;
   for (const std::size_t depth : depths) {

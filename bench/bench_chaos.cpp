@@ -28,6 +28,7 @@
 #include "common/error.hpp"
 #include "common/metrics.hpp"
 #include "netsim/chaos.hpp"
+#include "runtime/site_stack.hpp"
 #include "runtime/submission.hpp"
 #include "scheduler/qos.hpp"
 
@@ -118,7 +119,8 @@ CellResult run_cell(double intensity) {
   CellResult cell;
   cell.intensity = intensity;
 
-  auto v = bench::bring_up(netsim::make_campus_testbed(13));
+  rt::LocalVdce v(netsim::make_campus_testbed(13));
+  v.warm_up(10.0);
 
   // One seeded schedule per intensity, installed before any engine
   // thread exists (windows are inert until the atomic live clock enters
@@ -133,12 +135,12 @@ CellResult run_cell(double intensity) {
   chaos_config.max_site_outages = 1;
   chaos_config.max_gray_hosts = 2;
   const auto schedule =
-      netsim::ChaosSchedule::generate(*v.testbed, chaos_config);
-  schedule.apply(*v.testbed);
+      netsim::ChaosSchedule::generate(v.testbed, chaos_config);
+  schedule.apply(v.testbed);
   cell.chaos_events = schedule.events().size();
 
   auto chaos = std::make_shared<ChaosCoupling>();
-  chaos->crash_check = [&schedule, bed = v.testbed.get()] {
+  chaos->crash_check = [&schedule, bed = &v.testbed] {
     const double t = bed->live_time();
     for (const auto& event : schedule.events()) {
       if ((event.kind == netsim::ChaosEventKind::kHostCrash ||
@@ -155,9 +157,9 @@ CellResult run_cell(double intensity) {
   config.slots = 1;  // serial drain: each app sees one clock position
   config.engine.max_attempts = 4;
   config.engine.recv_timeout_s = 5.0;
-  rt::AppSubmissionService service(SiteId(0), v.repo_directory, registry,
-                                   config);
-  const auto probe = schedule.liveness_probe(*v.testbed, SiteId(0));
+  rt::AppSubmissionService service(SiteId(0), v.repository_directory,
+                                   registry, config);
+  const auto probe = schedule.liveness_probe(v.testbed, SiteId(0));
   service.set_fault_hooks(
       [&probe](const afg::FlowGraph&, const sched::AllocationTable&) {
         rt::FaultTolerance ft;
@@ -172,7 +174,7 @@ CellResult run_cell(double intensity) {
   // Step the live clock across the horizon: each submission lands at a
   // different point of the fault schedule.
   for (std::size_t i = 0; i < kApps; ++i) {
-    v.testbed->set_live_time(chaos_config.horizon_s *
+    v.testbed.set_live_time(chaos_config.horizon_s *
                              (static_cast<double>(i) + 0.5) /
                              static_cast<double>(kApps));
     chaos->trip_budget.store(1);  // at most one mid-task crash per app

@@ -10,6 +10,7 @@
 #include <optional>
 
 #include "bench/harness.hpp"
+#include "runtime/site_stack.hpp"
 #include "scheduler/site_scheduler.hpp"
 #include "sim/static_sim.hpp"
 #include "sim/workloads.hpp"
@@ -28,7 +29,8 @@ int main() {
   bench::banner("E11", "comparative visualization (hardware combinations)");
 
   const auto config = netsim::make_campus_testbed(kSeed);
-  auto v = bench::bring_up(config);
+  rt::LocalVdce v(config);
+  v.warm_up(10.0);
 
   viz::ComparativeViz by_hardware;
   const std::pair<const char*, std::optional<repo::ArchType>> combos[] = {
@@ -50,7 +52,7 @@ int main() {
     try {
       const auto allocation = scheduler.schedule(graph);
       netsim::VirtualTestbed universe(config);
-      sim::StaticSimulator sim(universe, v.repositories[0]->tasks());
+      sim::StaticSimulator sim(universe, v.sites[0].repository->tasks());
       by_hardware.add_run(label, sim.run(graph, allocation, kStart));
     } catch (const sched::SchedulingError& e) {
       std::cout << label << ": infeasible (" << e.what() << ")\n";
@@ -65,7 +67,7 @@ int main() {
     sched::SiteScheduler scheduler(common::SiteId(0), v.directory);
     const auto allocation = scheduler.schedule(graph);
     netsim::VirtualTestbed universe(config);
-    sim::StaticSimulator sim(universe, v.repositories[0]->tasks());
+    sim::StaticSimulator sim(universe, v.sites[0].repository->tasks());
     by_size.add_run("N=" + std::to_string(static_cast<int>(32 * scale)),
                     sim.run(graph, allocation, kStart));
   }
@@ -82,14 +84,14 @@ int main() {
     for (std::size_t i = 0; i < napps; ++i) {
       // Each app is scheduled from a different local site (wrapping).
       const auto local = common::SiteId(
-          static_cast<std::uint32_t>(i % v.testbed->sites().size()));
+          static_cast<std::uint32_t>(i % v.testbed.sites().size()));
       sched::SiteScheduler scheduler(local, v.directory);
       allocations.push_back(std::make_unique<sched::AllocationTable>(
           scheduler.schedule(graph)));
       jobs.push_back(sim::SimJob{&graph, allocations.back().get(), kStart});
     }
     netsim::VirtualTestbed universe(config);
-    sim::StaticSimulator sim(universe, v.repositories[0]->tasks());
+    sim::StaticSimulator sim(universe, v.sites[0].repository->tasks());
     const auto results = sim.run_many(jobs);
     double worst = 0.0;
     for (const auto& r : results) worst = std::max(worst, r.makespan_s);

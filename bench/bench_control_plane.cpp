@@ -1,13 +1,12 @@
 // bench_control_plane: the E20 question -- what does moving the
 // control plane out of the process cost per message?
 //
-// Times one control-plane interaction end-to-end through three paths:
+// Times one control-plane interaction end-to-end through two paths:
 //
-//   * loopback   -- wire::encode + synchronous decode/dispatch, the
-//                   in-process default every test runs through (D14).
-//   * channel    -- wire::encode + in-proc Data Manager channel send +
-//                   drain + dispatch (the daemon's transport, minus the
-//                   kernel socket).
+//   * loopback   -- one message through the Control Manager's own
+//                   path: wire::encode, synchronous decode, dispatch
+//                   and count (D14), as every in-process deployment
+//                   runs it.
 //   * daemon_rpc -- a full DaemonClient::tick round trip to a real
 //                   vdce_site_daemon process over loopback TCP.
 //
@@ -34,55 +33,22 @@
 #include <cstdint>
 #include <fstream>
 #include <iostream>
-#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "common/ids.hpp"
 #include "daemon/client.hpp"
-#include "datamgr/channel.hpp"
 #include "netsim/chaos.hpp"
 #include "netsim/testbed.hpp"
-#include "predict/forecaster.hpp"
-#include "repository/repository.hpp"
-#include "runtime/control_manager.hpp"
-#include "runtime/control_transport.hpp"
 #include "runtime/liveness.hpp"
-#include "runtime/site_manager.hpp"
+#include "runtime/site_stack.hpp"
 #include "runtime/watchdog.hpp"
-#include "runtime/wire.hpp"
 #include "sim/workloads.hpp"
-#include "tasklib/registry.hpp"
 
 namespace {
 
 using vdce::common::SiteId;
-
-/// One site's in-process control stack from a seed (the same recipe
-/// the daemon rebuilds on its side, so both ends agree by
-/// construction).
-struct Stack {
-  std::unique_ptr<vdce::netsim::VirtualTestbed> testbed;
-  std::unique_ptr<vdce::repo::SiteRepository> repository;
-  std::unique_ptr<vdce::predict::LoadForecaster> forecaster;
-  std::unique_ptr<vdce::rt::SiteManager> manager;
-  std::unique_ptr<vdce::rt::ControlManager> control;
-
-  explicit Stack(std::uint64_t seed, SiteId site = SiteId(0)) {
-    testbed = std::make_unique<vdce::netsim::VirtualTestbed>(
-        vdce::netsim::make_campus_testbed(seed));
-    repository = std::make_unique<vdce::repo::SiteRepository>(site);
-    vdce::tasklib::builtin_registry().install_defaults(repository->tasks());
-    testbed->populate_repository(*repository, site);
-    repository->users().add_user("hpdc", "nynet", 1, "wan");
-    forecaster = std::make_unique<vdce::predict::LoadForecaster>();
-    manager = std::make_unique<vdce::rt::SiteManager>(site, *repository,
-                                                      *forecaster);
-    control =
-        std::make_unique<vdce::rt::ControlManager>(*testbed, site, *manager);
-  }
-};
 
 struct Latency {
   double mean_us = 0.0;
@@ -327,29 +293,25 @@ int main(int argc, char** argv) {
   const std::size_t sel_iters = quick ? 20 : 100;
   constexpr std::uint64_t kSeed = 13;
 
-  // A representative control message: one CI-filtered workload update.
-  const vdce::rt::WorkloadUpdate update{vdce::common::HostId(3), 1.0, 0.42,
-                                        512.0};
+  // Site 0's stack, built as the daemon builds its own, so both ends
+  // agree by construction.
+  vdce::netsim::VirtualTestbed testbed(
+      vdce::netsim::make_campus_testbed(kSeed));
+  const vdce::rt::SiteStack local =
+      vdce::rt::build_site_stack(testbed, SiteId(0));
 
-  // Path 1: loopback -- encode, decode, dispatch, synchronously.
-  Stack loopback_stack(kSeed);
-  vdce::rt::SiteManagerSink loopback_sink(*loopback_stack.manager);
-  vdce::rt::LoopbackControlTransport loopback(loopback_sink);
+  // Path 1: loopback -- a load-threshold reschedule request through the
+  // Control Manager's own path (encode, decode, dispatch, count).  No
+  // host is marked down, so every iteration does the same work.
+  vdce::rt::RescheduleRequest request;
+  request.host = vdce::common::HostId(3);
+  request.when = 1.0;
+  request.observed_load = 0.42;
   const Latency loopback_lat = time_loop(msg_iters, [&](std::size_t) {
-    loopback.publish(vdce::rt::wire::encode(update));
+    local.control->report_task_failure(request);
   });
 
-  // Path 2: in-proc channel -- encode, channel send, drain, dispatch.
-  Stack channel_stack(kSeed);
-  vdce::rt::SiteManagerSink channel_sink(*channel_stack.manager);
-  auto pair = vdce::dm::make_inproc_pair();
-  vdce::rt::ChannelControlTransport channel(*pair.sender);
-  const Latency channel_lat = time_loop(msg_iters, [&](std::size_t) {
-    channel.publish(vdce::rt::wire::encode(update));
-    vdce::rt::drain_control_channel(*pair.receiver, channel_sink, 1);
-  });
-
-  // Path 3: the real thing -- a tick RPC to a vdce_site_daemon
+  // Path 2: the real thing -- a tick RPC to a vdce_site_daemon
   // process (encode, TCP, daemon decode + dispatch, Ack back).
   vdce::rt::WatchdogConfig config;
   config.daemon_path = VDCE_SITE_DAEMON_PATH;
@@ -366,7 +328,6 @@ int main(int argc, char** argv) {
   // Host Selection: the scheduler-visible unit of control-plane work,
   // local call vs. remote RPC (ships the AFG as text both ways).
   const auto graph = vdce::sim::make_linear_solver_graph();
-  Stack local(kSeed);
   const Latency local_sel = time_loop(sel_iters, [&](std::size_t) {
     (void)local.manager->host_selection_request(graph);
   });
@@ -376,7 +337,6 @@ int main(int argc, char** argv) {
 
   std::cout << "op,path,iters,mean_us,median_us,p99_us\n";
   print_row("control_message", "loopback", msg_iters, loopback_lat);
-  print_row("control_message", "channel", msg_iters, channel_lat);
   print_row("control_message", "daemon_rpc", rpc_iters, rpc_lat);
   print_row("host_selection", "in_process", sel_iters, local_sel);
   print_row("host_selection", "daemon_rpc", sel_iters, remote_sel);
@@ -389,7 +349,6 @@ int main(int argc, char** argv) {
     }
     out << "{\n  \"experiment\": \"E20\",\n  \"rows\": [\n"
         << json_entry("control_message", "loopback", loopback_lat) << ",\n"
-        << json_entry("control_message", "channel", channel_lat) << ",\n"
         << json_entry("control_message", "daemon_rpc", rpc_lat) << ",\n"
         << json_entry("host_selection", "in_process", local_sel) << ",\n"
         << json_entry("host_selection", "daemon_rpc", remote_sel) << "\n"

@@ -14,8 +14,10 @@
 //     (via global operator new interposition), and p99
 //     producer-to-consumer frame latency.  Then one link_lifecycle row
 //     per transport: links per second and process CPU per link for
-//     register, connect, one 4 KiB P4 frame and both closes.  Written
-//     to BENCH_datamgr.json by default; cited by EXPERIMENTS.md E19 and
+//     register, connect, one 4 KiB P4 frame and both closes.  Every
+//     cell and row runs kSweepRuns times, interleaved, and each figure
+//     is reported as its median and quartiles.  Written to
+//     BENCH_datamgr.json by default; cited by EXPERIMENTS.md E19 and
 //     run as the datamgr-perf-smoke CI job.
 #include <benchmark/benchmark.h>
 
@@ -37,6 +39,7 @@
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
+#include "common/stats.hpp"
 #include "datamgr/broker.hpp"
 #include "datamgr/event_loop.hpp"
 #include "datamgr/frame.hpp"
@@ -308,6 +311,30 @@ BENCHMARK(BM_DataConversionTracks)->Arg(16)->Arg(256);
 
 // ------------------------------------------------------ D13 json sweep
 
+/// How many times the sweep runs every cell and lifecycle row.  One
+/// 4 KiB TCP cell is a ~20 ms transfer that lands near one of two
+/// rates from run to run, so a single run cannot show a 10% change.
+constexpr std::size_t kSweepRuns = 15;
+
+/// Median and quartiles of one figure over the sweep's runs.
+struct Spread {
+  double p25 = 0.0;
+  double median = 0.0;
+  double p75 = 0.0;
+};
+
+Spread spread_of(const std::vector<double>& samples) {
+  return Spread{common::percentile(samples, 25.0),
+                common::percentile(samples, 50.0),
+                common::percentile(samples, 75.0)};
+}
+
+std::string json_spread(const Spread& s) {
+  return "{\"p25\": " + std::to_string(s.p25) +
+         ", \"median\": " + std::to_string(s.median) +
+         ", \"p75\": " + std::to_string(s.p75) + "}";
+}
+
 struct CellResult {
   std::string transport;
   std::size_t size_bytes = 0;
@@ -316,6 +343,17 @@ struct CellResult {
   double throughput_mb_s = 0.0;
   double allocs_per_frame = 0.0;
   double p99_latency_us = 0.0;
+};
+
+/// One sweep cell's runs, summarised.
+struct CellSpread {
+  std::string transport;
+  std::size_t size_bytes = 0;
+  std::string path;
+  std::size_t frames = 0;
+  Spread throughput_mb_s;
+  Spread allocs_per_frame;
+  Spread p99_latency_us;
 };
 
 /// One producer -> consumer P4 pipeline cell over the pooled zero-copy
@@ -432,24 +470,26 @@ LifecycleResult run_lifecycle(TransportKind kind, std::size_t links) {
   return r;
 }
 
-std::string json_cell(const CellResult& c) {
+std::string json_cell(const CellSpread& c) {
   std::string out = "    {";
   out += "\"transport\": \"" + c.transport + "\", ";
   out += "\"size_bytes\": " + std::to_string(c.size_bytes) + ", ";
   out += "\"path\": \"" + c.path + "\", ";
   out += "\"frames\": " + std::to_string(c.frames) + ", ";
-  out += "\"throughput_mb_s\": " + std::to_string(c.throughput_mb_s) + ", ";
-  out += "\"allocs_per_frame\": " + std::to_string(c.allocs_per_frame) + ", ";
-  out += "\"p99_latency_us\": " + std::to_string(c.p99_latency_us);
+  out += "\"runs\": " + std::to_string(kSweepRuns) + ", ";
+  out += "\"throughput_mb_s\": " + json_spread(c.throughput_mb_s) + ", ";
+  out += "\"allocs_per_frame\": " + json_spread(c.allocs_per_frame) + ", ";
+  out += "\"p99_latency_us\": " + json_spread(c.p99_latency_us);
   out += "}";
   return out;
 }
 
-const CellResult& find_cell(const std::vector<CellResult>& cells,
+const CellSpread& find_cell(const std::vector<CellSpread>& cells,
                             const std::string& transport, std::size_t size,
                             const std::string& path) {
   for (const auto& c : cells) {
-    if (c.transport == transport && c.size_bytes == size && c.path == path) {
+    if (c.transport == transport && c.size_bytes == size &&
+        c.path == path) {
       return c;
     }
   }
@@ -464,55 +504,112 @@ int run_json_sweep(const std::string& out_path, bool quick) {
       quick ? (std::size_t{32} << 20) : (std::size_t{256} << 20);
   const std::size_t smallest = sizes.front();
 
-  std::vector<CellResult> cells;
-  for (const auto kind :
-       {TransportKind::kInProcess, TransportKind::kTcp}) {
+  const std::vector<TransportKind> kinds = {TransportKind::kInProcess,
+                                            TransportKind::kTcp};
+  // The cells in report order.  The batching toggle only reaches the
+  // event loop, so in-process cells run in one mode; TCP cells run
+  // before/after.
+  struct CellSpec {
+    TransportKind kind;
+    std::size_t size;
+    bool batched;
+  };
+  std::vector<CellSpec> specs;
+  for (const TransportKind kind : kinds) {
     for (const std::size_t size : sizes) {
+      if (kind == TransportKind::kTcp) specs.push_back({kind, size, false});
+      specs.push_back({kind, size, true});
+    }
+  }
+
+  // Runs are the outer loop, so drift over the sweep's lifetime spreads
+  // over every cell instead of landing on the last ones.
+  std::vector<std::vector<CellResult>> cell_runs(specs.size());
+  std::vector<std::vector<LifecycleResult>> lifecycle_runs(kinds.size());
+  for (std::size_t run = 0; run < kSweepRuns; ++run) {
+    for (std::size_t i = 0; i < specs.size(); ++i) {
       const std::size_t frames =
-          std::clamp<std::size_t>(target_bytes / size, 32, 4096);
-      // The batching toggle only reaches the event loop, so in-process
-      // cells run once; TCP cells run before/after.
-      const std::vector<bool> modes = kind == TransportKind::kInProcess
-                                          ? std::vector<bool>{true}
-                                          : std::vector<bool>{false, true};
-      for (const bool batched : modes) {
-        cells.push_back(run_cell(kind, size, batched, frames));
-        const auto& c = cells.back();
-        std::cout << c.transport << " " << c.size_bytes << "B " << c.path
-                  << ": " << c.throughput_mb_s << " MB/s, "
-                  << c.allocs_per_frame << " allocs/frame, p99 "
-                  << c.p99_latency_us << " us\n";
-      }
+          std::clamp<std::size_t>(target_bytes / specs[i].size, 32, 4096);
+      cell_runs[i].push_back(
+          run_cell(specs[i].kind, specs[i].size, specs[i].batched, frames));
+    }
+    for (std::size_t k = 0; k < kinds.size(); ++k) {
+      lifecycle_runs[k].push_back(
+          run_lifecycle(kinds[k], quick ? 2000 : 10000));
     }
   }
   dm::TcpEventLoop::set_batch_publish(true);
 
+  std::vector<CellSpread> cells;
+  for (const auto& runs : cell_runs) {
+    std::vector<double> throughput, allocs, p99;
+    for (const CellResult& r : runs) {
+      throughput.push_back(r.throughput_mb_s);
+      allocs.push_back(r.allocs_per_frame);
+      p99.push_back(r.p99_latency_us);
+    }
+    const CellResult& first = runs.front();
+    const CellSpread& c = cells.emplace_back(CellSpread{
+        first.transport, first.size_bytes, first.path, first.frames,
+        spread_of(throughput), spread_of(allocs), spread_of(p99)});
+    std::cout << c.transport << " " << c.size_bytes << "B "
+              << c.path << ": " << c.throughput_mb_s.median
+              << " MB/s [" << c.throughput_mb_s.p25 << ", "
+              << c.throughput_mb_s.p75 << "], "
+              << c.allocs_per_frame.median << " allocs/frame, p99 "
+              << c.p99_latency_us.median << " us ["
+              << c.p99_latency_us.p25 << ", " << c.p99_latency_us.p75
+              << "]\n";
+  }
+
   // Headline ratios at the smallest frame size (the numbers
-  // EXPERIMENTS.md E19 cites): tiny frames are where the per-frame
-  // lock + notify handoff dominated, so that cell shows the batching
-  // win; large frames are loopback-bandwidth-bound either way.
+  // EXPERIMENTS.md E19 cites), from the medians: tiny frames are where
+  // the per-frame lock + notify handoff dominated, so that cell shows
+  // the batching win; large frames are loopback-bandwidth-bound either
+  // way.
   const auto& before = find_cell(cells, "tcp", smallest, "per_frame_notify");
   const auto& after = find_cell(cells, "tcp", smallest, "batched_notify");
   const double small_frame_speedup =
-      after.throughput_mb_s / std::max(before.throughput_mb_s, 1e-9);
+      after.throughput_mb_s.median /
+      std::max(before.throughput_mb_s.median, 1e-9);
   const double small_frame_p99_improvement =
-      before.p99_latency_us / std::max(after.p99_latency_us, 1e-9);
+      before.p99_latency_us.median /
+      std::max(after.p99_latency_us.median, 1e-9);
+  // Resolved only when the two interquartile ranges do not overlap.
+  const bool small_frame_resolved =
+      before.throughput_mb_s.p75 < after.throughput_mb_s.p25 ||
+      after.throughput_mb_s.p75 < before.throughput_mb_s.p25;
   // Regression guard: the zero-copy path must stay allocation-lean (a
   // PR reintroducing per-hop copies shows up as this figure jumping).
   double max_allocs_per_frame = 0.0;
   for (const auto& c : cells) {
     if (c.path != "per_frame_notify") {
-      max_allocs_per_frame = std::max(max_allocs_per_frame,
-                                      c.allocs_per_frame);
+      max_allocs_per_frame =
+          std::max(max_allocs_per_frame, c.allocs_per_frame.median);
     }
   }
 
-  std::vector<LifecycleResult> lifecycles;
-  for (const auto kind : {TransportKind::kInProcess, TransportKind::kTcp}) {
-    lifecycles.push_back(run_lifecycle(kind, quick ? 2000 : 10000));
-    const auto& l = lifecycles.back();
-    std::cout << l.transport << " link lifecycle: " << l.links_per_s
-              << " links/s, " << l.cpu_us_per_link << " us CPU per link\n";
+  std::vector<std::string> lifecycle_rows;
+  for (const auto& runs : lifecycle_runs) {
+    std::vector<double> rate, cpu;
+    for (const LifecycleResult& r : runs) {
+      rate.push_back(r.links_per_s);
+      cpu.push_back(r.cpu_us_per_link);
+    }
+    const Spread links_per_s = spread_of(rate);
+    const Spread cpu_us_per_link = spread_of(cpu);
+    const LifecycleResult& l = runs.front();
+    std::cout << l.transport << " link lifecycle: " << links_per_s.median
+              << " links/s [" << links_per_s.p25 << ", " << links_per_s.p75
+              << "], " << cpu_us_per_link.median << " us CPU per link ["
+              << cpu_us_per_link.p25 << ", " << cpu_us_per_link.p75
+              << "]\n";
+    lifecycle_rows.push_back(
+        "    {\"transport\": \"" + l.transport +
+        "\", \"links\": " + std::to_string(l.links) +
+        ", \"runs\": " + std::to_string(kSweepRuns) +
+        ", \"links_per_s\": " + json_spread(links_per_s) +
+        ", \"cpu_us_per_link\": " + json_spread(cpu_us_per_link) + "}");
   }
 
   std::ofstream out(out_path);
@@ -528,26 +625,26 @@ int run_json_sweep(const std::string& out_path, bool quick) {
   }
   out << "  ],\n";
   out << "  \"link_lifecycle\": [\n";
-  for (std::size_t i = 0; i < lifecycles.size(); ++i) {
-    const auto& l = lifecycles[i];
-    out << "    {\"transport\": \"" << l.transport
-        << "\", \"links\": " << l.links
-        << ", \"links_per_s\": " << std::to_string(l.links_per_s)
-        << ", \"cpu_us_per_link\": " << std::to_string(l.cpu_us_per_link)
-        << "}" << (i + 1 < lifecycles.size() ? ",\n" : "\n");
+  for (std::size_t i = 0; i < lifecycle_rows.size(); ++i) {
+    out << lifecycle_rows[i]
+        << (i + 1 < lifecycle_rows.size() ? ",\n" : "\n");
   }
   out << "  ],\n";
   out << "  \"summary\": {\n";
   out << "    \"smallest_frame_bytes\": " << smallest << ",\n";
   out << "    \"tcp_small_frame_batching_speedup\": " << small_frame_speedup
       << ",\n";
+  out << "    \"tcp_small_frame_batching_resolved\": "
+      << (small_frame_resolved ? "true" : "false") << ",\n";
   out << "    \"tcp_small_frame_p99_improvement\": "
       << small_frame_p99_improvement << ",\n";
   out << "    \"max_allocs_per_frame\": " << max_allocs_per_frame << "\n";
   out << "  }\n}\n";
   std::cout << "wrote " << out_path << " (" << smallest
-            << "B tcp frames: " << small_frame_speedup
-            << "x throughput, " << small_frame_p99_improvement
+            << "B tcp frames, medians of " << kSweepRuns
+            << " runs: " << small_frame_speedup << "x throughput"
+            << (small_frame_resolved ? "" : " (quartiles overlap)") << ", "
+            << small_frame_p99_improvement
             << "x lower p99 with batched publication)\n";
   return 0;
 }

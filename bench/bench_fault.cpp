@@ -16,6 +16,7 @@
 #include <set>
 
 #include "bench/harness.hpp"
+#include "runtime/site_stack.hpp"
 #include "runtime/engine.hpp"
 #include "scheduler/site_scheduler.hpp"
 
@@ -66,7 +67,8 @@ void dead_host_sweep() {
     std::size_t recovered = 0;
     std::size_t reschedules = 0;
     for (int rep = 0; rep < kReps; ++rep) {
-      auto v = bench::bring_up(netsim::make_campus_testbed(13));
+      rt::LocalVdce v(netsim::make_campus_testbed(13));
+      v.warm_up(10.0);
       const auto graph = pair_graph();
       // Queue-aware so the 12 pipelines spread over distinct hosts and
       // each dead host hits a bounded slice of the application.
@@ -77,20 +79,18 @@ void dead_host_sweep() {
       const auto primaries = distinct_primaries(allocation);
       for (int k = 0; k < dead && k < static_cast<int>(primaries.size());
            ++k) {
-        v.testbed->fail_host(primaries[k], 50.0, 1e6);
+        v.testbed.fail_host(primaries[k], 50.0, 1e6);
       }
-      v.testbed->set_live_time(60.0);
+      v.testbed.set_live_time(60.0);
 
       rt::FaultTolerance ft;
-      ft.host_alive = v.testbed->liveness_probe();
+      ft.host_alive = v.testbed.liveness_probe();
       ft.reschedule = [&](const afg::TaskNode& node,
                           const std::vector<HostId>& excluded) {
         return scheduler.reschedule(graph, allocation, node.id, excluded);
       };
       ft.on_failure = [&](const rt::RescheduleRequest& request) {
-        for (auto& cm : v.control_managers) {
-          cm->report_task_failure(request);
-        }
+        for (auto& site : v.sites) site.control->report_task_failure(request);
       };
 
       rt::ExecutionEngine engine(tasklib::builtin_registry());

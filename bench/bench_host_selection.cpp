@@ -8,6 +8,7 @@
 #include <iostream>
 
 #include "bench/harness.hpp"
+#include "runtime/site_stack.hpp"
 #include "scheduler/eligibility.hpp"
 #include "scheduler/host_selection.hpp"
 #include "sim/workloads.hpp"
@@ -41,11 +42,12 @@ int main() {
     params.max_load = max_load;
     const auto config =
         netsim::make_random_testbed(params, 4242);
-    auto v = bench::bring_up(config);
+    rt::LocalVdce v(config);
+    v.warm_up(10.0);
 
-    const auto& repository = *v.repositories[0];
+    const auto& repository = *v.sites[0].repository;
     const predict::PerformancePredictor predictor(repository,
-                                                  v.forecasters[0].get());
+                                                  v.sites[0].forecaster.get());
 
     double predicted_total = 0.0, blind_total = 0.0, oracle_total = 0.0;
     double predicted_regret = 0.0, blind_regret = 0.0;

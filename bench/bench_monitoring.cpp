@@ -9,6 +9,7 @@
 #include <iostream>
 
 #include "bench/harness.hpp"
+#include "runtime/site_stack.hpp"
 
 namespace {
 
@@ -24,25 +25,24 @@ void traffic_experiment() {
     config.ci_filter = ci_z > 0.0;
     config.ci_z = ci_z > 0.0 ? ci_z : 1.96;
 
-    auto v = bench::bring_up(netsim::make_campus_testbed(33),
-                             /*warm_up_s=*/0.0, config);
+    rt::LocalVdce v(netsim::make_campus_testbed(33), config);
     // Run the control plane for 300 simulated seconds.
     v.warm_up(300.0);
 
     std::size_t reports = 0, forwarded = 0;
-    for (const auto& cm : v.control_managers) {
-      reports += cm->stats().reports_received;
-      forwarded += cm->stats().updates_forwarded;
+    for (const auto& site : v.sites) {
+      reports += site.control->stats().reports_received;
+      forwarded += site.control->stats().updates_forwarded;
     }
 
     // Staleness: |repo view - truth| across hosts at the end.
     double staleness = 0.0;
     std::size_t n = 0;
-    for (std::size_t s = 0; s < v.repositories.size(); ++s) {
+    for (std::size_t s = 0; s < v.sites.size(); ++s) {
       const auto site = common::SiteId(static_cast<std::uint32_t>(s));
       for (const auto& rec :
-           v.repositories[s]->resources().hosts_in_site(site)) {
-        const double truth = v.testbed->true_load(rec.host, 300.0);
+           v.sites[s].repository->resources().hosts_in_site(site)) {
+        const double truth = v.testbed.true_load(rec.host, 300.0);
         staleness += std::abs(rec.dynamic_attrs.cpu_load - truth);
         ++n;
       }
@@ -72,21 +72,19 @@ void failure_detection_experiment() {
     int detected = 0;
     constexpr int kTrials = 6;
     for (int trial = 0; trial < kTrials; ++trial) {
-      auto v = bench::bring_up(netsim::make_campus_testbed(100 + trial),
-                               /*warm_up_s=*/0.0, config,
-                               /*monitor_period_s=*/1.0);
+      rt::LocalVdce v(netsim::make_campus_testbed(100 + trial), config);
       // Fail one host at a pseudo-random time in (20, 30).
-      const auto hosts = v.testbed->all_hosts();
+      const auto hosts = v.testbed.all_hosts();
       const auto victim = hosts[trial % hosts.size()];
       const double fail_at = 20.0 + 10.0 * trial / kTrials;
-      v.testbed->fail_host(victim, fail_at, 1e6);
+      v.testbed.fail_host(victim, fail_at, 1e6);
 
       // Tick with a fine step so detection times are sharp.
-      const auto site = v.testbed->site_of(victim);
-      auto& repository = *v.repositories[site.value()];
+      const auto site = v.testbed.site_of(victim);
+      auto& repository = *v.sites[site.value()].repository;
       double detected_at = -1.0;
       for (double t = 0.25; t <= 60.0; t += 0.25) {
-        for (auto& cm : v.control_managers) cm->tick(t);
+        v.tick(t);
         if (detected_at < 0.0 &&
             !repository.resources().get(victim).dynamic_attrs.alive) {
           detected_at = t;

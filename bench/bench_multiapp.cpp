@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "bench/harness.hpp"
+#include "runtime/site_stack.hpp"
 #include "runtime/submission.hpp"
 #include "scheduler/qos.hpp"
 #include "scheduler/site_scheduler.hpp"
@@ -77,7 +78,8 @@ void throughput_sweep() {
   // scheduler jitter (the single-run walls are milliseconds).
   constexpr std::size_t kApps = 64;
   constexpr int kReps = 3;
-  auto v = bench::bring_up(netsim::make_campus_testbed(13));
+  rt::LocalVdce v(netsim::make_campus_testbed(13));
+  v.warm_up(10.0);
   const auto registry = stalled_registry();
   double baseline = 0.0;
   for (const std::size_t slots : {1u, 2u, 4u, 8u, 16u, 32u, 64u}) {
@@ -88,7 +90,7 @@ void throughput_sweep() {
       config.slots = slots;
       config.max_queue = kApps;
       config.start_paused = true;  // measure the drain, not the submits
-      rt::AppSubmissionService service(SiteId(0), v.repo_directory,
+      rt::AppSubmissionService service(SiteId(0), v.repository_directory,
                                        registry, config);
       std::vector<common::AppId> apps;
       for (std::size_t i = 0; i < kApps; ++i) {
@@ -131,12 +133,13 @@ void admission_pressure_sweep() {
   bench::header(
       "deadline_x_idle,admitted,rejected,completed,hit_rate");
 
-  auto v = bench::bring_up(netsim::make_campus_testbed(13));
+  rt::LocalVdce v(netsim::make_campus_testbed(13));
+  v.warm_up(10.0);
   const auto graph = pipeline_graph("probe");
-  sched::SiteScheduler scheduler(SiteId(0), v.repo_directory);
+  sched::SiteScheduler scheduler(SiteId(0), v.repository_directory);
   const auto allocation = scheduler.schedule(graph);
   const double idle_estimate =
-      sched::predicted_makespan(graph, allocation, v.repo_directory);
+      sched::predicted_makespan(graph, allocation, v.repository_directory);
 
   constexpr std::size_t kBurst = 16;
   for (const double multiplier : {1.2, 2.0, 4.0, 8.0, 1e6}) {
@@ -144,7 +147,7 @@ void admission_pressure_sweep() {
     config.slots = 4;
     config.max_queue = kBurst;
     config.start_paused = true;  // the whole burst lands before any run
-    rt::AppSubmissionService service(SiteId(0), v.repo_directory,
+    rt::AppSubmissionService service(SiteId(0), v.repository_directory,
                                      tasklib::builtin_registry(), config);
     std::vector<common::AppId> apps;
     for (std::size_t i = 0; i < kBurst; ++i) {

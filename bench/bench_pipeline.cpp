@@ -28,6 +28,7 @@
 #include "editor/editor.hpp"
 #include "runtime/checkpoint.hpp"
 #include "runtime/engine.hpp"
+#include "runtime/site_stack.hpp"
 #include "runtime/streaming.hpp"
 #include "scheduler/site_scheduler.hpp"
 #include "sim/workloads.hpp"
@@ -45,7 +46,8 @@ using common::TaskId;
 
 int run_f2() {
   bench::banner("F2", "module interaction pipeline (paper Figure 2)");
-  auto v = bench::bring_up(netsim::make_campus_testbed(17));
+  rt::LocalVdce v(netsim::make_campus_testbed(17));
+  v.warm_up(10.0);
 
   // Application Editor phase.
   const auto graph = sim::make_linear_solver_graph();
@@ -54,7 +56,7 @@ int run_f2() {
             << " links\n";
 
   // Application Scheduler phase (local site + k nearest).
-  sched::SiteScheduler scheduler(v.site_managers[0]->site(), v.directory);
+  sched::SiteScheduler scheduler(v.sites[0].manager->site(), v.directory);
   const auto allocation = scheduler.schedule(graph);
   std::cout << "scheduler: consulted " << scheduler.consulted_sites().size()
             << " sites, produced " << allocation.size()
@@ -67,8 +69,8 @@ int run_f2() {
 
   // Allocation distribution (Site Manager -> Group Managers -> ACs).
   std::size_t distributed = 0;
-  for (auto& sm : v.site_managers) {
-    distributed += sm->distribute_allocation(allocation).size();
+  for (auto& site : v.sites) {
+    distributed += site.manager->distribute_allocation(allocation).size();
   }
   std::cout << "site managers: delivered portions to " << distributed
             << " application controllers\n";
@@ -76,21 +78,21 @@ int run_f2() {
   // Runtime phase.
   rt::ExecutionEngine engine(tasklib::builtin_registry());
   const auto result =
-      engine.execute(graph, allocation, v.site_managers[0].get());
+      engine.execute(graph, allocation, v.sites[0].manager.get());
   std::cout << "runtime: executed " << result.records.size()
             << " tasks, makespan " << result.makespan_s << "s\n";
 
   // Feedback: measured times recorded.
   std::cout << "repository: task_times_recorded="
-            << v.site_managers[0]->stats().task_times_recorded << "\n";
+            << v.sites[0].manager->stats().task_times_recorded << "\n";
 
   bench::header("\nhop,messages");
   std::cout << "afg_multicast," << v.directory.stats().afg_multicasts << "\n"
             << "allocation_portions," << distributed << "\n"
             << "task_time_feedback,"
-            << v.site_managers[0]->stats().task_times_recorded << "\n"
+            << v.sites[0].manager->stats().task_times_recorded << "\n"
             << "monitoring_updates,"
-            << v.site_managers[0]->stats().workload_updates << "\n";
+            << v.sites[0].manager->stats().workload_updates << "\n";
   std::cout << "\nshape check: every Figure 2 arrow exercised "
                "(editor->scheduler->runtime->repository).\n";
   return 0;

@@ -8,7 +8,9 @@
 #include <iostream>
 
 #include "bench/harness.hpp"
+#include "runtime/site_stack.hpp"
 #include "predict/predictor.hpp"
+#include "tasklib/registry.hpp"
 
 namespace {
 
@@ -17,7 +19,7 @@ using namespace vdce;
 constexpr double kEvalTime = 60.0;
 
 /// Mean |predicted - actual| / actual over every (task, host) pair.
-double mean_relative_error(bench::Vdce& v,
+double mean_relative_error(rt::LocalVdce& v,
                            const predict::PerformancePredictor& predictor,
                            const netsim::TestbedConfig& config) {
   double err = 0.0;
@@ -25,12 +27,12 @@ double mean_relative_error(bench::Vdce& v,
   for (const auto& task :
        {"lu_decomposition", "matrix_inversion", "fft_forward",
         "track_filter", "synth_compute", "convolve"}) {
-    for (const auto host : v.testbed->all_hosts()) {
-      if (!v.repositories[0]->constraints().can_run(task, host)) continue;
+    for (const auto host : v.testbed.all_hosts()) {
+      if (!v.sites[0].repository->constraints().can_run(task, host)) continue;
       const double predicted = predictor.predict(task, 1.0, host);
       netsim::VirtualTestbed universe(config);
       const double actual = universe.execution_time_at(
-          v.repositories[0]->tasks().get(task), 1.0, host, kEvalTime);
+          v.sites[0].repository->tasks().get(task), 1.0, host, kEvalTime);
       err += std::abs(predicted - actual) / actual;
       ++n;
     }
@@ -52,29 +54,30 @@ int main() {
 
   {
     // Full model: trial-run weights + monitored load forecast.
-    auto v = bench::bring_up(config, /*warm_up_s=*/kEvalTime);
-    predict::PerformancePredictor p(*v.repositories[0],
-                                    v.forecasters[0].get());
+    rt::LocalVdce v(config);
+    v.warm_up(kEvalTime);
+    predict::PerformancePredictor p(*v.sites[0].repository,
+                                    v.sites[0].forecaster.get());
     std::cout << "weights+forecast," << std::fixed << std::setprecision(3)
               << mean_relative_error(v, p, config) << "\n";
   }
   {
     // No monitoring: repository loads stay at their t=0 defaults.
-    auto v = bench::bring_up(config, /*warm_up_s=*/0.0);
-    predict::PerformancePredictor p(*v.repositories[0]);
+    rt::LocalVdce v(config);
+    predict::PerformancePredictor p(*v.sites[0].repository);
     std::cout << "weights,stale_load," << std::fixed << std::setprecision(3)
               << mean_relative_error(v, p, config) << "\n";
   }
   {
     // No weights either: strip every trial-run weight (weight = 1).
-    auto v = bench::bring_up(config, /*warm_up_s=*/0.0);
+    rt::LocalVdce v(config);
     auto blank = std::make_unique<repo::SiteRepository>(common::SiteId(0));
     tasklib::builtin_registry().install_defaults(blank->tasks());
     // Copy host records but not weights.
-    for (const auto& rec : v.repositories[0]->resources().all_hosts()) {
+    for (const auto& rec : v.sites[0].repository->resources().all_hosts()) {
       blank->resources().restore(rec);
     }
-    for (const auto& c : v.repositories[0]->constraints().all()) {
+    for (const auto& c : v.sites[0].repository->constraints().all()) {
       blank->constraints().set_location(c.task_name, c.host,
                                         c.executable_path);
     }
@@ -99,20 +102,20 @@ int main() {
           std::pair{"ewma",
                     common::ForecastMethod::kExponentialSmoothing}}) {
       for (const std::size_t window : {2u, 8u, 32u}) {
-        auto v = bench::bring_up(config, /*warm_up_s=*/0.0);
+        rt::LocalVdce v(config);
         predict::LoadForecaster forecaster(window, method);
         common::Rng noise_rng(777);
         // Feed the forecaster one measurement per second up to the
         // evaluation time; its sliding window keeps the newest `window`.
         for (double t = 1.0; t <= kEvalTime; t += 1.0) {
-          for (const auto host : v.testbed->all_hosts()) {
-            const double measured = v.testbed->measure_load(host, t);
+          for (const auto host : v.testbed.all_hosts()) {
+            const double measured = v.testbed.measure_load(host, t);
             const double jitter =
                 std::max(0.0, 1.0 + extra_noise * noise_rng.normal());
             forecaster.observe(host, measured * jitter);
           }
         }
-        predict::PerformancePredictor p(*v.repositories[0], &forecaster);
+        predict::PerformancePredictor p(*v.sites[0].repository, &forecaster);
         std::cout << extra_noise << "," << name << "," << window << ","
                   << std::fixed << std::setprecision(3)
                   << mean_relative_error(v, p, config) << "\n";

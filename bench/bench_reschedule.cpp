@@ -9,7 +9,9 @@
 #include <map>
 
 #include "bench/harness.hpp"
+#include "runtime/site_stack.hpp"
 #include "scheduler/site_scheduler.hpp"
+#include "sim/dynamic_sim.hpp"
 #include "sim/workloads.hpp"
 
 namespace {
@@ -60,18 +62,18 @@ common::HostId busiest_host(const sched::AllocationTable& allocation) {
 /// the busiest allocated host.
 sim::SimResult run_with_spike(const afg::FlowGraph& graph,
                               double threshold, int trial) {
-  auto v = bench::bring_up(config());
+  rt::LocalVdce v(config());
+  v.warm_up(10.0);
   sched::SiteScheduler scheduler(common::SiteId(0), v.directory,
                                  {.k_nearest = 1});
   const auto allocation = scheduler.schedule(graph);
   const auto victim = busiest_host(allocation);
-  v.testbed->add_load_spike(victim, {kStart, 400.0, 10.0});
+  v.testbed.add_load_spike(victim, {kStart, 400.0, 10.0});
   (void)trial;
 
   sim::DynamicSimConfig dyn;
   dyn.load_threshold = threshold;
-  sim::DynamicSimulator simulator(*v.testbed, v.repositories[0]->tasks(),
-                                  v.runtimes, dyn);
+  sim::DynamicSimulator simulator(v, v.sites[0].repository->tasks(), dyn);
   return simulator.run(graph, allocation, kStart);
 }
 
@@ -107,16 +109,16 @@ void failure_experiment() {
 
   for (const auto& [label, kill] :
        {std::pair{"no_failure", false}, std::pair{"kill_busiest", true}}) {
-    auto v = bench::bring_up(config());
+    rt::LocalVdce v(config());
+    v.warm_up(10.0);
     const auto graph = workload(99);
     sched::SiteScheduler scheduler(common::SiteId(0), v.directory,
                                    {.k_nearest = 1});
     const auto allocation = scheduler.schedule(graph);
     if (kill) {
-      v.testbed->fail_host(busiest_host(allocation), kStart + 0.5, 1e6);
+      v.testbed.fail_host(busiest_host(allocation), kStart + 0.5, 1e6);
     }
-    sim::DynamicSimulator simulator(*v.testbed, v.repositories[0]->tasks(),
-                                    v.runtimes);
+    sim::DynamicSimulator simulator(v, v.sites[0].repository->tasks());
     const auto result = simulator.run(graph, allocation, kStart);
     std::cout << label << "," << std::fixed << std::setprecision(3)
               << result.makespan_s << "," << result.reschedules << ","

@@ -10,6 +10,7 @@
 #include <string>
 
 #include "bench/harness.hpp"
+#include "runtime/site_stack.hpp"
 #include "common/trace.hpp"
 #include "runtime/messages.hpp"
 #include "scheduler/site_scheduler.hpp"
@@ -24,7 +25,8 @@ void BM_ScheduleVsGraphSize(benchmark::State& state) {
   params.num_sites = 4;
   params.groups_per_site = 2;
   params.hosts_per_group = 4;
-  auto v = bench::bring_up(netsim::make_random_testbed(params, 11));
+  rt::LocalVdce v(netsim::make_random_testbed(params, 11));
+  v.warm_up(10.0);
 
   common::Rng rng(1);
   sim::SyntheticGraphParams gp;
@@ -47,8 +49,9 @@ void BM_ScheduleVsHostCount(benchmark::State& state) {
   params.num_sites = 2;
   params.groups_per_site = 2;
   params.hosts_per_group = static_cast<std::size_t>(state.range(0));
-  auto v = bench::bring_up(netsim::make_random_testbed(params, 12));
-  state.SetLabel(std::to_string(v.testbed->host_count()) + " hosts");
+  rt::LocalVdce v(netsim::make_random_testbed(params, 12));
+  v.warm_up(10.0);
+  state.SetLabel(std::to_string(v.testbed.host_count()) + " hosts");
 
   common::Rng rng(2);
   sim::SyntheticGraphParams gp;
@@ -74,7 +77,8 @@ void BM_ScheduleVsSitesConsulted(benchmark::State& state) {
   params.num_sites = 8;
   params.groups_per_site = 2;
   params.hosts_per_group = 3;
-  auto v = bench::bring_up(netsim::make_random_testbed(params, 13));
+  rt::LocalVdce v(netsim::make_random_testbed(params, 13));
+  v.warm_up(10.0);
 
   common::Rng rng(3);
   sim::SyntheticGraphParams gp;
@@ -108,7 +112,8 @@ void BM_HostSelectionOnly(benchmark::State& state) {
   params.num_sites = 1;
   params.groups_per_site = 2;
   params.hosts_per_group = static_cast<std::size_t>(state.range(0));
-  auto v = bench::bring_up(netsim::make_random_testbed(params, 14));
+  rt::LocalVdce v(netsim::make_random_testbed(params, 14));
+  v.warm_up(10.0);
 
   common::Rng rng(4);
   sim::SyntheticGraphParams gp;
@@ -122,7 +127,7 @@ void BM_HostSelectionOnly(benchmark::State& state) {
     benchmark::DoNotOptimize(
         v.directory.host_selection(common::SiteId(0), graph, threads));
   }
-  state.SetLabel(std::to_string(v.testbed->host_count()) + " hosts, " +
+  state.SetLabel(std::to_string(v.testbed.host_count()) + " hosts, " +
                  std::to_string(threads) + " threads");
 }
 BENCHMARK(BM_HostSelectionOnly)
@@ -142,7 +147,8 @@ void BM_ScheduleCacheChurn(benchmark::State& state) {
   params.num_sites = 4;
   params.groups_per_site = 2;
   params.hosts_per_group = 4;
-  auto v = bench::bring_up(netsim::make_random_testbed(params, 15));
+  rt::LocalVdce v(netsim::make_random_testbed(params, 15));
+  v.warm_up(10.0);
 
   common::Rng rng(5);
   sim::SyntheticGraphParams gp;
@@ -153,7 +159,7 @@ void BM_ScheduleCacheChurn(benchmark::State& state) {
 
   const auto updates = static_cast<std::size_t>(state.range(0));
   const auto local_hosts =
-      v.repositories[0]->resources().hosts_in_site(common::SiteId(0));
+      v.sites[0].repository->resources().hosts_in_site(common::SiteId(0));
 
   sched::SiteScheduler scheduler(common::SiteId(0), v.directory,
                                  {.k_nearest = 3, .threads = 4});
@@ -166,14 +172,14 @@ void BM_ScheduleCacheChurn(benchmark::State& state) {
       update.available_memory_mb =
           local_hosts[i].static_attrs.total_memory_mb;
       update.when = (t += 1.0);
-      v.site_managers[0]->handle_workload(update);
+      v.sites[0].manager->handle_workload(update);
     }
     benchmark::DoNotOptimize(scheduler.schedule(graph));
   }
 
   predict::PredictionCacheStats totals;
-  for (const auto& sm : v.site_managers) {
-    const auto s = sm->prediction_cache().stats();
+  for (const auto& site : v.sites) {
+    const auto s = site.manager->prediction_cache().stats();
     totals.lookups += s.lookups;
     totals.hits += s.hits;
     totals.invalidations += s.invalidations;

@@ -15,6 +15,7 @@
 #include <map>
 
 #include "bench/harness.hpp"
+#include "runtime/site_stack.hpp"
 #include "scheduler/baselines.hpp"
 #include "scheduler/site_scheduler.hpp"
 #include "sim/static_sim.hpp"
@@ -44,7 +45,7 @@ double replay(const afg::FlowGraph& graph,
   return sim.run(graph, allocation, kStart).makespan_s;
 }
 
-void policy_comparison(bench::Vdce& v) {
+void policy_comparison(rt::LocalVdce& v) {
   bench::banner("F4a", "schedule length: VDCE vs baselines");
   bench::header("family,policy,mean_makespan_s,vs_vdce");
 
@@ -68,15 +69,15 @@ void policy_comparison(bench::Vdce& v) {
                                       {.k_nearest = 3});
       sched::SiteScheduler vdce_qa(common::SiteId(0), v.directory,
                                    {.k_nearest = 3, .queue_aware = true});
-      sched::RandomScheduler random_sched(*v.repositories[0],
+      sched::RandomScheduler random_sched(*v.sites[0].repository,
                                           9000 + trial);
-      sched::RoundRobinScheduler rr_sched(*v.repositories[0]);
-      sched::MinMinScheduler minmin(*v.repositories[0], false);
-      sched::MinMinScheduler maxmin(*v.repositories[0], true);
-      sched::LocalOnlyScheduler local(*v.repositories[0],
+      sched::RoundRobinScheduler rr_sched(*v.sites[0].repository);
+      sched::MinMinScheduler minmin(*v.sites[0].repository, false);
+      sched::MinMinScheduler maxmin(*v.sites[0].repository, true);
+      sched::LocalOnlyScheduler local(*v.sites[0].repository,
                                       common::SiteId(0));
 
-      const auto& task_db = v.repositories[0]->tasks();
+      const auto& task_db = v.sites[0].repository->tasks();
       totals["1_vdce"] += replay(graph, vdce_sched.schedule(graph), task_db);
       totals["1b_vdce_qa"] += replay(graph, vdce_qa.schedule(graph), task_db);
       totals["2_minmin"] += replay(graph, minmin.schedule(graph), task_db);
@@ -102,7 +103,7 @@ void policy_comparison(bench::Vdce& v) {
                "ties every family, including against min-min.\n";
 }
 
-void k_sweep(bench::Vdce& v) {
+void k_sweep(rt::LocalVdce& v) {
   bench::banner("F4b", "k-nearest-site sweep (D3)");
   bench::header("k,consulted_sites,mean_makespan_s,sites_used");
 
@@ -123,7 +124,7 @@ void k_sweep(bench::Vdce& v) {
       const auto allocation = scheduler.schedule(graph);
       consulted = scheduler.consulted_sites().size();
       sites_used += allocation.sites_involved().size();
-      total += replay(graph, allocation, v.repositories[0]->tasks());
+      total += replay(graph, allocation, v.sites[0].repository->tasks());
     }
     std::cout << k << "," << consulted << "," << std::fixed
               << std::setprecision(3) << total / kTrials << ","
@@ -134,7 +135,7 @@ void k_sweep(bench::Vdce& v) {
                "— more sites, better machines, bigger search space.\n";
 }
 
-void priority_ablation(bench::Vdce& v) {
+void priority_ablation(rt::LocalVdce& v) {
   bench::banner("F4c", "priority policy ablation (D2)");
   bench::header("priority,mean_makespan_s");
 
@@ -160,7 +161,7 @@ void priority_ablation(bench::Vdce& v) {
       sched::SiteScheduler scheduler(common::SiteId(0), v.directory,
                                      config);
       total += replay(graph, scheduler.schedule(graph),
-                      v.repositories[0]->tasks());
+                      v.sites[0].repository->tasks());
     }
     std::cout << name << "," << std::fixed << std::setprecision(3)
               << total / kTrials << "\n";
@@ -169,7 +170,7 @@ void priority_ablation(bench::Vdce& v) {
                "arbitrary orders on average.\n";
 }
 
-void transfer_ablation(bench::Vdce& v) {
+void transfer_ablation(rt::LocalVdce& v) {
   bench::banner("F4d", "transfer-aware site choice ablation (D4)");
   bench::header("link_mb,mode,mean_makespan_s,mean_sites_used");
 
@@ -194,7 +195,7 @@ void transfer_ablation(bench::Vdce& v) {
         const auto allocation = scheduler.schedule(graph);
         sites_used += static_cast<double>(
             allocation.sites_involved().size());
-        total += replay(graph, allocation, v.repositories[0]->tasks());
+        total += replay(graph, allocation, v.sites[0].repository->tasks());
       }
       std::cout << link_mb << "," << (aware ? "aware" : "blind") << ","
                 << std::fixed << std::setprecision(3) << total / kTrials
@@ -210,7 +211,8 @@ void transfer_ablation(bench::Vdce& v) {
 }  // namespace
 
 int main() {
-  auto v = bench::bring_up(testbed_config());
+  rt::LocalVdce v(testbed_config());
+  v.warm_up(10.0);
   policy_comparison(v);
   k_sweep(v);
   priority_ablation(v);

@@ -8,6 +8,7 @@
 #include <iostream>
 
 #include "bench/harness.hpp"
+#include "runtime/site_stack.hpp"
 
 int main() {
   using namespace vdce;
@@ -25,27 +26,27 @@ int main() {
     params.hosts_per_group = 4;
 
     const auto t0 = Clock::now();
-    auto v = bench::bring_up(netsim::make_random_testbed(params, 99),
-                             /*warm_up_s=*/10.0);
+    rt::LocalVdce v(netsim::make_random_testbed(params, 99));
+    v.warm_up(10.0);
     const double ms =
         std::chrono::duration<double, std::milli>(Clock::now() - t0).count();
 
     // Every host's dynamic attributes were refreshed by its own site's
     // monitoring chain (each Site Manager maintains its own repository).
     std::size_t monitored = 0;
-    for (std::size_t s = 0; s < v.repositories.size(); ++s) {
-      for (const auto& rec : v.repositories[s]->resources().hosts_in_site(
+    for (std::size_t s = 0; s < v.sites.size(); ++s) {
+      for (const auto& rec : v.sites[s].repository->resources().hosts_in_site(
                common::SiteId(static_cast<std::uint32_t>(s)))) {
         if (rec.dynamic_attrs.last_update > 0.0) ++monitored;
       }
     }
     std::size_t wan_links = 0;
-    for (const auto a : v.testbed->sites()) {
-      for (const auto b : v.testbed->sites()) {
-        if (a < b && v.testbed->wan_link(a, b)) ++wan_links;
+    for (const auto a : v.testbed.sites()) {
+      for (const auto b : v.testbed.sites()) {
+        if (a < b && v.testbed.wan_link(a, b)) ++wan_links;
       }
     }
-    std::cout << sites << ",2,4," << v.testbed->host_count() << "," << ms
+    std::cout << sites << ",2,4," << v.testbed.host_count() << "," << ms
               << "," << monitored << "," << wan_links << "\n";
   }
 

@@ -11,8 +11,8 @@
 #include <thread>
 
 #include "common/log.hpp"
-#include "examples/example_common.hpp"
 #include "runtime/engine.hpp"
+#include "runtime/site_stack.hpp"
 #include "scheduler/site_scheduler.hpp"
 #include "sim/workloads.hpp"
 #include "viz/gantt.hpp"
@@ -20,7 +20,8 @@
 int main() {
   using namespace vdce;
 
-  auto vdce = examples::bring_up(netsim::make_campus_testbed(/*seed=*/11));
+  rt::LocalVdce vdce(netsim::make_campus_testbed(/*seed=*/11));
+  vdce.warm_up(10.0);
   const auto& registry = tasklib::builtin_registry();
 
   // The pipeline, at 2x scenario scale (32 sensor scans).
@@ -28,12 +29,12 @@ int main() {
   std::cout << "application '" << graph.name() << "' ("
             << graph.task_count() << " stages)\n";
 
-  sched::SiteScheduler scheduler(vdce.site_managers[0]->site(),
+  sched::SiteScheduler scheduler(vdce.sites[0].manager->site(),
                                  vdce.directory);
   const auto allocation = scheduler.schedule(graph);
   for (const auto& row : allocation.rows()) {
     std::cout << "  " << row.task_label << " -> "
-              << vdce.testbed->host_spec(row.primary_host()).name << "\n";
+              << vdce.testbed.host_spec(row.primary_host()).name << "\n";
   }
 
   // Console service: suspend before starting, resume from a "console"
@@ -48,7 +49,7 @@ int main() {
 
   rt::ExecutionEngine engine(registry);
   const auto result = engine.execute(graph, allocation,
-                                     vdce.site_managers[0].get(), &console);
+                                     vdce.sites[0].manager.get(), &console);
 
   std::cout << "\n" << viz::render_run_table(result);
 

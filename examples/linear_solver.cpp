@@ -10,8 +10,8 @@
 
 #include "common/log.hpp"
 #include "editor/editor.hpp"
-#include "examples/example_common.hpp"
 #include "runtime/engine.hpp"
+#include "runtime/site_stack.hpp"
 #include "scheduler/site_scheduler.hpp"
 #include "sim/static_sim.hpp"
 #include "sim/workloads.hpp"
@@ -21,7 +21,8 @@
 int main() {
   using namespace vdce;
 
-  auto vdce = examples::bring_up(netsim::make_campus_testbed(/*seed=*/7));
+  rt::LocalVdce vdce(netsim::make_campus_testbed(/*seed=*/7));
+  vdce.warm_up(10.0);
   const auto& registry = tasklib::builtin_registry();
 
   // ---- browse the task library menus -------------------------------
@@ -85,7 +86,7 @@ int main() {
   ed.set_mode(editor::EditorMode::kRun);
   const afg::FlowGraph graph = ed.submit();
 
-  sched::SiteScheduler scheduler(vdce.site_managers[0]->site(),
+  sched::SiteScheduler scheduler(vdce.sites[0].manager->site(),
                                  vdce.directory);
   const auto allocation = scheduler.schedule(graph);
   std::cout << "\nLU assigned to " << allocation.entry(lu).hosts.size()
@@ -98,7 +99,7 @@ int main() {
   config.library = dm::MpLibrary::kPvm;  // exercise the PVM facade
   rt::ExecutionEngine engine(registry, config);
   const auto result = engine.execute(graph, allocation,
-                                     vdce.site_managers[0].get());
+                                     vdce.sites[0].manager.get());
   std::cout << "\nexecution over TCP sockets with the PVM facade:\n"
             << viz::render_run_table(result);
   std::cout << "residual = " << result.outputs.at(res).as_scalar() << "\n";
@@ -106,10 +107,11 @@ int main() {
   // ---- comparative visualization: problem-size scaling ---------------
   viz::ComparativeViz comparison;
   for (const double scale : {0.5, 1.0, 2.0}) {
-    auto universe = examples::bring_up(netsim::make_campus_testbed(7), 10.0);
-    sim::StaticSimulator sims(*universe.testbed,
-                              universe.repositories[0]->tasks());
-    sched::SiteScheduler sched_u(universe.site_managers[0]->site(),
+    rt::LocalVdce universe(netsim::make_campus_testbed(7));
+    universe.warm_up(10.0);
+    sim::StaticSimulator sims(universe.testbed,
+                              universe.sites[0].repository->tasks());
+    sched::SiteScheduler sched_u(universe.sites[0].manager->site(),
                                  universe.directory);
     const auto g = sim::make_linear_solver_graph(scale);
     const auto alloc = sched_u.schedule(g);

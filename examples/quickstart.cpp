@@ -14,8 +14,8 @@
 #include "common/metrics.hpp"
 #include "common/trace.hpp"
 #include "editor/editor.hpp"
-#include "examples/example_common.hpp"
 #include "runtime/engine.hpp"
+#include "runtime/site_stack.hpp"
 #include "scheduler/site_scheduler.hpp"
 #include "sim/workloads.hpp"
 #include "viz/gantt.hpp"
@@ -30,12 +30,13 @@ int main() {
   common::TraceSession trace_session;
 
   // 1. Bring up the environment.
-  auto vdce = examples::bring_up(netsim::make_campus_testbed(/*seed=*/42));
-  std::cout << "VDCE up: " << vdce.testbed->host_count() << " hosts across "
-            << vdce.testbed->sites().size() << " sites\n";
+  rt::LocalVdce vdce(netsim::make_campus_testbed(/*seed=*/42));
+  vdce.warm_up(10.0);
+  std::cout << "VDCE up: " << vdce.testbed.host_count() << " hosts across "
+            << vdce.testbed.sites().size() << " sites\n";
 
   // 2. Authenticate (the Site Manager's servlet login).
-  const auto account = vdce.site_managers[0]->login("hpdc", "nynet");
+  const auto account = vdce.sites[0].manager->login("hpdc", "nynet");
   std::cout << "logged in as " << account.user_name << " (priority "
             << account.priority << ", domain " << account.access_domain
             << ")\n";
@@ -50,7 +51,7 @@ int main() {
 
   // 4. Schedule: the local site's Application Scheduler consults its
   //    k nearest neighbours and assigns every task.
-  sched::SiteScheduler scheduler(vdce.site_managers[0]->site(),
+  sched::SiteScheduler scheduler(vdce.sites[0].manager->site(),
                                  vdce.directory);
   const sched::AllocationTable allocation = scheduler.schedule(graph);
   std::cout << "\nresource allocation table:\n";
@@ -63,7 +64,7 @@ int main() {
   // 5. Execute with the real-threaded runtime (Figure 7 protocol).
   rt::ExecutionEngine engine(tasklib::builtin_registry());
   const rt::RunResult result =
-      engine.execute(graph, allocation, vdce.site_managers[0].get());
+      engine.execute(graph, allocation, vdce.sites[0].manager.get());
 
   std::cout << "\n" << viz::render_run_table(result);
 

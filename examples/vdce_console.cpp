@@ -30,8 +30,8 @@
 #include "common/log.hpp"
 #include "common/strings.hpp"
 #include "editor/editor.hpp"
-#include "examples/example_common.hpp"
 #include "runtime/engine.hpp"
+#include "runtime/site_stack.hpp"
 #include "scheduler/qos.hpp"
 #include "scheduler/site_scheduler.hpp"
 #include "viz/gantt.hpp"
@@ -41,7 +41,7 @@ namespace {
 using namespace vdce;
 
 struct ConsoleState {
-  examples::Vdce vdce;
+  rt::LocalVdce vdce{netsim::make_campus_testbed(3)};
   std::optional<editor::ApplicationEditor> editor;
   std::optional<afg::FlowGraph> submitted;
   std::optional<sched::AllocationTable> allocation;
@@ -133,7 +133,7 @@ bool handle(ConsoleState& state, const std::string& line) {
                  " schedule run show save load dot status quit\n";
   } else if (cmd == "login") {
     if (args.size() != 3) throw common::ParseError("login <user> <pw>");
-    const auto acct = state.vdce.site_managers[0]->login(args[1], args[2]);
+    const auto acct = state.vdce.sites[0].manager->login(args[1], args[2]);
     state.authenticated = true;
     std::cout << "welcome " << acct.user_name << " (domain "
               << acct.access_domain << ")\n";
@@ -193,12 +193,12 @@ bool handle(ConsoleState& state, const std::string& line) {
         config.k_nearest = common::parse_uint(args[i], "k");
       }
     }
-    sched::SiteScheduler scheduler(state.vdce.site_managers[0]->site(),
+    sched::SiteScheduler scheduler(state.vdce.sites[0].manager->site(),
                                    state.vdce.directory, config);
     state.allocation = scheduler.schedule(*state.submitted);
     for (const auto& row : state.allocation->rows()) {
       std::cout << "  " << row.task_label << " -> "
-                << state.vdce.testbed->host_spec(row.primary_host()).name
+                << state.vdce.testbed.host_spec(row.primary_host()).name
                 << " (predicted " << row.predicted_s << "s)\n";
     }
   } else if (cmd == "qos") {
@@ -218,7 +218,7 @@ bool handle(ConsoleState& state, const std::string& line) {
     }
     rt::ExecutionEngine engine(registry);
     state.last_run = engine.execute(*state.submitted, *state.allocation,
-                                    state.vdce.site_managers[0].get());
+                                    state.vdce.sites[0].manager.get());
     std::cout << viz::render_run_table(*state.last_run);
   } else if (cmd == "show") {
     if (args.size() != 2) throw common::ParseError("show <label>");
@@ -280,8 +280,8 @@ quit
 int main() {
   std::cout << "VDCE console (type 'help'; demo script runs when no input"
                " is piped)\n";
-  ConsoleState state{examples::bring_up(netsim::make_campus_testbed(3)),
-                     {}, {}, {}, {}, false};
+  ConsoleState state;
+  state.vdce.warm_up(10.0);
 
   std::istringstream demo(kDemoScript);
   std::istream& in = std::cin.peek() == EOF

@@ -8,7 +8,7 @@
 #include <iostream>
 
 #include "common/log.hpp"
-#include "examples/example_common.hpp"
+#include "runtime/site_stack.hpp"
 #include "scheduler/site_scheduler.hpp"
 #include "sim/dynamic_sim.hpp"
 #include "sim/workloads.hpp"
@@ -23,10 +23,10 @@ int main() {
   params.num_sites = 6;
   params.groups_per_site = 2;
   params.hosts_per_group = 4;
-  auto vdce = examples::bring_up(
-      netsim::make_random_testbed(params, /*seed=*/2026), /*warm_up_s=*/20.0);
-  std::cout << "testbed: " << vdce.testbed->host_count() << " hosts, "
-            << vdce.testbed->sites().size() << " sites\n";
+  rt::LocalVdce vdce(netsim::make_random_testbed(params, /*seed=*/2026));
+  vdce.warm_up(20.0);
+  std::cout << "testbed: " << vdce.testbed.host_count() << " hosts, "
+            << vdce.testbed.sites().size() << " sites\n";
 
   // A 6-layer x 6-wide application.
   common::Rng rng(99);
@@ -41,7 +41,7 @@ int main() {
   // Schedule from site 0 with k=3 neighbour sites.
   sched::SiteSchedulerConfig sched_config;
   sched_config.k_nearest = 3;
-  sched::SiteScheduler scheduler(vdce.site_managers[0]->site(),
+  sched::SiteScheduler scheduler(vdce.sites[0].manager->site(),
                                  vdce.directory, sched_config);
   const auto allocation = scheduler.schedule(graph);
   std::cout << "scheduler consulted " << scheduler.consulted_sites().size()
@@ -52,24 +52,18 @@ int main() {
   // Trouble ahead: kill the busiest assigned host mid-run and spike
   // another.
   const auto hosts = allocation.hosts_involved();
-  vdce.testbed->fail_host(hosts.front(), /*start=*/25.0, /*length=*/60.0);
+  vdce.testbed.fail_host(hosts.front(), /*start=*/25.0, /*length=*/60.0);
   if (hosts.size() > 1) {
-    vdce.testbed->add_load_spike(hosts[1], {25.0, 40.0, 8.0});
+    vdce.testbed.add_load_spike(hosts[1], {25.0, 40.0, 8.0});
   }
   std::cout << "injected: host " << hosts.front().value()
             << " crashes at t=25s; host " << hosts[1].value()
             << " gets a +8.0 load spike\n\n";
 
   // Dynamic simulation with the Application Controller guard armed.
-  std::vector<sim::SiteRuntime> runtimes;
-  for (std::size_t i = 0; i < vdce.site_managers.size(); ++i) {
-    runtimes.push_back(sim::SiteRuntime{vdce.site_managers[i].get(),
-                                        vdce.control_managers[i].get()});
-  }
   sim::DynamicSimConfig dyn;
   dyn.load_threshold = 4.0;
-  sim::DynamicSimulator simulator(*vdce.testbed,
-                                  vdce.repositories[0]->tasks(), runtimes,
+  sim::DynamicSimulator simulator(vdce, vdce.sites[0].repository->tasks(),
                                   dyn);
 
   viz::WorkloadRecorder recorder;
@@ -82,7 +76,7 @@ int main() {
 
   // Workload visualization from the repository's monitored view.
   for (double t = 20.0; t <= 80.0; t += 4.0) {
-    recorder.snapshot(*vdce.repositories[0], t);
+    recorder.snapshot(*vdce.sites[0].repository, t);
   }
   std::cout << "monitored workload (site 0 repository view):\n"
             << recorder.render();

@@ -22,22 +22,8 @@ double SiteDaemon::now_s() {
 
 SiteDaemon::SiteDaemon(SiteDaemonConfig config)
     : config_(std::move(config)),
-      testbed_(netsim::make_campus_testbed(config_.seed)) {
-  // Mirror the in-process per-site wiring exactly (the integration
-  // fixture's recipe): same repository contents, same forecaster, same
-  // Group Manager layout -- determinism depends on it.
-  for (const auto& name : tasklib::builtin_registry().all_tasks()) {
-    registry_.add(tasklib::builtin_registry().get(name));
-  }
-  repository_ = std::make_unique<repo::SiteRepository>(config_.site);
-  registry_.install_defaults(repository_->tasks());
-  testbed_.populate_repository(*repository_, config_.site);
-  repository_->users().add_user("hpdc", "nynet", 1, "wan");
-  forecaster_ = std::make_unique<predict::LoadForecaster>();
-  manager_ = std::make_unique<rt::SiteManager>(config_.site, *repository_,
-                                               *forecaster_);
-  control_ = std::make_unique<rt::ControlManager>(testbed_, config_.site,
-                                                  *manager_);
+      testbed_(netsim::make_campus_testbed(config_.seed)),
+      stack_(rt::build_site_stack(testbed_, config_.site)) {
   if (!config_.partition_spec.empty()) {
     partitions_ =
         netsim::ChaosSchedule::from_partition_spec(config_.partition_spec);
@@ -307,7 +293,7 @@ bool SiteDaemon::session(dm::TcpChannel& channel) {
       switch (wire::peek_type(*frame)) {
         case wire::MsgType::kTickRequest: {
           const wire::TickRequest req = wire::decode_tick_request(*frame);
-          control_->tick(req.now);
+          stack_.control->tick(req.now);
           reply = wire::encode(wire::Ack{});
           break;
         }
@@ -317,7 +303,7 @@ bool SiteDaemon::session(dm::TcpChannel& channel) {
           const afg::FlowGraph graph = afg::from_text(req.graph_text);
           wire::HostSelectionResponse resp;
           resp.selection =
-              manager_->host_selection_request(graph, req.threads);
+              stack_.manager->host_selection_request(graph, req.threads);
           reply = wire::encode(resp);
           break;
         }
@@ -333,19 +319,20 @@ bool SiteDaemon::session(dm::TcpChannel& channel) {
           node.props.mode = req.parallel ? afg::ComputeMode::kParallel
                                          : afg::ComputeMode::kSequential;
           wire::ReselectionResponse resp;
-          resp.selection = manager_->reschedule_request(node, req.excluded);
+          resp.selection =
+              stack_.manager->reschedule_request(node, req.excluded);
           reply = wire::encode(resp);
           break;
         }
         case wire::MsgType::kRecordTaskTime: {
           const wire::RecordTaskTime req =
               wire::decode_record_task_time(*frame);
-          manager_->record_task_time(req.library_task, req.elapsed_s);
+          stack_.manager->record_task_time(req.library_task, req.elapsed_s);
           reply = wire::encode(wire::Ack{});
           break;
         }
         case wire::MsgType::kRescheduleRequest: {
-          control_->report_task_failure(
+          stack_.control->report_task_failure(
               wire::decode_reschedule_request(*frame));
           reply = wire::encode(wire::Ack{});
           break;

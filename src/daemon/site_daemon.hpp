@@ -3,10 +3,11 @@
 //
 // "At each site, the VDCE Server runs the server software, called site
 //  manager" (Section 2) -- and a server is a PROCESS, not an object in
-// the coordinator's address space.  `vdce_site_daemon` hosts exactly
-// the per-site stack the in-process wiring builds (SiteRepository +
-// LoadForecaster + SiteManager + ControlManager with its Group
-// Managers and Monitors) and speaks the wire.hpp protocol:
+// the coordinator's address space.  `vdce_site_daemon` hosts the
+// per-site stack rt::build_site_stack builds for every in-process
+// deployment too (SiteRepository + LoadForecaster + SiteManager +
+// ControlManager with its Group Managers and Monitors) and speaks the
+// wire.hpp protocol:
 //
 //   * an RPC listener on a kernel-assigned port serves one coordinator
 //     connection at a time (tick / host-selection / reselection /
@@ -31,8 +32,9 @@
 // origins -- the network is simulated, the processes are real.
 //
 // Determinism: the daemon rebuilds its testbed from (preset seed)
-// alone, and the coordinator drives Control Manager ticks explicitly
-// over RPC, so a daemon-mode deployment reproduces the in-process
+// alone and its stack with rt::build_site_stack, as in-process runs
+// do, and the coordinator drives Control Manager ticks explicitly over
+// RPC, so a daemon-mode deployment reproduces the in-process
 // repository state tick for tick; the gossip layer never touches the
 // scheduling stack.
 #pragma once
@@ -49,13 +51,9 @@
 #include "datamgr/tcp.hpp"
 #include "netsim/chaos.hpp"
 #include "netsim/testbed.hpp"
-#include "predict/forecaster.hpp"
-#include "repository/repository.hpp"
-#include "runtime/control_manager.hpp"
 #include "runtime/liveness.hpp"
-#include "runtime/site_manager.hpp"
+#include "runtime/site_stack.hpp"
 #include "runtime/wire.hpp"
-#include "tasklib/registry.hpp"
 
 namespace vdce::daemon {
 
@@ -97,8 +95,6 @@ class SiteDaemon {
   [[nodiscard]] std::uint16_t gossip_port() const {
     return config_.gossip ? gossip_listener_.port() : 0;
   }
-  [[nodiscard]] rt::SiteManager& manager() { return *manager_; }
-  [[nodiscard]] rt::ControlManager& control() { return *control_; }
 
   /// Serves coordinator connections until a shutdown RPC arrives (or
   /// the heartbeat link dies).  Returns the process exit code.
@@ -143,11 +139,7 @@ class SiteDaemon {
 
   SiteDaemonConfig config_;
   netsim::VirtualTestbed testbed_;
-  tasklib::TaskRegistry registry_;
-  std::unique_ptr<repo::SiteRepository> repository_;
-  std::unique_ptr<predict::LoadForecaster> forecaster_;
-  std::unique_ptr<rt::SiteManager> manager_;
-  std::unique_ptr<rt::ControlManager> control_;
+  rt::SiteStack stack_;
   netsim::ChaosSchedule partitions_;
   dm::TcpListener listener_;
   dm::TcpListener gossip_listener_;

@@ -1,47 +1,69 @@
 #include "runtime/control_manager.hpp"
 
+#include <string>
+
 #include "common/error.hpp"
 #include "common/metrics.hpp"
 #include "runtime/wire.hpp"
 
 namespace vdce::rt {
 
-ControlManager::ControlManager(netsim::VirtualTestbed& testbed, SiteId site,
-                               SiteManager& site_manager,
-                               Duration monitor_period_s,
-                               GroupManagerConfig group_config)
-    : site_manager_(&site_manager),
-      transport_(std::make_unique<LoopbackControlTransport>(
-          static_cast<ControlSink&>(*this))) {
-  for (const GroupId group : testbed.groups_in_site(site)) {
-    group_managers_.emplace_back(testbed, group, monitor_period_s,
-                                 group_config);
+void dispatch_control_frame(std::span<const std::byte> frame,
+                            ControlSink& sink) {
+  switch (wire::peek_type(frame)) {
+    case wire::MsgType::kMonitorReport: {
+      // Monitor reports reaching a sink are treated as workload
+      // updates (a site with no CI filter forwards raw reports).
+      const MonitorReport report = wire::decode_monitor_report(frame);
+      sink.on_workload(WorkloadUpdate{report.host, report.when,
+                                      report.cpu_load,
+                                      report.available_memory_mb});
+      return;
+    }
+    case wire::MsgType::kWorkloadUpdate:
+      sink.on_workload(wire::decode_workload_update(frame));
+      return;
+    case wire::MsgType::kLivenessChange:
+      sink.on_liveness(wire::decode_liveness_change(frame));
+      return;
+    case wire::MsgType::kNetworkMeasurement:
+      sink.on_network(wire::decode_network_measurement(frame));
+      return;
+    case wire::MsgType::kRescheduleRequest:
+      sink.on_reschedule(wire::decode_reschedule_request(frame));
+      return;
+    default:
+      throw common::ParseError(
+          std::string("unexpected message on a control channel: ") +
+          wire::to_string(wire::peek_type(frame)));
   }
 }
 
-void ControlManager::set_transport(
-    std::unique_ptr<ControlTransport> transport) {
-  common::expects(transport != nullptr, "control transport must be non-null");
-  const std::lock_guard<std::mutex> lock(mutex_);
-  transport_ = std::move(transport);
+ControlManager::ControlManager(netsim::VirtualTestbed& testbed, SiteId site,
+                               SiteManager& site_manager,
+                               GroupManagerConfig group_config)
+    : site_manager_(&site_manager) {
+  for (const GroupId group : testbed.groups_in_site(site)) {
+    group_managers_.emplace_back(testbed, group, group_config);
+  }
+}
+
+template <typename Message>
+void ControlManager::deliver(const Message& message) {
+  const std::vector<std::byte> frame = wire::encode(message);
+  dispatch_control_frame(frame, *this);
+  // Only delivered messages count.
+  ++control_messages_;
+  control_bytes_ += frame.size();
 }
 
 void ControlManager::tick(TimePoint now) {
   const std::lock_guard<std::mutex> lock(mutex_);
   for (GroupManager& gm : group_managers_) {
     GroupTickOutput out = gm.tick(now);
-    // Every message crosses the transport in wire form; with the
-    // default loopback the dispatch below lands back in on_workload /
-    // on_liveness / on_network synchronously.
-    for (const WorkloadUpdate& u : out.workload_updates) {
-      transport_->publish(wire::encode(u));
-    }
-    for (const LivenessChange& c : out.liveness_changes) {
-      transport_->publish(wire::encode(c));
-    }
-    for (const NetworkMeasurement& m : out.network_measurements) {
-      transport_->publish(wire::encode(m));
-    }
+    for (const WorkloadUpdate& u : out.workload_updates) deliver(u);
+    for (const LivenessChange& c : out.liveness_changes) deliver(c);
+    for (const NetworkMeasurement& m : out.network_measurements) deliver(m);
   }
 }
 
@@ -55,7 +77,7 @@ void ControlManager::run_until(TimePoint from, TimePoint to,
 
 void ControlManager::report_task_failure(const RescheduleRequest& request) {
   const std::lock_guard<std::mutex> lock(mutex_);
-  transport_->publish(wire::encode(request));
+  deliver(request);
 }
 
 void ControlManager::on_workload(const WorkloadUpdate& update) {
@@ -96,8 +118,8 @@ ControlManagerStats ControlManager::stats() const {
     total.recoveries_detected += gm.stats().recoveries_detected;
   }
   total.reschedule_requests = reschedule_requests_;
-  total.control_messages_sent = transport_->stats().messages;
-  total.control_bytes_sent = transport_->stats().bytes;
+  total.control_messages_sent = control_messages_;
+  total.control_bytes_sent = control_bytes_;
   return total;
 }
 

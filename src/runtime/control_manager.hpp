@@ -9,21 +9,38 @@
 // and routes their outputs into the Site Manager; driving tick from a
 // VirtualClock gives a deterministic control plane.
 //
-// Since D14 every routed message crosses a ControlTransport in its
-// versioned wire encoding: the default loopback transport serializes,
-// decodes and dispatches synchronously, so the in-process deployments
-// exercise the exact byte format the site daemons speak.
+// Since D14 every routed message makes a wire round trip: the Control
+// Manager encodes it, decodes it again with dispatch_control_frame and
+// dispatches it into its own handlers, synchronously, so the in-process
+// deployments exercise the exact byte format the site daemons speak.
 #pragma once
 
-#include <memory>
+#include <cstddef>
 #include <mutex>
+#include <span>
 #include <vector>
 
-#include "runtime/control_transport.hpp"
 #include "runtime/group_manager.hpp"
+#include "runtime/messages.hpp"
 #include "runtime/site_manager.hpp"
 
 namespace vdce::rt {
+
+/// Receiver of decoded control messages (the Site Manager side).
+class ControlSink {
+ public:
+  virtual ~ControlSink() = default;
+  virtual void on_workload(const WorkloadUpdate& update) = 0;
+  virtual void on_liveness(const LivenessChange& change) = 0;
+  virtual void on_network(const NetworkMeasurement& measurement) = 0;
+  virtual void on_reschedule(const RescheduleRequest& request) = 0;
+};
+
+/// Decodes one wire frame and routes it into `sink`.  Throws ParseError
+/// for garbage/truncated frames and for non-control message types (RPCs
+/// do not belong on a control channel).
+void dispatch_control_frame(std::span<const std::byte> frame,
+                            ControlSink& sink);
 
 /// Aggregated monitoring statistics of one site.
 struct ControlManagerStats {
@@ -33,8 +50,8 @@ struct ControlManagerStats {
   std::size_t recoveries_detected = 0;
   /// Reschedule requests routed through report_task_failure.
   std::size_t reschedule_requests = 0;
-  /// Control messages published through the transport, and their total
-  /// encoded size (the D14 coordination-traffic record).
+  /// Control messages dispatched, and their total encoded size (the
+  /// D14 coordination-traffic record).
   std::size_t control_messages_sent = 0;
   std::size_t control_bytes_sent = 0;
 };
@@ -45,7 +62,7 @@ class ControlManager : private ControlSink {
   /// Builds one Group Manager per group of `site`.  `testbed` and
   /// `site_manager` must outlive the Control Manager.
   ControlManager(netsim::VirtualTestbed& testbed, SiteId site,
-                 SiteManager& site_manager, Duration monitor_period_s = 1.0,
+                 SiteManager& site_manager,
                  GroupManagerConfig group_config = {});
 
   /// One control-plane step: tick every Group Manager, deliver its
@@ -66,14 +83,6 @@ class ControlManager : private ControlSink {
   /// driver.
   void report_task_failure(const RescheduleRequest& request);
 
-  /// Replaces the default loopback transport.  The sink side of a
-  /// remote transport must dispatch into this site's Site Manager; set
-  /// before the first tick().
-  void set_transport(std::unique_ptr<ControlTransport> transport);
-  [[nodiscard]] const ControlTransport& transport() const {
-    return *transport_;
-  }
-
   [[nodiscard]] ControlManagerStats stats() const;
   [[nodiscard]] const std::vector<GroupManager>& group_managers() const {
     return group_managers_;
@@ -81,9 +90,13 @@ class ControlManager : private ControlSink {
   [[nodiscard]] SiteManager& site_manager() { return *site_manager_; }
 
  private:
-  // ControlSink: the receiving half of the loopback transport.  Called
-  // synchronously under mutex_ (loopback publish happens inside
-  // tick()/report_task_failure()), so these must not re-lock.
+  /// Encodes `message`, decodes and dispatches it into the handlers
+  /// below, and counts it.  Called under mutex_.
+  template <typename Message>
+  void deliver(const Message& message);
+
+  // ControlSink: called synchronously from deliver() under mutex_, so
+  // these must not re-lock.
   void on_workload(const WorkloadUpdate& update) override;
   void on_liveness(const LivenessChange& change) override;
   void on_network(const NetworkMeasurement& measurement) override;
@@ -91,11 +104,12 @@ class ControlManager : private ControlSink {
 
   SiteManager* site_manager_;
   std::vector<GroupManager> group_managers_;
-  std::unique_ptr<ControlTransport> transport_;
   /// Serialises tick() and report_task_failure() over the Group
   /// Managers' tracking state and the Site Manager handlers.
   mutable std::mutex mutex_;
   std::size_t reschedule_requests_ = 0;
+  std::size_t control_messages_ = 0;
+  std::size_t control_bytes_ = 0;
 };
 
 }  // namespace vdce::rt

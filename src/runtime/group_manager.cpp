@@ -9,13 +9,12 @@
 namespace vdce::rt {
 
 GroupManager::GroupManager(netsim::VirtualTestbed& testbed, GroupId group,
-                           Duration monitor_period_s,
                            GroupManagerConfig config)
     : testbed_(&testbed), group_(group), config_(config) {
   common::expects(config.echo_period_s > 0.0,
                   "echo period must be positive");
   for (const HostId host : testbed.hosts_in_group(group)) {
-    monitors_.emplace_back(testbed, host, monitor_period_s);
+    monitors_.emplace_back(testbed, host, kMonitorPeriodS);
     tracking_.emplace(
         host, HostTracking{common::SlidingWindowStats(config_.window), -1.0,
                            true});

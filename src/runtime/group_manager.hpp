@@ -40,6 +40,9 @@ struct GroupManagerStats {
   std::size_t recoveries_detected = 0;
 };
 
+/// Every Monitor's measurement period: one control tick.
+inline constexpr Duration kMonitorPeriodS = 1.0;
+
 /// Tunables for one Group Manager.
 struct GroupManagerConfig {
   /// Echo (keep-alive) round period.
@@ -55,10 +58,10 @@ struct GroupManagerConfig {
 /// The per-group leader process.
 class GroupManager {
  public:
-  /// Owns a Monitor per host of `group`.  `testbed` must outlive the
-  /// manager.
+  /// Owns a Monitor per host of `group`, each measuring every
+  /// kMonitorPeriodS.  `testbed` must outlive the manager.
   GroupManager(netsim::VirtualTestbed& testbed, GroupId group,
-               Duration monitor_period_s, GroupManagerConfig config = {});
+               GroupManagerConfig config = {});
 
   /// One control-plane step at time `now`: collect due monitor reports,
   /// run the CI forwarding filter, run the echo round when due.

@@ -17,19 +17,14 @@ namespace {
 constexpr double kInf = std::numeric_limits<double>::infinity();
 }
 
-DynamicSimulator::DynamicSimulator(netsim::VirtualTestbed& testbed,
+DynamicSimulator::DynamicSimulator(rt::LocalVdce& vdce,
                                    const repo::TaskPerformanceDb& task_db,
-                                   std::vector<SiteRuntime> sites,
                                    DynamicSimConfig config)
-    : testbed_(&testbed),
+    : testbed_(&vdce.testbed),
       task_db_(&task_db),
-      sites_(std::move(sites)),
+      sites_(&vdce.sites),
       config_(config) {
-  common::expects(!sites_.empty(), "dynamic simulation needs >= 1 site");
-  for (const SiteRuntime& s : sites_) {
-    common::expects(s.site_manager != nullptr && s.control_manager != nullptr,
-                    "site runtime pointers must be set");
-  }
+  common::expects(!sites_->empty(), "dynamic simulation needs >= 1 site");
 }
 
 SimResult DynamicSimulator::run(const afg::FlowGraph& graph,
@@ -86,8 +81,8 @@ SimResult DynamicSimulator::run(const afg::FlowGraph& graph,
     double best_score = kInf;
     std::vector<HostId> best_hosts;
     SiteId best_site = SiteId::invalid();
-    for (const SiteRuntime& sr : sites_) {
-      rt::SiteManager& sm = *sr.site_manager;
+    for (const rt::SiteStack& stack : *sites_) {
+      rt::SiteManager& sm = *stack.manager;
       const predict::PerformancePredictor predictor(sm.repository(),
                                                     &sm.forecaster());
       std::vector<std::pair<double, HostId>> scored;
@@ -250,7 +245,7 @@ SimResult DynamicSimulator::run(const afg::FlowGraph& graph,
       now = next_tick;
       next_tick += config_.tick_s;
       // Advance every site's control plane.
-      for (const SiteRuntime& sr : sites_) sr.control_manager->tick(now);
+      for (const rt::SiteStack& stack : *sites_) stack.control->tick(now);
       // Application Controllers' in-flight threshold checks.
       if (config_.load_threshold != kInf) {
         for (auto& [id, st] : states) {
@@ -313,9 +308,9 @@ SimResult DynamicSimulator::run(const afg::FlowGraph& graph,
     // Feed the measured time back ("the newly measured execution time of
     // each application task is stored in the task-performance
     // database").
-    for (const SiteRuntime& sr : sites_) {
-      if (sr.site_manager->site() == st.site) {
-        sr.site_manager->record_task_time(node.library_task, st.exec);
+    for (const rt::SiteStack& stack : *sites_) {
+      if (stack.manager->site() == st.site) {
+        stack.manager->record_task_time(node.library_task, st.exec);
       }
     }
 

@@ -22,7 +22,7 @@
 
 #include <limits>
 
-#include "runtime/control_manager.hpp"
+#include "runtime/site_stack.hpp"
 #include "scheduler/allocation.hpp"
 #include "sim/static_sim.hpp"
 
@@ -45,19 +45,13 @@ struct DynamicSimConfig {
   int max_attempts = 8;
 };
 
-/// The per-site control plane handed to the simulator.
-struct SiteRuntime {
-  rt::SiteManager* site_manager = nullptr;
-  rt::ControlManager* control_manager = nullptr;
-};
-
 /// Event-driven dynamic simulator.
 class DynamicSimulator {
  public:
-  /// All pointers must outlive the simulator.
-  DynamicSimulator(netsim::VirtualTestbed& testbed,
+  /// Drives `vdce`'s testbed and every one of its sites; `vdce` and
+  /// `task_db` must outlive the simulator.
+  DynamicSimulator(rt::LocalVdce& vdce,
                    const repo::TaskPerformanceDb& task_db,
-                   std::vector<SiteRuntime> sites,
                    DynamicSimConfig config = {});
 
   /// Runs `graph` under `allocation` starting at `start_at`.  Throws
@@ -70,7 +64,7 @@ class DynamicSimulator {
  private:
   netsim::VirtualTestbed* testbed_;
   const repo::TaskPerformanceDb* task_db_;
-  std::vector<SiteRuntime> sites_;
+  std::vector<rt::SiteStack>* sites_;
   DynamicSimConfig config_;
 };
 

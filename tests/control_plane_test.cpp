@@ -1,6 +1,6 @@
 // Out-of-process control plane tests (DESIGN.md D14): the versioned
-// wire format and its rejection rules, the ControlTransport seam
-// (loopback and channel-backed), deadline regressions for the blocking
+// wire format and its rejection rules, the Control Manager's one
+// control path, deadline regressions for the blocking
 // transport primitives, and the site-daemon / watchdog stack -- up to
 // the acceptance properties that a daemon-mode deployment is
 // bit-identical to the in-process run and that a SIGKILLed daemon is
@@ -26,16 +26,15 @@
 #include "common/rng.hpp"
 #include "daemon/client.hpp"
 #include "daemon/site_daemon.hpp"
-#include "datamgr/channel.hpp"
 #include "datamgr/tcp.hpp"
 #include "netsim/chaos.hpp"
 #include "netsim/testbed.hpp"
 #include "predict/forecaster.hpp"
 #include "repository/repository.hpp"
 #include "runtime/control_manager.hpp"
-#include "runtime/control_transport.hpp"
 #include "runtime/engine.hpp"
 #include "runtime/site_manager.hpp"
+#include "runtime/site_stack.hpp"
 #include "runtime/sm_directory.hpp"
 #include "runtime/submission.hpp"
 #include "runtime/watchdog.hpp"
@@ -749,123 +748,30 @@ TEST(ControlDispatch, RejectsRpcMessagesOnControlChannel) {
                ParseError);
 }
 
-TEST(ControlTransport, LoopbackDispatchesSynchronouslyAndCounts) {
-  common::Rng rng(53);
-  RecordingSink sink;
-  LoopbackControlTransport transport(sink);
-  std::size_t bytes = 0;
-  for (int i = 0; i < 5; ++i) {
-    const auto frame = wire::encode(random_workload_update(rng));
-    bytes += frame.size();
-    transport.publish(frame);
-    EXPECT_EQ(sink.workloads.size(), static_cast<std::size_t>(i + 1));
+TEST(ControlManager, DispatchesSynchronouslyAndCountsEveryMessage) {
+  // Every message a site's Group Managers emit makes the wire round
+  // trip and reaches the Site Manager inside tick(); the Control
+  // Manager counts each one and its encoded size, and each of the three
+  // message types encodes to a fixed size.
+  LocalVdce vdce(netsim::make_campus_testbed(53));
+  vdce.warm_up(10.0);
+  const std::size_t workload_bytes = wire::encode(WorkloadUpdate{}).size();
+  const std::size_t liveness_bytes = wire::encode(LivenessChange{}).size();
+  const std::size_t network_bytes =
+      wire::encode(NetworkMeasurement{}).size();
+  for (const SiteStack& site : vdce.sites) {
+    const SiteManagerStats& received = site.manager->stats();
+    const ControlManagerStats sent = site.control->stats();
+    EXPECT_GT(received.workload_updates, 0u);
+    EXPECT_GT(received.network_measurements, 0u);
+    EXPECT_EQ(sent.control_messages_sent,
+              received.workload_updates + received.liveness_changes +
+                  received.network_measurements);
+    EXPECT_EQ(sent.control_bytes_sent,
+              received.workload_updates * workload_bytes +
+                  received.liveness_changes * liveness_bytes +
+                  received.network_measurements * network_bytes);
   }
-  EXPECT_EQ(transport.stats().messages, 5u);
-  EXPECT_EQ(transport.stats().bytes, bytes);
-}
-
-TEST(ControlTransport, ChannelTransportDrainsOverInProcPair) {
-  common::Rng rng(54);
-  auto pair = dm::make_inproc_pair();
-  ChannelControlTransport transport(*pair.sender);
-  const auto u = random_workload_update(rng);
-  const auto c = random_liveness_change(rng);
-  const auto m = random_network_measurement(rng);
-  transport.publish(wire::encode(u));
-  transport.publish(wire::encode(c));
-  transport.publish(wire::encode(m));
-  EXPECT_EQ(transport.stats().messages, 3u);
-
-  RecordingSink sink;
-  EXPECT_EQ(drain_control_channel(*pair.receiver, sink, 3), 3u);
-  ASSERT_EQ(sink.workloads.size(), 1u);
-  ASSERT_EQ(sink.liveness.size(), 1u);
-  ASSERT_EQ(sink.network.size(), 1u);
-  EXPECT_EQ(sink.workloads[0].when, u.when);
-  EXPECT_EQ(sink.liveness[0].host, c.host);
-  EXPECT_EQ(sink.network[0].latency_s, m.latency_s);
-}
-
-TEST(ControlTransport, ChannelTransportDrainsUntilTcpClose) {
-  common::Rng rng(55);
-  dm::TcpListener listener;
-  auto client = dm::tcp_connect(listener.port());
-  auto server = listener.accept();
-
-  ChannelControlTransport transport(*client);
-  constexpr int kMessages = 32;
-  for (int i = 0; i < kMessages; ++i) {
-    transport.publish(wire::encode(random_workload_update(rng)));
-  }
-  client->close();
-
-  RecordingSink sink;
-  EXPECT_EQ(drain_control_channel(*server, sink),
-            static_cast<std::size_t>(kMessages));
-  EXPECT_EQ(sink.workloads.size(), static_cast<std::size_t>(kMessages));
-}
-
-TEST(ControlTransport, OversizedFrameIsRejectedOutright) {
-  dm::TcpListener listener;
-  auto client = dm::tcp_connect(listener.port());
-  auto server = listener.accept();
-  client->set_max_message_bytes(8);
-  ChannelControlTransport transport(*client);
-  RescheduleRequest r;
-  r.reason = std::string(64, 'x');
-  EXPECT_THROW(transport.publish(wire::encode(r)), TransportError);
-  EXPECT_EQ(transport.stats().messages, 0u);
-}
-
-// ------------------------- ControlManager over the wire == loopback
-
-/// One site's stack (repository, forecaster, manager, control) built
-/// from a seeded campus testbed.
-struct SiteStack {
-  std::unique_ptr<netsim::VirtualTestbed> testbed;
-  std::unique_ptr<repo::SiteRepository> repository;
-  std::unique_ptr<predict::LoadForecaster> forecaster;
-  std::unique_ptr<SiteManager> manager;
-  std::unique_ptr<ControlManager> control;
-
-  explicit SiteStack(std::uint64_t seed, SiteId site = SiteId(0)) {
-    testbed = std::make_unique<netsim::VirtualTestbed>(
-        netsim::make_campus_testbed(seed));
-    repository = std::make_unique<repo::SiteRepository>(site);
-    tasklib::builtin_registry().install_defaults(repository->tasks());
-    testbed->populate_repository(*repository, site);
-    repository->users().add_user("hpdc", "nynet", 1, "wan");
-    forecaster = std::make_unique<predict::LoadForecaster>();
-    manager = std::make_unique<SiteManager>(site, *repository, *forecaster);
-    control = std::make_unique<ControlManager>(*testbed, site, *manager);
-  }
-};
-
-TEST(ControlTransport, ManagerOverChannelMatchesLoopback) {
-  // Two identical stacks; A keeps the default loopback, B publishes its
-  // control traffic over a channel drained into B's Site Manager.  The
-  // resulting Host Selections must agree exactly -- the wire adds
-  // latency, never information loss.
-  SiteStack a(7);
-  SiteStack b(7);
-  auto pair = dm::make_inproc_pair();
-  b.control->set_transport(
-      std::make_unique<ChannelControlTransport>(*pair.sender));
-
-  for (double t = 1.0; t <= 10.0; t += 1.0) {
-    a.control->tick(t);
-    b.control->tick(t);
-  }
-  const auto sent = b.control->stats().control_messages_sent;
-  EXPECT_EQ(sent, a.control->stats().control_messages_sent);
-  EXPECT_GT(sent, 0u);
-
-  SiteManagerSink sink(*b.manager);
-  EXPECT_EQ(drain_control_channel(*pair.receiver, sink, sent), sent);
-
-  const auto graph = sim::make_linear_solver_graph();
-  expect_selection_map_eq(a.manager->host_selection_request(graph),
-                          b.manager->host_selection_request(graph));
 }
 
 // -------------------------------- deadline regressions (satellite 3)
@@ -967,7 +873,8 @@ TEST(SiteDaemon, RemoteSelectionMatchesInProcessManager) {
   watchdog.spawn(SiteId(0));
   daemon::DaemonClient client(watchdog.rpc_port(SiteId(0)));
 
-  SiteStack local(kDaemonSeed);
+  netsim::VirtualTestbed testbed(netsim::make_campus_testbed(kDaemonSeed));
+  const SiteStack local = build_site_stack(testbed, SiteId(0));
   for (double t = 1.0; t <= 10.0; t += 1.0) {
     client.tick(t);
     local.control->tick(t);
@@ -1046,43 +953,6 @@ TEST(SiteDaemon, WatchdogRestartsSigkilledDaemonAndClientReattaches) {
 
 // -------------------------------------- daemon-mode e2e bit-identity
 
-/// Full multi-site in-process wiring (the integration-test shape).
-struct InProcessVdce {
-  std::unique_ptr<netsim::VirtualTestbed> testbed;
-  std::vector<std::unique_ptr<repo::SiteRepository>> repositories;
-  std::vector<std::unique_ptr<predict::LoadForecaster>> forecasters;
-  std::vector<std::unique_ptr<SiteManager>> managers;
-  std::vector<std::unique_ptr<ControlManager>> controls;
-  SiteManagerDirectory directory;
-
-  explicit InProcessVdce(std::uint64_t seed) {
-    testbed = std::make_unique<netsim::VirtualTestbed>(
-        netsim::make_campus_testbed(seed));
-    for (const SiteId site : testbed->sites()) {
-      auto repository = std::make_unique<repo::SiteRepository>(site);
-      tasklib::builtin_registry().install_defaults(repository->tasks());
-      testbed->populate_repository(*repository, site);
-      repository->users().add_user("hpdc", "nynet", 1, "wan");
-      auto forecaster = std::make_unique<predict::LoadForecaster>();
-      auto manager =
-          std::make_unique<SiteManager>(site, *repository, *forecaster);
-      auto control =
-          std::make_unique<ControlManager>(*testbed, site, *manager);
-      directory.add_site(*manager);
-      repositories.push_back(std::move(repository));
-      forecasters.push_back(std::move(forecaster));
-      managers.push_back(std::move(manager));
-      controls.push_back(std::move(control));
-    }
-  }
-
-  void warm_up(double until) {
-    for (double t = 1.0; t <= until; t += 1.0) {
-      for (auto& c : controls) c->tick(t);
-    }
-  }
-};
-
 TEST(SiteDaemon, DaemonModeRunIsBitIdenticalToInProcess) {
   // THE acceptance scenario: schedule and execute the same application
   // (same graph, same seed, same app id) once with all Site Managers in
@@ -1092,7 +962,7 @@ TEST(SiteDaemon, DaemonModeRunIsBitIdenticalToInProcess) {
   const auto graph = sim::make_linear_solver_graph();
 
   // Reference: the classic in-process run.
-  InProcessVdce reference(kDaemonSeed);
+  LocalVdce reference(netsim::make_campus_testbed(kDaemonSeed));
   reference.warm_up(10.0);
   sched::SiteScheduler ref_scheduler(SiteId(0), reference.directory);
   const auto ref_allocation = ref_scheduler.schedule(graph);
@@ -1102,10 +972,10 @@ TEST(SiteDaemon, DaemonModeRunIsBitIdenticalToInProcess) {
   // Daemon mode: one vdce_site_daemon process per site, warmed by the
   // same tick schedule over RPC; the local replica answers only the
   // static topology queries.
-  InProcessVdce replica(kDaemonSeed);
+  LocalVdce replica(netsim::make_campus_testbed(kDaemonSeed));
   replica.warm_up(10.0);
   Watchdog watchdog(test_watchdog_config());
-  const auto sites = replica.testbed->sites();
+  const auto sites = replica.testbed.sites();
   for (const SiteId site : sites) watchdog.spawn(site);
   daemon::RemoteSiteDirectory remote(replica.directory, watchdog, sites);
   for (double t = 1.0; t <= 10.0; t += 1.0) remote.tick_all(t);
@@ -1157,7 +1027,7 @@ TEST(SiteDaemon, RemoteDirectoryYieldsInfeasibleSelectionWhenSiteAbandoned) {
   }
   ASSERT_TRUE(watchdog.status(SiteId(0)).abandoned);
 
-  InProcessVdce replica(kDaemonSeed);
+  LocalVdce replica(netsim::make_campus_testbed(kDaemonSeed));
   daemon::RemoteSiteDirectory remote(replica.directory, watchdog, {SiteId(0)},
                                      /*rpc_timeout_s=*/0.2);
   const auto graph = sim::make_linear_solver_graph();

@@ -13,6 +13,7 @@
 #include "netsim/testbed.hpp"
 #include "runtime/control_manager.hpp"
 #include "runtime/engine.hpp"
+#include "runtime/site_stack.hpp"
 #include "runtime/sm_directory.hpp"
 #include "scheduler/site_scheduler.hpp"
 #include "sim/workloads.hpp"
@@ -30,32 +31,6 @@ using common::TaskId;
 /// fault-tolerance hooks to the real control plane.
 class FaultEnv : public ::testing::Test {
  protected:
-  void SetUp() override {
-    testbed_ = std::make_unique<netsim::VirtualTestbed>(
-        netsim::make_campus_testbed(13));
-    for (const SiteId site : testbed_->sites()) {
-      auto repository = std::make_unique<repo::SiteRepository>(site);
-      tasklib::builtin_registry().install_defaults(repository->tasks());
-      testbed_->populate_repository(*repository, site);
-      auto forecaster = std::make_unique<predict::LoadForecaster>();
-      auto manager =
-          std::make_unique<SiteManager>(site, *repository, *forecaster);
-      auto control =
-          std::make_unique<ControlManager>(*testbed_, site, *manager);
-      directory_.add_site(*manager);
-      repositories_.push_back(std::move(repository));
-      forecasters_.push_back(std::move(forecaster));
-      managers_.push_back(std::move(manager));
-      controls_.push_back(std::move(control));
-    }
-  }
-
-  void warm_up(double until) {
-    for (double t = 1.0; t <= until; t += 1.0) {
-      for (auto& c : controls_) c->tick(t);
-    }
-  }
-
   /// Fault-tolerance hooks wired to the real control plane: the
   /// testbed's fault windows drive liveness, failures are reported to
   /// every site's Control Manager (only the owner reacts), and
@@ -64,14 +39,16 @@ class FaultEnv : public ::testing::Test {
       const sched::SiteScheduler& scheduler, const afg::FlowGraph& graph,
       const sched::AllocationTable& allocation) {
     FaultTolerance ft;
-    ft.host_alive = testbed_->liveness_probe();
+    ft.host_alive = vdce_.testbed.liveness_probe();
     ft.reschedule = [&scheduler, &graph, &allocation](
                         const afg::TaskNode& node,
                         const std::vector<HostId>& excluded) {
       return scheduler.reschedule(graph, allocation, node.id, excluded);
     };
     ft.on_failure = [this](const RescheduleRequest& request) {
-      for (auto& c : controls_) c->report_task_failure(request);
+      for (auto& site : vdce_.sites) {
+        site.control->report_task_failure(request);
+      }
     };
     // Virtual sleep: retry backoff costs the tests no wall-clock (an
     // in-gang nap would stall every peer blocked on the task).  May be
@@ -84,12 +61,7 @@ class FaultEnv : public ::testing::Test {
 
   std::atomic<double> virtual_slept_{0.0};
 
-  std::unique_ptr<netsim::VirtualTestbed> testbed_;
-  std::vector<std::unique_ptr<repo::SiteRepository>> repositories_;
-  std::vector<std::unique_ptr<predict::LoadForecaster>> forecasters_;
-  std::vector<std::unique_ptr<SiteManager>> managers_;
-  std::vector<std::unique_ptr<ControlManager>> controls_;
-  SiteManagerDirectory directory_;
+  LocalVdce vdce_{netsim::make_campus_testbed(13)};
 };
 
 // -------------------------------------------------- setup-ack protocol
@@ -100,7 +72,7 @@ TEST_F(FaultEnv, MidExecuteFailureAcksExactlyOnce) {
   // the error path (double count_down on std::latch is undefined
   // behaviour).  The type-broken task fails mid-execute among healthy
   // peers; every run must name the failing task and join cleanly.
-  warm_up(5.0);
+  vdce_.warm_up(5.0);
   afg::FlowGraph g("broken-wide");
   const auto vec = g.add_task("vector_generate", "vec");
   const auto bad = g.add_task("lu_decomposition", "needs-matrix");
@@ -114,7 +86,7 @@ TEST_F(FaultEnv, MidExecuteFailureAcksExactlyOnce) {
     g.add_link(src, sink, 0.1);
   }
 
-  sched::SiteScheduler scheduler(SiteId(0), directory_);
+  sched::SiteScheduler scheduler(SiteId(0), vdce_.directory);
   const auto allocation = scheduler.schedule(g);
   for (int round = 0; round < 3; ++round) {
     ExecutionEngine engine(tasklib::builtin_registry());
@@ -131,26 +103,26 @@ TEST_F(FaultEnv, MidExecuteFailureAcksExactlyOnce) {
 // -------------------------------------------- injected host failures
 
 TEST_F(FaultEnv, EngineRecoversFromInjectedHostFailure) {
-  warm_up(10.0);
+  vdce_.warm_up(10.0);
   afg::FlowGraph g("ft-pipeline");
   const auto src = g.add_task("synth_source", "src");
   const auto sink = g.add_task("synth_sink", "sink");
   g.add_link(src, sink, 0.1);
 
-  sched::SiteScheduler scheduler(SiteId(0), directory_);
+  sched::SiteScheduler scheduler(SiteId(0), vdce_.directory);
   const auto allocation = scheduler.schedule(g);
   const HostId failed_host = allocation.entry(src).primary_host();
   const SiteId failed_site = allocation.entry(src).site;
 
   // Fault window covering the whole run; the live clock sits inside it.
-  testbed_->fail_host(failed_host, 50.0, 100.0);
-  testbed_->set_live_time(60.0);
-  ASSERT_FALSE(testbed_->is_alive_now(failed_host));
+  vdce_.testbed.fail_host(failed_host, 50.0, 100.0);
+  vdce_.testbed.set_live_time(60.0);
+  ASSERT_FALSE(vdce_.testbed.is_alive_now(failed_host));
 
   const FaultTolerance ft = wire_hooks(scheduler, g, allocation);
   ExecutionEngine engine(tasklib::builtin_registry());
-  const auto result =
-      engine.execute(g, allocation, managers_[0].get(), nullptr, &ft);
+  const auto result = engine.execute(
+      g, allocation, vdce_.sites[0].manager.get(), nullptr, &ft);
 
   EXPECT_EQ(result.failures_recovered, 1u);
   EXPECT_EQ(result.reschedules, 1u);
@@ -167,24 +139,28 @@ TEST_F(FaultEnv, EngineRecoversFromInjectedHostFailure) {
 
   // The failure report reached the owning site's repository: the dead
   // host is marked down before any future placement.
-  EXPECT_FALSE(repositories_[failed_site.value()]
-                   ->resources()
+  EXPECT_FALSE(vdce_.sites[failed_site.value()]
+                   .repository->resources()
                    .get(failed_host)
                    .dynamic_attrs.alive);
-  EXPECT_GE(controls_[failed_site.value()]->stats().reschedule_requests,
-            1u);
-  EXPECT_GE(controls_[failed_site.value()]->stats().failures_detected, 1u);
-  EXPECT_GE(managers_[failed_site.value()]->stats().reschedule_requests +
-                managers_[0]->stats().reschedule_requests,
-            1u);
+  EXPECT_GE(
+      vdce_.sites[failed_site.value()].control->stats().reschedule_requests,
+      1u);
+  EXPECT_GE(
+      vdce_.sites[failed_site.value()].control->stats().failures_detected,
+      1u);
+  EXPECT_GE(
+      vdce_.sites[failed_site.value()].manager->stats().reschedule_requests +
+          vdce_.sites[0].manager->stats().reschedule_requests,
+      1u);
 }
 
 TEST_F(FaultEnv, RecoveryPreservesOutputs) {
   // The re-placed run must compute exactly what the failure-free run
   // computes (per-task RNG seeds survive the move).
-  warm_up(10.0);
+  vdce_.warm_up(10.0);
   const auto g = sim::make_linear_solver_graph(0.5);
-  sched::SiteScheduler scheduler(SiteId(0), directory_);
+  sched::SiteScheduler scheduler(SiteId(0), vdce_.directory);
   const auto allocation = scheduler.schedule(g);
 
   ExecutionEngine clean_engine(tasklib::builtin_registry());
@@ -192,8 +168,8 @@ TEST_F(FaultEnv, RecoveryPreservesOutputs) {
 
   const auto entry_task = g.entry_tasks().front();
   const HostId failed_host = allocation.entry(entry_task).primary_host();
-  testbed_->fail_host(failed_host, 50.0, 100.0);
-  testbed_->set_live_time(60.0);
+  vdce_.testbed.fail_host(failed_host, 50.0, 100.0);
+  vdce_.testbed.set_live_time(60.0);
 
   const FaultTolerance ft = wire_hooks(scheduler, g, allocation);
   ExecutionEngine faulty_engine(tasklib::builtin_registry());
@@ -208,11 +184,11 @@ TEST_F(FaultEnv, RecoveryPreservesOutputs) {
 }
 
 TEST_F(FaultEnv, LoadGuardRefusalRecovers) {
-  warm_up(10.0);
+  vdce_.warm_up(10.0);
   afg::FlowGraph g("hot-host");
   const auto task = g.add_task("synth_source", "only");
 
-  sched::SiteScheduler scheduler(SiteId(0), directory_);
+  sched::SiteScheduler scheduler(SiteId(0), vdce_.directory);
   const auto allocation = scheduler.schedule(g);
   const HostId hot_host = allocation.entry(task).primary_host();
 
@@ -225,7 +201,7 @@ TEST_F(FaultEnv, LoadGuardRefusalRecovers) {
     if (request.kind == RescheduleRequest::Kind::kLoadThreshold) {
       ++load_refusals;
     }
-    for (auto& c : controls_) c->report_task_failure(request);
+    for (auto& site : vdce_.sites) site.control->report_task_failure(request);
   };
 
   EngineConfig config;
@@ -239,8 +215,8 @@ TEST_F(FaultEnv, LoadGuardRefusalRecovers) {
   EXPECT_NE(result.records.front().host, hot_host);
   EXPECT_EQ(load_refusals.load(), 1);
   // A load refusal must NOT mark the host dead in the repository.
-  EXPECT_TRUE(repositories_[allocation.entry(task).site.value()]
-                  ->resources()
+  EXPECT_TRUE(vdce_.sites[allocation.entry(task).site.value()]
+                  .repository->resources()
                   .get(hot_host)
                   .dynamic_attrs.alive);
 }
@@ -248,16 +224,16 @@ TEST_F(FaultEnv, LoadGuardRefusalRecovers) {
 TEST_F(FaultEnv, NoFeasibleReplacementStillThrows) {
   // Every host dead: the retry loop must exhaust and surface the error
   // instead of spinning.
-  warm_up(10.0);
+  vdce_.warm_up(10.0);
   afg::FlowGraph g("doomed");
   (void)g.add_task("synth_source", "only");
-  sched::SiteScheduler scheduler(SiteId(0), directory_);
+  sched::SiteScheduler scheduler(SiteId(0), vdce_.directory);
   const auto allocation = scheduler.schedule(g);
 
-  for (const HostId host : testbed_->all_hosts()) {
-    testbed_->fail_host(host, 50.0, 100.0);
+  for (const HostId host : vdce_.testbed.all_hosts()) {
+    vdce_.testbed.fail_host(host, 50.0, 100.0);
   }
-  testbed_->set_live_time(60.0);
+  vdce_.testbed.set_live_time(60.0);
 
   const FaultTolerance ft = wire_hooks(scheduler, g, allocation);
   ExecutionEngine engine(tasklib::builtin_registry());
@@ -270,13 +246,13 @@ TEST_F(FaultEnv, HostFailureIsolatedBetweenConcurrentApps) {
   // not perturb concurrently running app B -- B keeps first-attempt
   // execution on every task and produces bit-identical outputs to the
   // same (graph, seed, app id, allocation) run alone.
-  warm_up(10.0);
+  vdce_.warm_up(10.0);
 
   afg::FlowGraph ga("victim");
   const auto a_src = ga.add_task("synth_source", "src");
   const auto a_sink = ga.add_task("synth_sink", "sink");
   ga.add_link(a_src, a_sink, 0.1);
-  sched::SiteScheduler scheduler(SiteId(0), directory_);
+  sched::SiteScheduler scheduler(SiteId(0), vdce_.directory);
   const auto alloc_a = scheduler.schedule(ga);
   const HostId failed_host = alloc_a.entry(a_src).primary_host();
 
@@ -287,7 +263,7 @@ TEST_F(FaultEnv, HostFailureIsolatedBetweenConcurrentApps) {
   const auto b_sink = gb.add_task("synth_sink", "sink");
   gb.add_link(b_src, b_sink, 0.1);
   std::vector<HostId> b_hosts;
-  for (const HostId host : testbed_->hosts_in_site(SiteId(0))) {
+  for (const HostId host : vdce_.testbed.hosts_in_site(SiteId(0))) {
     if (host != failed_host && b_hosts.size() < 2) b_hosts.push_back(host);
   }
   ASSERT_EQ(b_hosts.size(), 2u);
@@ -311,9 +287,9 @@ TEST_F(FaultEnv, HostFailureIsolatedBetweenConcurrentApps) {
                           .execute(gb, alloc_b, nullptr, nullptr, nullptr,
                                    b_app);
 
-  testbed_->fail_host(failed_host, 50.0, 100.0);
-  testbed_->set_live_time(60.0);
-  ASSERT_FALSE(testbed_->is_alive_now(failed_host));
+  vdce_.testbed.fail_host(failed_host, 50.0, 100.0);
+  vdce_.testbed.set_live_time(60.0);
+  ASSERT_FALSE(vdce_.testbed.is_alive_now(failed_host));
 
   RunResult a_result, b_result;
   std::string a_error, b_error;
@@ -322,7 +298,7 @@ TEST_F(FaultEnv, HostFailureIsolatedBetweenConcurrentApps) {
       try {
         const FaultTolerance ft = wire_hooks(scheduler, ga, alloc_a);
         ExecutionEngine engine(tasklib::builtin_registry());
-        a_result = engine.execute(ga, alloc_a, managers_[0].get(),
+        a_result = engine.execute(ga, alloc_a, vdce_.sites[0].manager.get(),
                                   nullptr, &ft);
       } catch (const std::exception& e) {
         a_error = e.what();
@@ -332,7 +308,7 @@ TEST_F(FaultEnv, HostFailureIsolatedBetweenConcurrentApps) {
       try {
         const FaultTolerance ft = wire_hooks(scheduler, gb, alloc_b);
         ExecutionEngine engine(tasklib::builtin_registry(), b_config);
-        b_result = engine.execute(gb, alloc_b, managers_[0].get(),
+        b_result = engine.execute(gb, alloc_b, vdce_.sites[0].manager.get(),
                                   nullptr, &ft, b_app);
       } catch (const std::exception& e) {
         b_error = e.what();
@@ -492,9 +468,9 @@ TEST(FaultRecoveryTest, RetryBudgetExhaustionSurfacesError) {
 // ---------------------------------------------- scheduler reschedule
 
 TEST_F(FaultEnv, RescheduleSkipsExcludedHosts) {
-  warm_up(10.0);
+  vdce_.warm_up(10.0);
   const auto g = sim::make_linear_solver_graph(0.5);
-  sched::SiteScheduler scheduler(SiteId(0), directory_);
+  sched::SiteScheduler scheduler(SiteId(0), vdce_.directory);
   const auto allocation = scheduler.schedule(g);
 
   const auto task = g.entry_tasks().front();
@@ -508,14 +484,14 @@ TEST_F(FaultEnv, RescheduleSkipsExcludedHosts) {
   EXPECT_GT(replacement->predicted_s, 0.0);
 
   // Excluding every host of every consulted site leaves nothing.
-  std::vector<HostId> all_hosts = testbed_->all_hosts();
+  std::vector<HostId> all_hosts = vdce_.testbed.all_hosts();
   EXPECT_EQ(scheduler.reschedule(g, allocation, task, all_hosts),
             std::nullopt);
 }
 
 TEST_F(FaultEnv, ControlManagerRoutesFailureReports) {
-  warm_up(10.0);
-  const HostId host = testbed_->hosts_in_site(SiteId(0)).front();
+  vdce_.warm_up(10.0);
+  const HostId host = vdce_.testbed.hosts_in_site(SiteId(0)).front();
   RescheduleRequest request;
   request.app = common::AppId(1);
   request.task = TaskId(0);
@@ -524,25 +500,25 @@ TEST_F(FaultEnv, ControlManagerRoutesFailureReports) {
   request.kind = RescheduleRequest::Kind::kHostFailure;
   request.reason = "test failure";
 
-  controls_[0]->report_task_failure(request);
+  vdce_.sites[0].control->report_task_failure(request);
   EXPECT_FALSE(
-      repositories_[0]->resources().get(host).dynamic_attrs.alive);
-  EXPECT_EQ(controls_[0]->stats().failures_detected, 1u);
-  EXPECT_EQ(controls_[0]->stats().reschedule_requests, 1u);
+      vdce_.sites[0].repository->resources().get(host).dynamic_attrs.alive);
+  EXPECT_EQ(vdce_.sites[0].control->stats().failures_detected, 1u);
+  EXPECT_EQ(vdce_.sites[0].control->stats().reschedule_requests, 1u);
 
   // Duplicate reports do not double-count the failure.
-  controls_[0]->report_task_failure(request);
-  EXPECT_EQ(controls_[0]->stats().failures_detected, 1u);
-  EXPECT_EQ(controls_[0]->stats().reschedule_requests, 2u);
+  vdce_.sites[0].control->report_task_failure(request);
+  EXPECT_EQ(vdce_.sites[0].control->stats().failures_detected, 1u);
+  EXPECT_EQ(vdce_.sites[0].control->stats().reschedule_requests, 2u);
 
   // A load-threshold request is counted but never flips liveness.
-  const HostId other = testbed_->hosts_in_site(SiteId(0)).back();
+  const HostId other = vdce_.testbed.hosts_in_site(SiteId(0)).back();
   RescheduleRequest load_request = request;
   load_request.host = other;
   load_request.kind = RescheduleRequest::Kind::kLoadThreshold;
-  controls_[0]->report_task_failure(load_request);
+  vdce_.sites[0].control->report_task_failure(load_request);
   EXPECT_TRUE(
-      repositories_[0]->resources().get(other).dynamic_attrs.alive);
+      vdce_.sites[0].repository->resources().get(other).dynamic_attrs.alive);
 }
 
 }  // namespace

@@ -12,6 +12,7 @@
 #include "netsim/testbed.hpp"
 #include "runtime/control_manager.hpp"
 #include "runtime/engine.hpp"
+#include "runtime/site_stack.hpp"
 #include "runtime/sm_directory.hpp"
 #include "scheduler/baselines.hpp"
 #include "scheduler/site_scheduler.hpp"
@@ -30,47 +31,14 @@ using common::SiteId;
 /// Full two-site VDCE with monitoring, scheduling and runtime wired up.
 class VdceIntegration : public ::testing::Test {
  protected:
-  void SetUp() override {
-    testbed_ = std::make_unique<netsim::VirtualTestbed>(
-        netsim::make_campus_testbed(2026));
-    for (const SiteId site : testbed_->sites()) {
-      auto repository = std::make_unique<repo::SiteRepository>(site);
-      tasklib::builtin_registry().install_defaults(repository->tasks());
-      testbed_->populate_repository(*repository, site);
-      repository->users().add_user("hpdc", "nynet", 1, "wan");
-      auto forecaster = std::make_unique<predict::LoadForecaster>();
-      auto manager =
-          std::make_unique<rt::SiteManager>(site, *repository, *forecaster);
-      auto control =
-          std::make_unique<rt::ControlManager>(*testbed_, site, *manager);
-      directory_.add_site(*manager);
-      runtimes_.push_back(sim::SiteRuntime{manager.get(), control.get()});
-      repositories_.push_back(std::move(repository));
-      forecasters_.push_back(std::move(forecaster));
-      managers_.push_back(std::move(manager));
-      controls_.push_back(std::move(control));
-    }
-    warm_up(10.0);
-  }
+  void SetUp() override { vdce_.warm_up(10.0); }
 
-  void warm_up(double until) {
-    for (double t = 1.0; t <= until; t += 1.0) {
-      for (auto& c : controls_) c->tick(t);
-    }
-  }
-
-  std::unique_ptr<netsim::VirtualTestbed> testbed_;
-  std::vector<std::unique_ptr<repo::SiteRepository>> repositories_;
-  std::vector<std::unique_ptr<predict::LoadForecaster>> forecasters_;
-  std::vector<std::unique_ptr<rt::SiteManager>> managers_;
-  std::vector<std::unique_ptr<rt::ControlManager>> controls_;
-  std::vector<sim::SiteRuntime> runtimes_;
-  rt::SiteManagerDirectory directory_;
+  rt::LocalVdce vdce_{netsim::make_campus_testbed(2026)};
 };
 
 TEST_F(VdceIntegration, FullDevelopmentCycleWithEditor) {
   // 1. Authenticate.
-  EXPECT_NO_THROW((void)managers_[0]->login("hpdc", "nynet"));
+  EXPECT_NO_THROW((void)vdce_.sites[0].manager->login("hpdc", "nynet"));
 
   // 2. Develop the Figure 3 app with the Editor.
   const auto& registry = tasklib::builtin_registry();
@@ -89,13 +57,14 @@ TEST_F(VdceIntegration, FullDevelopmentCycleWithEditor) {
   const auto graph = ed.submit();
 
   // 3. Schedule across sites.
-  sched::SiteScheduler scheduler(SiteId(0), directory_);
+  sched::SiteScheduler scheduler(SiteId(0), vdce_.directory);
   const auto allocation = scheduler.schedule(graph);
   EXPECT_EQ(allocation.size(), 4u);
 
   // 4. Execute with the runtime and check the numerics.
   rt::ExecutionEngine engine(registry);
-  const auto result = engine.execute(graph, allocation, managers_[0].get());
+  const auto result =
+      engine.execute(graph, allocation, vdce_.sites[0].manager.get());
   EXPECT_LT(result.outputs.at(res).as_scalar(), 1e-9);
 }
 
@@ -106,7 +75,7 @@ TEST_F(VdceIntegration, StoredAfgSurvivesTheWholePipeline) {
     afg::save_file(graph, path);
   }
   const auto graph = afg::load_file(path);
-  sched::SiteScheduler scheduler(SiteId(0), directory_);
+  sched::SiteScheduler scheduler(SiteId(0), vdce_.directory);
   const auto allocation = scheduler.schedule(graph);
   rt::ExecutionEngine engine(tasklib::builtin_registry());
   const auto result = engine.execute(graph, allocation);
@@ -117,14 +86,14 @@ TEST_F(VdceIntegration, StoredAfgSurvivesTheWholePipeline) {
 TEST_F(VdceIntegration, MonitoringImprovesScheduling) {
   // Make one fast host very busy in truth; before monitoring catches
   // up the scheduler may pick it, afterwards it should avoid it.
-  const auto hosts = testbed_->hosts_in_site(SiteId(0));
+  const auto hosts = vdce_.testbed.hosts_in_site(SiteId(0));
   const auto victim = hosts.front();
-  testbed_->add_load_spike(victim, {12.0, 1000.0, 30.0});
+  vdce_.testbed.add_load_spike(victim, {12.0, 1000.0, 30.0});
 
-  warm_up(40.0);  // monitors see the spike
+  vdce_.warm_up(40.0);  // monitors see the spike
 
   const auto graph = sim::make_c3i_graph();
-  sched::SiteScheduler scheduler(SiteId(0), directory_);
+  sched::SiteScheduler scheduler(SiteId(0), vdce_.directory);
   const auto allocation = scheduler.schedule(graph);
   for (const auto& row : allocation.rows()) {
     for (const auto h : row.hosts) {
@@ -135,13 +104,13 @@ TEST_F(VdceIntegration, MonitoringImprovesScheduling) {
 }
 
 TEST_F(VdceIntegration, SchedulerAvoidsDownHosts) {
-  const auto hosts = testbed_->hosts_in_site(SiteId(0));
+  const auto hosts = vdce_.testbed.hosts_in_site(SiteId(0));
   const auto dead = hosts.front();
-  testbed_->fail_host(dead, 12.0, 1e6);
-  warm_up(20.0);  // echo rounds mark it down
+  vdce_.testbed.fail_host(dead, 12.0, 1e6);
+  vdce_.warm_up(20.0);  // echo rounds mark it down
 
   const auto graph = sim::make_linear_solver_graph();
-  sched::SiteScheduler scheduler(SiteId(0), directory_);
+  sched::SiteScheduler scheduler(SiteId(0), vdce_.directory);
   const auto allocation = scheduler.schedule(graph);
   for (const auto& row : allocation.rows()) {
     for (const auto h : row.hosts) EXPECT_NE(h, dead);
@@ -162,16 +131,16 @@ TEST_F(VdceIntegration, VdceBeatsRandomPlacementInSimulation) {
     params.width = 4;
     const auto graph = sim::make_synthetic_graph(params, rng);
 
-    sched::SiteScheduler vdce_sched(SiteId(0), directory_);
-    sched::RandomScheduler random_sched(*repositories_[0],
+    sched::SiteScheduler vdce_sched(SiteId(0), vdce_.directory);
+    sched::RandomScheduler random_sched(*vdce_.sites[0].repository,
                                         900 + trial);
     const auto alloc_vdce = vdce_sched.schedule(graph);
     const auto alloc_random = random_sched.schedule(graph);
 
     netsim::VirtualTestbed universe_a(netsim::make_campus_testbed(2026));
     netsim::VirtualTestbed universe_b(netsim::make_campus_testbed(2026));
-    sim::StaticSimulator sim_a(universe_a, repositories_[0]->tasks());
-    sim::StaticSimulator sim_b(universe_b, repositories_[0]->tasks());
+    sim::StaticSimulator sim_a(universe_a, vdce_.sites[0].repository->tasks());
+    sim::StaticSimulator sim_b(universe_b, vdce_.sites[0].repository->tasks());
     const auto res_vdce = sim_a.run(graph, alloc_vdce, 10.0);
     const auto res_random = sim_b.run(graph, alloc_random, 10.0);
     if (res_vdce.makespan_s <= res_random.makespan_s) ++vdce_wins;
@@ -188,20 +157,20 @@ TEST_F(VdceIntegration, DynamicSimulationEndToEndWithChaos) {
   params.width = 4;
   const auto graph = sim::make_synthetic_graph(params, rng);
 
-  sched::SiteScheduler scheduler(SiteId(0), directory_);
+  sched::SiteScheduler scheduler(SiteId(0), vdce_.directory);
   const auto allocation = scheduler.schedule(graph);
 
   // Chaos: one failure, one spike.
   const auto involved = allocation.hosts_involved();
-  testbed_->fail_host(involved.front(), 12.0, 500.0);
+  vdce_.testbed.fail_host(involved.front(), 12.0, 500.0);
   if (involved.size() > 1) {
-    testbed_->add_load_spike(involved[1], {12.0, 200.0, 20.0});
+    vdce_.testbed.add_load_spike(involved[1], {12.0, 200.0, 20.0});
   }
 
   sim::DynamicSimConfig config;
   config.load_threshold = 8.0;
-  sim::DynamicSimulator simulator(*testbed_, repositories_[0]->tasks(),
-                                  runtimes_, config);
+  sim::DynamicSimulator simulator(vdce_, vdce_.sites[0].repository->tasks(),
+                                  config);
   const auto result = simulator.run(graph, allocation, 11.0);
   EXPECT_EQ(result.records.size(), graph.task_count());
   EXPECT_GT(result.reschedules, 0u);
@@ -230,7 +199,7 @@ TEST_F(VdceIntegration, ComparativeVisualizationAcrossConfigs) {
         constrained.task(node.id).props = props;
       }
     }
-    sched::SiteScheduler scheduler(SiteId(0), directory_);
+    sched::SiteScheduler scheduler(SiteId(0), vdce_.directory);
     sched::AllocationTable allocation("x");
     try {
       allocation = scheduler.schedule(constrained);
@@ -238,7 +207,7 @@ TEST_F(VdceIntegration, ComparativeVisualizationAcrossConfigs) {
       continue;  // some constraint sets are infeasible; skip
     }
     netsim::VirtualTestbed universe(netsim::make_campus_testbed(2026));
-    sim::StaticSimulator sims(universe, repositories_[0]->tasks());
+    sim::StaticSimulator sims(universe, vdce_.sites[0].repository->tasks());
     comparison.add_run(label, sims.run(constrained, allocation, 10.0));
   }
   EXPECT_GE(comparison.runs(), 2u);
@@ -251,17 +220,17 @@ TEST_F(VdceIntegration, RepositoryPersistsAcrossRestart) {
 
   // Run something so there is measured history, then save.
   const auto graph = sim::make_c3i_graph(0.5);
-  sched::SiteScheduler scheduler(SiteId(0), directory_);
+  sched::SiteScheduler scheduler(SiteId(0), vdce_.directory);
   const auto allocation = scheduler.schedule(graph);
   rt::ExecutionEngine engine(tasklib::builtin_registry());
-  (void)engine.execute(graph, allocation, managers_[0].get());
-  repositories_[0]->save(dir);
+  (void)engine.execute(graph, allocation, vdce_.sites[0].manager.get());
+  vdce_.sites[0].repository->save(dir);
 
   // "Restart": a fresh repository loads the same state.
   repo::SiteRepository restarted(SiteId(0));
   restarted.load(dir);
   EXPECT_EQ(restarted.resources().size(),
-            repositories_[0]->resources().size());
+            vdce_.sites[0].repository->resources().size());
   EXPECT_FALSE(
       restarted.tasks().get("track_filter").measured_history.empty());
   EXPECT_NO_THROW((void)restarted.users().authenticate("hpdc", "nynet"));
@@ -272,12 +241,12 @@ TEST_F(VdceIntegration, InterSiteCoordinationCounted) {
   const auto graph = sim::make_c3i_graph();
   sched::SiteSchedulerConfig config;
   config.k_nearest = 1;
-  sched::SiteScheduler scheduler(SiteId(0), directory_, config);
+  sched::SiteScheduler scheduler(SiteId(0), vdce_.directory, config);
   (void)scheduler.schedule(graph);
   // Both the local site and one remote answered a multicast.
-  EXPECT_EQ(directory_.stats().afg_multicasts, 2u);
-  EXPECT_EQ(managers_[0]->stats().host_selection_requests, 1u);
-  EXPECT_EQ(managers_[1]->stats().host_selection_requests, 1u);
+  EXPECT_EQ(vdce_.directory.stats().afg_multicasts, 2u);
+  EXPECT_EQ(vdce_.sites[0].manager->stats().host_selection_requests, 1u);
+  EXPECT_EQ(vdce_.sites[1].manager->stats().host_selection_requests, 1u);
 }
 
 }  // namespace

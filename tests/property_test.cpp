@@ -27,7 +27,6 @@
 #include "sim/static_sim.hpp"
 #include "sim/workloads.hpp"
 #include "tasklib/registry.hpp"
-#include "viz/trace.hpp"
 
 namespace vdce {
 namespace {
@@ -246,14 +245,6 @@ TEST_P(ScheduleSimProperty, EndToEndInvariants) {
       if (a.task == b.task || a.host != b.host) continue;
       EXPECT_TRUE(a.finish <= b.start + 1e-9 || b.finish <= a.start + 1e-9);
     }
-  }
-
-  // The trace exporter produces parseable-looking JSON with one event
-  // per task at minimum.
-  const auto trace = viz::to_chrome_trace(result);
-  EXPECT_NE(trace.find("\"traceEvents\""), std::string::npos);
-  for (const auto& r : result.records) {
-    EXPECT_NE(trace.find("\"" + r.label + "\""), std::string::npos);
   }
 }
 
@@ -1013,31 +1004,6 @@ TEST(LivenessDirectoryChurn, WritersPollerAndReaderReconcile) {
     EXPECT_EQ(stats.deaths_timeout, polled) << "trial " << trial;
     expect_metrics_mirror(metrics_before, stats);
   }
-}
-
-// --------------------------------------------------------- trace export
-
-TEST(TraceExport, RealRunTrace) {
-  rt::RunResult run;
-  rt::TaskRunRecord rec;
-  rec.task = common::TaskId(0);
-  rec.label = "alpha \"quoted\"";
-  rec.library_task = "synth_source";
-  rec.host = HostId(2);
-  rec.turnaround_s = 0.5;
-  rec.compute_s = 0.4;
-  run.records.push_back(rec);
-  run.makespan_s = 0.5;
-  const auto trace = viz::to_chrome_trace(run);
-  // Quotes escaped, fields present.
-  EXPECT_NE(trace.find("alpha \\\"quoted\\\""), std::string::npos);
-  EXPECT_NE(trace.find("\"tid\": 2"), std::string::npos);
-
-  const auto path = "/tmp/vdce_trace_test.json";
-  viz::write_trace(trace, path);
-  EXPECT_TRUE(std::filesystem::exists(path));
-  EXPECT_THROW(viz::write_trace(trace, "/nonexistent_dir/x.json"),
-               common::NotFoundError);
 }
 
 }  // namespace

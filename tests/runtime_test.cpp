@@ -17,6 +17,7 @@
 #include "netsim/testbed.hpp"
 #include "runtime/control_manager.hpp"
 #include "runtime/engine.hpp"
+#include "runtime/site_stack.hpp"
 #include "runtime/sm_directory.hpp"
 #include "scheduler/site_scheduler.hpp"
 #include "sim/workloads.hpp"
@@ -31,38 +32,7 @@ using common::SiteId;
 /// One fully wired site over the campus testbed.
 class RuntimeEnv : public ::testing::Test {
  protected:
-  void SetUp() override {
-    testbed_ = std::make_unique<netsim::VirtualTestbed>(
-        netsim::make_campus_testbed(13));
-    for (const SiteId site : testbed_->sites()) {
-      auto repository = std::make_unique<repo::SiteRepository>(site);
-      tasklib::builtin_registry().install_defaults(repository->tasks());
-      testbed_->populate_repository(*repository, site);
-      auto forecaster = std::make_unique<predict::LoadForecaster>();
-      auto manager =
-          std::make_unique<SiteManager>(site, *repository, *forecaster);
-      auto control =
-          std::make_unique<ControlManager>(*testbed_, site, *manager);
-      directory_.add_site(*manager);
-      repositories_.push_back(std::move(repository));
-      forecasters_.push_back(std::move(forecaster));
-      managers_.push_back(std::move(manager));
-      controls_.push_back(std::move(control));
-    }
-  }
-
-  void warm_up(double until) {
-    for (double t = 1.0; t <= until; t += 1.0) {
-      for (auto& c : controls_) c->tick(t);
-    }
-  }
-
-  std::unique_ptr<netsim::VirtualTestbed> testbed_;
-  std::vector<std::unique_ptr<repo::SiteRepository>> repositories_;
-  std::vector<std::unique_ptr<predict::LoadForecaster>> forecasters_;
-  std::vector<std::unique_ptr<SiteManager>> managers_;
-  std::vector<std::unique_ptr<ControlManager>> controls_;
-  SiteManagerDirectory directory_;
+  LocalVdce vdce_{netsim::make_campus_testbed(13)};
 };
 
 // -------------------------------------------------------------- monitor
@@ -144,8 +114,8 @@ TEST(GroupManagerTest, CiFilterReducesForwarding) {
   GroupManagerConfig unfiltered;
   unfiltered.ci_filter = false;
 
-  GroupManager gm_filtered(testbed_a, common::GroupId(0), 1.0, filtered);
-  GroupManager gm_unfiltered(testbed_b, common::GroupId(0), 1.0, unfiltered);
+  GroupManager gm_filtered(testbed_a, common::GroupId(0), filtered);
+  GroupManager gm_unfiltered(testbed_b, common::GroupId(0), unfiltered);
 
   for (double t = 1.0; t <= 200.0; t += 1.0) {
     (void)gm_filtered.tick(t);
@@ -168,7 +138,7 @@ TEST(GroupManagerTest, DetectsFailureAndRecovery) {
 
   GroupManagerConfig config;
   config.echo_period_s = 2.0;
-  GroupManager gm(testbed, group, 1.0, config);
+  GroupManager gm(testbed, group, config);
 
   bool saw_down = false;
   bool saw_up = false;
@@ -190,7 +160,7 @@ TEST(GroupManagerTest, DetectsFailureAndRecovery) {
 
 TEST(GroupManagerTest, EchoRoundsMeasureNetwork) {
   netsim::VirtualTestbed testbed(netsim::make_campus_testbed(5));
-  GroupManager gm(testbed, common::GroupId(0), 1.0);
+  GroupManager gm(testbed, common::GroupId(0));
   bool saw_network = false;
   for (double t = 1.0; t <= 10.0; t += 1.0) {
     const auto out = gm.tick(t);
@@ -205,40 +175,42 @@ TEST(GroupManagerTest, EchoRoundsMeasureNetwork) {
 // --------------------------------------------------------- site manager
 
 TEST_F(RuntimeEnv, WorkloadUpdatesReachRepositoryAndForecaster) {
-  const auto host = testbed_->hosts_in_site(SiteId(0)).front();
+  const auto host = vdce_.testbed.hosts_in_site(SiteId(0)).front();
   WorkloadUpdate update{host, 5.0, 2.5, 100.0};
-  managers_[0]->handle_workload(update);
-  const auto rec = repositories_[0]->resources().get(host);
+  vdce_.sites[0].manager->handle_workload(update);
+  const auto rec = vdce_.sites[0].repository->resources().get(host);
   EXPECT_DOUBLE_EQ(rec.dynamic_attrs.cpu_load, 2.5);
   EXPECT_DOUBLE_EQ(rec.dynamic_attrs.last_update, 5.0);
-  EXPECT_DOUBLE_EQ(forecasters_[0]->forecast(host).value(), 2.5);
+  EXPECT_DOUBLE_EQ(vdce_.sites[0].forecaster->forecast(host).value(), 2.5);
 }
 
 TEST_F(RuntimeEnv, LivenessChangeMarksHost) {
-  const auto host = testbed_->hosts_in_site(SiteId(0)).front();
-  managers_[0]->handle_liveness(LivenessChange{host, 3.0, false});
+  const auto host = vdce_.testbed.hosts_in_site(SiteId(0)).front();
+  vdce_.sites[0].manager->handle_liveness(LivenessChange{host, 3.0, false});
   EXPECT_FALSE(
-      repositories_[0]->resources().get(host).dynamic_attrs.alive);
-  managers_[0]->handle_liveness(LivenessChange{host, 6.0, true});
-  EXPECT_TRUE(repositories_[0]->resources().get(host).dynamic_attrs.alive);
+      vdce_.sites[0].repository->resources().get(host).dynamic_attrs.alive);
+  vdce_.sites[0].manager->handle_liveness(LivenessChange{host, 6.0, true});
+  EXPECT_TRUE(
+      vdce_.sites[0].repository->resources().get(host).dynamic_attrs.alive);
 }
 
 TEST_F(RuntimeEnv, LoginWorks) {
-  repositories_[0]->users().add_user("ops", "pw", 3, "wan");
-  EXPECT_EQ(managers_[0]->login("ops", "pw").priority, 3);
-  EXPECT_THROW((void)managers_[0]->login("ops", "bad"), common::AuthError);
+  vdce_.sites[0].repository->users().add_user("ops", "pw", 3, "wan");
+  EXPECT_EQ(vdce_.sites[0].manager->login("ops", "pw").priority, 3);
+  EXPECT_THROW((void)vdce_.sites[0].manager->login("ops", "bad"),
+               common::AuthError);
 }
 
 TEST_F(RuntimeEnv, RecordTaskTimeAppendsHistory) {
-  managers_[0]->record_task_time("fft_forward", 0.42);
-  const auto rec = repositories_[0]->tasks().get("fft_forward");
+  vdce_.sites[0].manager->record_task_time("fft_forward", 0.42);
+  const auto rec = vdce_.sites[0].repository->tasks().get("fft_forward");
   ASSERT_FALSE(rec.measured_history.empty());
   EXPECT_DOUBLE_EQ(rec.measured_history.back(), 0.42);
 }
 
 TEST_F(RuntimeEnv, DistributeAllocationSplitsPerHost) {
   sched::AllocationTable table("app");
-  const auto hosts = testbed_->hosts_in_site(SiteId(0));
+  const auto hosts = vdce_.testbed.hosts_in_site(SiteId(0));
   for (int i = 0; i < 3; ++i) {
     sched::AllocationEntry e;
     e.task = common::TaskId(i);
@@ -250,16 +222,16 @@ TEST_F(RuntimeEnv, DistributeAllocationSplitsPerHost) {
   // One row for the other site; must not appear in this site's portions.
   sched::AllocationEntry remote;
   remote.task = common::TaskId(9);
-  remote.hosts = {testbed_->hosts_in_site(SiteId(1)).front()};
+  remote.hosts = {vdce_.testbed.hosts_in_site(SiteId(1)).front()};
   remote.site = SiteId(1);
   table.add(remote);
 
-  const auto portions = managers_[0]->distribute_allocation(table);
+  const auto portions = vdce_.sites[0].manager->distribute_allocation(table);
   std::size_t rows = 0;
   for (const auto& [host, entries] : portions) {
     rows += entries.size();
     EXPECT_EQ(
-        repositories_[0]->resources().get(host).static_attrs.site,
+        vdce_.sites[0].repository->resources().get(host).static_attrs.site,
         SiteId(0));
   }
   EXPECT_EQ(rows, 3u);
@@ -268,62 +240,64 @@ TEST_F(RuntimeEnv, DistributeAllocationSplitsPerHost) {
 // ------------------------------------------------------ control manager
 
 TEST_F(RuntimeEnv, MonitoringPipelineUpdatesRepository) {
-  warm_up(20.0);
-  const auto stats = controls_[0]->stats();
+  vdce_.warm_up(20.0);
+  const auto stats = vdce_.sites[0].control->stats();
   EXPECT_GT(stats.reports_received, 0u);
   EXPECT_GT(stats.updates_forwarded, 0u);
   EXPECT_LE(stats.updates_forwarded, stats.reports_received);
 
   // Repository dynamic attributes were refreshed.
   for (const auto& rec :
-       repositories_[0]->resources().hosts_in_site(SiteId(0))) {
+       vdce_.sites[0].repository->resources().hosts_in_site(SiteId(0))) {
     EXPECT_GT(rec.dynamic_attrs.last_update, 0.0);
   }
 }
 
 TEST_F(RuntimeEnv, FailureFlowsToRepository) {
-  const auto host = testbed_->hosts_in_site(SiteId(0)).front();
-  testbed_->fail_host(host, 5.0, 100.0);
-  warm_up(20.0);
-  EXPECT_FALSE(repositories_[0]->resources().get(host).dynamic_attrs.alive);
+  const auto host = vdce_.testbed.hosts_in_site(SiteId(0)).front();
+  vdce_.testbed.fail_host(host, 5.0, 100.0);
+  vdce_.warm_up(20.0);
+  EXPECT_FALSE(
+      vdce_.sites[0].repository->resources().get(host).dynamic_attrs.alive);
   // The scheduler no longer sees the host.
-  EXPECT_EQ(repositories_[0]->resources().alive_hosts().size(),
-            testbed_->host_count() - 1);
+  EXPECT_EQ(vdce_.sites[0].repository->resources().alive_hosts().size(),
+            vdce_.testbed.host_count() - 1);
 }
 
 TEST_F(RuntimeEnv, RunUntilConvenience) {
-  controls_[0]->run_until(0.0, 10.0, 1.0);
-  EXPECT_GT(controls_[0]->stats().reports_received, 0u);
+  vdce_.sites[0].control->run_until(0.0, 10.0, 1.0);
+  EXPECT_GT(vdce_.sites[0].control->stats().reports_received, 0u);
 }
 
 // ----------------------------------------------------------- directory
 
 TEST_F(RuntimeEnv, DirectoryRoutesHostSelection) {
-  warm_up(10.0);
+  vdce_.warm_up(10.0);
   const auto graph = sim::make_c3i_graph();
-  const auto result = directory_.host_selection(SiteId(1), graph);
+  const auto result = vdce_.directory.host_selection(SiteId(1), graph);
   EXPECT_EQ(result.size(), graph.task_count());
-  EXPECT_GT(directory_.stats().afg_multicasts, 0u);
-  EXPECT_EQ(managers_[1]->stats().host_selection_requests, 1u);
+  EXPECT_GT(vdce_.directory.stats().afg_multicasts, 0u);
+  EXPECT_EQ(vdce_.sites[1].manager->stats().host_selection_requests, 1u);
 }
 
 TEST_F(RuntimeEnv, DirectoryAnswersWanQueries) {
-  EXPECT_GT(directory_.transfer_time(SiteId(0), SiteId(1), 10.0), 0.0);
-  EXPECT_DOUBLE_EQ(directory_.transfer_time(SiteId(0), SiteId(0), 10.0),
+  EXPECT_GT(vdce_.directory.transfer_time(SiteId(0), SiteId(1), 10.0), 0.0);
+  EXPECT_DOUBLE_EQ(vdce_.directory.transfer_time(SiteId(0), SiteId(0), 10.0),
                    0.0);
-  EXPECT_GT(directory_.base_time("lu_decomposition"), 0.0);
+  EXPECT_GT(vdce_.directory.base_time("lu_decomposition"), 0.0);
 }
 
 // --------------------------------------------------------------- engine
 
 TEST_F(RuntimeEnv, EndToEndLinearSolver) {
-  warm_up(10.0);
+  vdce_.warm_up(10.0);
   const auto graph = sim::make_linear_solver_graph(0.5);
-  sched::SiteScheduler scheduler(SiteId(0), directory_);
+  sched::SiteScheduler scheduler(SiteId(0), vdce_.directory);
   const auto allocation = scheduler.schedule(graph);
 
   ExecutionEngine engine(tasklib::builtin_registry());
-  const auto result = engine.execute(graph, allocation, managers_[0].get());
+  const auto result =
+      engine.execute(graph, allocation, vdce_.sites[0].manager.get());
 
   EXPECT_EQ(result.records.size(), graph.task_count());
   EXPECT_GT(result.makespan_s, 0.0);
@@ -331,15 +305,15 @@ TEST_F(RuntimeEnv, EndToEndLinearSolver) {
   EXPECT_LT(result.outputs.at(*res_task).as_scalar(), 1e-9);
 
   // Measured times fed back into the task-performance database.
-  EXPECT_FALSE(repositories_[0]->tasks()
+  EXPECT_FALSE(vdce_.sites[0].repository->tasks()
                    .get("lu_decomposition")
                    .measured_history.empty());
 }
 
 TEST_F(RuntimeEnv, EngineOverTcpWithEveryLibrary) {
-  warm_up(10.0);
+  vdce_.warm_up(10.0);
   const auto graph = sim::make_c3i_graph(0.5);
-  sched::SiteScheduler scheduler(SiteId(0), directory_);
+  sched::SiteScheduler scheduler(SiteId(0), vdce_.directory);
   const auto allocation = scheduler.schedule(graph);
 
   for (const auto lib : {dm::MpLibrary::kP4, dm::MpLibrary::kPvm,
@@ -363,9 +337,9 @@ TEST_F(RuntimeEnv, EngineRejectsIncompleteAllocation) {
 }
 
 TEST_F(RuntimeEnv, EngineDeterministicOutputsAcrossTransports) {
-  warm_up(10.0);
+  vdce_.warm_up(10.0);
   const auto graph = sim::make_linear_solver_graph(0.5);
-  sched::SiteScheduler scheduler(SiteId(0), directory_);
+  sched::SiteScheduler scheduler(SiteId(0), vdce_.directory);
   const auto allocation = scheduler.schedule(graph);
 
   EngineConfig inproc;
@@ -383,9 +357,9 @@ TEST_F(RuntimeEnv, EngineDeterministicOutputsAcrossTransports) {
 }
 
 TEST_F(RuntimeEnv, ConsoleAbortFailsRun) {
-  warm_up(5.0);
+  vdce_.warm_up(5.0);
   const auto graph = sim::make_c3i_graph(0.5);
-  sched::SiteScheduler scheduler(SiteId(0), directory_);
+  sched::SiteScheduler scheduler(SiteId(0), vdce_.directory);
   const auto allocation = scheduler.schedule(graph);
 
   dm::ConsoleService console;
@@ -398,7 +372,7 @@ TEST_F(RuntimeEnv, ConsoleAbortFailsRun) {
 TEST_F(RuntimeEnv, EngineFailurePropagatesWithoutHanging) {
   // A graph that is structurally valid but type-broken at runtime: the
   // failing task must be named and every peer unblocked.
-  warm_up(5.0);
+  vdce_.warm_up(5.0);
   afg::FlowGraph g("broken");
   const auto a = g.add_task("vector_generate", "vec");
   const auto b = g.add_task("lu_decomposition", "lu");  // wants a matrix
@@ -406,7 +380,7 @@ TEST_F(RuntimeEnv, EngineFailurePropagatesWithoutHanging) {
   g.add_link(a, b, 0.1);
   g.add_link(b, c, 0.1);
 
-  sched::SiteScheduler scheduler(SiteId(0), directory_);
+  sched::SiteScheduler scheduler(SiteId(0), vdce_.directory);
   const auto allocation = scheduler.schedule(g);
   ExecutionEngine engine(tasklib::builtin_registry());
   try {
@@ -418,7 +392,7 @@ TEST_F(RuntimeEnv, EngineFailurePropagatesWithoutHanging) {
 }
 
 TEST_F(RuntimeEnv, EngineParallelTaskUsesAllAssignedHosts) {
-  warm_up(5.0);
+  vdce_.warm_up(5.0);
   afg::FlowGraph g("par");
   afg::TaskProperties props;
   props.mode = afg::ComputeMode::kParallel;
@@ -427,7 +401,7 @@ TEST_F(RuntimeEnv, EngineParallelTaskUsesAllAssignedHosts) {
   const auto sink = g.add_task("synth_sink", "sink");
   g.add_link(src, sink, 0.1);
 
-  sched::SiteScheduler scheduler(SiteId(0), directory_);
+  sched::SiteScheduler scheduler(SiteId(0), vdce_.directory);
   const auto allocation = scheduler.schedule(g);
   EXPECT_EQ(allocation.entry(src).hosts.size(), 2u);
   ExecutionEngine engine(tasklib::builtin_registry());
@@ -439,7 +413,7 @@ TEST_F(RuntimeEnv, EngineMatchesSequentialReference) {
   // Property: the distributed execution computes exactly what a
   // sequential topological evaluation with the same per-task seeds
   // computes.
-  warm_up(5.0);
+  vdce_.warm_up(5.0);
   const auto& registry = tasklib::builtin_registry();
   common::Rng graph_rng(4242);
   for (int trial = 0; trial < 3; ++trial) {
@@ -449,7 +423,7 @@ TEST_F(RuntimeEnv, EngineMatchesSequentialReference) {
     params.width = 3;
     const auto graph = sim::make_synthetic_graph(params, graph_rng);
 
-    sched::SiteScheduler scheduler(SiteId(0), directory_);
+    sched::SiteScheduler scheduler(SiteId(0), vdce_.directory);
     const auto allocation = scheduler.schedule(graph);
 
     EngineConfig config;
@@ -480,8 +454,8 @@ TEST_F(RuntimeEnv, EngineMatchesSequentialReference) {
 
 TEST_F(RuntimeEnv, DirectoryRejectsDuplicateSite) {
   SiteManagerDirectory dir;
-  dir.add_site(*managers_[0]);
-  EXPECT_THROW(dir.add_site(*managers_[0]), common::StateError);
+  dir.add_site(*vdce_.sites[0].manager);
+  EXPECT_THROW(dir.add_site(*vdce_.sites[0].manager), common::StateError);
 }
 
 // ----------------------------------------------------- app controller

@@ -7,6 +7,7 @@
 #include "common/error.hpp"
 #include "netsim/testbed.hpp"
 #include "runtime/control_manager.hpp"
+#include "runtime/site_stack.hpp"
 #include "scheduler/site_scheduler.hpp"
 #include "scheduler/directory.hpp"
 #include "sim/dynamic_sim.hpp"
@@ -274,49 +275,21 @@ TEST_F(StaticSimEnv, MultiAppStaggeredSubmission) {
 
 class DynamicSimEnv : public ::testing::Test {
  protected:
-  void SetUp() override {
-    testbed_ = std::make_unique<netsim::VirtualTestbed>(
-        netsim::make_campus_testbed(31));
-    for (const SiteId site : testbed_->sites()) {
-      auto repository = std::make_unique<repo::SiteRepository>(site);
-      tasklib::builtin_registry().install_defaults(repository->tasks());
-      testbed_->populate_repository(*repository, site);
-      auto forecaster = std::make_unique<predict::LoadForecaster>();
-      auto manager =
-          std::make_unique<rt::SiteManager>(site, *repository, *forecaster);
-      auto control =
-          std::make_unique<rt::ControlManager>(*testbed_, site, *manager);
-      directory_.add_site(site, repository.get(), forecaster.get());
-      runtimes_.push_back(SiteRuntime{manager.get(), control.get()});
-      repositories_.push_back(std::move(repository));
-      forecasters_.push_back(std::move(forecaster));
-      managers_.push_back(std::move(manager));
-      controls_.push_back(std::move(control));
-    }
-    // Warm the monitoring plane.
-    for (double t = 1.0; t <= 10.0; t += 1.0) {
-      for (auto& c : controls_) c->tick(t);
-    }
-  }
+  // Warm the monitoring plane.
+  void SetUp() override { vdce_.warm_up(10.0); }
 
   sched::AllocationTable schedule(const afg::FlowGraph& graph) {
-    sched::SiteScheduler scheduler(SiteId(0), directory_);
+    sched::SiteScheduler scheduler(SiteId(0), vdce_.repository_directory);
     return scheduler.schedule(graph);
   }
 
-  std::unique_ptr<netsim::VirtualTestbed> testbed_;
-  std::vector<std::unique_ptr<repo::SiteRepository>> repositories_;
-  std::vector<std::unique_ptr<predict::LoadForecaster>> forecasters_;
-  std::vector<std::unique_ptr<rt::SiteManager>> managers_;
-  std::vector<std::unique_ptr<rt::ControlManager>> controls_;
-  std::vector<SiteRuntime> runtimes_;
-  sched::RepositoryDirectory directory_;
+  rt::LocalVdce vdce_{netsim::make_campus_testbed(31)};
 };
 
 TEST_F(DynamicSimEnv, QuietRunMatchesStaticBehaviour) {
   const auto graph = make_linear_solver_graph();
   const auto allocation = schedule(graph);
-  DynamicSimulator sim(*testbed_, repositories_[0]->tasks(), runtimes_);
+  DynamicSimulator sim(vdce_, vdce_.sites[0].repository->tasks());
   const auto result = sim.run(graph, allocation, /*start_at=*/10.0);
   EXPECT_EQ(result.records.size(), graph.task_count());
   EXPECT_EQ(result.reschedules, 0u);
@@ -329,9 +302,9 @@ TEST_F(DynamicSimEnv, SurvivesHostFailure) {
   const auto allocation = schedule(graph);
   // Kill the busiest host for a long window right after start.
   const auto victim = allocation.hosts_involved().front();
-  testbed_->fail_host(victim, 11.0, 1000.0);
+  vdce_.testbed.fail_host(victim, 11.0, 1000.0);
 
-  DynamicSimulator sim(*testbed_, repositories_[0]->tasks(), runtimes_);
+  DynamicSimulator sim(vdce_, vdce_.sites[0].repository->tasks());
   const auto result = sim.run(graph, allocation, /*start_at=*/10.0);
   EXPECT_EQ(result.records.size(), graph.task_count());
   EXPECT_GT(result.reschedules, 0u);
@@ -347,12 +320,11 @@ TEST_F(DynamicSimEnv, ThresholdGuardAvoidsLoadSpikes) {
   const auto graph = make_linear_solver_graph(2.0);
   const auto allocation = schedule(graph);
   const auto victim = allocation.hosts_involved().front();
-  testbed_->add_load_spike(victim, {10.0, 500.0, 50.0});
+  vdce_.testbed.add_load_spike(victim, {10.0, 500.0, 50.0});
 
   DynamicSimConfig config;
   config.load_threshold = 10.0;
-  DynamicSimulator sim(*testbed_, repositories_[0]->tasks(), runtimes_,
-                       config);
+  DynamicSimulator sim(vdce_, vdce_.sites[0].repository->tasks(), config);
   const auto result = sim.run(graph, allocation, /*start_at=*/10.0);
   EXPECT_GT(result.reschedules, 0u);
   // Every task eventually completed somewhere else.
@@ -365,8 +337,8 @@ TEST_F(DynamicSimEnv, ThresholdGuardDisabledByDefault) {
   const auto graph = make_c3i_graph();
   const auto allocation = schedule(graph);
   const auto victim = allocation.hosts_involved().front();
-  testbed_->add_load_spike(victim, {10.0, 500.0, 50.0});
-  DynamicSimulator sim(*testbed_, repositories_[0]->tasks(), runtimes_);
+  vdce_.testbed.add_load_spike(victim, {10.0, 500.0, 50.0});
+  DynamicSimulator sim(vdce_, vdce_.sites[0].repository->tasks());
   const auto result = sim.run(graph, allocation, 10.0);
   EXPECT_EQ(result.reschedules, 0u);  // guard off: grind through the spike
 }
@@ -375,10 +347,10 @@ TEST_F(DynamicSimEnv, ImpossibleRecoveryThrows) {
   const auto graph = make_c3i_graph();
   const auto allocation = schedule(graph);
   // Kill every host everywhere.
-  for (const auto h : testbed_->all_hosts()) {
-    testbed_->fail_host(h, 10.5, 1e6);
+  for (const auto h : vdce_.testbed.all_hosts()) {
+    vdce_.testbed.fail_host(h, 10.5, 1e6);
   }
-  DynamicSimulator sim(*testbed_, repositories_[0]->tasks(), runtimes_);
+  DynamicSimulator sim(vdce_, vdce_.sites[0].repository->tasks());
   EXPECT_THROW((void)sim.run(graph, allocation, 10.0),
                sched::SchedulingError);
 }
@@ -386,11 +358,13 @@ TEST_F(DynamicSimEnv, ImpossibleRecoveryThrows) {
 TEST_F(DynamicSimEnv, RecordsMeasuredTimesInTaskDb) {
   const auto graph = make_c3i_graph();
   const auto allocation = schedule(graph);
-  DynamicSimulator sim(*testbed_, repositories_[0]->tasks(), runtimes_);
+  DynamicSimulator sim(vdce_, vdce_.sites[0].repository->tasks());
   (void)sim.run(graph, allocation, 10.0);
   bool any_history = false;
-  for (const auto& repository : repositories_) {
-    if (!repository->tasks().get("track_filter").measured_history.empty()) {
+  for (const auto& site : vdce_.sites) {
+    if (!site.repository->tasks()
+             .get("track_filter")
+             .measured_history.empty()) {
       any_history = true;
     }
   }
