@@ -11,8 +11,8 @@
 //     batched-burst throughput; (3) fairness: Jain's index over
 //     per-user grants for 64 equal users and the worst weighted-share
 //     error for 1:2:4 weights.  Written to BENCH_admission.json by
-//     default; cited by EXPERIMENTS.md E21 and run as the
-//     admission-perf-smoke CI job.
+//     default; cited by EXPERIMENTS.md E21 and run in quick mode by the
+//     CI test job.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>

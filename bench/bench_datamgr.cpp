@@ -7,18 +7,14 @@
 //     envelope overhead, heterogeneous data conversion);
 //   * --json [path] [--quick]: the D13/D14 sweep.  Runs the P4
 //     endpoint pipeline over both transports and a range of frame
-//     sizes; the TCP cells run twice, once with the event loop
-//     publishing every parsed frame individually (one queue lock +
-//     notify per frame) and once with batched publication (one lock +
-//     notify per wakeup), recording throughput, allocations per frame
-//     (via global operator new interposition), and p99
-//     producer-to-consumer frame latency.  Then one link_lifecycle row
-//     per transport: links per second and process CPU per link for
-//     register, connect, one 4 KiB P4 frame and both closes.  Every
-//     cell and row runs kSweepRuns times, interleaved, and each figure
-//     is reported as its median and quartiles.  Written to
-//     BENCH_datamgr.json by default; cited by EXPERIMENTS.md E19 and
-//     run as the datamgr-perf-smoke CI job.
+//     sizes, recording throughput, allocations per frame (via global
+//     operator new interposition), and p99 producer-to-consumer frame
+//     latency.  Then one link_lifecycle row per transport: links per
+//     second and process CPU per link for register, connect, one 4 KiB
+//     P4 frame and both closes.  Every cell and row runs kSweepRuns
+//     times, interleaved, and each figure is reported as its median
+//     and quartiles.  Written to BENCH_datamgr.json by default; cited
+//     by EXPERIMENTS.md E19 and run by the CI test job's quick sweep.
 #include <benchmark/benchmark.h>
 
 #include <time.h>
@@ -41,7 +37,6 @@
 #include "common/rng.hpp"
 #include "common/stats.hpp"
 #include "datamgr/broker.hpp"
-#include "datamgr/event_loop.hpp"
 #include "datamgr/frame.hpp"
 #include "datamgr/mplib.hpp"
 #include "tasklib/payload.hpp"
@@ -338,7 +333,6 @@ std::string json_spread(const Spread& s) {
 struct CellResult {
   std::string transport;
   std::size_t size_bytes = 0;
-  std::string path;  // "per_frame_notify" | "batched_notify" | "zero_copy"
   std::size_t frames = 0;
   double throughput_mb_s = 0.0;
   double allocs_per_frame = 0.0;
@@ -349,7 +343,6 @@ struct CellResult {
 struct CellSpread {
   std::string transport;
   std::size_t size_bytes = 0;
-  std::string path;
   std::size_t frames = 0;
   Spread throughput_mb_s;
   Spread allocs_per_frame;
@@ -357,14 +350,10 @@ struct CellSpread {
 };
 
 /// One producer -> consumer P4 pipeline cell over the pooled zero-copy
-/// path.  `batched` toggles the event loop's frame publication mode:
-/// off, every parsed frame pays its own queue lock + notify; on, a
-/// wakeup's worth of frames is published at once (only TCP cells go
-/// through the event loop, so the toggle is a no-op in-process).
-CellResult run_cell(TransportKind kind, std::size_t size, bool batched,
+/// path.
+CellResult run_cell(TransportKind kind, std::size_t size,
                     std::size_t frames) {
   using Clock = std::chrono::steady_clock;
-  dm::TcpEventLoop::set_batch_publish(batched);
 
   ChannelBroker broker(kind);
   const LinkKey key{common::AppId(1), common::TaskId(0), common::TaskId(1)};
@@ -422,9 +411,6 @@ CellResult run_cell(TransportKind kind, std::size_t size, bool batched,
   CellResult cell;
   cell.transport = kind == TransportKind::kInProcess ? "inproc" : "tcp";
   cell.size_bytes = size;
-  cell.path = kind == TransportKind::kInProcess
-                  ? "zero_copy"
-                  : (batched ? "batched_notify" : "per_frame_notify");
   cell.frames = frames;
   const double seconds = std::chrono::duration<double>(t1 - t0).count();
   cell.throughput_mb_s =
@@ -474,7 +460,6 @@ std::string json_cell(const CellSpread& c) {
   std::string out = "    {";
   out += "\"transport\": \"" + c.transport + "\", ";
   out += "\"size_bytes\": " + std::to_string(c.size_bytes) + ", ";
-  out += "\"path\": \"" + c.path + "\", ";
   out += "\"frames\": " + std::to_string(c.frames) + ", ";
   out += "\"runs\": " + std::to_string(kSweepRuns) + ", ";
   out += "\"throughput_mb_s\": " + json_spread(c.throughput_mb_s) + ", ";
@@ -484,42 +469,23 @@ std::string json_cell(const CellSpread& c) {
   return out;
 }
 
-const CellSpread& find_cell(const std::vector<CellSpread>& cells,
-                            const std::string& transport, std::size_t size,
-                            const std::string& path) {
-  for (const auto& c : cells) {
-    if (c.transport == transport && c.size_bytes == size &&
-        c.path == path) {
-      return c;
-    }
-  }
-  throw common::StateError("missing sweep cell");
-}
-
 int run_json_sweep(const std::string& out_path, bool quick) {
   const std::vector<std::size_t> sizes =
       quick ? std::vector<std::size_t>{1 << 12, 1 << 20}
             : std::vector<std::size_t>{1 << 12, 1 << 16, 1 << 20, 16 << 20};
   const std::size_t target_bytes =
       quick ? (std::size_t{32} << 20) : (std::size_t{256} << 20);
-  const std::size_t smallest = sizes.front();
 
   const std::vector<TransportKind> kinds = {TransportKind::kInProcess,
                                             TransportKind::kTcp};
-  // The cells in report order.  The batching toggle only reaches the
-  // event loop, so in-process cells run in one mode; TCP cells run
-  // before/after.
+  // The cells in report order.
   struct CellSpec {
     TransportKind kind;
     std::size_t size;
-    bool batched;
   };
   std::vector<CellSpec> specs;
   for (const TransportKind kind : kinds) {
-    for (const std::size_t size : sizes) {
-      if (kind == TransportKind::kTcp) specs.push_back({kind, size, false});
-      specs.push_back({kind, size, true});
-    }
+    for (const std::size_t size : sizes) specs.push_back({kind, size});
   }
 
   // Runs are the outer loop, so drift over the sweep's lifetime spreads
@@ -530,15 +496,13 @@ int run_json_sweep(const std::string& out_path, bool quick) {
     for (std::size_t i = 0; i < specs.size(); ++i) {
       const std::size_t frames =
           std::clamp<std::size_t>(target_bytes / specs[i].size, 32, 4096);
-      cell_runs[i].push_back(
-          run_cell(specs[i].kind, specs[i].size, specs[i].batched, frames));
+      cell_runs[i].push_back(run_cell(specs[i].kind, specs[i].size, frames));
     }
     for (std::size_t k = 0; k < kinds.size(); ++k) {
       lifecycle_runs[k].push_back(
           run_lifecycle(kinds[k], quick ? 2000 : 10000));
     }
   }
-  dm::TcpEventLoop::set_batch_publish(true);
 
   std::vector<CellSpread> cells;
   for (const auto& runs : cell_runs) {
@@ -549,11 +513,11 @@ int run_json_sweep(const std::string& out_path, bool quick) {
       p99.push_back(r.p99_latency_us);
     }
     const CellResult& first = runs.front();
-    const CellSpread& c = cells.emplace_back(CellSpread{
-        first.transport, first.size_bytes, first.path, first.frames,
-        spread_of(throughput), spread_of(allocs), spread_of(p99)});
-    std::cout << c.transport << " " << c.size_bytes << "B "
-              << c.path << ": " << c.throughput_mb_s.median
+    const CellSpread& c = cells.emplace_back(
+        CellSpread{first.transport, first.size_bytes, first.frames,
+                   spread_of(throughput), spread_of(allocs), spread_of(p99)});
+    std::cout << c.transport << " " << c.size_bytes
+              << "B: " << c.throughput_mb_s.median
               << " MB/s [" << c.throughput_mb_s.p25 << ", "
               << c.throughput_mb_s.p75 << "], "
               << c.allocs_per_frame.median << " allocs/frame, p99 "
@@ -562,31 +526,12 @@ int run_json_sweep(const std::string& out_path, bool quick) {
               << "]\n";
   }
 
-  // Headline ratios at the smallest frame size (the numbers
-  // EXPERIMENTS.md E19 cites), from the medians: tiny frames are where
-  // the per-frame lock + notify handoff dominated, so that cell shows
-  // the batching win; large frames are loopback-bandwidth-bound either
-  // way.
-  const auto& before = find_cell(cells, "tcp", smallest, "per_frame_notify");
-  const auto& after = find_cell(cells, "tcp", smallest, "batched_notify");
-  const double small_frame_speedup =
-      after.throughput_mb_s.median /
-      std::max(before.throughput_mb_s.median, 1e-9);
-  const double small_frame_p99_improvement =
-      before.p99_latency_us.median /
-      std::max(after.p99_latency_us.median, 1e-9);
-  // Resolved only when the two interquartile ranges do not overlap.
-  const bool small_frame_resolved =
-      before.throughput_mb_s.p75 < after.throughput_mb_s.p25 ||
-      after.throughput_mb_s.p75 < before.throughput_mb_s.p25;
   // Regression guard: the zero-copy path must stay allocation-lean (a
-  // PR reintroducing per-hop copies shows up as this figure jumping).
+  // change reintroducing per-hop copies shows up as this figure jumping).
   double max_allocs_per_frame = 0.0;
   for (const auto& c : cells) {
-    if (c.path != "per_frame_notify") {
-      max_allocs_per_frame =
-          std::max(max_allocs_per_frame, c.allocs_per_frame.median);
-    }
+    max_allocs_per_frame =
+        std::max(max_allocs_per_frame, c.allocs_per_frame.median);
   }
 
   std::vector<std::string> lifecycle_rows;
@@ -631,21 +576,11 @@ int run_json_sweep(const std::string& out_path, bool quick) {
   }
   out << "  ],\n";
   out << "  \"summary\": {\n";
-  out << "    \"smallest_frame_bytes\": " << smallest << ",\n";
-  out << "    \"tcp_small_frame_batching_speedup\": " << small_frame_speedup
-      << ",\n";
-  out << "    \"tcp_small_frame_batching_resolved\": "
-      << (small_frame_resolved ? "true" : "false") << ",\n";
-  out << "    \"tcp_small_frame_p99_improvement\": "
-      << small_frame_p99_improvement << ",\n";
   out << "    \"max_allocs_per_frame\": " << max_allocs_per_frame << "\n";
   out << "  }\n}\n";
-  std::cout << "wrote " << out_path << " (" << smallest
-            << "B tcp frames, medians of " << kSweepRuns
-            << " runs: " << small_frame_speedup << "x throughput"
-            << (small_frame_resolved ? "" : " (quartiles overlap)") << ", "
-            << small_frame_p99_improvement
-            << "x lower p99 with batched publication)\n";
+  std::cout << "wrote " << out_path << " (medians of " << kSweepRuns
+            << " runs; at most " << max_allocs_per_frame
+            << " allocations per frame)\n";
   return 0;
 }
 

@@ -8,7 +8,6 @@
 #include <mutex>
 #include <optional>
 #include <utility>
-#include <vector>
 
 namespace vdce::common {
 
@@ -30,29 +29,6 @@ class MessageQueue {
     }
     cv_.notify_one();
     return true;
-  }
-
-  /// Enqueues a whole batch under one lock with one wakeup (the
-  /// event-loop fast path: N frames parsed per epoll wakeup cost one
-  /// notify, not N).  Items are moved out of `items`; returns the
-  /// number enqueued — 0 if the queue is closed, in which case the
-  /// batch is dropped, matching push().
-  std::size_t push_many(std::vector<T>& items) {
-    if (items.empty()) return 0;
-    std::size_t n = 0;
-    {
-      std::lock_guard lk(mu_);
-      if (closed_) return 0;
-      n = items.size();
-      for (T& item : items) items_.push_back(std::move(item));
-    }
-    if (n == 1) {
-      cv_.notify_one();
-    } else {
-      cv_.notify_all();
-    }
-    items.clear();
-    return n;
   }
 
   /// Blocks until an item is available or the queue is closed and empty.

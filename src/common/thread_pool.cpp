@@ -22,6 +22,17 @@ ThreadPool& ThreadPool::shared() {
   return pool;
 }
 
+void ThreadPool::shared_parallel_for(std::size_t begin, std::size_t end,
+                                     std::size_t grain,
+                                     std::function<void(std::size_t)> body,
+                                     std::size_t max_helpers) {
+  if (max_helpers == 0 || end <= begin + std::max<std::size_t>(grain, 1)) {
+    for (std::size_t i = begin; i < end; ++i) body(i);
+    return;
+  }
+  shared().parallel_for(begin, end, grain, std::move(body), max_helpers);
+}
+
 void ThreadPool::enqueue(std::function<void()> job) {
   jobs_.push(std::move(job));
 }

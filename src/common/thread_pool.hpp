@@ -58,6 +58,14 @@ class ThreadPool {
   /// instead of sizing private pools against each other.
   static ThreadPool& shared();
 
+  /// parallel_for on the shared pool, which is built only for a loop
+  /// that can use a helper: with 0 helpers, or a range no bigger than
+  /// one grain, the loop runs inline and starts no thread.
+  static void shared_parallel_for(std::size_t begin, std::size_t end,
+                                  std::size_t grain,
+                                  std::function<void(std::size_t)> body,
+                                  std::size_t max_helpers);
+
   /// Runs `fn` on a pool worker; the future carries its result or
   /// exception.
   template <typename F>

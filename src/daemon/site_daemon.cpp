@@ -148,7 +148,7 @@ bool SiteDaemon::probe_peer(std::uint16_t port, std::uint32_t& incarnation) {
     if (!reply || wire::peek_type(*reply) != wire::MsgType::kGossipAck) {
       return false;
     }
-    incarnation = wire::decode_gossip_ack(*reply).incarnation;
+    incarnation = wire::decode<wire::GossipAck>(*reply).incarnation;
     return true;
   } catch (const common::VdceError&) {
     return false;
@@ -167,7 +167,7 @@ void SiteDaemon::gossip_session(std::shared_ptr<dm::TcpChannel> channel) {
     try {
       switch (wire::peek_type(*frame)) {
         case wire::MsgType::kGossipPing: {
-          const wire::GossipPing ping = wire::decode_gossip_ping(*frame);
+          const auto ping = wire::decode<wire::GossipPing>(*frame);
           // A partitioned origin cannot reach us: drop, no ack.
           if (partitioned_from(ping.origin_site)) break;
           wire::GossipAck ack;
@@ -178,7 +178,7 @@ void SiteDaemon::gossip_session(std::shared_ptr<dm::TcpChannel> channel) {
           break;
         }
         case wire::MsgType::kPingReq: {
-          const wire::PingReq req = wire::decode_ping_req(*frame);
+          const auto req = wire::decode<wire::PingReq>(*frame);
           if (partitioned_from(req.origin_site)) break;
           // Probe the target over OUR network path -- the whole point
           // of the indirect probe is the independent vantage.
@@ -194,7 +194,7 @@ void SiteDaemon::gossip_session(std::shared_ptr<dm::TcpChannel> channel) {
         }
         case wire::MsgType::kPeerRoster: {
           if (partitioned_from(config_.coordinator_site)) break;
-          const wire::PeerRoster roster = wire::decode_peer_roster(*frame);
+          const auto roster = wire::decode<wire::PeerRoster>(*frame);
           const std::lock_guard lock(gossip_mu_);
           peers_.clear();
           for (const wire::PeerEndpoint& e : roster.peers) {
@@ -292,14 +292,13 @@ bool SiteDaemon::session(dm::TcpChannel& channel) {
     try {
       switch (wire::peek_type(*frame)) {
         case wire::MsgType::kTickRequest: {
-          const wire::TickRequest req = wire::decode_tick_request(*frame);
+          const auto req = wire::decode<wire::TickRequest>(*frame);
           stack_.control->tick(req.now);
           reply = wire::encode(wire::Ack{});
           break;
         }
         case wire::MsgType::kHostSelectionRequest: {
-          const wire::HostSelectionRequest req =
-              wire::decode_host_selection_request(*frame);
+          const auto req = wire::decode<wire::HostSelectionRequest>(*frame);
           const afg::FlowGraph graph = afg::from_text(req.graph_text);
           wire::HostSelectionResponse resp;
           resp.selection =
@@ -308,8 +307,7 @@ bool SiteDaemon::session(dm::TcpChannel& channel) {
           break;
         }
         case wire::MsgType::kReselectionRequest: {
-          const wire::ReselectionRequest req =
-              wire::decode_reselection_request(*frame);
+          const auto req = wire::decode<wire::ReselectionRequest>(*frame);
           afg::TaskNode node;
           node.id = req.task;
           node.library_task = req.library_task;
@@ -325,15 +323,14 @@ bool SiteDaemon::session(dm::TcpChannel& channel) {
           break;
         }
         case wire::MsgType::kRecordTaskTime: {
-          const wire::RecordTaskTime req =
-              wire::decode_record_task_time(*frame);
+          const auto req = wire::decode<wire::RecordTaskTime>(*frame);
           stack_.manager->record_task_time(req.library_task, req.elapsed_s);
           reply = wire::encode(wire::Ack{});
           break;
         }
         case wire::MsgType::kRescheduleRequest: {
           stack_.control->report_task_failure(
-              wire::decode_reschedule_request(*frame));
+              wire::decode<rt::RescheduleRequest>(*frame));
           reply = wire::encode(wire::Ack{});
           break;
         }

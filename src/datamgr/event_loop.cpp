@@ -17,10 +17,6 @@ namespace vdce::dm {
 
 using common::TransportError;
 
-namespace {
-std::atomic<bool> g_batch_publish{true};
-}  // namespace
-
 // -- RxInbox --------------------------------------------------------------
 
 std::string RxInbox::take_error() {
@@ -67,37 +63,25 @@ void InboxFeed::bind(std::shared_ptr<RxInbox> inbox) {
   inbox_ = std::move(inbox);
 }
 
-void InboxFeed::unbind() {
-  pending_.clear();
-  inbox_.reset();
-}
-
-bool InboxFeed::flush() {
-  if (pending_.empty()) return true;
-  std::size_t bytes = 0;
-  for (const FrameView& v : pending_) bytes += v.size();
-  if (inbox_->queue.push_many(pending_) == 0) {
-    // The consumer closed: drop the batch and its accounting.
-    inbox_->queued_bytes.fetch_sub(bytes, std::memory_order_release);
-    pending_.clear();
-    return false;
-  }
-  return true;
-}
+void InboxFeed::unbind() { inbox_.reset(); }
 
 InboxFeed::State InboxFeed::deliver(TcpEventLoop& loop, int fd,
                                     LoopReader& reader, FrameView view) {
   RxInbox& in = *inbox_;
-  in.queued_bytes.fetch_add(view.size(), std::memory_order_release);
-  pending_.push_back(std::move(view));
+  const std::size_t bytes = view.size();
+  in.queued_bytes.fetch_add(bytes, std::memory_order_release);
+  if (!in.queue.push(std::move(view))) {
+    // The consumer closed: drop the frame and its accounting.
+    in.queued_bytes.fetch_sub(bytes, std::memory_order_release);
+    return State::kConsumerGone;
+  }
   if (in.queued_bytes.load(std::memory_order_acquire) >=
           TcpEventLoop::kHighWaterBytes ||
-      in.queue.size() + pending_.size() >= TcpEventLoop::kMaxQueuedFrames) {
-    if (!flush()) return State::kConsumerGone;
+      in.queue.size() >= TcpEventLoop::kMaxQueuedFrames) {
     in.paused.store(true);
     loop.disarm(fd, reader);
     // Re-check: the consumer may have drained or closed (and skipped
-    // its re-arm, seeing paused == false) between the flush above and
+    // its re-arm, seeing paused == false) between the push above and
     // the pause.
     if ((in.queued_bytes.load(std::memory_order_acquire) <
              TcpEventLoop::kLowWaterBytes &&
@@ -108,9 +92,6 @@ InboxFeed::State InboxFeed::deliver(TcpEventLoop& loop, int fd,
     } else {
       return State::kPaused;
     }
-  } else if (!TcpEventLoop::batch_publish() ||
-             pending_.size() >= TcpEventLoop::kFlushBatchFrames) {
-    if (!flush()) return State::kConsumerGone;
   }
   return State::kReading;
 }
@@ -122,19 +103,10 @@ void InboxFeed::finish(const std::string& error) {
   }
   // Close AFTER the error is recorded: consumers drain queued frames,
   // hit nullopt, then check for an error to re-throw.
-  flush();
   inbox_->queue.close();
 }
 
 // -- TcpEventLoop ---------------------------------------------------------
-
-void TcpEventLoop::set_batch_publish(bool on) {
-  g_batch_publish.store(on, std::memory_order_relaxed);
-}
-
-bool TcpEventLoop::batch_publish() {
-  return g_batch_publish.load(std::memory_order_relaxed);
-}
 
 TcpEventLoop::TcpEventLoop() {
   epoll_fd_ = ::epoll_create1(EPOLL_CLOEXEC);

@@ -94,9 +94,9 @@ class LoopReader {
   bool armed_ = false;  // fd currently in the epoll interest set
 };
 
-/// The loop-thread side of publishing into one inbox: frames parsed
-/// during a wakeup collect in a pending batch, published with one queue
-/// lock and one notify; at the high water the feeding fd is paused.
+/// The loop-thread side of publishing into one inbox: every parsed
+/// frame is published as it is parsed (one queue lock and one notify
+/// each); at the high water the feeding fd is paused.
 class InboxFeed {
  public:
   enum class State : std::uint8_t { kReading, kPaused, kConsumerGone };
@@ -106,23 +106,18 @@ class InboxFeed {
   void unbind();
   [[nodiscard]] RxInbox& inbox() { return *inbox_; }
 
-  /// Queues one parsed frame from `fd`; publishes the batch when it is
-  /// due and pauses the fd at the high water.  kConsumerGone: the
-  /// consumer has closed and the frames were dropped.
+  /// Publishes one parsed frame from `fd` and pauses the fd at the
+  /// high water.  kConsumerGone: the consumer has closed and the frame
+  /// was dropped.
   State deliver(TcpEventLoop& loop, int fd, LoopReader& reader,
                 FrameView view);
 
-  /// Publishes the pending batch; false (batch dropped, byte accounting
-  /// undone) once the consumer has closed.
-  bool flush();
-
-  /// Publishes what is pending, records `error` (empty: orderly end of
-  /// stream) and closes the inbox.
+  /// Records `error` (empty: orderly end of stream) and closes the
+  /// inbox.
   void finish(const std::string& error);
 
  private:
   std::shared_ptr<RxInbox> inbox_;
-  std::vector<FrameView> pending_;
 };
 
 /// The epoll loop servicing every socket receive.  One instance (and
@@ -135,9 +130,6 @@ class TcpEventLoop {
   static constexpr std::size_t kLowWaterBytes = std::size_t{1} << 20;
   /// Frame-count backstop for floods of tiny messages.
   static constexpr std::size_t kMaxQueuedFrames = 4096;
-  /// Largest pending batch before a mid-service flush: bounds how long
-  /// a blocked consumer waits while the loop keeps parsing.
-  static constexpr std::size_t kFlushBatchFrames = 64;
 
   TcpEventLoop();
   ~TcpEventLoop();
@@ -177,13 +169,6 @@ class TcpEventLoop {
   /// joins its thread before static destructors tear down the metrics
   /// registry and frame pool it uses.
   [[nodiscard]] static TcpEventLoop& global();
-
-  /// Process-wide toggle for batched frame publication (on by default).
-  /// Off, every parsed frame is published with its own lock + notify —
-  /// the pre-batching behaviour kept for the bench_datamgr before/after
-  /// sweep.
-  static void set_batch_publish(bool on);
-  [[nodiscard]] static bool batch_publish();
 
  private:
   struct Op {

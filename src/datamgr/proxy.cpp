@@ -341,7 +341,6 @@ void InboundConnection::on_readable(TcpEventLoop& loop, int fd) {
         break;
     }
   }
-  if (feeding_ && !feed_.flush()) consumer_gone(fd);
 }
 
 bool InboundConnection::on_header(TcpEventLoop& loop, int fd) {

@@ -138,9 +138,8 @@ class TcpRxState final : public LoopReader {
 
 void TcpRxState::on_readable(TcpEventLoop& loop, int fd) {
   if (done_) return;
-  // Parse until the socket runs dry, batching parsed frames in the
-  // feed; the flush below publishes the whole wakeup's worth with one
-  // queue lock and one notify.
+  // Parse until the socket runs dry; the feed publishes each frame as
+  // it completes.
   for (;;) {
     if (!in_body_) {
       const ssize_t r = ::recv(fd, header_.data() + header_fill_,
@@ -195,7 +194,6 @@ void TcpRxState::on_readable(TcpEventLoop& loop, int fd) {
       if (body_fill_ == body_.size() && !deliver(loop, fd)) return;
     }
   }
-  if (!feed_.flush()) finish(loop, fd, "");
 }
 
 TcpChannel::TcpChannel(int fd) : fd_(fd) {

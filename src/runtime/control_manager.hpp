@@ -69,10 +69,6 @@ class ControlManager : private ControlSink {
   /// outputs to the Site Manager.
   void tick(TimePoint now);
 
-  /// Convenience: tick repeatedly from `from` (exclusive) to `to`
-  /// (inclusive) in `step_s` increments.
-  void run_until(TimePoint from, TimePoint to, Duration step_s);
-
   /// Failure event from the execution path: an Application Controller
   /// (or the engine's retry loop) found a task's host unusable.  A
   /// kHostFailure request is routed to the owning Group Manager, whose
@@ -84,10 +80,6 @@ class ControlManager : private ControlSink {
   void report_task_failure(const RescheduleRequest& request);
 
   [[nodiscard]] ControlManagerStats stats() const;
-  [[nodiscard]] const std::vector<GroupManager>& group_managers() const {
-    return group_managers_;
-  }
-  [[nodiscard]] SiteManager& site_manager() { return *site_manager_; }
 
  private:
   /// Encodes `message`, decodes and dispatches it into the handlers

@@ -193,7 +193,7 @@ void Watchdog::beat_loop(std::shared_ptr<dm::TcpChannel> channel) {
     // itself, piggybacked peer-health digests, and refutations.
     if (type == wire::MsgType::kPeerDigest) {
       try {
-        apply_digest(wire::decode_peer_digest(*frame));
+        apply_digest(wire::decode<wire::PeerDigest>(*frame));
       } catch (const common::ParseError& e) {
         common::log_warn("watchdog", "dropping bad digest frame: ", e.what());
       }
@@ -201,7 +201,7 @@ void Watchdog::beat_loop(std::shared_ptr<dm::TcpChannel> channel) {
     }
     if (type == wire::MsgType::kRefute) {
       try {
-        const wire::Refute refute = wire::decode_refute(*frame);
+        const auto refute = wire::decode<wire::Refute>(*frame);
         (void)liveness_.refute(refute.site, refute.incarnation,
                                refute.witness_site);
       } catch (const common::ParseError& e) {
@@ -216,7 +216,7 @@ void Watchdog::beat_loop(std::shared_ptr<dm::TcpChannel> channel) {
     }
     wire::Heartbeat beat;
     try {
-      beat = wire::decode_heartbeat(*frame);
+      beat = wire::decode<wire::Heartbeat>(*frame);
     } catch (const common::ParseError& e) {
       common::log_warn("watchdog", "dropping bad heartbeat frame: ",
                        e.what());
@@ -442,8 +442,7 @@ void Watchdog::prober_loop() {
               wire::peek_type(*reply) != wire::MsgType::kPingReqReply) {
             continue;
           }
-          const wire::PingReqReply verdict = wire::decode_ping_req_reply(
-              *reply);
+          const auto verdict = wire::decode<wire::PingReqReply>(*reply);
           if (verdict.target_site != suspect.site ||
               verdict.seq != req.seq) {
             continue;

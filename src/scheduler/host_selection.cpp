@@ -52,7 +52,6 @@ HostSelectionMap run_host_selection(
   std::unordered_map<std::string, predict::PreparedTask> prepared;
 
   const std::size_t helpers = threads > 1 ? threads - 1 : 0;
-  common::ThreadPool& pool = common::ThreadPool::shared();
 
   std::vector<const repo::HostRecord*> candidates;
   candidates.reserve(site_hosts.size());
@@ -72,7 +71,7 @@ HostSelectionMap run_host_selection(
       // result is written by index, so the scored vector is identical
       // to the serial loop's regardless of execution order.
       std::vector<std::pair<Duration, HostId>> scored(candidates.size());
-      pool.parallel_for(
+      common::ThreadPool::shared_parallel_for(
           0, candidates.size(), kScoringGrain,
           [&](std::size_t i) {
             scored[i] = {

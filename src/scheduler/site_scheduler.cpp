@@ -69,7 +69,7 @@ AllocationTable SiteScheduler::schedule(const afg::FlowGraph& graph) {
   // keeps the gathered offers identical to the serial consultation.
   const std::size_t helpers = config_.threads > 1 ? config_.threads - 1 : 0;
   std::vector<HostSelectionMap> offers(consulted_.size());
-  common::ThreadPool::shared().parallel_for(
+  common::ThreadPool::shared_parallel_for(
       0, consulted_.size(), 1,
       [&](std::size_t i) {
         common::ScopedSpan consult_span("site_consult", "scheduler");

@@ -17,8 +17,12 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <span>
 #include <string>
 #include <thread>
+#include <tuple>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "common/error.hpp"
@@ -155,7 +159,7 @@ TEST(WireFormat, MonitorReportRoundTripsBitIdentically) {
     const auto m = random_monitor_report(rng);
     const auto bytes = wire::encode(m);
     EXPECT_EQ(wire::peek_type(bytes), wire::MsgType::kMonitorReport);
-    const auto d = wire::decode_monitor_report(bytes);
+    const auto d = wire::decode<MonitorReport>(bytes);
     EXPECT_EQ(d.host, m.host);
     EXPECT_EQ(d.when, m.when);
     EXPECT_EQ(d.cpu_load, m.cpu_load);
@@ -169,7 +173,7 @@ TEST(WireFormat, WorkloadUpdateRoundTripsBitIdentically) {
   for (int i = 0; i < 50; ++i) {
     const auto u = random_workload_update(rng);
     const auto bytes = wire::encode(u);
-    const auto d = wire::decode_workload_update(bytes);
+    const auto d = wire::decode<WorkloadUpdate>(bytes);
     EXPECT_EQ(d.host, u.host);
     EXPECT_EQ(d.when, u.when);
     EXPECT_EQ(d.cpu_load, u.cpu_load);
@@ -183,7 +187,7 @@ TEST(WireFormat, LivenessChangeRoundTripsBitIdentically) {
   for (int i = 0; i < 50; ++i) {
     const auto c = random_liveness_change(rng);
     const auto bytes = wire::encode(c);
-    const auto d = wire::decode_liveness_change(bytes);
+    const auto d = wire::decode<LivenessChange>(bytes);
     EXPECT_EQ(d.host, c.host);
     EXPECT_EQ(d.when, c.when);
     EXPECT_EQ(d.alive, c.alive);
@@ -196,7 +200,7 @@ TEST(WireFormat, NetworkMeasurementRoundTripsBitIdentically) {
   for (int i = 0; i < 50; ++i) {
     const auto m = random_network_measurement(rng);
     const auto bytes = wire::encode(m);
-    const auto d = wire::decode_network_measurement(bytes);
+    const auto d = wire::decode<NetworkMeasurement>(bytes);
     EXPECT_EQ(d.group, m.group);
     EXPECT_EQ(d.when, m.when);
     EXPECT_EQ(d.latency_s, m.latency_s);
@@ -210,7 +214,7 @@ TEST(WireFormat, RescheduleRequestRoundTripsBitIdentically) {
   for (int i = 0; i < 50; ++i) {
     const auto r = random_reschedule_request(rng);
     const auto bytes = wire::encode(r);
-    const auto d = wire::decode_reschedule_request(bytes);
+    const auto d = wire::decode<RescheduleRequest>(bytes);
     EXPECT_EQ(d.app, r.app);
     EXPECT_EQ(d.task, r.task);
     EXPECT_EQ(d.host, r.host);
@@ -233,7 +237,7 @@ TEST(WireFormat, HeartbeatRoundTripsBitIdentically) {
     h.incarnation = static_cast<std::uint32_t>(1 + rng.uniform_int(5));
     h.gossip_port = static_cast<std::uint16_t>(rng.uniform_int(65536));
     const auto bytes = wire::encode(h);
-    const auto d = wire::decode_heartbeat(bytes);
+    const auto d = wire::decode<wire::Heartbeat>(bytes);
     EXPECT_EQ(d.site, h.site);
     EXPECT_EQ(d.pid, h.pid);
     EXPECT_EQ(d.seq, h.seq);
@@ -282,7 +286,7 @@ TEST(WireFormat, GossipMessagesRoundTripBitIdentically) {
     const auto digest = random_peer_digest(rng);
     const auto digest_bytes = wire::encode(digest);
     EXPECT_EQ(wire::peek_type(digest_bytes), wire::MsgType::kPeerDigest);
-    const auto digest_d = wire::decode_peer_digest(digest_bytes);
+    const auto digest_d = wire::decode<wire::PeerDigest>(digest_bytes);
     EXPECT_EQ(digest_d.origin_site, digest.origin_site);
     EXPECT_EQ(digest_d.origin_incarnation, digest.origin_incarnation);
     ASSERT_EQ(digest_d.peers.size(), digest.peers.size());
@@ -298,7 +302,7 @@ TEST(WireFormat, GossipMessagesRoundTripBitIdentically) {
     ping.origin_site = SiteId(static_cast<std::uint32_t>(rng.uniform_int(8)));
     ping.seq = rng.uniform_int(1 << 30);
     const auto ping_bytes = wire::encode(ping);
-    const auto ping_d = wire::decode_gossip_ping(ping_bytes);
+    const auto ping_d = wire::decode<wire::GossipPing>(ping_bytes);
     EXPECT_EQ(ping_d.origin_site, ping.origin_site);
     EXPECT_EQ(ping_d.seq, ping.seq);
     EXPECT_EQ(wire::encode(ping_d), ping_bytes);
@@ -308,7 +312,7 @@ TEST(WireFormat, GossipMessagesRoundTripBitIdentically) {
     ack.incarnation = static_cast<std::uint32_t>(1 + rng.uniform_int(5));
     ack.seq = rng.uniform_int(1 << 30);
     const auto ack_bytes = wire::encode(ack);
-    const auto ack_d = wire::decode_gossip_ack(ack_bytes);
+    const auto ack_d = wire::decode<wire::GossipAck>(ack_bytes);
     EXPECT_EQ(ack_d.site, ack.site);
     EXPECT_EQ(ack_d.incarnation, ack.incarnation);
     EXPECT_EQ(ack_d.seq, ack.seq);
@@ -321,7 +325,7 @@ TEST(WireFormat, GossipMessagesRoundTripBitIdentically) {
         static_cast<std::uint16_t>(rng.uniform_int(65536));
     preq.seq = rng.uniform_int(1 << 30);
     const auto preq_bytes = wire::encode(preq);
-    const auto preq_d = wire::decode_ping_req(preq_bytes);
+    const auto preq_d = wire::decode<wire::PingReq>(preq_bytes);
     EXPECT_EQ(preq_d.origin_site, preq.origin_site);
     EXPECT_EQ(preq_d.target_site, preq.target_site);
     EXPECT_EQ(preq_d.target_gossip_port, preq.target_gossip_port);
@@ -334,7 +338,7 @@ TEST(WireFormat, GossipMessagesRoundTripBitIdentically) {
     prep.target_incarnation = static_cast<std::uint32_t>(rng.uniform_int(5));
     prep.seq = rng.uniform_int(1 << 30);
     const auto prep_bytes = wire::encode(prep);
-    const auto prep_d = wire::decode_ping_req_reply(prep_bytes);
+    const auto prep_d = wire::decode<wire::PingReqReply>(prep_bytes);
     EXPECT_EQ(prep_d.target_site, prep.target_site);
     EXPECT_EQ(prep_d.reachable, prep.reachable);
     EXPECT_EQ(prep_d.target_incarnation, prep.target_incarnation);
@@ -343,7 +347,7 @@ TEST(WireFormat, GossipMessagesRoundTripBitIdentically) {
 
     const auto roster = random_peer_roster(rng);
     const auto roster_bytes = wire::encode(roster);
-    const auto roster_d = wire::decode_peer_roster(roster_bytes);
+    const auto roster_d = wire::decode<wire::PeerRoster>(roster_bytes);
     ASSERT_EQ(roster_d.peers.size(), roster.peers.size());
     for (std::size_t p = 0; p < roster.peers.size(); ++p) {
       EXPECT_EQ(roster_d.peers[p].site, roster.peers[p].site);
@@ -359,7 +363,7 @@ TEST(WireFormat, GossipMessagesRoundTripBitIdentically) {
     refute.site = SiteId(static_cast<std::uint32_t>(rng.uniform_int(8)));
     refute.incarnation = static_cast<std::uint32_t>(1 + rng.uniform_int(5));
     const auto refute_bytes = wire::encode(refute);
-    const auto refute_d = wire::decode_refute(refute_bytes);
+    const auto refute_d = wire::decode<wire::Refute>(refute_bytes);
     EXPECT_EQ(refute_d.witness_site, refute.witness_site);
     EXPECT_EQ(refute_d.site, refute.site);
     EXPECT_EQ(refute_d.incarnation, refute.incarnation);
@@ -375,7 +379,7 @@ TEST(WireFormat, GossipMessagesRejectTruncationAtEveryPrefix) {
   const auto digest_bytes = wire::encode(digest);
   for (std::size_t len = 3; len < digest_bytes.size(); ++len) {
     const std::span<const std::byte> prefix(digest_bytes.data(), len);
-    EXPECT_THROW((void)wire::decode_peer_digest(prefix), ParseError)
+    EXPECT_THROW((void)wire::decode<wire::PeerDigest>(prefix), ParseError)
         << "digest prefix of " << len << " bytes accepted";
   }
   auto roster = random_peer_roster(rng);
@@ -383,40 +387,40 @@ TEST(WireFormat, GossipMessagesRejectTruncationAtEveryPrefix) {
   const auto roster_bytes = wire::encode(roster);
   for (std::size_t len = 3; len < roster_bytes.size(); ++len) {
     const std::span<const std::byte> prefix(roster_bytes.data(), len);
-    EXPECT_THROW((void)wire::decode_peer_roster(prefix), ParseError)
+    EXPECT_THROW((void)wire::decode<wire::PeerRoster>(prefix), ParseError)
         << "roster prefix of " << len << " bytes accepted";
   }
   // Fixed-length messages.
   const auto ping_bytes = wire::encode(wire::GossipPing{SiteId(1), 7});
   for (std::size_t len = 3; len < ping_bytes.size(); ++len) {
-    EXPECT_THROW((void)wire::decode_gossip_ping(
+    EXPECT_THROW((void)wire::decode<wire::GossipPing>(
                      std::span<const std::byte>(ping_bytes.data(), len)),
                  ParseError);
   }
   const auto ack_bytes = wire::encode(wire::GossipAck{SiteId(1), 2, 7});
   for (std::size_t len = 3; len < ack_bytes.size(); ++len) {
-    EXPECT_THROW((void)wire::decode_gossip_ack(
+    EXPECT_THROW((void)wire::decode<wire::GossipAck>(
                      std::span<const std::byte>(ack_bytes.data(), len)),
                  ParseError);
   }
   const auto preq_bytes =
       wire::encode(wire::PingReq{SiteId(1), SiteId(2), 4242, 7});
   for (std::size_t len = 3; len < preq_bytes.size(); ++len) {
-    EXPECT_THROW((void)wire::decode_ping_req(
+    EXPECT_THROW((void)wire::decode<wire::PingReq>(
                      std::span<const std::byte>(preq_bytes.data(), len)),
                  ParseError);
   }
   const auto prep_bytes =
       wire::encode(wire::PingReqReply{SiteId(2), true, 3, 7});
   for (std::size_t len = 3; len < prep_bytes.size(); ++len) {
-    EXPECT_THROW((void)wire::decode_ping_req_reply(
+    EXPECT_THROW((void)wire::decode<wire::PingReqReply>(
                      std::span<const std::byte>(prep_bytes.data(), len)),
                  ParseError);
   }
   const auto refute_bytes =
       wire::encode(wire::Refute{SiteId(1), SiteId(2), 3});
   for (std::size_t len = 3; len < refute_bytes.size(); ++len) {
-    EXPECT_THROW((void)wire::decode_refute(
+    EXPECT_THROW((void)wire::decode<wire::Refute>(
                      std::span<const std::byte>(refute_bytes.data(), len)),
                  ParseError);
   }
@@ -424,14 +428,14 @@ TEST(WireFormat, GossipMessagesRejectTruncationAtEveryPrefix) {
 
 TEST(WireFormat, GossipMessagesRejectTypeMismatchedDecode) {
   const auto bytes = wire::encode(wire::GossipPing{SiteId(1), 7});
-  EXPECT_THROW((void)wire::decode_peer_digest(bytes), ParseError);
-  EXPECT_THROW((void)wire::decode_gossip_ack(bytes), ParseError);
-  EXPECT_THROW((void)wire::decode_ping_req(bytes), ParseError);
-  EXPECT_THROW((void)wire::decode_ping_req_reply(bytes), ParseError);
-  EXPECT_THROW((void)wire::decode_peer_roster(bytes), ParseError);
-  EXPECT_THROW((void)wire::decode_refute(bytes), ParseError);
+  EXPECT_THROW((void)wire::decode<wire::PeerDigest>(bytes), ParseError);
+  EXPECT_THROW((void)wire::decode<wire::GossipAck>(bytes), ParseError);
+  EXPECT_THROW((void)wire::decode<wire::PingReq>(bytes), ParseError);
+  EXPECT_THROW((void)wire::decode<wire::PingReqReply>(bytes), ParseError);
+  EXPECT_THROW((void)wire::decode<wire::PeerRoster>(bytes), ParseError);
+  EXPECT_THROW((void)wire::decode<wire::Refute>(bytes), ParseError);
   const auto ping = wire::encode(wire::PeerDigest{});
-  EXPECT_THROW((void)wire::decode_gossip_ping(ping), ParseError);
+  EXPECT_THROW((void)wire::decode<wire::GossipPing>(ping), ParseError);
 }
 
 TEST(WireFormat, RpcMessagesRoundTripBitIdentically) {
@@ -439,15 +443,16 @@ TEST(WireFormat, RpcMessagesRoundTripBitIdentically) {
   for (int i = 0; i < 30; ++i) {
     wire::TickRequest tick;
     tick.now = rng.uniform(0.0, 1e6);
-    EXPECT_EQ(wire::decode_tick_request(wire::encode(tick)).now, tick.now);
-    EXPECT_EQ(wire::encode(wire::decode_tick_request(wire::encode(tick))),
-              wire::encode(tick));
+    const auto tick_bytes = wire::encode(tick);
+    const auto tick_d = wire::decode<wire::TickRequest>(tick_bytes);
+    EXPECT_EQ(tick_d.now, tick.now);
+    EXPECT_EQ(wire::encode(tick_d), tick_bytes);
 
     wire::HostSelectionRequest hs;
     hs.graph_text = "graph " + std::to_string(rng.uniform_int(1 << 20));
     hs.threads = static_cast<std::uint32_t>(1 + rng.uniform_int(8));
     const auto hs_bytes = wire::encode(hs);
-    const auto hs_d = wire::decode_host_selection_request(hs_bytes);
+    const auto hs_d = wire::decode<wire::HostSelectionRequest>(hs_bytes);
     EXPECT_EQ(hs_d.graph_text, hs.graph_text);
     EXPECT_EQ(hs_d.threads, hs.threads);
     EXPECT_EQ(wire::encode(hs_d), hs_bytes);
@@ -459,7 +464,7 @@ TEST(WireFormat, RpcMessagesRoundTripBitIdentically) {
           random_selection(rng);
     }
     const auto resp_bytes = wire::encode(resp);
-    const auto resp_d = wire::decode_host_selection_response(resp_bytes);
+    const auto resp_d = wire::decode<wire::HostSelectionResponse>(resp_bytes);
     expect_selection_map_eq(resp.selection, resp_d.selection);
     // Entries are encoded sorted by task id, so the re-encode is
     // bit-identical regardless of unordered_map iteration order.
@@ -478,7 +483,7 @@ TEST(WireFormat, RpcMessagesRoundTripBitIdentically) {
           HostId(static_cast<std::uint32_t>(rng.uniform_int(64))));
     }
     const auto rs_bytes = wire::encode(rs);
-    const auto rs_d = wire::decode_reselection_request(rs_bytes);
+    const auto rs_d = wire::decode<wire::ReselectionRequest>(rs_bytes);
     EXPECT_EQ(rs_d.task, rs.task);
     EXPECT_EQ(rs_d.library_task, rs.library_task);
     EXPECT_EQ(rs_d.label, rs.label);
@@ -491,7 +496,7 @@ TEST(WireFormat, RpcMessagesRoundTripBitIdentically) {
     wire::ReselectionResponse rr;
     rr.selection = random_selection(rng);
     const auto rr_bytes = wire::encode(rr);
-    const auto rr_d = wire::decode_reselection_response(rr_bytes);
+    const auto rr_d = wire::decode<wire::ReselectionResponse>(rr_bytes);
     expect_selection_eq(rr.selection, rr_d.selection);
     EXPECT_EQ(wire::encode(rr_d), rr_bytes);
 
@@ -499,7 +504,7 @@ TEST(WireFormat, RpcMessagesRoundTripBitIdentically) {
     rt.library_task = "task_" + std::to_string(rng.uniform_int(100));
     rt.elapsed_s = rng.uniform(0.0, 1e3);
     const auto rt_bytes = wire::encode(rt);
-    const auto rt_d = wire::decode_record_task_time(rt_bytes);
+    const auto rt_d = wire::decode<wire::RecordTaskTime>(rt_bytes);
     EXPECT_EQ(rt_d.library_task, rt.library_task);
     EXPECT_EQ(rt_d.elapsed_s, rt.elapsed_s);
     EXPECT_EQ(wire::encode(rt_d), rt_bytes);
@@ -507,12 +512,135 @@ TEST(WireFormat, RpcMessagesRoundTripBitIdentically) {
     wire::ErrorReply err;
     err.what = "error " + std::to_string(rng.uniform_int(1 << 20));
     const auto err_bytes = wire::encode(err);
-    EXPECT_EQ(wire::decode_error_reply(err_bytes).what, err.what);
+    EXPECT_EQ(wire::decode<wire::ErrorReply>(err_bytes).what, err.what);
   }
 
   EXPECT_EQ(wire::peek_type(wire::encode(wire::Ack{})), wire::MsgType::kAck);
-  EXPECT_EQ(wire::peek_type(wire::encode_shutdown()),
+  EXPECT_EQ(wire::peek_type(wire::encode(wire::ShutdownRequest{})),
             wire::MsgType::kShutdownRequest);
+}
+
+// ---------------------------------------------------- golden wire images
+
+/// Lower-case hex of `bytes`, two digits per byte.
+std::string to_hex(std::span<const std::byte> bytes) {
+  static constexpr char kDigits[] = "0123456789abcdef";
+  std::string out;
+  for (const std::byte b : bytes) {
+    out.push_back(kDigits[std::to_integer<unsigned>(b) >> 4]);
+    out.push_back(kDigits[std::to_integer<unsigned>(b) & 0xFu]);
+  }
+  return out;
+}
+
+/// One fixed instance of every message type, in MsgType order, encoded,
+/// with the wire image it must produce.
+struct GoldenImage {
+  std::vector<std::byte> bytes;
+  std::string hex;
+};
+
+std::vector<GoldenImage> golden_images() {
+  sched::HostSelection sel;
+  sel.hosts = {HostId(3), HostId(9)};
+  sel.predicted_s = 1.5;
+  sel.scored = {{1.5, HostId(3)}, {2.25, HostId(9)}};
+  wire::HostSelectionResponse response;
+  response.selection[TaskId(2)] = sel;
+  response.selection[TaskId(0)] = sched::HostSelection{};
+  response.selection[TaskId(1)] = sel;
+  return {
+      {wire::encode(MonitorReport{HostId(7), 12.5, 0.75, 2048.0}),
+       "c701010000000740290000000000003fe800000000000040a0000000000000"},
+      {wire::encode(WorkloadUpdate{HostId(8), 13.25, 1.5, 512.0}),
+       "c7010200000008402a8000000000003ff80000000000004080000000000000"},
+      {wire::encode(LivenessChange{HostId(9), 14.0, true}),
+       "c7010300000009402c00000000000001"},
+      {wire::encode(NetworkMeasurement{GroupId(2), 15.5, 0.001, 100.0}),
+       "c7010400000002402f0000000000003f50624dd2f1a9fc4059000000000000"},
+      {wire::encode(RescheduleRequest{
+           AppId(3), TaskId(4), HostId(5), 16.0, 2.5,
+           RescheduleRequest::Kind::kHostFailure, "host down"}),
+       "c701050000000300000004000000054030000000000000400400000000000001"
+       "00000009686f737420646f776e"},
+      {wire::encode(wire::Heartbeat{SiteId(1), 4242, 17, 5000, 2, 5001}),
+       "c7010600000001000000000000109200000000000000111388000000021389"},
+      {wire::encode(wire::TickRequest{18.5}), "c701074032800000000000"},
+      {wire::encode(wire::HostSelectionRequest{"app demo\n", 4}),
+       "c70108000000096170702064656d6f0a00000004"},
+      {wire::encode(response),
+       "c701090000000300000000000000000000000000000000000000000000000100"
+       "00000200000003000000093ff8000000000000000000023ff800000000000000"
+       "000003400200000000000000000009000000020000000200000003000000093f"
+       "f8000000000000000000023ff800000000000000000003400200000000000000"
+       "000009"},
+      {wire::encode(wire::ReselectionRequest{TaskId(6), "fft", "F", 2.0, 4,
+                                             true, {HostId(1), HostId(3)}}),
+       "c7010a0000000600000003666674000000014640000000000000000000000401"
+       "000000020000000100000003"},
+      {wire::encode(wire::ReselectionResponse{sel}),
+       "c7010b0000000200000003000000093ff8000000000000000000023ff8000000"
+       "00000000000003400200000000000000000009"},
+      {wire::encode(wire::RecordTaskTime{"fft", 0.125}),
+       "c7010c000000036666743fc0000000000000"},
+      {wire::encode(wire::ShutdownRequest{}), "c7010d"},
+      {wire::encode(wire::Ack{}), "c7010e"},
+      {wire::encode(wire::ErrorReply{"no feasible host"}),
+       "c7010f000000106e6f206665617369626c6520686f7374"},
+      {wire::encode(wire::PeerDigest{
+           SiteId(0), 3,
+           {{SiteId(1), 2, 0.5, true}, {SiteId(2), 1, 9.75, false}}}),
+       "c7011000000000000000030000000200000001000000023fe000000000000001"
+       "0000000200000001402380000000000000"},
+      {wire::encode(wire::GossipPing{SiteId(1), 77}),
+       "c7011100000001000000000000004d"},
+      {wire::encode(wire::GossipAck{SiteId(2), 3, 77}),
+       "c701120000000200000003000000000000004d"},
+      {wire::encode(wire::PingReq{SiteId(0), SiteId(2), 6001, 78}),
+       "c7011300000000000000021771000000000000004e"},
+      {wire::encode(wire::PingReqReply{SiteId(2), true, 3, 78}),
+       "c70114000000020100000003000000000000004e"},
+      {wire::encode(wire::PeerRoster{
+           {{SiteId(1), 6000, 2, false}, {SiteId(2), 6001, 1, true}}}),
+       "c701150000000200000001177000000002000000000217710000000101"},
+      {wire::encode(wire::Refute{SiteId(1), SiteId(2), 3}),
+       "c70116000000010000000200000003"},
+  };
+}
+
+// The committed bytes of every message type: a change to any field
+// list, field type, header byte or MsgType value shows up here.
+TEST(WireFormat, GoldenWireImagesAreStable) {
+  const auto images = golden_images();
+  ASSERT_EQ(images.size(), 22u);
+  for (std::size_t i = 0; i < images.size(); ++i) {
+    ASSERT_EQ(static_cast<std::size_t>(wire::peek_type(images[i].bytes)),
+              i + 1);
+    EXPECT_EQ(to_hex(images[i].bytes), images[i].hex)
+        << wire::to_string(wire::peek_type(images[i].bytes));
+  }
+}
+
+/// Every message type, in MsgType order: golden_images()[i] holds the
+/// i-th.
+using AllMessages =
+    std::tuple<MonitorReport, WorkloadUpdate, LivenessChange,
+               NetworkMeasurement, RescheduleRequest, wire::Heartbeat,
+               wire::TickRequest, wire::HostSelectionRequest,
+               wire::HostSelectionResponse, wire::ReselectionRequest,
+               wire::ReselectionResponse, wire::RecordTaskTime,
+               wire::ShutdownRequest, wire::Ack, wire::ErrorReply,
+               wire::PeerDigest, wire::GossipPing, wire::GossipAck,
+               wire::PingReq, wire::PingReqReply, wire::PeerRoster,
+               wire::Refute>;
+
+/// Calls `f(std::type_identity<M>{}, i)` for the i-th type M of
+/// AllMessages.
+template <typename F>
+void for_each_message(F&& f) {
+  [&]<std::size_t... I>(std::index_sequence<I...>) {
+    (f(std::type_identity<std::tuple_element_t<I, AllMessages>>{}, I), ...);
+  }(std::make_index_sequence<std::tuple_size_v<AllMessages>>{});
 }
 
 // ----------------------------------------------------- wire rejections
@@ -532,7 +660,7 @@ TEST(WireFormat, RejectsWrongMagic) {
   bytes[0] = std::byte{0x00};
   EXPECT_THROW((void)wire::peek_type(bytes), ParseError);
   bytes[0] = std::byte{0xC8};
-  EXPECT_THROW((void)wire::decode_workload_update(bytes), ParseError);
+  EXPECT_THROW((void)wire::decode<WorkloadUpdate>(bytes), ParseError);
 }
 
 TEST(WireFormat, RejectsUnknownVersion) {
@@ -554,19 +682,19 @@ TEST(WireFormat, RejectsUnknownMessageType) {
 }
 
 TEST(WireFormat, RejectsTruncationAtEveryPrefix) {
-  common::Rng rng(48);
-  const auto full = wire::encode(random_reschedule_request(rng));
-  ASSERT_GT(full.size(), 3u);
-  for (std::size_t len = 3; len < full.size(); ++len) {
-    const std::span<const std::byte> prefix(full.data(), len);
-    EXPECT_THROW((void)wire::decode_reschedule_request(prefix), ParseError)
-        << "prefix of " << len << "/" << full.size() << " bytes accepted";
-  }
-  const auto fixed = wire::encode(random_network_measurement(rng));
-  for (std::size_t len = 3; len < fixed.size(); ++len) {
-    const std::span<const std::byte> prefix(fixed.data(), len);
-    EXPECT_THROW((void)wire::decode_network_measurement(prefix), ParseError);
-  }
+  const auto images = golden_images();
+  for_each_message([&](auto tag, std::size_t i) {
+    using M = typename decltype(tag)::type;
+    const std::vector<std::byte>& full = images[i].bytes;
+    ASSERT_EQ(wire::peek_type(full), wire::Layout<M>::type);
+    EXPECT_EQ(wire::encode(wire::decode<M>(full)), full);
+    for (std::size_t len = 0; len < full.size(); ++len) {
+      EXPECT_THROW((void)wire::decode<M>(std::span(full.data(), len)),
+                   ParseError)
+          << wire::to_string(wire::Layout<M>::type) << " prefix of " << len
+          << "/" << full.size() << " bytes accepted";
+    }
+  });
 }
 
 TEST(WireFormat, IgnoresTrailingBytesForForwardCompatibility) {
@@ -574,16 +702,22 @@ TEST(WireFormat, IgnoresTrailingBytesForForwardCompatibility) {
   const auto u = random_workload_update(rng);
   auto bytes = wire::encode(u);
   for (int i = 0; i < 7; ++i) bytes.push_back(std::byte{0xEE});
-  const auto d = wire::decode_workload_update(bytes);
+  const auto d = wire::decode<WorkloadUpdate>(bytes);
   EXPECT_EQ(d.host, u.host);
   EXPECT_EQ(d.cpu_load, u.cpu_load);
 }
 
 TEST(WireFormat, RejectsTypeMismatchedDecode) {
-  const auto bytes = wire::encode(WorkloadUpdate{});
-  EXPECT_THROW((void)wire::decode_liveness_change(bytes), ParseError);
-  EXPECT_THROW((void)wire::decode_heartbeat(bytes), ParseError);
-  EXPECT_THROW((void)wire::decode_tick_request(bytes), ParseError);
+  const auto images = golden_images();
+  for_each_message([&](auto tag, std::size_t i) {
+    using M = typename decltype(tag)::type;
+    for (std::size_t j = 0; j < images.size(); ++j) {
+      if (j == i) continue;
+      EXPECT_THROW((void)wire::decode<M>(images[j].bytes), ParseError)
+          << wire::to_string(wire::Layout<M>::type) << " decoded a "
+          << wire::to_string(wire::peek_type(images[j].bytes));
+    }
+  });
 }
 
 TEST(WireFormat, CorruptRescheduleKindNeverEscapesTheEnumRange) {
@@ -595,7 +729,7 @@ TEST(WireFormat, CorruptRescheduleKindNeverEscapesTheEnumRange) {
     auto corrupt = bytes;
     corrupt[pos] = std::byte{0xFF};
     try {
-      const auto d = wire::decode_reschedule_request(corrupt);
+      const auto d = wire::decode<RescheduleRequest>(corrupt);
       EXPECT_LE(static_cast<std::uint8_t>(d.kind), 2u);
     } catch (const ParseError&) {
       // rejection is equally acceptable
@@ -618,71 +752,11 @@ TEST(WireFormat, GarbagePayloadsNeverEscapeParseError) {
           std::byte{static_cast<std::uint8_t>(rng.uniform_int(256))});
     }
     try {
-      switch (wire::peek_type(bytes)) {
-        case wire::MsgType::kMonitorReport:
-          (void)wire::decode_monitor_report(bytes);
-          break;
-        case wire::MsgType::kWorkloadUpdate:
-          (void)wire::decode_workload_update(bytes);
-          break;
-        case wire::MsgType::kLivenessChange:
-          (void)wire::decode_liveness_change(bytes);
-          break;
-        case wire::MsgType::kNetworkMeasurement:
-          (void)wire::decode_network_measurement(bytes);
-          break;
-        case wire::MsgType::kRescheduleRequest:
-          (void)wire::decode_reschedule_request(bytes);
-          break;
-        case wire::MsgType::kHeartbeat:
-          (void)wire::decode_heartbeat(bytes);
-          break;
-        case wire::MsgType::kTickRequest:
-          (void)wire::decode_tick_request(bytes);
-          break;
-        case wire::MsgType::kHostSelectionRequest:
-          (void)wire::decode_host_selection_request(bytes);
-          break;
-        case wire::MsgType::kHostSelectionResponse:
-          (void)wire::decode_host_selection_response(bytes);
-          break;
-        case wire::MsgType::kReselectionRequest:
-          (void)wire::decode_reselection_request(bytes);
-          break;
-        case wire::MsgType::kReselectionResponse:
-          (void)wire::decode_reselection_response(bytes);
-          break;
-        case wire::MsgType::kRecordTaskTime:
-          (void)wire::decode_record_task_time(bytes);
-          break;
-        case wire::MsgType::kErrorReply:
-          (void)wire::decode_error_reply(bytes);
-          break;
-        case wire::MsgType::kPeerDigest:
-          (void)wire::decode_peer_digest(bytes);
-          break;
-        case wire::MsgType::kGossipPing:
-          (void)wire::decode_gossip_ping(bytes);
-          break;
-        case wire::MsgType::kGossipAck:
-          (void)wire::decode_gossip_ack(bytes);
-          break;
-        case wire::MsgType::kPingReq:
-          (void)wire::decode_ping_req(bytes);
-          break;
-        case wire::MsgType::kPingReqReply:
-          (void)wire::decode_ping_req_reply(bytes);
-          break;
-        case wire::MsgType::kPeerRoster:
-          (void)wire::decode_peer_roster(bytes);
-          break;
-        case wire::MsgType::kRefute:
-          (void)wire::decode_refute(bytes);
-          break;
-        case wire::MsgType::kShutdownRequest:
-        case wire::MsgType::kAck:
-          break;
-      }
+      const wire::MsgType peeked = wire::peek_type(bytes);
+      for_each_message([&](auto tag, std::size_t) {
+        using M = typename decltype(tag)::type;
+        if (wire::Layout<M>::type == peeked) (void)wire::decode<M>(bytes);
+      });
     } catch (const ParseError&) {
       // the only acceptable failure mode
     }
@@ -744,8 +818,9 @@ TEST(ControlDispatch, RejectsRpcMessagesOnControlChannel) {
   RecordingSink sink;
   EXPECT_THROW(dispatch_control_frame(wire::encode(wire::TickRequest{}), sink),
                ParseError);
-  EXPECT_THROW(dispatch_control_frame(wire::encode_shutdown(), sink),
-               ParseError);
+  EXPECT_THROW(
+      dispatch_control_frame(wire::encode(wire::ShutdownRequest{}), sink),
+      ParseError);
 }
 
 TEST(ControlManager, DispatchesSynchronouslyAndCountsEveryMessage) {

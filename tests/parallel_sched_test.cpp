@@ -5,6 +5,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdio>
+#include <cstdlib>
+#include <filesystem>
 #include <memory>
 #include <stdexcept>
 #include <thread>
@@ -84,6 +87,16 @@ TEST(ThreadPoolTest, NestedParallelForDoesNotDeadlock) {
       },
       2);
   EXPECT_EQ(count.load(), 400);
+}
+
+TEST(ThreadPoolTest, SharedParallelForCoversEveryIndexOnce) {
+  for (const std::size_t helpers : {std::size_t{0}, std::size_t{3}}) {
+    std::vector<std::atomic<int>> hits(100);
+    ThreadPool::shared_parallel_for(
+        0, hits.size(), 7, [&](std::size_t i) { hits[i].fetch_add(1); },
+        helpers);
+    for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
+  }
 }
 
 TEST(ThreadPoolTest, SharedPoolIsFixedAndReused) {
@@ -344,6 +357,41 @@ TEST(ParallelSchedulingTest, MonitoringUpdateInvalidatesCachedPredictions) {
   // the re-schedule misses (and explicitly invalidates) stale entries.
   EXPECT_GT(after.misses, before.misses);
   EXPECT_GT(after.invalidations, before.invalidations);
+}
+
+/// Threads of this process now.
+std::size_t live_threads() {
+  std::size_t n = 0;
+  for ([[maybe_unused]] const auto& task :
+       std::filesystem::directory_iterator("/proc/self/task")) {
+    ++n;
+  }
+  return n;
+}
+
+// A threads = 1 placement (the default) runs its multicast and its
+// scoring inline: the shared pool's workers are started only for a loop
+// that gets a helper.  Checked in a fresh process, a re-executed
+// death-test child, where no earlier test has built the pool.
+TEST(ParallelSchedulingTest, SerialPlacementStartsNoThread) {
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  EXPECT_EXIT(
+      {
+        sched::RepositoryDirectory directory;
+        auto env = make_env(17, directory);
+        const auto graph = sim::make_c3i_graph();
+        sched::SiteSchedulerConfig cfg;
+        cfg.k_nearest = 3;
+        ASSERT_EQ(cfg.threads, 1u);
+        sched::SiteScheduler scheduler(SiteId(0), directory, cfg);
+        const std::size_t before = live_threads();
+        (void)scheduler.schedule(graph);
+        const std::size_t after = live_threads();
+        std::fprintf(stderr, "threads before %zu, after %zu\n", before,
+                     after);
+        std::exit(after == before ? 0 : 1);
+      },
+      ::testing::ExitedWithCode(0), "threads before");
 }
 
 }  // namespace

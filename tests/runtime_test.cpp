@@ -264,11 +264,6 @@ TEST_F(RuntimeEnv, FailureFlowsToRepository) {
             vdce_.testbed.host_count() - 1);
 }
 
-TEST_F(RuntimeEnv, RunUntilConvenience) {
-  vdce_.sites[0].control->run_until(0.0, 10.0, 1.0);
-  EXPECT_GT(vdce_.sites[0].control->stats().reports_received, 0u);
-}
-
 // ----------------------------------------------------------- directory
 
 TEST_F(RuntimeEnv, DirectoryRoutesHostSelection) {
