@@ -2,10 +2,10 @@
 //
 // Two modes:
 //   * default: google-benchmark micro-benchmarks of the grant pick --
-//     the sharded stride queue against a faithful replica of the
-//     pre-D15 linear scan -- across queue depths;
+//     the stride queue against a faithful replica of the pre-D15
+//     linear scan -- across queue depths;
 //   * --json [path] [--quick]: the E21 sweep.  (1) grant-pick cost at
-//     1k..100k queued submissions, sharded vs linear, p50/p99 ns and
+//     1k..100k queued submissions, stride queue vs linear, p50/p99 ns and
 //     grants/sec; (2) end-to-end submit() admission latency against a
 //     1k..100k backlog on a live (paused) service, p50/p99 us plus
 //     batched-burst throughput; (3) fairness: Jain's index over
@@ -44,7 +44,7 @@ using namespace vdce;
 // ---------------------------------------------------------------------
 // A faithful replica of the pre-D15 grant pick: one flat ready vector,
 // one flat pass map, O(n) scan per grant (and the seed's mid-vector
-// erase).  Kept here so the sweep can show the curve the sharded queue
+// erase).  Kept here so the sweep can show the curve the stride queue
 // replaced without resurrecting the old service.
 struct LinearRef {
   struct Entry {
@@ -91,7 +91,7 @@ struct LinearRef {
   return 1.0 + static_cast<double>(i % 4);
 }
 
-void fill_sharded(rt::FairShareQueue& queue, std::size_t depth,
+void fill_queue(rt::FairShareQueue& queue, std::size_t depth,
                   std::size_t users) {
   for (std::size_t i = 0; i < depth; ++i) {
     rt::FairShareEntry entry;
@@ -129,11 +129,11 @@ struct Quantiles {
 
 // ------------------------------------------------------ micro benches
 
-void BM_ShardedGrantPick(benchmark::State& state) {
+void BM_QueueGrantPick(benchmark::State& state) {
   const auto depth = static_cast<std::size_t>(state.range(0));
   const std::size_t users = std::max<std::size_t>(depth / 16, 4);
   rt::FairShareQueue queue;
-  fill_sharded(queue, depth, users);
+  fill_queue(queue, depth, users);
   std::uint64_t seq = depth + 1;
   for (auto _ : state) {
     auto entry = queue.pop();
@@ -144,7 +144,7 @@ void BM_ShardedGrantPick(benchmark::State& state) {
     ++seq;
   }
 }
-BENCHMARK(BM_ShardedGrantPick)->Arg(1000)->Arg(10000)->Arg(100000);
+BENCHMARK(BM_QueueGrantPick)->Arg(1000)->Arg(10000)->Arg(100000);
 
 void BM_LinearGrantPick(benchmark::State& state) {
   const auto depth = static_cast<std::size_t>(state.range(0));
@@ -164,9 +164,9 @@ BENCHMARK(BM_LinearGrantPick)->Arg(1000)->Arg(10000);
 struct GrantPickCell {
   std::size_t depth = 0;
   std::size_t users = 0;
-  Quantiles sharded_ns;
+  Quantiles queue_ns;
   Quantiles linear_ns;
-  double sharded_grants_per_s = 0.0;
+  double queue_grants_per_s = 0.0;
   double speedup_p99 = 0.0;
 };
 
@@ -175,22 +175,22 @@ GrantPickCell run_grant_pick_cell(std::size_t depth, std::size_t picks) {
   cell.depth = depth;
   cell.users = std::max<std::size_t>(depth / 16, 4);
 
-  rt::FairShareQueue sharded;
-  fill_sharded(sharded, depth, cell.users);
-  std::vector<double> sharded_ns;
-  sharded_ns.reserve(picks);
+  rt::FairShareQueue queue;
+  fill_queue(queue, depth, cell.users);
+  std::vector<double> queue_ns;
+  queue_ns.reserve(picks);
   std::uint64_t seq = depth + 1;
   for (std::size_t i = 0; i < picks; ++i) {
     const double t0 = now_s();
-    auto entry = sharded.pop();
+    auto entry = queue.pop();
     const double t1 = now_s();
-    sharded_ns.push_back((t1 - t0) * 1e9);
+    queue_ns.push_back((t1 - t0) * 1e9);
     entry->seq = seq++;
-    sharded.push(user_of(i, cell.users), *entry);
+    queue.push(user_of(i, cell.users), *entry);
   }
-  cell.sharded_ns = quantiles(sharded_ns);
-  cell.sharded_grants_per_s =
-      cell.sharded_ns.mean > 0.0 ? 1e9 / cell.sharded_ns.mean : 0.0;
+  cell.queue_ns = quantiles(queue_ns);
+  cell.queue_grants_per_s =
+      cell.queue_ns.mean > 0.0 ? 1e9 / cell.queue_ns.mean : 0.0;
 
   LinearRef linear;
   fill_linear(linear, depth, cell.users);
@@ -204,8 +204,7 @@ GrantPickCell run_grant_pick_cell(std::size_t depth, std::size_t picks) {
     linear.push(entry.user, seq++, entry.weight);
   }
   cell.linear_ns = quantiles(linear_ns);
-  cell.speedup_p99 =
-      cell.linear_ns.p99 / std::max(cell.sharded_ns.p99, 1e-9);
+  cell.speedup_p99 = cell.linear_ns.p99 / std::max(cell.queue_ns.p99, 1e-9);
   return cell;
 }
 
@@ -249,7 +248,7 @@ ServiceCell run_service_cell(rt::LocalVdce& v, std::size_t backlog,
                                    tasklib::builtin_registry(), config);
 
   // Build the backlog with batched bursts (also the burst-throughput
-  // figure: scheduling + batched QoS + queue push, amortised).
+  // figure: scheduling + QoS + queue push, amortised).
   constexpr std::size_t kBurst = 2000;
   const double fill0 = now_s();
   std::size_t filled = 0;
@@ -367,15 +366,15 @@ int run_json_sweep(const std::string& out_path, bool quick) {
   bench::banner("E21", "admission front door at 1k..100k backlog");
 
   bench::header(
-      "depth,users,sharded_p50_ns,sharded_p99_ns,linear_p50_ns,"
+      "depth,users,queue_p50_ns,queue_p99_ns,linear_p50_ns,"
       "linear_p99_ns,grants_per_s,speedup_p99");
   std::vector<GrantPickCell> grant_cells;
   for (const std::size_t depth : depths) {
     grant_cells.push_back(run_grant_pick_cell(depth, picks));
     const auto& c = grant_cells.back();
-    std::cout << c.depth << "," << c.users << "," << c.sharded_ns.p50
-              << "," << c.sharded_ns.p99 << "," << c.linear_ns.p50 << ","
-              << c.linear_ns.p99 << "," << c.sharded_grants_per_s << ","
+    std::cout << c.depth << "," << c.users << "," << c.queue_ns.p50
+              << "," << c.queue_ns.p99 << "," << c.linear_ns.p50 << ","
+              << c.linear_ns.p99 << "," << c.queue_grants_per_s << ","
               << c.speedup_p99 << "\n";
   }
 
@@ -395,13 +394,13 @@ int run_json_sweep(const std::string& out_path, bool quick) {
             << fairness.users << " users, worst weighted error "
             << fairness.worst_weighted_error_pct << "%\n";
 
-  // Headline ratios: the sharded p99 must stay roughly flat across two
+  // Headline ratios: the queue's p99 must stay roughly flat across two
   // orders of magnitude of backlog while the linear reference grows
   // with it.
   const auto& first = grant_cells.front();
   const auto& last = grant_cells.back();
-  const double sharded_flatness =
-      last.sharded_ns.p99 / std::max(first.sharded_ns.p99, 1e-9);
+  const double queue_flatness =
+      last.queue_ns.p99 / std::max(first.queue_ns.p99, 1e-9);
   const double linear_growth =
       last.linear_ns.p99 / std::max(first.linear_ns.p99, 1e-9);
 
@@ -416,11 +415,11 @@ int run_json_sweep(const std::string& out_path, bool quick) {
   for (std::size_t i = 0; i < grant_cells.size(); ++i) {
     const auto& c = grant_cells[i];
     out << "    {\"depth\": " << c.depth << ", \"users\": " << c.users
-        << ", \"sharded_p50_ns\": " << c.sharded_ns.p50
-        << ", \"sharded_p99_ns\": " << c.sharded_ns.p99
+        << ", \"queue_p50_ns\": " << c.queue_ns.p50
+        << ", \"queue_p99_ns\": " << c.queue_ns.p99
         << ", \"linear_p50_ns\": " << c.linear_ns.p50
         << ", \"linear_p99_ns\": " << c.linear_ns.p99
-        << ", \"grants_per_s\": " << c.sharded_grants_per_s
+        << ", \"grants_per_s\": " << c.queue_grants_per_s
         << ", \"speedup_p99\": " << c.speedup_p99 << "}"
         << (i + 1 < grant_cells.size() ? ",\n" : "\n");
   }
@@ -442,12 +441,12 @@ int run_json_sweep(const std::string& out_path, bool quick) {
       << fairness.worst_weighted_error_pct << "},\n";
   out << "  \"summary\": {\n";
   out << "    \"max_depth\": " << last.depth << ",\n";
-  out << "    \"sharded_p99_flatness\": " << sharded_flatness << ",\n";
+  out << "    \"queue_p99_flatness\": " << queue_flatness << ",\n";
   out << "    \"linear_p99_growth\": " << linear_growth << ",\n";
   out << "    \"speedup_p99_at_max_depth\": " << last.speedup_p99 << "\n";
   out << "  }\n}\n";
-  std::cout << "wrote " << out_path << " (sharded p99 "
-            << first.sharded_ns.p99 << "ns -> " << last.sharded_ns.p99
+  std::cout << "wrote " << out_path << " (queue p99 "
+            << first.queue_ns.p99 << "ns -> " << last.queue_ns.p99
             << "ns across " << first.depth << ".." << last.depth
             << "; linear grew " << linear_growth << "x)\n";
   return 0;

@@ -11,6 +11,17 @@ namespace vdce::netsim {
 
 namespace {
 
+/// Every generated event lasts [kMinOutageS, kMaxOutageS) seconds.
+constexpr Duration kMinOutageS = 5.0;
+constexpr Duration kMaxOutageS = 20.0;
+/// Partition and deadline-storm counts at intensity 1.
+constexpr int kMaxPartitions = 1;
+constexpr int kMaxDeadlineStorms = 2;
+/// A gray host's extra load is this times a draw in [0.5, 1.5).
+constexpr double kGrayExtraLoad = 4.0;
+/// Short crash pulses per deadline storm.
+constexpr int kStormPulses = 5;
+
 bool site_protected(const ChaosScheduleConfig& cfg, SiteId site) {
   return std::find(cfg.protected_sites.begin(), cfg.protected_sites.end(),
                    site) != cfg.protected_sites.end();
@@ -52,7 +63,7 @@ ChaosSchedule ChaosSchedule::generate(const VirtualTestbed& bed,
 
   const auto window = [&](ChaosEvent& event) {
     event.start = rng.uniform(0.0, cfg.horizon_s);
-    event.length = rng.uniform(cfg.min_outage_s, cfg.max_outage_s);
+    event.length = rng.uniform(kMinOutageS, kMaxOutageS);
   };
 
   if (!targets.empty()) {
@@ -67,16 +78,15 @@ ChaosSchedule ChaosSchedule::generate(const VirtualTestbed& bed,
       ChaosEvent event;
       event.kind = ChaosEventKind::kGrayHost;
       event.host = targets[rng.uniform_int(targets.size())];
-      event.extra_load = cfg.gray_extra_load * rng.uniform(0.5, 1.5);
+      event.extra_load = kGrayExtraLoad * rng.uniform(0.5, 1.5);
       window(event);
       schedule.add(event);
     }
-    for (int i = 0; i < scaled(cfg.max_deadline_storms, cfg.intensity);
-         ++i) {
+    for (int i = 0; i < scaled(kMaxDeadlineStorms, cfg.intensity); ++i) {
       ChaosEvent event;
       event.kind = ChaosEventKind::kDeadlineStorm;
       event.host = targets[rng.uniform_int(targets.size())];
-      event.pulses = std::max(1, cfg.storm_pulses);
+      event.pulses = kStormPulses;
       window(event);
       schedule.add(event);
     }
@@ -91,7 +101,7 @@ ChaosSchedule ChaosSchedule::generate(const VirtualTestbed& bed,
     }
   }
   if (all_sites.size() >= 2) {
-    for (int i = 0; i < scaled(cfg.max_partitions, cfg.intensity); ++i) {
+    for (int i = 0; i < scaled(kMaxPartitions, cfg.intensity); ++i) {
       ChaosEvent event;
       event.kind = ChaosEventKind::kPartition;
       const std::size_t a = rng.uniform_int(all_sites.size());

@@ -77,18 +77,13 @@ struct ChaosEvent {
 struct ChaosScheduleConfig {
   std::uint64_t seed = 42;
   double intensity = 0.5;
-  /// Events start inside [0, horizon_s).
+  /// Events start inside [0, horizon_s) and last 5-20 s.
   TimePoint horizon_s = 60.0;
-  Duration min_outage_s = 5.0;
-  Duration max_outage_s = 20.0;
-  /// Per-kind maximum event counts at intensity 1.
+  /// Per-kind maximum event counts at intensity 1 (one partition and
+  /// two deadline storms are fixed).
   int max_crashes = 4;
   int max_site_outages = 1;
-  int max_partitions = 1;
   int max_gray_hosts = 3;
-  int max_deadline_storms = 2;
-  double gray_extra_load = 4.0;
-  int storm_pulses = 5;
   /// Sites never targeted by crashes/outages/gray hosts (keep at least
   /// one site alive so failover has somewhere to land).
   std::vector<SiteId> protected_sites;

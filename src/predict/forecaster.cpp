@@ -18,30 +18,9 @@ void LoadForecaster::observe(HostId host, double load) {
 
 std::optional<double> LoadForecaster::forecast(HostId host) const {
   std::lock_guard lk(mu_);
-  double bias = 0.0;
-  if (const auto b = bias_.find(host); b != bias_.end()) bias = b->second;
   const auto it = windows_.find(host);
-  if (it == windows_.end() || it->second.empty()) {
-    if (bias != 0.0) return bias;
-    return std::nullopt;
-  }
-  return common::forecast(it->second, method_, ewma_alpha_) + bias;
-}
-
-void LoadForecaster::add_load_bias(HostId host, double delta) {
-  std::lock_guard lk(mu_);
-  version_.fetch_add(1, std::memory_order_release);
-  double& bias = bias_[host];
-  bias += delta;
-  // Commitments are releases of earlier additions; clamp float dust so
-  // a fully released host reads exactly unbiased again.
-  if (bias > -1e-12 && bias < 1e-12) bias_.erase(host);
-}
-
-double LoadForecaster::load_bias(HostId host) const {
-  std::lock_guard lk(mu_);
-  const auto it = bias_.find(host);
-  return it == bias_.end() ? 0.0 : it->second;
+  if (it == windows_.end() || it->second.empty()) return std::nullopt;
+  return common::forecast(it->second, method_, ewma_alpha_);
 }
 
 std::size_t LoadForecaster::count(HostId host) const {

@@ -35,22 +35,7 @@ class LoadForecaster {
   void observe(HostId host, double load);
 
   /// Forecast for a host; nullopt when no measurement has been seen.
-  /// When a load commitment is registered for the host (admitted
-  /// applications, see add_load_bias), the committed load is added to
-  /// the windowed forecast -- and is returned on its own even for a
-  /// host with no measurements yet.
   [[nodiscard]] std::optional<double> forecast(HostId host) const;
-
-  /// Adds `delta` to the host's committed load: the submission service
-  /// registers the predicted load contribution of an admitted
-  /// application here (and removes it with a negative delta when the
-  /// application finishes), so Predict() sees admitted-but-running work
-  /// before the Monitors measure it.  Bumps version() so cached
-  /// predictions against the old commitment are never served.
-  void add_load_bias(HostId host, double delta);
-
-  /// The host's current committed load (0 when none).
-  [[nodiscard]] double load_bias(HostId host) const;
 
   /// Number of measurements currently windowed for a host.
   [[nodiscard]] std::size_t count(HostId host) const;
@@ -74,8 +59,6 @@ class LoadForecaster {
   std::atomic<std::uint64_t> version_{0};
   mutable std::mutex mu_;
   std::unordered_map<HostId, common::SlidingWindowStats> windows_;
-  /// Committed load of admitted-but-running applications, per host.
-  std::unordered_map<HostId, double> bias_;
 };
 
 }  // namespace vdce::predict

@@ -33,6 +33,12 @@ namespace {
 /// live ones.
 constexpr int kPayloadTag = 7;
 constexpr std::uint64_t kFnvOffset = 0xCBF29CE484222325ull;
+/// Growth of the retry backoff per retry.
+constexpr double kRetryBackoffMultiplier = 2.0;
+/// Jitter fraction applied to every backoff nap, so simultaneous
+/// retries (a whole gang refused by one dead host) do not stampede the
+/// rescheduler in lockstep.
+constexpr double kRetryBackoffJitter = 0.5;
 
 using Clock = std::chrono::steady_clock;
 
@@ -575,15 +581,13 @@ class StageRunner {
   void backoff_sleep(Stage& s) {
     double nap = 0.0;
     if (config_.max_total_backoff_s > 0.0) {
-      double jittered = s.backoff_s;
-      if (config_.retry_backoff_jitter > 0.0) {
-        common::Rng jitter_rng(
-            config_.seed ^ (static_cast<std::uint64_t>(app_.value()) << 32) ^
-            s.node->id.value() ^
-            (0xC4CEB9FE1A85EC53ull * static_cast<std::uint64_t>(s.attempts)));
-        jittered *=
-            1.0 + config_.retry_backoff_jitter * (jitter_rng.uniform() - 0.5);
-      }
+      common::Rng jitter_rng(
+          config_.seed ^ (static_cast<std::uint64_t>(app_.value()) << 32) ^
+          s.node->id.value() ^
+          (0xC4CEB9FE1A85EC53ull * static_cast<std::uint64_t>(s.attempts)));
+      const double jittered =
+          s.backoff_s *
+          (1.0 + kRetryBackoffJitter * (jitter_rng.uniform() - 0.5));
       nap = std::min(jittered,
                      config_.max_total_backoff_s - s.backoff_spent_s);
     }
@@ -601,7 +605,7 @@ class StageRunner {
       }
       s.backoff_spent_s += nap;
     }
-    s.backoff_s *= config_.retry_backoff_multiplier;
+    s.backoff_s *= kRetryBackoffMultiplier;
   }
 
   const tasklib::TaskRegistry& registry_;

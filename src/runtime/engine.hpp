@@ -97,16 +97,11 @@ struct EngineConfig {
   /// Fault-tolerance retry budget per task (total attempts, first run
   /// included).  Only consulted when execute() is given hooks.
   int max_attempts = 3;
-  /// Sleep before the first retry, seconds; doubles-ish per retry.
+  /// Sleep before the first retry, seconds; doubles per retry, with
+  /// a +-25% jitter drawn from (engine seed, app, task, attempt) --
+  /// never from global state -- so a replay with the same seed is
+  /// bit-identical through recovery.
   double retry_backoff_s = 0.01;
-  double retry_backoff_multiplier = 2.0;
-  /// Jitter fraction applied to every backoff nap so simultaneous
-  /// retries (a whole gang refused by one dead host) do not stampede
-  /// the rescheduler in lockstep.  The jitter draw is seeded from
-  /// (engine seed, app, task, attempt) -- never from global state --
-  /// so a replay with the same seed is bit-identical through recovery.
-  /// 0 disables jitter.
-  double retry_backoff_jitter = 0.5;
   /// Cap on the CUMULATIVE backoff slept for one task across all of its
   /// retries (in-place and between rounds).  An in-place retry sleeps
   /// on the task's stage thread, which stalls peers blocked on its

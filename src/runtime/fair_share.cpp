@@ -1,8 +1,6 @@
 #include "runtime/fair_share.hpp"
 
 #include <algorithm>
-#include <cmath>
-#include <functional>
 #include <limits>
 
 namespace vdce::rt {
@@ -13,188 +11,114 @@ constexpr double kMinWeight = 1e-9;
 
 }  // namespace
 
-FairShareQueue::FairShareQueue(FairShareConfig config) : config_(config) {
-  config_.shards = std::max<std::size_t>(config_.shards, 1);
-  config_.renorm_threshold = std::max(config_.renorm_threshold, 1.0);
-  config_.max_shares_per_shard =
-      std::max<std::size_t>(config_.max_shares_per_shard, 1);
-  shards_.reserve(config_.shards);
-  for (std::size_t i = 0; i < config_.shards; ++i) {
-    shards_.push_back(std::make_unique<Shard>());
-  }
-}
-
-FairShareQueue::Shard& FairShareQueue::shard_for(const std::string& user) {
-  return *shards_[std::hash<std::string>{}(user) % shards_.size()];
-}
-
-void FairShareQueue::sweep_idle_locked(Shard& shard) {
-  const double pass_now = grant_pass_.load(std::memory_order_relaxed);
+void FairShareQueue::sweep_idle() {
   // Overtaken idle users: pass <= grant clock means re-entry would be
   // clamped to the clock regardless, so forgetting them changes
-  // nothing observable.
-  while (!shard.idle.empty() && shard.idle.begin()->first <= pass_now) {
-    shard.shares.erase(shard.idle.begin()->second);
-    shard.idle.erase(shard.idle.begin());
-    shares_evicted_.fetch_add(1, std::memory_order_relaxed);
+  // nothing observable.  Over the cap, drop the least-indebted idle
+  // users too (the small forgiven debt is bounded by one stride;
+  // active users are never evicted).
+  while (!idle_.empty() && (idle_.begin()->first <= grant_pass_ ||
+                            shares_.size() > kMaxShares)) {
+    shares_.erase(idle_.begin()->second);
+    idle_.erase(idle_.begin());
+    ++shares_evicted_;
   }
-  // Hard cap: over the bound, drop the least-indebted idle users (the
-  // small forgiven debt is bounded by one stride; active users are
-  // never evicted).
-  while (shard.shares.size() > config_.max_shares_per_shard &&
-         !shard.idle.empty()) {
-    shard.shares.erase(shard.idle.begin()->second);
-    shard.idle.erase(shard.idle.begin());
-    shares_evicted_.fetch_add(1, std::memory_order_relaxed);
+}
+
+void FairShareQueue::file_share(const std::string& user, const Share& share) {
+  if (share.fifo.empty()) {
+    idle_.emplace(share.pass, user);
+  } else {
+    order_.emplace(std::make_pair(share.pass, share.fifo.begin()->first),
+                   user);
   }
 }
 
 void FairShareQueue::push(const std::string& user, FairShareEntry entry) {
-  Shard& shard = shard_for(user);
-  std::lock_guard lk(shard.mu);
-  auto [it, inserted] = shard.shares.try_emplace(user);
+  auto [it, inserted] = shares_.try_emplace(user);
   Share& share = it->second;
-  const double pass_now = grant_pass_.load(std::memory_order_relaxed);
   if (inserted) {
     // New users join the race at the grant clock, not at zero.
-    share.pass = pass_now;
+    share.pass = grant_pass_;
   } else if (share.fifo.empty()) {
     // Returning user: clamp a stale pass to the grant clock so an
     // absence never banks a backlog of wins (the starvation bug).
-    shard.idle.erase({share.pass, user});
-    share.pass = std::max(share.pass, pass_now);
+    idle_.erase({share.pass, user});
+    share.pass = std::max(share.pass, grant_pass_);
   }
   const bool was_empty = share.fifo.empty();
-  const std::uint64_t old_head =
-      was_empty ? 0 : share.fifo.begin()->first;
+  const std::uint64_t old_head = was_empty ? 0 : share.fifo.begin()->first;
   share.fifo.emplace(entry.seq, entry);
   const std::uint64_t new_head = share.fifo.begin()->first;
   if (was_empty) {
-    shard.order.emplace(std::make_pair(share.pass, new_head), user);
+    order_.emplace(std::make_pair(share.pass, new_head), user);
   } else if (new_head != old_head) {
-    shard.order.erase({share.pass, old_head});
-    shard.order.emplace(std::make_pair(share.pass, new_head), user);
+    order_.erase({share.pass, old_head});
+    order_.emplace(std::make_pair(share.pass, new_head), user);
   }
   if (entry.preemptible) {
-    shard.prio.emplace(std::make_pair(entry.priority, entry.seq), user);
+    prio_.emplace(std::make_pair(entry.priority, entry.seq), user);
   }
-  total_.fetch_add(1, std::memory_order_relaxed);
-  sweep_idle_locked(shard);
+  ++size_;
+  sweep_idle();
 }
 
 std::optional<FairShareEntry> FairShareQueue::pop() {
-  std::lock_guard grant_lk(grant_mu_);
-  // Peek every shard's stride winner; head seqs are globally unique,
-  // so (pass, head seq) has a strict global minimum.  Pops, preempts
-  // and sheds are serialized by grant_mu_ and pushes only ever add, so
-  // the chosen shard cannot lose its winner before we take it.
-  Shard* best = nullptr;
-  std::pair<double, std::uint64_t> best_key{
-      std::numeric_limits<double>::infinity(),
-      std::numeric_limits<std::uint64_t>::max()};
-  for (auto& shard : shards_) {
-    std::lock_guard lk(shard->mu);
-    if (shard->order.empty()) continue;
-    const auto& key = shard->order.begin()->first;
-    if (key < best_key) {
-      best_key = key;
-      best = shard.get();
-    }
-  }
-  if (best == nullptr) return std::nullopt;
-
-  FairShareEntry entry;
-  {
-    std::lock_guard lk(best->mu);
-    const auto order_it = best->order.begin();
-    Share& share = best->shares.at(order_it->second);
-    const std::string user = order_it->second;
-    const auto fifo_it = share.fifo.begin();
-    entry = fifo_it->second;
-    share.fifo.erase(fifo_it);
-    best->order.erase(order_it);
-    if (entry.preemptible) {
-      best->prio.erase({entry.priority, entry.seq});
-    }
-    // The grant clock is the winner's pass before the stride advance
-    // (PR 4 semantics): newcomers join where the race currently is.
-    grant_pass_.store(share.pass, std::memory_order_relaxed);
-    share.pass += 1.0 / std::max(entry.weight, kMinWeight);
-    if (!share.fifo.empty()) {
-      best->order.emplace(
-          std::make_pair(share.pass, share.fifo.begin()->first), user);
-    } else {
-      best->idle.emplace(share.pass, user);
-    }
-    total_.fetch_sub(1, std::memory_order_relaxed);
-    sweep_idle_locked(*best);
-  }
+  if (order_.empty()) return std::nullopt;
+  const auto order_it = order_.begin();
+  const std::string user = order_it->second;
+  order_.erase(order_it);
+  Share& share = shares_.at(user);
+  const auto fifo_it = share.fifo.begin();
+  const FairShareEntry entry = fifo_it->second;
+  share.fifo.erase(fifo_it);
+  if (entry.preemptible) prio_.erase({entry.priority, entry.seq});
+  // The grant clock is the winner's pass before the stride advance:
+  // newcomers join where the race currently is.
+  grant_pass_ = share.pass;
+  share.pass += 1.0 / std::max(entry.weight, kMinWeight);
+  file_share(user, share);
+  --size_;
+  sweep_idle();
   maybe_renormalize();
   return entry;
 }
 
-FairShareEntry FairShareQueue::remove_entry_locked(Shard& shard,
-                                                   const std::string& user,
-                                                   std::uint64_t seq) {
-  Share& share = shard.shares.at(user);
+FairShareEntry FairShareQueue::remove_entry(const std::string& user,
+                                            std::uint64_t seq) {
+  Share& share = shares_.at(user);
   const auto fifo_it = share.fifo.find(seq);
   const bool was_head = fifo_it == share.fifo.begin();
   const FairShareEntry entry = fifo_it->second;
   share.fifo.erase(fifo_it);
-  if (entry.preemptible) shard.prio.erase({entry.priority, entry.seq});
+  if (entry.preemptible) prio_.erase({entry.priority, entry.seq});
   if (was_head) {
-    shard.order.erase({share.pass, seq});
-    if (!share.fifo.empty()) {
-      shard.order.emplace(
-          std::make_pair(share.pass, share.fifo.begin()->first), user);
-    } else {
-      shard.idle.emplace(share.pass, user);
-    }
+    order_.erase({share.pass, seq});
+    file_share(user, share);
   }
-  total_.fetch_sub(1, std::memory_order_relaxed);
+  --size_;
   return entry;
 }
 
 std::optional<FairShareEntry> FairShareQueue::preempt_below(int priority) {
-  std::lock_guard grant_lk(grant_mu_);
+  if (prio_.empty() || prio_.begin()->first.first >= priority) {
+    return std::nullopt;
+  }
   // Victim: lowest priority tier, youngest submission within it (the
   // entry that has waited least loses first).
-  Shard* best = nullptr;
-  int best_prio = priority;
-  std::uint64_t best_seq = 0;
-  std::string best_user;
-  for (auto& shard : shards_) {
-    std::lock_guard lk(shard->mu);
-    if (shard->prio.empty()) continue;
-    const int tier = shard->prio.begin()->first.first;
-    if (tier >= priority) continue;
-    // Youngest entry of this shard's lowest tier.
-    auto it = shard->prio.upper_bound(
-        {tier, std::numeric_limits<std::uint64_t>::max()});
-    --it;
-    if (best == nullptr || tier < best_prio ||
-        (tier == best_prio && it->first.second > best_seq)) {
-      best = shard.get();
-      best_prio = tier;
-      best_seq = it->first.second;
-      best_user = it->second;
-    }
-  }
-  if (best == nullptr) return std::nullopt;
-  std::lock_guard lk(best->mu);
-  return remove_entry_locked(*best, best_user, best_seq);
+  const int tier = prio_.begin()->first.first;
+  auto it =
+      prio_.upper_bound({tier, std::numeric_limits<std::uint64_t>::max()});
+  --it;
+  const auto [key, user] = *it;
+  return remove_entry(user, key.second);
 }
 
 std::vector<FairShareEntry> FairShareQueue::shed_below(int priority) {
-  std::lock_guard grant_lk(grant_mu_);
   std::vector<FairShareEntry> shed;
-  for (auto& shard : shards_) {
-    std::lock_guard lk(shard->mu);
-    while (!shard->prio.empty() &&
-           shard->prio.begin()->first.first < priority) {
-      const auto [key, user] = *shard->prio.begin();
-      shed.push_back(remove_entry_locked(*shard, user, key.second));
-    }
+  while (!prio_.empty() && prio_.begin()->first.first < priority) {
+    const auto [key, user] = *prio_.begin();
+    shed.push_back(remove_entry(user, key.second));
   }
   std::sort(shed.begin(), shed.end(),
             [](const FairShareEntry& a, const FairShareEntry& b) {
@@ -203,63 +127,30 @@ std::vector<FairShareEntry> FairShareQueue::shed_below(int priority) {
   return shed;
 }
 
-std::optional<int> FairShareQueue::lowest_priority() const {
-  std::optional<int> lowest;
-  for (const auto& shard : shards_) {
-    std::lock_guard lk(shard->mu);
-    if (shard->prio.empty()) continue;
-    const int tier = shard->prio.begin()->first.first;
-    if (!lowest || tier < *lowest) lowest = tier;
-  }
-  return lowest;
-}
-
-std::size_t FairShareQueue::user_count() const {
-  std::size_t users = 0;
-  for (const auto& shard : shards_) {
-    std::lock_guard lk(shard->mu);
-    users += shard->shares.size();
-  }
-  return users;
-}
-
 FairShareStats FairShareQueue::stats() const {
   FairShareStats out;
-  out.queued = size();
-  out.users = user_count();
-  out.renormalizations =
-      renormalizations_.load(std::memory_order_relaxed);
-  out.shares_evicted = shares_evicted_.load(std::memory_order_relaxed);
+  out.queued = size_;
+  out.users = shares_.size();
+  out.renormalizations = renormalizations_;
+  out.shares_evicted = shares_evicted_;
   return out;
 }
 
-void FairShareQueue::set_grant_pass_for_test(double pass) {
-  grant_pass_.store(pass, std::memory_order_relaxed);
-}
-
 void FairShareQueue::maybe_renormalize() {
-  // grant_mu_ held.  Subtracting the same base from every pass (and
-  // the clock) leaves every pairwise comparison unchanged; what it
-  // restores is the precision of the next += 1/weight, which a clock
-  // past 2^53/weight would silently swallow.
-  const double base = grant_pass_.load(std::memory_order_relaxed);
-  if (base < config_.renorm_threshold) return;
-  for (auto& shard : shards_) {
-    std::lock_guard lk(shard->mu);
-    shard->order.clear();
-    shard->idle.clear();
-    for (auto& [user, share] : shard->shares) {
-      share.pass = std::max(0.0, share.pass - base);
-      if (!share.fifo.empty()) {
-        shard->order.emplace(
-            std::make_pair(share.pass, share.fifo.begin()->first), user);
-      } else {
-        shard->idle.emplace(share.pass, user);
-      }
-    }
+  // Subtracting the same base from every pass (and the clock) leaves
+  // every pairwise comparison unchanged; what it restores is the
+  // precision of the next += 1/weight, which a clock past 2^53/weight
+  // would silently swallow.
+  const double base = grant_pass_;
+  if (base < kRenormThreshold) return;
+  order_.clear();
+  idle_.clear();
+  for (auto& [user, share] : shares_) {
+    share.pass = std::max(0.0, share.pass - base);
+    file_share(user, share);
   }
-  grant_pass_.store(0.0, std::memory_order_relaxed);
-  renormalizations_.fetch_add(1, std::memory_order_relaxed);
+  grant_pass_ = 0.0;
+  ++renormalizations_;
 }
 
 }  // namespace vdce::rt

@@ -1,37 +1,34 @@
-// Sharded stride fair-share ready queue (DESIGN.md D15).
+// Stride fair-share ready queue (DESIGN.md D15).
 //
 // The admission front door of PR 4 picked the next grant with an O(n)
-// scan over every queued submission and kept every user's stride pass
-// in one flat map under the service's global lock -- fine at 32
-// submitters, hopeless at the paper's "many users share the VDCE"
-// scale.  This queue is the sublinear replacement:
+// scan over every queued submission -- fine at 32 submitters,
+// hopeless at the paper's "many users share the VDCE" scale.  This
+// queue is the sublinear replacement:
 //
-//   * per-user FIFOs keyed by submission sequence number, with an
-//     ordered (pass, head-seq) index per shard: a grant is "take the
-//     globally lowest (pass, seq)" in O(shards + log users);
-//   * users are sharded by name hash, each shard behind its own lock,
-//     so concurrent submitters contend per shard rather than on one
-//     global mutex;
+//   * per-user FIFOs keyed by submission sequence number, with one
+//     ordered (pass, head-seq) index: a grant is "take the lowest
+//     (pass, seq)" in O(log users);
 //   * the stride virtual clock renormalizes itself before double
 //     precision can swallow low-weight pass increments (the 2^53
 //     drift bug), and idle users whose pass has been overtaken by the
 //     grant clock are evicted -- dropping them is invisible, because a
 //     returning user is clamped to the grant clock anyway;
-//   * a (priority, seq) index per shard supports the load-shedding
-//     tiers: preempt-the-lowest-priority-youngest on queue overflow,
-//     and bulk shedding below a priority cutoff.
+//   * a (priority, seq) index supports the load-shedding tiers:
+//     preempt-the-lowest-priority-youngest on queue overflow, and bulk
+//     shedding below a priority cutoff.
 //
 // Stride semantics are exactly PR 4's: the queued submission whose
 // user has the lowest pass wins, ties break on global submission
 // order, and a grant advances the winner's pass by 1/weight.  New and
 // returning users join at the current grant pass, never behind it.
+//
+// The queue is not thread-safe.  Its owner serializes every call; in
+// AppSubmissionService that is the service lock, which also orders
+// grants into one total order.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <map>
-#include <memory>
-#include <mutex>
 #include <optional>
 #include <set>
 #include <string>
@@ -42,20 +39,6 @@
 #include "common/ids.hpp"
 
 namespace vdce::rt {
-
-/// Tunables of the sharded stride queue.
-struct FairShareConfig {
-  /// User-hash shards (each with its own lock and indexes).
-  std::size_t shards = 16;
-  /// Renormalize every pass against the grant clock once the clock
-  /// crosses this value, so pass increments as small as 1/max-weight
-  /// never fall below double precision (the 2^53 drift bug).
-  double renorm_threshold = 1e9;
-  /// Per-shard bound on tracked users.  Idle users with the least
-  /// outstanding stride debt are evicted first once a shard exceeds
-  /// it; users with queued work are never evicted.
-  std::size_t max_shares_per_shard = 4096;
-};
 
 /// One queued submission inside the fair-share race.
 struct FairShareEntry {
@@ -81,13 +64,17 @@ struct FairShareStats {
   std::uint64_t shares_evicted = 0;
 };
 
-/// Thread-safe sharded stride scheduler.  All operations are safe to
-/// call concurrently; pop/preempt/shed serialize on an internal grant
-/// lock (grant order must be a total order), while push only takes the
-/// owning user's shard lock.
+/// Stride scheduler over per-user FIFOs; the caller serializes calls.
 class FairShareQueue {
  public:
-  explicit FairShareQueue(FairShareConfig config = {});
+  /// Once the grant clock reaches this value every pass is rebased
+  /// against it, so pass increments as small as 1/max-weight never
+  /// fall below double precision (the 2^53 drift bug).
+  static constexpr double kRenormThreshold = 1e9;
+  /// Bound on tracked users.  Idle users with the least outstanding
+  /// stride debt are evicted first beyond it; users with queued work
+  /// are never evicted.
+  static constexpr std::size_t kMaxShares = 65536;
 
   /// Enqueues one submission for `user`.  First-seen and returning
   /// (previously idle) users join at the current grant pass -- a user
@@ -111,23 +98,15 @@ class FairShareQueue {
   /// priority strictly below `priority` (ascending seq order).
   [[nodiscard]] std::vector<FairShareEntry> shed_below(int priority);
 
-  /// Lowest priority currently queued among preemptible entries.
-  [[nodiscard]] std::optional<int> lowest_priority() const;
-
-  [[nodiscard]] std::size_t size() const {
-    return total_.load(std::memory_order_relaxed);
-  }
-  [[nodiscard]] std::size_t user_count() const;
+  [[nodiscard]] std::size_t size() const { return size_; }
+  [[nodiscard]] std::size_t user_count() const { return shares_.size(); }
   /// The stride virtual clock: the pass of the latest grant.
-  [[nodiscard]] double grant_pass() const {
-    return grant_pass_.load(std::memory_order_relaxed);
-  }
+  [[nodiscard]] double grant_pass() const { return grant_pass_; }
   [[nodiscard]] FairShareStats stats() const;
-  [[nodiscard]] const FairShareConfig& config() const { return config_; }
 
   /// Test hook: jumps the grant clock (e.g. next to 2^53) so the
   /// precision-drift regression test does not need 10^15 real grants.
-  void set_grant_pass_for_test(double pass);
+  void set_grant_pass_for_test(double pass) { grant_pass_ = pass; }
 
  private:
   /// One user's stride state: the pass plus a seq-ordered FIFO.
@@ -135,41 +114,33 @@ class FairShareQueue {
     double pass = 0.0;
     std::map<std::uint64_t, FairShareEntry> fifo;
   };
-  struct Shard {
-    mutable std::mutex mu;
-    std::unordered_map<std::string, Share> shares;
-    /// (pass, head seq) -> user, for users with queued work.  The
-    /// begin() of this map is the shard's stride winner.
-    std::map<std::pair<double, std::uint64_t>, std::string> order;
-    /// (priority, seq) -> user, one per preemptible queued entry.
-    std::map<std::pair<int, std::uint64_t>, std::string> prio;
-    /// (pass, user) for idle users (empty FIFO), ordered by how little
-    /// stride debt they still owe -- the eviction order.
-    std::set<std::pair<double, std::string>> idle;
-  };
 
-  [[nodiscard]] Shard& shard_for(const std::string& user);
   /// Drops idle users the grant clock has overtaken (invisible: they
   /// would be clamped back to the clock on return anyway) and, over
-  /// the per-shard cap, the least-indebted idle users.  Shard lock
-  /// held.
-  void sweep_idle_locked(Shard& shard);
+  /// kMaxShares, the least-indebted idle users.
+  void sweep_idle();
+  /// Files `user` under its current pass: in order_ by its head seq
+  /// when it has queued work, else in idle_.
+  void file_share(const std::string& user, const Share& share);
   /// Removes the queued entry `seq` of `user` from every index.
-  /// Shard lock held.
-  FairShareEntry remove_entry_locked(Shard& shard, const std::string& user,
-                                     std::uint64_t seq);
-  /// Subtracts the grant clock from every pass once it crosses the
-  /// renormalization threshold.  Grant lock held, no shard lock held.
+  FairShareEntry remove_entry(const std::string& user, std::uint64_t seq);
+  /// Subtracts the grant clock from every pass once it reaches
+  /// kRenormThreshold.
   void maybe_renormalize();
 
-  FairShareConfig config_;
-  std::vector<std::unique_ptr<Shard>> shards_;
-  /// Serializes grant-order decisions (pop/preempt/shed/renormalize).
-  mutable std::mutex grant_mu_;
-  std::atomic<double> grant_pass_{0.0};
-  std::atomic<std::size_t> total_{0};
-  std::atomic<std::uint64_t> renormalizations_{0};
-  std::atomic<std::uint64_t> shares_evicted_{0};
+  std::unordered_map<std::string, Share> shares_;
+  /// (pass, head seq) -> user, for users with queued work.  Its
+  /// begin() is the stride winner.
+  std::map<std::pair<double, std::uint64_t>, std::string> order_;
+  /// (priority, seq) -> user, one per preemptible queued entry.
+  std::map<std::pair<int, std::uint64_t>, std::string> prio_;
+  /// (pass, user) for idle users (empty FIFO), ordered by how little
+  /// stride debt they still owe -- the eviction order.
+  std::set<std::pair<double, std::string>> idle_;
+  double grant_pass_ = 0.0;
+  std::size_t size_ = 0;
+  std::uint64_t renormalizations_ = 0;
+  std::uint64_t shares_evicted_ = 0;
 };
 
 }  // namespace vdce::rt

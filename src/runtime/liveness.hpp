@@ -58,6 +58,10 @@ enum class SiteLiveness : std::uint8_t {
 
 [[nodiscard]] const char* to_string(SiteLiveness state);
 
+/// Gossip digest entries older than this, seconds, are too stale to
+/// refute a suspicion with.
+inline constexpr double kDigestFreshnessS = 0.5;
+
 struct LivenessConfig {
   /// Distinct witnesses whose concurring suspicion confirms a death.
   /// 1 reproduces the old single-timer behaviour (the watchdog's own
@@ -67,8 +71,6 @@ struct LivenessConfig {
   /// quorum -- the liveness backstop for deployments with no peers
   /// left to vote.
   double suspicion_timeout_s = 1.0;
-  /// Digest entries older than this are too stale to refute with.
-  double freshness_s = 0.5;
   /// Host flap policy.  The default never quarantines: quarantine
   /// changes which hosts the engine trusts, so failover deployments opt
   /// in by lowering the open threshold.

@@ -64,14 +64,6 @@ struct AppSubmissionService::AppRecord {
   std::string error;
 };
 
-/// One submission mid-flight through submit_batch's phases: the record
-/// plus whether placement succeeded (phase C) and admission still owes
-/// it a QoS verdict (phase D).
-struct AppSubmissionService::Prepared {
-  std::shared_ptr<AppRecord> rec;
-  bool needs_qos = false;
-};
-
 AppSubmissionService::AppSubmissionService(
     SiteId local_site, sched::SiteDirectory& directory,
     const tasklib::TaskRegistry& registry, AppSubmissionConfig config)
@@ -79,7 +71,6 @@ AppSubmissionService::AppSubmissionService(
       directory_(&directory),
       registry_(&registry),
       config_(config),
-      queue_(config.fair_share),
       paused_(config.start_paused) {
   config_.slots = std::max<std::size_t>(config_.slots, 1);
   workers_.reserve(config_.slots);
@@ -134,15 +125,14 @@ std::vector<common::AppId> AppSubmissionService::submit_batch(
     request.graph.validate();
   }
 
-  std::vector<Prepared> prepared;
-  prepared.reserve(requests.size());
+  std::vector<std::shared_ptr<AppRecord>> burst;
+  burst.reserve(requests.size());
   std::vector<common::AppId> tickets;
   tickets.reserve(requests.size());
 
-  // Phase B (brief lock): tickets, records and the early-shed fast
-  // path.  Everything per-submission that must be ordered (seq, ids)
-  // happens here; the heavy placement work does not.
-  bool any_early_shed = false;
+  // Phase B (brief lock): tickets and records.  Everything
+  // per-submission that must be ordered (seq, ids) happens here; the
+  // heavy placement work does not.
   {
     std::lock_guard lk(mu_);
     if (shutdown_) {
@@ -157,92 +147,32 @@ std::vector<common::AppId> AppSubmissionService::submit_batch(
       bump("submission.submitted");
       records_.emplace(rec->app, rec);
       tickets.push_back(rec->app);
-
-      // Shedding tier 0 (opt-in): a full queue that the arrival's
-      // priority cannot relieve rejects before any scheduling or QoS
-      // work is spent on it.
-      bool early = false;
-      if (config_.early_shed && queued_count_ >= config_.max_queue) {
-        const std::optional<int> lowest = queue_.lowest_priority();
-        early = !lowest || *lowest >= rec->request.priority;
-      }
-      if (early) {
-        rec->state = SubmissionState::kRejected;
-        rec->error = "ready queue full (early shed)";
-        ++stats_.rejected;
-        ++stats_.early_shed;
-        bump("submission.rejected");
-        bump("submission.early_shed");
-        note_terminal_locked(rec);
-        any_early_shed = true;
-      }
-      prepared.push_back(Prepared{std::move(rec), false});
+      burst.push_back(std::move(rec));
     }
   }
-  if (any_early_shed) cv_.notify_all();
 
   // Phase C (no lock): Figure 4 -- a per-submission Site Scheduler
   // places each AFG against the directory's current view.  Placement is
   // the expensive step, so it runs outside the service lock and
-  // concurrent submitters overlap their scheduling work.
-  for (Prepared& p : prepared) {
-    if (p.rec->state != SubmissionState::kQueued) continue;  // early shed
+  // concurrent submitters overlap their scheduling work.  A failed
+  // placement leaves its reason in the record's error.
+  for (const auto& rec : burst) {
     try {
       sched::SiteScheduler scheduler(local_site_, *directory_,
                                      config_.scheduler);
-      p.rec->allocation = scheduler.schedule(p.rec->request.graph);
-      p.needs_qos = true;
+      rec->allocation = scheduler.schedule(rec->request.graph);
     } catch (const std::exception& e) {
-      p.rec->error = std::string("scheduling failed: ") + e.what();
+      rec->error = std::string("scheduling failed: ") + e.what();
     }
   }
 
   // Phase D (one lock hold): the whole burst's admission bookkeeping --
-  // QoS against one residual-capacity snapshot, capacity/preemption,
-  // charges and queue pushes -- runs under a single acquisition.
+  // QoS, capacity/preemption, charges and queue pushes -- runs under a
+  // single acquisition, member by member, exactly as sequential
+  // submits would.
   {
     std::lock_guard lk(mu_);
-
-    // Batched QoS with sequential semantics.  check_qos_batch charges
-    // every item it admits into its internal baseline; reality only
-    // charges items that actually take a slot (a backpressure reject
-    // charges nothing, a preemption also releases its victim).  The
-    // cache therefore stays valid exactly while batch-admitted items
-    // keep getting charged for real, and is rebuilt over the live
-    // occupancy_ from the first divergence on.  While the queue is
-    // full every admitted item diverges, so the rebuild chunk drops to
-    // one item -- which is precisely the old per-submit cost, not a
-    // regression.
-    std::vector<sched::QosAdmission> qos_cache;
-    std::vector<std::size_t> qos_members;
-    std::size_t qos_consumed = 0;
-    bool qos_valid = false;
-    const auto qos_of = [&](std::size_t j) -> sched::QosAdmission {
-      if (!qos_valid || qos_consumed >= qos_members.size() ||
-          qos_members[qos_consumed] != j) {
-        qos_members.clear();
-        std::vector<sched::QosBatchItem> items;
-        const bool full = queued_count_ >= config_.max_queue;
-        for (std::size_t k = j; k < prepared.size(); ++k) {
-          if (!prepared[k].needs_qos) continue;
-          const AppRecord& r = *prepared[k].rec;
-          items.push_back(sched::QosBatchItem{&r.request.graph,
-                                              &r.allocation, r.request.qos});
-          qos_members.push_back(k);
-          if (full) break;
-        }
-        qos_cache = sched::check_qos_batch(items, *directory_, occupancy_);
-        qos_consumed = 0;
-        qos_valid = true;
-      }
-      return qos_cache[qos_consumed++];
-    };
-
-    for (std::size_t j = 0; j < prepared.size(); ++j) {
-      Prepared& p = prepared[j];
-      auto& rec = p.rec;
-      if (rec->state != SubmissionState::kQueued) continue;  // early shed
-
+    for (const auto& rec : burst) {
       common::ScopedSpan span("submit", "submission");
       if (span.active()) {
         span.rename("submit:" + rec->request.graph.name());
@@ -261,7 +191,7 @@ std::vector<common::AppId> AppSubmissionService::submit_batch(
         note_terminal_locked(rec);
         continue;
       }
-      if (!p.needs_qos) {
+      if (!rec->error.empty()) {
         rec->state = SubmissionState::kRejected;
         // rec->error already carries "scheduling failed: ...".
         ++stats_.rejected;
@@ -271,9 +201,12 @@ std::vector<common::AppId> AppSubmissionService::submit_batch(
         continue;
       }
 
-      // Residual-capacity QoS admission: charge every already-admitted,
-      // not-yet-finished application's predicted host occupancy.
-      rec->admission = qos_of(j);
+      // Residual-capacity QoS admission against the live occupancy:
+      // every already-admitted, not-yet-finished application is
+      // charged, earlier members of this burst included.
+      rec->admission =
+          sched::check_qos(rec->request.graph, rec->allocation, *directory_,
+                           rec->request.qos, occupancy_);
       if (!rec->admission.admitted) {
         rec->state = SubmissionState::kRejected;
         rec->error = "QoS deadline unmet: slack " +
@@ -284,13 +217,12 @@ std::vector<common::AppId> AppSubmissionService::submit_batch(
         note_terminal_locked(rec);
         continue;
       }
-      if (queued_count_ >= config_.max_queue) {
+      if (queue_.size() >= config_.max_queue) {
         // Shedding tier 2: a full queue admits a newcomer only over the
         // body of the youngest queued submission of a strictly lower
         // priority tier; running applications are never touched.
         const std::optional<FairShareEntry> victim =
             queue_.preempt_below(rec->request.priority);
-        qos_valid = false;  // either path diverges from the batch
         if (!victim) {
           rec->state = SubmissionState::kRejected;
           rec->error = "ready queue full (backpressure)";
@@ -310,7 +242,7 @@ std::vector<common::AppId> AppSubmissionService::submit_batch(
       }
 
       const bool immediate =
-          !paused_ && queued_count_ == 0 && running_ < config_.slots;
+          !paused_ && queue_.size() == 0 && running_ < config_.slots;
       if (!immediate) {
         // Queue-with-ETA: predicted drain time of everything ahead
         // (every charged submission, queued or running), spread over
@@ -343,7 +275,6 @@ std::vector<common::AppId> AppSubmissionService::submit_batch(
       // admitted counters, so they are not eligible.
       entry.preemptible = rec->counted_queued;
       queue_.push(rec->request.user, entry);
-      ++queued_count_;
       common::log_info("submission", "app ", rec->app.value(), " '",
                        rec->request.graph.name(), "' user ",
                        rec->request.user, ": ",
@@ -360,13 +291,6 @@ void AppSubmissionService::charge_locked(AppRecord& record) {
   for (const auto& [host, busy] : record.charge) {
     occupancy_[host] += busy;
   }
-  if (config_.admitted_load_bias > 0.0) {
-    for (const auto& row : record.allocation.rows()) {
-      for (predict::LoadForecaster* f : forecasters_) {
-        f->add_load_bias(row.primary_host(), config_.admitted_load_bias);
-      }
-    }
-  }
   record.pred_charged = record.admission.predicted_makespan_s;
   pending_pred_s_ += record.pred_charged;
   record.charged = true;
@@ -380,14 +304,6 @@ void AppSubmissionService::release_locked(AppRecord& record) {
     it->second -= busy;
     if (it->second <= 1e-9) occupancy_.erase(it);
   }
-  if (config_.admitted_load_bias > 0.0) {
-    for (const auto& row : record.allocation.rows()) {
-      for (predict::LoadForecaster* f : forecasters_) {
-        f->add_load_bias(row.primary_host(),
-                         -config_.admitted_load_bias);
-      }
-    }
-  }
   pending_pred_s_ = std::max(0.0, pending_pred_s_ - record.pred_charged);
   record.pred_charged = 0.0;
   record.charged = false;
@@ -399,7 +315,6 @@ void AppSubmissionService::evict_queued_locked(
   record.state = SubmissionState::kRejected;
   record.error = std::move(reason);
   release_locked(record);
-  --queued_count_;
   ++(stats_.*counter);
   bump(metric);
 }
@@ -556,18 +471,16 @@ void AppSubmissionService::worker_loop() {
     {
       std::unique_lock lk(mu_);
       cv_.wait(lk, [&] {
-        return shutdown_ || (!paused_ && queued_count_ > 0);
+        return shutdown_ || (!paused_ && queue_.size() > 0);
       });
-      if (queued_count_ == 0) {
+      // Stride grant: the queue picks the lowest (user pass, seq) in
+      // O(log users); grant bookkeeping stays under mu_ so the grant
+      // index is a total order.
+      const std::optional<FairShareEntry> entry = queue_.pop();
+      if (!entry) {
         if (shutdown_) return;
         continue;
       }
-      // Stride grant: the sharded queue picks the lowest (user pass,
-      // seq) in O(shards + log users); grant bookkeeping stays under
-      // mu_ so the grant index is a total order.
-      const std::optional<FairShareEntry> entry = queue_.pop();
-      if (!entry) continue;
-      --queued_count_;
       rec = records_.at(entry->app);
       rec->state = SubmissionState::kRunning;
       rec->grant_index = next_grant_++;
@@ -704,14 +617,14 @@ void AppSubmissionService::pause() {
 
 void AppSubmissionService::drain() const {
   std::unique_lock lk(mu_);
-  cv_.wait(lk, [&] { return queued_count_ == 0 && running_ == 0; });
+  cv_.wait(lk, [&] { return queue_.size() == 0 && running_ == 0; });
 }
 
 SubmissionStats AppSubmissionService::stats() const {
   std::lock_guard lk(mu_);
   SubmissionStats out = stats_;
   out.running = running_;
-  out.queue_depth = queued_count_;
+  out.queue_depth = queue_.size();
   out.records_retained = records_.size();
   return out;
 }

@@ -15,12 +15,9 @@
 //         charges the predicted host occupancy of every application
 //         already admitted and not yet finished, so the same
 //         host-seconds are never promised twice; submit_batch admits
-//         an entire arrival burst under one lock acquisition and one
-//         occupancy snapshot
+//         an entire arrival burst under one lock acquisition, each
+//         member against the occupancy its predecessors left
 //      -> load-shedding tiers (DESIGN.md D15):
-//           0. early shed (opt-in): a full queue rejects before any
-//              scheduling work is spent, unless the newcomer's
-//              priority could preempt;
 //           1. reject-with-slack (QoS miss) and bounded-queue
 //              backpressure;
 //           2. priority preemption: a full queue evicts the youngest
@@ -28,10 +25,10 @@
 //              below the newcomer's (running apps are never touched);
 //           3. shed_queued(): bulk-drop queued work below a priority
 //              cutoff (the operator's pressure valve).
-//      -> sharded stride fair-share ready queue (rt::FairShareQueue):
-//         O(log n) grant picks keyed on pass value with FIFO seq
-//         tie-break, user-hash shard locks, pass renormalization, and
-//         idle-share eviction
+//      -> stride fair-share ready queue (rt::FairShareQueue): O(log n)
+//         grant picks keyed on pass value with FIFO seq tie-break, pass
+//         renormalization and idle-share eviction, ordered by the
+//         service lock
 //      -> execution on a pool of engine slots; each running app gets
 //         its own ExecutionEngine keyed by its AppId ticket (per-app
 //         broker, per-app seeds, per-app FaultTolerance hooks)
@@ -145,8 +142,8 @@ struct SubmissionStats {
   std::uint64_t submitted = 0;
   /// Admitted with a free slot: ran without queueing.
   std::uint64_t admitted = 0;
-  /// Refused at admission: QoS slack < 0, backpressure (early or
-  /// post-QoS), or scheduling failure.
+  /// Refused at admission: QoS slack < 0, backpressure, or scheduling
+  /// failure.
   std::uint64_t rejected = 0;
   /// Admitted but queued behind busy slots.
   std::uint64_t queued = 0;
@@ -159,9 +156,6 @@ struct SubmissionStats {
   std::uint64_t preempted = 0;
   /// Queued submissions dropped by shed_queued() (shedding tier 3).
   std::uint64_t shed = 0;
-  /// Rejections taken by the early-shed fast path before any
-  /// scheduling work (shedding tier 0; a subset of `rejected`).
-  std::uint64_t early_shed = 0;
   /// Terminal records compacted into stubs (memory reclamation).
   std::uint64_t retired = 0;
   std::size_t running = 0;
@@ -182,12 +176,6 @@ struct AppSubmissionConfig {
   /// Start with grants paused: admitted submissions queue until
   /// resume() -- the deterministic-test hook.
   bool start_paused = false;
-  /// Shedding tier 0: when the queue is full and the arrival's
-  /// priority cannot preempt anything queued, reject before spending
-  /// any scheduling work.  Off by default: the early rejection carries
-  /// no QoS estimate, which changes the (pinned) rejection shape of
-  /// the seed behaviour.
-  bool early_shed = false;
   /// Terminal (completed/failed/rejected) records beyond this many are
   /// retired: the heavy record (graph, allocation, outputs) is dropped
   /// and a compact stub keeps state/grant_index for status().
@@ -196,17 +184,10 @@ struct AppSubmissionConfig {
   /// Retired stubs beyond this many are forgotten entirely (status()
   /// then throws NotFoundError).  0 = retain all stubs.
   std::size_t retired_stub_cap = 1 << 20;
-  /// Sharded stride queue tunables (DESIGN.md D15).
-  FairShareConfig fair_share;
-  /// Predicted load each allocated task adds to its primary host's
-  /// forecaster while its application is admitted-but-unfinished
-  /// (registered on every forecaster added with add_forecaster); 0
-  /// disables the contribution.
-  double admitted_load_bias = 0.0;
   /// Per-submission Site Scheduler configuration.
   sched::SiteSchedulerConfig scheduler;
   /// Engine configuration template; `engine.seed` is overridden by
-  /// each submission's own seed.  Its max_attempts and retry_backoff_*
+  /// each submission's own seed.  Its max_attempts and retry_backoff_s
   /// are the only recovery budget and backoff (DESIGN.md D12).
   EngineConfig engine;
 };
@@ -239,8 +220,8 @@ class AppSubmissionService {
   /// Optional wiring, set before the first submit():
   /// post-run measurements flow into `manager`'s task-performance DB.
   void set_feedback(SiteManager* manager) { feedback_ = manager; }
-  /// Admitted-app load commitments are registered on every added
-  /// forecaster (see AppSubmissionConfig::admitted_load_bias).
+  /// Every added forecaster forgets a host whose report_host_failure
+  /// opened a quarantine.
   void add_forecaster(predict::LoadForecaster* forecaster);
   /// Per-app fault-tolerance hook factory.
   void set_fault_hooks(FaultHookFactory factory) {
@@ -268,9 +249,9 @@ class AppSubmissionService {
   /// Batched admission for an arrival burst: every graph is validated
   /// up front (an invalid graph throws before any submission is
   /// recorded), every placement runs outside the lock, and the whole
-  /// burst is admitted under ONE lock acquisition against one
-  /// residual-capacity snapshot -- semantically identical to calling
-  /// submit() in a loop, minus per-submission lock and snapshot churn.
+  /// burst is admitted under ONE lock acquisition, each member against
+  /// the occupancy the members before it charged -- identical to
+  /// calling submit() in a loop, minus per-submission lock churn.
   std::vector<common::AppId> submit_batch(
       std::vector<SubmissionRequest> requests);
 
@@ -302,9 +283,6 @@ class AppSubmissionService {
   [[nodiscard]] SubmissionStats stats() const;
   [[nodiscard]] const AppSubmissionConfig& config() const { return config_; }
 
-  /// The sharded stride queue (tests inspect user/renorm counters).
-  [[nodiscard]] FairShareQueue& fair_share() { return queue_; }
-
  private:
   struct AppRecord;
   /// Compact remnant of a retired terminal record.
@@ -312,8 +290,6 @@ class AppSubmissionService {
     SubmissionState state = SubmissionState::kCompleted;
     std::uint32_t grant_index = 0;
   };
-  /// One submission mid-flight through submit_batch's phases.
-  struct Prepared;
 
   void worker_loop();
   /// The one usability predicate: false when the attached directory
@@ -330,8 +306,8 @@ class AppSubmissionService {
   /// on_failure feeds its flap policy and host_alive becomes usable().
   [[nodiscard]] FaultTolerance wrap_hooks(AppRecord& rec,
                                           FaultTolerance hooks);
-  /// Registers/releases an app's occupancy, forecaster commitments and
-  /// pending-prediction (ETA) charge; mu_ must be held.
+  /// Registers/releases an app's occupancy and pending-prediction (ETA)
+  /// charge; mu_ must be held.
   void charge_locked(AppRecord& record);
   void release_locked(AppRecord& record);
   /// Marks a queued victim rejected (preempted or shed) and releases
@@ -356,11 +332,6 @@ class AppSubmissionService {
   std::vector<predict::LoadForecaster*> forecasters_;
   FaultHookFactory fault_hooks_;
   LivenessDirectory* liveness_ = nullptr;
-  /// Sharded stride ready queue; all mutations happen under mu_ (its
-  /// internal shard locks nest beneath), reads like grant_pass() are
-  /// lock-free.
-  FairShareQueue queue_;
-
   mutable std::mutex mu_;
   mutable std::condition_variable cv_;
   bool paused_ = false;
@@ -369,9 +340,8 @@ class AppSubmissionService {
   std::uint64_t next_seq_ = 1;
   std::size_t next_grant_ = 1;
   std::size_t running_ = 0;
-  /// Queued submissions (queue_.size() mirrors it; this one is the
-  /// authority because it only changes under mu_).
-  std::size_t queued_count_ = 0;
+  /// Stride ready queue of every queued submission; guarded by mu_.
+  FairShareQueue queue_;
   /// Sum of predicted makespans over queued + running submissions:
   /// the queue-with-ETA estimate reads this instead of walking every
   /// record (the pre-D15 O(all-records) loop).

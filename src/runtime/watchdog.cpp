@@ -21,6 +21,15 @@ namespace vdce::rt {
 
 using common::TransportError;
 
+namespace {
+
+/// Growth of the restart backoff per restart.
+constexpr double kRestartBackoffMultiplier = 2.0;
+/// Peers asked to indirectly probe each suspect per round.
+constexpr int kProbeFanout = 3;
+
+}  // namespace
+
 double Watchdog::now_s() {
   return std::chrono::duration<double>(
              std::chrono::steady_clock::now().time_since_epoch())
@@ -31,8 +40,7 @@ double Watchdog::restart_backoff(const WatchdogConfig& config, SiteId site,
                                  std::size_t restart_index) {
   const double base =
       config.restart_backoff_s *
-      std::pow(config.restart_backoff_multiplier,
-               static_cast<double>(restart_index));
+      std::pow(kRestartBackoffMultiplier, static_cast<double>(restart_index));
   if (config.restart_backoff_jitter <= 0.0) return base;
   // One deterministic draw per (seed, site, restart): decorrelates the
   // restart storms of a multi-site outage without losing replayability.
@@ -154,8 +162,7 @@ void Watchdog::apply_digest(const wire::PeerDigest& digest) {
   }
   for (const wire::PeerHealth& peer : digest.peers) {
     if (peer.site == digest.origin_site) continue;
-    if (peer.reachable &&
-        peer.age_s <= liveness_.config().freshness_s) {
+    if (peer.reachable && peer.age_s <= kDigestFreshnessS) {
       (void)liveness_.refute(peer.site, peer.incarnation,
                              digest.origin_site);
     } else if (!peer.reachable) {
@@ -414,7 +421,7 @@ void Watchdog::prober_loop() {
       if (delivered) last_roster = encoded;
     }
 
-    // Indirect probes: ask up to probe_fanout peers to ping each
+    // Indirect probes: ask up to kProbeFanout peers to ping each
     // suspect over their own network path (the SWIM ping-req).
     for (const Snap& suspect : snaps) {
       if (liveness_.state(suspect.site) != SiteLiveness::kSuspect ||
@@ -427,7 +434,7 @@ void Watchdog::prober_loop() {
             helper.gossip_port == 0) {
           continue;
         }
-        if (asked >= config_.probe_fanout) break;
+        if (asked >= kProbeFanout) break;
         ++asked;
         wire::PingReq req;
         req.origin_site = config_.coordinator_site;

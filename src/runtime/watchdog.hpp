@@ -75,9 +75,9 @@ struct WatchdogConfig {
   double heartbeat_timeout_s = 1.0;
   /// Restarts per site before the watchdog gives the site up for good.
   int max_restarts = 3;
-  /// Exponential backoff before each restart attempt.
+  /// Exponential backoff before each restart attempt; doubles per
+  /// restart.
   double restart_backoff_s = 0.05;
-  double restart_backoff_multiplier = 2.0;
   /// Seed-derived jitter fraction on the backoff: each (site, restart)
   /// waits backoff * (1 + jitter * u) with u in [0, 1) drawn
   /// deterministically from (seed, site, restart).  0 disables.
@@ -93,8 +93,6 @@ struct WatchdogConfig {
   double gossip_period_s = 0.05;
   /// Budget for one indirect ping-req round trip.
   double probe_timeout_s = 0.25;
-  /// Peers asked to indirectly probe each suspect per round.
-  int probe_fanout = 3;
   /// Treat a reaped child / heartbeat EOF as first-hand conclusive
   /// death (no quorum needed).  Tests turn this off to force the
   /// quorum path even for SIGKILL.
@@ -172,7 +170,7 @@ class Watchdog {
   }
 
   /// The deterministic jittered restart backoff for (site, restart
-  /// `restart_index`): backoff_s * multiplier^index * (1 + jitter * u)
+  /// `restart_index`): backoff_s * 2^index * (1 + jitter * u)
   /// with u drawn from (config.seed, site, index).  Pure -- tests pin
   /// the schedule.
   [[nodiscard]] static double restart_backoff(const WatchdogConfig& config,

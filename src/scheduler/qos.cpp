@@ -11,8 +11,9 @@ Duration predicted_makespan(const afg::FlowGraph& graph,
                             const HostOccupancy& busy) {
   graph.validate();
 
-  // Hosts start busy until their committed time (residual capacity).
-  std::unordered_map<HostId, Duration> host_free(busy.begin(), busy.end());
+  // Hosts this graph has already used; any other host is free from
+  // its committed time in `busy` (residual capacity), read in place.
+  std::unordered_map<HostId, Duration> host_free;
   std::unordered_map<TaskId, Duration> finish;
   Duration makespan = 0.0;
 
@@ -31,8 +32,11 @@ Duration predicted_makespan(const afg::FlowGraph& graph,
 
     Duration start = data_ready;
     for (const HostId h : entry.hosts) {
-      const auto it = host_free.find(h);
-      if (it != host_free.end()) start = std::max(start, it->second);
+      if (const auto it = host_free.find(h); it != host_free.end()) {
+        start = std::max(start, it->second);
+      } else if (const auto b = busy.find(h); b != busy.end()) {
+        start = std::max(start, b->second);
+      }
     }
     const Duration end = start + entry.predicted_s;
     finish[id] = end;
@@ -66,88 +70,6 @@ QosAdmission check_qos(const afg::FlowGraph& graph,
                        const SiteDirectory& directory,
                        const QosRequirement& qos) {
   return check_qos(graph, allocation, directory, qos, HostOccupancy{});
-}
-
-std::vector<QosAdmission> check_qos_batch(
-    const std::vector<QosBatchItem>& items, const SiteDirectory& directory,
-    const HostOccupancy& busy) {
-  // One availability baseline for the whole burst; each item's sweep
-  // patches only the hosts its allocation touches and restores them
-  // afterwards, so the per-item cost is independent of how many hosts
-  // the environment (or the backlog) spans.
-  std::unordered_map<HostId, Duration> host_free(busy.begin(), busy.end());
-  // Saved (host, previous availability) pairs; kMissing marks a host
-  // the baseline did not contain before this item.
-  constexpr Duration kMissing = -1.0;
-  std::vector<std::pair<HostId, Duration>> saved;
-  std::unordered_map<TaskId, Duration> finish;
-
-  std::vector<QosAdmission> admissions;
-  admissions.reserve(items.size());
-  for (const QosBatchItem& item : items) {
-    const afg::FlowGraph& graph = *item.graph;
-    const AllocationTable& allocation = *item.allocation;
-    graph.validate();
-    saved.clear();
-    finish.clear();
-
-    Duration makespan = 0.0;
-    for (const TaskId id : graph.topological_order()) {
-      const AllocationEntry& entry = allocation.entry(id);
-
-      Duration data_ready = 0.0;
-      for (const TaskId p : graph.parents(id)) {
-        const Duration transfer = directory.host_transfer_time(
-            allocation.entry(p).primary_host(), entry.primary_host(),
-            graph.link(p, id).transfer_mb);
-        data_ready = std::max(data_ready, finish.at(p) + transfer);
-      }
-
-      Duration start = data_ready;
-      for (const HostId h : entry.hosts) {
-        const auto it = host_free.find(h);
-        if (it != host_free.end()) start = std::max(start, it->second);
-      }
-      const Duration end = start + entry.predicted_s;
-      finish[id] = end;
-      for (const HostId h : entry.hosts) {
-        const auto [it, inserted] = host_free.try_emplace(h, end);
-        if (inserted) {
-          saved.emplace_back(h, kMissing);
-        } else {
-          saved.emplace_back(h, it->second);
-          it->second = end;
-        }
-      }
-      makespan = std::max(makespan, end);
-    }
-
-    // Restore the baseline (reverse order, so a host touched twice
-    // ends back at its pre-item value).
-    for (auto it = saved.rbegin(); it != saved.rend(); ++it) {
-      if (it->second == kMissing) {
-        host_free.erase(it->first);
-      } else {
-        host_free[it->first] = it->second;
-      }
-    }
-
-    QosAdmission admission;
-    admission.predicted_makespan_s = makespan;
-    admission.slack_s = item.qos.deadline_s - makespan;
-    admission.admitted = admission.slack_s >= 0.0;
-    admissions.push_back(admission);
-
-    // Charge the admitted item's predicted host-seconds into the
-    // baseline before the next item is evaluated: within the burst,
-    // residual capacity is never promised twice.
-    if (admission.admitted) {
-      for (const auto& [host, busy_s] : allocation.host_occupancy()) {
-        host_free[host] += busy_s;
-      }
-    }
-  }
-  return admissions;
 }
 
 }  // namespace vdce::sched

@@ -53,9 +53,10 @@ struct QosAdmission {
 
 /// Residual-capacity variant: every host starts busy until its
 /// committed time in `busy` (predicted occupancy of already-admitted
-/// applications).  With an empty map this is exactly the plain
-/// estimator; adding occupancy can only delay tasks, never speed them
-/// up (the makespan is monotone in `busy`).
+/// applications), looked up the first time the graph uses the host.
+/// With an empty map this is exactly the plain estimator; adding
+/// occupancy can only delay tasks, never speed them up (the makespan
+/// is monotone in `busy`).
 [[nodiscard]] Duration predicted_makespan(const afg::FlowGraph& graph,
                                           const AllocationTable& allocation,
                                           const SiteDirectory& directory,
@@ -75,31 +76,5 @@ struct QosAdmission {
                                      const SiteDirectory& directory,
                                      const QosRequirement& qos,
                                      const HostOccupancy& busy);
-
-/// One member of an arrival burst submitted for batched admission.
-/// Both pointers must outlive the check_qos_batch call.
-struct QosBatchItem {
-  const afg::FlowGraph* graph = nullptr;
-  const AllocationTable* allocation = nullptr;
-  QosRequirement qos;
-};
-
-/// Batched residual-capacity admission: admits an entire arrival burst
-/// against ONE occupancy snapshot instead of re-seeding a per-host
-/// availability map from `busy` for every submission.  Semantics are
-/// exactly the sequential loop
-///
-///   for each item:  check_qos(item, busy);  if admitted:
-///                   busy += item.allocation->host_occupancy()
-///
-/// -- each admitted item's predicted host-seconds are charged before
-/// the next item is evaluated, so the burst never promises the same
-/// residual capacity twice -- but the availability baseline is built
-/// once and patched per item (only the hosts an item touches are
-/// saved and restored), which is what makes a 100k-submission burst
-/// O(burst * graph) instead of O(burst * (graph + all-hosts)).
-[[nodiscard]] std::vector<QosAdmission> check_qos_batch(
-    const std::vector<QosBatchItem>& items, const SiteDirectory& directory,
-    const HostOccupancy& busy);
 
 }  // namespace vdce::sched

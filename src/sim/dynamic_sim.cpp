@@ -15,6 +15,13 @@ namespace vdce::sim {
 
 namespace {
 constexpr double kInf = std::numeric_limits<double>::infinity();
+/// Control-plane tick (monitor/GM/SM advance), seconds.
+constexpr common::Duration kTickS = 1.0;
+/// Scheduler round-trip charged on every rescheduling.
+constexpr common::Duration kRescheduleOverheadS = 1.0;
+/// Delay between a host dying and the Group Manager's echo round
+/// noticing (half an echo period on average).
+constexpr common::Duration kFailureDetectionDelayS = 2.0;
 }
 
 DynamicSimulator::DynamicSimulator(rt::LocalVdce& vdce,
@@ -131,13 +138,13 @@ SimResult DynamicSimulator::run(const afg::FlowGraph& graph,
     st.site = placement->second;
     st.status = Status::kReady;
     // Inputs are re-sent from the (completed) parents to the new host.
-    TimePoint data_ready = when + config_.reschedule_overhead_s;
+    TimePoint data_ready = when + kRescheduleOverheadS;
     for (const TaskId parent : graph.parents(id)) {
       const Duration transfer = testbed_->transfer_time(
           states.at(parent).hosts.front(), st.hosts.front(),
           graph.link(parent, id).transfer_mb);
       data_ready = std::max(data_ready,
-                            when + config_.reschedule_overhead_s + transfer);
+                            when + kRescheduleOverheadS + transfer);
     }
     st.data_ready = data_ready;
     st.event_time = kInf;
@@ -161,7 +168,7 @@ SimResult DynamicSimulator::run(const afg::FlowGraph& graph,
     if (!testbed_->is_alive(primary, start)) {
       ++result.failures_hit;
       st.excluded.insert(primary);
-      reschedule_task(id, start + config_.failure_detection_delay_s,
+      reschedule_task(id, start + kFailureDetectionDelayS,
                       "host dead at start");
       return;
     }
@@ -190,11 +197,10 @@ SimResult DynamicSimulator::run(const afg::FlowGraph& graph,
 
     // Will any assigned host die mid-run?
     for (const HostId h : st.hosts) {
-      for (TimePoint probe = start; probe < finish;
-           probe += config_.tick_s) {
+      for (TimePoint probe = start; probe < finish; probe += kTickS) {
         if (!testbed_->is_alive(h, probe)) {
           st.event_is_failure = true;
-          st.event_time = probe + config_.failure_detection_delay_s;
+          st.event_time = probe + kFailureDetectionDelayS;
           st.excluded.insert(h);
           break;
         }
@@ -205,7 +211,7 @@ SimResult DynamicSimulator::run(const afg::FlowGraph& graph,
     for (const HostId h : st.hosts) host_free[h] = finish;
   };
 
-  TimePoint next_tick = start_at + config_.tick_s;
+  TimePoint next_tick = start_at + kTickS;
   std::size_t done_count = 0;
   const std::size_t total = graph.task_count();
   TimePoint now = start_at;
@@ -243,7 +249,7 @@ SimResult DynamicSimulator::run(const afg::FlowGraph& graph,
 
     if (next_tick <= next_event) {
       now = next_tick;
-      next_tick += config_.tick_s;
+      next_tick += kTickS;
       // Advance every site's control plane.
       for (const rt::SiteStack& stack : *sites_) stack.control->tick(now);
       // Application Controllers' in-flight threshold checks.

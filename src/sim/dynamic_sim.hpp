@@ -30,17 +30,9 @@ namespace vdce::sim {
 
 /// Dynamic simulation tunables.
 struct DynamicSimConfig {
-  /// Control-plane tick (monitor/GM/SM advance), seconds.
-  common::Duration tick_s = 1.0;
   /// Application Controller load threshold; infinity disables the
   /// guard.
   double load_threshold = std::numeric_limits<double>::infinity();
-  /// Scheduler round-trip charged on every rescheduling.
-  common::Duration reschedule_overhead_s = 1.0;
-  /// Delay between a host dying and the Group Manager's echo round
-  /// noticing (half an echo period on average; configured explicitly so
-  /// the failure experiments can sweep it).
-  common::Duration failure_detection_delay_s = 2.0;
   /// A task is abandoned (run fails) after this many placements.
   int max_attempts = 8;
 };

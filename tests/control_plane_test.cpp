@@ -939,7 +939,6 @@ WatchdogConfig test_watchdog_config() {
   config.heartbeat_timeout_s = 2.0;
   config.max_restarts = 3;
   config.restart_backoff_s = 0.02;
-  config.restart_backoff_multiplier = 2.0;
   return config;
 }
 

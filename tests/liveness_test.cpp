@@ -50,7 +50,6 @@ LivenessConfig unit_config() {
   LivenessConfig config;
   config.quorum = 2;
   config.suspicion_timeout_s = 1.0;
-  config.freshness_s = 0.5;
   return config;
 }
 
@@ -202,7 +201,6 @@ TEST(RestartBackoff, JitteredScheduleIsPinnedForAFixedSeed) {
   WatchdogConfig config;
   config.seed = 13;
   config.restart_backoff_s = 0.05;
-  config.restart_backoff_multiplier = 2.0;
   config.restart_backoff_jitter = 0.5;
 
   for (const std::uint32_t site : {0u, 1u, 2u}) {
@@ -347,7 +345,6 @@ WatchdogConfig gossip_watchdog_config() {
   config.probe_timeout_s = 0.2;
   config.liveness.quorum = 2;
   config.liveness.suspicion_timeout_s = 0.6;
-  config.liveness.freshness_s = 0.5;
   return config;
 }
 

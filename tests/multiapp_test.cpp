@@ -23,7 +23,6 @@ namespace vdce::rt {
 namespace {
 
 using common::AppId;
-using common::HostId;
 using common::SiteId;
 
 class MultiAppEnv : public ::testing::Test {
@@ -342,49 +341,6 @@ TEST_F(MultiAppEnv, ResidualAdmissionReflectsCommittedLoad) {
       << third_status.error;
   EXPECT_NEAR(third_status.admission.predicted_makespan_s, idle_estimate,
               1e-9);
-}
-
-// ----------------------------------------------- forecaster commitments
-
-TEST_F(MultiAppEnv, AdmittedAppsRegisterForecasterCommitments) {
-  predict::LoadForecaster forecaster;
-
-  AppSubmissionConfig config;
-  config.slots = 1;
-  config.start_paused = true;
-  config.admitted_load_bias = 0.75;
-  AppSubmissionService service(SiteId(0), directory_,
-                               tasklib::builtin_registry(), config);
-  service.add_forecaster(&forecaster);
-
-  const auto version0 = forecaster.version();
-  const AppId app =
-      service.submit(request_for(tiny_graph("bias"), 1e9, "fred"));
-  const auto status = service.status(app);
-  ASSERT_EQ(status.state, SubmissionState::kQueued);
-
-  // Every allocated row contributes admitted_load_bias to its primary
-  // host while the app is admitted-but-unfinished.
-  std::map<HostId, double> expected;
-  for (const auto& row : status.allocation.rows()) {
-    expected[row.primary_host()] += config.admitted_load_bias;
-  }
-  ASSERT_FALSE(expected.empty());
-  for (const auto& [host, bias] : expected) {
-    EXPECT_DOUBLE_EQ(forecaster.load_bias(host), bias);
-    const auto forecast = forecaster.forecast(host);
-    ASSERT_TRUE(forecast.has_value());
-    EXPECT_GE(*forecast, bias);
-  }
-  EXPECT_GT(forecaster.version(), version0);
-
-  service.resume();
-  service.drain();
-
-  // Completion releases every commitment.
-  for (const auto& [host, bias] : expected) {
-    EXPECT_DOUBLE_EQ(forecaster.load_bias(host), 0.0);
-  }
 }
 
 }  // namespace
