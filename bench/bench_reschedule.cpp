@@ -4,9 +4,15 @@
 //       threshold-triggered rescheduling under load spikes (D6,
 //       threshold sweep);
 //   (b) makespan and survival under host failures with rescheduling on.
+//
+// Exits 1 when a row throws, when no finite threshold beats "off", or
+// when the killed-host run survives no failure.
+#include <algorithm>
 #include <iomanip>
 #include <iostream>
+#include <limits>
 #include <map>
+#include <string>
 
 #include "bench/harness.hpp"
 #include "runtime/site_stack.hpp"
@@ -71,42 +77,64 @@ sim::SimResult run_with_spike(const afg::FlowGraph& graph,
   v.testbed.add_load_spike(victim, {kStart, 400.0, 10.0});
   (void)trial;
 
-  sim::DynamicSimConfig dyn;
-  dyn.load_threshold = threshold;
-  sim::DynamicSimulator simulator(v, v.sites[0].repository->tasks(), dyn);
+  rt::EngineConfig engine_config;
+  engine_config.load_threshold = threshold;
+  sim::DynamicSimulator simulator(v, v.sites[0].repository->tasks(),
+                                  scheduler, engine_config);
   return simulator.run(graph, allocation, kStart);
 }
 
-void threshold_sweep() {
+/// E9a; false when a row throws or no finite threshold beats "off".
+bool threshold_sweep() {
   bench::banner("E9a", "threshold rescheduling under a load spike (D6)");
   bench::header("threshold,mean_makespan_s,mean_reschedules");
 
   constexpr int kTrials = 4;
   const double thresholds[] = {1e18, 25.0, 12.0, 5.0, 2.0, 0.3};
+  bool ok = true;
+  double off = 0.0;
+  double best = std::numeric_limits<double>::infinity();
   for (const double threshold : thresholds) {
+    const std::string label =
+        threshold > 1e17 ? std::string("off") : std::to_string(threshold);
     double makespan = 0.0;
     double reschedules = 0.0;
-    for (int trial = 0; trial < kTrials; ++trial) {
-      const auto graph = workload(trial);
-      const auto result = run_with_spike(graph, threshold, trial);
-      makespan += result.makespan_s;
-      reschedules += static_cast<double>(result.reschedules);
+    try {
+      for (int trial = 0; trial < kTrials; ++trial) {
+        const auto graph = workload(trial);
+        const auto result = run_with_spike(graph, threshold, trial);
+        makespan += result.makespan_s;
+        reschedules += static_cast<double>(result.reschedules);
+      }
+    } catch (const std::exception& e) {
+      std::cout << label << ",error," << e.what() << "\n";
+      ok = false;
+      continue;
     }
-    std::cout << (threshold > 1e17 ? std::string("off")
-                                   : std::to_string(threshold))
-              << "," << std::fixed << std::setprecision(3)
+    std::cout << label << "," << std::fixed << std::setprecision(3)
               << makespan / kTrials << "," << std::setprecision(1)
               << reschedules / kTrials << "\n";
+    if (threshold > 1e17) {
+      off = makespan / kTrials;
+    } else {
+      best = std::min(best, makespan / kTrials);
+    }
   }
-  std::cout << "shape check: moderate thresholds rescue the spiked host "
-               "and beat 'off'; too-low thresholds thrash (reschedules "
-               "grow, gains shrink).\n";
+  ok = ok && best < off;
+  std::cout << "shape check: every row completes and the best finite "
+               "threshold beats 'off' (a threshold below the spiked load "
+               "moves work off the spiked host): "
+            << (ok ? "ok" : "FAILED") << "\n";
+  return ok;
 }
 
-void failure_experiment() {
+/// E9b; false when a row throws or the killed-host run survives no
+/// failure.
+bool failure_experiment() {
   bench::banner("E9b", "failure survival with rescheduling");
   bench::header("scenario,makespan_s,reschedules,failures_survived");
 
+  bool ok = true;
   for (const auto& [label, kill] :
        {std::pair{"no_failure", false}, std::pair{"kill_busiest", true}}) {
     rt::LocalVdce v(config());
@@ -118,20 +146,30 @@ void failure_experiment() {
     if (kill) {
       v.testbed.fail_host(busiest_host(allocation), kStart + 0.5, 1e6);
     }
-    sim::DynamicSimulator simulator(v, v.sites[0].repository->tasks());
-    const auto result = simulator.run(graph, allocation, kStart);
-    std::cout << label << "," << std::fixed << std::setprecision(3)
-              << result.makespan_s << "," << result.reschedules << ","
-              << result.failures_hit << "\n";
+    sim::DynamicSimulator simulator(v, v.sites[0].repository->tasks(),
+                                    scheduler);
+    try {
+      const auto result = simulator.run(graph, allocation, kStart);
+      std::cout << label << "," << std::fixed << std::setprecision(3)
+                << result.makespan_s << "," << result.reschedules << ","
+                << result.failures_hit << "\n";
+      if (kill && result.failures_hit == 0) ok = false;
+    } catch (const std::exception& e) {
+      std::cout << label << ",error," << e.what() << "\n";
+      ok = false;
+    }
   }
-  std::cout << "shape check: the killed-host run completes (fault "
-               "tolerance) at a bounded makespan cost.\n";
+  std::cout << "shape check: every row completes and kill_busiest "
+               "survives at least one failure within the engine's "
+               "budget: "
+            << (ok ? "ok" : "FAILED") << "\n";
+  return ok;
 }
 
 }  // namespace
 
 int main() {
-  threshold_sweep();
-  failure_experiment();
-  return 0;
+  const bool sweep_ok = threshold_sweep();
+  const bool failure_ok = failure_experiment();
+  return sweep_ok && failure_ok ? 0 : 1;
 }

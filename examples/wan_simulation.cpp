@@ -60,11 +60,12 @@ int main() {
             << " crashes at t=25s; host " << hosts[1].value()
             << " gets a +8.0 load spike\n\n";
 
-  // Dynamic simulation with the Application Controller guard armed.
-  sim::DynamicSimConfig dyn;
-  dyn.load_threshold = 4.0;
+  // Dynamic simulation with the Application Controller guard armed;
+  // the scheduler that placed the app re-places every casualty.
+  rt::EngineConfig engine_config;
+  engine_config.load_threshold = 4.0;
   sim::DynamicSimulator simulator(vdce, vdce.sites[0].repository->tasks(),
-                                  dyn);
+                                  scheduler, engine_config);
 
   viz::WorkloadRecorder recorder;
   const auto result = simulator.run(graph, allocation, /*start_at=*/20.0);

@@ -91,12 +91,6 @@ sched::HostSelection DaemonClient::host_reselection(
   return wire::decode<wire::ReselectionResponse>(reply).selection;
 }
 
-void DaemonClient::record_task_time(const std::string& library_task,
-                                    common::Duration elapsed_s) {
-  (void)call(wire::encode(wire::RecordTaskTime{library_task, elapsed_s}),
-             wire::MsgType::kAck);
-}
-
 void DaemonClient::report_task_failure(const rt::RescheduleRequest& request) {
   (void)call(wire::encode(request), wire::MsgType::kAck);
 }
@@ -226,18 +220,6 @@ sched::HostSelection RemoteSiteDirectory::host_reselection(
   } catch (const TransportError&) {
     drop_client(site);
     return {};
-  }
-}
-
-void RemoteSiteDirectory::record_task_time(common::SiteId site,
-                                           const std::string& library_task,
-                                           common::Duration elapsed_s) {
-  const auto c = client(site);
-  if (!c) return;
-  try {
-    c->record_task_time(library_task, elapsed_s);
-  } catch (const TransportError&) {
-    drop_client(site);
   }
 }
 

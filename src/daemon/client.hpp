@@ -71,8 +71,6 @@ class DaemonClient {
       const afg::FlowGraph& graph, std::size_t threads);
   [[nodiscard]] sched::HostSelection host_reselection(
       const afg::TaskNode& node, const std::vector<common::HostId>& excluded);
-  void record_task_time(const std::string& library_task,
-                        common::Duration elapsed_s);
   void report_task_failure(const rt::RescheduleRequest& request);
   /// Asks the daemon process to exit cleanly.
   void shutdown();
@@ -136,11 +134,6 @@ class RemoteSiteDirectory final : public sched::SiteDirectory {
                                                     common::HostId to,
                                                     double mb) const override;
 
-  /// Forwards post-execution feedback to one site's daemon (best
-  /// effort: a dead daemon loses the measurement, as a dead site
-  /// would).
-  void record_task_time(common::SiteId site, const std::string& library_task,
-                        common::Duration elapsed_s);
   /// Drives one remote Control Manager tick on every remote site.
   void tick_all(common::TimePoint now);
 

@@ -3,7 +3,7 @@
 // Launched by rt::Watchdog (or by hand):
 //   vdce_site_daemon --site 1 --seed 13
 //       --heartbeat-port 40123 --heartbeat-period 0.05 --incarnation 1
-//       [--gossip 1] [--gossip-period 0.05] [--coordinator-site N]
+//       [--gossip 1] [--gossip-period 0.05]
 //       [--partition-spec "a,b,start,end;..."]
 //
 // Without --heartbeat-port the daemon runs unsupervised and prints its
@@ -25,7 +25,7 @@ namespace {
                "usage: %s --site N [--seed S] [--heartbeat-port P]\n"
                "          [--heartbeat-period SECONDS] [--incarnation K]\n"
                "          [--gossip 0|1] [--gossip-period SECONDS]\n"
-               "          [--coordinator-site N] [--partition-spec SPEC]\n",
+               "          [--partition-spec SPEC]\n",
                argv0);
   std::exit(2);
 }
@@ -56,10 +56,6 @@ int main(int argc, char** argv) {
       config.gossip = std::atoi(next()) != 0;
     } else if (arg == "--gossip-period") {
       config.gossip_period_s = std::atof(next());
-    } else if (arg == "--coordinator-site") {
-      config.coordinator_site =
-          vdce::common::SiteId(static_cast<std::uint32_t>(
-              std::strtoul(next(), nullptr, 10)));
     } else if (arg == "--partition-spec") {
       config.partition_spec = next();
     } else {

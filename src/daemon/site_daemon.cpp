@@ -99,7 +99,7 @@ void SiteDaemon::heartbeat_loop() {
       // A chaos partition between this site and the coordinator drops
       // heartbeats (the connection stays up -- real partitions do not
       // send FINs); the watchdog's deadline fires into a suspicion.
-      if (!partitioned_from(config_.coordinator_site)) {
+      if (!partitioned_from(rt::LivenessDirectory::watchdog_witness())) {
         ++beat.seq;
         std::vector<std::byte> encoded = wire::encode(beat);
         {
@@ -193,7 +193,9 @@ void SiteDaemon::gossip_session(std::shared_ptr<dm::TcpChannel> channel) {
           break;
         }
         case wire::MsgType::kPeerRoster: {
-          if (partitioned_from(config_.coordinator_site)) break;
+          if (partitioned_from(rt::LivenessDirectory::watchdog_witness())) {
+            break;
+          }
           const auto roster = wire::decode<wire::PeerRoster>(*frame);
           const std::lock_guard lock(gossip_mu_);
           peers_.clear();
@@ -252,7 +254,7 @@ void SiteDaemon::prober_loop() {
         refute.witness_site = config_.site;
         refute.site = peer.site;
         refute.incarnation = incarnation;
-        if (!partitioned_from(config_.coordinator_site)) {
+        if (!partitioned_from(rt::LivenessDirectory::watchdog_witness())) {
           send_to_watchdog(wire::encode(refute));
         }
       }
@@ -273,7 +275,7 @@ void SiteDaemon::prober_loop() {
       }
     }
     if (!digest.peers.empty() &&
-        !partitioned_from(config_.coordinator_site)) {
+        !partitioned_from(rt::LivenessDirectory::watchdog_witness())) {
       send_to_watchdog(wire::encode(digest));
     }
   }
@@ -320,12 +322,6 @@ bool SiteDaemon::session(dm::TcpChannel& channel) {
           resp.selection =
               stack_.manager->reschedule_request(node, req.excluded);
           reply = wire::encode(resp);
-          break;
-        }
-        case wire::MsgType::kRecordTaskTime: {
-          const auto req = wire::decode<wire::RecordTaskTime>(*frame);
-          stack_.manager->record_task_time(req.library_task, req.elapsed_s);
-          reply = wire::encode(wire::Ack{});
           break;
         }
         case wire::MsgType::kRescheduleRequest: {

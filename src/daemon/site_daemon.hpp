@@ -73,8 +73,6 @@ struct SiteDaemonConfig {
   /// Budget for one outbound peer probe (must stay under the
   /// watchdog's ping-req timeout).
   double probe_timeout_s = 0.15;
-  /// The coordinator's vantage id in partition specs.
-  common::SiteId coordinator_site = rt::LivenessDirectory::watchdog_witness();
   /// Chaos partitions (ChaosSchedule::partition_spec, absolute
   /// steady-clock windows); empty = none.
   std::string partition_spec;

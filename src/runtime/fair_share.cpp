@@ -12,11 +12,11 @@ constexpr double kMinWeight = 1e-9;
 }  // namespace
 
 void FairShareQueue::sweep_idle() {
-  // Overtaken idle users: pass <= grant clock means re-entry would be
-  // clamped to the clock regardless, so forgetting them changes
-  // nothing observable.  Over the cap, drop the least-indebted idle
-  // users too (the small forgiven debt is bounded by one stride;
-  // active users are never evicted).
+  // Overtaken idle users: pass <= grant clock.  Forgetting them makes
+  // a return join at the clock, which is what keeps an absence from
+  // banking wins.  Over the cap, drop the least-indebted idle users
+  // too (the small forgiven debt is bounded by one stride; active
+  // users are never evicted).
   while (!idle_.empty() && (idle_.begin()->first <= grant_pass_ ||
                             shares_.size() > kMaxShares)) {
     shares_.erase(idle_.begin()->second);
@@ -41,10 +41,11 @@ void FairShareQueue::push(const std::string& user, FairShareEntry entry) {
     // New users join the race at the grant clock, not at zero.
     share.pass = grant_pass_;
   } else if (share.fifo.empty()) {
-    // Returning user: clamp a stale pass to the grant clock so an
-    // absence never banks a backlog of wins (the starvation bug).
+    // Returning user.  Its pass is not behind the grant clock: every
+    // push and pop sweeps out the idle users the clock has overtaken,
+    // and a swept user re-joins at the clock above, so an absence never
+    // banks a backlog of wins (the starvation bug).
     idle_.erase({share.pass, user});
-    share.pass = std::max(share.pass, grant_pass_);
   }
   const bool was_empty = share.fifo.empty();
   const std::uint64_t old_head = was_empty ? 0 : share.fifo.begin()->first;

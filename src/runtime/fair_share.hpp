@@ -11,8 +11,9 @@
 //   * the stride virtual clock renormalizes itself before double
 //     precision can swallow low-weight pass increments (the 2^53
 //     drift bug), and idle users whose pass has been overtaken by the
-//     grant clock are evicted -- dropping them is invisible, because a
-//     returning user is clamped to the grant clock anyway;
+//     grant clock are evicted after every push and pop -- so a
+//     returning user is either not behind the clock or forgotten and
+//     re-joins at it;
 //   * a (priority, seq) index supports the load-shedding tiers:
 //     preempt-the-lowest-priority-youngest on queue overflow, and bulk
 //     shedding below a priority cutoff.
@@ -105,8 +106,12 @@ class FairShareQueue {
   [[nodiscard]] FairShareStats stats() const;
 
   /// Test hook: jumps the grant clock (e.g. next to 2^53) so the
-  /// precision-drift regression test does not need 10^15 real grants.
-  void set_grant_pass_for_test(double pass) { grant_pass_ = pass; }
+  /// precision-drift regression test does not need 10^15 real grants,
+  /// and sweeps the idle users the jump overtook, as a grant would.
+  void set_grant_pass_for_test(double pass) {
+    grant_pass_ = pass;
+    sweep_idle();
+  }
 
  private:
   /// One user's stride state: the pass plus a seq-ordered FIFO.
@@ -115,9 +120,9 @@ class FairShareQueue {
     std::map<std::uint64_t, FairShareEntry> fifo;
   };
 
-  /// Drops idle users the grant clock has overtaken (invisible: they
-  /// would be clamped back to the clock on return anyway) and, over
-  /// kMaxShares, the least-indebted idle users.
+  /// Drops idle users the grant clock has overtaken (a return then
+  /// joins at the clock) and, over kMaxShares, the least-indebted idle
+  /// users.
   void sweep_idle();
   /// Files `user` under its current pass: in order_ by its head seq
   /// when it has queued work, else in idle_.

@@ -8,6 +8,11 @@
 
 namespace vdce::rt {
 
+namespace {
+/// Measurements per host in the CI computation's sliding window.
+constexpr std::size_t kCiWindow = 8;
+}  // namespace
+
 GroupManager::GroupManager(netsim::VirtualTestbed& testbed, GroupId group,
                            GroupManagerConfig config)
     : testbed_(&testbed), group_(group), config_(config) {
@@ -16,7 +21,7 @@ GroupManager::GroupManager(netsim::VirtualTestbed& testbed, GroupId group,
   for (const HostId host : testbed.hosts_in_group(group)) {
     monitors_.emplace_back(testbed, host, kMonitorPeriodS);
     tracking_.emplace(
-        host, HostTracking{common::SlidingWindowStats(config_.window), -1.0,
+        host, HostTracking{common::SlidingWindowStats(kCiWindow), -1.0,
                            true});
   }
 }

@@ -49,8 +49,6 @@ struct GroupManagerConfig {
   Duration echo_period_s = 2.0;
   /// Confidence-interval z multiplier for the forwarding filter.
   double ci_z = 1.96;
-  /// Measurement window per host for the CI computation.
-  std::size_t window = 8;
   /// When false, every report is forwarded (ablation D1).
   bool ci_filter = true;
 };

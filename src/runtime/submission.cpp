@@ -515,7 +515,7 @@ void AppSubmissionService::worker_loop() {
       }
       try {
         result = engine.execute(rec->request.graph, rec->allocation,
-                                feedback_, nullptr,
+                                nullptr, nullptr,
                                 fault_hooks_ ? &hooks : nullptr, rec->app);
       } catch (const std::exception& e) {
         error = e.what();

@@ -36,10 +36,9 @@
 //         service's reschedule hook re-places one task at a time onto
 //         a usable host, replaces its allocation row and re-admits the
 //         app through residual-capacity QoS against current occupancy
-//      -> prediction feedback + submission.* metrics, spans carrying
-//         app= arguments; terminal records retire into compact stubs
-//         so millions of submissions do not grow the record map
-//         without bound.
+//      -> submission.* metrics, spans carrying app= arguments; terminal
+//         records retire into compact stubs so millions of submissions
+//         do not grow the record map without bound.
 //
 // Determinism contract (the concurrency tests lean on it): admission
 // decisions and grant order are serialised under one lock, per-app
@@ -217,11 +216,9 @@ class AppSubmissionService {
   AppSubmissionService(const AppSubmissionService&) = delete;
   AppSubmissionService& operator=(const AppSubmissionService&) = delete;
 
-  /// Optional wiring, set before the first submit():
-  /// post-run measurements flow into `manager`'s task-performance DB.
-  void set_feedback(SiteManager* manager) { feedback_ = manager; }
-  /// Every added forecaster forgets a host whose report_host_failure
-  /// opened a quarantine.
+  /// Optional wiring, set before the first submit(): every added
+  /// forecaster forgets a host whose report_host_failure opened a
+  /// quarantine.
   void add_forecaster(predict::LoadForecaster* forecaster);
   /// Per-app fault-tolerance hook factory.
   void set_fault_hooks(FaultHookFactory factory) {
@@ -328,7 +325,6 @@ class AppSubmissionService {
   sched::SiteDirectory* directory_;
   const tasklib::TaskRegistry* registry_;
   AppSubmissionConfig config_;
-  SiteManager* feedback_ = nullptr;
   std::vector<predict::LoadForecaster*> forecasters_;
   FaultHookFactory fault_hooks_;
   LivenessDirectory* liveness_ = nullptr;

@@ -94,8 +94,6 @@ void Watchdog::launch_locked(Daemon& d) {
   const std::string gossip_arg = config_.gossip ? "1" : "0";
   const std::string gossip_period_arg =
       std::to_string(config_.gossip_period_s);
-  const std::string coordinator_arg =
-      std::to_string(config_.coordinator_site.value());
   std::vector<const char*> argv = {config_.daemon_path.c_str(),
                                    "--site", site_arg.c_str(),
                                    "--seed", seed_arg.c_str(),
@@ -104,9 +102,7 @@ void Watchdog::launch_locked(Daemon& d) {
                                    "--incarnation", incarnation_arg.c_str(),
                                    "--gossip", gossip_arg.c_str(),
                                    "--gossip-period",
-                                   gossip_period_arg.c_str(),
-                                   "--coordinator-site",
-                                   coordinator_arg.c_str()};
+                                   gossip_period_arg.c_str()};
   if (!config_.partition_spec.empty()) {
     argv.push_back("--partition-spec");
     argv.push_back(config_.partition_spec.c_str());
@@ -437,7 +433,7 @@ void Watchdog::prober_loop() {
         if (asked >= kProbeFanout) break;
         ++asked;
         wire::PingReq req;
-        req.origin_site = config_.coordinator_site;
+        req.origin_site = LivenessDirectory::watchdog_witness();
         req.target_site = suspect.site;
         req.target_gossip_port = suspect.gossip_port;
         req.seq = ++seq;

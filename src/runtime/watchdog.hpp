@@ -97,9 +97,6 @@ struct WatchdogConfig {
   /// death (no quorum needed).  Tests turn this off to force the
   /// quorum path even for SIGKILL.
   bool trust_process_exit = true;
-  /// The coordinator's own vantage id in partition specs (daemons
-  /// suppress heartbeats while partitioned from it).
-  SiteId coordinator_site = LivenessDirectory::watchdog_witness();
   /// Chaos partitions forwarded to daemons (ChaosSchedule::
   /// partition_spec, absolute steady-clock windows); empty = none.
   std::string partition_spec;

@@ -24,7 +24,6 @@ const char* to_string(MsgType type) {
     case MsgType::kHostSelectionResponse: return "host_selection_response";
     case MsgType::kReselectionRequest: return "reselection_request";
     case MsgType::kReselectionResponse: return "reselection_response";
-    case MsgType::kRecordTaskTime: return "record_task_time";
     case MsgType::kShutdownRequest: return "shutdown_request";
     case MsgType::kAck: return "ack";
     case MsgType::kErrorReply: return "error_reply";

@@ -73,7 +73,7 @@ enum class MsgType : std::uint8_t {
   kHostSelectionResponse = 9,
   kReselectionRequest = 10,
   kReselectionResponse = 11,
-  kRecordTaskTime = 12,
+  // 12 is retired (it carried post-execution task times); never reuse.
   kShutdownRequest = 13,
   kAck = 14,
   kErrorReply = 15,
@@ -213,13 +213,6 @@ struct ReselectionResponse {
   sched::HostSelection selection;
 };
 
-/// Coordinator -> daemon: post-execution feedback for the
-/// task-performance database.
-struct RecordTaskTime {
-  std::string library_task;
-  common::Duration elapsed_s = 0.0;
-};
-
 /// Coordinator -> daemon: answer with an Ack, then exit.
 struct ShutdownRequest {};
 
@@ -303,10 +296,6 @@ template <>
 struct Layout<ReselectionResponse>
     : Message<MsgType::kReselectionResponse, &ReselectionResponse::selection> {
 };
-template <>
-struct Layout<RecordTaskTime>
-    : Message<MsgType::kRecordTaskTime, &RecordTaskTime::library_task,
-              &RecordTaskTime::elapsed_s> {};
 template <>
 struct Layout<ShutdownRequest> : Message<MsgType::kShutdownRequest> {};
 template <>

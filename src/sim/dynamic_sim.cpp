@@ -3,13 +3,9 @@
 #include <algorithm>
 #include <limits>
 #include <unordered_map>
-#include <unordered_set>
 
 #include "common/error.hpp"
 #include "common/log.hpp"
-#include "predict/predictor.hpp"
-#include "scheduler/eligibility.hpp"
-#include "scheduler/scheduler_iface.hpp"
 
 namespace vdce::sim {
 
@@ -26,10 +22,12 @@ constexpr common::Duration kFailureDetectionDelayS = 2.0;
 
 DynamicSimulator::DynamicSimulator(rt::LocalVdce& vdce,
                                    const repo::TaskPerformanceDb& task_db,
-                                   DynamicSimConfig config)
+                                   const sched::SiteScheduler& scheduler,
+                                   rt::EngineConfig config)
     : testbed_(&vdce.testbed),
       task_db_(&task_db),
       sites_(&vdce.sites),
+      scheduler_(&scheduler),
       config_(config) {
   common::expects(!sites_->empty(), "dynamic simulation needs >= 1 site");
 }
@@ -45,8 +43,6 @@ SimResult DynamicSimulator::run(const afg::FlowGraph& graph,
     Status status = Status::kWaiting;
     std::size_t waiting_parents = 0;
     TimePoint data_ready = 0.0;
-    std::vector<HostId> hosts;
-    SiteId site;
     TimePoint start = 0.0;
     /// Next event for a running task: completion, failure-triggered
     /// requeue, or (checked separately) threshold kill at a tick.
@@ -55,16 +51,20 @@ SimResult DynamicSimulator::run(const afg::FlowGraph& graph,
     TimePoint finish = 0.0;
     Duration exec = 0.0;
     int attempts = 0;
-    std::unordered_set<HostId> excluded;  // hosts this task must avoid
+    /// The engine's exclusion rule: every failed or refusing host is
+    /// appended, in failure order, and the list is never cleared.
+    std::vector<HostId> excluded;
   };
+
+  // The simulator's own allocation table.  A re-placement moves the
+  // task's row, as the submission service does, so a later
+  // re-placement charges transfers from where the parents really ran.
+  sched::AllocationTable table = allocation;
 
   std::unordered_map<TaskId, TaskState> states;
   for (const afg::TaskNode& n : graph.tasks()) {
     TaskState st;
     st.waiting_parents = graph.parents(n.id).size();
-    const sched::AllocationEntry& entry = allocation.entry(n.id);
-    st.hosts = entry.hosts;
-    st.site = entry.site;
     if (st.waiting_parents == 0) {
       st.status = Status::kReady;
       st.data_ready = start_at;
@@ -75,46 +75,6 @@ SimResult DynamicSimulator::run(const afg::FlowGraph& graph,
   std::unordered_map<HostId, TimePoint> host_free;
   std::unordered_map<TaskId, TimePoint> done_at;
   SimResult result;
-
-  // Re-places one task on the best currently-believed-alive machine
-  // across every site, excluding `excluded` hosts.  Mirrors the Host
-  // Selection Algorithm against the *current* repository views.
-  const auto replace_hosts = [&](const afg::TaskNode& node,
-                                 const std::unordered_set<HostId>& excluded)
-      -> std::optional<std::pair<std::vector<HostId>, SiteId>> {
-    const unsigned want = node.props.mode == afg::ComputeMode::kParallel
-                              ? node.props.num_processors
-                              : 1u;
-    double best_score = kInf;
-    std::vector<HostId> best_hosts;
-    SiteId best_site = SiteId::invalid();
-    for (const rt::SiteStack& stack : *sites_) {
-      rt::SiteManager& sm = *stack.manager;
-      const predict::PerformancePredictor predictor(sm.repository(),
-                                                    &sm.forecaster());
-      std::vector<std::pair<double, HostId>> scored;
-      for (const HostId h :
-           sched::eligible_hosts(sm.repository(), node, sm.site())) {
-        if (excluded.contains(h)) continue;
-        scored.emplace_back(
-            predictor.predict(node.library_task, node.props.input_size, h),
-            h);
-      }
-      std::sort(scored.begin(), scored.end());
-      if (scored.size() < want) continue;
-      const double score = scored[want - 1].first / static_cast<double>(want);
-      if (score < best_score) {
-        best_score = score;
-        best_site = sm.site();
-        best_hosts.clear();
-        for (unsigned i = 0; i < want; ++i) {
-          best_hosts.push_back(scored[i].second);
-        }
-      }
-    }
-    if (!best_site.valid()) return std::nullopt;
-    return std::make_pair(std::move(best_hosts), best_site);
-  };
 
   // Requeues a task after a kill/refusal at time `when`.
   const auto reschedule_task = [&](TaskId id, TimePoint when,
@@ -129,19 +89,19 @@ SimResult DynamicSimulator::run(const afg::FlowGraph& graph,
                                    std::to_string(config_.max_attempts) +
                                    " placement attempts");
     }
-    const auto placement = replace_hosts(node, st.excluded);
+    auto placement = scheduler_->reschedule(graph, table, id, st.excluded);
     if (!placement) {
       throw sched::SchedulingError("no surviving feasible host for task " +
                                    node.label);
     }
-    st.hosts = placement->first;
-    st.site = placement->second;
+    table.replace(std::move(*placement));
     st.status = Status::kReady;
     // Inputs are re-sent from the (completed) parents to the new host.
     TimePoint data_ready = when + kRescheduleOverheadS;
     for (const TaskId parent : graph.parents(id)) {
       const Duration transfer = testbed_->transfer_time(
-          states.at(parent).hosts.front(), st.hosts.front(),
+          table.entry(parent).primary_host(),
+          table.entry(id).primary_host(),
           graph.link(parent, id).transfer_mb);
       data_ready = std::max(data_ready,
                             when + kRescheduleOverheadS + transfer);
@@ -154,38 +114,39 @@ SimResult DynamicSimulator::run(const afg::FlowGraph& graph,
   const auto start_task = [&](TaskId id) {
     TaskState& st = states.at(id);
     const afg::TaskNode& node = graph.task(id);
+    const std::vector<HostId> hosts = table.entry(id).hosts;
     ++st.attempts;
 
     TimePoint start = st.data_ready;
-    for (const HostId h : st.hosts) {
+    for (const HostId h : hosts) {
       const auto it = host_free.find(h);
       if (it != host_free.end()) start = std::max(start, it->second);
     }
 
-    const HostId primary = st.hosts.front();
+    const HostId primary = hosts.front();
 
     // Application Controller guards at task startup.
     if (!testbed_->is_alive(primary, start)) {
       ++result.failures_hit;
-      st.excluded.insert(primary);
+      st.excluded.push_back(primary);
       reschedule_task(id, start + kFailureDetectionDelayS,
                       "host dead at start");
       return;
     }
     const double load_now = testbed_->true_load(primary, start);
     if (load_now > config_.load_threshold) {
-      st.excluded.insert(primary);
+      st.excluded.push_back(primary);
       reschedule_task(id, start, "load above threshold at start");
       return;
     }
 
     const auto rec = task_db_->get(node.library_task);
     Duration exec = 0.0;
-    for (const HostId h : st.hosts) {
+    for (const HostId h : hosts) {
       exec = std::max(exec, testbed_->execution_time_at(
                                 rec, node.props.input_size, h, start));
     }
-    exec /= static_cast<double>(st.hosts.size());
+    exec /= static_cast<double>(hosts.size());
     const TimePoint finish = start + exec;
 
     st.status = Status::kRunning;
@@ -196,19 +157,19 @@ SimResult DynamicSimulator::run(const afg::FlowGraph& graph,
     st.event_time = finish;
 
     // Will any assigned host die mid-run?
-    for (const HostId h : st.hosts) {
+    for (const HostId h : hosts) {
       for (TimePoint probe = start; probe < finish; probe += kTickS) {
         if (!testbed_->is_alive(h, probe)) {
           st.event_is_failure = true;
           st.event_time = probe + kFailureDetectionDelayS;
-          st.excluded.insert(h);
+          st.excluded.push_back(h);
           break;
         }
       }
       if (st.event_is_failure) break;
     }
 
-    for (const HostId h : st.hosts) host_free[h] = finish;
+    for (const HostId h : hosts) host_free[h] = finish;
   };
 
   TimePoint next_tick = start_at + kTickS;
@@ -257,12 +218,11 @@ SimResult DynamicSimulator::run(const afg::FlowGraph& graph,
         for (auto& [id, st] : states) {
           if (st.status != Status::kRunning) continue;
           if (now <= st.start || now >= st.event_time) continue;
-          const double load =
-              testbed_->true_load(st.hosts.front(), now);
-          if (load > config_.load_threshold) {
-            st.excluded.insert(st.hosts.front());
+          const HostId primary = table.entry(id).primary_host();
+          if (testbed_->true_load(primary, now) > config_.load_threshold) {
+            st.excluded.push_back(primary);
             st.status = Status::kReady;  // terminated by the controller
-            for (const HostId h : st.hosts) {
+            for (const HostId h : table.entry(id).hosts) {
               host_free[h] = std::min(host_free[h], now);
             }
             reschedule_task(id, now, "load above threshold while running");
@@ -284,7 +244,7 @@ SimResult DynamicSimulator::run(const afg::FlowGraph& graph,
     if (st.event_is_failure) {
       ++result.failures_hit;
       st.status = Status::kReady;
-      for (const HostId h : st.hosts) {
+      for (const HostId h : table.entry(next_task).hosts) {
         host_free[h] = std::min(host_free[h], now);
       }
       reschedule_task(next_task, now, "host failed while running");
@@ -302,8 +262,8 @@ SimResult DynamicSimulator::run(const afg::FlowGraph& graph,
     rec.task = next_task;
     rec.label = node.label;
     rec.library_task = node.library_task;
-    rec.host = st.hosts.front();
-    rec.site = st.site;
+    rec.host = table.entry(next_task).primary_host();
+    rec.site = table.entry(next_task).site;
     rec.data_ready = st.data_ready;
     rec.start = st.start;
     rec.finish = st.finish;
@@ -315,7 +275,7 @@ SimResult DynamicSimulator::run(const afg::FlowGraph& graph,
     // each application task is stored in the task-performance
     // database").
     for (const rt::SiteStack& stack : *sites_) {
-      if (stack.manager->site() == st.site) {
+      if (stack.manager->site() == rec.site) {
         stack.manager->record_task_time(node.library_task, st.exec);
       }
     }
@@ -327,7 +287,8 @@ SimResult DynamicSimulator::run(const afg::FlowGraph& graph,
       TimePoint data_ready = now;
       for (const TaskId parent : graph.parents(child)) {
         const Duration transfer = testbed_->transfer_time(
-            states.at(parent).hosts.front(), cs.hosts.front(),
+            table.entry(parent).primary_host(),
+            table.entry(child).primary_host(),
             graph.link(parent, child).transfer_mb);
         data_ready = std::max(data_ready, done_at.at(parent) + transfer);
       }

@@ -14,37 +14,33 @@
 //     marks the host down, and the task is rescheduled on the surviving
 //     machines.
 //
-// Rescheduling re-runs the prediction-driven host choice over every
-// registered site's *current* repository view, so what the benches
-// measure is exactly the value of the paper's monitoring + rescheduling
-// machinery (experiment E9).
+// Every re-placement is the runtime's own decision:
+// SiteScheduler::reschedule over the sites' *current* repository views
+// (the local site plus its k nearest, transfer cost charged from where
+// the parents ran), with the live engine's attempt budget and exclusion
+// rule.  So the benches (experiment E9) measure the recovery policy the
+// runtime executes.
 #pragma once
 
-#include <limits>
-
+#include "runtime/engine.hpp"
 #include "runtime/site_stack.hpp"
-#include "scheduler/allocation.hpp"
+#include "scheduler/site_scheduler.hpp"
 #include "sim/static_sim.hpp"
 
 namespace vdce::sim {
 
-/// Dynamic simulation tunables.
-struct DynamicSimConfig {
-  /// Application Controller load threshold; infinity disables the
-  /// guard.
-  double load_threshold = std::numeric_limits<double>::infinity();
-  /// A task is abandoned (run fails) after this many placements.
-  int max_attempts = 8;
-};
-
 /// Event-driven dynamic simulator.
 class DynamicSimulator {
  public:
-  /// Drives `vdce`'s testbed and every one of its sites; `vdce` and
-  /// `task_db` must outlive the simulator.
+  /// Drives `vdce`'s testbed and every one of its sites.  `scheduler`
+  /// is the one that placed the application; it re-places every task
+  /// the simulation kills or refuses.  Of `config`, only the engine's
+  /// budget (`max_attempts`) and load guard (`load_threshold`) apply.
+  /// `vdce`, `task_db` and `scheduler` must outlive the simulator.
   DynamicSimulator(rt::LocalVdce& vdce,
                    const repo::TaskPerformanceDb& task_db,
-                   DynamicSimConfig config = {});
+                   const sched::SiteScheduler& scheduler,
+                   rt::EngineConfig config = {});
 
   /// Runs `graph` under `allocation` starting at `start_at`.  Throws
   /// SchedulingError if a task exhausts max_attempts or no feasible
@@ -57,7 +53,8 @@ class DynamicSimulator {
   netsim::VirtualTestbed* testbed_;
   const repo::TaskPerformanceDb* task_db_;
   std::vector<rt::SiteStack>* sites_;
-  DynamicSimConfig config_;
+  const sched::SiteScheduler* scheduler_;
+  rt::EngineConfig config_;
 };
 
 }  // namespace vdce::sim

@@ -1,8 +1,8 @@
 // Admission front-door tests (DESIGN.md D15): the stride fair-share
-// queue (grant order, fairness properties, returning-user clamp, pass
-// renormalization, idle-share eviction, a brute-force reference),
-// batched submission, the load-shedding tiers (priority preemption,
-// bulk shed), and terminal-record retirement.
+// queue (grant order, fairness properties, returning users joining at
+// the grant clock, pass renormalization, idle-share eviction, a
+// brute-force reference), batched submission, the load-shedding tiers
+// (priority preemption, bulk shed), and terminal-record retirement.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -156,12 +156,13 @@ TEST(FairShareQueue, WeightedUsersReceiveProportionalGrants) {
   }
 }
 
-// -------------------------------------- queue: returning-user clamp
+// ------------------------------------------ queue: returning users
 
 TEST(FairShareQueue, ReturningUserIsClampedToGrantClock) {
   // The PR 8 starvation fix at queue level: bob races alone for a
-  // while, then alice returns.  Her stale pass must be clamped to the
-  // grant clock -- she may not bank the grants she did not contend for.
+  // while, then alice returns.  She may not bank the grants she did not
+  // contend for: the idle sweep after each of bob's grants forgets her
+  // once the clock overtakes her pass, so she re-joins at the clock.
   FairShareQueue queue;
   queue.push("alice", entry_of(1));
   queue.push("bob", entry_of(2));
@@ -172,9 +173,9 @@ TEST(FairShareQueue, ReturningUserIsClampedToGrantClock) {
   for (std::uint64_t s = 3; s <= 8; ++s) EXPECT_EQ(queue.pop()->seq, s);
   EXPECT_DOUBLE_EQ(queue.grant_pass(), 6.0);
 
-  // Alice returns (weight 2, stride 0.5) against bob (weight 1).  With
-  // the clamp she re-joins at 6 and the race interleaves 2:1; with the
-  // seed logic she would keep pass 1.0 and sweep all four first.
+  // Alice returns (weight 2, stride 0.5) against bob (weight 1).  Swept
+  // out, she re-joins at 6 and the race interleaves 2:1; with the seed
+  // logic she would keep pass 1.0 and sweep all four first.
   for (std::uint64_t s = 9; s <= 12; ++s) {
     queue.push("alice", entry_of(s, 0, 2.0));
   }
@@ -189,7 +190,8 @@ TEST(FairShareQueue, ReturningUserIsClampedToGrantClock) {
 TEST_F(AdmissionEnv, ReturningUserCannotSweepGrantsAfterAbsence) {
   // Service-level regression for the returning-user stride burst: the
   // grant order after alice's absence must interleave, not hand alice
-  // a banked backlog of wins.
+  // a banked backlog of wins.  The queue's idle sweep forgets her while
+  // bob races alone, so she re-joins at the grant clock.
   AppSubmissionConfig config;
   config.slots = 1;
   config.start_paused = true;
@@ -213,7 +215,7 @@ TEST_F(AdmissionEnv, ReturningUserCannotSweepGrantsAfterAbsence) {
   service.resume();
   service.drain();
 
-  // Phase 3: both return with four apps each.  Clamped to the clock,
+  // Phase 3: both return with four apps each.  Re-joining at the clock,
   // alice interleaves 2:1 with bob; with the seed logic her stale pass
   // 0.5 would win all four grants before bob got one.
   service.pause();
@@ -319,8 +321,8 @@ TEST(FairShareQueue, IdleSharesAreEvictedUnderCapAndOvertake) {
   EXPECT_GE(queue.stats().shares_evicted, 10u);
 
   // Overtake eviction: advance the clock past the idle users' passes
-  // with a busy user; the sweep drops every overtaken idle share --
-  // invisible, because a returning user is clamped to the clock anyway.
+  // with a busy user; the sweep drops every overtaken idle share, so a
+  // returning one re-joins at the clock.
   for (std::uint64_t s = users + 1; s <= users + 6; ++s) {
     queue.push("busy", entry_of(s));
   }

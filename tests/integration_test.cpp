@@ -167,10 +167,10 @@ TEST_F(VdceIntegration, DynamicSimulationEndToEndWithChaos) {
     vdce_.testbed.add_load_spike(involved[1], {12.0, 200.0, 20.0});
   }
 
-  sim::DynamicSimConfig config;
+  rt::EngineConfig config;
   config.load_threshold = 8.0;
   sim::DynamicSimulator simulator(vdce_, vdce_.sites[0].repository->tasks(),
-                                  config);
+                                  scheduler, config);
   const auto result = simulator.run(graph, allocation, 11.0);
   EXPECT_EQ(result.records.size(), graph.task_count());
   EXPECT_GT(result.reschedules, 0u);

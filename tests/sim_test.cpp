@@ -3,10 +3,12 @@
 
 #include <algorithm>
 #include <memory>
+#include <mutex>
 
 #include "common/error.hpp"
 #include "netsim/testbed.hpp"
 #include "runtime/control_manager.hpp"
+#include "runtime/engine.hpp"
 #include "runtime/site_stack.hpp"
 #include "scheduler/site_scheduler.hpp"
 #include "scheduler/directory.hpp"
@@ -279,17 +281,17 @@ class DynamicSimEnv : public ::testing::Test {
   void SetUp() override { vdce_.warm_up(10.0); }
 
   sched::AllocationTable schedule(const afg::FlowGraph& graph) {
-    sched::SiteScheduler scheduler(SiteId(0), vdce_.repository_directory);
-    return scheduler.schedule(graph);
+    return scheduler_.schedule(graph);
   }
 
   rt::LocalVdce vdce_{netsim::make_campus_testbed(31)};
+  sched::SiteScheduler scheduler_{SiteId(0), vdce_.repository_directory};
 };
 
 TEST_F(DynamicSimEnv, QuietRunMatchesStaticBehaviour) {
   const auto graph = make_linear_solver_graph();
   const auto allocation = schedule(graph);
-  DynamicSimulator sim(vdce_, vdce_.sites[0].repository->tasks());
+  DynamicSimulator sim(vdce_, vdce_.sites[0].repository->tasks(), scheduler_);
   const auto result = sim.run(graph, allocation, /*start_at=*/10.0);
   EXPECT_EQ(result.records.size(), graph.task_count());
   EXPECT_EQ(result.reschedules, 0u);
@@ -304,7 +306,7 @@ TEST_F(DynamicSimEnv, SurvivesHostFailure) {
   const auto victim = allocation.hosts_involved().front();
   vdce_.testbed.fail_host(victim, 11.0, 1000.0);
 
-  DynamicSimulator sim(vdce_, vdce_.sites[0].repository->tasks());
+  DynamicSimulator sim(vdce_, vdce_.sites[0].repository->tasks(), scheduler_);
   const auto result = sim.run(graph, allocation, /*start_at=*/10.0);
   EXPECT_EQ(result.records.size(), graph.task_count());
   EXPECT_GT(result.reschedules, 0u);
@@ -322,9 +324,10 @@ TEST_F(DynamicSimEnv, ThresholdGuardAvoidsLoadSpikes) {
   const auto victim = allocation.hosts_involved().front();
   vdce_.testbed.add_load_spike(victim, {10.0, 500.0, 50.0});
 
-  DynamicSimConfig config;
+  rt::EngineConfig config;
   config.load_threshold = 10.0;
-  DynamicSimulator sim(vdce_, vdce_.sites[0].repository->tasks(), config);
+  DynamicSimulator sim(vdce_, vdce_.sites[0].repository->tasks(), scheduler_,
+                       config);
   const auto result = sim.run(graph, allocation, /*start_at=*/10.0);
   EXPECT_GT(result.reschedules, 0u);
   // Every task eventually completed somewhere else.
@@ -338,7 +341,7 @@ TEST_F(DynamicSimEnv, ThresholdGuardDisabledByDefault) {
   const auto allocation = schedule(graph);
   const auto victim = allocation.hosts_involved().front();
   vdce_.testbed.add_load_spike(victim, {10.0, 500.0, 50.0});
-  DynamicSimulator sim(vdce_, vdce_.sites[0].repository->tasks());
+  DynamicSimulator sim(vdce_, vdce_.sites[0].repository->tasks(), scheduler_);
   const auto result = sim.run(graph, allocation, 10.0);
   EXPECT_EQ(result.reschedules, 0u);  // guard off: grind through the spike
 }
@@ -350,15 +353,119 @@ TEST_F(DynamicSimEnv, ImpossibleRecoveryThrows) {
   for (const auto h : vdce_.testbed.all_hosts()) {
     vdce_.testbed.fail_host(h, 10.5, 1e6);
   }
-  DynamicSimulator sim(vdce_, vdce_.sites[0].repository->tasks());
+  DynamicSimulator sim(vdce_, vdce_.sites[0].repository->tasks(), scheduler_);
   EXPECT_THROW((void)sim.run(graph, allocation, 10.0),
                sched::SchedulingError);
+}
+
+TEST_F(DynamicSimEnv, AttemptBudgetIsTheEngines) {
+  // A lone task whose host and whose first replacement are both dead
+  // needs a third placement; with the engine's budget at 2 the run
+  // fails naming it.
+  afg::FlowGraph graph("lone");
+  const TaskId task = graph.add_task("synth_source", "solo");
+  const auto allocation = schedule(graph);
+  const HostId first = allocation.entry(task).primary_host();
+  const auto second = scheduler_.reschedule(graph, allocation, task, {first});
+  ASSERT_TRUE(second.has_value());
+  vdce_.testbed.fail_host(first, 10.0, 1e6);
+  vdce_.testbed.fail_host(second->primary_host(), 10.0, 1e6);
+
+  rt::EngineConfig config;
+  config.max_attempts = 2;
+  DynamicSimulator sim(vdce_, vdce_.sites[0].repository->tasks(), scheduler_,
+                       config);
+  try {
+    (void)sim.run(graph, allocation, 10.0);
+    FAIL() << "a task with no attempt left must fail the run";
+  } catch (const sched::SchedulingError& e) {
+    EXPECT_NE(std::string(e.what()).find("task solo exceeded 2"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(DynamicSimReplacement, ReplacementMatchesTheLiveEngine) {
+  // The simulator re-places as the live engine does.  On each seeded
+  // 6-site testbed an entry task's host is dead from the start; every
+  // entry task the simulator moves must get the same host and site
+  // from the live engine, run on an identical, identically warmed VDCE
+  // with the submission service's default rescheduler.
+  constexpr double kStart = 10.0;
+  netsim::RandomTestbedParams params;
+  params.num_sites = 6;
+  sched::SiteSchedulerConfig config;
+  config.k_nearest = 3;
+  std::size_t moved = 0;
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    common::Rng rng(seed);
+    SyntheticGraphParams shape;
+    shape.family = GraphFamily::kLayered;
+    shape.size = 4;
+    shape.width = 4;
+    const auto graph = make_synthetic_graph(shape, rng);
+
+    rt::LocalVdce simulated(netsim::make_random_testbed(params, seed));
+    simulated.warm_up(kStart);
+    sched::SiteScheduler scheduler(SiteId(0), simulated.directory, config);
+    const auto allocation = scheduler.schedule(graph);
+    const TaskId entry_task = graph.tasks().front().id;
+    ASSERT_TRUE(graph.parents(entry_task).empty());
+    const HostId victim = allocation.entry(entry_task).primary_host();
+    simulated.testbed.fail_host(victim, kStart, 1e6);
+    DynamicSimulator sim(simulated, simulated.sites[0].repository->tasks(),
+                         scheduler);
+    const auto simulation = sim.run(graph, allocation, kStart);
+
+    rt::LocalVdce live(netsim::make_random_testbed(params, seed));
+    live.warm_up(kStart);
+    sched::AllocationTable live_table =
+        sched::SiteScheduler(SiteId(0), live.directory, config)
+            .schedule(graph);
+    for (const auto& row : allocation.rows()) {
+      ASSERT_EQ(live_table.entry(row.task).hosts, row.hosts);
+    }
+    // The service's default rescheduler, moving the row it returns.
+    std::mutex mu;
+    rt::FaultTolerance ft;
+    ft.host_alive = [victim](HostId host) { return host != victim; };
+    ft.reschedule = [&](const afg::TaskNode& node,
+                        const std::vector<HostId>& excluded) {
+      std::lock_guard lk(mu);
+      auto entry = sched::SiteScheduler(SiteId(0), live.directory, config)
+                       .reschedule(graph, live_table, node.id, excluded);
+      if (entry) live_table.replace(*entry);
+      return entry;
+    };
+    ft.sleep = [](double) {};
+    rt::ExecutionEngine engine(tasklib::builtin_registry());
+    const auto run = engine.execute(graph, allocation, nullptr, nullptr, &ft);
+
+    for (const auto& record : simulation.records) {
+      if (!graph.parents(record.task).empty() ||
+          record.host == allocation.entry(record.task).primary_host()) {
+        continue;
+      }
+      ++moved;
+      const auto live_record =
+          std::find_if(run.records.begin(), run.records.end(),
+                       [&](const auto& r) { return r.task == record.task; });
+      ASSERT_NE(live_record, run.records.end());
+      EXPECT_EQ(live_record->host.value(), record.host.value())
+          << record.label;
+      EXPECT_EQ(live_table.entry(record.task).site.value(),
+                record.site.value())
+          << record.label;
+    }
+  }
+  EXPECT_GE(moved, 8u);
 }
 
 TEST_F(DynamicSimEnv, RecordsMeasuredTimesInTaskDb) {
   const auto graph = make_c3i_graph();
   const auto allocation = schedule(graph);
-  DynamicSimulator sim(vdce_, vdce_.sites[0].repository->tasks());
+  DynamicSimulator sim(vdce_, vdce_.sites[0].repository->tasks(), scheduler_);
   (void)sim.run(graph, allocation, 10.0);
   bool any_history = false;
   for (const auto& site : vdce_.sites) {

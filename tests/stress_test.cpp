@@ -134,18 +134,14 @@ TEST_F(StressEnv, ConcurrentEnginesDoNotInterfere) {
 
 TEST_F(StressEnv, ManyConcurrentSubmissions) {
   // 32 submitter threads race one submission service: mixed
-  // admit/reject outcomes, shared engine slots, and prediction
-  // feedback through one SiteManager.  Afterwards every counter must
-  // reconcile exactly -- no lost and no double-executed app.
-  predict::LoadForecaster forecaster;
-  rt::SiteManager manager(SiteId(0), *repository_, forecaster);
-
+  // admit/reject outcomes and shared engine slots.  Afterwards every
+  // counter must reconcile exactly -- no lost and no double-executed
+  // app.
   rt::AppSubmissionConfig config;
   config.slots = 4;
   config.max_queue = 64;
   rt::AppSubmissionService service(SiteId(0), directory_,
                                    tasklib::builtin_registry(), config);
-  service.set_feedback(&manager);
 
   constexpr int kSubmitters = 32;
   std::vector<common::AppId> tickets(kSubmitters);
@@ -207,11 +203,6 @@ TEST_F(StressEnv, ManyConcurrentSubmissions) {
   EXPECT_EQ(stats.queued, stats.queued_then_admitted);
   EXPECT_EQ(stats.admitted + stats.queued_then_admitted,
             stats.completed + stats.failed);
-
-  // Each completed app fed exactly its two task measurements back
-  // through the shared SiteManager (the counter is atomic; concurrent
-  // runs must not lose increments).
-  EXPECT_EQ(manager.stats().task_times_recorded.load(), 2 * completed);
 }
 
 TEST_F(StressEnv, HundredThousandSubmissionFirehose) {
