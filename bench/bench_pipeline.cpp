@@ -13,9 +13,13 @@
 // reporting frames/sec, end-to-end p50/p99 latency, and RSS flatness
 // while streaming >=100x the channel capacity in frames; then the same
 // stream with a mid-stream host crash recovered from the last
-// checkpoint window.  Written to BENCH_streaming.json by CI.
+// checkpoint window; then the median cost of each stream task function
+// on one 1024-sample window, timed outside the engine, so a kernel
+// regression shows apart from the ring and recovery machinery.
+// Written to BENCH_streaming.json by CI.
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <fstream>
 #include <iostream>
@@ -25,6 +29,7 @@
 #include <vector>
 
 #include "bench/harness.hpp"
+#include "common/rng.hpp"
 #include "editor/editor.hpp"
 #include "runtime/checkpoint.hpp"
 #include "runtime/engine.hpp"
@@ -186,6 +191,47 @@ StreamCell summarize(const rt::StreamRunResult& run, TaskId sink,
   return cell;
 }
 
+/// One stream task function's cost.
+struct KernelCost {
+  const char* task;
+  double median_us;
+};
+
+/// Median microseconds per call of `task` over `calls` calls on
+/// `inputs`, timed one call at a time outside the engine.
+KernelCost time_kernel(const char* task,
+                       const std::vector<tasklib::Payload>& inputs,
+                       const tasklib::TaskContext& ctx, int calls) {
+  const tasklib::TaskFn& fn = tasklib::builtin_registry().get(task).fn;
+  std::vector<double> us(static_cast<std::size_t>(calls));
+  for (double& sample : us) {
+    const auto t0 = std::chrono::steady_clock::now();
+    (void)fn(inputs, ctx);
+    const std::chrono::duration<double, std::micro> took =
+        std::chrono::steady_clock::now() - t0;
+    sample = took.count();
+  }
+  return {task, percentile(us, 0.5)};
+}
+
+/// The four stream task functions on the window perfbench's
+/// stream_pipeline runs (input_size 16: 1024 samples), each stage fed
+/// the previous stage's real output.
+std::vector<KernelCost> time_stream_kernels(int calls) {
+  const auto& reg = tasklib::builtin_registry();
+  common::Rng rng(22);
+  const tasklib::TaskContext ctx{16.0, &rng};
+  const auto src = reg.run("stream_window_source", {}, ctx);
+  const auto rs = reg.run("stream_resample", {src}, ctx);
+  const auto spec = reg.run("stream_window_fft", {rs}, ctx);
+  std::vector<KernelCost> costs;
+  costs.push_back(time_kernel("stream_window_source", {}, ctx, calls));
+  costs.push_back(time_kernel("stream_resample", {src}, ctx, calls));
+  costs.push_back(time_kernel("stream_window_fft", {rs}, ctx, calls));
+  costs.push_back(time_kernel("stream_sink", {spec}, ctx, calls));
+  return costs;
+}
+
 int run_stream(bool json, const std::string& out_path, bool quick) {
   const std::uint64_t frames = quick ? 2000 : 50000;
   constexpr std::size_t kCapacity = 8;
@@ -289,6 +335,16 @@ int run_stream(bool json, const std::string& out_path, bool quick) {
   std::cout << "recovery overhead: " << recovery_overhead_pct
             << "% of steady throughput\n";
 
+  // ---- kernels: each stage's task function alone, one window.
+  const int kernel_calls = quick ? 200 : 2000;
+  const auto kernels = time_stream_kernels(kernel_calls);
+  std::cout << "kernels (median us/call, 1024-sample window, "
+            << kernel_calls << " calls):";
+  for (const auto& k : kernels) {
+    std::cout << " " << k.task << "=" << k.median_us;
+  }
+  std::cout << "\n";
+
   if (!json) return 0;
   std::ofstream out(out_path);
   if (!out) {
@@ -318,6 +374,13 @@ int run_stream(bool json, const std::string& out_path, bool quick) {
       << ", \"windows_captured\": " << faulted.windows_captured
       << ", \"recovery_overhead_pct\": " << recovery_overhead_pct
       << "},\n";
+  out << "  \"kernels\": {\"window_samples\": 1024, \"calls\": "
+      << kernel_calls << ", \"median_us\": {";
+  for (std::size_t i = 0; i < kernels.size(); ++i) {
+    out << (i == 0 ? "" : ", ") << "\"" << kernels[i].task
+        << "\": " << kernels[i].median_us;
+  }
+  out << "}},\n";
   out << "  \"summary\": {\"rss_flat\": " << (rss_flat ? "true" : "false")
       << ", \"frames_over_capacity_x\": " << capacity_multiple << "}\n}\n";
   std::cout << "wrote " << out_path << "\n";

@@ -35,6 +35,9 @@ class WireWriter {
   void write_bytes(std::span<const std::byte> bytes);
   /// Length-prefixed (u32) vector of doubles.
   void write_f64_vector(std::span<const double> values);
+  /// The doubles alone, no count: the bytes of write_f64 on each, in
+  /// one resize.
+  void write_f64_span(std::span<const double> values);
 
   [[nodiscard]] const std::vector<std::byte>& bytes() const { return buf_; }
   [[nodiscard]] std::vector<std::byte> take() { return std::move(buf_); }
@@ -60,6 +63,9 @@ class WireReader {
   [[nodiscard]] std::string read_string();
   [[nodiscard]] std::vector<std::byte> read_bytes();
   [[nodiscard]] std::vector<double> read_f64_vector();
+  /// Fills `out` with doubles written by write_f64_span (no count);
+  /// throws ParseError, reading nothing, unless all of them are there.
+  void read_f64_span(std::span<double> out);
   /// Reads a u32 element count and throws ParseError unless that many
   /// elements of at least `min_element_bytes` each still fit in the
   /// message, so a garbage count can never size an allocation.

@@ -30,19 +30,37 @@ void fft_inplace(std::vector<Complex>& data, bool inverse) {
     if (i < j) std::swap(data[i], data[j]);
   }
 
-  // Butterfly passes.
+  // Butterfly passes.  Each stage tabulates its twiddles once by the
+  // recurrence w = 1, w *= wn, and the butterfly multiplies in real
+  // arithmetic: on finite input that is std::complex's product bit for
+  // bit, without its NaN-recovery branch (see fft.hpp).  The two rows
+  // are walked through pointers: indexing `data` inside the loop made
+  // GCC 12 emit code six times slower.
+  std::vector<Complex> twiddle(n / 2);
   for (std::size_t len = 2; len <= n; len <<= 1) {
+    const std::size_t half = len / 2;
     const double angle =
         (inverse ? 2.0 : -2.0) * std::numbers::pi / static_cast<double>(len);
     const Complex wn(std::cos(angle), std::sin(angle));
+    Complex w(1.0, 0.0);
+    for (std::size_t k = 0; k < half; ++k) {
+      twiddle[k] = w;
+      w *= wn;
+    }
     for (std::size_t i = 0; i < n; i += len) {
-      Complex w(1.0, 0.0);
-      for (std::size_t k = 0; k < len / 2; ++k) {
-        const Complex u = data[i + k];
-        const Complex v = data[i + k + len / 2] * w;
-        data[i + k] = u + v;
-        data[i + k + len / 2] = u - v;
-        w *= wn;
+      Complex* top = data.data() + i;
+      Complex* bottom = top + half;
+      for (std::size_t k = 0; k < half; ++k) {
+        const double wr = twiddle[k].real();
+        const double wi = twiddle[k].imag();
+        const double br = bottom[k].real();
+        const double bi = bottom[k].imag();
+        const double vr = br * wr - bi * wi;
+        const double vi = br * wi + bi * wr;
+        const double ur = top[k].real();
+        const double ui = top[k].imag();
+        top[k] = Complex(ur + vr, ui + vi);
+        bottom[k] = Complex(ur - vr, ui - vi);
       }
     }
   }

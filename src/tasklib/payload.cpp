@@ -10,6 +10,17 @@ using common::StateError;
 using common::WireReader;
 using common::WireWriter;
 
+namespace {
+// A complex value travels as two doubles, real then imaginary: the
+// array layout [complex.numbers] guarantees for std::complex storage.
+std::span<const double> as_doubles(const std::vector<Complex>& v) {
+  return {reinterpret_cast<const double*>(v.data()), 2 * v.size()};
+}
+std::span<double> as_doubles(std::vector<Complex>& v) {
+  return {reinterpret_cast<double*>(v.data()), 2 * v.size()};
+}
+}  // namespace
+
 std::string to_string(PayloadType t) {
   switch (t) {
     case PayloadType::kScalar:         return "scalar";
@@ -49,14 +60,14 @@ Payload Payload::of_matrix(const Matrix& m) {
   WireWriter w;
   w.write_u32(static_cast<std::uint32_t>(m.rows()));
   w.write_u32(static_cast<std::uint32_t>(m.cols()));
-  for (double v : m.data()) w.write_f64(v);
+  w.write_f64_span(m.data());
   return Payload(PayloadType::kMatrix, w.take());
 }
 
 Payload Payload::of_lu(const LuFactors& f) {
   WireWriter w;
   w.write_u32(static_cast<std::uint32_t>(f.lu.rows()));
-  for (double v : f.lu.data()) w.write_f64(v);
+  w.write_f64_span(f.lu.data());
   for (std::size_t p : f.perm) w.write_u32(static_cast<std::uint32_t>(p));
   w.write_u8(f.perm_sign > 0 ? 1 : 0);
   return Payload(PayloadType::kLuFactors, w.take());
@@ -65,10 +76,7 @@ Payload Payload::of_lu(const LuFactors& f) {
 Payload Payload::of_complex_vector(const std::vector<Complex>& v) {
   WireWriter w;
   w.write_u32(static_cast<std::uint32_t>(v.size()));
-  for (const Complex& c : v) {
-    w.write_f64(c.real());
-    w.write_f64(c.imag());
-  }
+  w.write_f64_span(as_doubles(v));
   return Payload(PayloadType::kComplexVector, w.take());
 }
 
@@ -183,7 +191,7 @@ Matrix Payload::as_matrix() const {
   const std::uint32_t rows = r.read_u32();
   const std::uint32_t cols = r.read_count(std::size_t{8} * rows);  // columns
   Matrix m(rows, cols);
-  for (double& v : m.data()) v = r.read_f64();
+  r.read_f64_span(m.data());
   return m;
 }
 
@@ -197,7 +205,7 @@ LuFactors Payload::as_lu() const {
   }
   LuFactors f;
   f.lu = Matrix(n, n);
-  for (double& v : f.lu.data()) v = r.read_f64();
+  r.read_f64_span(f.lu.data());
   f.perm.resize(n);
   for (auto& p : f.perm) p = r.read_u32();
   f.perm_sign = r.read_u8() != 0 ? 1 : -1;
@@ -207,14 +215,8 @@ LuFactors Payload::as_lu() const {
 std::vector<Complex> Payload::as_complex_vector() const {
   require(PayloadType::kComplexVector);
   WireReader r(bytes_);
-  const std::uint32_t n = r.read_count(16);
-  std::vector<Complex> out;
-  out.reserve(n);
-  for (std::uint32_t i = 0; i < n; ++i) {
-    const double re = r.read_f64();
-    const double im = r.read_f64();
-    out.emplace_back(re, im);
-  }
+  std::vector<Complex> out(r.read_count(16));
+  r.read_f64_span(as_doubles(out));
   return out;
 }
 

@@ -51,16 +51,16 @@ std::vector<double> rational_resample(const std::vector<double>& signal,
 
   std::vector<double> out(out_len, 0.0);
   // out[m] = sum_k h[k] * stuffed[m*down - k], where stuffed[j] is
-  // signal[j/up] when up divides j and 0 otherwise — so only taps with
-  // (m*down - k) % up == 0 contribute, and the stuffed signal is never
+  // signal[j/up] when up divides j and 0 otherwise.  Polyphase: only
+  // the taps k = pos (mod up) meet a real sample, so the loop visits
+  // just those, in ascending order, and the stuffed signal is never
   // materialized.
   for (std::size_t m = 0; m < out_len; ++m) {
     const std::size_t pos = m * down;
     double acc = 0.0;
-    for (std::size_t k = 0; k < h.size() && k <= pos; ++k) {
-      const std::size_t j = pos - k;
-      if (j % up != 0) continue;
-      const std::size_t src = j / up;
+    std::size_t src = pos / up;  // (pos - k) / up, one less per tap
+    for (std::size_t k = pos % up; k < h.size() && k <= pos;
+         k += up, --src) {
       if (src >= n) continue;
       acc += h[k] * signal[src];
     }

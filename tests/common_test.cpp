@@ -4,12 +4,18 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <bit>
+#include <cfloat>
 #include <chrono>
 #include <cmath>
 #include <condition_variable>
+#include <cstdint>
+#include <cstdlib>
 #include <filesystem>
 #include <mutex>
+#include <new>
 #include <set>
+#include <span>
 #include <string>
 #include <thread>
 
@@ -22,6 +28,39 @@
 #include "common/stats.hpp"
 #include "common/strings.hpp"
 #include "common/thread_pool.hpp"
+
+// The largest operator-new request made while the watch is armed, so a
+// test can see that a decoder allocates nothing sized by a bad count.
+namespace {
+std::atomic<bool> g_watch_allocations{false};
+std::atomic<std::size_t> g_largest_allocation{0};
+}  // namespace
+
+void* operator new(std::size_t n) {
+  if (g_watch_allocations.load(std::memory_order_relaxed)) {
+    std::size_t seen = g_largest_allocation.load();
+    while (n > seen && !g_largest_allocation.compare_exchange_weak(seen, n)) {
+    }
+  }
+  if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
+  throw std::bad_alloc();
+}
+void* operator new(std::size_t n, const std::nothrow_t&) noexcept {
+  try {
+    return ::operator new(n);
+  } catch (const std::bad_alloc&) {
+    return nullptr;
+  }
+}
+// Out of line, so the compiler never sees free() meet a new-expression.
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
+[[gnu::noinline]] void operator delete(void* p,
+                                       const std::nothrow_t&) noexcept {
+  std::free(p);
+}
 
 namespace vdce::common {
 namespace {
@@ -255,6 +294,69 @@ TEST(WireTest, BytesRoundTrip) {
   w.write_bytes(data);
   WireReader r(w.bytes());
   EXPECT_EQ(r.read_bytes(), data);
+}
+
+TEST(WireTest, BulkF64VectorIsPerElementWriteF64) {
+  // Every class of double, NaN payloads and signs included, must cross
+  // the bulk codec as the same bytes write_f64 gives one at a time.
+  const std::uint64_t patterns[] = {
+      0x0000000000000000,  // +0
+      0x8000000000000000,  // -0
+      0x7ff0000000000000,  // +inf
+      0xfff0000000000000,  // -inf
+      0x7ff8000000000000,  // quiet NaN
+      0x7ff8000000c0ffee,  // quiet NaN with a payload
+      0xfff4000000000123,  // negative signalling NaN with a payload
+      0x0000000000000001,  // smallest denormal
+      0x800fffffffffffff,  // largest negative denormal
+      0x0010000000000000,  // DBL_MIN
+      0x7fefffffffffffff,  // DBL_MAX
+      0x3ff0000000000000,  // 1.0
+      0xc00921fb54442d18,  // -pi
+  };
+  ASSERT_EQ(std::bit_cast<double>(patterns[10]), DBL_MAX);
+  for (std::size_t len = 0; len <= 17; ++len) {
+    std::vector<double> v(len);
+    for (std::size_t i = 0; i < len; ++i) {
+      v[i] = std::bit_cast<double>(patterns[(i + len) % std::size(patterns)]);
+    }
+    WireWriter bulk;
+    bulk.write_f64_vector(v);
+    WireWriter each;
+    each.write_u32(static_cast<std::uint32_t>(len));
+    for (const double d : v) each.write_f64(d);
+    EXPECT_EQ(bulk.bytes(), each.bytes()) << "length " << len;
+
+    WireReader r(bulk.bytes());
+    const auto back = r.read_f64_vector();
+    EXPECT_TRUE(r.done());
+    ASSERT_EQ(back.size(), len);
+    for (std::size_t i = 0; i < len; ++i) {
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(back[i]),
+                std::bit_cast<std::uint64_t>(v[i]))
+          << "length " << len << " element " << i;
+    }
+    for (std::size_t cut = 0; cut < bulk.size(); ++cut) {
+      WireReader truncated(std::span(bulk.bytes()).first(cut));
+      EXPECT_THROW((void)truncated.read_f64_vector(), ParseError)
+          << "length " << len << " cut at " << cut;
+    }
+  }
+}
+
+TEST(WireTest, OversizedCountThrowsBeforeAllocating) {
+  constexpr std::uint32_t kClaimed = 1u << 20;  // 8 MiB of doubles
+  WireWriter w;
+  w.write_u32(kClaimed);
+  w.write_f64(1.0);
+  WireReader r(w.bytes());
+  g_largest_allocation = 0;
+  g_watch_allocations = true;
+  EXPECT_THROW((void)r.read_f64_vector(), ParseError);
+  g_watch_allocations = false;
+  // Only the exception's message is allocated; no buffer for the
+  // claimed elements, not even part of one.
+  EXPECT_LT(g_largest_allocation.load(), 256u);
 }
 
 // ---------------------------------------------------------------- stats

@@ -39,9 +39,12 @@ std::uint64_t counter_value(const char* name) {
 
 /// The canonical streaming pipeline: windowed source -> 3/2 resampler
 /// -> power spectrum -> digesting sink (the C3I sensor chain's shape).
-afg::FlowGraph make_pipeline() {
+/// The source emits windows of 64 * `window_units` samples.
+afg::FlowGraph make_pipeline(double window_units = 1.0) {
   afg::FlowGraph g("stream_pipeline");
-  const TaskId src = g.add_task("stream_window_source", "src");
+  afg::TaskProperties props;
+  props.input_size = window_units;
+  const TaskId src = g.add_task("stream_window_source", "src", props);
   const TaskId rs = g.add_task("stream_resample", "rs");
   const TaskId fft = g.add_task("stream_window_fft", "fft");
   const TaskId sink = g.add_task("stream_sink", "sink");
@@ -115,6 +118,26 @@ TEST(StreamingMenu, RationalResamplePreservesLevelAndLength) {
 }
 
 // ------------------------------------------------- finite streams
+
+TEST(StreamingEngine, PerfbenchShapedSinkDigestsArePinned) {
+  // perfbench's stream_pipeline shape: 1024-sample windows through
+  // rings of 8.  The digests pin the stream's kernels bit for bit: a
+  // kernel change that moves one output bit moves them.
+  const auto graph = make_pipeline(16.0);
+  const auto alloc = make_alloc(graph, fake_hosts());
+  const auto sink_digest = [&](std::uint64_t seed) {
+    StreamingConfig cfg;
+    cfg.seed = seed;
+    cfg.frames = 64;
+    cfg.channel_capacity = 8;
+    StreamingEngine engine(tasklib::builtin_registry(), cfg);
+    const auto run = engine.execute(graph, alloc, nullptr, AppId(7001));
+    return run.sinks.at(id_of(graph, "sink")).digest;
+  };
+  EXPECT_EQ(sink_digest(11), 0x8a931d2debf2d1d9ULL);
+  EXPECT_EQ(sink_digest(12), 0x3ae1aef6c007b7e4ULL);
+  EXPECT_EQ(sink_digest(13), 0xd27f4b28c89d48ddULL);
+}
 
 TEST(StreamingEngine, FiniteStreamRunsToEos) {
   const auto graph = make_pipeline();

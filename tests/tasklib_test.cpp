@@ -1,9 +1,12 @@
 // Unit and property tests for the task libraries: matrix algebra, FFT,
-// C3I kernels, payload encoding and the registry.
+// C3I kernels, payload encoding and the registry, plus the golden
+// digest that pins the Fourier and streaming kernels bit for bit.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
@@ -12,6 +15,7 @@
 #include "tasklib/matrix.hpp"
 #include "tasklib/payload.hpp"
 #include "tasklib/registry.hpp"
+#include "tasklib/streaming.hpp"
 
 namespace vdce::tasklib {
 namespace {
@@ -345,6 +349,151 @@ TEST(LowpassTest, FullBandIsIdentity) {
 TEST(LowpassTest, RejectsBadCutoff) {
   EXPECT_THROW((void)lowpass_filter({1, 2}, 0.0), StateError);
   EXPECT_THROW((void)lowpass_filter({1, 2}, 1.5), StateError);
+}
+
+// ------------------------------------------------- kernel bit-identity
+
+std::vector<double> seeded_signal(Rng& rng, std::size_t n) {
+  std::vector<double> x(n);
+  for (double& v : x) v = rng.uniform(-1, 1);
+  return x;
+}
+
+std::vector<std::uint64_t> bits_of(const std::vector<double>& v) {
+  std::vector<std::uint64_t> out;
+  for (const double d : v) out.push_back(std::bit_cast<std::uint64_t>(d));
+  return out;
+}
+
+/// Folds a payload's full wire image (tag + big-endian body) into an
+/// FNV-1a hash.
+std::uint64_t fnv1a(std::uint64_t h, const Payload& p) {
+  for (const std::byte b : p.to_wire()) {
+    h ^= static_cast<std::uint8_t>(b);
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
+TEST(KernelGolden, SeededOutputsKeepTheirWireBytes) {
+  // One digest over the encoded outputs of every Fourier and streaming
+  // kernel on seeded inputs, plus the matrix and LU payload images.  A
+  // speedup must leave it unchanged: the kernels' outputs are pinned
+  // bit for bit, not within a tolerance.
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  Rng rng(2024);
+  for (std::size_t n = 1; n <= 4096; n <<= 1) {
+    std::vector<Complex> x(n);
+    for (auto& c : x) c = {rng.uniform(-1, 1), rng.uniform(-1, 1)};
+    for (const bool inverse : {false, true}) {
+      auto y = x;
+      fft_inplace(y, inverse);
+      h = fnv1a(h, Payload::of_complex_vector(y));
+    }
+  }
+  for (const std::size_t n : {1, 5, 64, 100, 1024, 1536, 3000}) {
+    const auto x = seeded_signal(rng, n);
+    h = fnv1a(h, Payload::of_vector(power_spectrum(x)));
+    h = fnv1a(h, Payload::of_complex_vector(fft_real(x)));
+    h = fnv1a(h, Payload::of_vector(lowpass_filter(x, 0.3)));
+  }
+  for (std::size_t n = 1; n <= 1024; n <<= 1) {
+    const auto a = seeded_signal(rng, n);
+    const auto b = seeded_signal(rng, n);
+    h = fnv1a(h, Payload::of_vector(circular_convolve(a, b)));
+  }
+  for (const unsigned up : {1, 2, 3, 5}) {
+    for (const unsigned down : {1, 2, 3, 4}) {
+      for (const std::size_t taps : {7, 33, 56}) {
+        const auto x = seeded_signal(rng, 1 + up * down * taps);
+        const auto y = rational_resample(x, up, down, taps);
+        h = fnv1a(h, Payload::of_vector(y));
+      }
+    }
+  }
+  // The four stream stages as perfbench runs them: 1024-sample windows.
+  const auto& reg = builtin_registry();
+  for (const std::uint64_t seed : {11, 12, 13}) {
+    Rng stage_rng(seed);
+    const TaskContext ctx{16.0, &stage_rng};
+    const auto src = reg.run("stream_window_source", {}, ctx);
+    const auto rs = reg.run("stream_resample", {src}, ctx);
+    const auto spec = reg.run("stream_window_fft", {rs}, ctx);
+    const auto sink = reg.run("stream_sink", {spec}, ctx);
+    for (const Payload* p : {&src, &rs, &spec, &sink}) h = fnv1a(h, *p);
+  }
+  h = fnv1a(h, Payload::of_matrix(Matrix::random(5, 7, rng)));
+  h = fnv1a(h, Payload::of_lu(lu_decompose(Matrix::random(6, 6, rng, 2.0))));
+  EXPECT_EQ(h, 0xb75e3217a01122ceULL);
+}
+
+TEST(KernelGolden, FftMatchesANaiveDft) {
+  constexpr std::size_t kN = 2048;
+  Rng rng(31);
+  std::vector<Complex> x(kN);
+  for (auto& c : x) c = {rng.uniform(-1, 1), rng.uniform(-1, 1)};
+  // W^(jk) indexed by jk mod N, so the O(N^2) sum needs N sin/cos pairs.
+  std::vector<Complex> root(kN);
+  for (std::size_t i = 0; i < kN; ++i) {
+    const double a = -2.0 * M_PI * static_cast<double>(i) / kN;
+    root[i] = {std::cos(a), std::sin(a)};
+  }
+  const auto forward = fft(x);
+  const auto inverse = ifft(x);
+  for (std::size_t k = 0; k < kN; ++k) {
+    Complex sum_f(0.0, 0.0), sum_i(0.0, 0.0);
+    for (std::size_t j = 0; j < kN; ++j) {
+      sum_f += x[j] * root[(j * k) % kN];
+      sum_i += x[j] * std::conj(root[(j * k) % kN]);
+    }
+    sum_i /= static_cast<double>(kN);
+    ASSERT_NEAR(forward[k].real(), sum_f.real(), 1e-9) << "bin " << k;
+    ASSERT_NEAR(forward[k].imag(), sum_f.imag(), 1e-9) << "bin " << k;
+    ASSERT_NEAR(inverse[k].real(), sum_i.real(), 1e-12) << "bin " << k;
+    ASSERT_NEAR(inverse[k].imag(), sum_i.imag(), 1e-12) << "bin " << k;
+  }
+}
+
+/// Direct-form FIR over the materialised zero-stuffed signal, taps in
+/// ascending order.  A stuffed zero adds h[k] * 0.0 = +-0.0 to a sum
+/// that starts at +0.0 and so can never be -0.0: the zeros change no
+/// bit, and the sum must equal the polyphase resampler's exactly.
+std::vector<double> zero_stuffed_fir(const std::vector<double>& x,
+                                     unsigned up, unsigned down,
+                                     std::size_t taps) {
+  if (x.empty()) return {};
+  std::vector<double> stuffed(x.size() * up, 0.0);
+  for (std::size_t i = 0; i < x.size(); ++i) stuffed[i * up] = x[i];
+  auto h = windowed_sinc_fir(taps, 0.5 / std::max(up, down));
+  for (double& v : h) v *= up;
+  std::vector<double> out((stuffed.size() + down - 1) / down);
+  for (std::size_t m = 0; m < out.size(); ++m) {
+    const std::size_t pos = m * down;
+    double acc = 0.0;
+    for (std::size_t k = 0; k < taps && k <= pos; ++k) {
+      if (pos - k < stuffed.size()) acc += h[k] * stuffed[pos - k];
+    }
+    out[m] = acc;
+  }
+  return out;
+}
+
+TEST(KernelGolden, ResamplerIsBitEqualToAZeroStuffedFir) {
+  // Every (up, down) over {1, 2, 3, 5} x {1, 2, 3, 4}, which covers 3/2,
+  // 2/3, 1/1 and 5/4.
+  Rng rng(32);
+  for (const unsigned up : {1, 2, 3, 5}) {
+    for (const unsigned down : {1, 2, 3, 4}) {
+      for (const std::size_t n : {0, 1, 5, 47, 1024}) {
+        const auto x = seeded_signal(rng, n);
+        for (const std::size_t taps : {1, 7, 48}) {
+          EXPECT_EQ(bits_of(rational_resample(x, up, down, taps)),
+                    bits_of(zero_stuffed_fir(x, up, down, taps)))
+              << up << "/" << down << " n=" << n << " taps=" << taps;
+        }
+      }
+    }
+  }
 }
 
 // ----------------------------------------------------------------- c3i
