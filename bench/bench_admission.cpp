@@ -244,7 +244,7 @@ ServiceCell run_service_cell(rt::LocalVdce& v, std::size_t backlog,
   config.slots = 2;
   config.start_paused = true;
   config.max_queue = backlog + timed_submits + 1;
-  rt::AppSubmissionService service(common::SiteId(0), v.repository_directory,
+  rt::AppSubmissionService service(common::SiteId(0), v.directory,
                                    tasklib::builtin_registry(), config);
 
   // Build the backlog with batched bursts (also the burst-throughput

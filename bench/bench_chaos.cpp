@@ -157,8 +157,7 @@ CellResult run_cell(double intensity) {
   config.slots = 1;  // serial drain: each app sees one clock position
   config.engine.max_attempts = 4;
   config.engine.recv_timeout_s = 5.0;
-  rt::AppSubmissionService service(SiteId(0), v.repository_directory,
-                                   registry, config);
+  rt::AppSubmissionService service(SiteId(0), v.directory, registry, config);
   const auto probe = schedule.liveness_probe(v.testbed, SiteId(0));
   service.set_fault_hooks(
       [&probe](const afg::FlowGraph&, const sched::AllocationTable&) {

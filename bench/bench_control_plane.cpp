@@ -44,6 +44,7 @@
 #include "runtime/liveness.hpp"
 #include "runtime/site_stack.hpp"
 #include "runtime/watchdog.hpp"
+#include "scheduler/directory.hpp"
 #include "sim/workloads.hpp"
 
 namespace {
@@ -299,6 +300,9 @@ int main(int argc, char** argv) {
       vdce::netsim::make_campus_testbed(kSeed));
   const vdce::rt::SiteStack local =
       vdce::rt::build_site_stack(testbed, SiteId(0));
+  vdce::sched::RepositoryDirectory directory;
+  directory.add_site(SiteId(0), local.repository.get(),
+                     local.forecaster.get());
 
   // Path 1: loopback -- a load-threshold reschedule request through the
   // Control Manager's own path (encode, decode, dispatch, count).  No
@@ -329,7 +333,7 @@ int main(int argc, char** argv) {
   // local call vs. remote RPC (ships the AFG as text both ways).
   const auto graph = vdce::sim::make_linear_solver_graph();
   const Latency local_sel = time_loop(sel_iters, [&](std::size_t) {
-    (void)local.manager->host_selection_request(graph);
+    (void)directory.host_selection(SiteId(0), graph);
   });
   const Latency remote_sel = time_loop(sel_iters, [&](std::size_t) {
     (void)client.host_selection(graph, 1);

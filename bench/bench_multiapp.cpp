@@ -90,7 +90,7 @@ void throughput_sweep() {
       config.slots = slots;
       config.max_queue = kApps;
       config.start_paused = true;  // measure the drain, not the submits
-      rt::AppSubmissionService service(SiteId(0), v.repository_directory,
+      rt::AppSubmissionService service(SiteId(0), v.directory,
                                        registry, config);
       std::vector<common::AppId> apps;
       for (std::size_t i = 0; i < kApps; ++i) {
@@ -136,10 +136,10 @@ void admission_pressure_sweep() {
   rt::LocalVdce v(netsim::make_campus_testbed(13));
   v.warm_up(10.0);
   const auto graph = pipeline_graph("probe");
-  sched::SiteScheduler scheduler(SiteId(0), v.repository_directory);
+  sched::SiteScheduler scheduler(SiteId(0), v.directory);
   const auto allocation = scheduler.schedule(graph);
   const double idle_estimate =
-      sched::predicted_makespan(graph, allocation, v.repository_directory);
+      sched::predicted_makespan(graph, allocation, v.directory);
 
   constexpr std::size_t kBurst = 16;
   for (const double multiplier : {1.2, 2.0, 4.0, 8.0, 1e6}) {
@@ -147,7 +147,7 @@ void admission_pressure_sweep() {
     config.slots = 4;
     config.max_queue = kBurst;
     config.start_paused = true;  // the whole burst lands before any run
-    rt::AppSubmissionService service(SiteId(0), v.repository_directory,
+    rt::AppSubmissionService service(SiteId(0), v.directory,
                                      tasklib::builtin_registry(), config);
     std::vector<common::AppId> apps;
     for (std::size_t i = 0; i < kBurst; ++i) {

@@ -2,10 +2,14 @@
 // E22 streaming data-path bench.
 //
 // Default mode traces one application through the full module pipeline
-// — Editor -> AFG -> Application Scheduler (with inter-site
-// coordination via Site Managers) -> allocation table -> Runtime
-// System -> measured times back into the repository — and reports the
-// control-plane message counts each hop produced.
+// — Editor -> AFG -> Application Scheduler (the AFG multicast to the
+// local and nearest sites' Host Selection) -> allocation table -> Site
+// Managers -> Runtime System -> measured times back into the
+// repository — reports the control-plane message counts each hop
+// produced, and exits 1 unless they have Figure 2's shape: one
+// multicast per consulted site, a portion for some Application
+// Controller, a feedback record per task, monitoring updates, and a
+// solver residual below 1e-8.
 //
 // --stream [--json [path]] [--quick] runs the E22 sustained-stream
 // bench instead: the four-stage streaming pipeline (windowed source ->
@@ -29,6 +33,7 @@
 #include <vector>
 
 #include "bench/harness.hpp"
+#include "common/metrics.hpp"
 #include "common/rng.hpp"
 #include "editor/editor.hpp"
 #include "runtime/checkpoint.hpp"
@@ -60,17 +65,20 @@ int run_f2() {
             << graph.task_count() << " tasks / " << graph.link_count()
             << " links\n";
 
-  // Application Scheduler phase (local site + k nearest).
+  // Application Scheduler phase (local site + k nearest): one Host
+  // Selection round per consulted site is one AFG multicast.
+  const common::Counter& rounds = common::MetricsRegistry::global().counter(
+      "scheduler.host_selection_rounds");
+  const std::uint64_t rounds_before = rounds.value();
   sched::SiteScheduler scheduler(v.sites[0].manager->site(), v.directory);
   const auto allocation = scheduler.schedule(graph);
-  std::cout << "scheduler: consulted " << scheduler.consulted_sites().size()
+  const std::uint64_t multicasts = rounds.value() - rounds_before;
+  const std::size_t consulted = scheduler.consulted_sites().size();
+  std::cout << "scheduler: consulted " << consulted
             << " sites, produced " << allocation.size()
             << " allocation rows across "
             << allocation.hosts_involved().size() << " hosts\n";
-  std::cout << "scheduler: AFG multicasts="
-            << v.directory.stats().afg_multicasts
-            << " transfer_queries=" << v.directory.stats().transfer_queries
-            << "\n";
+  std::cout << "scheduler: AFG multicasts=" << multicasts << "\n";
 
   // Allocation distribution (Site Manager -> Group Managers -> ACs).
   std::size_t distributed = 0;
@@ -86,21 +94,29 @@ int run_f2() {
       engine.execute(graph, allocation, v.sites[0].manager.get());
   std::cout << "runtime: executed " << result.records.size()
             << " tasks, makespan " << result.makespan_s << "s\n";
+  const double residual =
+      result.outputs.at(*graph.find_by_label("residual")).as_scalar();
 
   // Feedback: measured times recorded.
-  std::cout << "repository: task_times_recorded="
-            << v.sites[0].manager->stats().task_times_recorded << "\n";
+  const rt::SiteManagerStats& stats = v.sites[0].manager->stats();
+  const std::size_t feedback = stats.task_times_recorded;
+  std::cout << "repository: task_times_recorded=" << feedback << "\n";
 
   bench::header("\nhop,messages");
-  std::cout << "afg_multicast," << v.directory.stats().afg_multicasts << "\n"
+  std::cout << "afg_multicast," << multicasts << "\n"
             << "allocation_portions," << distributed << "\n"
-            << "task_time_feedback,"
-            << v.sites[0].manager->stats().task_times_recorded << "\n"
-            << "monitoring_updates,"
-            << v.sites[0].manager->stats().workload_updates << "\n";
+            << "task_time_feedback," << feedback << "\n"
+            << "monitoring_updates," << stats.workload_updates << "\n";
+  const bool ok = multicasts == consulted && distributed > 0 &&
+                  feedback == graph.task_count() &&
+                  stats.workload_updates > 0 && residual < 1e-8;
   std::cout << "\nshape check: every Figure 2 arrow exercised "
-               "(editor->scheduler->runtime->repository).\n";
-  return 0;
+               "(editor->scheduler->runtime->repository): one multicast "
+               "per consulted site, feedback for every task, solver "
+               "residual "
+            << residual << " below 1e-8: " << (ok ? "ok" : "FAILED")
+            << "\n";
+  return ok ? 0 : 1;
 }
 
 // ------------------------------------------------------------- E22
@@ -274,8 +290,20 @@ int run_stream(bool json, const std::string& out_path, bool quick) {
             << steady.producer_parks << "\n";
 
   // ---- faulted: the resampler's host dies halfway through; the
-  // stream resumes from the last durable checkpoint window.
+  // stream resumes from the last durable checkpoint window.  The
+  // recovery gap runs from the guard's first refusal of the dead host
+  // to the first frame the sink counts after the re-placement; the
+  // re-placement runs between rounds, so every later sink frame
+  // belongs to the resumed round.
   std::atomic<bool> dead{false};
+  std::atomic<bool> replaced{false};
+  std::atomic<std::int64_t> refused_ns{0};  // 0 = not yet
+  std::atomic<std::int64_t> resumed_ns{0};
+  const auto now_ns = [] {
+    return std::chrono::duration_cast<std::chrono::nanoseconds>(
+               std::chrono::steady_clock::now().time_since_epoch())
+        .count();
+  };
   const HostId victim = alloc.entry(*graph.find_by_label("rs")).primary_host();
   rt::StreamingConfig fault_cfg;
   fault_cfg.seed = 22;
@@ -285,13 +313,18 @@ int run_stream(bool json, const std::string& out_path, bool quick) {
   fault_cfg.checkpoint_window = kWindow;
   fault_cfg.on_sink_frame = [&](TaskId, std::uint64_t k) {
     if (k == frames / 2) dead.store(true, std::memory_order_relaxed);
+    if (replaced.load() && resumed_ns.load() == 0) resumed_ns = now_ns();
   };
   rt::FaultTolerance ft;
   ft.host_alive = [&](HostId h) {
-    return !(dead.load(std::memory_order_relaxed) && h == victim);
+    if (!dead.load(std::memory_order_relaxed) || h != victim) return true;
+    std::int64_t unset = 0;
+    refused_ns.compare_exchange_strong(unset, now_ns());
+    return false;
   };
-  ft.reschedule = [](const afg::TaskNode& node, const std::vector<HostId>&)
+  ft.reschedule = [&](const afg::TaskNode& node, const std::vector<HostId>&)
       -> std::optional<sched::AllocationEntry> {
+    replaced = true;
     sched::AllocationEntry e;
     e.task = node.id;
     e.task_label = node.label;
@@ -328,12 +361,15 @@ int run_stream(bool json, const std::string& out_path, bool quick) {
             << capacity_multiple << "x channel capacity ("
             << (rss_flat ? "flat" : "NOT FLAT") << ")\n";
 
-  const double recovery_overhead_pct =
-      steady.frames_per_s > 0.0
-          ? 100.0 * (1.0 - faulted.frames_per_s / steady.frames_per_s)
-          : 0.0;
-  std::cout << "recovery overhead: " << recovery_overhead_pct
-            << "% of steady throughput\n";
+  if (refused_ns.load() == 0 || resumed_ns.load() == 0) {
+    std::cerr << "the faulted stream never resumed after a refusal\n";
+    return 1;
+  }
+  const double recovery_gap_us =
+      1e-3 * static_cast<double>(resumed_ns.load() - refused_ns.load());
+  std::cout << "recovery gap: " << recovery_gap_us
+            << " us from the first refusal of the dead host to the first "
+               "frame counted after re-placement\n";
 
   // ---- kernels: each stage's task function alone, one window.
   const int kernel_calls = quick ? 200 : 2000;
@@ -372,8 +408,7 @@ int run_stream(bool json, const std::string& out_path, bool quick) {
       << ", \"frames_resumed\": " << faulted.frames_resumed
       << ", \"frames_skipped\": " << faulted.frames_skipped
       << ", \"windows_captured\": " << faulted.windows_captured
-      << ", \"recovery_overhead_pct\": " << recovery_overhead_pct
-      << "},\n";
+      << ", \"recovery_gap_us\": " << recovery_gap_us << "},\n";
   out << "  \"kernels\": {\"window_samples\": 1024, \"calls\": "
       << kernel_calls << ", \"median_us\": {";
   for (std::size_t i = 0; i < kernels.size(); ++i) {

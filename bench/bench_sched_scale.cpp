@@ -178,8 +178,8 @@ void BM_ScheduleCacheChurn(benchmark::State& state) {
   }
 
   predict::PredictionCacheStats totals;
-  for (const auto& site : v.sites) {
-    const auto s = site.manager->prediction_cache().stats();
+  for (const common::SiteId site : v.directory.sites()) {
+    const auto s = v.directory.prediction_cache(site).stats();
     totals.lookups += s.lookups;
     totals.hits += s.hits;
     totals.invalidations += s.invalidations;

@@ -38,6 +38,9 @@ class WireWriter {
   /// The doubles alone, no count: the bytes of write_f64 on each, in
   /// one resize.
   void write_f64_span(std::span<const double> values);
+  /// Room for `n` bytes in all, so a message of known size is written
+  /// into one exact allocation.
+  void reserve(std::size_t n) { buf_.reserve(n); }
 
   [[nodiscard]] const std::vector<std::byte>& bytes() const { return buf_; }
   [[nodiscard]] std::vector<std::byte> take() { return std::move(buf_); }

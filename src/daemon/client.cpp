@@ -15,9 +15,6 @@ namespace wire = rt::wire;
 using common::StateError;
 using common::TransportError;
 
-DaemonClient::DaemonClient(std::uint16_t port, double rpc_timeout_s)
-    : DaemonClient(port, DaemonRpcConfig{rpc_timeout_s, 1, 0.05}) {}
-
 DaemonClient::DaemonClient(std::uint16_t port, DaemonRpcConfig rpc)
     : port_(port), rpc_(rpc), channel_(dm::tcp_connect(port)) {}
 
@@ -100,13 +97,6 @@ void DaemonClient::shutdown() {
 }
 
 // ---------------------------------------------------------------------------
-
-RemoteSiteDirectory::RemoteSiteDirectory(sched::SiteDirectory& replica,
-                                         rt::Watchdog& watchdog,
-                                         std::vector<common::SiteId> sites,
-                                         double rpc_timeout_s)
-    : RemoteSiteDirectory(replica, watchdog, std::move(sites),
-                          DaemonRpcConfig{rpc_timeout_s, 1, 0.05}) {}
 
 RemoteSiteDirectory::RemoteSiteDirectory(sched::SiteDirectory& replica,
                                          rt::Watchdog& watchdog,

@@ -54,8 +54,7 @@ struct DaemonRpcConfig {
 class DaemonClient {
  public:
   /// Connects to a daemon's RPC port.
-  explicit DaemonClient(std::uint16_t port, double rpc_timeout_s = 10.0);
-  DaemonClient(std::uint16_t port, DaemonRpcConfig rpc);
+  explicit DaemonClient(std::uint16_t port, DaemonRpcConfig rpc = {});
 
   /// The daemon incarnation this client is pinned to (0 = unknown);
   /// RemoteSiteDirectory drops clients whose incarnation went stale.
@@ -111,10 +110,7 @@ class RemoteSiteDirectory final : public sched::SiteDirectory {
   /// the replica entirely.
   RemoteSiteDirectory(sched::SiteDirectory& replica, rt::Watchdog& watchdog,
                       std::vector<common::SiteId> remote_sites,
-                      double rpc_timeout_s = 10.0);
-  RemoteSiteDirectory(sched::SiteDirectory& replica, rt::Watchdog& watchdog,
-                      std::vector<common::SiteId> remote_sites,
-                      DaemonRpcConfig rpc);
+                      DaemonRpcConfig rpc = {});
 
   [[nodiscard]] std::vector<common::SiteId> sites() const override;
   [[nodiscard]] common::Duration site_distance(

@@ -24,6 +24,8 @@ SiteDaemon::SiteDaemon(SiteDaemonConfig config)
     : config_(std::move(config)),
       testbed_(netsim::make_campus_testbed(config_.seed)),
       stack_(rt::build_site_stack(testbed_, config_.site)) {
+  directory_.add_site(config_.site, stack_.repository.get(),
+                      stack_.forecaster.get());
   if (!config_.partition_spec.empty()) {
     partitions_ =
         netsim::ChaosSchedule::from_partition_spec(config_.partition_spec);
@@ -304,7 +306,7 @@ bool SiteDaemon::session(dm::TcpChannel& channel) {
           const afg::FlowGraph graph = afg::from_text(req.graph_text);
           wire::HostSelectionResponse resp;
           resp.selection =
-              stack_.manager->host_selection_request(graph, req.threads);
+              directory_.host_selection(config_.site, graph, req.threads);
           reply = wire::encode(resp);
           break;
         }
@@ -320,7 +322,7 @@ bool SiteDaemon::session(dm::TcpChannel& channel) {
                                          : afg::ComputeMode::kSequential;
           wire::ReselectionResponse resp;
           resp.selection =
-              stack_.manager->reschedule_request(node, req.excluded);
+              directory_.host_reselection(config_.site, node, req.excluded);
           reply = wire::encode(resp);
           break;
         }

@@ -11,7 +11,9 @@
 //
 //   * an RPC listener on a kernel-assigned port serves one coordinator
 //     connection at a time (tick / host-selection / reselection /
-//     task-time / task-failure / shutdown); after a coordinator
+//     task-failure / shutdown); Host Selection and reselection are
+//     answered by a one-site sched::RepositoryDirectory over the
+//     stack, the same code an in-process run calls; after a coordinator
 //     disconnect it accepts the next connection, which is how a
 //     restarted coordinator -- or a coordinator reattaching to a
 //     restarted daemon -- resumes;
@@ -54,6 +56,7 @@
 #include "runtime/liveness.hpp"
 #include "runtime/site_stack.hpp"
 #include "runtime/wire.hpp"
+#include "scheduler/directory.hpp"
 
 namespace vdce::daemon {
 
@@ -138,6 +141,8 @@ class SiteDaemon {
   SiteDaemonConfig config_;
   netsim::VirtualTestbed testbed_;
   rt::SiteStack stack_;
+  /// This site's Host Selection over `stack_`.
+  sched::RepositoryDirectory directory_;
   netsim::ChaosSchedule partitions_;
   dm::TcpListener listener_;
   dm::TcpListener gossip_listener_;

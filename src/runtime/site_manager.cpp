@@ -8,8 +8,7 @@ SiteManager::SiteManager(SiteId site, repo::SiteRepository& repository,
                          predict::LoadForecaster& forecaster)
     : site_(site),
       repository_(&repository),
-      forecaster_(&forecaster),
-      predictor_(repository, &forecaster, &cache_) {}
+      forecaster_(&forecaster) {}
 
 void SiteManager::handle_workload(const WorkloadUpdate& update) {
   ++stats_.workload_updates;
@@ -52,18 +51,6 @@ repo::UserAccount SiteManager::login(const std::string& user,
                                      const std::string& password) {
   ++stats_.logins;
   return repository_->users().authenticate(user, password);
-}
-
-sched::HostSelectionMap SiteManager::host_selection_request(
-    const afg::FlowGraph& graph, std::size_t threads) {
-  stats_.host_selection_requests.fetch_add(1, std::memory_order_relaxed);
-  return sched::run_host_selection(graph, site_, predictor_, threads);
-}
-
-sched::HostSelection SiteManager::reschedule_request(
-    const afg::TaskNode& node, const std::vector<HostId>& excluded) {
-  stats_.reschedule_requests.fetch_add(1, std::memory_order_relaxed);
-  return sched::run_host_reselection(node, site_, predictor_, excluded);
 }
 
 std::map<HostId, std::vector<sched::AllocationEntry>>

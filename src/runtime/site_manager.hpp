@@ -10,9 +10,12 @@
 //   * feeding the load forecaster the scheduler predicts from;
 //   * storing newly measured task execution times after each run;
 //   * authenticating users (the servlet front-end's login);
-//   * answering inter-site Host Selection requests;
 //   * splitting a resource allocation table into the per-host portions
 //     the Group Managers deliver to Application Controllers.
+//
+// The site's answer to an AFG multicast (Host Selection, Figure 5) is
+// sched::RepositoryDirectory over this manager's repository and
+// forecaster: in process, in the simulators and in the site daemon.
 #pragma once
 
 #include <atomic>
@@ -21,20 +24,14 @@
 #include <vector>
 
 #include "predict/forecaster.hpp"
-#include "predict/prediction_cache.hpp"
-#include "predict/predictor.hpp"
 #include "repository/repository.hpp"
 #include "runtime/messages.hpp"
 #include "scheduler/allocation.hpp"
-#include "scheduler/host_selection.hpp"
 
 namespace vdce::rt {
 
 /// Counters for the control-plane experiments.
-/// `host_selection_requests` is atomic: the Site Scheduler's parallel
-/// AFG multicast reaches several managers (and, with k_nearest = 0
-/// plus retries, the same manager) from pool threads.
-/// `task_times_recorded` is atomic too: with concurrent applications,
+/// `task_times_recorded` is atomic: with concurrent applications,
 /// several engine runs feed their measurements back through one
 /// manager at once.
 struct SiteManagerStats {
@@ -42,8 +39,6 @@ struct SiteManagerStats {
   std::size_t liveness_changes = 0;
   std::size_t network_measurements = 0;
   std::atomic<std::size_t> task_times_recorded{0};
-  std::atomic<std::size_t> host_selection_requests{0};
-  std::atomic<std::size_t> reschedule_requests{0};
   std::size_t allocation_rows_distributed = 0;
   std::size_t logins = 0;
 };
@@ -56,11 +51,6 @@ class SiteManager {
               predict::LoadForecaster& forecaster);
 
   [[nodiscard]] SiteId site() const { return site_; }
-  [[nodiscard]] repo::SiteRepository& repository() { return *repository_; }
-  [[nodiscard]] const repo::SiteRepository& repository() const {
-    return *repository_;
-  }
-  [[nodiscard]] predict::LoadForecaster& forecaster() { return *forecaster_; }
 
   // -- resource controller inputs -------------------------------------
   void handle_workload(const WorkloadUpdate& update);
@@ -81,29 +71,6 @@ class SiteManager {
   [[nodiscard]] repo::UserAccount login(const std::string& user,
                                         const std::string& password);
 
-  // -- inter-site coordination -----------------------------------------
-  /// Answers a (local or remote) Application Scheduler's multicast: runs
-  /// the Host Selection Algorithm on this site's repository, scoring
-  /// with up to `threads`-way parallelism.  Thread-safe; predictions
-  /// are memoised in this manager's PredictionCache (repository and
-  /// forecaster updates handled by this manager invalidate it through
-  /// the epoch counters).
-  [[nodiscard]] sched::HostSelectionMap host_selection_request(
-      const afg::FlowGraph& graph, std::size_t threads = 1);
-
-  /// Answers a re-placement request for one task of a running
-  /// application (the Control Manager's fault-tolerance path): Host
-  /// Selection for `node` alone, skipping every host in `excluded`.
-  /// Thread-safe and cache-backed like host_selection_request.
-  [[nodiscard]] sched::HostSelection reschedule_request(
-      const afg::TaskNode& node, const std::vector<HostId>& excluded);
-
-  /// The Predict() memo table behind host_selection_request (for the
-  /// cache-hit experiments).
-  [[nodiscard]] const predict::PredictionCache& prediction_cache() const {
-    return cache_;
-  }
-
   // -- allocation distribution ------------------------------------------
   /// Splits the allocation table into per-host portions ("sends ...
   /// related parts of the resource allocation table to the Application
@@ -117,8 +84,6 @@ class SiteManager {
   SiteId site_;
   repo::SiteRepository* repository_;
   predict::LoadForecaster* forecaster_;
-  predict::PredictionCache cache_;
-  predict::PerformancePredictor predictor_;
   SiteManagerStats stats_;
 };
 

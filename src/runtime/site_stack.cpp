@@ -26,9 +26,7 @@ LocalVdce::LocalVdce(const netsim::TestbedConfig& config,
   for (const SiteId site : testbed.sites()) {
     const SiteStack& stack =
         sites.emplace_back(build_site_stack(testbed, site, group_config));
-    directory.add_site(*stack.manager);
-    repository_directory.add_site(site, stack.repository.get(),
-                                  stack.forecaster.get());
+    directory.add_site(site, stack.repository.get(), stack.forecaster.get());
   }
 }
 

@@ -18,7 +18,7 @@
 #include "repository/repository.hpp"
 #include "runtime/control_manager.hpp"
 #include "runtime/site_manager.hpp"
-#include "runtime/sm_directory.hpp"
+#include "scheduler/directory.hpp"
 
 namespace vdce::rt {
 
@@ -41,14 +41,14 @@ struct SiteStack {
                                          GroupManagerConfig group_config = {});
 
 /// Every site of a testbed in this address space: the testbed, one
-/// stack per site (in testbed site order) and two directories over
+/// stack per site (in testbed site order) and the directory over
 /// them.
 class LocalVdce {
  public:
   explicit LocalVdce(const netsim::TestbedConfig& config,
                      GroupManagerConfig group_config = {});
 
-  // The stacks point into the testbed and the directories into the
+  // The stacks point into the testbed and the directory into the
   // stacks.
   LocalVdce(const LocalVdce&) = delete;
   LocalVdce& operator=(const LocalVdce&) = delete;
@@ -61,11 +61,9 @@ class LocalVdce {
 
   netsim::VirtualTestbed testbed;
   std::vector<SiteStack> sites;
-  /// The sites through their Site Managers (the scheduler's view).
-  SiteManagerDirectory directory;
-  /// The sites' repositories and forecasters read directly, with no
-  /// Site Manager in the path (the submission service's view).
-  sched::RepositoryDirectory repository_directory;
+  /// Every site's Host Selection over its repository and forecaster,
+  /// one PredictionCache per site.
+  sched::RepositoryDirectory directory;
 };
 
 }  // namespace vdce::rt

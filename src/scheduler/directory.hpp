@@ -10,8 +10,9 @@
 // Selection Algorithm at a site (the paper multicasts the AFG and each
 // site answers), and the inter-site transfer-time estimate.  The
 // interface decouples the algorithm from the transport: the library
-// ships a repository-backed implementation; the runtime module routes
-// the same calls through Site Manager messages.
+// ships the one repository-backed implementation every site answers
+// from; the daemon module's RemoteSiteDirectory carries the same calls
+// to a site daemon, which answers them from a one-site instance.
 #pragma once
 
 #include <map>
@@ -77,8 +78,10 @@ class SiteDirectory {
     const repo::SiteRepository& repository, HostId from, HostId to,
     double mb);
 
-/// Repository-backed directory: holds every site's repository/predictor
-/// in-process (used by the simulator and the benches).
+/// Repository-backed directory: each registered site's Host Selection
+/// over its repository and forecaster, with one PredictionCache per
+/// site.  rt::LocalVdce holds one over every site, the site daemon one
+/// over its own.
 class RepositoryDirectory final : public SiteDirectory {
  public:
   /// Registers one site.  Both pointers must outlive the directory.

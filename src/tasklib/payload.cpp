@@ -66,6 +66,8 @@ Payload Payload::of_matrix(const Matrix& m) {
 
 Payload Payload::of_lu(const LuFactors& f) {
   WireWriter w;
+  // n, the n*n factors, the n-entry permutation, its sign.
+  w.reserve(4 + 8 * f.lu.data().size() + 4 * f.perm.size() + 1);
   w.write_u32(static_cast<std::uint32_t>(f.lu.rows()));
   w.write_f64_span(f.lu.data());
   for (std::size_t p : f.perm) w.write_u32(static_cast<std::uint32_t>(p));

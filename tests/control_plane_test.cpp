@@ -39,10 +39,10 @@
 #include "runtime/engine.hpp"
 #include "runtime/site_manager.hpp"
 #include "runtime/site_stack.hpp"
-#include "runtime/sm_directory.hpp"
 #include "runtime/submission.hpp"
 #include "runtime/watchdog.hpp"
 #include "runtime/wire.hpp"
+#include "scheduler/directory.hpp"
 #include "scheduler/site_scheduler.hpp"
 #include "sim/workloads.hpp"
 #include "tasklib/registry.hpp"
@@ -937,6 +937,9 @@ TEST(SiteDaemon, RemoteSelectionMatchesInProcessManager) {
 
   netsim::VirtualTestbed testbed(netsim::make_campus_testbed(kDaemonSeed));
   const SiteStack local = build_site_stack(testbed, SiteId(0));
+  sched::RepositoryDirectory directory;
+  directory.add_site(SiteId(0), local.repository.get(),
+                     local.forecaster.get());
   for (double t = 1.0; t <= 10.0; t += 1.0) {
     client.tick(t);
     local.control->tick(t);
@@ -944,15 +947,15 @@ TEST(SiteDaemon, RemoteSelectionMatchesInProcessManager) {
 
   const auto graph = sim::make_linear_solver_graph();
   expect_selection_map_eq(client.host_selection(graph, 1),
-                          local.manager->host_selection_request(graph));
+                          directory.host_selection(SiteId(0), graph));
 
   // Reselection agrees too (exclude the winner, compare the runner-up).
   const auto first = graph.task(TaskId(0));
-  const auto local_sel = local.manager->reschedule_request(first, {});
+  const auto local_sel = directory.host_reselection(SiteId(0), first, {});
   ASSERT_TRUE(local_sel.feasible());
   const std::vector<HostId> excluded = {local_sel.hosts.front()};
   expect_selection_eq(client.host_reselection(first, excluded),
-                      local.manager->reschedule_request(first, excluded));
+                      directory.host_reselection(SiteId(0), first, excluded));
 }
 
 TEST(SiteDaemon, WatchdogRestartsSigkilledDaemonAndClientReattaches) {
@@ -1083,8 +1086,9 @@ TEST(SiteDaemon, RemoteDirectoryYieldsInfeasibleSelectionWhenSiteAbandoned) {
   ASSERT_TRUE(watchdog.status(SiteId(0)).abandoned);
 
   LocalVdce replica(netsim::make_campus_testbed(kDaemonSeed));
-  daemon::RemoteSiteDirectory remote(replica.directory, watchdog, {SiteId(0)},
-                                     /*rpc_timeout_s=*/0.2);
+  daemon::RemoteSiteDirectory remote(
+      replica.directory, watchdog, {SiteId(0)},
+      daemon::DaemonRpcConfig{.timeout_s = 0.2});
   const auto graph = sim::make_linear_solver_graph();
   const auto selection = remote.host_selection(SiteId(0), graph);
   for (const auto& [task, sel] : selection) {

@@ -14,7 +14,6 @@
 #include "runtime/control_manager.hpp"
 #include "runtime/engine.hpp"
 #include "runtime/site_stack.hpp"
-#include "runtime/sm_directory.hpp"
 #include "scheduler/site_scheduler.hpp"
 #include "sim/workloads.hpp"
 #include "tasklib/registry.hpp"
@@ -148,10 +147,6 @@ TEST_F(FaultEnv, EngineRecoversFromInjectedHostFailure) {
       1u);
   EXPECT_GE(
       vdce_.sites[failed_site.value()].control->stats().failures_detected,
-      1u);
-  EXPECT_GE(
-      vdce_.sites[failed_site.value()].manager->stats().reschedule_requests +
-          vdce_.sites[0].manager->stats().reschedule_requests,
       1u);
 }
 

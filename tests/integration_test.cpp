@@ -13,7 +13,6 @@
 #include "runtime/control_manager.hpp"
 #include "runtime/engine.hpp"
 #include "runtime/site_stack.hpp"
-#include "runtime/sm_directory.hpp"
 #include "scheduler/baselines.hpp"
 #include "scheduler/site_scheduler.hpp"
 #include "sim/dynamic_sim.hpp"
@@ -243,10 +242,15 @@ TEST_F(VdceIntegration, InterSiteCoordinationCounted) {
   config.k_nearest = 1;
   sched::SiteScheduler scheduler(SiteId(0), vdce_.directory, config);
   (void)scheduler.schedule(graph);
-  // Both the local site and one remote answered a multicast.
-  EXPECT_EQ(vdce_.directory.stats().afg_multicasts, 2u);
-  EXPECT_EQ(vdce_.sites[0].manager->stats().host_selection_requests, 1u);
-  EXPECT_EQ(vdce_.sites[1].manager->stats().host_selection_requests, 1u);
+  // Both the local site and one remote answered a multicast, each from
+  // its own prediction cache; no other site was asked.
+  const std::vector<SiteId> consulted = {SiteId(0), SiteId(1)};
+  EXPECT_EQ(scheduler.consulted_sites(), consulted);
+  for (const SiteId site : vdce_.directory.sites()) {
+    const bool asked = std::ranges::count(consulted, site) > 0;
+    const auto& cache = vdce_.directory.prediction_cache(site);
+    EXPECT_EQ(cache.stats().lookups > 0, asked) << "site " << site.value();
+  }
 }
 
 }  // namespace

@@ -18,7 +18,7 @@
 #include "runtime/control_manager.hpp"
 #include "runtime/engine.hpp"
 #include "runtime/site_stack.hpp"
-#include "runtime/sm_directory.hpp"
+#include "scheduler/directory.hpp"
 #include "scheduler/site_scheduler.hpp"
 #include "sim/workloads.hpp"
 #include "tasklib/registry.hpp"
@@ -271,8 +271,9 @@ TEST_F(RuntimeEnv, DirectoryRoutesHostSelection) {
   const auto graph = sim::make_c3i_graph();
   const auto result = vdce_.directory.host_selection(SiteId(1), graph);
   EXPECT_EQ(result.size(), graph.task_count());
-  EXPECT_GT(vdce_.directory.stats().afg_multicasts, 0u);
-  EXPECT_EQ(vdce_.sites[1].manager->stats().host_selection_requests, 1u);
+  // Site 1 answered from its own cache; site 0's was never consulted.
+  EXPECT_GT(vdce_.directory.prediction_cache(SiteId(1)).stats().lookups, 0u);
+  EXPECT_EQ(vdce_.directory.prediction_cache(SiteId(0)).stats().lookups, 0u);
 }
 
 TEST_F(RuntimeEnv, DirectoryAnswersWanQueries) {
@@ -448,9 +449,10 @@ TEST_F(RuntimeEnv, EngineMatchesSequentialReference) {
 }
 
 TEST_F(RuntimeEnv, DirectoryRejectsDuplicateSite) {
-  SiteManagerDirectory dir;
-  dir.add_site(*vdce_.sites[0].manager);
-  EXPECT_THROW(dir.add_site(*vdce_.sites[0].manager), common::StateError);
+  const auto* repository = vdce_.sites[0].repository.get();
+  sched::RepositoryDirectory dir;
+  dir.add_site(SiteId(0), repository);
+  EXPECT_THROW(dir.add_site(SiteId(0), repository), common::StateError);
 }
 
 // ----------------------------------------------------- app controller

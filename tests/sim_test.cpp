@@ -285,7 +285,7 @@ class DynamicSimEnv : public ::testing::Test {
   }
 
   rt::LocalVdce vdce_{netsim::make_campus_testbed(31)};
-  sched::SiteScheduler scheduler_{SiteId(0), vdce_.repository_directory};
+  sched::SiteScheduler scheduler_{SiteId(0), vdce_.directory};
 };
 
 TEST_F(DynamicSimEnv, QuietRunMatchesStaticBehaviour) {

@@ -683,6 +683,24 @@ TEST(PayloadTest, ComplexVectorRoundTrip) {
   EXPECT_EQ(rt[1], v[1]);
 }
 
+TEST(PayloadTest, BulkPayloadsAreOneExactAllocation) {
+  // Each bulk encoder knows its size before it writes, so its buffer
+  // holds exactly its bytes rather than up to twice as many after
+  // doubling growth.
+  const auto exact = [](const Payload& p) {
+    return p.bytes().capacity() == p.bytes().size();
+  };
+  Rng rng(14);
+  for (const std::size_t n : {1u, 7u, 64u}) {
+    const auto m = Matrix::random(n, n, rng, 2.0);
+    const std::vector<Complex> c(n, Complex{1.0, -2.0});
+    EXPECT_TRUE(exact(Payload::of_vector(m.data()))) << "n=" << n;
+    EXPECT_TRUE(exact(Payload::of_matrix(m))) << "n=" << n;
+    EXPECT_TRUE(exact(Payload::of_lu(lu_decompose(m)))) << "n=" << n;
+    EXPECT_TRUE(exact(Payload::of_complex_vector(c))) << "n=" << n;
+  }
+}
+
 TEST(PayloadTest, ReportScansRoundTrip) {
   std::vector<std::vector<SensorReport>> scans{
       {{1, 2, 3, 0}}, {}, {{4, 5, 6, 1}, {7, 8, 9, 1}}};
