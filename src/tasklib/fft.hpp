@@ -13,14 +13,21 @@ using Complex = std::complex<double>;
 /// two (throws StateError otherwise).  `inverse` selects the inverse
 /// transform (including the 1/N scaling).
 ///
-/// The butterflies multiply in real arithmetic.  On finite input every
-/// output bit equals std::complex multiplication's.  With a +-inf or NaN
-/// sample the same bins come out non-finite, but which of them read inf
-/// and which NaN can differ, because std::complex's product recovers
-/// infinities (C Annex G) and the real product does not: over 300
-/// seeded 1536-sample windows with one such sample, the inf/NaN split of
-/// the power spectrum changed in 199 and the set of non-finite bins in
-/// none.
+/// Every transform runs from one immutable plan per (size, direction):
+/// the bit-reversal table and every stage's twiddles, built by the first
+/// call and only read after, so concurrent calls never wait on one
+/// another.  A plan holds about 40 bytes per point and lives for the
+/// process.
+///
+/// The butterflies work on (re, im) lane pairs, with each twiddle stored
+/// as (wr, wr) and (-wi, wi), and compile without FMA.  On finite input
+/// every output bit equals std::complex multiplication's.  With a +-inf
+/// or NaN sample the same bins come out non-finite, but which of them
+/// read inf and which NaN can differ, because std::complex's product
+/// recovers infinities (C Annex G) and the lane product does not: over
+/// 300 seeded 1536-sample windows with one such sample, the inf/NaN
+/// split of the power spectrum changed in 199 and the set of non-finite
+/// bins in none.
 void fft_inplace(std::vector<Complex>& data, bool inverse = false);
 
 /// Out-of-place forward FFT.
@@ -30,7 +37,8 @@ void fft_inplace(std::vector<Complex>& data, bool inverse = false);
 [[nodiscard]] std::vector<Complex> ifft(const std::vector<Complex>& data);
 
 /// Real-input convenience wrapper: zero imaginary parts, pads to the
-/// next power of two with zeros.
+/// next power of two with zeros.  The samples are gathered straight into
+/// bit-reversed order.
 [[nodiscard]] std::vector<Complex> fft_real(const std::vector<double>& data);
 
 /// |X_k|^2 for each bin of the forward transform of a real signal.

@@ -52,19 +52,47 @@ std::vector<double> rational_resample(const std::vector<double>& signal,
   std::vector<double> out(out_len, 0.0);
   // out[m] = sum_k h[k] * stuffed[m*down - k], where stuffed[j] is
   // signal[j/up] when up divides j and 0 otherwise.  Polyphase: only
-  // the taps k = pos (mod up) meet a real sample, so the loop visits
+  // the taps k = pos (mod up) meet a real sample, so an output visits
   // just those, in ascending order, and the stuffed signal is never
-  // materialized.
-  for (std::size_t m = 0; m < out_len; ++m) {
+  // materialized.  m < out_len keeps pos below n * up, so every sample
+  // index (pos - k) / up lies below n.
+  const auto one_output = [&](std::size_t m) {
     const std::size_t pos = m * down;
     double acc = 0.0;
     std::size_t src = pos / up;  // (pos - k) / up, one less per tap
     for (std::size_t k = pos % up; k < h.size() && k <= pos;
          k += up, --src) {
-      if (src >= n) continue;
       acc += h[k] * signal[src];
     }
     out[m] = acc;
+  };
+  // Outputs m, m + up, m + 2 up and m + 3 up lie up * down apart in the
+  // stuffed signal, so they share a phase: the same taps meet samples
+  // `down` apart.  Once pos reaches the phase's last tap, all four sum
+  // in lockstep, each over its own taps in ascending order, so each
+  // keeps its bits; the outputs before that and the last few of the
+  // phase take the one-output loop.
+  for (std::size_t r = 0; r < up && r < out_len; ++r) {
+    const std::size_t k0 = r * down % up;
+    if (k0 >= h.size()) continue;  // no tap in this phase: outputs are 0
+    const std::size_t k_last = k0 + (h.size() - 1 - k0) / up * up;
+    std::size_t m = r;
+    for (; m < out_len && m * down < k_last; m += up) one_output(m);
+    for (; m + 3 * up < out_len; m += 4 * up) {
+      double acc0 = 0.0, acc1 = 0.0, acc2 = 0.0, acc3 = 0.0;
+      std::size_t src = m * down / up;
+      for (std::size_t k = k0; k < h.size(); k += up, --src) {
+        acc0 += h[k] * signal[src];
+        acc1 += h[k] * signal[src + down];
+        acc2 += h[k] * signal[src + 2 * down];
+        acc3 += h[k] * signal[src + 3 * down];
+      }
+      out[m] = acc0;
+      out[m + up] = acc1;
+      out[m + 2 * up] = acc2;
+      out[m + 3 * up] = acc3;
+    }
+    for (; m < out_len; m += up) one_output(m);
   }
   return out;
 }

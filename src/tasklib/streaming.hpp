@@ -34,6 +34,12 @@ namespace vdce::tasklib {
 /// by `up`, low-pass at min(1/(2 up), 1/(2 down)) of the stuffed rate
 /// with a `taps`-tap windowed-sinc FIR (gain `up`), keep every
 /// `down`-th sample.  Output length = ceil(n * up / down).
+///
+/// Polyphase: an output visits only the taps that meet a real sample.
+/// Outputs m, m + up, m + 2 up and m + 3 up share those taps, so where
+/// every tap meets a sample they are summed four at a time in lockstep.
+/// Each output still adds its taps in ascending order, so every bit
+/// equals the direct-form FIR over the zero-stuffed signal.
 [[nodiscard]] std::vector<double> rational_resample(
     const std::vector<double>& signal, unsigned up, unsigned down,
     std::size_t taps = 48);

@@ -379,7 +379,9 @@ TEST_P(QosMathProperty, SlackSignMatchesAdmission) {
     // residual admit implies a plain admit.
     EXPECT_GE(residual.predicted_makespan_s + 1e-12,
               plain.predicted_makespan_s);
-    if (residual.admitted) EXPECT_TRUE(plain.admitted);
+    if (residual.admitted) {
+      EXPECT_TRUE(plain.admitted);
+    }
   }
 }
 

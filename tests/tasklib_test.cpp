@@ -4,9 +4,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <barrier>
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <thread>
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
@@ -365,6 +367,15 @@ std::vector<std::uint64_t> bits_of(const std::vector<double>& v) {
   return out;
 }
 
+std::vector<std::uint64_t> bits_of(const std::vector<Complex>& v) {
+  std::vector<std::uint64_t> out;
+  for (const Complex c : v) {
+    out.push_back(std::bit_cast<std::uint64_t>(c.real()));
+    out.push_back(std::bit_cast<std::uint64_t>(c.imag()));
+  }
+  return out;
+}
+
 /// Folds a payload's full wire image (tag + big-endian body) into an
 /// FNV-1a hash.
 std::uint64_t fnv1a(std::uint64_t h, const Payload& p) {
@@ -454,6 +465,53 @@ TEST(KernelGolden, FftMatchesANaiveDft) {
   }
 }
 
+TEST(KernelGolden, PlansBuiltByRacingThreadsGiveTheSerialBits) {
+  // No earlier test transforms 8192 or 16384 points, so eight threads
+  // released by one barrier race to build each of those plans; half of
+  // them start from the larger size, so two plans are built at once.
+  constexpr std::size_t kThreads = 8;
+  const std::vector<std::size_t> sizes{8192, 16384};
+  Rng rng(33);
+  std::vector<std::vector<Complex>> complex_in;
+  std::vector<std::vector<double>> real_in;
+  for (const std::size_t n : sizes) {
+    std::vector<Complex> x(n);
+    for (auto& c : x) c = {rng.uniform(-1, 1), rng.uniform(-1, 1)};
+    complex_in.push_back(std::move(x));
+    real_in.push_back(seeded_signal(rng, n * 3 / 4 + 1));  // padded to n
+  }
+  using Bits = std::vector<std::vector<std::uint64_t>>;
+  const auto run = [&](bool larger_first) {
+    Bits out(4 * sizes.size());
+    for (std::size_t s = 0; s < sizes.size(); ++s) {
+      const std::size_t i = larger_first ? sizes.size() - 1 - s : s;
+      auto forward = complex_in[i];
+      fft_inplace(forward, /*inverse=*/false);
+      auto inverse = complex_in[i];
+      fft_inplace(inverse, /*inverse=*/true);
+      out[4 * i] = bits_of(forward);
+      out[4 * i + 1] = bits_of(inverse);
+      out[4 * i + 2] = bits_of(fft_real(real_in[i]));
+      out[4 * i + 3] = bits_of(power_spectrum(real_in[i]));
+    }
+    return out;
+  };
+  std::barrier start(kThreads);
+  std::vector<Bits> raced(kThreads);
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      start.arrive_and_wait();
+      raced[t] = run(t % 2 == 1);
+    });
+  }
+  for (auto& th : threads) th.join();
+  const Bits serial = run(false);
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    EXPECT_EQ(raced[t], serial) << "thread " << t;
+  }
+}
+
 /// Direct-form FIR over the materialised zero-stuffed signal, taps in
 /// ascending order.  A stuffed zero adds h[k] * 0.0 = +-0.0 to a sum
 /// that starts at +0.0 and so can never be -0.0: the zeros change no
@@ -480,13 +538,18 @@ std::vector<double> zero_stuffed_fir(const std::vector<double>& x,
 
 TEST(KernelGolden, ResamplerIsBitEqualToAZeroStuffedFir) {
   // Every (up, down) over {1, 2, 3, 5} x {1, 2, 3, 4}, which covers 3/2,
-  // 2/3, 1/1 and 5/4.
+  // 2/3, 1/1 and 5/4.  Every length up to 130 puts each four-output
+  // lockstep group at every offset from both ends of the signal; the
+  // tap counts give phases with no tap, one tap and a partial last tap.
+  std::vector<std::size_t> lengths(131);
+  for (std::size_t n = 0; n < lengths.size(); ++n) lengths[n] = n;
+  lengths.push_back(1024);
   Rng rng(32);
   for (const unsigned up : {1, 2, 3, 5}) {
     for (const unsigned down : {1, 2, 3, 4}) {
-      for (const std::size_t n : {0, 1, 5, 47, 1024}) {
+      for (const std::size_t n : lengths) {
         const auto x = seeded_signal(rng, n);
-        for (const std::size_t taps : {1, 7, 48}) {
+        for (const std::size_t taps : {1, 2, 3, 7, 48, 49}) {
           EXPECT_EQ(bits_of(rational_resample(x, up, down, taps)),
                     bits_of(zero_stuffed_fir(x, up, down, taps)))
               << up << "/" << down << " n=" << n << " taps=" << taps;
