@@ -22,6 +22,7 @@
 #include "common/trace.hpp"
 #include "datamgr/mplib.hpp"
 #include "runtime/checkpoint.hpp"
+#include "runtime/recovery.hpp"
 #include "runtime/streaming.hpp"
 
 namespace vdce::rt {
@@ -39,6 +40,10 @@ constexpr double kRetryBackoffMultiplier = 2.0;
 /// retries (a whole gang refused by one dead host) do not stampede the
 /// rescheduler in lockstep.
 constexpr double kRetryBackoffJitter = 0.5;
+/// Receive deadline of every stage in a recovery round (any round after
+/// the first) when tighter than recv_timeout_s: a re-run whose inputs
+/// never arrive fails within this window.
+constexpr double kAttemptTimeoutS = 30.0;
 
 using Clock = std::chrono::steady_clock;
 
@@ -106,11 +111,12 @@ class StageRunner {
     const afg::TaskNode* node = nullptr;
     HostId host;
     bool source = false;
-    int attempts = 0;              // attempts started, every round
+    int attempts = 1;              // charged attempts (recovery.hpp)
     std::size_t moves = 0;         // successful re-placements
-    bool had_failure = false;      // some attempt did not complete
     bool done = false;             // output final and kept (batch)
-    std::string error;             // why this round's attempt failed
+    // How this round's attempt ended (recovery.hpp), and why it failed.
+    AttemptOutcome ended = AttemptOutcome::kCompleted;
+    std::string error;
     std::vector<HostId> excluded;  // hosts this task must avoid
     double backoff_s = 0.0;        // the next retry nap
     double backoff_spent_s = 0.0;  // cumulative backoff slept so far
@@ -203,6 +209,7 @@ class StageRunner {
     cause_ = nullptr;
     std::size_t live = 0;
     for (Stage& s : stages) {
+      s.ended = AttemptOutcome::kCompleted;
       s.error.clear();
       if (!s.done) ++live;
     }
@@ -260,9 +267,8 @@ class StageRunner {
     ApplicationController controller(broker_, config_.library, app_, s.host);
     if (ft_ != nullptr) {
       double recv_s = config_.recv_timeout_s;
-      if (round > 1 && config_.attempt_timeout_s > 0.0 &&
-          (recv_s <= 0.0 || config_.attempt_timeout_s < recv_s)) {
-        recv_s = config_.attempt_timeout_s;
+      if (round > 1 && (recv_s <= 0.0 || kAttemptTimeoutS < recv_s)) {
+        recv_s = kAttemptTimeoutS;
       }
       if (recv_s > 0.0) controller.set_recv_timeout(recv_s);
       if (ft_->host_alive) controller.set_fault_guard(ft_->host_alive);
@@ -299,6 +305,12 @@ class StageRunner {
       start.wait();  // the execution startup signal
       run_frames(s, controller, resume);
     } catch (const std::exception& e) {
+      // A TransportError is collateral: another stage caused it.
+      if (s.ended != AttemptOutcome::kRefused) {
+        s.ended = dynamic_cast<const common::TransportError*>(&e) != nullptr
+                      ? AttemptOutcome::kCollateral
+                      : AttemptOutcome::kFailed;
+      }
       {
         std::lock_guard lk(mu_);
         s.error = e.what();
@@ -332,7 +344,6 @@ class StageRunner {
     const std::uint64_t first = k;
     const std::uint64_t frames = stream_ != nullptr ? stream_->frames : 1;
     for (;;) {
-      ++s.attempts;
       std::optional<RescheduleRequest> refusal;
       {
         common::ScopedSpan span("attempt", "engine.task");
@@ -385,6 +396,7 @@ class StageRunner {
       // re-placed right here, channels intact; a later one ends the
       // round (the stage has already passed frames on).
       if (k != first || !re_place(s, controller, *refusal)) {
+        s.ended = AttemptOutcome::kRefused;
         throw common::StateError("refused by its Application Controller: " +
                                  refusal->reason);
       }
@@ -483,60 +495,94 @@ class StageRunner {
     return resume;
   }
 
-  /// In-place re-placement after an early guard refusal: report,
-  /// exclude the refusing host, re-place, rebind, back off.  False when
-  /// the refusal must stand (no recovery, no budget, no host).
+  /// In-place recovery of a guard refusal before the stage's first frame
+  /// of this round, channels intact: the recovery decision, then report,
+  /// re-place, rebind, back off.  False when the refusal must stand.
   bool re_place(Stage& s, ApplicationController& controller,
                 const RescheduleRequest& refusal) {
-    if (!recovery_on_ || s.attempts >= config_.max_attempts) return false;
-    if (ft_->on_failure) ft_->on_failure(refusal);
-    if (!relocate(s)) return false;  // nowhere left to go
+    const StageFacts refused{
+        .attempts = s.attempts,
+        .host_alive = refusal.kind != RescheduleRequest::Kind::kHostFailure,
+        .outcome = AttemptOutcome::kRefused};
+    if (!recovery_on_ ||
+        decide_recovery({&refused, 1}, 0, config_.max_attempts)[0].action ==
+            RecoveryAction::kFail) {
+      return false;
+    }
+    charge(s, refusal);
+    if (!relocate(s)) {
+      // The round end throws for the first stranded stage in graph order.
+      std::lock_guard lk(mu_);
+      if (stranded_ == nullptr || &s < stranded_) stranded_ = &s;
+      return false;
+    }
     controller.rebind_host(s.host);
     arm_load_guard(controller, s.host);
     backoff_sleep(s);
     return true;
   }
 
-  /// After a failed round: report every failed stage, re-place every
-  /// unfinished stage whose host is dead, and back off.  Throws when
-  /// recovery is off or a stage to re-run has no attempt left.
+  /// After a failed round: one recovery decision over every stage, then
+  /// its I/O -- a failure report per charge, a re-placement per move --
+  /// and one backoff nap.  Throws when recovery is off, a stage is out
+  /// of attempts, or a re-placement finds no host.
   void recover() {
     Stage& cause = *cause_;
-    const std::string what =
-        "task " + cause.node->label + " failed: " + cause.error;
+    const std::string what = failed_what(cause);
     if (!recovery_on_) throw common::StateError(what);
+    if (stranded_ != nullptr) {
+      throw no_host(*stranded_, failed_what(*stranded_));
+    }
+    std::vector<StageFacts> facts;
     for (const Stage& s : stages) {
-      if (!s.done && s.attempts >= config_.max_attempts) {
-        throw common::StateError(what);
+      facts.push_back({s.attempts,
+                       s.ended == AttemptOutcome::kCompleted ||
+                           !ft_->host_alive || ft_->host_alive(s.host),
+                       s.ended});
+    }
+    const std::vector<RecoveryDecision> decisions = decide_recovery(
+        facts, static_cast<std::size_t>(&cause - stages.data()),
+        config_.max_attempts);
+    for (std::size_t i = 0; i < stages.size(); ++i) {
+      if (decisions[i].action == RecoveryAction::kFail) {
+        throw common::StateError(attempts_exceeded(
+            stages[i].node->label, config_.max_attempts, what));
       }
     }
-    for (Stage& s : stages) {
-      if (s.done) continue;
-      const bool dead = ft_->host_alive && !ft_->host_alive(s.host);
-      if (!s.error.empty()) {
-        s.had_failure = true;
-        if (ft_->on_failure) {
-          RescheduleRequest report;
-          report.app = app_;
-          report.task = s.node->id;
-          report.host = s.host;
-          report.kind = dead ? RescheduleRequest::Kind::kHostFailure
-                             : RescheduleRequest::Kind::kTaskError;
-          report.reason = s.error;
-          ft_->on_failure(report);
-        }
-      }
-      if (!dead) continue;  // a live host retries in place
+    for (std::size_t i = 0; i < stages.size(); ++i) {
+      Stage& s = stages[i];
+      if (!decisions[i].charge) continue;
+      using Kind = RescheduleRequest::Kind;
+      const Kind kind = !facts[i].host_alive ? Kind::kHostFailure
+                        : s.ended == AttemptOutcome::kRefused
+                            ? Kind::kLoadThreshold
+                            : Kind::kTaskError;
+      charge(s, {.app = app_, .task = s.node->id, .host = s.host,
+                 .kind = kind, .reason = s.error});
+      if (decisions[i].action != RecoveryAction::kMove) continue;
       s.sink_lost = s.sink.has_value();
-      if (!relocate(s)) {
-        throw common::StateError("no feasible host left for task " +
-                                 s.node->label + " (" + what + ")");
-      }
+      if (!relocate(s)) throw no_host(s, what);
     }
     backoff_sleep(cause);
     common::log_info("engine", "app ", app_.value(), ": ", what,
-                     "; starting round ", restarts + 2, " of at most ",
-                     config_.max_attempts);
+                     "; starting round ", restarts + 2);
+  }
+
+  /// One charged attempt: the stage's next run counts, and the failure
+  /// is reported before any re-placement asks for another host (the
+  /// repository learns a dead host is down first).
+  void charge(Stage& s, const RescheduleRequest& report) {
+    ++s.attempts;
+    if (ft_->on_failure) ft_->on_failure(report);
+  }
+
+  static std::string failed_what(const Stage& s) {
+    return "task " + s.node->label + " failed: " + s.error;
+  }
+
+  static common::StateError no_host(const Stage& s, const std::string& what) {
+    return common::StateError("no feasible host left for task " +
+                              s.node->label + " (" + what + ")");
   }
 
   /// Excludes the stage's host and asks the rescheduler for another;
@@ -547,7 +593,6 @@ class StageRunner {
     if (!replacement) return false;
     s.host = replacement->primary_host();
     ++s.moves;
-    s.had_failure = true;
     common::log_info("engine", "app ", app_.value(), " task ",
                      s.node->label, " re-placed on host ", s.host.value());
     if (common::trace_enabled()) {
@@ -572,25 +617,22 @@ class StageRunner {
 
   /// One retry-backoff nap: jittered so lockstep retries de-correlate,
   /// clamped so the task's CUMULATIVE backoff never exceeds
-  /// max_total_backoff_s (an in-place sleep stalls every peer blocked
-  /// on this task's channels), routed through the FaultTolerance sleep
+  /// kMaxTotalBackoffS (an in-place sleep stalls every peer blocked on
+  /// this task's channels), routed through the FaultTolerance sleep
   /// hook when one is installed (tests sleep virtually), and advanced
   /// for the next retry.  The jitter draw is seeded from (engine seed,
   /// app, task, attempt) -- never from implicit global state -- so a
   /// replay with the same seed sleeps the exact same schedule.
   void backoff_sleep(Stage& s) {
-    double nap = 0.0;
-    if (config_.max_total_backoff_s > 0.0) {
-      common::Rng jitter_rng(
-          config_.seed ^ (static_cast<std::uint64_t>(app_.value()) << 32) ^
-          s.node->id.value() ^
-          (0xC4CEB9FE1A85EC53ull * static_cast<std::uint64_t>(s.attempts)));
-      const double jittered =
-          s.backoff_s *
-          (1.0 + kRetryBackoffJitter * (jitter_rng.uniform() - 0.5));
-      nap = std::min(jittered,
-                     config_.max_total_backoff_s - s.backoff_spent_s);
-    }
+    common::Rng jitter_rng(
+        config_.seed ^ (static_cast<std::uint64_t>(app_.value()) << 32) ^
+        s.node->id.value() ^
+        (0xC4CEB9FE1A85EC53ull * static_cast<std::uint64_t>(s.attempts)));
+    const double jittered =
+        s.backoff_s *
+        (1.0 + kRetryBackoffJitter * (jitter_rng.uniform() - 0.5));
+    const double nap =
+        std::min(jittered, kMaxTotalBackoffS - s.backoff_spent_s);
     if (nap > 0.0) {
       if (common::trace_enabled()) {
         common::trace_instant("retry_backoff", "engine",
@@ -624,10 +666,11 @@ class StageRunner {
   std::unordered_map<TaskId, std::size_t> index_;
   std::unordered_map<TaskId, std::size_t> rank_;  // topological position
   Clock::time_point gang_start_ = Clock::now();
-  // mu_ guards cause_, the stage errors and the ring totals;
+  // mu_ guards cause_, stranded_, the stage errors and the ring totals;
   // latency_mu_ guards born_ and sink_latencies_s.
   std::mutex mu_;
   Stage* cause_ = nullptr;
+  Stage* stranded_ = nullptr;  // an in-place re-placement found no host
   std::mutex latency_mu_;
   std::map<std::uint64_t, Clock::time_point> born_;
 };
@@ -679,7 +722,7 @@ RunResult ExecutionEngine::execute(const afg::FlowGraph& graph,
     rec.bytes_received = s.outcome.io_stats.bytes_received;
     rec.attempts = s.attempts;
     result.makespan_s = std::max(result.makespan_s, s.turnaround_s);
-    if (s.had_failure) ++result.failures_recovered;
+    if (s.attempts > 1) ++result.failures_recovered;
     result.reschedules += s.moves;
     m_completed.add(1);
     m_attempts.add(static_cast<std::uint64_t>(s.attempts));

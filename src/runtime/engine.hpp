@@ -28,14 +28,17 @@
 // Manager: it reports the failure, asks the Site Scheduler for a
 // replacement placement with the failed host excluded, and re-runs the
 // task.  A refusal before a stage's first frame of a round is re-placed
-// in place; any other failure ends the round, every stage on a dead
-// host is re-placed, and the next round re-runs only unfinished stages
-// -- finished outputs are fed back in, streams resume from the lowest
-// durable sink window.  Attempts are bounded by max_attempts with
-// exponential backoff, and receive timeouts keep a dead peer from
-// hanging a stage forever.  These rounds are the only recovery: the
-// submission service never re-runs execute(), it supplies the hooks
-// (DESIGN.md D12).
+// in place; any other failure ends the round, and the next round re-runs
+// only unfinished stages -- finished outputs are fed back in, streams
+// resume from the lowest durable sink window.  What each failure costs
+// and where the stage runs next is one pure decision (recovery.hpp):
+// the cause is charged an attempt, a stage another stage's failure took
+// down re-runs for free, and refused stages and stages on dead hosts
+// move.  max_attempts bounds each stage's charged attempts, retries back
+// off exponentially, and receive timeouts keep a dead peer from hanging
+// a stage forever.  These rounds are the only recovery: the submission
+// service never re-runs execute(), it supplies the hooks (DESIGN.md
+// D12).
 #pragma once
 
 #include <atomic>
@@ -69,7 +72,8 @@ struct TaskRunRecord {
   Duration compute_s = 0.0;
   std::size_t bytes_sent = 0;
   std::size_t bytes_received = 0;
-  /// Execution attempts consumed (1 = succeeded first try).
+  /// Charged attempts (1 = no failure of its own): a re-run another
+  /// stage's failure forced is free (recovery.hpp).
   int attempts = 1;
 };
 
@@ -82,11 +86,18 @@ struct RunResult {
   std::vector<TaskRunRecord> records;
   /// Wall-clock seconds from the startup signal to the last completion.
   Duration makespan_s = 0.0;
-  /// Tasks that needed more than one attempt but still completed.
+  /// Tasks charged at least one failed attempt that still completed.
   std::size_t failures_recovered = 0;
   /// Successful re-placements (task moved to a different machine).
   std::size_t reschedules = 0;
 };
+
+/// Cap on the CUMULATIVE backoff slept for one task across all of its
+/// retries (in-place and between rounds), seconds.  An in-place retry
+/// sleeps on the task's stage thread, which stalls peers blocked on its
+/// channels -- the cap bounds that stall however the backoff schedule
+/// is configured.
+inline constexpr double kMaxTotalBackoffS = 2.0;
 
 /// Engine configuration.
 struct EngineConfig {
@@ -94,26 +105,18 @@ struct EngineConfig {
   dm::MpLibrary library = dm::MpLibrary::kP4;
   /// Seed for per-task deterministic RNGs.
   std::uint64_t seed = 1;
-  /// Fault-tolerance retry budget per task (total attempts, first run
-  /// included).  Only consulted when execute() is given hooks.
+  /// Fault-tolerance budget per task: charged attempts, first run
+  /// included (recovery.hpp).  Only consulted when execute() is given
+  /// hooks.
   int max_attempts = 3;
   /// Sleep before the first retry, seconds; doubles per retry, with
   /// a +-25% jitter drawn from (engine seed, app, task, attempt) --
   /// never from global state -- so a replay with the same seed is
   /// bit-identical through recovery.
   double retry_backoff_s = 0.01;
-  /// Cap on the CUMULATIVE backoff slept for one task across all of its
-  /// retries (in-place and between rounds).  An in-place retry sleeps
-  /// on the task's stage thread, which stalls peers blocked on its
-  /// channels -- the cap bounds that stall however the backoff schedule
-  /// is configured.  <= 0 disables backoff entirely.
-  double max_total_backoff_s = 2.0;
-  /// Receive deadline of every stage in a recovery round (any round
-  /// after the first) when tighter than recv_timeout_s: a re-run whose
-  /// inputs never arrive fails within this window.  <= 0 disables it.
-  double attempt_timeout_s = 30.0;
   /// Data Manager receive timeout armed when fault tolerance is on, so
-  /// a dead peer cannot hang a stage thread.  <= 0 blocks forever.
+  /// a dead peer cannot hang a stage thread.  <= 0 blocks forever in
+  /// the first round; recovery rounds cap it at 30 s.
   double recv_timeout_s = 60.0;
   /// Load-guard threshold applied to every task when the hooks provide
   /// a host_load probe (infinity = guard disabled).
@@ -135,11 +138,11 @@ struct FaultTolerance {
   /// Liveness probe (testbed fault windows or Group-Manager belief);
   /// also installed as every controller's fault guard, so it is called
   /// once per stage per frame before that frame's receive, and on every
-  /// unfinished stage's host after a failed round.
+  /// failed stage's host after a failed round.
   std::function<bool(HostId)> host_alive;
   /// Load probe backing the pre-compute load guard.
   std::function<double(HostId)> host_load;
-  /// Failure notification, fired once per failed attempt before the
+  /// Failure notification, fired once per charged attempt before the
   /// re-placement is requested (wire to
   /// ControlManager::report_task_failure so the repository learns the
   /// host is down).
@@ -148,8 +151,8 @@ struct FaultTolerance {
   /// (std::this_thread::sleep_for).  Tests and simulations install a
   /// virtual sleep so retries cost no wall-clock: an in-place retry
   /// sleeping for real stalls every peer blocked on the task's
-  /// channels.  Called with the (cap-clamped) seconds to sleep; may be
-  /// invoked concurrently from stage threads.
+  /// channels.  Called with the (kMaxTotalBackoffS-clamped) seconds to
+  /// sleep; may be invoked concurrently from stage threads.
   std::function<void(double)> sleep;
 };
 

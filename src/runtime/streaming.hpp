@@ -63,8 +63,8 @@ class CheckpointStore;
 
 /// Streaming-run configuration: the engine settings (transport,
 /// library, seed, retry budget, backoff, receive deadline) plus the
-/// stream's own.  max_attempts bounds a stream's rounds (first run
-/// included), so it allows max_attempts - 1 restarts.
+/// stream's own.  max_attempts bounds each stage's charged attempts,
+/// as in batch; the stages a failure aborts restart for free.
 struct StreamingConfig : EngineConfig {
   /// Ring capacity of every in-process link, in frames.  The whole
   /// pipeline's buffered memory is bounded by links * capacity * frame

@@ -2,10 +2,12 @@
 
 #include <algorithm>
 #include <limits>
+#include <optional>
 #include <unordered_map>
 
 #include "common/error.hpp"
 #include "common/log.hpp"
+#include "runtime/recovery.hpp"
 
 namespace vdce::sim {
 
@@ -47,10 +49,12 @@ SimResult DynamicSimulator::run(const afg::FlowGraph& graph,
     /// Next event for a running task: completion, failure-triggered
     /// requeue, or (checked separately) threshold kill at a tick.
     TimePoint event_time = kInf;
-    bool event_is_failure = false;
+    /// The assigned host that dies mid-run: the event is its failure.
+    std::optional<HostId> dying_host;
     TimePoint finish = 0.0;
     Duration exec = 0.0;
-    int attempts = 0;
+    /// Charged attempts, the first run included (rt::decide_recovery).
+    int attempts = 1;
     /// The engine's exclusion rule: every failed or refusing host is
     /// appended, in failure order, and the list is never cleared.
     std::vector<HostId> excluded;
@@ -76,19 +80,31 @@ SimResult DynamicSimulator::run(const afg::FlowGraph& graph,
   std::unordered_map<TaskId, TimePoint> done_at;
   SimResult result;
 
-  // Requeues a task after a kill/refusal at time `when`.
-  const auto reschedule_task = [&](TaskId id, TimePoint when,
+  // Requeues a task after a kill or refusal on `host` at time `when`.
+  // The decision is the runtime's (rt::decide_recovery).  A task starts
+  // only after its parents finish, so the simulator has no collateral
+  // failures, and its only kills are host deaths: every kill or refusal
+  // is charged and moves the task.
+  const auto reschedule_task = [&](TaskId id, HostId host, bool host_alive,
+                                   rt::AttemptOutcome outcome, TimePoint when,
                                    const char* why) {
     TaskState& st = states.at(id);
     const afg::TaskNode& node = graph.task(id);
     ++result.reschedules;
     common::log_debug("dynamic_sim", "rescheduling ", node.label, " at t=",
                       when, " (", why, ")");
-    if (st.attempts >= config_.max_attempts) {
-      throw sched::SchedulingError("task " + node.label + " exceeded " +
-                                   std::to_string(config_.max_attempts) +
-                                   " placement attempts");
+    const rt::StageFacts facts{.attempts = st.attempts,
+                               .host_alive = host_alive,
+                               .outcome = outcome};
+    const rt::RecoveryDecision decision =
+        rt::decide_recovery({&facts, 1}, 0, config_.max_attempts).front();
+    if (decision.action == rt::RecoveryAction::kFail) {
+      throw sched::SchedulingError(rt::attempts_exceeded(
+          node.label, config_.max_attempts,
+          "task " + node.label + " failed: " + why));
     }
+    if (decision.charge) ++st.attempts;
+    st.excluded.push_back(host);
     auto placement = scheduler_->reschedule(graph, table, id, st.excluded);
     if (!placement) {
       throw sched::SchedulingError("no surviving feasible host for task " +
@@ -115,7 +131,6 @@ SimResult DynamicSimulator::run(const afg::FlowGraph& graph,
     TaskState& st = states.at(id);
     const afg::TaskNode& node = graph.task(id);
     const std::vector<HostId> hosts = table.entry(id).hosts;
-    ++st.attempts;
 
     TimePoint start = st.data_ready;
     for (const HostId h : hosts) {
@@ -128,15 +143,14 @@ SimResult DynamicSimulator::run(const afg::FlowGraph& graph,
     // Application Controller guards at task startup.
     if (!testbed_->is_alive(primary, start)) {
       ++result.failures_hit;
-      st.excluded.push_back(primary);
-      reschedule_task(id, start + kFailureDetectionDelayS,
-                      "host dead at start");
+      reschedule_task(id, primary, false, rt::AttemptOutcome::kRefused,
+                      start + kFailureDetectionDelayS, "host dead at start");
       return;
     }
     const double load_now = testbed_->true_load(primary, start);
     if (load_now > config_.load_threshold) {
-      st.excluded.push_back(primary);
-      reschedule_task(id, start, "load above threshold at start");
+      reschedule_task(id, primary, true, rt::AttemptOutcome::kRefused, start,
+                      "load above threshold at start");
       return;
     }
 
@@ -153,20 +167,19 @@ SimResult DynamicSimulator::run(const afg::FlowGraph& graph,
     st.start = start;
     st.exec = exec;
     st.finish = finish;
-    st.event_is_failure = false;
+    st.dying_host.reset();
     st.event_time = finish;
 
     // Will any assigned host die mid-run?
     for (const HostId h : hosts) {
       for (TimePoint probe = start; probe < finish; probe += kTickS) {
         if (!testbed_->is_alive(h, probe)) {
-          st.event_is_failure = true;
+          st.dying_host = h;
           st.event_time = probe + kFailureDetectionDelayS;
-          st.excluded.push_back(h);
           break;
         }
       }
-      if (st.event_is_failure) break;
+      if (st.dying_host) break;
     }
 
     for (const HostId h : hosts) host_free[h] = finish;
@@ -220,12 +233,12 @@ SimResult DynamicSimulator::run(const afg::FlowGraph& graph,
           if (now <= st.start || now >= st.event_time) continue;
           const HostId primary = table.entry(id).primary_host();
           if (testbed_->true_load(primary, now) > config_.load_threshold) {
-            st.excluded.push_back(primary);
             st.status = Status::kReady;  // terminated by the controller
             for (const HostId h : table.entry(id).hosts) {
               host_free[h] = std::min(host_free[h], now);
             }
-            reschedule_task(id, now, "load above threshold while running");
+            reschedule_task(id, primary, true, rt::AttemptOutcome::kRefused,
+                            now, "load above threshold while running");
           }
         }
       }
@@ -241,13 +254,15 @@ SimResult DynamicSimulator::run(const afg::FlowGraph& graph,
     }
 
     // Running-task event.
-    if (st.event_is_failure) {
+    if (st.dying_host) {
       ++result.failures_hit;
       st.status = Status::kReady;
       for (const HostId h : table.entry(next_task).hosts) {
         host_free[h] = std::min(host_free[h], now);
       }
-      reschedule_task(next_task, now, "host failed while running");
+      reschedule_task(next_task, *st.dying_host, false,
+                      rt::AttemptOutcome::kFailed, now,
+                      "host failed while running");
       continue;
     }
 

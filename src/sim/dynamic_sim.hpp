@@ -17,7 +17,8 @@
 // Every re-placement is the runtime's own decision:
 // SiteScheduler::reschedule over the sites' *current* repository views
 // (the local site plus its k nearest, transfer cost charged from where
-// the parents ran), with the live engine's attempt budget and exclusion
+// the parents ran), charged by the live engine's recovery decision
+// (rt::decide_recovery) under its attempt budget, with its exclusion
 // rule.  So the benches (experiment E9) measure the recovery policy the
 // runtime executes.
 #pragma once

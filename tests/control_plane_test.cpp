@@ -1249,11 +1249,11 @@ TEST_F(ControlPlaneFailover, SigkilledDaemonTriggersRestartAndAppFailover) {
   const auto wd_restarts_before = counter_value("watchdog.restarts");
 
   // Paused submit so the doomed site is known before the trip is armed.
-  // Three attempts: d may reach its guard only after the site died, and
-  // a guard refusal costs an attempt too.
+  // Two attempts: the death costs c and d one each, whether d's guard
+  // ran before or after it.
   state_->remaining_trips.store(1);
   state_->invocations.store(0);
-  auto service = make_service(/*max_attempts=*/3, /*paused=*/true);
+  auto service = make_service(/*max_attempts=*/2, /*paused=*/true);
   const AppId app = service->submit(request_for(trip_pipeline(), kSeed));
   const auto queued = service->status(app);
   ASSERT_TRUE(queued.admission.admitted) << queued.error;
@@ -1292,17 +1292,14 @@ TEST_F(ControlPlaneFailover, SigkilledDaemonTriggersRestartAndAppFailover) {
       << final_status.error;
   EXPECT_NE(final_status.allocation.entry(task_c).primary_host(),
             doomed_host);
-  // c and d were unfinished when the site died; a and b ran once.  c
-  // ran twice, d once more if its guard refused it first.
+  // c and d were unfinished when the site died; a and b ran once.
   std::uint64_t retries = 0;
   for (const auto& record : final_status.result.records) {
     EXPECT_EQ(record.host,
               final_status.allocation.entry(record.task).primary_host());
     retries += static_cast<std::uint64_t>(record.attempts - 1);
     if (record.task == task_c || record.label == "d") {
-      EXPECT_GE(record.attempts, 2) << record.label;
-      EXPECT_LE(record.attempts, record.task == task_c ? 2 : 3)
-          << record.label;
+      EXPECT_EQ(record.attempts, 2) << record.label;
       EXPECT_NE(testbed_->site_of(record.host), doomed) << record.label;
     } else {
       EXPECT_EQ(record.attempts, 1) << record.label;

@@ -387,16 +387,21 @@ TEST_F(DynamicSimEnv, AttemptBudgetIsTheEngines) {
 
 TEST(DynamicSimReplacement, ReplacementMatchesTheLiveEngine) {
   // The simulator re-places as the live engine does.  On each seeded
-  // 6-site testbed an entry task's host is dead from the start; every
-  // entry task the simulator moves must get the same host and site
-  // from the live engine, run on an identical, identically warmed VDCE
-  // with the submission service's default rescheduler.
+  // 6-site testbed an entry task's host is dead from the start.  The
+  // live engine runs on an identical, identically warmed VDCE with the
+  // submission service's default rescheduler.  Every task's attempts
+  // must match: both charge through rt::decide_recovery.  Hosts are
+  // compared for entry tasks only: the simulator re-places a child
+  // after its parents have moved, while the live gang's guards refuse
+  // concurrently, before any parent moved, so an inner task's
+  // replacement can differ.
   constexpr double kStart = 10.0;
   netsim::RandomTestbedParams params;
   params.num_sites = 6;
   sched::SiteSchedulerConfig config;
   config.k_nearest = 3;
   std::size_t moved = 0;
+  std::size_t inner_charged = 0;
   for (std::uint64_t seed = 1; seed <= 8; ++seed) {
     SCOPED_TRACE("seed " + std::to_string(seed));
     common::Rng rng(seed);
@@ -442,16 +447,21 @@ TEST(DynamicSimReplacement, ReplacementMatchesTheLiveEngine) {
     rt::ExecutionEngine engine(tasklib::builtin_registry());
     const auto run = engine.execute(graph, allocation, nullptr, nullptr, &ft);
 
+    ASSERT_EQ(run.records.size(), simulation.records.size());
     for (const auto& record : simulation.records) {
+      const auto live_record =
+          std::find_if(run.records.begin(), run.records.end(),
+                       [&](const auto& r) { return r.task == record.task; });
+      ASSERT_NE(live_record, run.records.end());
+      EXPECT_EQ(live_record->attempts, record.attempts) << record.label;
+      if (!graph.parents(record.task).empty() && record.attempts > 1) {
+        ++inner_charged;
+      }
       if (!graph.parents(record.task).empty() ||
           record.host == allocation.entry(record.task).primary_host()) {
         continue;
       }
       ++moved;
-      const auto live_record =
-          std::find_if(run.records.begin(), run.records.end(),
-                       [&](const auto& r) { return r.task == record.task; });
-      ASSERT_NE(live_record, run.records.end());
       EXPECT_EQ(live_record->host.value(), record.host.value())
           << record.label;
       EXPECT_EQ(live_table.entry(record.task).site.value(),
@@ -460,6 +470,7 @@ TEST(DynamicSimReplacement, ReplacementMatchesTheLiveEngine) {
     }
   }
   EXPECT_GE(moved, 8u);
+  EXPECT_GE(inner_charged, 8u);
 }
 
 TEST_F(DynamicSimEnv, RecordsMeasuredTimesInTaskDb) {

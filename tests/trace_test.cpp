@@ -312,7 +312,8 @@ TEST(EngineTraceTest, EveryAttemptBecomesADistinctSpan) {
   // one engine.task span per executed task, and the retried task's
   // attempts must appear as *distinct* spans (the gang attempt that
   // errored plus the recovery attempt), with the retry backoff visible
-  // as an instant event.
+  // as an instant event.  Its consumer's re-run is collateral: free, but
+  // still a span of its own.
   static std::atomic<int> calls{0};
   calls = 0;
 
@@ -361,13 +362,12 @@ TEST(EngineTraceTest, EveryAttemptBecomesADistinctSpan) {
   TraceRecorder::install(&recorder);
   EngineConfig config;
   config.retry_backoff_s = 0.001;
-  config.attempt_timeout_s = 20.0;
   config.recv_timeout_s = 20.0;
   ExecutionEngine engine(registry, config);
   const auto result = engine.execute(g, allocation, nullptr, nullptr, &ft);
   TraceRecorder::install(nullptr);
 
-  EXPECT_EQ(result.failures_recovered, 2u);
+  EXPECT_EQ(result.failures_recovered, 1u);
   EXPECT_GT(virtual_naps.load(), 0);
 
   std::size_t flaky_attempts = 0;
@@ -385,8 +385,8 @@ TEST(EngineTraceTest, EveryAttemptBecomesADistinctSpan) {
     if (ev.name == "retry_backoff") ++backoff_instants;
     if (ev.name == "app:flaky-traced") saw_app_span = true;
   }
-  // >= 1 span per executed task; the retried tasks carry one span per
-  // attempt (gang + recovery).
+  // >= 1 span per executed task; both re-run tasks carry one span per
+  // run (gang + recovery).
   EXPECT_GE(flaky_attempts, 2u);
   EXPECT_GE(sink_attempts, 2u);
   EXPECT_GT(backoff_instants, 0u);
@@ -395,14 +395,14 @@ TEST(EngineTraceTest, EveryAttemptBecomesADistinctSpan) {
   // The same run also moved the global engine counters.
   auto& metrics = MetricsRegistry::global();
   EXPECT_GE(metrics.counter("engine.tasks_completed").value(), 2u);
-  EXPECT_GE(metrics.counter("engine.retries").value(), 2u);
+  EXPECT_GE(metrics.counter("engine.retries").value(), 1u);
 }
 #endif  // !VDCE_TRACE_DISABLED
 
 TEST(EngineTraceTest, BackoffIsCappedCumulatively) {
-  // With a tiny cumulative cap, the total virtually slept time across
-  // all retries must never exceed max_total_backoff_s, however large
-  // the per-round schedule grows.
+  // With a per-retry backoff far above the cumulative cap, the total
+  // virtually slept time across all retries must never exceed
+  // kMaxTotalBackoffS, however large the per-round schedule grows.
   static std::atomic<int> calls{0};
   calls = 0;
 
@@ -444,14 +444,12 @@ TEST(EngineTraceTest, BackoffIsCappedCumulatively) {
   EngineConfig config;
   config.max_attempts = 5;
   config.retry_backoff_s = 10.0;  // would sleep 10+20+40s uncapped
-  config.max_total_backoff_s = 0.05;
-  config.attempt_timeout_s = 20.0;
   config.recv_timeout_s = 20.0;
   ExecutionEngine engine(registry, config);
   const auto result = engine.execute(g, allocation, nullptr, nullptr, &ft);
 
   EXPECT_EQ(result.records.at(0).attempts, 4);
-  EXPECT_LE(total_slept, config.max_total_backoff_s + 1e-12);
+  EXPECT_LE(total_slept, rt::kMaxTotalBackoffS + 1e-12);
   EXPECT_GT(total_slept, 0.0);
 }
 
