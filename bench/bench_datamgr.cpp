@@ -39,6 +39,7 @@
 #include "datamgr/broker.hpp"
 #include "datamgr/frame.hpp"
 #include "datamgr/mplib.hpp"
+#include "datamgr/ring_channel.hpp"
 #include "tasklib/payload.hpp"
 
 // ---------------------------------------------------------------------
@@ -259,9 +260,12 @@ BENCHMARK(BM_FrameThroughput)
 void BM_MpLibraryEnvelope(benchmark::State& state) {
   const auto lib = static_cast<MpLibrary>(state.range(0));
   const auto size = static_cast<std::size_t>(state.range(1));
-  auto pair = dm::make_inproc_pair();
-  MessageEndpoint tx(lib, pair.sender);
-  MessageEndpoint rx(lib, pair.receiver);
+  // One thread sends, then receives: the ring holds one whole message,
+  // and a 64 KiB PVM message is 17 ring messages.
+  auto ring = std::make_shared<dm::RingChannel>(
+      size / MessageEndpoint::kPvmFragment + 2);
+  MessageEndpoint tx(lib, ring);
+  MessageEndpoint rx(lib, ring);
   const auto blob = make_blob(size);
   for (auto _ : state) {
     tx.send(7, blob);

@@ -14,9 +14,8 @@ std::shared_ptr<Channel> ChannelBroker::open_receive(const LinkKey& key) {
   std::shared_ptr<Channel> receiver;
   Registration reg;
   if (kind_ == TransportKind::kInProcess) {
-    InProcPair pair = make_inproc_pair();
-    reg.inproc_sender = std::move(pair.sender);
-    receiver = std::move(pair.receiver);
+    reg.ring = std::make_shared<RingChannel>(link_capacity_);
+    receiver = reg.ring;
   } else {
     CommProxy::Link link = CommProxy::global().open_link();
     reg.proxy = link.address;
@@ -61,57 +60,23 @@ ChannelBroker::Registration& ChannelBroker::await_registration(
 std::shared_ptr<Channel> ChannelBroker::open_send(const LinkKey& key,
                                                   common::Duration timeout_s) {
   std::unique_lock lk(mu_);
-  Registration& reg = await_registration(lk, key, timeout_s);
-  if (kind_ == TransportKind::kInProcess) {
-    if (!reg.inproc_sender) {
-      throw common::StateError("link sender already claimed");
-    }
-    return std::move(reg.inproc_sender);
-  }
+  const Registration& reg = await_registration(lk, key, timeout_s);
+  if (reg.ring) return reg.ring;
   const ProxyAddress address = reg.proxy;
   lk.unlock();  // lease outside the lock; a new connection connects
   return CommProxy::global().lease(address);
-}
-
-std::shared_ptr<RingChannel> ChannelBroker::open_stream_receive(
-    const LinkKey& key, std::size_t capacity) {
-  std::lock_guard lk(mu_);
-  if (registrations_.contains(key)) {
-    throw common::StateError("link already registered with the broker");
-  }
-  Registration reg;
-  reg.ring = std::make_shared<RingChannel>(capacity);
-  auto ring = reg.ring;
-  registrations_.emplace(key, std::move(reg));
-  cv_.notify_all();
-  return ring;
-}
-
-std::shared_ptr<RingChannel> ChannelBroker::open_stream_send(
-    const LinkKey& key, common::Duration timeout_s) {
-  std::unique_lock lk(mu_);
-  Registration& reg = await_registration(lk, key, timeout_s);
-  if (!reg.ring) {
-    throw common::StateError("link is registered as a batch channel");
-  }
-  if (reg.ring_claimed) {
-    reg.ring->add_producer();
-  } else {
-    reg.ring_claimed = true;  // the ring's initial producer slot
-  }
-  return reg.ring;
 }
 
 void ChannelBroker::clear_app(AppId app) {
   std::lock_guard lk(mu_);
   for (auto it = registrations_.begin(); it != registrations_.end();) {
     if (it->first.app == app) {
-      // Streaming links need more than erasure: a producer parked on a
-      // full ring (or a consumer on an empty one) holds a shared_ptr to
-      // the ring itself and would sleep forever if we only dropped the
-      // registration.  abort() drops the queued frames and wakes every
-      // parked thread with TransportError — the streaming extension of
-      // the clear-generation bump below.
+      // In-process links need more than erasure: a producer parked on
+      // a full ring (or a consumer on an empty one) holds a shared_ptr
+      // to the ring itself and would sleep forever if we only dropped
+      // the registration.  abort() drops the queued frames and wakes
+      // every parked thread with TransportError — the ring's extension
+      // of the clear-generation bump below.
       if (it->second.ring) it->second.ring->abort();
       it = registrations_.erase(it);
     } else {

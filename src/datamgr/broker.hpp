@@ -5,11 +5,12 @@
 // resource allocation information, including the socket number, IP
 // address for target machine, etc., that will be used for communication
 // channel setup."  The broker is that allocation-information exchange:
-// the consuming side of every AFG link registers its endpoint (a queue,
-// or a link id on its process's communication proxy, whose listening
-// port is the paper's "socket number"), and the producing side looks
-// the endpoint up and connects (over TCP: leases a persistent proxy
-// connection, see proxy.hpp).
+// the consuming side of every AFG link registers its endpoint (in
+// process, a bounded RingChannel both ends share; over TCP, a link id
+// on its process's communication proxy, whose listening port is the
+// paper's "socket number"), and the producing side looks the endpoint
+// up and connects (over TCP: leases a persistent proxy connection, see
+// proxy.hpp).
 #pragma once
 
 #include <condition_variable>
@@ -30,9 +31,13 @@ using common::TaskId;
 
 /// Which transport carries inter-task messages.
 enum class TransportKind : std::uint8_t {
-  kInProcess,  // deterministic queue pairs
+  kInProcess,  // one bounded RingChannel per link
   kTcp,        // real loopback sockets
 };
+
+/// Frames an in-process link buffers before its producer parks: every
+/// batch run's, and a stream's unless StreamingConfig says otherwise.
+inline constexpr std::size_t kDefaultRingCapacity = 8;
 
 /// Identity of one AFG link instance within one application run.
 struct LinkKey {
@@ -45,51 +50,36 @@ struct LinkKey {
 
 /// Thread-safe channel rendezvous.  The consumer calls open_receive
 /// (non-blocking); the producer calls open_send, which waits until the
-/// consumer has registered, then connects.
+/// consumer has registered, then connects.  A link is point to point:
+/// one open_receive and one open_send per key.
 class ChannelBroker {
  public:
-  explicit ChannelBroker(TransportKind kind) : kind_(kind) {}
-
-  [[nodiscard]] TransportKind kind() const { return kind_; }
+  /// `link_capacity`: the frames of every in-process link's ring.
+  explicit ChannelBroker(TransportKind kind,
+                         std::size_t link_capacity = kDefaultRingCapacity)
+      : kind_(kind), link_capacity_(link_capacity) {}
 
   /// Registers the consuming end of a link and returns its receive
-  /// channel.  Throws StateError if the link is already registered.
+  /// channel: in process, a RingChannel of the broker's capacity.
+  /// Throws StateError if the link is already registered.
   [[nodiscard]] std::shared_ptr<Channel> open_receive(const LinkKey& key);
 
   /// Connects the producing end; blocks up to `timeout_s` for the
-  /// consumer to register.  Throws TransportError on timeout, or
-  /// promptly when clear_app(key.app) runs while this call is waiting
-  /// (the registration it is waiting for belongs to a torn-down run and
-  /// will never arrive).
+  /// consumer to register.  In process it returns the very ring
+  /// open_receive made.  Throws TransportError on timeout, or promptly
+  /// when clear_app(key.app) runs while this call is waiting (the
+  /// registration it is waiting for belongs to a torn-down run and will
+  /// never arrive).
   [[nodiscard]] std::shared_ptr<Channel> open_send(const LinkKey& key,
                                                    common::Duration timeout_s =
                                                        10.0);
-
-  /// Registers the consuming end of a STREAMING link: a bounded
-  /// RingChannel of `capacity` slots (D16).  Same rendezvous contract
-  /// as open_receive — register first, then producers find it — but
-  /// both ends share the one ring, so streaming links are in-process
-  /// regardless of the broker's transport kind.  Throws StateError if
-  /// the link is already registered.
-  [[nodiscard]] std::shared_ptr<RingChannel> open_stream_receive(
-      const LinkKey& key, std::size_t capacity);
-
-  /// Connects a producing end of a streaming link; blocks up to
-  /// `timeout_s` for the consumer's open_stream_receive, with the same
-  /// clear_app abort as open_send.  Unlike open_send, MANY producers
-  /// may open the same link (fan-in): each successful call attaches one
-  /// producer, and the ring reaches end-of-stream when each has called
-  /// close_send().  Throws StateError if the key was registered as a
-  /// batch (non-streaming) link.
-  [[nodiscard]] std::shared_ptr<RingChannel> open_stream_send(
-      const LinkKey& key, common::Duration timeout_s = 10.0);
 
   /// Drops all registrations of one application (run finished or being
   /// recovered).  Idempotent, and safe to call concurrently with feeder
   /// threads still draining: any open_send blocked on one of the
   /// dropped links aborts promptly with TransportError instead of
   /// sleeping out its full timeout (and possibly pairing with the NEXT
-  /// recovery round's registration for the same key).  Streaming links
+  /// recovery round's registration for the same key).  In-process links
   /// are aborted: queued frames drop and every producer parked on a
   /// full ring — and every consumer parked on an empty one — wakes
   /// with TransportError.
@@ -97,15 +87,10 @@ class ChannelBroker {
 
  private:
   struct Registration {
-    // In-process: the pre-made sending end.
-    std::shared_ptr<Channel> inproc_sender;
+    // In-process: the ring both ends share.
+    std::shared_ptr<RingChannel> ring;
     // TCP: the consumer's proxy port and link id.
     ProxyAddress proxy;
-    // Streaming: the shared bounded ring (null for batch links).
-    std::shared_ptr<RingChannel> ring;
-    // The ring is created with one attached producer; the first
-    // open_stream_send claims that slot, later ones add_producer().
-    bool ring_claimed = false;
   };
 
   /// Waits (under `lk`) for the consumer to register `key`; throws
@@ -115,6 +100,7 @@ class ChannelBroker {
                                    common::Duration timeout_s);
 
   TransportKind kind_;
+  std::size_t link_capacity_;
   std::mutex mu_;
   std::condition_variable cv_;
   std::map<LinkKey, Registration> registrations_;

@@ -4,8 +4,8 @@
 //  system for inter-task communications."  (Section 2.3.2)
 //
 // Channel is the abstraction both transports implement: the in-process
-// transport (deterministic, used by tests and the simulator) and the TCP
-// loopback transport (real sockets, the paper's "any machine that
+// transport (a bounded RingChannel per link, ring_channel.hpp) and the
+// TCP loopback transport (real sockets, the paper's "any machine that
 // supports socket programming can be part of VDCE").  Messages are
 // framed: send() delivers a whole message or throws.
 //
@@ -17,7 +17,6 @@
 #pragma once
 
 #include <cstddef>
-#include <memory>
 #include <optional>
 #include <span>
 #include <vector>
@@ -67,16 +66,5 @@ class Channel {
   /// Total bytes sent so far (for the visualization services).
   [[nodiscard]] virtual std::size_t bytes_sent() const = 0;
 };
-
-/// A connected pair of unidirectional in-process channels: writing to
-/// `sender` makes messages appear at `receiver`.
-struct InProcPair {
-  std::shared_ptr<Channel> sender;
-  std::shared_ptr<Channel> receiver;
-};
-
-/// Creates a connected in-process channel pair backed by a message
-/// queue of frame views (zero-copy end to end).
-[[nodiscard]] InProcPair make_inproc_pair();
 
 }  // namespace vdce::dm

@@ -25,29 +25,22 @@ DataManager::DataManager(ChannelBroker& broker, MpLibrary library)
 void DataManager::setup(const TaskWiring& wiring) {
   if (is_set_up_) throw StateError("DataManager::setup called twice");
   wiring_ = wiring;
-  const bool rings = wiring_.ring_capacity > 0 &&
-                     broker_->kind() == TransportKind::kInProcess;
   // wiring.parents is in the consumer's input-port order; the received
   // payloads are handed to the task function in exactly that order.
 
   // Register every input endpoint first (never blocks) ...
   for (const TaskId parent : wiring_.parents) {
     const LinkKey key{wiring_.app, parent, wiring_.task};
-    std::shared_ptr<Channel> in;
-    if (rings) {
-      input_rings_.push_back(
-          broker_->open_stream_receive(key, wiring_.ring_capacity));
-      in = input_rings_.back();
-    } else {
-      in = broker_->open_receive(key);
+    std::shared_ptr<Channel> in = broker_->open_receive(key);
+    if (auto ring = std::dynamic_pointer_cast<RingChannel>(in)) {
+      input_rings_.push_back(std::move(ring));
     }
     inputs_.emplace_back(library_, std::move(in));
   }
   // ... then connect outputs (each blocks until its consumer is up).
   for (const TaskId child : wiring_.children) {
     const LinkKey key{wiring_.app, wiring_.task, child};
-    outputs_.emplace_back(library_, rings ? broker_->open_stream_send(key)
-                                          : broker_->open_send(key));
+    outputs_.emplace_back(library_, broker_->open_send(key));
   }
   is_set_up_ = true;
 }

@@ -40,10 +40,6 @@ struct TaskWiring {
   std::vector<TaskId> parents;
   /// Child task ids (the output payload is replicated to each).
   std::vector<TaskId> children;
-  /// Stream links (D16): when nonzero and the broker is in-process,
-  /// every link is a bounded RingChannel of this many frames instead of
-  /// an unbounded queue pair.
-  std::size_t ring_capacity = 0;
 };
 
 /// Statistics of one task execution, for the visualization services.
@@ -112,8 +108,8 @@ class DataManager {
     return output_frame_;
   }
 
-  /// The input links that are bounded rings (stream links), for their
-  /// occupancy and backpressure counters.
+  /// The input links that are bounded rings (every in-process link),
+  /// for their occupancy and backpressure counters.
   [[nodiscard]] const std::vector<std::shared_ptr<RingChannel>>& input_rings()
       const {
     return input_rings_;

@@ -14,14 +14,6 @@ RingChannel::RingChannel(std::size_t capacity)
 
 RingChannel::~RingChannel() = default;
 
-void RingChannel::push_locked(FrameView&& frame) {
-  bytes_sent_ += frame.size();
-  slots_[(head_ + count_) % capacity_] = std::move(frame);
-  ++count_;
-  ++stats_.frames_pushed;
-  if (count_ > stats_.high_water) stats_.high_water = count_;
-}
-
 FrameView RingChannel::take_locked() {
   FrameView out = std::move(slots_[head_]);
   slots_[head_].reset();
@@ -33,35 +25,24 @@ FrameView RingChannel::take_locked() {
 
 void RingChannel::push(FrameView frame) {
   std::unique_lock lk(mu_);
-  if (count_ == capacity_ && !aborted_) {
+  const auto ready = [&] { return count_ < capacity_ || eos_ || aborted_; };
+  if (!ready()) {
     ++stats_.producer_parks;
-    not_full_.wait(lk, [&] { return count_ < capacity_ || aborted_; });
+    not_full_.wait(lk, ready);
   }
   if (aborted_) {
     throw common::TransportError("push on an aborted ring channel");
   }
   if (eos_) {
-    throw common::TransportError("push after ring channel end-of-stream");
+    throw common::TransportError("push on a closed ring channel");
   }
-  push_locked(std::move(frame));
+  bytes_sent_ += frame.size();
+  slots_[(head_ + count_) % capacity_] = std::move(frame);
+  ++count_;
+  ++stats_.frames_pushed;
+  if (count_ > stats_.high_water) stats_.high_water = count_;
   lk.unlock();
   not_empty_.notify_one();
-}
-
-bool RingChannel::try_push(FrameView frame) {
-  {
-    std::lock_guard lk(mu_);
-    if (aborted_) {
-      throw common::TransportError("push on an aborted ring channel");
-    }
-    if (eos_) {
-      throw common::TransportError("push after ring channel end-of-stream");
-    }
-    if (count_ == capacity_) return false;
-    push_locked(std::move(frame));
-  }
-  not_empty_.notify_one();
-  return true;
 }
 
 std::optional<FrameView> RingChannel::pop() { return pop_for(0.0); }
@@ -94,24 +75,14 @@ std::optional<FrameView> RingChannel::pop_for(double timeout_s) {
   return out;
 }
 
-void RingChannel::add_producer() {
-  std::lock_guard lk(mu_);
-  if (eos_ || aborted_) {
-    throw common::StateError("add_producer after ring channel end-of-stream");
-  }
-  ++producers_;
-}
-
-void RingChannel::close_send() {
+void RingChannel::close() {
   {
     std::lock_guard lk(mu_);
-    if (producers_ > 0) --producers_;
-    if (producers_ > 0) return;
+    if (eos_) return;
     eos_ = true;
   }
-  // Consumers parked on an empty ring must observe EOS; producers of
-  // sibling fan-in links never park once the stream is over, but a
-  // blocked push racing the close resolves through the eos_ check.
+  // A consumer parked on an empty ring sees end of stream; a producer
+  // parked on a full one fails, as if its consumer had reset the link.
   not_empty_.notify_all();
   not_full_.notify_all();
 }

@@ -1,31 +1,29 @@
-// Bounded streaming channel: a fixed-capacity ring of pooled frames
-// with blocking backpressure (design decision D16 in DESIGN.md).
+// Bounded in-process link: a fixed-capacity ring of pooled frames
+// with blocking backpressure (design decisions D9 and D16 in DESIGN.md).
 //
-// Every existing channel is built for run-to-completion DAGs: the
-// in-process pair rides an UNBOUNDED MessageQueue, so a producer can
-// outrun its consumer without limit and memory grows with the stream.
-// A RingChannel is the streaming counterpart (exemplar: R2sampler's
-// fixed ring buffer between rate-converter stages): one slab of
-// `capacity` FrameView slots allocated once at construction, and two
-// park/wake disciplines instead of growth --
+// Every in-process link is a RingChannel, batch and stream alike (a
+// batch run is the one-frame case of a stream).  Exemplar: R2sampler's
+// fixed ring buffer between rate-converter stages.  One slab of
+// `capacity` FrameView slots is allocated at construction, and two
+// park/wake disciplines stand in for growth --
 //
-//   * a producer pushing into a full ring PARKS until a consumer makes
-//     room (backpressure: the whole upstream pipeline throttles to the
-//     slowest stage instead of buffering unboundedly);
-//   * a consumer popping from an empty ring parks until a producer
-//     delivers or the stream ends.
+//   * a producer pushing into a full ring PARKS until its consumer
+//     makes room (backpressure: the whole upstream pipeline throttles
+//     to the slowest stage instead of buffering without limit);
+//   * a consumer popping from an empty ring parks until its producer
+//     delivers or the link closes.
 //
-// End-of-stream is explicit and counted: the ring tracks its attached
-// producers (one by default; fan-in adds more via add_producer), and
-// close_send() retires one.  When the last producer retires, consumers
-// drain the remaining frames and then see nullopt -- the clean EOS the
-// streaming engine propagates stage to stage.  abort() is the hard
-// teardown (ChannelBroker::clear_app): queued frames are dropped and
-// every parked producer AND consumer wakes with TransportError.
+// Both ends share the one object, and close() has one rule whichever
+// end calls it: the consumer drains the queued frames and then sees
+// end of stream (nullopt), and every push fails with TransportError --
+// including one parked on a full ring, the in-process twin of the
+// reset a TCP producer gets when its consumer leaves.  abort() is the
+// hard teardown (ChannelBroker::clear_app): queued frames are dropped
+// and every parked producer AND consumer wakes with TransportError.
 //
-// Thread-safe for any number of racing producers and consumers.  FIFO
+// Thread-safe for any number of racing pushers and poppers.  FIFO
 // order is global: frames pop in exactly the order their pushes
-// committed (per-producer order is therefore preserved under fan-in).
+// committed.
 #pragma once
 
 #include <cstddef>
@@ -53,31 +51,24 @@ struct RingChannelStats {
 
 /// Fixed-capacity single-allocation frame ring with backpressure.
 ///
-/// Also implements the Channel interface (send == blocking push of a
-/// pooled copy, receive == pop, close == orderly close_send) so a ring
-/// can stand wherever a Channel is expected.
+/// Implements the Channel interface (send == blocking push of a pooled
+/// copy, receive == pop) so a ring stands wherever a Channel is
+/// expected.
 class RingChannel final : public Channel {
  public:
   /// `capacity` >= 1 slots; the slot array is the only allocation the
-  /// channel ever makes.  The ring starts with ONE attached producer.
+  /// channel ever makes.
   explicit RingChannel(std::size_t capacity);
   ~RingChannel() override;
 
-  // -- streaming interface ----------------------------------------------
-
   /// Enqueues one frame view (refcount bump, zero bytes moved), parking
-  /// while the ring is full.  Throws TransportError if the ring is
-  /// aborted (including while parked -- the clear_app wake) or if every
-  /// producer already retired.
+  /// while the ring is full.  Throws TransportError once the ring is
+  /// closed or aborted, including while parked.
   void push(FrameView frame);
 
-  /// Non-blocking push; returns false when the ring is full.  Same
-  /// TransportError conditions as push().
-  [[nodiscard]] bool try_push(FrameView frame);
-
   /// Dequeues the next frame, parking while the ring is empty.  Returns
-  /// nullopt only on clean end-of-stream (all producers retired and the
-  /// ring drained).  Throws TransportError if the ring is aborted.
+  /// nullopt only on clean end of stream (closed and drained).  Throws
+  /// TransportError if the ring is aborted.
   [[nodiscard]] std::optional<FrameView> pop();
 
   /// Like pop(), but gives up after `timeout_s` seconds with
@@ -85,14 +76,10 @@ class RingChannel final : public Channel {
   /// blocks indefinitely.
   [[nodiscard]] std::optional<FrameView> pop_for(double timeout_s);
 
-  /// Attaches one more producer (fan-in); EOS now needs one more
-  /// close_send().  Throws StateError once the stream already ended.
-  void add_producer();
-
-  /// Retires one producer.  When the last producer retires the stream
-  /// is at end-of-stream: consumers drain, then see nullopt.
-  /// Idempotent once all producers are retired.
-  void close_send();
+  /// Orderly close from either end: the consumer drains, then sees end
+  /// of stream, and every push -- a parked one too -- fails with
+  /// TransportError.  Idempotent.
+  void close() override;
 
   /// Hard teardown: drops queued frames (releasing their slabs) and
   /// wakes every parked producer and consumer with TransportError.
@@ -101,7 +88,7 @@ class RingChannel final : public Channel {
 
   [[nodiscard]] std::size_t capacity() const { return capacity_; }
   [[nodiscard]] std::size_t size() const;
-  /// True once every producer retired (frames may remain to drain).
+  /// True once the ring is closed (frames may remain to drain).
   [[nodiscard]] bool eos() const;
   [[nodiscard]] bool aborted() const;
   [[nodiscard]] RingChannelStats stats() const;
@@ -113,15 +100,12 @@ class RingChannel final : public Channel {
       double timeout_s) override {
     return pop_for(timeout_s);
   }
-  /// Orderly close: identical to close_send().
-  void close() override { close_send(); }
   [[nodiscard]] std::size_t bytes_sent() const override;
 
  private:
-  /// Pops under `lk` after the wait predicate passed; assumes
+  /// Pops under the lock after the wait predicate passed; assumes
   /// count_ > 0.
   [[nodiscard]] FrameView take_locked();
-  void push_locked(FrameView&& frame);
 
   const std::size_t capacity_;
   mutable std::mutex mu_;
@@ -130,8 +114,7 @@ class RingChannel final : public Channel {
   std::unique_ptr<FrameView[]> slots_;  // the single allocation
   std::size_t head_ = 0;                // next slot to pop
   std::size_t count_ = 0;               // occupied slots
-  std::size_t producers_ = 1;           // attached, not yet retired
-  bool eos_ = false;                    // all producers retired
+  bool eos_ = false;                    // closed by either end
   bool aborted_ = false;
   std::size_t bytes_sent_ = 0;
   RingChannelStats stats_;

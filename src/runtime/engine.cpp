@@ -58,6 +58,13 @@ common::Counter& metric(const char* name) {
   return common::MetricsRegistry::global().counter(name);
 }
 
+/// Frames each in-process link of a run holds: the stream's setting,
+/// or the default every batch run uses.
+std::size_t link_capacity(const StreamingConfig* stream) {
+  return stream != nullptr ? stream->channel_capacity
+                           : dm::kDefaultRingCapacity;
+}
+
 std::string hosts_csv(const std::vector<common::HostId>& hosts) {
   std::string out;
   for (const common::HostId h : hosts) {
@@ -147,7 +154,7 @@ class StageRunner {
         checkpoint_(checkpoint),
         stop_(stop),
         stop_generation_(stop != nullptr ? stop->load() : 0),
-        broker_(config.transport),
+        broker_(config.transport, link_capacity(stream)),
         recovery_on_(ft != nullptr && ft->reschedule != nullptr),
         windowed_(stream != nullptr && checkpoint != nullptr &&
                   stream->checkpoint_window > 0) {
@@ -285,10 +292,9 @@ class StageRunner {
       }
       std::sort(children.begin(), children.end(),
                 [&](TaskId a, TaskId b) { return rank_.at(a) < rank_.at(b); });
-      const dm::TaskWiring wiring{
-          app_, s.node->id, graph_.ordered_parents(s.node->id),
-          std::move(children),
-          stream_ != nullptr ? stream_->channel_capacity : 0};
+      const dm::TaskWiring wiring{app_, s.node->id,
+                                  graph_.ordered_parents(s.node->id),
+                                  std::move(children)};
       {
         common::ScopedSpan setup_span("channel_setup", "engine");
         if (setup_span.active()) {
@@ -316,8 +322,9 @@ class StageRunner {
         s.error = e.what();
         if (cause_ == nullptr) cause_ = &s;  // the round's first failure
       }
-      // A stream's rings are aborted so every parked stage wakes; batch
-      // links unblock through this stage's own channel close below.
+      // A stream's rings are aborted so every parked stage wakes; a
+      // batch run's peers unblock through this stage's own channel
+      // close below (a producer parked on its full input ring fails).
       if (stream_ != nullptr) broker_.clear_app(app_);
       if (!acked) acks.count_down();
     }
@@ -675,6 +682,17 @@ class StageRunner {
   std::map<std::uint64_t, Clock::time_point> born_;
 };
 
+/// The engine.* counters of one stage's run, batch or stream: its
+/// charged attempts, the retries among them, and its re-placements.
+void count_stage(const StageRunner::Stage& s) {
+  static common::Counter& m_attempts = metric("engine.attempts");
+  static common::Counter& m_retries = metric("engine.retries");
+  static common::Counter& m_reschedules = metric("engine.reschedules");
+  m_attempts.add(static_cast<std::uint64_t>(s.attempts));
+  m_retries.add(static_cast<std::uint64_t>(s.attempts - 1));
+  m_reschedules.add(s.moves);
+}
+
 }  // namespace
 
 ExecutionEngine::ExecutionEngine(const tasklib::TaskRegistry& registry,
@@ -702,11 +720,8 @@ RunResult ExecutionEngine::execute(const afg::FlowGraph& graph,
   runner.run();
 
   static common::Counter& m_completed = metric("engine.tasks_completed");
-  static common::Counter& m_attempts = metric("engine.attempts");
-  static common::Counter& m_retries = metric("engine.retries");
   static common::Histogram& m_turnaround =
       common::MetricsRegistry::global().histogram("engine.turnaround_s");
-  static common::Counter& m_reschedules = metric("engine.reschedules");
   static common::Counter& m_recovered = metric("engine.failures_recovered");
   RunResult result;
   result.app = app;
@@ -725,8 +740,7 @@ RunResult ExecutionEngine::execute(const afg::FlowGraph& graph,
     if (s.attempts > 1) ++result.failures_recovered;
     result.reschedules += s.moves;
     m_completed.add(1);
-    m_attempts.add(static_cast<std::uint64_t>(s.attempts));
-    m_retries.add(static_cast<std::uint64_t>(s.attempts - 1));
+    count_stage(s);
     m_turnaround.observe(s.turnaround_s);
     if (feedback != nullptr) {
       feedback->record_task_time(s.node->library_task,
@@ -735,7 +749,6 @@ RunResult ExecutionEngine::execute(const afg::FlowGraph& graph,
     result.records.push_back(rec);
     result.outputs.emplace(s.node->id, std::move(s.outcome.payload));
   }
-  m_reschedules.add(result.reschedules);
   m_recovered.add(result.failures_recovered);
   if (app_span.active()) {
     app_span.arg("makespan_s", result.makespan_s);
@@ -767,6 +780,7 @@ StreamRunResult StreamingEngine::execute(const afg::FlowGraph& graph,
   StreamRunResult run;
   run.app = app;
   for (StageRunner::Stage& s : runner.stages) {
+    count_stage(s);
     run.stage_frames[s.node->id] = s.frames;
     if (s.source) run.source_frames += s.frames;
     run.reschedules += s.moves;

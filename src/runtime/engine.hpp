@@ -16,7 +16,7 @@
 //   4. each stage loops over frames from its resume point: a guard
 //      check, one receive per parent in port order, the compute, one
 //      send per child, over the configured transport (in-process
-//      queues or rings, or real TCP loopback sockets) and
+//      bounded rings, or real TCP loopback sockets) and
 //      message-passing library facade.  A batch run is frame 0 only;
 //      a stream (StreamingEngine) runs until its sources finish;
 //   5. measured execution times flow back into the task-performance

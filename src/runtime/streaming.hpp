@@ -66,10 +66,10 @@ class CheckpointStore;
 /// stream's own.  max_attempts bounds each stage's charged attempts,
 /// as in batch; the stages a failure aborts restart for free.
 struct StreamingConfig : EngineConfig {
-  /// Ring capacity of every in-process link, in frames.  The whole
-  /// pipeline's buffered memory is bounded by links * capacity * frame
-  /// size.
-  std::size_t channel_capacity = 8;
+  /// Ring capacity of every in-process link, in frames (a batch run's
+  /// rings hold the same default).  The whole pipeline's buffered
+  /// memory is bounded by links * capacity * frame size.
+  std::size_t channel_capacity = dm::kDefaultRingCapacity;
   /// Total frames each source emits; 0 = stream until request_stop().
   std::uint64_t frames = 0;
   /// Sink frames between durable checkpoint captures (0 disables

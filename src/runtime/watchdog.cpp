@@ -25,6 +25,10 @@ namespace {
 
 /// Growth of the restart backoff per restart.
 constexpr double kRestartBackoffMultiplier = 2.0;
+/// Jitter fraction on the restart backoff: each (site, restart) waits
+/// backoff * (1 + jitter * u) with u in [0, 1) drawn deterministically
+/// from (seed, site, restart).
+constexpr double kRestartBackoffJitter = 0.5;
 /// Peers asked to indirectly probe each suspect per round.
 constexpr int kProbeFanout = 3;
 
@@ -41,13 +45,12 @@ double Watchdog::restart_backoff(const WatchdogConfig& config, SiteId site,
   const double base =
       config.restart_backoff_s *
       std::pow(kRestartBackoffMultiplier, static_cast<double>(restart_index));
-  if (config.restart_backoff_jitter <= 0.0) return base;
   // One deterministic draw per (seed, site, restart): decorrelates the
   // restart storms of a multi-site outage without losing replayability.
   common::Rng rng(config.seed ^
                   (0x9E3779B97F4A7C15ull * (site.value() + 1ull)) ^
                   (0xBF58476D1CE4E5B9ull * (restart_index + 1ull)));
-  return base * (1.0 + config.restart_backoff_jitter * rng.uniform());
+  return base * (1.0 + kRestartBackoffJitter * rng.uniform());
 }
 
 Watchdog::Watchdog(WatchdogConfig config)

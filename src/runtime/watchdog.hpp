@@ -76,12 +76,8 @@ struct WatchdogConfig {
   /// Restarts per site before the watchdog gives the site up for good.
   int max_restarts = 3;
   /// Exponential backoff before each restart attempt; doubles per
-  /// restart.
+  /// restart, plus a seed-derived jitter of up to half of it.
   double restart_backoff_s = 0.05;
-  /// Seed-derived jitter fraction on the backoff: each (site, restart)
-  /// waits backoff * (1 + jitter * u) with u in [0, 1) drawn
-  /// deterministically from (seed, site, restart).  0 disables.
-  double restart_backoff_jitter = 0.5;
   /// D17 quorum-liveness knobs.
   LivenessConfig liveness;
   /// Run the gossip layer: daemons probe each other, piggyback

@@ -56,38 +56,52 @@ std::string string_of(const std::vector<std::byte>& b) {
 
 // ------------------------------------------------------------ channels
 
+/// The producer's and the consumer's end of one in-process link, as
+/// the broker hands them out.
+std::pair<std::shared_ptr<Channel>, std::shared_ptr<Channel>> inproc_link() {
+  ChannelBroker broker(TransportKind::kInProcess);
+  const LinkKey key{AppId(1), TaskId(0), TaskId(1)};
+  auto receiver = broker.open_receive(key);
+  return {broker.open_send(key), std::move(receiver)};
+}
+
 TEST(InProcChannel, DeliversInOrder) {
-  auto pair = make_inproc_pair();
-  pair.sender->send(bytes_of("one"));
-  pair.sender->send(bytes_of("two"));
-  EXPECT_EQ(string_of(*pair.receiver->receive()), "one");
-  EXPECT_EQ(string_of(*pair.receiver->receive()), "two");
+  auto [sender, receiver] = inproc_link();
+  sender->send(bytes_of("one"));
+  sender->send(bytes_of("two"));
+  EXPECT_EQ(string_of(*receiver->receive()), "one");
+  EXPECT_EQ(string_of(*receiver->receive()), "two");
 }
 
 TEST(InProcChannel, CloseDrainsThenEof) {
-  auto pair = make_inproc_pair();
-  pair.sender->send(bytes_of("last"));
-  pair.sender->close();
-  EXPECT_EQ(string_of(*pair.receiver->receive()), "last");
-  EXPECT_EQ(pair.receiver->receive(), std::nullopt);
+  auto [sender, receiver] = inproc_link();
+  sender->send(bytes_of("last"));
+  sender->close();
+  EXPECT_EQ(string_of(*receiver->receive()), "last");
+  EXPECT_EQ(receiver->receive(), std::nullopt);
 }
 
 TEST(InProcChannel, SendAfterCloseThrows) {
-  auto pair = make_inproc_pair();
-  pair.receiver->close();
-  EXPECT_THROW(pair.sender->send(bytes_of("x")), TransportError);
-}
-
-TEST(InProcChannel, WrongDirectionThrows) {
-  auto pair = make_inproc_pair();
-  EXPECT_THROW((void)pair.sender->receive(), TransportError);
-  EXPECT_THROW(pair.receiver->send(bytes_of("x")), TransportError);
+  auto [sender, receiver] = inproc_link();
+  receiver->close();
+  EXPECT_THROW(sender->send(bytes_of("x")), TransportError);
 }
 
 TEST(InProcChannel, CountsBytes) {
-  auto pair = make_inproc_pair();
-  pair.sender->send(bytes_of("12345"));
-  EXPECT_EQ(pair.sender->bytes_sent(), 5u);
+  auto [sender, receiver] = inproc_link();
+  sender->send(bytes_of("12345"));
+  EXPECT_EQ(sender->bytes_sent(), 5u);
+}
+
+TEST(InProcChannel, RendezvousSharesOneRing) {
+  ChannelBroker broker(TransportKind::kInProcess, 4);
+  const LinkKey key{AppId(1), TaskId(0), TaskId(1)};
+  auto receiver = broker.open_receive(key);
+  auto sender = broker.open_send(key);
+  EXPECT_EQ(receiver.get(), sender.get());  // one bounded ring, two ends
+  const auto* ring = dynamic_cast<const RingChannel*>(receiver.get());
+  ASSERT_NE(ring, nullptr);
+  EXPECT_EQ(ring->capacity(), 4u);  // the broker's ring capacity
 }
 
 TEST(TcpChannel, RoundTripOverLoopback) {
@@ -225,16 +239,88 @@ TEST(TcpChannel, ReceiveForSeesOrderlyClose) {
 }
 
 TEST(InProcChannel, ReceiveForTimesOutWithoutData) {
-  auto pair = make_inproc_pair();
-  EXPECT_THROW((void)pair.receiver->receive_for(0.05), TransportError);
-  pair.sender->send(bytes_of("late"));
-  EXPECT_EQ(string_of(*pair.receiver->receive_for(5.0)), "late");
+  auto [sender, receiver] = inproc_link();
+  EXPECT_THROW((void)receiver->receive_for(0.05), TransportError);
+  sender->send(bytes_of("late"));
+  EXPECT_EQ(string_of(*receiver->receive_for(5.0)), "late");
 }
 
 TEST(InProcChannel, ReceiveForSeesOrderlyClose) {
-  auto pair = make_inproc_pair();
-  pair.sender->close();
-  EXPECT_EQ(pair.receiver->receive_for(5.0), std::nullopt);
+  auto [sender, receiver] = inproc_link();
+  sender->close();
+  EXPECT_EQ(receiver->receive_for(5.0), std::nullopt);
+}
+
+TEST(InProcChannel, ClearAppWakesProducerParkedOnFullRing) {
+  // The clear-generation bump frees feeders blocked in open_send, but
+  // a producer can be parked deeper -- inside push() on a full ring it
+  // already holds.  clear_app must abort the ring so that
+  // producer wakes with TransportError instead of sleeping until its
+  // consumer (torn down with the app) drains.
+  ChannelBroker broker(TransportKind::kInProcess, 2);
+  const LinkKey key{AppId(7), TaskId(0), TaskId(1)};
+  auto receiver = broker.open_receive(key);
+  auto sender = broker.open_send(key);
+  sender->send(bytes_of("a"));
+  sender->send(bytes_of("b"));  // ring full
+
+  std::atomic<bool> threw{false};
+  const auto t0 = std::chrono::steady_clock::now();
+  std::jthread producer([&] {
+    try {
+      sender->send(bytes_of("c"));  // parks
+    } catch (const TransportError&) {
+      threw.store(true);
+    }
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(30));
+  broker.clear_app(AppId(7));
+  producer.join();
+  const double elapsed =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+          .count();
+  EXPECT_TRUE(threw.load());
+  EXPECT_LT(elapsed, 5.0) << "parked producer slept through clear_app";
+  EXPECT_THROW((void)receiver->receive(), TransportError);
+}
+
+TEST(InProcChannel, ClearAppWakesConsumerParkedOnEmptyRing) {
+  ChannelBroker broker(TransportKind::kInProcess);
+  const LinkKey key{AppId(8), TaskId(0), TaskId(1)};
+  auto receiver = broker.open_receive(key);
+  std::atomic<bool> threw{false};
+  std::jthread consumer([&] {
+    try {
+      (void)receiver->receive();  // parks: nothing queued, not closed
+    } catch (const TransportError&) {
+      threw.store(true);
+    }
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(30));
+  broker.clear_app(AppId(8));
+  consumer.join();
+  EXPECT_TRUE(threw.load());
+}
+
+TEST(ChannelBrokerStream, ClearAppAbortsPendingOpenStreamSend) {
+  // The clear-generation bump covers the in-process (stream) rendezvous
+  // too: a producer waiting for a consumer that will never register
+  // aborts promptly, and no ring is left behind for the key.
+  ChannelBroker broker(TransportKind::kInProcess);
+  const LinkKey key{AppId(9), TaskId(0), TaskId(1)};
+  std::atomic<bool> threw{false};
+  std::jthread feeder([&] {
+    try {
+      (void)broker.open_send(key, /*timeout_s=*/30.0);
+    } catch (const TransportError&) {
+      threw.store(true);
+    }
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(30));
+  broker.clear_app(AppId(9));
+  feeder.join();
+  EXPECT_TRUE(threw.load());
+  EXPECT_NO_THROW((void)broker.open_receive(key));
 }
 
 // -------------------------------------------------------------- broker
@@ -375,6 +461,34 @@ TEST_P(BrokerKinds, ClearAppLeavesOtherAppsWaiting) {
   EXPECT_EQ(string_of(*receiver->receive()), "unaffected");
 }
 
+TEST_P(BrokerKinds, ConsumerThatLeavesFailsItsProducer) {
+  // One close rule on every link: a consumer that closes after three
+  // frames fails its producer's sends with TransportError, as a reset
+  // would over TCP (CommProxy.ConsumerThatLeavesResetsItsProducer pins
+  // the proxy's side of it).
+  ChannelBroker broker(GetParam());
+  const LinkKey key{AppId(3), TaskId(0), TaskId(1)};
+  auto receiver = broker.open_receive(key);
+  auto sender = broker.open_send(key, 5.0);
+  std::jthread consumer([&] {
+    for (int i = 0; i < 3; ++i) ASSERT_TRUE(receiver->receive_for(5.0));
+    receiver->close();
+  });
+  const auto t0 = std::chrono::steady_clock::now();
+  bool failed = false;
+  try {
+    while (std::chrono::steady_clock::now() - t0 < std::chrono::seconds(10)) {
+      sender->send(bytes_of("stream frame"));
+      std::this_thread::sleep_for(std::chrono::microseconds(200));
+    }
+  } catch (const TransportError&) {
+    failed = true;
+  }
+  consumer.join();
+  EXPECT_TRUE(failed) << "the producer never learned its consumer left";
+  sender->close();
+}
+
 INSTANTIATE_TEST_SUITE_P(Transports, BrokerKinds,
                          ::testing::Values(TransportKind::kInProcess,
                                            TransportKind::kTcp));
@@ -387,7 +501,7 @@ TEST(RingChannel, FifoOrderAndDrainToEos) {
     ring.push(FramePool::global().copy_of(bytes_of("f" + std::to_string(i))));
   }
   EXPECT_EQ(ring.size(), 4u);
-  ring.close_send();
+  ring.close();
   EXPECT_TRUE(ring.eos());
   for (int i = 0; i < 4; ++i) {
     auto fv = ring.pop();
@@ -396,16 +510,6 @@ TEST(RingChannel, FifoOrderAndDrainToEos) {
   }
   EXPECT_FALSE(ring.pop().has_value());  // clean EOS
   EXPECT_FALSE(ring.pop().has_value());  // and it stays that way
-}
-
-TEST(RingChannel, TryPushReportsFullWithoutBlocking) {
-  RingChannel ring(2);
-  EXPECT_TRUE(ring.try_push(FramePool::global().copy_of(bytes_of("a"))));
-  EXPECT_TRUE(ring.try_push(FramePool::global().copy_of(bytes_of("b"))));
-  EXPECT_FALSE(ring.try_push(FramePool::global().copy_of(bytes_of("c"))));
-  EXPECT_EQ(ring.stats().frames_pushed, 2u);
-  (void)ring.pop();
-  EXPECT_TRUE(ring.try_push(FramePool::global().copy_of(bytes_of("c"))));
 }
 
 TEST(RingChannel, ProducerParksOnFullUntilConsumerMakesRoom) {
@@ -437,19 +541,39 @@ TEST(RingChannel, PopForTimesOutWithTransportError) {
             before);
 }
 
-TEST(RingChannel, MultiProducerEosNeedsEveryRetirement) {
-  RingChannel ring(8);
-  ring.add_producer();  // two producers now
-  ring.push(FramePool::global().copy_of(bytes_of("x")));
-  ring.close_send();
-  EXPECT_FALSE(ring.eos());  // one producer still attached
-  ring.close_send();
-  EXPECT_TRUE(ring.eos());
-  EXPECT_TRUE(ring.pop().has_value());
-  EXPECT_FALSE(ring.pop().has_value());
-  EXPECT_THROW(ring.add_producer(), StateError);
-  EXPECT_THROW(ring.push(FramePool::global().copy_of(bytes_of("y"))),
-               TransportError);
+TEST(RingChannel, ConsumerCloseWakesAProducerParkedOnAFullRing) {
+  // The close rule: a consumer that leaves fails a producer parked on
+  // its full ring, as a reset fails a TCP producer -- abort() is not
+  // needed to free it.
+  RingChannel ring(1);
+  ring.push(FramePool::global().copy_of(bytes_of("held")));
+  std::atomic<bool> threw{false};
+  std::atomic<bool> returned{false};
+  std::jthread producer([&] {
+    try {
+      ring.push(FramePool::global().copy_of(bytes_of("parked")));
+    } catch (const TransportError&) {
+      threw.store(true);
+    }
+    returned.store(true);
+  });
+  using Clock = std::chrono::steady_clock;
+  const auto parked_by = Clock::now() + std::chrono::seconds(2);
+  while (ring.stats().producer_parks == 0 && Clock::now() < parked_by) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_EQ(ring.stats().producer_parks, 1u);
+  ring.close();  // the consumer leaves
+  const auto woken_by = Clock::now() + std::chrono::seconds(2);
+  while (!returned.load() && Clock::now() < woken_by) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  const bool woke = returned.load();
+  if (!woke) ring.abort();  // free the producer so the join returns
+  producer.join();
+  EXPECT_TRUE(woke) << "still parked 2 s after the consumer closed";
+  EXPECT_TRUE(threw.load());
+  EXPECT_EQ(ring.stats().frames_pushed, 1u);
 }
 
 TEST(RingChannel, AbortDropsFramesAndWakesParkedProducer) {
@@ -502,125 +626,14 @@ TEST(RingChannel, ChannelInterfaceRoundTrip) {
   EXPECT_FALSE(ch.receive().has_value());
 }
 
-// -------------------------------------- broker streaming links (D16)
-
-TEST(ChannelBrokerStream, RendezvousSharesOneRing) {
-  ChannelBroker broker(TransportKind::kInProcess);
-  const LinkKey key{AppId(1), TaskId(0), TaskId(1)};
-  auto receiver = broker.open_stream_receive(key, 4);
-  auto sender = broker.open_stream_send(key);
-  EXPECT_EQ(receiver.get(), sender.get());  // one bounded ring, two ends
-  sender->push(FramePool::global().copy_of(bytes_of("hello")));
-  sender->close_send();
-  EXPECT_EQ(string_of(receiver->pop()->to_vector()), "hello");
-  EXPECT_FALSE(receiver->pop().has_value());
-}
-
-TEST(ChannelBrokerStream, FanInAttachesOneProducerPerOpen) {
-  ChannelBroker broker(TransportKind::kInProcess);
-  const LinkKey key{AppId(1), TaskId(0), TaskId(1)};
-  auto receiver = broker.open_stream_receive(key, 4);
-  auto a = broker.open_stream_send(key);
-  auto b = broker.open_stream_send(key);
-  a->push(FramePool::global().copy_of(bytes_of("from a")));
-  a->close_send();
-  EXPECT_FALSE(receiver->eos());  // b is still attached
-  b->close_send();
-  EXPECT_TRUE(receiver->eos());
-  EXPECT_TRUE(receiver->pop().has_value());
-  EXPECT_FALSE(receiver->pop().has_value());
-}
-
-TEST(ChannelBrokerStream, BatchAndStreamRegistrationsDoNotMix) {
-  ChannelBroker broker(TransportKind::kInProcess);
-  const LinkKey batch_key{AppId(1), TaskId(0), TaskId(1)};
-  const LinkKey stream_key{AppId(1), TaskId(1), TaskId(2)};
-  (void)broker.open_receive(batch_key);
-  (void)broker.open_stream_receive(stream_key, 2);
-  EXPECT_THROW((void)broker.open_stream_send(batch_key, 0.2), StateError);
-  EXPECT_THROW((void)broker.open_stream_receive(stream_key, 2), StateError);
-}
-
-TEST(ChannelBrokerStream, ClearAppWakesProducerParkedOnFullRing) {
-  // Satellite regression: PR 5's clear-generation bump frees feeders
-  // blocked in open_send, but a STREAMING producer can be parked deeper
-  // -- inside push() on a full ring it already holds.  clear_app must
-  // abort the ring so that producer wakes with TransportError instead
-  // of sleeping until its consumer (torn down with the app) drains.
-  ChannelBroker broker(TransportKind::kInProcess);
-  const LinkKey key{AppId(7), TaskId(0), TaskId(1)};
-  auto receiver = broker.open_stream_receive(key, 2);
-  auto sender = broker.open_stream_send(key);
-  sender->push(FramePool::global().copy_of(bytes_of("a")));
-  sender->push(FramePool::global().copy_of(bytes_of("b")));  // ring full
-
-  std::atomic<bool> threw{false};
-  const auto t0 = std::chrono::steady_clock::now();
-  std::jthread producer([&] {
-    try {
-      sender->push(FramePool::global().copy_of(bytes_of("c")));  // parks
-    } catch (const TransportError&) {
-      threw.store(true);
-    }
-  });
-  std::this_thread::sleep_for(std::chrono::milliseconds(30));
-  broker.clear_app(AppId(7));
-  producer.join();
-  const double elapsed =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-          .count();
-  EXPECT_TRUE(threw.load());
-  EXPECT_LT(elapsed, 5.0) << "parked producer slept through clear_app";
-  EXPECT_TRUE(receiver->aborted());
-  EXPECT_THROW((void)receiver->pop(), TransportError);
-}
-
-TEST(ChannelBrokerStream, ClearAppWakesConsumerParkedOnEmptyRing) {
-  ChannelBroker broker(TransportKind::kInProcess);
-  const LinkKey key{AppId(8), TaskId(0), TaskId(1)};
-  auto receiver = broker.open_stream_receive(key, 2);
-  std::atomic<bool> threw{false};
-  std::jthread consumer([&] {
-    try {
-      (void)receiver->pop();  // parks: nothing queued, no EOS
-    } catch (const TransportError&) {
-      threw.store(true);
-    }
-  });
-  std::this_thread::sleep_for(std::chrono::milliseconds(30));
-  broker.clear_app(AppId(8));
-  consumer.join();
-  EXPECT_TRUE(threw.load());
-}
-
-TEST(ChannelBrokerStream, ClearAppAbortsPendingOpenStreamSend) {
-  // The clear-generation bump covers streaming rendezvous too: a
-  // producer waiting for a consumer that will never register aborts
-  // promptly.
-  ChannelBroker broker(TransportKind::kInProcess);
-  std::atomic<bool> threw{false};
-  std::jthread feeder([&] {
-    try {
-      (void)broker.open_stream_send(LinkKey{AppId(9), TaskId(0), TaskId(1)},
-                                    /*timeout_s=*/30.0);
-    } catch (const TransportError&) {
-      threw.store(true);
-    }
-  });
-  std::this_thread::sleep_for(std::chrono::milliseconds(30));
-  broker.clear_app(AppId(9));
-  feeder.join();
-  EXPECT_TRUE(threw.load());
-}
-
 // --------------------------------------------------------------- mplib
 
 class MpLibSweep : public ::testing::TestWithParam<MpLibrary> {};
 
 TEST_P(MpLibSweep, TaggedRoundTrip) {
-  auto pair = make_inproc_pair();
-  MessageEndpoint tx(GetParam(), pair.sender);
-  MessageEndpoint rx(GetParam(), pair.receiver);
+  auto ring = std::make_shared<RingChannel>(8);
+  MessageEndpoint tx(GetParam(), ring);
+  MessageEndpoint rx(GetParam(), ring);
   tx.send(42, bytes_of("tagged message"));
   const auto msg = rx.receive();
   ASSERT_TRUE(msg.has_value());
@@ -629,17 +642,18 @@ TEST_P(MpLibSweep, TaggedRoundTrip) {
 }
 
 TEST_P(MpLibSweep, EofPropagates) {
-  auto pair = make_inproc_pair();
-  MessageEndpoint tx(GetParam(), pair.sender);
-  MessageEndpoint rx(GetParam(), pair.receiver);
+  auto ring = std::make_shared<RingChannel>(8);
+  MessageEndpoint tx(GetParam(), ring);
+  MessageEndpoint rx(GetParam(), ring);
   tx.close();
   EXPECT_EQ(rx.receive(), std::nullopt);
 }
 
 TEST_P(MpLibSweep, LargePayloadRoundTrip) {
-  auto pair = make_inproc_pair();
-  MessageEndpoint tx(GetParam(), pair.sender);
-  MessageEndpoint rx(GetParam(), pair.receiver);
+  // Sent before it is received: 100000 bytes are 26 PVM messages.
+  auto ring = std::make_shared<RingChannel>(32);
+  MessageEndpoint tx(GetParam(), ring);
+  MessageEndpoint rx(GetParam(), ring);
   common::Rng rng(2);
   std::vector<std::byte> big(100000);
   for (auto& b : big) b = static_cast<std::byte>(rng() & 0xFF);
@@ -654,46 +668,46 @@ INSTANTIATE_TEST_SUITE_P(Libraries, MpLibSweep,
                                            MpLibrary::kMpi, MpLibrary::kNcs));
 
 TEST(MpLib, LibraryMismatchDetected) {
-  auto pair = make_inproc_pair();
-  MessageEndpoint tx(MpLibrary::kP4, pair.sender);
-  MessageEndpoint rx(MpLibrary::kMpi, pair.receiver);
+  auto ring = std::make_shared<RingChannel>(8);
+  MessageEndpoint tx(MpLibrary::kP4, ring);
+  MessageEndpoint rx(MpLibrary::kMpi, ring);
   tx.send(1, bytes_of("x"));
   EXPECT_THROW((void)rx.receive(), TransportError);
 }
 
 TEST(MpLib, MpiCommunicatorChecked) {
-  auto pair = make_inproc_pair();
-  MessageEndpoint tx(MpLibrary::kMpi, pair.sender, /*communicator=*/1);
-  MessageEndpoint rx(MpLibrary::kMpi, pair.receiver, /*communicator=*/2);
+  auto ring = std::make_shared<RingChannel>(8);
+  MessageEndpoint tx(MpLibrary::kMpi, ring, /*communicator=*/1);
+  MessageEndpoint rx(MpLibrary::kMpi, ring, /*communicator=*/2);
   tx.send(1, bytes_of("x"));
   EXPECT_THROW((void)rx.receive(), TransportError);
 }
 
 TEST(MpLib, PvmFragmentsLargeMessages) {
-  auto pair = make_inproc_pair();
-  MessageEndpoint tx(MpLibrary::kPvm, pair.sender);
+  auto ring = std::make_shared<RingChannel>(8);
+  MessageEndpoint tx(MpLibrary::kPvm, ring);
   std::vector<std::byte> data(MessageEndpoint::kPvmFragment * 2 + 100);
   tx.send(1, data);
   tx.close();
   // On the raw channel: one header frame + three fragment frames.
   int frames = 0;
-  while (pair.receiver->receive()) ++frames;
+  while (ring->receive()) ++frames;
   EXPECT_EQ(frames, 4);
 }
 
 TEST(MpLib, PvmMissingFragmentDetected) {
-  auto pair = make_inproc_pair();
-  MessageEndpoint tx(MpLibrary::kPvm, pair.sender);
-  MessageEndpoint rx(MpLibrary::kPvm, pair.receiver);
+  auto ring = std::make_shared<RingChannel>(8);
+  MessageEndpoint tx(MpLibrary::kPvm, ring);
+  MessageEndpoint rx(MpLibrary::kPvm, ring);
   std::vector<std::byte> data(MessageEndpoint::kPvmFragment + 10);
   tx.send(1, data);
   // Swallow the last fragment: read the header + first fragment through
   // a raw side-channel is not possible here, so instead close the
   // channel mid-message by sending a fresh header claiming fragments
   // that never arrive.
-  auto pair2 = make_inproc_pair();
-  MessageEndpoint tx2(MpLibrary::kPvm, pair2.sender);
-  MessageEndpoint rx2(MpLibrary::kPvm, pair2.receiver);
+  auto ring2 = std::make_shared<RingChannel>(8);
+  MessageEndpoint tx2(MpLibrary::kPvm, ring2);
+  MessageEndpoint rx2(MpLibrary::kPvm, ring2);
   tx2.send(1, data);
   // Receive normally works:
   EXPECT_EQ(rx2.receive()->data.size(), data.size());
@@ -703,15 +717,15 @@ TEST(MpLib, PvmMissingFragmentDetected) {
   header.write_u32(1);
   header.write_u32(3);  // claims 3 fragments
   header.write_u64(100);
-  pair2.sender->send(header.bytes());
-  pair2.sender->close();
+  ring2->send(header.bytes());
+  ring2->close();
   EXPECT_THROW((void)rx2.receive(), TransportError);
 }
 
 TEST(MpLib, NcsSequenceViolationDetected) {
-  auto tx_pair = make_inproc_pair();
-  MessageEndpoint tx(MpLibrary::kNcs, tx_pair.sender);
-  MessageEndpoint rx(MpLibrary::kNcs, tx_pair.receiver);
+  auto ring = std::make_shared<RingChannel>(8);
+  MessageEndpoint tx(MpLibrary::kNcs, ring);
+  MessageEndpoint rx(MpLibrary::kNcs, ring);
   tx.send(1, bytes_of("a"));
   // Drop one message by consuming it at the raw level... instead send
   // two and read both fine first:
@@ -720,7 +734,7 @@ TEST(MpLib, NcsSequenceViolationDetected) {
   EXPECT_EQ(rx.receive()->tag, 2);
   // Now fake an out-of-order frame by constructing a second sender whose
   // sequence numbers restart at 0.
-  MessageEndpoint rogue(MpLibrary::kNcs, tx_pair.sender);
+  MessageEndpoint rogue(MpLibrary::kNcs, ring);
   rogue.send(3, bytes_of("c"));  // seq 0, receiver expects 2
   EXPECT_THROW((void)rx.receive(), TransportError);
 }
@@ -1037,10 +1051,10 @@ TEST(FramePool, ConcurrentChurnIsSafe) {
 // --------------------------------------------- zero-copy channel paths
 
 TEST(InProcChannel, FrameDeliveryIsZeroCopy) {
-  auto pair = make_inproc_pair();
+  auto [sender, receiver] = inproc_link();
   const FrameView sent = FramePool::global().copy_of(bytes_of("no copies"));
-  pair.sender->send_frame(sent);
-  const auto got = pair.receiver->receive_frame();
+  sender->send_frame(sent);
+  const auto got = receiver->receive_frame();
   ASSERT_TRUE(got.has_value());
   EXPECT_EQ(got->data(), sent.data());  // the very same slab bytes
   EXPECT_EQ(got->to_vector(), sent.to_vector());
@@ -1127,9 +1141,9 @@ TEST(TcpChannel, EventLoopKeepsThreadCountFlat) {
 }
 
 TEST_P(MpLibSweep, FrameRoundTrip) {
-  auto pair = make_inproc_pair();
-  MessageEndpoint tx(GetParam(), pair.sender);
-  MessageEndpoint rx(GetParam(), pair.receiver);
+  auto ring = std::make_shared<RingChannel>(8);
+  MessageEndpoint tx(GetParam(), ring);
+  MessageEndpoint rx(GetParam(), ring);
   const auto payload = bytes_of("zero copy tagged");
   tx.send_frame(9, FramePool::global().copy_of(payload));
   const auto msg = rx.receive_frame();
@@ -1141,12 +1155,12 @@ TEST_P(MpLibSweep, FrameRoundTrip) {
 TEST(MpLib, PreparedFrameFansOutToAllConsumers) {
   // The engine's fan-out: one prepare() + serialize, N send_prepared()
   // calls shipping the SAME slab to every consumer link.
-  auto a = make_inproc_pair();
-  auto b = make_inproc_pair();
-  MessageEndpoint tx_a(MpLibrary::kNcs, a.sender);
-  MessageEndpoint tx_b(MpLibrary::kNcs, b.sender);
-  MessageEndpoint rx_a(MpLibrary::kNcs, a.receiver);
-  MessageEndpoint rx_b(MpLibrary::kNcs, b.receiver);
+  auto a = std::make_shared<RingChannel>(8);
+  auto b = std::make_shared<RingChannel>(8);
+  MessageEndpoint tx_a(MpLibrary::kNcs, a);
+  MessageEndpoint tx_b(MpLibrary::kNcs, b);
+  MessageEndpoint rx_a(MpLibrary::kNcs, a);
+  MessageEndpoint rx_b(MpLibrary::kNcs, b);
 
   const auto body = bytes_of("fan-out body");
   PreparedFrame prep = tx_a.prepare(5, body.size());
@@ -1172,8 +1186,8 @@ TEST(MpLib, PreparedFrameFansOutToAllConsumers) {
 }
 
 TEST(MpLib, PvmHasNoSingleEnvelope) {
-  auto pair = make_inproc_pair();
-  MessageEndpoint tx(MpLibrary::kPvm, pair.sender);
+  auto ring = std::make_shared<RingChannel>(8);
+  MessageEndpoint tx(MpLibrary::kPvm, ring);
   EXPECT_THROW((void)tx.prepare(1, 16), StateError);
 }
 

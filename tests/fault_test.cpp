@@ -965,6 +965,7 @@ TEST(FaultPointSweep, StreamChargesEachDeathOnceAtEveryPoint) {
         current = &fault;
         const FaultTolerance ft = fault.hooks();
         CheckpointStore store;
+        const std::uint64_t retries0 = counter_value("engine.retries");
         const StreamRunResult result =
             StreamingEngine(registry, config)
                 .execute(graph, allocation, &ft, app, &store);
@@ -973,6 +974,7 @@ TEST(FaultPointSweep, StreamChargesEachDeathOnceAtEveryPoint) {
         // aborted restart for free.
         EXPECT_EQ(fault.charges, (std::map<TaskId, int>{{node.id, 1}}))
             << "run " << run;
+        EXPECT_EQ(counter_value("engine.retries") - retries0, 1u);
         EXPECT_EQ(result.reschedules, 1u);
         EXPECT_EQ(result.restarts, 1);
         const SinkStreamResult& got = result.sinks.at(sink);

@@ -404,11 +404,11 @@ std::pair<std::uint64_t, std::uint64_t> decode_tag(const dm::FrameView& fv) {
   return {producer, seq};
 }
 
-/// The RingChannel contract under N racing producers and M racing
-/// consumers: every pushed frame pops exactly once (zero loss, no
-/// duplication), each consumer observes every producer's frames in push
-/// order (FIFO), occupancy never exceeds capacity, and once every
-/// producer retires all consumers see a clean EOS.
+/// The RingChannel contract under N racing pushers and M racing
+/// poppers: every pushed frame pops exactly once (zero loss, no
+/// duplication), each popper observes every pusher's frames in push
+/// order (FIFO), occupancy never exceeds capacity, and once the ring
+/// closes after the pushers finish, every popper sees a clean EOS.
 class RingChannelProperty : public ::testing::TestWithParam<int> {};
 
 TEST_P(RingChannelProperty, FifoZeroLossCleanEosUnderRace) {
@@ -419,24 +419,14 @@ TEST_P(RingChannelProperty, FifoZeroLossCleanEosUnderRace) {
   const std::uint64_t per_producer = 100 + rng.uniform_int(200);
 
   dm::RingChannel ring(capacity);
-  for (std::size_t p = 1; p < producers; ++p) ring.add_producer();
-
-  std::vector<std::jthread> threads;
-  for (std::size_t p = 0; p < producers; ++p) {
-    threads.emplace_back([&ring, p, per_producer] {
-      for (std::uint64_t seq = 0; seq < per_producer; ++seq) {
-        ring.push(tagged_frame(p, seq));
-      }
-      ring.close_send();
-    });
-  }
 
   std::mutex mu;
   std::vector<std::vector<std::pair<std::uint64_t, std::uint64_t>>> seen(
       consumers);
   std::atomic<std::size_t> clean_eos{0};
+  std::vector<std::jthread> poppers;
   for (std::size_t c = 0; c < consumers; ++c) {
-    threads.emplace_back([&, c] {
+    poppers.emplace_back([&, c] {
       std::vector<std::pair<std::uint64_t, std::uint64_t>> local;
       while (auto fv = ring.pop()) local.push_back(decode_tag(*fv));
       clean_eos.fetch_add(1);  // nullopt, not TransportError
@@ -444,7 +434,18 @@ TEST_P(RingChannelProperty, FifoZeroLossCleanEosUnderRace) {
       seen[c] = std::move(local);
     });
   }
-  threads.clear();  // join everyone
+  {
+    std::vector<std::jthread> pushers;
+    for (std::size_t p = 0; p < producers; ++p) {
+      pushers.emplace_back([&ring, p, per_producer] {
+        for (std::uint64_t seq = 0; seq < per_producer; ++seq) {
+          ring.push(tagged_frame(p, seq));
+        }
+      });
+    }
+  }  // join the pushers, then close once
+  ring.close();
+  poppers.clear();  // join the poppers
 
   // Clean EOS for every consumer, with the ring fully drained.
   EXPECT_EQ(clean_eos.load(), consumers);
@@ -496,7 +497,6 @@ TEST(RingChannelChurn, AbortRacingProducersAndConsumers) {
     dm::RingChannel ring(1 + rng.uniform_int(4));
     constexpr std::size_t kProducers = 2;
     constexpr std::size_t kConsumers = 2;
-    for (std::size_t p = 1; p < kProducers; ++p) ring.add_producer();
 
     std::mutex mu;
     std::vector<std::pair<std::uint64_t, std::uint64_t>> popped;
