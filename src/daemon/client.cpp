@@ -15,33 +15,32 @@ namespace wire = rt::wire;
 using common::StateError;
 using common::TransportError;
 
-DaemonClient::DaemonClient(std::uint16_t port, DaemonRpcConfig rpc)
-    : port_(port), rpc_(rpc), channel_(dm::tcp_connect(port)) {}
+namespace {
+
+/// How long an RPC waits for its reply, and a directory for a site's
+/// live daemon.
+constexpr double kRpcTimeoutS = 10.0;
+/// The pause before an RPC's one retry.
+constexpr auto kRpcBackoff = std::chrono::milliseconds(50);
+
+}  // namespace
+
+DaemonClient::DaemonClient(std::uint16_t port)
+    : port_(port), channel_(dm::tcp_connect(port)) {}
 
 std::vector<std::byte> DaemonClient::call(std::span<const std::byte> request,
                                           wire::MsgType expect) {
   const std::lock_guard lock(mu_);
-  for (int attempt = 0;; ++attempt) {
-    try {
-      return call_once(request, expect);
-    } catch (const TransportError& e) {
-      if (attempt >= rpc_.rpc_retries) throw;
-      common::MetricsRegistry::global().counter("daemon.rpc_retries").add(1);
-      const double backoff_s =
-          rpc_.rpc_backoff_s * static_cast<double>(1 << attempt);
-      common::log_warn("daemon_client", "RPC attempt ", attempt + 1,
-                       " failed (", e.what(), "); retrying in ", backoff_s,
-                       "s");
-      std::this_thread::sleep_for(std::chrono::duration<double>(backoff_s));
-      // Reconnect: the old connection is half-dead at best.  A refused
-      // connection here is tolerated -- call_once reconnects on the
-      // next attempt and a still-dead daemon fails from there.
-      channel_.reset();
-      try {
-        channel_ = dm::tcp_connect(port_);
-      } catch (const TransportError&) {
-      }
-    }
+  try {
+    return call_once(request, expect);
+  } catch (const TransportError& e) {
+    common::MetricsRegistry::global().counter("daemon.rpc_retries").add(1);
+    common::log_warn("daemon_client", "RPC failed (", e.what(),
+                     "); retrying once in ", kRpcBackoff.count(), " ms");
+    std::this_thread::sleep_for(kRpcBackoff);
+    // On a fresh connection: the old one is half-dead at best.
+    channel_.reset();
+    return call_once(request, expect);
   }
 }
 
@@ -49,7 +48,7 @@ std::vector<std::byte> DaemonClient::call_once(
     std::span<const std::byte> request, wire::MsgType expect) {
   if (!channel_) channel_ = dm::tcp_connect(port_);
   channel_->send(request);
-  const auto reply = channel_->receive_for(rpc_.timeout_s);
+  const auto reply = channel_->receive_for(kRpcTimeoutS);
   if (!reply) {
     throw TransportError("daemon closed the connection mid-RPC");
   }
@@ -100,12 +99,10 @@ void DaemonClient::shutdown() {
 
 RemoteSiteDirectory::RemoteSiteDirectory(sched::SiteDirectory& replica,
                                          rt::Watchdog& watchdog,
-                                         std::vector<common::SiteId> sites,
-                                         DaemonRpcConfig rpc)
+                                         std::vector<common::SiteId> sites)
     : replica_(&replica),
       watchdog_(&watchdog),
-      remote_sites_(std::move(sites)),
-      rpc_(rpc) {}
+      remote_sites_(std::move(sites)) {}
 
 std::vector<common::SiteId> RemoteSiteDirectory::sites() const {
   return replica_->sites();
@@ -153,8 +150,8 @@ std::shared_ptr<DaemonClient> RemoteSiteDirectory::client(
   std::shared_ptr<DaemonClient> fresh;
   try {
     const rt::RpcEndpoint endpoint =
-        watchdog_->rpc_endpoint(site, rpc_.timeout_s);
-    fresh = std::make_shared<DaemonClient>(endpoint.port, rpc_);
+        watchdog_->rpc_endpoint(site, kRpcTimeoutS);
+    fresh = std::make_shared<DaemonClient>(endpoint.port);
     fresh->set_incarnation(endpoint.incarnation);
   } catch (const TransportError& e) {
     common::log_warn("remote_directory", "site ", site.value(),

@@ -14,9 +14,9 @@
 // selection, never an exception -- the Site Scheduler then simply
 // places nothing on that site, which is exactly how the in-process
 // stack treats a site with no eligible hosts.  A transient
-// TransportError inside one RPC is retried a bounded number of times
-// with deterministic exponential backoff (reconnecting to the same
-// port, counted in `daemon.rpc_retries`) before it surfaces.  The
+// TransportError inside one RPC is retried once, after a 50 ms backoff
+// on a fresh connection to the same port (counted in
+// `daemon.rpc_retries`), before it surfaces.  A reply gets 10 s.  The
 // directory reconnects through the Watchdog on the next request and
 // pins each cached client to the daemon incarnation it connected to,
 // so a connection into a stale (pre-restart) daemon is fenced off and
@@ -38,23 +38,12 @@
 
 namespace vdce::daemon {
 
-/// RPC budget for one DaemonClient.
-struct DaemonRpcConfig {
-  double timeout_s = 10.0;
-  /// Extra attempts after the first on a transient TransportError
-  /// (reconnect + resend); 0 = fail fast.
-  int rpc_retries = 1;
-  /// Backoff before retry k is rpc_backoff_s * 2^k -- deterministic,
-  /// no jitter needed (one caller, one connection).
-  double rpc_backoff_s = 0.05;
-};
-
 /// Blocking request/reply client over one daemon connection.
 /// Thread-safe: one RPC is in flight at a time.
 class DaemonClient {
  public:
   /// Connects to a daemon's RPC port.
-  explicit DaemonClient(std::uint16_t port, DaemonRpcConfig rpc = {});
+  explicit DaemonClient(std::uint16_t port);
 
   /// The daemon incarnation this client is pinned to (0 = unknown);
   /// RemoteSiteDirectory drops clients whose incarnation went stale.
@@ -77,9 +66,8 @@ class DaemonClient {
  private:
   /// Sends `request`, waits for the reply, checks it is `expect` (an
   /// ErrorReply re-throws as StateError; anything else is a protocol
-  /// violation).  Retries a TransportError up to rpc_retries times
-  /// with exponential backoff, reconnecting each time; throws the
-  /// last TransportError once the budget is spent.
+  /// violation).  Retries a TransportError once on a fresh connection
+  /// after a backoff; a second one is thrown.
   [[nodiscard]] std::vector<std::byte> call(
       std::span<const std::byte> request, rt::wire::MsgType expect);
   /// One attempt (lock held by call).
@@ -87,7 +75,6 @@ class DaemonClient {
       std::span<const std::byte> request, rt::wire::MsgType expect);
 
   std::uint16_t port_;
-  DaemonRpcConfig rpc_;
   std::uint32_t incarnation_ = 0;
   std::unique_ptr<dm::TcpChannel> channel_;
   std::mutex mu_;
@@ -109,8 +96,7 @@ class RemoteSiteDirectory final : public sched::SiteDirectory {
   /// outlive the directory.  Sites not in `remote_sites` fall back to
   /// the replica entirely.
   RemoteSiteDirectory(sched::SiteDirectory& replica, rt::Watchdog& watchdog,
-                      std::vector<common::SiteId> remote_sites,
-                      DaemonRpcConfig rpc = {});
+                      std::vector<common::SiteId> remote_sites);
 
   [[nodiscard]] std::vector<common::SiteId> sites() const override;
   [[nodiscard]] common::Duration site_distance(
@@ -146,7 +132,6 @@ class RemoteSiteDirectory final : public sched::SiteDirectory {
   sched::SiteDirectory* replica_;
   rt::Watchdog* watchdog_;
   std::vector<common::SiteId> remote_sites_;
-  DaemonRpcConfig rpc_;
   mutable std::mutex mu_;
   std::map<common::SiteId, std::shared_ptr<DaemonClient>> clients_;
   RemoteDirectoryStats stats_;

@@ -14,6 +14,15 @@ namespace vdce::daemon {
 namespace wire = rt::wire;
 using common::TransportError;
 
+namespace {
+
+/// Budget for one outbound peer probe; it stays under the watchdog's
+/// ping-req budget (WatchdogConfig::probe_timeout_s), which waits on
+/// it.
+constexpr double kProbeTimeoutS = 0.15;
+
+}  // namespace
+
 double SiteDaemon::now_s() {
   return std::chrono::duration<double>(
              std::chrono::steady_clock::now().time_since_epoch())
@@ -31,7 +40,8 @@ SiteDaemon::SiteDaemon(SiteDaemonConfig config)
         netsim::ChaosSchedule::from_partition_spec(config_.partition_spec);
   }
   if (config_.gossip) {
-    gossip_acceptor_ = std::thread([this] { gossip_accept_loop(); });
+    gossip_.start(
+        [this](dm::TcpChannel& channel) { gossip_session(channel); });
     prober_ = std::thread([this] { prober_loop(); });
   }
   if (config_.heartbeat_port != 0) {
@@ -42,28 +52,15 @@ SiteDaemon::SiteDaemon(SiteDaemonConfig config)
 SiteDaemon::~SiteDaemon() {
   request_stop();
   if (heartbeat_.joinable()) heartbeat_.join();
-  if (gossip_acceptor_.joinable()) gossip_acceptor_.join();
   if (prober_.joinable()) prober_.join();
-  std::vector<std::thread> handlers;
-  {
-    const std::lock_guard lock(gossip_mu_);
-    handlers.swap(gossip_handlers_);
-  }
-  for (std::thread& t : handlers) {
-    if (t.joinable()) t.join();
-  }
+  // The servers join their sessions as they are destroyed, before the
+  // state those sessions read.
 }
 
 void SiteDaemon::request_stop() {
   if (stop_.exchange(true)) return;
-  listener_.close();
-  gossip_listener_.close();
-  std::vector<std::shared_ptr<dm::TcpChannel>> channels;
-  {
-    const std::lock_guard lock(gossip_mu_);
-    channels = gossip_channels_;
-  }
-  for (auto& channel : channels) channel->close();
+  rpc_.stop();
+  gossip_.stop();
   {
     const std::lock_guard lock(beat_mu_);
     if (beat_channel_) beat_channel_->close();
@@ -94,7 +91,7 @@ void SiteDaemon::heartbeat_loop() {
     wire::Heartbeat beat;
     beat.site = config_.site;
     beat.pid = static_cast<std::int64_t>(::getpid());
-    beat.rpc_port = listener_.port();
+    beat.rpc_port = rpc_.port();
     beat.gossip_port = gossip_port();
     beat.incarnation = config_.incarnation;
     while (!stop_.load(std::memory_order_acquire)) {
@@ -124,29 +121,13 @@ void SiteDaemon::heartbeat_loop() {
 
 // -- gossip (D17) --------------------------------------------------------
 
-void SiteDaemon::gossip_accept_loop() {
-  for (;;) {
-    std::shared_ptr<dm::TcpChannel> channel;
-    try {
-      channel = gossip_listener_.accept();
-    } catch (const TransportError&) {
-      return;  // listener closed: shutting down
-    }
-    const std::lock_guard lock(gossip_mu_);
-    if (stop_.load(std::memory_order_acquire)) return;
-    gossip_channels_.push_back(channel);
-    gossip_handlers_.emplace_back(
-        [this, channel] { gossip_session(channel); });
-  }
-}
-
 bool SiteDaemon::probe_peer(std::uint16_t port, std::uint32_t& incarnation) {
   try {
     auto channel = dm::tcp_connect(port);
     wire::GossipPing ping;
     ping.origin_site = config_.site;
     channel->send(wire::encode(ping));
-    const auto reply = channel->receive_for(config_.probe_timeout_s);
+    const auto reply = channel->receive_for(kProbeTimeoutS);
     if (!reply || wire::peek_type(*reply) != wire::MsgType::kGossipAck) {
       return false;
     }
@@ -157,15 +138,8 @@ bool SiteDaemon::probe_peer(std::uint16_t port, std::uint32_t& incarnation) {
   }
 }
 
-void SiteDaemon::gossip_session(std::shared_ptr<dm::TcpChannel> channel) {
-  for (;;) {
-    std::optional<std::vector<std::byte>> frame;
-    try {
-      frame = channel->receive();
-    } catch (const TransportError&) {
-      return;
-    }
-    if (!frame) return;
+void SiteDaemon::gossip_session(dm::TcpChannel& channel) {
+  while (const auto frame = channel.receive()) {
     try {
       switch (wire::peek_type(*frame)) {
         case wire::MsgType::kGossipPing: {
@@ -176,7 +150,7 @@ void SiteDaemon::gossip_session(std::shared_ptr<dm::TcpChannel> channel) {
           ack.site = config_.site;
           ack.incarnation = config_.incarnation;
           ack.seq = ping.seq;
-          channel->send(wire::encode(ack));
+          channel.send(wire::encode(ack));
           break;
         }
         case wire::MsgType::kPingReq: {
@@ -191,7 +165,7 @@ void SiteDaemon::gossip_session(std::shared_ptr<dm::TcpChannel> channel) {
           reply.reachable = !partitioned_from(req.target_site) &&
                             probe_peer(req.target_gossip_port, incarnation);
           reply.target_incarnation = incarnation;
-          channel->send(wire::encode(reply));
+          channel.send(wire::encode(reply));
           break;
         }
         case wire::MsgType::kPeerRoster: {
@@ -283,15 +257,10 @@ void SiteDaemon::prober_loop() {
   }
 }
 
-bool SiteDaemon::session(dm::TcpChannel& channel) {
-  for (;;) {
-    std::optional<std::vector<std::byte>> frame;
-    try {
-      frame = channel.receive();
-    } catch (const TransportError&) {
-      return true;  // coordinator vanished mid-frame: await the next one
-    }
-    if (!frame) return true;  // orderly disconnect: accept a successor
+void SiteDaemon::session(dm::TcpChannel& channel) {
+  // Ends when the coordinator disconnects; the next one is served by a
+  // session of its own.
+  while (const auto frame = channel.receive()) {
     std::vector<std::byte> reply;
     try {
       switch (wire::peek_type(*frame)) {
@@ -334,7 +303,8 @@ bool SiteDaemon::session(dm::TcpChannel& channel) {
         }
         case wire::MsgType::kShutdownRequest:
           channel.send(wire::encode(wire::Ack{}));
-          return false;
+          request_stop();
+          return;
         default:
           reply = wire::encode(wire::ErrorReply{
               std::string("unexpected RPC message type: ") +
@@ -347,27 +317,16 @@ bool SiteDaemon::session(dm::TcpChannel& channel) {
       // itself survives (one bad request must not take the site down).
       reply = wire::encode(wire::ErrorReply{e.what()});
     }
-    try {
-      channel.send(reply);
-    } catch (const TransportError&) {
-      return true;  // coordinator vanished between request and reply
-    }
+    channel.send(reply);
   }
 }
 
 int SiteDaemon::serve() {
   common::log_info("site_daemon", "site ", config_.site.value(),
                    " incarnation ", config_.incarnation, " serving on port ",
-                   listener_.port());
-  while (!stop_.load(std::memory_order_acquire)) {
-    std::unique_ptr<dm::TcpChannel> channel;
-    try {
-      channel = listener_.accept();
-    } catch (const TransportError&) {
-      break;  // listener closed by request_stop()
-    }
-    if (!session(*channel)) break;
-  }
+                   rpc_.port());
+  rpc_.start([this](dm::TcpChannel& channel) { session(channel); });
+  rpc_.join();
   return 0;
 }
 

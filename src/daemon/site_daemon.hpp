@@ -9,23 +9,30 @@
 // ControlManager with its Group Managers and Monitors) and speaks the
 // wire.hpp protocol:
 //
-//   * an RPC listener on a kernel-assigned port serves one coordinator
-//     connection at a time (tick / host-selection / reselection /
-//     task-failure / shutdown); Host Selection and reselection are
-//     answered by a one-site sched::RepositoryDirectory over the
-//     stack, the same code an in-process run calls; after a coordinator
-//     disconnect it accepts the next connection, which is how a
-//     restarted coordinator -- or a coordinator reattaching to a
-//     restarted daemon -- resumes;
+//   * an RPC listener on a kernel-assigned port serves each coordinator
+//     connection in a session of its own (tick / host-selection /
+//     reselection / task-failure / shutdown), so a restarted
+//     coordinator -- or a coordinator reattaching to a restarted
+//     daemon -- is served at once, even while an older connection is
+//     still open; Host Selection and reselection are answered by a
+//     one-site sched::RepositoryDirectory over the stack, the same code
+//     an in-process run calls, and the stack's own locks keep
+//     overlapping sessions safe;
 //   * a heartbeat connection beats into the watchdog, announcing the
 //     RPC and gossip ports; losing that connection terminates the
-//     daemon (an orphan without a supervisor must not linger);
+//     daemon (an orphan without a supervisor must not linger) and
+//     closes every open coordinator session;
 //   * in gossip mode (D17) a second listener answers peer probes
 //     (gossip ping), indirect probe requests (ping-req: probe a third
-//     site over THIS daemon's network path) and roster pushes, while a
-//     prober thread pings every rostered peer each round, piggybacks a
-//     peer-health digest on the heartbeat channel, and immediately
-//     refutes the suspicion of any peer it still hears.
+//     site over THIS daemon's network path) and roster pushes, one
+//     connection each, while a prober thread pings every rostered peer
+//     each round, piggybacks a peer-health digest on the heartbeat
+//     channel, and immediately refutes the suspicion of any peer it
+//     still hears.
+//
+// Both listeners are dm::TcpServers: a session that ends leaves nothing
+// behind, so the daemon's descriptors, threads and memory maps stay
+// flat however long it gossips.
 //
 // Chaos partitions reach daemon mode through a partition spec
 // (ChaosSchedule::partition_spec with absolute steady-clock windows):
@@ -73,9 +80,6 @@ struct SiteDaemonConfig {
   bool gossip = false;
   /// Peer probe round period.
   double gossip_period_s = 0.05;
-  /// Budget for one outbound peer probe (must stay under the
-  /// watchdog's ping-req timeout).
-  double probe_timeout_s = 0.15;
   /// Chaos partitions (ChaosSchedule::partition_spec, absolute
   /// steady-clock windows); empty = none.
   std::string partition_spec;
@@ -91,18 +95,18 @@ class SiteDaemon {
   SiteDaemon(const SiteDaemon&) = delete;
   SiteDaemon& operator=(const SiteDaemon&) = delete;
 
-  [[nodiscard]] std::uint16_t rpc_port() const { return listener_.port(); }
+  [[nodiscard]] std::uint16_t rpc_port() const { return rpc_.port(); }
   /// The gossip listener port (0 when gossip is off).
   [[nodiscard]] std::uint16_t gossip_port() const {
-    return config_.gossip ? gossip_listener_.port() : 0;
+    return config_.gossip ? gossip_.port() : 0;
   }
 
   /// Serves coordinator connections until a shutdown RPC arrives (or
   /// the heartbeat link dies).  Returns the process exit code.
   int serve();
 
-  /// Asks a serve() loop (possibly on another thread) to wind down
-  /// after its current session.
+  /// Stops serving: closes both listeners and every open session, and
+  /// makes serve() return.  Safe from any thread.
   void request_stop();
 
  private:
@@ -119,13 +123,12 @@ class SiteDaemon {
     bool reachable = false;
   };
 
-  /// Serves one coordinator session; returns false when the daemon
-  /// should exit.
-  bool session(dm::TcpChannel& channel);
+  /// Serves one coordinator connection; a shutdown RPC stops the
+  /// daemon.
+  void session(dm::TcpChannel& channel);
   void heartbeat_loop();
-  void gossip_accept_loop();
   /// Serves one inbound gossip connection (pings, ping-reqs, rosters).
-  void gossip_session(std::shared_ptr<dm::TcpChannel> channel);
+  void gossip_session(dm::TcpChannel& channel);
   /// One probe round over the roster, then the digest piggyback.
   void prober_loop();
   /// Probes `port` with a gossip ping; fills `incarnation` on success.
@@ -144,8 +147,6 @@ class SiteDaemon {
   /// This site's Host Selection over `stack_`.
   sched::RepositoryDirectory directory_;
   netsim::ChaosSchedule partitions_;
-  dm::TcpListener listener_;
-  dm::TcpListener gossip_listener_;
   std::atomic<bool> stop_{false};
 
   std::mutex beat_mu_;
@@ -154,11 +155,10 @@ class SiteDaemon {
   std::mutex gossip_mu_;
   std::vector<Peer> peers_;
   std::map<common::SiteId, Heard> last_heard_;
-  std::vector<std::shared_ptr<dm::TcpChannel>> gossip_channels_;
-  std::vector<std::thread> gossip_handlers_;
 
+  dm::TcpServer rpc_;
+  dm::TcpServer gossip_;
   std::thread heartbeat_;
-  std::thread gossip_acceptor_;
   std::thread prober_;
 };
 

@@ -154,12 +154,10 @@ void TcpEventLoop::enqueue(Op op) {
 }
 
 void TcpEventLoop::add(int fd, std::shared_ptr<LoopReader> reader) {
-  registered_.fetch_add(1, std::memory_order_relaxed);
   enqueue(Op{Op::Kind::kAdd, fd, std::move(reader)});
 }
 
 void TcpEventLoop::remove(int fd) {
-  registered_.fetch_sub(1, std::memory_order_relaxed);
   enqueue(Op{Op::Kind::kRemove, fd, nullptr});
 }
 
@@ -167,12 +165,7 @@ void TcpEventLoop::rearm(int fd) {
   enqueue(Op{Op::Kind::kRearm, fd, nullptr});
 }
 
-std::size_t TcpEventLoop::channel_count() const {
-  return registered_.load(std::memory_order_relaxed);
-}
-
 void TcpEventLoop::adopt(int fd, std::shared_ptr<LoopReader> reader) {
-  registered_.fetch_add(1, std::memory_order_relaxed);
   LoopReader& r = *reader;
   readers_.emplace(fd, std::move(reader));
   arm(fd, r);

@@ -1,20 +1,17 @@
-// Single-threaded epoll event loop for every socket receive (design
-// D13).
+// Single-threaded epoll event loop for the communication proxy's
+// sockets (design D13).
 //
-// Before D13 every TcpChannel receive parked one kernel thread in a
-// blocking recv(); a run with T tasks and E edges burned E threads just
-// waiting for bytes.  The event loop inverts that: one thread owns an
-// epoll set over every registered fd and hands each readable fd to its
-// LoopReader, which parses frames into pooled Frames and publishes
-// FrameViews into an RxInbox.  Channel receives become
-// condition-variable waits on that inbox, so the Channel contract
-// (deadlines, orderly EOF as nullopt, errors as TransportError,
-// clear_app abort) is preserved with zero semantic change upstream.
-//
-// Two kinds of reader exist: a TcpChannel's (one length-prefixed frame
-// stream per socket, tcp.cpp) and the communication proxy's (its
-// listener, whose accepts the loop performs, and the persistent
-// connections that carry one link at a time, proxy.cpp).
+// A proxy socket has no thread of its own waiting on it, so the loop
+// does the waiting: one thread owns an epoll set over every registered
+// fd and hands each readable fd to its LoopReader -- the proxy's
+// listener, whose accepts the loop performs, or one of the persistent
+// connections that carry one link at a time (proxy.cpp).  A reader
+// parses frames into pooled Frames and publishes FrameViews into an
+// RxInbox; a link's receives are condition-variable waits on that
+// inbox, so the Channel contract (deadlines, orderly EOF as nullopt,
+// errors as TransportError, clear_app abort) holds.  The control
+// plane's TcpChannels do not come here: each already has a thread
+// blocked on it, so that thread reads the socket (tcp.hpp).
 //
 // Threading rules:
 //   * All epoll registration changes and all parse-state mutation
@@ -147,11 +144,6 @@ class TcpEventLoop {
   /// backpressure.  Harmless if the fd is unpaused, done, or gone.
   void rearm(int fd);
 
-  /// Logically registered fds: counted at add()/remove() time, not when
-  /// the loop thread applies the op, so callers observe their own
-  /// registrations immediately (test support).
-  [[nodiscard]] std::size_t channel_count() const;
-
   // -- loop thread only (called from a LoopReader) ---------------------
   /// Registers an fd the loop thread itself opened (an accept).
   void adopt(int fd, std::shared_ptr<LoopReader> reader);
@@ -188,10 +180,6 @@ class TcpEventLoop {
 
   std::mutex mu_;  // guards ops_
   std::vector<Op> ops_;
-  // add()/adopt() and remove()/drop() are exactly paired per fd, so
-  // this is the logical registration count -- readers_ only catches up
-  // once the loop thread applies the queued ops.
-  std::atomic<std::size_t> registered_{0};
   // Loop thread only (and the destructor, after the join).
   std::unordered_map<int, std::shared_ptr<LoopReader>> readers_;
   // fds arm() failed on, reported after the current batch.

@@ -9,14 +9,16 @@
 #include <sys/uio.h>
 #include <unistd.h>
 
-#include <array>
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
+#include <cmath>
 #include <cstring>
 #include <limits>
+#include <thread>
 
 #include "common/error.hpp"
-#include "datamgr/event_loop.hpp"
+#include "common/metrics.hpp"
 
 namespace vdce::dm {
 
@@ -74,147 +76,17 @@ void send_all(int fd, std::span<const std::byte> header,
   }
 }
 
-/// TcpChannel's receive side: a loop reader that parses 4-byte
-/// length-prefixed frames from one socket into the channel's inbox.
-class TcpRxState final : public LoopReader {
- public:
-  explicit TcpRxState(std::size_t max_bytes) : max_message_bytes(max_bytes) {
-    feed_.bind(inbox);
-  }
-
-  const std::shared_ptr<RxInbox> inbox = std::make_shared<RxInbox>();
-  std::atomic<std::size_t> max_message_bytes;
-
-  void on_readable(TcpEventLoop& loop, int fd) override;
-
-  void on_rearm(TcpEventLoop& loop, int fd) override {
-    if (done_ || !inbox->paused.load()) return;
-    inbox->paused.store(false);
-    loop.arm(fd, *this);
-  }
-
-  void on_unwatchable(TcpEventLoop& loop, int fd,
-                      const std::string& what) override {
-    finish(loop, fd, what);
-  }
-
- private:
-  /// EOF or error: publish what is parsed, close the inbox, never read
-  /// this fd again.
-  void finish(TcpEventLoop& loop, int fd, const std::string& error) {
-    if (done_) return;
-    done_ = true;
-    body_.reset();
-    loop.disarm(fd, *this);
-    feed_.finish(error);
-  }
-
-  /// The frame in body_ is complete; false once reading must stop.
-  bool deliver(TcpEventLoop& loop, int fd) {
-    in_body_ = false;
-    header_fill_ = 0;
-    FrameView view = body_.view();
-    body_.reset();
-    switch (feed_.deliver(loop, fd, *this, std::move(view))) {
-      case InboxFeed::State::kReading:
-        return true;
-      case InboxFeed::State::kPaused:
-        return false;
-      case InboxFeed::State::kConsumerGone:
-        finish(loop, fd, "");  // receiver closed: stop reading
-        return false;
-    }
-    return false;
-  }
-
-  std::array<std::byte, 4> header_{};
-  std::size_t header_fill_ = 0;
-  bool in_body_ = false;
-  Frame body_;
-  std::size_t body_fill_ = 0;
-  bool done_ = false;
-  InboxFeed feed_;
-};
-
-void TcpRxState::on_readable(TcpEventLoop& loop, int fd) {
-  if (done_) return;
-  // Parse until the socket runs dry; the feed publishes each frame as
-  // it completes.
-  for (;;) {
-    if (!in_body_) {
-      const ssize_t r = ::recv(fd, header_.data() + header_fill_,
-                               header_.size() - header_fill_, 0);
-      if (r < 0) {
-        if (errno == EINTR) continue;
-        if (errno == EAGAIN || errno == EWOULDBLOCK) break;
-        finish(loop, fd, std::string("tcp recv: ") + std::strerror(errno));
-        return;
-      }
-      if (r == 0) {
-        // Orderly EOF at a frame boundary, else a torn frame.
-        finish(loop, fd,
-               header_fill_ == 0 ? "" : "tcp peer closed mid-message");
-        return;
-      }
-      header_fill_ += static_cast<std::size_t>(r);
-      if (header_fill_ < header_.size()) continue;
-      std::uint32_t n = 0;
-      for (const std::byte b : header_) {
-        n = (n << 8) | static_cast<std::uint8_t>(b);
-      }
-      // Bounds-check the decoded length before allocating: a corrupt or
-      // hostile header must not provoke a giant allocation.
-      const std::size_t limit =
-          max_message_bytes.load(std::memory_order_relaxed);
-      if (n > limit) {
-        finish(loop, fd,
-               "tcp frame header claims " + std::to_string(n) +
-                   " bytes, above the frame limit of " +
-                   std::to_string(limit) + " bytes (corrupt stream?)");
-        return;
-      }
-      in_body_ = true;
-      body_fill_ = 0;
-      body_ = FramePool::global().allocate(n);
-      if (n == 0 && !deliver(loop, fd)) return;
-    } else {
-      const ssize_t r = ::recv(fd, body_.data() + body_fill_,
-                               body_.size() - body_fill_, 0);
-      if (r < 0) {
-        if (errno == EINTR) continue;
-        if (errno == EAGAIN || errno == EWOULDBLOCK) break;
-        finish(loop, fd, std::string("tcp recv: ") + std::strerror(errno));
-        return;
-      }
-      if (r == 0) {
-        finish(loop, fd, "tcp peer closed mid-message");
-        return;
-      }
-      body_fill_ += static_cast<std::size_t>(r);
-      if (body_fill_ == body_.size() && !deliver(loop, fd)) return;
-    }
-  }
-}
-
 TcpChannel::TcpChannel(int fd) : fd_(fd) {
   int one = 1;
   ::setsockopt(fd_, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
   const int flags = ::fcntl(fd_, F_GETFL, 0);
   ::fcntl(fd_, F_SETFL, flags | O_NONBLOCK);
-  rx_ = std::make_shared<TcpRxState>(kDefaultMaxMessageBytes);
-  rx_->inbox->feeder_fd.store(fd_);
-  TcpEventLoop::global().add(fd_, rx_);
 }
 
-TcpChannel::~TcpChannel() {
-  if (fd_ < 0) return;
-  ::shutdown(fd_, SHUT_RDWR);
-  TcpEventLoop::global().remove(fd_);  // the loop owns and closes the fd
-  fd_ = -1;
-}
+TcpChannel::~TcpChannel() { ::close(fd_); }
 
 void TcpChannel::send_bytes(std::span<const std::byte> body) {
-  if (fd_ < 0 || shut_.load(std::memory_order_acquire)) {
+  if (shut_.load(std::memory_order_acquire)) {
     throw TransportError("send on closed tcp channel");
   }
   // The 4-byte length header cannot represent more than 4 GiB - 1; a
@@ -240,8 +112,90 @@ void TcpChannel::send_frame(const FrameView& frame) {
   send_bytes(frame.bytes());  // straight out of the pooled slab
 }
 
+std::optional<FrameView> TcpChannel::read_frame() {
+  for (;;) {
+    std::byte* const into = body_.valid() ? body_.data() + body_fill_
+                                          : header_.data() + header_fill_;
+    const std::size_t want = body_.valid() ? body_.size() - body_fill_
+                                           : header_.size() - header_fill_;
+    const ssize_t r = ::recv(fd_, into, want, 0);
+    if (r < 0) {
+      if (errno == EINTR) continue;
+      if (errno != EAGAIN && errno != EWOULDBLOCK) {
+        ended_ = std::string("tcp recv: ") + std::strerror(errno);
+      }
+      return std::nullopt;
+    }
+    if (r == 0) {
+      // Orderly EOF at a frame boundary, else a torn frame.
+      const bool torn = body_.valid() || header_fill_ > 0;
+      ended_ = torn ? "tcp peer closed mid-message" : "";
+      return std::nullopt;
+    }
+    if (!body_.valid()) {
+      header_fill_ += static_cast<std::size_t>(r);
+      if (header_fill_ < header_.size()) continue;
+      header_fill_ = 0;
+      std::uint32_t n = 0;
+      for (const std::byte b : header_) {
+        n = (n << 8) | static_cast<std::uint8_t>(b);
+      }
+      // Bounds-check the decoded length before allocating: a corrupt or
+      // hostile header must not provoke a giant allocation.
+      const std::size_t limit =
+          max_message_bytes_.load(std::memory_order_relaxed);
+      if (n > limit) {
+        ended_ = "tcp frame header claims " + std::to_string(n) +
+                 " bytes, above the frame limit of " + std::to_string(limit) +
+                 " bytes (corrupt stream?)";
+        return std::nullopt;
+      }
+      body_ = FramePool::global().allocate(n);
+      body_fill_ = 0;
+    } else {
+      body_fill_ += static_cast<std::size_t>(r);
+    }
+    if (body_fill_ == body_.size()) {
+      FrameView frame = body_.view();
+      body_.reset();
+      return frame;
+    }
+  }
+}
+
 std::optional<FrameView> TcpChannel::receive_frame_for(double timeout_s) {
-  return rx_->inbox->receive_for(timeout_s);
+  using Clock = std::chrono::steady_clock;
+  const auto deadline =
+      Clock::now() + std::chrono::duration<double>(timeout_s);
+  for (;;) {
+    if (ended_) {
+      body_.reset();  // a torn frame's slab goes back to the pool
+      if (ended_->empty()) return std::nullopt;
+      throw TransportError(*ended_);
+    }
+    if (auto frame = read_frame()) return frame;
+    if (ended_) continue;
+    // Dry: wait for bytes.  The wait is recomputed from the deadline on
+    // every pass, so an EINTR never restarts the full timeout.
+    int wait_ms = -1;  // no deadline: block
+    if (timeout_s > 0.0) {
+      const std::chrono::duration<double, std::milli> left =
+          deadline - Clock::now();
+      if (left.count() <= 0.0) {
+        common::MetricsRegistry::global()
+            .counter("datamgr.deadline_expiries")
+            .add(1);
+        throw TransportError("tcp receive timed out after " +
+                             std::to_string(timeout_s) + "s");
+      }
+      // Rounded up, so the wait never ends before the deadline.
+      wait_ms = static_cast<int>(std::min(std::ceil(left.count()), 1e9));
+    }
+    pollfd pfd{fd_, POLLIN, 0};
+    if (::poll(&pfd, 1, wait_ms) < 0 && errno != EINTR) {
+      ended_ = std::string("tcp receive poll: ") + std::strerror(errno);
+    }
+  }
 }
 
 void TcpChannel::set_max_message_bytes(std::size_t limit) {
@@ -249,14 +203,13 @@ void TcpChannel::set_max_message_bytes(std::size_t limit) {
                       limit <= std::numeric_limits<std::uint32_t>::max(),
                   "frame limit must fit the 4-byte length header");
   max_message_bytes_.store(limit, std::memory_order_relaxed);
-  rx_->max_message_bytes.store(limit, std::memory_order_relaxed);
 }
 
 void TcpChannel::close() {
-  // Shut down only: the peer (and our event loop) gets an orderly EOF
-  // instead of racing a reused descriptor.  The fd itself is released
-  // by the event loop (remove()).
-  if (fd_ >= 0 && !shut_.exchange(true)) ::shutdown(fd_, SHUT_RDWR);
+  // Shut down only: the peer and a receive blocked on this channel get
+  // an orderly EOF instead of racing a reused descriptor.  The fd
+  // itself is released with the channel.
+  if (!shut_.exchange(true)) ::shutdown(fd_, SHUT_RDWR);
 }
 
 std::size_t TcpChannel::bytes_sent() const {
@@ -296,38 +249,6 @@ std::unique_ptr<TcpChannel> TcpListener::accept() {
   }
 }
 
-std::unique_ptr<TcpChannel> TcpListener::accept_for(double timeout_s) {
-  if (timeout_s <= 0.0) return accept();
-  const int fd = fd_.load(std::memory_order_acquire);
-  if (fd < 0) throw TransportError("accept on closed listener");
-  // Remaining time is recomputed from a monotonic deadline on every
-  // pass: an EINTR (or a connection that vanishes from the backlog)
-  // must not restart the full timeout, or a signal storm could stall
-  // the caller indefinitely past its deadline.
-  const auto deadline = std::chrono::steady_clock::now() +
-                        std::chrono::duration<double>(timeout_s);
-  pollfd pfd{fd, POLLIN, 0};
-  for (;;) {
-    const auto left = deadline - std::chrono::steady_clock::now();
-    const auto left_ms =
-        std::chrono::duration_cast<std::chrono::milliseconds>(left).count();
-    if (left_ms <= 0) {
-      throw TransportError("tcp accept timed out after " +
-                           std::to_string(timeout_s) + "s");
-    }
-    const int ready = ::poll(&pfd, 1, static_cast<int>(left_ms));
-    if (ready < 0) {
-      if (errno == EINTR) continue;
-      fail("tcp accept poll");
-    }
-    if (ready == 0) {
-      throw TransportError("tcp accept timed out after " +
-                           std::to_string(timeout_s) + "s");
-    }
-    return accept();
-  }
-}
-
 void TcpListener::close() {
   const int fd = fd_.exchange(-1, std::memory_order_acq_rel);
   if (fd >= 0) {
@@ -337,6 +258,56 @@ void TcpListener::close() {
     ::close(fd);
   }
 }
+
+TcpServer::~TcpServer() {
+  stop();
+  join();
+}
+
+void TcpServer::start(Session session) {
+  session_ = std::move(session);
+  gang_.launch([this] { accept_loop(); });
+}
+
+void TcpServer::accept_loop() {
+  for (;;) {
+    std::shared_ptr<TcpChannel> channel;
+    try {
+      channel = listener_.accept();
+    } catch (const TransportError&) {
+      {
+        const std::lock_guard lock(mu_);
+        if (stopping_) return;
+      }
+      // Transient (the descriptor limit, a connection aborted in the
+      // backlog): the listener is still open, so try again shortly.
+      std::this_thread::sleep_for(std::chrono::milliseconds(10));
+      continue;
+    }
+    const std::lock_guard lock(mu_);
+    if (stopping_) return;
+    live_.insert(channel.get());
+    gang_.launch([this, channel] {
+      try {
+        session_(*channel);
+      } catch (const TransportError&) {
+        // The connection failed: its session is over.
+      }
+      const std::lock_guard forget(mu_);
+      live_.erase(channel.get());
+    });
+  }
+}
+
+void TcpServer::stop() {
+  const std::lock_guard lock(mu_);
+  if (stopping_) return;
+  stopping_ = true;
+  listener_.close();
+  for (TcpChannel* channel : live_) channel->close();
+}
+
+void TcpServer::join() { gang_.join(); }
 
 std::unique_ptr<TcpChannel> tcp_connect(std::uint16_t port) {
   const int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);

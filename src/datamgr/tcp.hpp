@@ -5,31 +5,39 @@
 // kernel socket path.  Messages are framed with a 4-byte big-endian
 // length prefix.
 //
-// TcpChannel, TcpListener and tcp_connect carry the control plane
-// (daemon RPC, heartbeats, gossip): one connection per peer session.
-// Inter-task data links do not use them; they ride the persistent
-// connections of the communication proxy (proxy.hpp).
+// TcpChannel, TcpListener, TcpServer and tcp_connect carry the control
+// plane (daemon RPC, heartbeats, gossip): one connection per peer
+// session.  Inter-task data links do not use them; they ride the
+// persistent connections of the communication proxy (proxy.hpp).
 //
-// Since D13 the receive side is serviced by the shared TcpEventLoop:
-// the channel's fd is non-blocking and owned by the loop, which parses
-// frames into pooled buffers and fills the channel's inbox;
-// receive()/receive_for() wait on that inbox.  Sends are a single
-// scatter/gather sendmsg of header + body straight out of the caller's
-// buffer (or pooled frame) — no concatenation copy.  Every socket is
-// close-on-exec, so a spawned site daemon inherits none of them.
+// Every control socket already has a thread blocked waiting on it (a
+// session, a client awaiting its reply), so a TcpChannel reads its own
+// socket on the receiving thread: receive()/receive_for() poll against
+// the remaining deadline and recv straight into a pooled frame, and a
+// frame that a deadline interrupted resumes on the next call (design
+// D13).  Sends are a single scatter/gather sendmsg of header + body
+// straight out of the caller's buffer (or pooled frame) -- no
+// concatenation copy.  TcpServer is the one way to serve a listener:
+// its accept loop and each connection's session are jobs of one
+// ParkedThreadPool gang (design D14).  Every socket is close-on-exec,
+// so a spawned site daemon inherits none of them.
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <memory>
+#include <mutex>
+#include <optional>
 #include <span>
 #include <string>
+#include <unordered_set>
 
+#include "common/thread_pool.hpp"
 #include "datamgr/channel.hpp"
 
 namespace vdce::dm {
-
-class TcpRxState;
 
 /// A channel over a connected TCP socket.
 class TcpChannel final : public Channel {
@@ -43,8 +51,8 @@ class TcpChannel final : public Channel {
   static constexpr std::size_t kDefaultMaxMessageBytes =
       std::size_t{1} << 30;  // 1 GiB
 
-  /// Takes a connected socket fd.  The fd becomes non-blocking and its
-  /// receive side is owned by the shared event loop.
+  /// Takes a connected socket fd; it becomes non-blocking and is closed
+  /// with the channel.
   explicit TcpChannel(int fd);
   ~TcpChannel() override;
 
@@ -56,6 +64,8 @@ class TcpChannel final : public Channel {
   void send_frame(const FrameView& frame) override;
   [[nodiscard]] std::optional<FrameView> receive_frame_for(
       double timeout_s) override;
+  /// Shuts the socket down; safe from any thread, and wakes a receive
+  /// blocked on another.
   void close() override;
   [[nodiscard]] std::size_t bytes_sent() const override;
 
@@ -65,12 +75,25 @@ class TcpChannel final : public Channel {
 
  private:
   void send_bytes(std::span<const std::byte> body);
+  /// Reads what the socket holds into the frame being parsed: the frame
+  /// once it is complete, else nullopt (the socket ran dry, or the
+  /// stream ended and ended_ says how).
+  [[nodiscard]] std::optional<FrameView> read_frame();
 
   int fd_;
   std::atomic<bool> shut_{false};
   std::atomic<std::size_t> bytes_sent_{0};
   std::atomic<std::size_t> max_message_bytes_{kDefaultMaxMessageBytes};
-  std::shared_ptr<TcpRxState> rx_;
+
+  // The receiving thread's alone.  A frame that a deadline interrupted
+  // stays here and resumes on the next receive.
+  std::array<std::byte, 4> header_{};
+  std::size_t header_fill_ = 0;
+  Frame body_;  // valid once the header is in, until the body is
+  std::size_t body_fill_ = 0;
+  /// Set once the stream ended: empty for an orderly EOF, else the
+  /// failure every later receive re-throws.
+  std::optional<std::string> ended_;
 };
 
 /// A listening socket on 127.0.0.1 with a kernel-assigned port.
@@ -89,10 +112,6 @@ class TcpListener {
   /// Blocks for one inbound connection; returns it as a channel.
   [[nodiscard]] std::unique_ptr<TcpChannel> accept();
 
-  /// Like accept(), but gives up after `timeout_s` seconds, throwing
-  /// TransportError.  `timeout_s <= 0` blocks.
-  [[nodiscard]] std::unique_ptr<TcpChannel> accept_for(double timeout_s);
-
   /// Unblocks a pending accept() by closing the listening socket.
   void close();
 
@@ -101,6 +120,51 @@ class TcpListener {
   // a blocked accept(): the waker races the accepting thread's reads.
   std::atomic<int> fd_;
   std::uint16_t port_ = 0;
+};
+
+/// Serves a listener: the accept loop and one session per accepted
+/// connection run as jobs of one ParkedThreadPool gang, so sessions
+/// overlap, and a session that returns leaves nothing behind (its
+/// connection is closed and forgotten, its thread parks for reuse).
+class TcpServer {
+ public:
+  /// Serves one connection; returning ends it.  A TransportError that
+  /// escapes ends it too (the connection failed); any other exception
+  /// terminates the process, as on any gang job.
+  using Session = std::function<void(TcpChannel&)>;
+
+  /// Binds the listener; nothing is accepted before start().
+  TcpServer() = default;
+  /// stop(), then join().
+  ~TcpServer();
+
+  TcpServer(const TcpServer&) = delete;
+  TcpServer& operator=(const TcpServer&) = delete;
+
+  [[nodiscard]] std::uint16_t port() const { return listener_.port(); }
+
+  /// Starts the accept loop, serving every connection with `session`.
+  /// Call once.
+  void start(Session session);
+
+  /// Closes the listener and every live connection (each session then
+  /// sees EOF) and returns at once.  Idempotent; safe from a session.
+  void stop();
+
+  /// Returns once the accept loop and every session have returned,
+  /// which takes a stop().  The owner's call: a session never joins.
+  void join();
+
+ private:
+  void accept_loop();
+
+  Session session_;
+  TcpListener listener_;
+  std::mutex mu_;
+  bool stopping_ = false;
+  /// The connections whose sessions run now, held for stop() to close.
+  std::unordered_set<TcpChannel*> live_;
+  common::ParkedThreadPool::Gang gang_;
 };
 
 /// Connects to 127.0.0.1:`port` once.  A TcpListener listens before

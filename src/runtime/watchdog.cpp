@@ -10,6 +10,8 @@
 #include <cmath>
 #include <cstring>
 #include <optional>
+#include <utility>
+#include <vector>
 
 #include "common/error.hpp"
 #include "common/log.hpp"
@@ -57,7 +59,7 @@ Watchdog::Watchdog(WatchdogConfig config)
     : config_(std::move(config)), liveness_(config_.liveness) {
   common::expects(!config_.daemon_path.empty(),
                   "watchdog needs the site daemon binary path");
-  acceptor_ = std::thread([this] { accept_loop(); });
+  beats_.start([this](dm::TcpChannel& channel) { beat_session(channel); });
   monitor_ = std::thread([this] { monitor_loop(); });
   if (config_.gossip) prober_ = std::thread([this] { prober_loop(); });
 }
@@ -74,7 +76,7 @@ void Watchdog::set_on_site_up(std::function<void(SiteId)> callback) {
   on_site_up_ = std::move(callback);
 }
 
-std::uint16_t Watchdog::heartbeat_port() const { return listener_.port(); }
+std::uint16_t Watchdog::heartbeat_port() const { return beats_.port(); }
 
 void Watchdog::launch_locked(Daemon& d) {
   ++d.incarnation;
@@ -91,7 +93,7 @@ void Watchdog::launch_locked(Daemon& d) {
 
   const std::string site_arg = std::to_string(d.site.value());
   const std::string seed_arg = std::to_string(config_.seed);
-  const std::string port_arg = std::to_string(listener_.port());
+  const std::string port_arg = std::to_string(beats_.port());
   const std::string period_arg = std::to_string(config_.heartbeat_period_s);
   const std::string incarnation_arg = std::to_string(d.incarnation);
   const std::string gossip_arg = config_.gossip ? "1" : "0";
@@ -133,21 +135,6 @@ void Watchdog::spawn(SiteId site) {
   launch_locked(it->second);
 }
 
-void Watchdog::accept_loop() {
-  for (;;) {
-    std::shared_ptr<dm::TcpChannel> channel;
-    try {
-      channel = listener_.accept();
-    } catch (const TransportError&) {
-      return;  // listener closed: shutting down
-    }
-    std::lock_guard lock(mu_);
-    if (stopping_) return;
-    beat_channels_.push_back(channel);
-    readers_.emplace_back([this, channel] { beat_loop(channel); });
-  }
-}
-
 void Watchdog::apply_digest(const wire::PeerDigest& digest) {
   // Fencing: a digest from a stale incarnation of the origin must not
   // vote or refute on behalf of its successor.
@@ -173,7 +160,7 @@ void Watchdog::apply_digest(const wire::PeerDigest& digest) {
   }
 }
 
-void Watchdog::beat_loop(std::shared_ptr<dm::TcpChannel> channel) {
+void Watchdog::beat_session(dm::TcpChannel& channel) {
   // The (site, incarnation) this connection authenticated as via its
   // first accepted beat; EOF of an authenticated current-incarnation
   // connection is a death signal in its own right.
@@ -182,7 +169,7 @@ void Watchdog::beat_loop(std::shared_ptr<dm::TcpChannel> channel) {
   for (;;) {
     std::optional<std::vector<std::byte>> frame;
     try {
-      frame = channel->receive();
+      frame = channel.receive();
     } catch (const TransportError&) {
       frame.reset();  // mid-frame EOF: same as an orderly close here
     }
@@ -527,19 +514,17 @@ void Watchdog::kill_daemon(SiteId site, int sig) {
 }
 
 void Watchdog::stop() {
-  std::vector<std::shared_ptr<dm::TcpChannel>> channels;
   std::vector<std::int64_t> pids;
   {
     const std::lock_guard lock(mu_);
     if (stopping_) return;
     stopping_ = true;
-    channels = beat_channels_;
     for (auto& [site, d] : daemons_) {
       if (d.pid > 0) pids.push_back(d.pid);
     }
   }
   cv_.notify_all();
-  listener_.close();  // unblocks accept_loop
+  beats_.stop();  // ends every beat session
   for (const std::int64_t pid : pids) {
     ::kill(static_cast<pid_t>(pid), SIGTERM);
   }
@@ -558,13 +543,9 @@ void Watchdog::stop() {
       ::usleep(5000);
     }
   }
-  for (auto& channel : channels) channel->close();
-  if (acceptor_.joinable()) acceptor_.join();
   if (monitor_.joinable()) monitor_.join();
   if (prober_.joinable()) prober_.join();
-  for (std::thread& t : readers_) {
-    if (t.joinable()) t.join();
-  }
+  beats_.join();
 }
 
 }  // namespace vdce::rt

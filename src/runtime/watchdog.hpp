@@ -7,8 +7,9 @@
 //
 //   * spawns one daemon per supervised site (fork/exec of the
 //     vdce_site_daemon binary) and reaps it with waitpid;
-//   * listens on a TCP heartbeat port every daemon beats into; the
-//     first beat of an incarnation announces the daemon's
+//   * serves a TCP heartbeat port every daemon beats into (a
+//     dm::TcpServer: one session per connection, nothing kept once it
+//     ends); the first beat of an incarnation announces the daemon's
 //     kernel-assigned RPC port (the coordinator connects there);
 //   * writes every piece of death evidence into the D17
 //     LivenessDirectory and acts on none of it alone: a reaped child
@@ -41,12 +42,9 @@
 #include <cstdint>
 #include <functional>
 #include <map>
-#include <memory>
 #include <mutex>
 #include <string>
 #include <thread>
-#include <utility>
-#include <vector>
 
 #include "common/ids.hpp"
 #include "datamgr/tcp.hpp"
@@ -191,8 +189,8 @@ class Watchdog {
     double restart_at_s = 0.0;
   };
 
-  void accept_loop();
-  void beat_loop(std::shared_ptr<dm::TcpChannel> channel);
+  /// Serves one heartbeat connection until it ends.
+  void beat_session(dm::TcpChannel& channel);
   void monitor_loop();
   /// Roster pushes and indirect ping-req probes (gossip mode).
   void prober_loop();
@@ -214,7 +212,6 @@ class Watchdog {
   std::function<void(SiteId)> on_site_down_;
   std::function<void(SiteId)> on_site_up_;
 
-  dm::TcpListener listener_;
   LivenessDirectory liveness_;
   mutable std::mutex mu_;
   std::condition_variable cv_;
@@ -223,13 +220,10 @@ class Watchdog {
   /// verdict sweep now instead of at the next poll.
   bool sweep_now_ = false;
   std::map<SiteId, Daemon> daemons_;
-  /// Heartbeat channels, closed on stop() to unblock readers.
-  std::vector<std::shared_ptr<dm::TcpChannel>> beat_channels_;
 
-  std::thread acceptor_;
+  dm::TcpServer beats_;
   std::thread monitor_;
   std::thread prober_;
-  std::vector<std::thread> readers_;
 };
 
 }  // namespace vdce::rt

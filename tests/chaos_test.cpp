@@ -13,6 +13,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/metrics.hpp"
@@ -676,7 +677,23 @@ TEST_F(FailoverEnv, RefusedReadmissionFailsWithTheQosReasonAndReleasesCharges) {
   };
 
   state_->remaining_trips.store(1);
+  // Every stage's guard asks the probe once before its first frame.
+  // c's trip waits for all four: a guard of d's that ran after the
+  // outage began would strand d on the dead site, and the round would
+  // then fail on d instead of c.
+  std::atomic<int> guards{0};
   auto service = make_service(/*max_attempts=*/3, /*paused=*/true);
+  service->set_fault_hooks(
+      [this, &guards](const afg::FlowGraph&, const sched::AllocationTable&) {
+        FaultTolerance ft;
+        const auto probe = testbed_->liveness_probe();
+        ft.host_alive = [probe, &guards](HostId host) {
+          guards.fetch_add(1);
+          return probe(host);
+        };
+        ft.sleep = [](double) {};
+        return ft;
+      });
   const AppId app = service->submit(tight());
   const auto queued = service->status(app);
   ASSERT_TRUE(queued.admission.admitted) << queued.error;
@@ -691,7 +708,10 @@ TEST_F(FailoverEnv, RefusedReadmissionFailsWithTheQosReasonAndReleasesCharges) {
   outage.length = 1e6;
   chaos.add(outage);
   chaos.apply(*testbed_);
-  state_->on_trip = [this] { testbed_->set_live_time(200.0); };
+  state_->on_trip = [this, &guards] {
+    while (guards.load() < 4) std::this_thread::yield();
+    testbed_->set_live_time(200.0);
+  };
   service->resume();
 
   const auto failed = service->wait(app);

@@ -882,11 +882,12 @@ TEST(Deadlines, ReceiveForHonorsDeadlineUnderEventLoopStorm) {
 
 void sigusr1_noop(int) {}
 
-TEST(Deadlines, AcceptForHonorsDeadlineUnderSignalStorm) {
-  // Regression for the EINTR bug: accept_for used to restart its FULL
-  // timeout after every interrupted poll, so a steady signal stream
-  // (period << timeout) postponed the deadline forever.  The fix
-  // recomputes the remaining time against a monotonic deadline.
+TEST(Deadlines, ReceiveForHonorsDeadlineUnderSignalStorm) {
+  // A TcpChannel waits in poll on its own thread, and a signal ends
+  // that wait early with EINTR.  The remaining time must come from a
+  // monotonic deadline: restarting the full timeout after every EINTR
+  // would let a steady signal stream (period << timeout) postpone the
+  // deadline forever.
   struct sigaction sa = {};
   sa.sa_handler = sigusr1_noop;
   sigemptyset(&sa.sa_mask);
@@ -894,18 +895,23 @@ TEST(Deadlines, AcceptForHonorsDeadlineUnderSignalStorm) {
   struct sigaction old = {};
   ASSERT_EQ(sigaction(SIGUSR1, &sa, &old), 0);
 
+  dm::TcpListener listener;
+  auto quiet = dm::tcp_connect(listener.port());  // never sends
+  auto rx = listener.accept();
+
+  // The storm ends by itself after 3 s, so a receive that restarts its
+  // timeout fails the bound below instead of hanging the test.
   const pthread_t victim = pthread_self();
+  const double start = steady_s();
   std::atomic<bool> stop{false};
   std::thread storm([&] {
-    while (!stop.load()) {
+    while (!stop.load() && steady_s() < start + 3.0) {
       pthread_kill(victim, SIGUSR1);
       std::this_thread::sleep_for(std::chrono::milliseconds(10));
     }
   });
 
-  dm::TcpListener listener;  // nobody ever connects
-  const double start = steady_s();
-  EXPECT_THROW((void)listener.accept_for(0.5), TransportError);
+  EXPECT_THROW((void)rx->receive_for(0.5), TransportError);
   const double elapsed = steady_s() - start;
   EXPECT_GE(elapsed, 0.45);
   EXPECT_LE(elapsed, 3.0) << "EINTR restarted the timeout";
@@ -1086,9 +1092,8 @@ TEST(SiteDaemon, RemoteDirectoryYieldsInfeasibleSelectionWhenSiteAbandoned) {
   ASSERT_TRUE(watchdog.status(SiteId(0)).abandoned);
 
   LocalVdce replica(netsim::make_campus_testbed(kDaemonSeed));
-  daemon::RemoteSiteDirectory remote(
-      replica.directory, watchdog, {SiteId(0)},
-      daemon::DaemonRpcConfig{.timeout_s = 0.2});
+  daemon::RemoteSiteDirectory remote(replica.directory, watchdog,
+                                     {SiteId(0)});
   const auto graph = sim::make_linear_solver_graph();
   const auto selection = remote.host_selection(SiteId(0), graph);
   for (const auto& [task, sel] : selection) {

@@ -13,6 +13,8 @@
 #include <chrono>
 #include <cmath>
 #include <cstdint>
+#include <filesystem>
+#include <fstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -293,11 +295,7 @@ TEST(DaemonClientRetry, TransientDropIsRetriedWithBackoff) {
   });
 
   const auto retries_before = counter_value("daemon.rpc_retries");
-  daemon::DaemonRpcConfig rpc;
-  rpc.timeout_s = 2.0;
-  rpc.rpc_retries = 2;
-  rpc.rpc_backoff_s = 0.01;
-  daemon::DaemonClient client(listener.port(), rpc);
+  daemon::DaemonClient client(listener.port());
   client.tick(1.0);  // succeeds on the second attempt
   EXPECT_EQ(counter_value("daemon.rpc_retries") - retries_before, 1u);
   server.join();
@@ -314,11 +312,7 @@ TEST(DaemonClientRetry, ExhaustedBudgetRethrowsTransportError) {
   });
 
   const auto retries_before = counter_value("daemon.rpc_retries");
-  daemon::DaemonRpcConfig rpc;
-  rpc.timeout_s = 2.0;
-  rpc.rpc_retries = 1;
-  rpc.rpc_backoff_s = 0.01;
-  daemon::DaemonClient client(listener.port(), rpc);
+  daemon::DaemonClient client(listener.port());
   EXPECT_THROW(client.tick(1.0), TransportError);
   EXPECT_EQ(counter_value("daemon.rpc_retries") - retries_before, 1u);
   server.join();
@@ -511,6 +505,55 @@ TEST(QuorumLiveness, FaultFreeGossipRunKeepsEveryDeathCounterZero) {
   EXPECT_EQ(counter_value("liveness.deaths_conclusive") - conclusive_before,
             0u);
   EXPECT_EQ(counter_value("watchdog.site_down") - site_down_before, 0u);
+}
+
+/// What a process keeps for each connection it ever served: an entry in
+/// /proc/<pid>/fd per socket, lines in /proc/<pid>/maps per thread (its
+/// stack and guard page).
+struct Footprint {
+  std::size_t fds = 0;
+  std::size_t maps = 0;
+};
+
+Footprint footprint(std::int64_t pid) {
+  Footprint f;
+  const std::string proc = "/proc/" + std::to_string(pid);
+  for ([[maybe_unused]] const auto& entry :
+       std::filesystem::directory_iterator(proc + "/fd")) {
+    ++f.fds;
+  }
+  std::ifstream maps(proc + "/maps");
+  std::string line;
+  while (std::getline(maps, line)) ++f.maps;
+  return f;
+}
+
+TEST(QuorumLiveness, GossipingDaemonsKeepNothingPerClosedConnection) {
+  // Every gossip round opens one connection per peer probe, so a daemon
+  // that kept each served connection's socket or thread would grow by
+  // about 50 descriptors and 100 maps a second at this period.  Once
+  // warm, a daemon's footprint stays flat.
+  auto config = gossip_watchdog_config();
+  config.heartbeat_timeout_s = 2.0;  // no suspicion: only probes churn
+  Watchdog watchdog(config);
+  watchdog.spawn(SiteId(0));
+  watchdog.spawn(SiteId(1));
+  wait_until_up(watchdog, SiteId(0));
+  wait_until_up(watchdog, SiteId(1));
+  const std::int64_t pids[] = {watchdog.status(SiteId(0)).pid,
+                               watchdog.status(SiteId(1)).pid};
+
+  std::this_thread::sleep_for(std::chrono::seconds(1));
+  const Footprint before[] = {footprint(pids[0]), footprint(pids[1])};
+  std::this_thread::sleep_for(std::chrono::seconds(2));  // ~100 rounds
+  ASSERT_EQ(watchdog.total_restarts(), 0u);
+  for (int i = 0; i < 2; ++i) {
+    const Footprint after = footprint(pids[i]);
+    EXPECT_LE(after.fds, before[i].fds + 4)
+        << "site " << i << " kept descriptors";
+    EXPECT_LE(after.maps, before[i].maps + 16)
+        << "site " << i << " kept memory maps";
+  }
 }
 
 TEST(QuorumLiveness, RpcEndpointIsFencedAcrossARestartRace) {
