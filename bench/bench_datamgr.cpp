@@ -15,6 +15,8 @@
 //     times, interleaved, and each figure is reported as its median
 //     and quartiles.  Written to BENCH_datamgr.json by default; cited
 //     by EXPERIMENTS.md E19 and run by the CI test job's quick sweep.
+//     The run prints "ok" or "FAILED" for its allocation gate and
+//     exits 1 when a cell's median allocations per frame is above 0.5.
 #include <benchmark/benchmark.h>
 
 #include <time.h>
@@ -45,8 +47,8 @@
 // ---------------------------------------------------------------------
 // Global allocation counter: every operator new in the process bumps
 // it, so a cell's delta divided by its frame count is the real
-// allocations-per-frame figure, event-loop and queue bookkeeping
-// included.
+// allocations-per-frame figure, the proxy readers' and the queues'
+// bookkeeping included.
 //
 // GCC cannot see that the replaced operator new is malloc-backed and
 // flags the free() in the matching operator delete at every call site.
@@ -441,7 +443,7 @@ double process_cpu_s() {
 }
 
 /// `links` full link lifecycles after a warm-up; CPU is the whole
-/// process's (the event loop included).
+/// process's (the proxy's reader threads included).
 LifecycleResult run_lifecycle(TransportKind kind, std::size_t links) {
   LinkLifecycleRig rig(kind);
   for (int i = 0; i < 64; ++i) rig.run_one();
@@ -530,13 +532,16 @@ int run_json_sweep(const std::string& out_path, bool quick) {
               << "]\n";
   }
 
-  // Regression guard: the zero-copy path must stay allocation-lean (a
-  // change reintroducing per-hop copies shows up as this figure jumping).
+  // Regression gate: the zero-copy path must stay allocation-lean.  A
+  // change reintroducing per-hop copies, or any other allocation per
+  // frame, puts a cell's median above the bound and fails the run.
+  constexpr double kMaxAllocsPerFrame = 0.5;
   double max_allocs_per_frame = 0.0;
   for (const auto& c : cells) {
     max_allocs_per_frame =
         std::max(max_allocs_per_frame, c.allocs_per_frame.median);
   }
+  const bool allocs_ok = max_allocs_per_frame <= kMaxAllocsPerFrame;
 
   std::vector<std::string> lifecycle_rows;
   for (const auto& runs : lifecycle_runs) {
@@ -583,9 +588,11 @@ int run_json_sweep(const std::string& out_path, bool quick) {
   out << "    \"max_allocs_per_frame\": " << max_allocs_per_frame << "\n";
   out << "  }\n}\n";
   std::cout << "wrote " << out_path << " (medians of " << kSweepRuns
-            << " runs; at most " << max_allocs_per_frame
-            << " allocations per frame)\n";
-  return 0;
+            << " runs)\n";
+  std::cout << "allocation gate: at most " << max_allocs_per_frame
+            << " allocations per frame (bound " << kMaxAllocsPerFrame
+            << "): " << (allocs_ok ? "ok" : "FAILED") << "\n";
+  return allocs_ok ? 0 : 1;
 }
 
 }  // namespace

@@ -14,8 +14,9 @@
 //
 // Departure from Section 2.3.2: no separate send, receive and compute
 // threads.  The calling stage thread does all three in order, once per
-// frame, and since D13 the TCP event loop serves every socket receive
-// (DESIGN.md D9 shows why the order cannot deadlock).
+// frame, and over TCP a thread of the communication proxy reads each
+// connection into its link's inbox (DESIGN.md D9 shows why the order
+// cannot deadlock).
 #pragma once
 
 #include <memory>

@@ -166,9 +166,12 @@ PoolInstruments resolve_instruments() {
 }
 
 // Instruments for the global pool.  The global pool is leaked, so its
-// releases may run during process teardown -- but only from joined
-// threads (the event loop joins at exit, DataManager threads join in
-// run()), which all finish before static destructors fire.
+// releases may run during process teardown -- but only from threads
+// that are joined, or that stay blocked, before static destructors
+// fire.  DataManager threads join in run().  The communication proxy's
+// readers are never joined, but the proxy, its idle connections and its
+// gang are leaked, so nothing a reader waits on changes while static
+// destructors run.
 PoolInstruments& instruments() {
   static PoolInstruments inst = resolve_instruments();
   return inst;

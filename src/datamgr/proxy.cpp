@@ -1,7 +1,6 @@
 #include "datamgr/proxy.hpp"
 
 #include <arpa/inet.h>
-#include <fcntl.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <sys/socket.h>
@@ -9,13 +8,17 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <chrono>
+#include <condition_variable>
 #include <cstring>
+#include <deque>
+#include <optional>
+#include <span>
 #include <string>
+#include <thread>
 
 #include "common/error.hpp"
-#include "common/log.hpp"
 #include "common/metrics.hpp"
-#include "datamgr/event_loop.hpp"
 #include "datamgr/tcp.hpp"
 
 namespace vdce::dm {
@@ -46,6 +49,18 @@ using proxy_wire::kHeaderBytes;
 /// provoke a giant allocation.
 constexpr std::size_t kMaxFrameBytes = TcpChannel::kDefaultMaxMessageBytes;
 
+/// A reader stops reading its connection once this many bytes sit
+/// unconsumed in its link's inbox, and resumes once the consumer drains
+/// below the low water, so a slow consumer bounds memory.
+constexpr std::size_t kHighWaterBytes = std::size_t{8} << 20;
+constexpr std::size_t kLowWaterBytes = std::size_t{1} << 20;
+/// Frame-count backstop for floods of tiny messages.
+constexpr std::size_t kMaxQueuedFrames = 4096;
+
+/// How often, at most, a sending producer reads its connection for
+/// resets: a recv per send would cost a small frame a syscall.
+constexpr std::chrono::milliseconds kResetReadInterval{1};
+
 common::Counter& metric(const char* name) {
   return common::MetricsRegistry::global().counter(name);
 }
@@ -65,27 +80,119 @@ void set_nodelay(int fd) {
 
 }  // namespace
 
+/// One link's received frames: its connection's reader publishes them
+/// and waits at the high water; the link's consumer drains them.
+class RxInbox {
+ public:
+  /// Publishes one frame.  At the high water, waits until the consumer
+  /// drains below the low water or leaves.  False once the consumer has
+  /// left: the frame is dropped.
+  bool push(FrameView view);
+
+  /// Closes the inbox: pushes fail from now on, and the consumer drains
+  /// what is queued, then sees `failure` thrown, or end of stream when
+  /// it is empty.  Called by the reader at the link's end, by the
+  /// consumer when it leaves.
+  void close(const std::string& failure = {});
+
+  /// The Channel receive contract: the next frame, nullopt once the
+  /// inbox is closed and drained, TransportError for a recorded failure
+  /// or when `timeout_s > 0` passes with nothing queued (counted as a
+  /// datamgr.deadline_expiries).
+  [[nodiscard]] std::optional<FrameView> receive_for(double timeout_s);
+
+ private:
+  std::mutex mu_;
+  std::condition_variable readable_;  // the consumer's: a frame or close
+  std::condition_variable drained_;   // the reader's: below the low water
+  std::deque<FrameView> frames_;
+  std::size_t bytes_ = 0;
+  bool paused_ = false;  // the reader waits for drained_
+  bool closed_ = false;
+  std::string failure_;
+};
+
+bool RxInbox::push(FrameView view) {
+  std::unique_lock lock(mu_);
+  if (closed_) return false;
+  bytes_ += view.size();
+  frames_.push_back(std::move(view));
+  paused_ = bytes_ >= kHighWaterBytes || frames_.size() >= kMaxQueuedFrames;
+  const bool pause = paused_;
+  lock.unlock();
+  readable_.notify_one();
+  if (pause) {
+    lock.lock();
+    drained_.wait(lock, [this] { return !paused_ || closed_; });
+  }
+  return true;
+}
+
+void RxInbox::close(const std::string& failure) {
+  {
+    std::lock_guard lock(mu_);
+    if (failure_.empty()) failure_ = failure;
+    closed_ = true;
+  }
+  readable_.notify_all();
+  drained_.notify_all();
+}
+
+std::optional<FrameView> RxInbox::receive_for(double timeout_s) {
+  std::unique_lock lock(mu_);
+  const auto ready = [this] { return !frames_.empty() || closed_; };
+  const std::chrono::duration<double> timeout(timeout_s);
+  if (timeout_s <= 0.0) {
+    readable_.wait(lock, ready);
+  } else if (!readable_.wait_for(lock, timeout, ready)) {
+    lock.unlock();
+    metric("datamgr.deadline_expiries").add(1);
+    throw TransportError("tcp receive timed out after " +
+                         std::to_string(timeout_s) + "s");
+  }
+  if (frames_.empty()) {
+    // Closed and drained: orderly EOF is nullopt, a transport failure
+    // re-throws here on the consumer thread.
+    if (!failure_.empty()) throw TransportError(failure_);
+    return std::nullopt;
+  }
+  FrameView view = std::move(frames_.front());
+  frames_.pop_front();
+  bytes_ -= view.size();
+  const bool resume =
+      paused_ && bytes_ < kLowWaterBytes && frames_.size() < kMaxQueuedFrames;
+  if (resume) paused_ = false;
+  lock.unlock();
+  if (resume) drained_.notify_one();
+  return view;
+}
+
 /// A producer's connection to a proxy: leased to one link at a time,
-/// idle in the pool otherwise.  The loop reads the resets the proxy
-/// writes back on it.
-class ProxyConnection final : public LoopReader {
+/// idle in the pool otherwise.  Only its lessee touches it, and the
+/// lessee reads the resets the proxy writes back on it.
+class ProxyConnection {
  public:
   ProxyConnection(int socket, std::uint16_t proxy_port)
       : fd(socket), port(proxy_port) {}
+  ~ProxyConnection() { ::close(fd); }
+
+  ProxyConnection(const ProxyConnection&) = delete;
+  ProxyConnection& operator=(const ProxyConnection&) = delete;
 
   const int fd;
   const std::uint16_t port;
   /// The socket failed (send error, EOF, garbage): never reused.
-  std::atomic<bool> failed{false};
+  bool failed = false;
   /// The latest link the proxy reset on this connection.  Ids grow
   /// along a connection, so a reset for an earlier link never matches
   /// the link now leased.
-  std::atomic<std::uint64_t> reset_link{0};
+  std::uint64_t reset_link = 0;
 
-  void on_readable(TcpEventLoop& loop, int fd_in) override {
-    for (;;) {
-      const ssize_t r =
-          ::recv(fd_in, header_.data() + fill_, kHeaderBytes - fill_, 0);
+  /// Reads the resets the socket holds, without blocking.
+  void read_resets() {
+    while (!failed) {
+      const ssize_t r = ::recv(fd, header_.data() + fill_,
+                               kHeaderBytes - fill_, MSG_DONTWAIT);
       if (r < 0) {
         if (errno == EINTR) continue;
         if (errno == EAGAIN || errno == EWOULDBLOCK) return;
@@ -98,15 +205,10 @@ class ProxyConnection final : public LoopReader {
           header_[1] != std::byte{static_cast<std::uint8_t>(Kind::kReset)}) {
         break;
       }
-      reset_link.store(argument_of(header_));
+      reset_link = argument_of(header_);
     }
     // EOF, a socket error or a frame the proxy never sends.
-    failed.store(true);
-    loop.disarm(fd_in, *this);
-  }
-
-  void on_unwatchable(TcpEventLoop&, int, const std::string&) override {
-    failed.store(true);  // resets could no longer reach it
+    failed = true;
   }
 
  private:
@@ -119,9 +221,14 @@ namespace {
 /// The producing end of one link, over a leased connection.
 class LinkSender final : public Channel {
  public:
-  LinkSender(CommProxy& proxy, std::shared_ptr<ProxyConnection> connection,
+  using Clock = std::chrono::steady_clock;
+
+  LinkSender(CommProxy& proxy, std::unique_ptr<ProxyConnection> connection,
              std::uint64_t link)
-      : proxy_(proxy), conn_(std::move(connection)), link_(link) {}
+      : proxy_(proxy),
+        conn_(std::move(connection)),
+        link_(link),
+        next_reset_read_(Clock::now() + kResetReadInterval) {}
 
   ~LinkSender() override { close(); }
 
@@ -141,8 +248,8 @@ class LinkSender final : public Channel {
   /// Writes the end marker and returns the connection at once.
   void close() override {
     if (!conn_) return;
-    const std::shared_ptr<ProxyConnection> conn = std::move(conn_);
-    if (!conn->failed.load()) {
+    std::unique_ptr<ProxyConnection> conn = std::move(conn_);
+    if (!conn->failed) {
       std::array<std::byte, 2 * kHeaderBytes> headers{};
       const std::size_t n = write_open(headers);
       const Header end = proxy_wire::encode(Kind::kEnd, link_);
@@ -150,17 +257,17 @@ class LinkSender final : public Channel {
       try {
         send_all(conn->fd, std::span(headers.data(), n + kHeaderBytes), {});
       } catch (const TransportError&) {
-        conn->failed.store(true);
+        conn->failed = true;
       }
     }
     // Below the pause thresholds the proxy read this link as fast as it
     // arrived, so none of it can sit ahead of the next link's frames.
-    // A link past them may have paused the connection behind a consumer
+    // A link past them may have stopped its reader behind a consumer
     // that has not read it yet: end the connection rather than queue
     // the next link behind those bytes.
-    const bool drained = frames_ < TcpEventLoop::kMaxQueuedFrames &&
-                         bytes_sent() < TcpEventLoop::kHighWaterBytes;
-    proxy_.release(conn, drained);
+    const bool drained =
+        frames_ < kMaxQueuedFrames && bytes_sent() < kHighWaterBytes;
+    proxy_.release(std::move(conn), drained);
   }
 
   std::size_t bytes_sent() const override {
@@ -179,10 +286,12 @@ class LinkSender final : public Channel {
 
   void send_bytes(std::span<const std::byte> body) {
     if (!conn_) throw TransportError("send on closed proxy link");
-    if (conn_->failed.load()) {
-      throw TransportError("proxy connection lost");
+    if (const Clock::time_point now = Clock::now(); now >= next_reset_read_) {
+      conn_->read_resets();
+      next_reset_read_ = now + kResetReadInterval;
     }
-    if (conn_->reset_link.load() == link_) {
+    if (conn_->failed) throw TransportError("proxy connection lost");
+    if (conn_->reset_link == link_) {
       throw TransportError("proxy link reset: its consumer has closed");
     }
     if (body.size() > kMaxFrameBytes) {
@@ -197,7 +306,7 @@ class LinkSender final : public Channel {
     try {
       send_all(conn_->fd, std::span(headers.data(), n + kHeaderBytes), body);
     } catch (const TransportError&) {
-      conn_->failed.store(true);
+      conn_->failed = true;
       throw;
     }
     bytes_sent_.fetch_add(body.size(), std::memory_order_relaxed);
@@ -205,10 +314,11 @@ class LinkSender final : public Channel {
   }
 
   CommProxy& proxy_;
-  std::shared_ptr<ProxyConnection> conn_;  // null once closed
+  std::unique_ptr<ProxyConnection> conn_;  // null once closed
   const std::uint64_t link_;
   bool opened_ = false;
   std::size_t frames_ = 0;
+  Clock::time_point next_reset_read_;
   std::atomic<std::size_t> bytes_sent_{0};
 };
 
@@ -231,14 +341,11 @@ class LinkReceiver final : public Channel {
 
   /// Pending receives drain, then return nullopt.  A producer that
   /// opens the link from now on is refused, and one still sending has
-  /// its frames discarded (resumed if its connection was paused).
+  /// its frames discarded (its reader resumes if it was waiting).
   void close() override {
     if (closed_.exchange(true)) return;
     proxy_.forget(link_);
-    inbox_->queue.close();
-    if (inbox_->paused.load()) {
-      TcpEventLoop::global().rearm(inbox_->feeder_fd.load());
-    }
+    inbox_->close();
   }
 
   std::size_t bytes_sent() const override { return 0; }
@@ -250,248 +357,146 @@ class LinkReceiver final : public Channel {
   std::atomic<bool> closed_{false};
 };
 
-/// The proxy's side of one accepted connection: routes each link's
-/// frames into its inbox, one link at a time.
-class InboundConnection final : public LoopReader {
+/// The proxy's side of one accepted connection, read by a thread
+/// blocked on it: routes each link's frames into its inbox, one link at
+/// a time.
+class InboundConnection {
  public:
-  explicit InboundConnection(CommProxy& proxy) : proxy_(proxy) {}
+  InboundConnection(CommProxy& proxy, int fd) : proxy_(proxy), fd_(fd) {}
+  ~InboundConnection() { ::close(fd_); }
 
-  void on_readable(TcpEventLoop& loop, int fd) override;
+  InboundConnection(const InboundConnection&) = delete;
+  InboundConnection& operator=(const InboundConnection&) = delete;
 
-  void on_rearm(TcpEventLoop& loop, int fd) override {
-    if (!feeding_ || !feed_.inbox().paused.load()) return;
-    feed_.inbox().paused.store(false);
-    loop.arm(fd, *this);
-  }
-
-  void on_unwatchable(TcpEventLoop& loop, int fd,
-                      const std::string& what) override {
-    lose(loop, fd, what);
+  /// Reads frames until the connection ends or breaks, which fails the
+  /// bound link, if any.
+  void serve() {
+    Header header{};
+    while (read(header) && on_header(header)) {
+    }
+    if (inbox_) inbox_->close(failure_);
   }
 
  private:
-  enum class Phase : std::uint8_t { kHeader, kBody, kSkip };
-
-  bool on_header(TcpEventLoop& loop, int fd);
-  bool deliver(TcpEventLoop& loop, int fd);
-  void consumer_gone(int fd);
-  void refuse(int fd);
-  void lose(TcpEventLoop& loop, int fd, const std::string& what);
-
-  CommProxy& proxy_;
-  Header header_{};
-  std::size_t header_fill_ = 0;
-  Phase phase_ = Phase::kHeader;
-  Frame body_;
-  std::size_t body_fill_ = 0;
-  std::uint64_t skip_left_ = 0;
-  std::uint64_t link_ = 0;   // the bound link; 0 between links
-  bool feeding_ = false;     // the bound link's consumer takes its frames
-  bool reset_sent_ = false;  // for the bound link
-  InboxFeed feed_;
-};
-
-void InboundConnection::on_readable(TcpEventLoop& loop, int fd) {
-  // Discarded payload bytes land here (loop thread only).
-  static std::array<std::byte, 64 * 1024> scratch;
-  for (;;) {
-    std::byte* dst = nullptr;
-    std::size_t want = 0;
-    switch (phase_) {
-      case Phase::kHeader:
-        dst = header_.data() + header_fill_;
-        want = kHeaderBytes - header_fill_;
-        break;
-      case Phase::kBody:
-        dst = body_.data() + body_fill_;
-        want = body_.size() - body_fill_;
-        break;
-      case Phase::kSkip:
-        dst = scratch.data();
-        want = static_cast<std::size_t>(
-            std::min<std::uint64_t>(skip_left_, scratch.size()));
-        break;
-    }
-    const ssize_t r = ::recv(fd, dst, want, 0);
-    if (r < 0) {
-      if (errno == EINTR) continue;
-      if (errno == EAGAIN || errno == EWOULDBLOCK) break;
-      lose(loop, fd, std::string("proxy recv: ") + std::strerror(errno));
-      return;
-    }
-    if (r == 0) {
-      lose(loop, fd, "proxy connection closed mid-link");
-      return;
-    }
-    const auto got = static_cast<std::size_t>(r);
-    switch (phase_) {
-      case Phase::kHeader:
-        header_fill_ += got;
-        if (header_fill_ < kHeaderBytes) break;
-        header_fill_ = 0;
-        if (!on_header(loop, fd)) return;
-        break;
-      case Phase::kBody:
-        body_fill_ += got;
-        if (body_fill_ == body_.size() && !deliver(loop, fd)) return;
-        break;
-      case Phase::kSkip:
-        skip_left_ -= got;
-        if (skip_left_ == 0) phase_ = Phase::kHeader;
-        break;
-    }
-  }
-}
-
-bool InboundConnection::on_header(TcpEventLoop& loop, int fd) {
-  if (header_[0] != std::byte{proxy_wire::kMagic}) {
-    lose(loop, fd, "proxy frame with a bad magic byte (corrupt stream?)");
+  /// Fills `into` from the socket; false once the stream ends or breaks,
+  /// with failure_ saying how.
+  bool read(std::span<std::byte> into);
+  /// False when the header ends the connection.
+  bool on_header(const Header& header);
+  bool on_data(std::size_t size);
+  bool discard(std::size_t size);
+  void refuse();
+  bool fail(std::string what) {
+    failure_ = std::move(what);
     return false;
   }
-  const std::uint64_t arg = argument_of(header_);
-  switch (static_cast<Kind>(header_[1])) {
+
+  CommProxy& proxy_;
+  const int fd_;
+  std::uint64_t link_ = 0;          // the bound link; 0 between links
+  std::shared_ptr<RxInbox> inbox_;  // its inbox, while its consumer takes
+  bool reset_sent_ = false;         // for the bound link
+  std::string failure_;
+};
+
+bool InboundConnection::read(std::span<std::byte> into) {
+  std::size_t got = 0;
+  while (got < into.size()) {
+    // MSG_WAITALL: a large body arrives in one call, not one per
+    // socket-buffer fill.
+    const ssize_t r =
+        ::recv(fd_, into.data() + got, into.size() - got, MSG_WAITALL);
+    if (r > 0) {
+      got += static_cast<std::size_t>(r);
+    } else if (r == 0) {
+      return fail("proxy connection closed mid-link");
+    } else if (errno != EINTR) {
+      return fail(std::string("proxy recv: ") + std::strerror(errno));
+    }
+  }
+  return true;
+}
+
+bool InboundConnection::on_header(const Header& header) {
+  if (header[0] != std::byte{proxy_wire::kMagic}) {
+    return fail("proxy frame with a bad magic byte (corrupt stream?)");
+  }
+  const std::uint64_t arg = argument_of(header);
+  switch (static_cast<Kind>(header[1])) {
     case Kind::kOpen:
       if (link_ != 0) {
-        lose(loop, fd,
-             "proxy open for link " + std::to_string(arg) + " while link " +
-                 std::to_string(link_) + " is bound");
-        return false;
+        return fail("proxy open for link " + std::to_string(arg) +
+                    " while link " + std::to_string(link_) + " is bound");
       }
       link_ = arg;
       reset_sent_ = false;
-      if (auto inbox = proxy_.claim(arg)) {
-        inbox->feeder_fd.store(fd);
-        feed_.bind(std::move(inbox));
-        feeding_ = true;
-      } else {
-        refuse(fd);  // unknown, already opened, or its consumer closed
-      }
+      inbox_ = proxy_.claim(arg);
+      // Unknown, already opened, or its consumer closed.
+      if (!inbox_) refuse();
       return true;
     case Kind::kData:
-      if (link_ == 0) {
-        lose(loop, fd, "proxy data frame outside a link");
-        return false;
-      }
+      if (link_ == 0) return fail("proxy data frame outside a link");
       if (arg > kMaxFrameBytes) {
-        lose(loop, fd,
-             "proxy frame header claims " + std::to_string(arg) +
-                 " bytes, above the frame limit of " +
-                 std::to_string(kMaxFrameBytes) + " bytes (corrupt stream?)");
-        return false;
+        return fail("proxy frame header claims " + std::to_string(arg) +
+                    " bytes, above the frame limit of " +
+                    std::to_string(kMaxFrameBytes) +
+                    " bytes (corrupt stream?)");
       }
-      if (!feeding_) {
-        refuse(fd);
-        skip_left_ = arg;
-        if (arg > 0) phase_ = Phase::kSkip;
-        return true;
-      }
-      body_ = FramePool::global().allocate(static_cast<std::size_t>(arg));
-      body_fill_ = 0;
-      phase_ = Phase::kBody;
-      return arg > 0 || deliver(loop, fd);
+      return on_data(static_cast<std::size_t>(arg));
     case Kind::kEnd:
       if (arg != link_ || link_ == 0) {
-        lose(loop, fd,
-             "proxy end for link " + std::to_string(arg) + " while link " +
-                 std::to_string(link_) + " is bound");
-        return false;
+        return fail("proxy end for link " + std::to_string(arg) +
+                    " while link " + std::to_string(link_) + " is bound");
       }
-      if (feeding_) {
-        feed_.finish("");  // orderly end of stream
-        feed_.unbind();
-        feeding_ = false;
-      }
+      if (inbox_) inbox_->close();  // orderly end of stream
+      inbox_.reset();
       link_ = 0;
       return true;
     case Kind::kReset:
       break;
   }
-  lose(loop, fd, "proxy frame of unknown kind (corrupt stream?)");
-  return false;
+  return fail("proxy frame of unknown kind (corrupt stream?)");
 }
 
-bool InboundConnection::deliver(TcpEventLoop& loop, int fd) {
-  phase_ = Phase::kHeader;
-  FrameView view = body_.view();
-  body_.reset();
-  switch (feed_.deliver(loop, fd, *this, std::move(view))) {
-    case InboxFeed::State::kReading:
-      return true;
-    case InboxFeed::State::kPaused:
-      return false;  // until the consumer re-arms
-    case InboxFeed::State::kConsumerGone:
-      consumer_gone(fd);
-      return true;
+bool InboundConnection::on_data(std::size_t size) {
+  if (!inbox_) return discard(size);
+  Frame body = FramePool::global().allocate(size);
+  if (!read(std::span(body.data(), size))) return false;
+  if (inbox_->push(body.view())) return true;
+  // The consumer left before the producer finished: discard the rest of
+  // the link up to its end marker, and tell the producer.
+  inbox_.reset();
+  refuse();
+  return true;
+}
+
+bool InboundConnection::discard(std::size_t size) {
+  std::array<std::byte, 64 * 1024> sink;  // this reader's own; never read
+  while (size > 0) {
+    const std::size_t n = std::min(size, sink.size());
+    if (!read(std::span(sink.data(), n))) return false;
+    size -= n;
   }
   return true;
 }
 
-void InboundConnection::consumer_gone(int fd) {
-  // The consumer left before the producer finished: discard the rest of
-  // the link up to its end marker, and tell the producer.
-  feed_.unbind();
-  feeding_ = false;
-  refuse(fd);
-}
-
-void InboundConnection::refuse(int fd) {
+void InboundConnection::refuse() {
   if (reset_sent_) return;
   reset_sent_ = true;
   static common::Counter& resets = metric("datamgr.proxy.resets");
   resets.add(1);
-  // The producer's loop drains resets as they come, so ten bytes always
-  // fit the socket buffer; a failure here can only mean the connection
-  // is going away, which its next read reports.
+  // The producer reads resets on every lease and while it sends, so ten
+  // bytes always fit the socket buffer; a failure here can only mean the
+  // connection is going away, which the next read reports.
   const Header reset = proxy_wire::encode(Kind::kReset, link_);
   [[maybe_unused]] const ssize_t w =
-      ::send(fd, reset.data(), reset.size(), MSG_NOSIGNAL | MSG_DONTWAIT);
+      ::send(fd_, reset.data(), reset.size(), MSG_NOSIGNAL | MSG_DONTWAIT);
 }
-
-void InboundConnection::lose(TcpEventLoop& loop, int fd,
-                             const std::string& what) {
-  if (feeding_) {
-    feed_.finish(what);
-    feed_.unbind();
-    feeding_ = false;
-  }
-  body_.reset();
-  link_ = 0;
-  loop.drop(fd, *this);
-}
-
-/// The proxy's listening socket; the loop thread accepts.
-class ProxyListener final : public LoopReader {
- public:
-  explicit ProxyListener(CommProxy& proxy) : proxy_(proxy) {}
-
-  void on_readable(TcpEventLoop& loop, int fd) override {
-    for (;;) {
-      const int conn =
-          ::accept4(fd, nullptr, nullptr, SOCK_NONBLOCK | SOCK_CLOEXEC);
-      if (conn < 0) {
-        if (errno == EINTR || errno == ECONNABORTED) continue;
-        return;  // drained (EAGAIN), or out of descriptors for now
-      }
-      set_nodelay(conn);
-      loop.adopt(conn, std::make_shared<InboundConnection>(proxy_));
-    }
-  }
-
-  void on_unwatchable(TcpEventLoop&, int, const std::string& what) override {
-    // Connects still complete into the backlog, but nothing accepts
-    // them: every TCP link of the process would wait out its deadline.
-    common::log_error("datamgr", "communication proxy cannot accept: ", what);
-  }
-
- private:
-  CommProxy& proxy_;
-};
 
 }  // namespace
 
 CommProxy::CommProxy() {
-  const int fd =
-      ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
+  const int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
   if (fd < 0) {
     throw TransportError(std::string("proxy socket: ") + std::strerror(errno));
   }
@@ -510,7 +515,23 @@ CommProxy::CommProxy() {
     throw TransportError("proxy listen: " + error);
   }
   port_ = ntohs(addr.sin_port);
-  TcpEventLoop::global().add(fd, std::make_shared<ProxyListener>(*this));
+  readers_.launch([this, fd] { accept_loop(fd); });
+}
+
+void CommProxy::accept_loop(int listener) {
+  // Not a TcpServer: its sessions read length-prefixed TcpChannels, and
+  // its stop and join would never run for a proxy that lives as long as
+  // the process.
+  for (;;) {
+    const int fd = ::accept4(listener, nullptr, nullptr, SOCK_CLOEXEC);
+    if (fd >= 0) {
+      set_nodelay(fd);
+      readers_.launch([this, fd] { InboundConnection(*this, fd).serve(); });
+    } else if (errno != EINTR && errno != ECONNABORTED) {
+      // Out of descriptors for now: connects wait in the backlog.
+      std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    }
+  }
 }
 
 CommProxy& CommProxy::global() {
@@ -550,17 +571,19 @@ std::shared_ptr<Channel> CommProxy::lease(const ProxyAddress& address) {
   return std::make_shared<LinkSender>(*this, std::move(conn), address.link);
 }
 
-std::shared_ptr<ProxyConnection> CommProxy::acquire(std::uint16_t port) {
+std::unique_ptr<ProxyConnection> CommProxy::acquire(std::uint16_t port) {
   static common::Counter& opened = metric("datamgr.proxy.connections_opened");
-  {
-    std::lock_guard lock(idle_mu_);
-    auto& idle = idle_[port];
-    while (!idle.empty()) {
-      std::shared_ptr<ProxyConnection> conn = std::move(idle.back());
+  for (;;) {
+    std::unique_ptr<ProxyConnection> conn;
+    {
+      std::lock_guard lock(idle_mu_);
+      auto& idle = idle_[port];
+      if (idle.empty()) break;
+      conn = std::move(idle.back());
       idle.pop_back();
-      if (!conn->failed.load()) return conn;
-      TcpEventLoop::global().remove(conn->fd);
     }
+    conn->read_resets();
+    if (!conn->failed) return conn;
   }
   const int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
   if (fd < 0) {
@@ -577,21 +600,20 @@ std::shared_ptr<ProxyConnection> CommProxy::acquire(std::uint16_t port) {
                          ": " + error);
   }
   set_nodelay(fd);
-  ::fcntl(fd, F_SETFL, ::fcntl(fd, F_GETFL, 0) | O_NONBLOCK);
-  auto conn = std::make_shared<ProxyConnection>(fd, port);
-  TcpEventLoop::global().add(fd, conn);
   opened.add(1);
-  return conn;
+  return std::make_unique<ProxyConnection>(fd, port);
 }
 
-void CommProxy::release(std::shared_ptr<ProxyConnection> connection,
+void CommProxy::release(std::unique_ptr<ProxyConnection> connection,
                         bool reusable) {
-  if (!reusable || connection->failed.load()) {
-    TcpEventLoop::global().remove(connection->fd);
+  if (reusable && !connection->failed) {
+    std::lock_guard lock(idle_mu_);
+    idle_[connection->port].push_back(std::move(connection));
     return;
   }
-  std::lock_guard lock(idle_mu_);
-  idle_[connection->port].push_back(std::move(connection));
+  // Closed with a reset unread, the socket would answer with an RST that
+  // drops the frames it still has in flight to the proxy.
+  connection->read_resets();
 }
 
 }  // namespace vdce::dm

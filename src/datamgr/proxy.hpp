@@ -6,8 +6,10 @@
 // Manager, which "activates the communication proxy" of its process;
 // the process's inter-task traffic goes through it.  Here the proxy is
 // created on the first TCP link of a process and lives as long as the
-// process.  Its listener's accepts, and every receive on the
-// connections it accepted, are performed by the D13 event loop.
+// process.  As the paper gives each task a receive thread, every
+// socket of the proxy is read by a thread blocked on it: one job of
+// the proxy's ParkedThreadPool gang accepts on its listener, and one
+// job per accepted connection reads that connection's frames.
 //
 // A consumer registers a link (a process-unique id, no socket).  A
 // producer leases an idle connection to the proxy's port, or connects a
@@ -26,18 +28,21 @@
 // frames and an end marker.
 //
 // One link per connection at a time: a consumer that stops reading
-// pauses only its own link's connection (the 8 MiB high water of D13),
-// so a send still blocks only when the consumer is not reading that
-// link (D9).  A consumer that closes early costs no connection: the
-// proxy discards the link's remaining frames up to its end marker and,
-// if any were discarded or the link was unknown, writes back a reset
-// so the producer's next send on that link throws TransportError.  A
-// connection that fails (EPIPE, EOF, a corrupt frame) fails its bound
-// link and is never reused, and so is one whose link sent enough to
-// have paused it (8 MiB or 4096 frames), lest the next link queue
-// behind bytes no consumer has read.  There is no cap and no idle
-// timeout: the pool's size is the peak number of producer links open
-// at once.
+// stops only its own link's reader, which waits once 8 MiB or 4096
+// frames sit unread in the link's inbox, so a send still blocks only
+// when the consumer is not reading that link (D9).  A consumer that
+// closes early costs no connection: the proxy discards the link's
+// remaining frames up to its end marker and, if any were discarded or
+// the link was unknown, writes back a reset.  The producer reads
+// resets itself, without blocking, when it leases a connection and at
+// most once a millisecond while it sends, and its next send on a reset
+// link throws TransportError.  A connection that fails (EPIPE, EOF, a
+// corrupt frame) fails its bound link and is never reused, and so is
+// one whose link sent enough to have stopped its reader (8 MiB or 4096
+// frames), lest the next link queue behind bytes no consumer has read.
+// There is no cap and no idle timeout: the pool's size, and the number
+// of reader threads, is the peak number of producer links open at
+// once.
 #pragma once
 
 #include <array>
@@ -49,11 +54,12 @@
 #include <unordered_map>
 #include <vector>
 
+#include "common/thread_pool.hpp"
 #include "datamgr/channel.hpp"
 
 namespace vdce::dm {
 
-struct RxInbox;
+class RxInbox;
 class ProxyConnection;
 
 /// Where a producer finds a link: the port of the consumer's process
@@ -88,7 +94,9 @@ class CommProxy {
   };
 
   /// The process's proxy, created with its listener on first use.
-  /// Intentionally leaked, like the event loop that owns its sockets.
+  /// Intentionally leaked, with its idle connections and its gang: its
+  /// readers are never joined, and nothing they wait on changes while
+  /// static destructors run.
   [[nodiscard]] static CommProxy& global();
 
   CommProxy(const CommProxy&) = delete;
@@ -113,12 +121,14 @@ class CommProxy {
   void forget(std::uint64_t link);
   /// Returns a producer's connection after its end marker: back to the
   /// idle set if `reusable` and its socket is sound, else closed.
-  void release(std::shared_ptr<ProxyConnection> connection, bool reusable);
+  void release(std::unique_ptr<ProxyConnection> connection, bool reusable);
 
  private:
   CommProxy();
 
-  [[nodiscard]] std::shared_ptr<ProxyConnection> acquire(std::uint16_t port);
+  /// Accepts for ever, launching a reader per connection.
+  void accept_loop(int listener);
+  [[nodiscard]] std::unique_ptr<ProxyConnection> acquire(std::uint16_t port);
 
   std::uint16_t port_ = 0;
   std::atomic<std::uint64_t> next_link_{1};  // 0 means "no link"
@@ -128,8 +138,11 @@ class CommProxy {
 
   std::mutex idle_mu_;
   std::unordered_map<std::uint16_t,
-                     std::vector<std::shared_ptr<ProxyConnection>>>
+                     std::vector<std::unique_ptr<ProxyConnection>>>
       idle_;
+
+  /// The accept loop and one reader per accepted connection.
+  common::ParkedThreadPool::Gang readers_;
 };
 
 }  // namespace vdce::dm

@@ -12,7 +12,7 @@
 //   * in-process, every AFG link is a bounded dm::RingChannel: a fast
 //     producer parks when the ring fills (backpressure) instead of
 //     buffering without limit, so memory stays flat however long the
-//     stream runs.  Over TCP the event loop's high-water pause bounds
+//     stream runs.  Over TCP the proxy reader's high-water wait bounds
 //     each link the same way, and the configured message-passing
 //     library frames every message;
 //   * there is no gang-completes barrier.  Sources emit frame windows

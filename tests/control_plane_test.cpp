@@ -840,7 +840,7 @@ TEST(ControlManager, DispatchesSynchronouslyAndCountsEveryMessage) {
 // -------------------------------- deadline regressions (satellite 3)
 
 TEST(Deadlines, ReceiveForHonorsDeadlineUnderEventLoopStorm) {
-  // A flood on one channel of the shared event loop must not stretch
+  // A flood on one channel, read by its own thread, must not stretch
   // (or shrink) another channel's receive_for deadline.
   dm::TcpListener idle_listener;
   auto idle_tx = dm::tcp_connect(idle_listener.port());

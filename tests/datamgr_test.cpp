@@ -14,6 +14,7 @@
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
+#include <future>
 #include <thread>
 
 #include "common/error.hpp"
@@ -1105,8 +1106,8 @@ TEST(TcpChannel, FrameLimitExactBoundary) {
 }
 
 TEST(TcpChannel, HugeFrameRoundTripThroughPool) {
-  // > 64 MiB through the pooled scatter/gather send and the event-loop
-  // receive (exercising backpressure pause/rearm on the way).
+  // > 64 MiB through the pooled scatter/gather send and the receiving
+  // thread's own poll-and-recv loop, over many socket-buffer fills.
   constexpr std::size_t kBytes = (std::size_t{64} << 20) + 4097;
   TcpListener listener;
   std::unique_ptr<TcpChannel> server_end;
@@ -1151,15 +1152,16 @@ TEST(TcpChannel, EventLoopKeepsThreadCountFlat) {
     ends.push_back(std::move(client_end));
   };
 
-  connect_pair();  // forces the event loop (and its one thread) up
+  connect_pair();  // the baseline: one connected pair
   const std::size_t baseline_threads = thread_count();
 
   for (int i = 0; i < 16; ++i) connect_pair();
 
-  // 32 more registered connections, zero more threads.
+  // 32 more connections, zero more threads: a TcpChannel is read by
+  // the thread that receives on it.
   EXPECT_LE(thread_count(), baseline_threads);
 
-  // And they all still move bytes through the one loop.
+  // And they all still move bytes.
   ends[1]->send(bytes_of("ping"));
   EXPECT_EQ(string_of(*ends[0]->receive()), "ping");
   ends[33]->send(bytes_of("pong"));
@@ -1233,6 +1235,15 @@ std::size_t open_fd_count() {
   return n;
 }
 
+std::size_t thread_count() {
+  std::size_t n = 0;
+  for ([[maybe_unused]] const auto& entry :
+       std::filesystem::directory_iterator("/proc/self/task")) {
+    ++n;
+  }
+  return n;
+}
+
 double seconds_since(std::chrono::steady_clock::time_point t0) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
       .count();
@@ -1264,12 +1275,14 @@ TEST(CommProxy, ReusesConnectionsAcrossEngineRuns) {
       counter_value("datamgr.proxy.connections_opened");
   std::uint64_t opened_after_warmup = 0;
   std::size_t fds_after_warmup = 0;
+  std::size_t threads_after_warmup = 0;
   for (int run = 0; run < 50; ++run) {
     const auto result = engine.execute(graph, allocation);
     ASSERT_EQ(result.records.size(), graph.task_count());
     if (run == 2) {
       opened_after_warmup = counter_value("datamgr.proxy.connections_opened");
       fds_after_warmup = open_fd_count();
+      threads_after_warmup = thread_count();
     }
   }
   EXPECT_EQ(counter_value("datamgr.proxy.links") - links0, 250u);
@@ -1279,6 +1292,9 @@ TEST(CommProxy, ReusesConnectionsAcrossEngineRuns) {
   EXPECT_LE(opened - opened0, graph.link_count())
       << "more connections than links open at once";
   EXPECT_EQ(open_fd_count(), fds_after_warmup);
+  // One reader per pooled connection, parked stage threads reused: a
+  // run past the warm-up starts no thread.
+  EXPECT_EQ(thread_count(), threads_after_warmup);
 }
 
 TEST(CommProxy, EarlyClosingConsumersCostNoConnection) {
@@ -1359,6 +1375,56 @@ TEST(CommProxy, ConsumerThatLeavesResetsItsProducer) {
   EXPECT_EQ(next_receiver->receive_for(5.0), std::nullopt);
   EXPECT_EQ(counter_value("datamgr.proxy.connections_opened"), opened0)
       << "the reset connection was not reused";
+}
+
+TEST(CommProxy, ConsumerThatLeavesAPausedLinkResetsItsProducer) {
+  // The consumer reads nothing, so its link's reader stops at the 8 MiB
+  // high water and the producer blocks once the socket buffers fill.
+  // When the consumer leaves, the reader must wake, discard the rest of
+  // the link and reset the producer, whose send throws within a second.
+  using Clock = std::chrono::steady_clock;
+  ChannelBroker broker(TransportKind::kTcp);
+  const LinkKey key{AppId(48), TaskId(0), TaskId(1)};
+  auto receiver = broker.open_receive(key);
+
+  // The producer owns everything it touches, so a producer that is
+  // never reset is left blocked, not joined, and the test fails.
+  struct Producer {
+    std::atomic<int> sent{0};
+    std::promise<Clock::time_point> reset;
+  };
+  auto producer = std::make_shared<Producer>();
+  std::future<Clock::time_point> reset = producer->reset.get_future();
+  std::thread([sender = broker.open_send(key, 5.0), producer] {
+    const std::vector<std::byte> chunk(std::size_t{1} << 20, std::byte{3});
+    const auto t0 = Clock::now();
+    try {
+      while (seconds_since(t0) < 10.0) {
+        sender->send(chunk);
+        producer->sent.fetch_add(1);
+      }
+    } catch (const TransportError&) {
+      producer->reset.set_value(Clock::now());
+    }
+    sender->close();
+  }).detach();
+
+  int last = -1;
+  for (int stable = 0; stable < 5 && last < 256;) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    const int now = producer->sent.load();
+    stable = now == last ? stable + 1 : 0;
+    last = now;
+  }
+  ASSERT_GT(last, 8) << "the link never reached the high water";
+  ASSERT_LT(last, 256) << "the producer was never held back";
+
+  const auto closed_at = Clock::now();
+  receiver->close();
+  ASSERT_EQ(reset.wait_for(std::chrono::seconds(2)), std::future_status::ready)
+      << "the producer never learned its consumer left";
+  EXPECT_LT(std::chrono::duration<double>(reset.get() - closed_at).count(),
+            1.0);
 }
 
 TEST(CommProxy, SlowLinkDoesNotStallAnother) {

@@ -493,7 +493,7 @@ TEST(AppControllerTest, RunsWhenUnderThreshold) {
 // ------------------------------------------------- crossed diamond
 
 TEST(StageRunnerTest, CrossedDiamondOfLargePayloadsCannotDeadlock) {
-  // Two sources of payloads larger than the TCP event loop's 8 MiB
+  // Two sources of payloads larger than the proxy readers' 8 MiB
   // high-water mark feed two consumers that read them in opposite port
   // orders.  Every stage receives in port order and sends in child
   // order on its own thread, so a send can block until its consumer
