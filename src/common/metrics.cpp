@@ -88,8 +88,11 @@ void MetricsRegistry::reset() {
 }
 
 MetricsRegistry& MetricsRegistry::global() {
-  static MetricsRegistry registry;
-  return registry;
+  // Leaked on purpose: threads that are never joined (the communication
+  // proxy's readers, parked pool threads) may still bump an instrument
+  // while static destructors run.
+  static MetricsRegistry* registry = new MetricsRegistry;
+  return *registry;
 }
 
 }  // namespace vdce::common

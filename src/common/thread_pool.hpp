@@ -98,9 +98,9 @@ class ThreadPool {
 /// Threads that outlive their jobs, for gangs whose jobs block on each
 /// other: the stage threads and restore feeders of one round (D9).  A
 /// launch never queues -- it hands the job to a parked thread, or
-/// starts a new one when none is parked -- because a stage waits in
-/// set-up for its consumers and the round waits for every
-/// acknowledgment, so a queued stage would deadlock the gang.  A thread
+/// starts a new one when none is parked -- because the round waits for
+/// every acknowledgment and a stage waits for its parents' frames, so a
+/// queued stage would deadlock the gang.  A thread
 /// parks itself before its gang counts the job finished, so once a
 /// gang's join returns every thread it used is parked again.  There is
 /// no size, cap or idle timeout: the pool holds the peak number of jobs

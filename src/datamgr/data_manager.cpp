@@ -28,7 +28,9 @@ void DataManager::setup(const TaskWiring& wiring) {
   // wiring.parents is in the consumer's input-port order; the received
   // payloads are handed to the task function in exactly that order.
 
-  // Register every input endpoint first (never blocks) ...
+  // Open every input, then every output: no open waits for the other
+  // end of its link (the broker makes the link for whichever end comes
+  // first), and no frame moves before the start signal.
   for (const TaskId parent : wiring_.parents) {
     const LinkKey key{wiring_.app, parent, wiring_.task};
     std::shared_ptr<Channel> in = broker_->open_receive(key);
@@ -37,7 +39,6 @@ void DataManager::setup(const TaskWiring& wiring) {
     }
     inputs_.emplace_back(library_, std::move(in));
   }
-  // ... then connect outputs (each blocks until its consumer is up).
   for (const TaskId child : wiring_.children) {
     const LinkKey key{wiring_.app, wiring_.task, child};
     outputs_.emplace_back(library_, broker_->open_send(key));

@@ -57,14 +57,11 @@ class DataManager {
   /// `broker` must outlive the manager.
   DataManager(ChannelBroker& broker, MpLibrary library = MpLibrary::kP4);
 
-  /// Channel setup (Figure 7 steps 2-3): registers the receive endpoint
-  /// of every in-edge, then connects the send endpoint of every
-  /// out-edge.  Returning normally is the acknowledgment the
-  /// Application Controller forwards to the Site Manager.
-  ///
-  /// Deadlock-freedom: all receive endpoints are registered before any
-  /// send endpoint blocks, so concurrent setup of all tasks of an
-  /// application always completes.
+  /// Channel setup (Figure 7 steps 2-3): opens the receive endpoint of
+  /// every in-edge, then the send endpoint of every out-edge.
+  /// Returning normally is the acknowledgment the Application
+  /// Controller forwards to the Site Manager.  No open waits for the
+  /// other end of its link, so set-up never blocks.
   void setup(const TaskWiring& wiring);
 
   /// Executes one frame of the task (Figure 7 step 5) on the calling

@@ -11,9 +11,11 @@
 // the proxy's ParkedThreadPool gang accepts on its listener, and one
 // job per accepted connection reads that connection's frames.
 //
-// A consumer registers a link (a process-unique id, no socket).  A
-// producer leases an idle connection to the proxy's port, or connects a
-// new one when none is idle, and sends on it:
+// A link is registered on its consumer's proxy (a process-unique id, no
+// socket) by whichever end opens it first.  A producer leases an idle
+// connection to the proxy's port, or connects a new one when none is
+// idle, and sends on it; frames that arrive before the consumer takes
+// the link wait in its inbox:
 //
 //   producer -> proxy   open <link>    binds the connection to the link
 //                       data <length>  followed by `length` payload bytes
@@ -105,7 +107,8 @@ class CommProxy {
   /// The listening port: the address every link of this process shares.
   [[nodiscard]] std::uint16_t port() const { return port_; }
 
-  /// Registers the consuming end of a new link.  Creates no socket.
+  /// Registers a new link and returns its consuming end.  Creates no
+  /// socket.
   [[nodiscard]] Link open_link();
 
   /// The producing end of `address`'s link, over an idle connection to

@@ -19,8 +19,8 @@ namespace {
          state == SubmissionState::kFailed;
 }
 
-void bump(const char* name) {
-  common::MetricsRegistry::global().counter(name).add(1);
+common::Counter& counter(const char* name) {
+  return common::MetricsRegistry::global().counter(name);
 }
 
 }  // namespace
@@ -47,6 +47,8 @@ const char* to_string(SubmissionState state) {
 /// FaultTolerance closures.  While it runs, `allocation` and
 /// `admission` change only under mu_ (a re-placement), and `error`
 /// holds the QoS refusal of the latest failed re-placement, if any.
+/// Its waiters sleep on `terminal`, which note_terminal_locked
+/// notifies, so a finished app wakes only them.
 struct AppSubmissionService::AppRecord {
   SubmissionRequest request;
   common::AppId app;
@@ -62,6 +64,7 @@ struct AppSubmissionService::AppRecord {
   double pred_charged = 0.0;    // ETA charge added to pending_pred_s_
   RunResult result;
   std::string error;
+  std::condition_variable terminal;
 };
 
 AppSubmissionService::AppSubmissionService(
@@ -84,7 +87,7 @@ AppSubmissionService::~AppSubmissionService() {
     std::lock_guard lk(mu_);
     shutdown_ = true;
   }
-  cv_.notify_all();
+  work_cv_.notify_all();
   workers_.clear();  // joins; workers drain the ready queue first
 }
 
@@ -119,6 +122,13 @@ common::AppId AppSubmissionService::submit(SubmissionRequest request) {
 
 std::vector<common::AppId> AppSubmissionService::submit_batch(
     std::vector<SubmissionRequest> requests) {
+  static common::Counter& m_submitted = counter("submission.submitted");
+  static common::Counter& m_rejected = counter("submission.rejected");
+  static common::Counter& m_backpressure =
+      counter("submission.backpressure");
+  static common::Counter& m_preempted = counter("submission.preempted");
+  static common::Counter& m_admitted = counter("submission.admitted");
+  static common::Counter& m_queued = counter("submission.queued");
   // Phase A (no lock): an invalid graph throws before any submission is
   // recorded -- exactly the single-submit contract, batch-wide.
   for (const SubmissionRequest& request : requests) {
@@ -144,7 +154,7 @@ std::vector<common::AppId> AppSubmissionService::submit_batch(
       rec->app = common::AppId{next_ticket_++};
       rec->seq = next_seq_++;
       ++stats_.submitted;
-      bump("submission.submitted");
+      m_submitted.add(1);
       records_.emplace(rec->app, rec);
       tickets.push_back(rec->app);
       burst.push_back(std::move(rec));
@@ -170,6 +180,7 @@ std::vector<common::AppId> AppSubmissionService::submit_batch(
   // QoS, capacity/preemption, charges and queue pushes -- runs under a
   // single acquisition, member by member, exactly as sequential
   // submits would.
+  std::size_t queued = 0;
   {
     std::lock_guard lk(mu_);
     for (const auto& rec : burst) {
@@ -186,7 +197,7 @@ std::vector<common::AppId> AppSubmissionService::submit_batch(
         rec->state = SubmissionState::kRejected;
         rec->error = "submission service is shut down";
         ++stats_.rejected;
-        bump("submission.rejected");
+        m_rejected.add(1);
         if (span.active()) span.arg("outcome", "rejected");
         note_terminal_locked(rec);
         continue;
@@ -195,7 +206,7 @@ std::vector<common::AppId> AppSubmissionService::submit_batch(
         rec->state = SubmissionState::kRejected;
         // rec->error already carries "scheduling failed: ...".
         ++stats_.rejected;
-        bump("submission.rejected");
+        m_rejected.add(1);
         if (span.active()) span.arg("outcome", "rejected");
         note_terminal_locked(rec);
         continue;
@@ -212,7 +223,7 @@ std::vector<common::AppId> AppSubmissionService::submit_batch(
         rec->error = "QoS deadline unmet: slack " +
                      std::to_string(rec->admission.slack_s) + "s";
         ++stats_.rejected;
-        bump("submission.rejected");
+        m_rejected.add(1);
         if (span.active()) span.arg("outcome", "rejected");
         note_terminal_locked(rec);
         continue;
@@ -227,18 +238,15 @@ std::vector<common::AppId> AppSubmissionService::submit_batch(
           rec->state = SubmissionState::kRejected;
           rec->error = "ready queue full (backpressure)";
           ++stats_.rejected;
-          bump("submission.rejected");
-          bump("submission.backpressure");
+          m_rejected.add(1);
+          m_backpressure.add(1);
           if (span.active()) span.arg("outcome", "backpressure");
           note_terminal_locked(rec);
           continue;
         }
-        const auto vrec = records_.at(victim->app);
-        evict_queued_locked(*vrec,
+        evict_queued_locked(records_.at(victim->app),
                             "preempted by higher-priority submission",
-                            &SubmissionStats::preempted,
-                            "submission.preempted");
-        note_terminal_locked(vrec);
+                            &SubmissionStats::preempted, m_preempted);
       }
 
       const bool immediate =
@@ -254,12 +262,12 @@ std::vector<common::AppId> AppSubmissionService::submit_batch(
       charge_locked(*rec);
       if (immediate) {
         ++stats_.admitted;
-        bump("submission.admitted");
+        m_admitted.add(1);
         if (span.active()) span.arg("outcome", "admitted");
       } else {
         rec->counted_queued = true;
         ++stats_.queued;
-        bump("submission.queued");
+        m_queued.add(1);
         if (span.active()) {
           span.arg("outcome", "queued");
           span.arg("eta_s", rec->queue_eta_s);
@@ -275,6 +283,7 @@ std::vector<common::AppId> AppSubmissionService::submit_batch(
       // admitted counters, so they are not eligible.
       entry.preemptible = rec->counted_queued;
       queue_.push(rec->request.user, entry);
+      ++queued;
       common::log_info("submission", "app ", rec->app.value(), " '",
                        rec->request.graph.name(), "' user ",
                        rec->request.user, ": ",
@@ -282,7 +291,9 @@ std::vector<common::AppId> AppSubmissionService::submit_batch(
                        rec->admission.slack_s, "s");
     }
   }
-  cv_.notify_all();
+  // One wake-up per queued entry; a busy worker finds any left over
+  // when it finishes.
+  for (std::size_t i = 0; i < queued; ++i) work_cv_.notify_one();
   return tickets;
 }
 
@@ -310,17 +321,20 @@ void AppSubmissionService::release_locked(AppRecord& record) {
 }
 
 void AppSubmissionService::evict_queued_locked(
-    AppRecord& record, std::string reason,
-    std::uint64_t SubmissionStats::*counter, const char* metric) {
-  record.state = SubmissionState::kRejected;
-  record.error = std::move(reason);
-  release_locked(record);
-  ++(stats_.*counter);
-  bump(metric);
+    const std::shared_ptr<AppRecord>& record, std::string reason,
+    std::uint64_t SubmissionStats::*count, common::Counter& metric) {
+  record->state = SubmissionState::kRejected;
+  record->error = std::move(reason);
+  release_locked(*record);
+  ++(stats_.*count);
+  metric.add(1);
+  note_terminal_locked(record);
 }
 
 void AppSubmissionService::note_terminal_locked(
     const std::shared_ptr<AppRecord>& record) {
+  static common::Counter& m_retired = counter("submission.retired");
+  record->terminal.notify_all();
   terminal_fifo_.push_back(record->app);
   if (config_.terminal_record_cap == 0) return;
   while (terminal_fifo_.size() > config_.terminal_record_cap) {
@@ -336,7 +350,7 @@ void AppSubmissionService::note_terminal_locked(
     retired_.emplace(oldest, stub);
     retired_fifo_.push_back(oldest);
     ++stats_.retired;
-    bump("submission.retired");
+    m_retired.add(1);
     if (config_.retired_stub_cap > 0) {
       while (retired_fifo_.size() > config_.retired_stub_cap) {
         retired_.erase(retired_fifo_.front());
@@ -347,16 +361,16 @@ void AppSubmissionService::note_terminal_locked(
 }
 
 std::size_t AppSubmissionService::shed_queued(int below_priority) {
+  static common::Counter& m_shed = counter("submission.shed");
   std::size_t dropped = 0;
   {
     std::lock_guard lk(mu_);
     const std::vector<FairShareEntry> victims =
         queue_.shed_below(below_priority);
     for (const FairShareEntry& victim : victims) {
-      const auto rec = records_.at(victim.app);
-      evict_queued_locked(*rec, "shed: priority below cutoff",
-                          &SubmissionStats::shed, "submission.shed");
-      note_terminal_locked(rec);
+      evict_queued_locked(records_.at(victim.app),
+                          "shed: priority below cutoff",
+                          &SubmissionStats::shed, m_shed);
     }
     dropped = victims.size();
     if (dropped > 0) {
@@ -466,11 +480,17 @@ FaultTolerance AppSubmissionService::wrap_hooks(AppRecord& rec,
 }
 
 void AppSubmissionService::worker_loop() {
+  static common::Counter& m_queued_then_admitted =
+      counter("submission.queued_then_admitted");
+  static common::Counter& m_completed = counter("submission.completed");
+  static common::Counter& m_failed = counter("submission.failed");
+  static common::Gauge& m_running =
+      common::MetricsRegistry::global().gauge("submission.running");
   for (;;) {
     std::shared_ptr<AppRecord> rec;
     {
       std::unique_lock lk(mu_);
-      cv_.wait(lk, [&] {
+      work_cv_.wait(lk, [&] {
         return shutdown_ || (!paused_ && queue_.size() > 0);
       });
       // Stride grant: the queue picks the lowest (user pass, seq) in
@@ -487,11 +507,9 @@ void AppSubmissionService::worker_loop() {
       ++running_;
       if (rec->counted_queued) {
         ++stats_.queued_then_admitted;
-        bump("submission.queued_then_admitted");
+        m_queued_then_admitted.add(1);
       }
-      common::MetricsRegistry::global()
-          .gauge("submission.running")
-          .set(static_cast<double>(running_));
+      m_running.set(static_cast<double>(running_));
     }
 
     EngineConfig engine_config = config_.engine;
@@ -534,7 +552,7 @@ void AppSubmissionService::worker_loop() {
         rec->error.clear();  // a refused re-placement the run outlived
         rec->state = SubmissionState::kCompleted;
         ++stats_.completed;
-        bump("submission.completed");
+        m_completed.add(1);
       } else {
         // A refused re-admission is the cause behind the engine's "no
         // feasible host": lead with it.
@@ -542,16 +560,14 @@ void AppSubmissionService::worker_loop() {
                                         : rec->error + "; " + error;
         rec->state = SubmissionState::kFailed;
         ++stats_.failed;
-        bump("submission.failed");
+        m_failed.add(1);
         common::log_info("submission", "app ", rec->app.value(),
                          " failed: ", rec->error);
       }
-      common::MetricsRegistry::global()
-          .gauge("submission.running")
-          .set(static_cast<double>(running_));
+      m_running.set(static_cast<double>(running_));
       note_terminal_locked(rec);
+      if (running_ == 0 && queue_.size() == 0) cv_.notify_all();
     }
-    cv_.notify_all();
   }
 }
 
@@ -591,7 +607,7 @@ SubmissionStatus AppSubmissionService::wait(common::AppId app) const {
   // final answer.
   if (it == records_.end()) return retired_snapshot_locked(app);
   const auto rec = it->second;
-  cv_.wait(lk, [&] { return is_terminal(rec->state); });
+  rec->terminal.wait(lk, [&] { return is_terminal(rec->state); });
   return snapshot_locked(*rec);
 }
 
@@ -607,7 +623,7 @@ void AppSubmissionService::resume() {
     std::lock_guard lk(mu_);
     paused_ = false;
   }
-  cv_.notify_all();
+  work_cv_.notify_all();
 }
 
 void AppSubmissionService::pause() {

@@ -61,6 +61,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "common/metrics.hpp"
 #include "predict/forecaster.hpp"
 #include "runtime/engine.hpp"
 #include "runtime/fair_share.hpp"
@@ -307,12 +308,14 @@ class AppSubmissionService {
   /// charge; mu_ must be held.
   void charge_locked(AppRecord& record);
   void release_locked(AppRecord& record);
-  /// Marks a queued victim rejected (preempted or shed) and releases
-  /// its charges; mu_ must be held.
-  void evict_queued_locked(AppRecord& record, std::string reason,
-                           std::uint64_t SubmissionStats::*counter,
-                           const char* metric);
-  /// Retires the oldest terminal records beyond terminal_record_cap
+  /// Marks a queued victim rejected (preempted or shed), releases its
+  /// charges and notes it terminal; mu_ must be held.
+  void evict_queued_locked(const std::shared_ptr<AppRecord>& record,
+                           std::string reason,
+                           std::uint64_t SubmissionStats::*count,
+                           common::Counter& metric);
+  /// Every terminal path's last step: wakes the record's waiters, then
+  /// retires the oldest terminal records beyond terminal_record_cap
   /// into compact stubs; mu_ must be held.
   void note_terminal_locked(const std::shared_ptr<AppRecord>& record);
   [[nodiscard]] SubmissionStatus snapshot_locked(const AppRecord& rec) const;
@@ -329,7 +332,12 @@ class AppSubmissionService {
   FaultHookFactory fault_hooks_;
   LivenessDirectory* liveness_ = nullptr;
   mutable std::mutex mu_;
+  /// drain()'s: notified when the queue and the running count both
+  /// reach zero.  Waiters of one app sleep on its record instead.
   mutable std::condition_variable cv_;
+  /// The slot workers': notified when work is queued, on resume() and
+  /// at shutdown.
+  std::condition_variable work_cv_;
   bool paused_ = false;
   bool shutdown_ = false;
   std::uint32_t next_ticket_ = 1;

@@ -6,11 +6,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cstdint>
+#include <future>
 #include <map>
 #include <memory>
 #include <optional>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -612,6 +615,72 @@ TEST_F(AdmissionEnv, ShedQueuedDropsEverythingBelowCutoff) {
             stats.queued_then_admitted + stats.preempted + stats.shed);
   EXPECT_EQ(stats.admitted + stats.queued_then_admitted,
             stats.completed + stats.failed);
+}
+
+TEST_F(AdmissionEnv, WaiterWakesWhenItsQueuedSubmissionIsPreemptedOrShed) {
+  // A waiter sleeps until its own submission is terminal: preemption
+  // and shedding must wake it as a finished run does, and drain() must
+  // hear a shed that empties the queue.  Every wait is bounded, so a
+  // lost wake-up fails the test instead of hanging it.
+  AppSubmissionConfig config;
+  config.slots = 1;
+  config.start_paused = true;
+  config.max_queue = 2;
+  auto owned = std::make_unique<AppSubmissionService>(
+      SiteId(0), directory_, tasklib::builtin_registry(), config);
+  AppSubmissionService& service = *owned;
+  std::vector<std::thread> blocked;
+  const auto in_background = [&blocked](auto call) {
+    std::packaged_task<decltype(call())()> task(std::move(call));
+    auto done = task.get_future();
+    blocked.emplace_back(std::move(task));
+    return done;
+  };
+  const auto settle = [] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(30));
+  };
+  constexpr auto kBound = std::chrono::seconds(2);
+
+  const AppId older =
+      service.submit(request_for(tiny_graph("older"), "u0", 1.0, 0));
+  const AppId younger =
+      service.submit(request_for(tiny_graph("younger"), "u1", 1.0, 0));
+  auto preempted =
+      in_background([&service, younger] { return service.wait(younger); });
+  settle();  // blocked in wait() on a queued submission
+  (void)service.submit(request_for(tiny_graph("high"), "u2", 1.0, 1));
+  const bool preempted_woke =
+      preempted.wait_for(kBound) == std::future_status::ready;
+  EXPECT_TRUE(preempted_woke) << "preemption left its waiter asleep";
+
+  auto shed = in_background([&service, older] { return service.wait(older); });
+  auto drained = in_background([&service] { service.drain(); });
+  settle();
+  EXPECT_EQ(service.shed_queued(2), 2u);  // "older" and "high"
+  const bool shed_woke = shed.wait_for(kBound) == std::future_status::ready;
+  EXPECT_TRUE(shed_woke) << "shed_queued left its waiter asleep";
+  const bool drain_woke =
+      drained.wait_for(kBound) == std::future_status::ready;
+  EXPECT_TRUE(drain_woke) << "a shed that emptied the queue left drain()";
+
+  if (preempted_woke) {
+    EXPECT_EQ(preempted.get().state, SubmissionState::kRejected);
+  }
+  if (shed_woke) {
+    const SubmissionStatus status = shed.get();
+    EXPECT_EQ(status.state, SubmissionState::kRejected);
+    EXPECT_NE(status.error.find("shed"), std::string::npos);
+  }
+  const bool all_woke = preempted_woke && shed_woke && drain_woke;
+  for (std::thread& t : blocked) {
+    if (all_woke) {
+      t.join();
+    } else {
+      t.detach();
+    }
+  }
+  // A waiter still asleep uses the service: leak it rather than hang.
+  if (!all_woke) (void)owned.release();
 }
 
 // -------------------------------------------- service: batched submit

@@ -54,6 +54,11 @@ std::string string_of(const std::vector<std::byte>& b) {
   return out;
 }
 
+double seconds_since(std::chrono::steady_clock::time_point t0) {
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+      .count();
+}
+
 // ------------------------------------------------------------ channels
 
 /// The producer's and the consumer's end of one in-process link, as
@@ -283,11 +288,11 @@ TEST(InProcChannel, ReceiveForSeesOrderlyClose) {
 }
 
 TEST(InProcChannel, ClearAppWakesProducerParkedOnFullRing) {
-  // The clear-generation bump frees feeders blocked in open_send, but
-  // a producer can be parked deeper -- inside push() on a full ring it
-  // already holds.  clear_app must abort the ring so that
-  // producer wakes with TransportError instead of sleeping until its
-  // consumer (torn down with the app) drains.
+  // A producer parked inside push() on a full ring holds the ring
+  // itself, so dropping the registration alone would not reach it.
+  // clear_app must abort the ring so that producer wakes with
+  // TransportError instead of sleeping until its consumer (torn down
+  // with the app) drains.
   ChannelBroker broker(TransportKind::kInProcess, 2);
   const LinkKey key{AppId(7), TaskId(0), TaskId(1)};
   auto receiver = broker.open_receive(key);
@@ -333,27 +338,6 @@ TEST(InProcChannel, ClearAppWakesConsumerParkedOnEmptyRing) {
   EXPECT_TRUE(threw.load());
 }
 
-TEST(ChannelBrokerStream, ClearAppAbortsPendingOpenStreamSend) {
-  // The clear-generation bump covers the in-process (stream) rendezvous
-  // too: a producer waiting for a consumer that will never register
-  // aborts promptly, and no ring is left behind for the key.
-  ChannelBroker broker(TransportKind::kInProcess);
-  const LinkKey key{AppId(9), TaskId(0), TaskId(1)};
-  std::atomic<bool> threw{false};
-  std::jthread feeder([&] {
-    try {
-      (void)broker.open_send(key, /*timeout_s=*/30.0);
-    } catch (const TransportError&) {
-      threw.store(true);
-    }
-  });
-  std::this_thread::sleep_for(std::chrono::milliseconds(30));
-  broker.clear_app(AppId(9));
-  feeder.join();
-  EXPECT_TRUE(threw.load());
-  EXPECT_NO_THROW((void)broker.open_receive(key));
-}
-
 // -------------------------------------------------------------- broker
 
 class BrokerKinds : public ::testing::TestWithParam<TransportKind> {};
@@ -380,16 +364,39 @@ TEST_P(BrokerKinds, SenderWaitsForReceiver) {
     std::this_thread::sleep_for(std::chrono::milliseconds(30));
     receiver = broker.open_receive(key);
   });
-  auto sender = broker.open_send(key, /*timeout_s=*/5.0);  // blocks, then ok
+  auto sender = broker.open_send(key);  // makes the link, then ok
   consumer.join();
   sender->send(bytes_of("late ok"));
   EXPECT_EQ(string_of(*receiver->receive()), "late ok");
 }
 
-TEST_P(BrokerKinds, TimeoutWhenNoConsumer) {
+TEST_P(BrokerKinds, OpenSendWithNoConsumerReturnsPromptly) {
+  // The producer makes the link when it opens first: nothing to wait
+  // for.
   ChannelBroker broker(GetParam());
   const LinkKey key{AppId(1), TaskId(0), TaskId(1)};
-  EXPECT_THROW((void)broker.open_send(key, 0.05), TransportError);
+  const auto t0 = std::chrono::steady_clock::now();
+  auto sender = broker.open_send(key);
+  const double elapsed = seconds_since(t0);
+  EXPECT_NE(sender, nullptr);
+  EXPECT_LT(elapsed, 0.05) << "open_send waited for a consumer";
+}
+
+TEST_P(BrokerKinds, FramesSentBeforeTheConsumerOpensArriveInOrder) {
+  ChannelBroker broker(GetParam());
+  const LinkKey key{AppId(1), TaskId(0), TaskId(1)};
+  auto sender = broker.open_send(key);
+  for (int i = 0; i < 3; ++i) {
+    sender->send(bytes_of("early " + std::to_string(i)));
+  }
+  sender->close();
+  auto receiver = broker.open_receive(key);
+  for (int i = 0; i < 3; ++i) {
+    auto got = receiver->receive_for(5.0);
+    ASSERT_TRUE(got.has_value()) << i;
+    EXPECT_EQ(string_of(*got), "early " + std::to_string(i));
+  }
+  EXPECT_EQ(receiver->receive_for(5.0), std::nullopt);
 }
 
 TEST_P(BrokerKinds, DuplicateReceiveRejected) {
@@ -397,6 +404,19 @@ TEST_P(BrokerKinds, DuplicateReceiveRejected) {
   const LinkKey key{AppId(1), TaskId(0), TaskId(1)};
   (void)broker.open_receive(key);
   EXPECT_THROW((void)broker.open_receive(key), StateError);
+}
+
+TEST_P(BrokerKinds, DuplicateSendRejected) {
+  // A second producer would share the first one's ring, or lease a
+  // second connection to one link id.
+  ChannelBroker broker(GetParam());
+  const LinkKey key{AppId(1), TaskId(0), TaskId(1)};
+  auto sender = broker.open_send(key);
+  EXPECT_THROW((void)broker.open_send(key), StateError);
+  auto receiver = broker.open_receive(key);  // the first pair still works
+  EXPECT_THROW((void)broker.open_send(key), StateError);
+  sender->send(bytes_of("only producer"));
+  EXPECT_EQ(string_of(*receiver->receive_for(5.0)), "only producer");
 }
 
 TEST_P(BrokerKinds, ClearAppFreesKeys) {
@@ -407,65 +427,105 @@ TEST_P(BrokerKinds, ClearAppFreesKeys) {
   EXPECT_NO_THROW((void)broker.open_receive(key));
 }
 
-TEST_P(BrokerKinds, ClearAppAbortsPendingOpenSend) {
-  // Regression (DESIGN.md D12): a feeder blocked in open_send while the
-  // engine tears the app down must abort promptly, not sleep out its
-  // full timeout -- and must never pair with the NEXT recovery round's
-  // registration for the same key.
-  ChannelBroker broker(GetParam());
+TEST_P(BrokerKinds, ClearAppFailsAProducerThatOpenedFirst) {
+  // The engine tears an app down while a producer that made its link
+  // is still sending and the consumer never opened.  In process the
+  // producer is parked on the full ring it made; over TCP its link's
+  // unclaimed consumer end closes, and the proxy resets the producer
+  // on its next frame.  Either way the producer fails within a second.
+  using Clock = std::chrono::steady_clock;
+  ChannelBroker broker(GetParam(), /*link_capacity=*/2);
   const LinkKey key{AppId(7), TaskId(0), TaskId(1)};
 
-  std::atomic<bool> threw{false};
-  const auto t0 = std::chrono::steady_clock::now();
-  std::jthread feeder([&] {
+  // The producer owns what it touches, so one that is never failed is
+  // left blocked, not joined, and the test fails instead of hanging.
+  struct Producer {
+    std::atomic<int> sent{0};
+    std::promise<Clock::time_point> failed;
+  };
+  auto producer = std::make_shared<Producer>();
+  std::future<Clock::time_point> failed = producer->failed.get_future();
+  std::thread([sender = broker.open_send(key), producer] {
+    const auto t0 = Clock::now();
     try {
-      (void)broker.open_send(key, /*timeout_s=*/30.0);
+      while (seconds_since(t0) < 10.0) {
+        sender->send(bytes_of("frame"));
+        producer->sent.fetch_add(1);
+        std::this_thread::sleep_for(std::chrono::microseconds(200));
+      }
     } catch (const TransportError&) {
-      threw.store(true);
+      producer->failed.set_value(Clock::now());
     }
-  });
+  }).detach();
+
+  // Two frames fill the ring in process; over TCP they are in flight.
+  for (int i = 0; i < 200 && producer->sent.load() < 2; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
   std::this_thread::sleep_for(std::chrono::milliseconds(30));
+  if (GetParam() == TransportKind::kInProcess) {
+    EXPECT_EQ(producer->sent.load(), 2) << "not parked on its full ring";
+  }
+  const auto cleared = Clock::now();
   broker.clear_app(AppId(7));
-  feeder.join();
-  const double elapsed =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-          .count();
-  EXPECT_TRUE(threw.load());
-  EXPECT_LT(elapsed, 5.0) << "open_send waited out its timeout";
+  ASSERT_EQ(failed.wait_for(std::chrono::seconds(2)),
+            std::future_status::ready)
+      << "clear_app never failed the producer";
+  EXPECT_LT(std::chrono::duration<double>(failed.get() - cleared).count(),
+            1.0);
 }
 
 TEST_P(BrokerKinds, ClearAppIdempotentAndConcurrentSafe) {
-  // clear_app twice in a row is a no-op the second time, and a storm of
-  // concurrent clears racing blocked feeders neither crashes nor
-  // strands a waiter.
+  // Concurrent clears racing concurrent opens of the same app neither
+  // crash nor strand an opener, and clear_app twice in a row is a
+  // no-op the second time.
   ChannelBroker broker(GetParam());
-  constexpr int kFeeders = 4;
-  std::atomic<int> aborted{0};
+  constexpr int kOpeners = 4;
+  constexpr int kLinks = 50;
   {
-    std::vector<std::jthread> feeders;
-    for (int i = 0; i < kFeeders; ++i) {
-      feeders.emplace_back([&broker, &aborted, i] {
-        try {
-          (void)broker.open_send(
-              LinkKey{AppId(9), TaskId(i), TaskId(100 + i)},
-              /*timeout_s=*/30.0);
-        } catch (const TransportError&) {
-          aborted.fetch_add(1);
+    std::vector<std::jthread> threads;
+    for (int i = 0; i < kOpeners; ++i) {
+      threads.emplace_back([&broker, i] {
+        for (int l = 0; l < kLinks; ++l) {
+          const LinkKey key{AppId(9), TaskId(1000 * i + l),
+                            TaskId(1000 * i + l + 500)};
+          // Alternate which end opens first.
+          std::shared_ptr<Channel> rx, tx;
+          if (l % 2 == 0) {
+            rx = broker.open_receive(key);
+            tx = broker.open_send(key);
+          } else {
+            tx = broker.open_send(key);
+            rx = broker.open_receive(key);
+          }
+          try {
+            tx->send(bytes_of("racing a clear"));
+          } catch (const TransportError&) {
+            // The ring was aborted by a clear: the expected outcome.
+          }
+          tx->close();
+          rx->close();
         }
       });
     }
-    std::this_thread::sleep_for(std::chrono::milliseconds(30));
-    std::jthread clearer_a([&] { broker.clear_app(AppId(9)); });
-    std::jthread clearer_b([&] { broker.clear_app(AppId(9)); });
+    for (int c = 0; c < 2; ++c) {
+      threads.emplace_back([&broker] {
+        for (int k = 0; k < kLinks; ++k) {
+          broker.clear_app(AppId(9));
+          std::this_thread::yield();
+        }
+      });
+    }
   }
-  EXPECT_EQ(aborted.load(), kFeeders);
+  broker.clear_app(AppId(9));
+  broker.clear_app(AppId(9));
 
   // The broker stays usable for the same app after the clears: a fresh
-  // registration pairs with a fresh open_send.
+  // pair delivers.
   const LinkKey key{AppId(9), TaskId(0), TaskId(100)};
   auto receiver = broker.open_receive(key);
   std::jthread producer([&] {
-    auto sender = broker.open_send(key, /*timeout_s=*/5.0);
+    auto sender = broker.open_send(key);
     sender->send(bytes_of("after clear"));
     sender->close();
   });
@@ -473,7 +533,8 @@ TEST_P(BrokerKinds, ClearAppIdempotentAndConcurrentSafe) {
 }
 
 TEST_P(BrokerKinds, ClearAppLeavesOtherAppsWaiting) {
-  // Clearing app A must not abort a feeder blocked on app B's link.
+  // Clearing app A must not drop app B's link, which B's producer made
+  // before its consumer opened.
   ChannelBroker broker(GetParam());
   const LinkKey key{AppId(2), TaskId(0), TaskId(1)};
   std::shared_ptr<Channel> receiver;
@@ -486,7 +547,7 @@ TEST_P(BrokerKinds, ClearAppLeavesOtherAppsWaiting) {
     std::this_thread::sleep_for(std::chrono::milliseconds(10));
     broker.clear_app(AppId(1));  // unrelated app
   });
-  auto sender = broker.open_send(key, /*timeout_s=*/5.0);
+  auto sender = broker.open_send(key);
   consumer.join();
   sender->send(bytes_of("unaffected"));
   EXPECT_EQ(string_of(*receiver->receive()), "unaffected");
@@ -500,7 +561,7 @@ TEST_P(BrokerKinds, ConsumerThatLeavesFailsItsProducer) {
   ChannelBroker broker(GetParam());
   const LinkKey key{AppId(3), TaskId(0), TaskId(1)};
   auto receiver = broker.open_receive(key);
-  auto sender = broker.open_send(key, 5.0);
+  auto sender = broker.open_send(key);
   std::jthread consumer([&] {
     for (int i = 0; i < 3; ++i) ASSERT_TRUE(receiver->receive_for(5.0));
     receiver->close();
@@ -944,7 +1005,7 @@ TEST(DataManagerTest, InputChannelClosedIsError) {
   });
   // The producer connects but closes without sending.
   auto sender =
-      broker.open_send(LinkKey{AppId(1), TaskId(0), TaskId(1)}, 5.0);
+      broker.open_send(LinkKey{AppId(1), TaskId(0), TaskId(1)});
   sender->close();
   consumer.join();
   EXPECT_NE(error.find("closed"), std::string::npos) << error;
@@ -1244,11 +1305,6 @@ std::size_t thread_count() {
   return n;
 }
 
-double seconds_since(std::chrono::steady_clock::time_point t0) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-      .count();
-}
-
 TEST(CommProxy, ReusesConnectionsAcrossEngineRuns) {
   // Fifty runs of the five-link C3I pipeline over TCP on one engine:
   // every link is carried by the proxy, and after the first run every
@@ -1308,7 +1364,7 @@ TEST(CommProxy, EarlyClosingConsumersCostNoConnection) {
   for (std::uint32_t i = 0; i < 1000; ++i) {
     const LinkKey key{AppId(40), TaskId(i), TaskId(i + 1)};
     auto receiver = broker.open_receive(key);
-    auto sender = broker.open_send(key, 5.0);
+    auto sender = broker.open_send(key);
     const std::string frame = "frame " + std::to_string(i);
     sender->send(bytes_of(frame));
     auto got = receiver->receive_for(5.0);
@@ -1327,7 +1383,7 @@ TEST(CommProxy, ProducerThatSendsNothingStillEndsTheStream) {
   ChannelBroker broker(TransportKind::kTcp);
   const LinkKey key{AppId(47), TaskId(0), TaskId(1)};
   auto receiver = broker.open_receive(key);
-  broker.open_send(key, 5.0)->close();
+  broker.open_send(key)->close();
   EXPECT_EQ(receiver->receive_for(5.0), std::nullopt);
 }
 
@@ -1338,7 +1394,7 @@ TEST(CommProxy, ConsumerThatLeavesResetsItsProducer) {
   ChannelBroker broker(TransportKind::kTcp);
   const LinkKey key{AppId(41), TaskId(0), TaskId(1)};
   auto receiver = broker.open_receive(key);
-  auto sender = broker.open_send(key, 5.0);
+  auto sender = broker.open_send(key);
 
   using Clock = std::chrono::steady_clock;
   std::atomic<Clock::rep> closed_at{0};
@@ -1368,7 +1424,7 @@ TEST(CommProxy, ConsumerThatLeavesResetsItsProducer) {
       counter_value("datamgr.proxy.connections_opened");
   const LinkKey next{AppId(41), TaskId(2), TaskId(3)};
   auto next_receiver = broker.open_receive(next);
-  auto next_sender = broker.open_send(next, 5.0);
+  auto next_sender = broker.open_send(next);
   next_sender->send(bytes_of("intact"));
   next_sender->close();
   EXPECT_EQ(string_of(*next_receiver->receive_for(5.0)), "intact");
@@ -1395,7 +1451,7 @@ TEST(CommProxy, ConsumerThatLeavesAPausedLinkResetsItsProducer) {
   };
   auto producer = std::make_shared<Producer>();
   std::future<Clock::time_point> reset = producer->reset.get_future();
-  std::thread([sender = broker.open_send(key, 5.0), producer] {
+  std::thread([sender = broker.open_send(key), producer] {
     const std::vector<std::byte> chunk(std::size_t{1} << 20, std::byte{3});
     const auto t0 = Clock::now();
     try {
@@ -1438,8 +1494,8 @@ TEST(CommProxy, SlowLinkDoesNotStallAnother) {
   const LinkKey fast{AppId(44), TaskId(2), TaskId(3)};
   auto slow_rx = broker.open_receive(slow);
   auto fast_rx = broker.open_receive(fast);
-  auto slow_tx = broker.open_send(slow, 5.0);
-  auto fast_tx = broker.open_send(fast, 5.0);
+  auto slow_tx = broker.open_send(slow);
+  auto fast_tx = broker.open_send(fast);
 
   constexpr int kChunks = 64;  // 64 MiB: past the pause and the buffers
   const std::vector<std::byte> chunk(std::size_t{1} << 20, std::byte{7});
@@ -1486,14 +1542,14 @@ TEST(CommProxy, PausedLinkDoesNotPassItsUnreadBytesToTheNextLink) {
   const LinkKey next{AppId(46), TaskId(2), TaskId(3)};
   auto first_rx = broker.open_receive(first);
   {
-    auto first_tx = broker.open_send(first, 5.0);
+    auto first_tx = broker.open_send(first);
     const std::vector<std::byte> chunk(std::size_t{1} << 20, std::byte{1});
     for (int i = 0; i < 8; ++i) first_tx->send(chunk);
     first_tx->send(bytes_of("tail"));
     first_tx->close();
   }
   auto next_rx = broker.open_receive(next);
-  auto next_tx = broker.open_send(next, 5.0);
+  auto next_tx = broker.open_send(next);
   next_tx->send(bytes_of("not queued"));
   next_tx->close();
   EXPECT_EQ(string_of(*next_rx->receive_for(2.0)), "not queued");
@@ -1516,7 +1572,7 @@ TEST(CommProxy, ProducerToAClosedConsumerDoesNotStall) {
 
   const auto t0 = std::chrono::steady_clock::now();
   try {
-    auto sender = broker.open_send(gone, 5.0);
+    auto sender = broker.open_send(gone);
     sender->send(bytes_of("for no one"));
     sender->close();
   } catch (const TransportError&) {
@@ -1539,7 +1595,7 @@ TEST(TcpChannel, SocketsAreCloseOnExec) {
   ChannelBroker broker(TransportKind::kTcp);
   const LinkKey key{AppId(43), TaskId(0), TaskId(1)};
   auto receiver = broker.open_receive(key);
-  auto sender = broker.open_send(key, 5.0);
+  auto sender = broker.open_send(key);
   sender->send(bytes_of("x"));
   ASSERT_EQ(string_of(*receiver->receive_for(5.0)), "x");
 
@@ -1619,7 +1675,7 @@ struct WallFixture {
   ChannelBroker broker{TransportKind::kTcp};
   LinkKey healthy_key{AppId(45), TaskId(0), TaskId(1)};
   std::shared_ptr<Channel> healthy_rx = broker.open_receive(healthy_key);
-  std::shared_ptr<Channel> healthy_tx = broker.open_send(healthy_key, 5.0);
+  std::shared_ptr<Channel> healthy_tx = broker.open_send(healthy_key);
   int healthy_frames = 0;
 
   /// The healthy link still moves a frame.
