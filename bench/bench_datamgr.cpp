@@ -182,10 +182,8 @@ void BM_Throughput(benchmark::State& state) {
   const auto size = static_cast<std::size_t>(state.range(1));
   ChannelBroker broker(kind);
   const LinkKey key{common::AppId(1), common::TaskId(0), common::TaskId(1)};
-  std::shared_ptr<dm::Channel> rx;
-  std::jthread consumer([&] { rx = broker.open_receive(key); });
+  auto rx = broker.open_receive(key);
   auto tx = broker.open_send(key);
-  consumer.join();
 
   const auto blob = make_blob(size);
   // Echo server: receive and discard.
@@ -224,10 +222,8 @@ void BM_FrameThroughput(benchmark::State& state) {
   const auto size = static_cast<std::size_t>(state.range(1));
   ChannelBroker broker(kind);
   const LinkKey key{common::AppId(1), common::TaskId(0), common::TaskId(1)};
-  std::shared_ptr<dm::Channel> rx;
-  std::jthread consumer([&] { rx = broker.open_receive(key); });
+  auto rx = broker.open_receive(key);
   auto tx_ch = broker.open_send(key);
-  consumer.join();
   MessageEndpoint tx(MpLibrary::kP4, tx_ch);
   MessageEndpoint rx_ep(MpLibrary::kP4, rx);
 
@@ -363,10 +359,8 @@ CellResult run_cell(TransportKind kind, std::size_t size,
 
   ChannelBroker broker(kind);
   const LinkKey key{common::AppId(1), common::TaskId(0), common::TaskId(1)};
-  std::shared_ptr<dm::Channel> rx_ch;
-  std::jthread opener([&] { rx_ch = broker.open_receive(key); });
+  auto rx_ch = broker.open_receive(key);
   auto tx_ch = broker.open_send(key);
-  opener.join();
   MessageEndpoint tx(MpLibrary::kP4, tx_ch);
   MessageEndpoint rx(MpLibrary::kP4, rx_ch);
 

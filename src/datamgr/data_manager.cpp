@@ -11,9 +11,6 @@ using common::StateError;
 using common::TransportError;
 
 namespace {
-/// Message tag carried on every inter-task payload frame.
-constexpr int kPayloadTag = 7;
-
 common::Counter& counter(const char* name) {
   return common::MetricsRegistry::global().counter(name);
 }

@@ -7,10 +7,11 @@
 //  for data transfer and the compute thread performs the task
 //  execution."  (Section 2.3.2)
 //
-// Lifecycle (Figure 7): the Application Controller activates the Data
-// Manager (construct), the Data Manager sets up its channels via the
-// broker (setup(), which completes the paper's setup/acknowledgment
-// step), and on the execution startup signal the task's frames run.
+// Lifecycle (Figure 7): the Application Controller -- the engine's
+// stage thread (DESIGN.md D9) -- activates the Data Manager
+// (construct), the Data Manager sets up its channels via the broker
+// (setup(), which completes the paper's setup/acknowledgment step), and
+// on the execution startup signal the task's frames run.
 //
 // Departure from Section 2.3.2: no separate send, receive and compute
 // threads.  The calling stage thread does all three in order, once per
@@ -30,6 +31,11 @@
 #include "tasklib/registry.hpp"
 
 namespace vdce::dm {
+
+/// Message tag carried on every inter-task payload frame.  The stage
+/// runner's restore feeders send kept outputs under it too, so a
+/// restored input is indistinguishable from a live one.
+inline constexpr int kPayloadTag = 7;
 
 /// A task's position in the dataflow: which links it consumes and
 /// produces.

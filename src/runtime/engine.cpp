@@ -20,6 +20,7 @@
 #include "common/serialize.hpp"
 #include "common/thread_pool.hpp"
 #include "common/trace.hpp"
+#include "datamgr/data_manager.hpp"
 #include "datamgr/mplib.hpp"
 #include "runtime/checkpoint.hpp"
 #include "runtime/recovery.hpp"
@@ -29,10 +30,6 @@ namespace vdce::rt {
 
 namespace {
 
-/// Message tag of inter-task payload frames; must match the Data
-/// Manager's payload tag so restored inputs are indistinguishable from
-/// live ones.
-constexpr int kPayloadTag = 7;
 constexpr std::uint64_t kFnvOffset = 0xCBF29CE484222325ull;
 /// Growth of the retry backoff per retry.
 constexpr double kRetryBackoffMultiplier = 2.0;
@@ -127,7 +124,14 @@ class StageRunner {
     std::vector<HostId> excluded;  // hosts this task must avoid
     double backoff_s = 0.0;        // the next retry nap
     double backoff_spent_s = 0.0;  // cumulative backoff slept so far
-    TaskOutcome outcome;           // the last frame's outcome
+    // The last frame's output, its wire image (the slab the Data
+    // Manager's sends shipped, kept for restore feeders and the sink
+    // ledger without another copy, D13), its compute seconds, and the
+    // Data Manager's I/O totals after it.
+    tasklib::Payload output;
+    dm::FrameView output_frame;
+    Duration compute_s = 0.0;
+    dm::ExecutionStats io;
     Duration turnaround_s = 0.0;   // first start signal to completion
     std::uint64_t frames = 0;      // frames computed, every round
     // A stream sink's ledger.  It outlives rounds: a sink whose host
@@ -242,7 +246,7 @@ class StageRunner {
               dm::MessageEndpoint out(
                   config_.library,
                   broker_.open_send(dm::LinkKey{app_, d.node->id, child}));
-              out.send_frame(kPayloadTag, d.outcome.output_frame);
+              out.send_frame(dm::kPayloadTag, d.output_frame);
               out.close();
             } catch (const std::exception&) {
               // The consuming stage's own receive error is authoritative.
@@ -266,20 +270,19 @@ class StageRunner {
     return cause_ == nullptr;
   }
 
-  /// One stage thread: set-up and acknowledgment, the start signal,
-  /// then the frames.  The acknowledgment latch is counted down exactly
-  /// once whether set-up succeeds or throws.
+  /// One stage thread, its task's Application Controller: it activates
+  /// the task's Data Manager, acknowledges the set-up, waits for the
+  /// start signal, then runs the frames.  The acknowledgment latch is
+  /// counted down exactly once whether set-up succeeds or throws.
   void stage_main(Stage& s, int round, std::uint64_t resume, std::latch& acks,
                   std::latch& start) {
-    ApplicationController controller(broker_, config_.library, app_, s.host);
+    dm::DataManager dm(broker_, config_.library);
     if (ft_ != nullptr) {
       double recv_s = config_.recv_timeout_s;
       if (round > 1 && (recv_s <= 0.0 || kAttemptTimeoutS < recv_s)) {
         recv_s = kAttemptTimeoutS;
       }
-      if (recv_s > 0.0) controller.set_recv_timeout(recv_s);
-      if (ft_->host_alive) controller.set_fault_guard(ft_->host_alive);
-      arm_load_guard(controller, s.host);
+      if (recv_s > 0.0) dm.set_recv_timeout(recv_s);
     }
     bool acked = false;
     try {
@@ -304,12 +307,12 @@ class StageRunner {
           setup_span.arg("links",
                          wiring.parents.size() + wiring.children.size());
         }
-        controller.activate(wiring);  // channel setup + ack
+        dm.setup(wiring);  // returning is the acknowledgment
       }
       acks.count_down();
       acked = true;
       start.wait();  // the execution startup signal
-      run_frames(s, controller, resume);
+      run_frames(s, dm, resume);
     } catch (const std::exception& e) {
       // A TransportError is collateral: another stage caused it.
       if (s.ended != AttemptOutcome::kRefused) {
@@ -330,8 +333,8 @@ class StageRunner {
     }
     // Closing retires this stage from every link: end of stream for its
     // consumers after a clean finish, unblocked peers after a failure.
-    controller.shutdown();
-    const auto& rings = controller.data_manager().input_rings();
+    dm.teardown();
+    const auto& rings = dm.input_rings();
     if (!rings.empty()) {
       std::lock_guard lk(mu_);
       for (const auto& ring : rings) {
@@ -346,8 +349,7 @@ class StageRunner {
   /// parent in port order, the compute, one send per child.  Sources
   /// stop at the frame count (1 for batch) or a stop request, every
   /// other stage at the frame count or end of stream.
-  void run_frames(Stage& s, ApplicationController& controller,
-                  std::uint64_t k) {
+  void run_frames(Stage& s, dm::DataManager& dm, std::uint64_t k) {
     const std::uint64_t first = k;
     const std::uint64_t frames = stream_ != nullptr ? stream_->frames : 1;
     for (;;) {
@@ -370,6 +372,8 @@ class StageRunner {
             std::lock_guard lk(latency_mu_);  // birth: before the sends
             born_[k] = Clock::now();
           }
+          refusal = guard(s);
+          if (refusal) break;
           tasklib::TaskContext ctx;
           ctx.input_size = s.node->props.input_size;
           common::Rng rng(
@@ -377,13 +381,9 @@ class StageRunner {
               (static_cast<std::uint64_t>(app_.value()) << 32) ^
               s.node->id.value());
           ctx.rng = &rng;
-          TaskOutcome out = controller.execute(
+          auto output = dm.run_frame(
               registry_, s.node->library_task, ctx, console_);
-          if (out.reschedule) {
-            refusal = std::move(out.reschedule);
-            break;
-          }
-          if (out.end_of_stream) {
+          if (!output) {  // the first input is at end of stream
             if (stream_ == nullptr) {
               throw common::TransportError(
                   "input channel closed before delivering data");
@@ -391,8 +391,11 @@ class StageRunner {
             break;
           }
           ++s.frames;
-          if (s.sink) sink_frame(s, k, out);  // stream sinks only
-          s.outcome = std::move(out);
+          s.output = std::move(*output);
+          s.output_frame = dm.output_frame();
+          s.compute_s = dm.compute_s();
+          s.io = dm.stats();
+          if (s.sink) sink_frame(s, k);  // stream sinks only
         }
         if (span.active()) {
           span.arg("outcome", refusal ? "refused" : "completed");
@@ -402,7 +405,7 @@ class StageRunner {
       // A refusal before the stage's first frame of this round is
       // re-placed right here, channels intact; a later one ends the
       // round (the stage has already passed frames on).
-      if (k != first || !re_place(s, controller, *refusal)) {
+      if (k != first || !re_place(s, *refusal)) {
         s.ended = AttemptOutcome::kRefused;
         throw common::StateError("refused by its Application Controller: " +
                                  refusal->reason);
@@ -414,7 +417,7 @@ class StageRunner {
 
   /// Stream sink bookkeeping after frame `k`: exactly-once counting,
   /// latency samples, and windowed checkpoints.
-  void sink_frame(Stage& s, std::uint64_t k, const TaskOutcome& out) {
+  void sink_frame(Stage& s, std::uint64_t k) {
     static common::Counter& m_emitted = metric("streaming.frames_emitted");
     static common::Counter& m_skipped = metric("streaming.frames_skipped");
     static common::Counter& m_windows = metric("streaming.windows_captured");
@@ -426,7 +429,7 @@ class StageRunner {
       m_skipped.add(1);
       return;
     }
-    const std::span<const std::byte> wire = out.output_frame.bytes();
+    const std::span<const std::byte> wire = s.output_frame.bytes();
     r.digest = fnv1a(r.digest, wire);
     r.bytes_emitted += wire.size();
     ++r.frames_emitted;
@@ -502,11 +505,49 @@ class StageRunner {
     return resume;
   }
 
+  /// The Application Controller's pre-compute guards on the stage's
+  /// current host, once per frame before its receives.  A host the
+  /// fault guard reports down never gets the frame; a dead host's load
+  /// reading is meaningless, so the load guard comes second: "If the
+  /// current load on any of these machines is more than a predefined
+  /// threshold value, the Application Controller terminates the task
+  /// execution on the machine and sends a task rescheduling request".
+  std::optional<RescheduleRequest> guard(const Stage& s) const {
+    if (ft_ == nullptr) return std::nullopt;
+    using Kind = RescheduleRequest::Kind;
+    const auto refuse = [&](Kind kind, std::string reason, double load) {
+      RescheduleRequest r;
+      r.app = app_;
+      r.task = s.node->id;
+      r.host = s.host;
+      r.observed_load = load;
+      r.kind = kind;
+      r.reason = std::move(reason);
+      return r;
+    };
+    if (ft_->host_alive && !ft_->host_alive(s.host)) {
+      return refuse(Kind::kHostFailure,
+                    "host " + std::to_string(s.host.value()) + " is down",
+                    0.0);
+    }
+    const double threshold = config_.load_threshold;
+    if (ft_->host_load && std::isfinite(threshold)) {
+      const double load = ft_->host_load(s.host);
+      if (load > threshold) {
+        return refuse(Kind::kLoadThreshold,
+                      "load " + std::to_string(load) + " above threshold " +
+                          std::to_string(threshold),
+                      load);
+      }
+    }
+    return std::nullopt;
+  }
+
   /// In-place recovery of a guard refusal before the stage's first frame
   /// of this round, channels intact: the recovery decision, then report,
-  /// re-place, rebind, back off.  False when the refusal must stand.
-  bool re_place(Stage& s, ApplicationController& controller,
-                const RescheduleRequest& refusal) {
+  /// re-place, back off.  The next frame's guard reads the new host.
+  /// False when the refusal must stand.
+  bool re_place(Stage& s, const RescheduleRequest& refusal) {
     const StageFacts refused{
         .attempts = s.attempts,
         .host_alive = refusal.kind != RescheduleRequest::Kind::kHostFailure,
@@ -523,8 +564,6 @@ class StageRunner {
       if (stranded_ == nullptr || &s < stranded_) stranded_ = &s;
       return false;
     }
-    controller.rebind_host(s.host);
-    arm_load_guard(controller, s.host);
     backoff_sleep(s);
     return true;
   }
@@ -610,16 +649,6 @@ class StageRunner {
                              {"excluded", hosts_csv(s.excluded)}});
     }
     return true;
-  }
-
-  void arm_load_guard(ApplicationController& controller, HostId host) {
-    if (ft_ == nullptr || !ft_->host_load ||
-        !std::isfinite(config_.load_threshold)) {
-      return;
-    }
-    controller.set_load_guard(
-        [probe = ft_->host_load, host] { return probe(host); },
-        config_.load_threshold);
   }
 
   /// One retry-backoff nap: jittered so lockstep retries de-correlate,
@@ -732,9 +761,9 @@ RunResult ExecutionEngine::execute(const afg::FlowGraph& graph,
     rec.library_task = s.node->library_task;
     rec.host = s.host;
     rec.turnaround_s = s.turnaround_s;
-    rec.compute_s = s.outcome.compute_elapsed_s;
-    rec.bytes_sent = s.outcome.io_stats.bytes_sent;
-    rec.bytes_received = s.outcome.io_stats.bytes_received;
+    rec.compute_s = s.compute_s;
+    rec.bytes_sent = s.io.bytes_sent;
+    rec.bytes_received = s.io.bytes_received;
     rec.attempts = s.attempts;
     result.makespan_s = std::max(result.makespan_s, s.turnaround_s);
     if (s.attempts > 1) ++result.failures_recovered;
@@ -743,11 +772,10 @@ RunResult ExecutionEngine::execute(const afg::FlowGraph& graph,
     count_stage(s);
     m_turnaround.observe(s.turnaround_s);
     if (feedback != nullptr) {
-      feedback->record_task_time(s.node->library_task,
-                                 s.outcome.compute_elapsed_s);
+      feedback->record_task_time(s.node->library_task, s.compute_s);
     }
     result.records.push_back(rec);
-    result.outputs.emplace(s.node->id, std::move(s.outcome.payload));
+    result.outputs.emplace(s.node->id, std::move(s.output));
   }
   m_recovered.add(result.failures_recovered);
   if (app_span.active()) {

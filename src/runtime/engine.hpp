@@ -4,21 +4,24 @@
 // In every round each unfinished task owns one stage thread, the
 // stand-in for its assigned machine: a thread of the process-wide
 // common::ParkedThreadPool, already running like the paper's per-host
-// daemons and parked again when the round is joined.  Each stage goes
-// through the full Figure 7 lifecycle:
+// daemons and parked again when the round is joined.  The stage thread
+// is its task's Application Controller, and its only runtime object is
+// the task's Data Manager.  Each stage goes through the full Figure 7
+// lifecycle:
 //
 //   1. the engine (as Site Manager / Group Manager) delivers the
-//      execution request to each task's Application Controller;
-//   2. each controller activates its Data Manager, which sets up its
+//      execution request to each task's stage thread;
+//   2. the stage thread activates its Data Manager, which sets up its
 //      communication channels through the broker and acknowledges;
 //   3. when every acknowledgment has arrived the engine issues the
 //      execution startup signal;
-//   4. each stage loops over frames from its resume point: a guard
-//      check, one receive per parent in port order, the compute, one
-//      send per child, over the configured transport (in-process
-//      bounded rings, or real TCP loopback sockets) and
-//      message-passing library facade.  A batch run is frame 0 only;
-//      a stream (StreamingEngine) runs until its sources finish;
+//   4. each stage loops over frames from its resume point: the
+//      controller's fault and load guards on the stage's current host,
+//      one receive per parent in port order, the compute, one send per
+//      child, over the configured transport (in-process bounded rings,
+//      or real TCP loopback sockets) and message-passing library
+//      facade.  A batch run is frame 0 only; a stream
+//      (StreamingEngine) runs until its sources finish;
 //   5. measured execution times flow back into the task-performance
 //      database via the Site Manager.
 //
@@ -42,13 +45,17 @@
 #pragma once
 
 #include <atomic>
+#include <functional>
 #include <limits>
 #include <map>
 #include <optional>
+#include <vector>
 
 #include "afg/graph.hpp"
 #include "datamgr/broker.hpp"
-#include "runtime/app_controller.hpp"
+#include "datamgr/mplib.hpp"
+#include "datamgr/services.hpp"
+#include "runtime/messages.hpp"
 #include "runtime/site_manager.hpp"
 #include "scheduler/allocation.hpp"
 #include "tasklib/registry.hpp"
@@ -135,12 +142,14 @@ struct FaultTolerance {
       const afg::TaskNode&, const std::vector<HostId>&)>;
 
   Rescheduler reschedule;
-  /// Liveness probe (testbed fault windows or Group-Manager belief);
-  /// also installed as every controller's fault guard, so it is called
-  /// once per stage per frame before that frame's receive, and on every
-  /// failed stage's host after a failed round.
+  /// Liveness probe (testbed fault windows or Group-Manager belief).
+  /// The stage runner's fault guard calls it on the stage's current
+  /// host once per stage per frame, before that frame's receives, and
+  /// on every failed stage's host after a failed round.
   std::function<bool(HostId)> host_alive;
-  /// Load probe backing the pre-compute load guard.
+  /// Load probe backing the pre-compute load guard, called on the
+  /// stage's current host after the fault guard passes, when
+  /// load_threshold is finite.
   std::function<double(HostId)> host_load;
   /// Failure notification, fired once per charged attempt before the
   /// re-placement is requested (wire to
@@ -172,7 +181,7 @@ class ExecutionEngine {
   /// fails; all other tasks are unblocked and joined first.
   ///
   /// Re-entrant: concurrent execute() calls on one engine are safe --
-  /// every run owns its broker and controllers, each of its rounds holds
+  /// every run owns its broker and Data Managers, each of its rounds holds
   /// a pool thread per stage until it is joined, and app-id assignment
   /// is atomic.  `app`, when valid, names the run
   /// explicitly (the submission service keys runs by its own tickets,

@@ -1465,8 +1465,15 @@ TEST(CommProxy, ConsumerThatLeavesAPausedLinkResetsItsProducer) {
     sender->close();
   }).detach();
 
+  // The link is paused once the count holds still above the 8 MiB high
+  // water.  A slow reader (a sanitizer build) can hold it still below
+  // that for a while before the link fills, so a stall below it does
+  // not end the wait; reaching 256 or the 5 s deadline does.
   int last = -1;
-  for (int stable = 0; stable < 5 && last < 256;) {
+  int stable = 0;
+  const auto wait_from = Clock::now();
+  while (!(stable >= 5 && last > 8) && last < 256 &&
+         seconds_since(wait_from) < 5.0) {
     std::this_thread::sleep_for(std::chrono::milliseconds(20));
     const int now = producer->sent.load();
     stable = now == last ? stable + 1 : 0;

@@ -9,9 +9,11 @@
 #include <filesystem>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <set>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "common/error.hpp"
 #include "netsim/testbed.hpp"
@@ -455,41 +457,6 @@ TEST_F(RuntimeEnv, DirectoryRejectsDuplicateSite) {
   EXPECT_THROW(dir.add_site(SiteId(0), repository), common::StateError);
 }
 
-// ----------------------------------------------------- app controller
-
-TEST(AppControllerTest, LoadGuardRefusesOverloadedMachine) {
-  dm::ChannelBroker broker(dm::TransportKind::kInProcess);
-  ApplicationController controller(broker, dm::MpLibrary::kP4,
-                                   common::AppId(1), HostId(0));
-  controller.activate(dm::TaskWiring{common::AppId(1), common::TaskId(0),
-                                     {}, {}});
-  controller.set_load_guard([] { return 9.0; }, /*threshold=*/4.0);
-
-  common::Rng rng(1);
-  tasklib::TaskContext ctx{1.0, &rng};
-  const auto outcome = controller.execute(tasklib::builtin_registry(),
-                                          "synth_source", ctx);
-  EXPECT_FALSE(outcome.completed);
-  ASSERT_TRUE(outcome.reschedule.has_value());
-  EXPECT_EQ(outcome.reschedule->host, HostId(0));
-  EXPECT_DOUBLE_EQ(outcome.reschedule->observed_load, 9.0);
-}
-
-TEST(AppControllerTest, RunsWhenUnderThreshold) {
-  dm::ChannelBroker broker(dm::TransportKind::kInProcess);
-  ApplicationController controller(broker, dm::MpLibrary::kP4,
-                                   common::AppId(1), HostId(0));
-  controller.activate(dm::TaskWiring{common::AppId(1), common::TaskId(0),
-                                     {}, {}});
-  controller.set_load_guard([] { return 1.0; }, 4.0);
-  common::Rng rng(1);
-  tasklib::TaskContext ctx{1.0, &rng};
-  const auto outcome = controller.execute(tasklib::builtin_registry(),
-                                          "synth_source", ctx);
-  EXPECT_TRUE(outcome.completed);
-  EXPECT_GT(outcome.compute_elapsed_s, 0.0);
-}
-
 // ------------------------------------------------- crossed diamond
 
 TEST(StageRunnerTest, CrossedDiamondOfLargePayloadsCannotDeadlock) {
@@ -690,6 +657,73 @@ TEST(StageThreadTest, ComputeSecondsExcludeTheWaitForInputs) {
       EXPECT_GE(rec.turnaround_s, 0.050);  // the wait is turnaround
     }
   }
+}
+
+// ---------------------------------------------------------- load guard
+
+/// What one guarded run left behind.
+struct GuardedRun {
+  RunResult result;
+  std::vector<RescheduleRequest> reports;  // every failure report filed
+  int probes = 0;                          // load probe reads
+};
+
+/// One run of a one-task graph on host 0 under a load threshold of 4.0:
+/// host 0's probe reads `load`, every other host 1.0, and a refused
+/// task is re-placed on host 1.
+GuardedRun run_under_load_guard(double load) {
+  GuardedRun run;
+  afg::FlowGraph g("guarded");
+  (void)g.add_task("synth_source", "a");
+  EngineConfig config;
+  config.load_threshold = 4.0;
+  FaultTolerance ft;
+  ft.host_load = [load, &run](HostId h) {
+    ++run.probes;
+    return h == HostId(0) ? load : 1.0;
+  };
+  ft.on_failure = [&run](const RescheduleRequest& r) {
+    run.reports.push_back(r);
+  };
+  ft.reschedule = [](const afg::TaskNode& node, const std::vector<HostId>&) {
+    sched::AllocationEntry e;
+    e.task = node.id;
+    e.task_label = node.label;
+    e.library_task = node.library_task;
+    e.hosts = {HostId(1)};
+    e.site = SiteId(0);
+    return std::optional<sched::AllocationEntry>(e);
+  };
+  ft.sleep = [](double) {};  // virtual backoff
+  run.result = ExecutionEngine(tasklib::builtin_registry(), config)
+                   .execute(g, host_per_task(g), nullptr, nullptr, &ft);
+  return run;
+}
+
+TEST(StageThreadTest, LoadGuardRefusesOverloadedMachine) {
+  const GuardedRun run = run_under_load_guard(9.0);
+  ASSERT_EQ(run.reports.size(), 1u);
+  const RescheduleRequest& report = run.reports[0];
+  EXPECT_EQ(report.kind, RescheduleRequest::Kind::kLoadThreshold);
+  EXPECT_EQ(report.host, HostId(0));
+  EXPECT_DOUBLE_EQ(report.observed_load, 9.0);
+  EXPECT_EQ(run.probes, 2);  // host 0 refused, host 1 accepted
+  ASSERT_EQ(run.result.records.size(), 1u);
+  const TaskRunRecord& rec = run.result.records[0];
+  EXPECT_EQ(rec.host, HostId(1));
+  EXPECT_EQ(rec.attempts, 2);
+  EXPECT_GT(rec.compute_s, 0.0);
+}
+
+TEST(StageThreadTest, RunsWhenUnderThreshold) {
+  const GuardedRun run = run_under_load_guard(1.0);
+  EXPECT_TRUE(run.reports.empty());
+  EXPECT_EQ(run.probes, 1);
+  ASSERT_EQ(run.result.records.size(), 1u);
+  const TaskRunRecord& rec = run.result.records[0];
+  EXPECT_EQ(rec.host, HostId(0));
+  EXPECT_EQ(rec.attempts, 1);
+  EXPECT_GT(rec.compute_s, 0.0);
 }
 
 }  // namespace

@@ -11,6 +11,7 @@
 #include <chrono>
 #include <cstdint>
 #include <map>
+#include <mutex>
 #include <thread>
 #include <vector>
 
@@ -627,6 +628,50 @@ TEST(StreamingEngine, TcpStreamResumesAfterACrash) {
   EXPECT_EQ(run.frames_resumed % kWindow, 0u);
   EXPECT_EQ(s.frames_emitted, kFrames);
   EXPECT_EQ(s.digest, reference.sinks.at(sink).digest);
+}
+
+TEST(StreamingEngine, FaultGuardRunsOncePerStagePerFrame) {
+  // The fault guard calls host_alive on each stage's host exactly once
+  // per frame, before that frame's receives, and once per stage in a
+  // batch run.  Fault plans that pick their fault frame by counting the
+  // victim's calls (perfbench's, FaultPointSweep's) rely on this count.
+  const auto graph = make_pipeline();
+  const auto hosts = fake_hosts();
+  const auto alloc = make_alloc(graph, hosts);
+  std::mutex mu;
+  std::map<HostId, std::uint64_t> calls;
+  FaultPlan plan;
+  FaultTolerance ft = plan.hooks();
+  ft.host_alive = [&](HostId h) {
+    std::lock_guard lk(mu);
+    ++calls[h];
+    return true;
+  };
+  const auto expect_calls = [&](std::uint64_t per_stage, const char* run) {
+    std::lock_guard lk(mu);
+    EXPECT_EQ(calls.size(), hosts.size()) << run;
+    for (const HostId h : hosts) {
+      EXPECT_EQ(calls[h], per_stage) << run << ", host " << h.value();
+    }
+    calls.clear();
+  };
+
+  const AppId app(66);
+  for (const std::uint64_t frames : {std::uint64_t{1}, std::uint64_t{24}}) {
+    StreamingConfig cfg;
+    cfg.seed = 41;
+    cfg.frames = frames;
+    cfg.channel_capacity = 2;
+    const auto run = StreamingEngine(tasklib::builtin_registry(), cfg)
+                         .execute(graph, alloc, &ft, app);
+    EXPECT_EQ(run.restarts, 0);
+    EXPECT_EQ(run.sinks.at(id_of(graph, "sink")).frames_emitted, frames);
+    expect_calls(frames, frames == 1 ? "1-frame stream" : "24-frame stream");
+  }
+  const auto batch = ExecutionEngine(tasklib::builtin_registry())
+                         .execute(graph, alloc, nullptr, nullptr, &ft, app);
+  EXPECT_EQ(batch.reschedules, 0u);
+  expect_calls(1, "batch run");
 }
 
 // ------------------------------------------------------- chaos soak
