@@ -67,19 +67,27 @@ int main() {
   sim::DynamicSimulator simulator(vdce, vdce.sites[0].repository->tasks(),
                                   scheduler, engine_config);
 
+  // The workload visualization reads the crashed host's site
+  // repository at every control tick, while the run is in flight.
+  const common::SiteId watched = vdce.testbed.site_of(hosts.front());
+  const repo::SiteRepository* repository = nullptr;
+  for (const rt::SiteStack& stack : vdce.sites) {
+    if (stack.manager->site() == watched) repository = stack.repository.get();
+  }
   viz::WorkloadRecorder recorder;
-  const auto result = simulator.run(graph, allocation, /*start_at=*/20.0);
+  const auto snapshot = [&](common::TimePoint t) {
+    recorder.snapshot(*repository, t);
+  };
+  const auto result =
+      simulator.run(graph, allocation, /*start_at=*/20.0, snapshot);
 
   std::cout << "run complete: makespan " << result.makespan_s << "s, "
             << result.reschedules << " reschedules, " << result.failures_hit
             << " failures survived\n\n";
   std::cout << viz::render_gantt(result, 64) << "\n";
 
-  // Workload visualization from the repository's monitored view.
-  for (double t = 20.0; t <= 80.0; t += 4.0) {
-    recorder.snapshot(*vdce.sites[0].repository, t);
-  }
-  std::cout << "monitored workload (site 0 repository view):\n"
+  std::cout << "monitored workload (site " << watched.value()
+            << " repository view, one column per control tick):\n"
             << recorder.render();
   return 0;
 }

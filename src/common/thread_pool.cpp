@@ -140,28 +140,37 @@ std::size_t ParkedThreadPool::parked() const {
   return idle_.size();
 }
 
-void ParkedThreadPool::launch(Gang& gang, std::function<void()> job) {
-  std::unique_lock lk(mu_);
-  if (idle_.empty()) {
-    // Nothing parked: start one more thread rather than queue.  Room is
-    // made first, so no push_back can throw once the thread runs.
-    workers_.reserve(workers_.size() + 1);
-    idle_.reserve(workers_.size() + 1);
-    auto fresh = std::make_unique<Worker>();
-    fresh->thread = std::thread([this, w = fresh.get()] { serve(*w); });
-    workers_.push_back(std::move(fresh));
-    idle_.push_back(workers_.back().get());
-  }
-  Worker* w = idle_.back();
-  idle_.pop_back();
-  w->job = std::move(job);
-  w->gang = &gang;
+void ParkedThreadPool::launch(Gang& gang,
+                              std::span<std::function<void()>> jobs) {
+  std::vector<Worker*> handed;
+  handed.reserve(jobs.size());
   {
+    std::lock_guard lk(mu_);
+    // Too few parked: start more threads rather than queue.  Room is
+    // made first, so no push_back can throw once a thread runs.
+    const std::size_t missing =
+        jobs.size() - std::min(jobs.size(), idle_.size());
+    workers_.reserve(workers_.size() + missing);
+    idle_.reserve(workers_.size() + missing);
+    for (std::size_t i = 0; i < missing; ++i) {
+      auto fresh = std::make_unique<Worker>();
+      fresh->thread = std::thread([this, w = fresh.get()] { serve(*w); });
+      workers_.push_back(std::move(fresh));
+      idle_.push_back(workers_.back().get());
+    }
+    // A woken thread needs this mutex to take its job, so none of the
+    // batch can run, finish and park before every job is handed over.
+    for (std::function<void()>& job : jobs) {
+      Worker* w = idle_.back();
+      idle_.pop_back();
+      w->job = std::move(job);
+      w->gang = &gang;
+      handed.push_back(w);
+    }
     std::lock_guard gang_lk(gang.mu_);
-    ++gang.running_;
+    gang.running_ += jobs.size();
   }
-  lk.unlock();
-  w->wake.notify_one();
+  for (Worker* w : handed) w->wake.notify_one();
 }
 
 void ParkedThreadPool::serve(Worker& w) {

@@ -19,7 +19,8 @@
 // the serial loop -- parallelism changes wall-clock, never results.
 //
 // ParkedThreadPool serves the stage runner's gangs (DESIGN.md D9): jobs
-// that must all be live at once, so it never queues.
+// that must all be live at once, so it never queues, and a round's jobs
+// are handed over in one batch.
 #pragma once
 
 #include <atomic>
@@ -30,6 +31,7 @@
 #include <future>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <thread>
 #include <type_traits>
 #include <vector>
@@ -97,10 +99,14 @@ class ThreadPool {
 
 /// Threads that outlive their jobs, for gangs whose jobs block on each
 /// other: the stage threads and restore feeders of one round (D9).  A
-/// launch never queues -- it hands the job to a parked thread, or
-/// starts a new one when none is parked -- because the round waits for
-/// every acknowledgment and a stage waits for its parents' frames, so a
-/// queued stage would deadlock the gang.  A thread
+/// launch never queues -- it hands each job to a parked thread, or
+/// starts a new one when none is parked -- because a stage waits for
+/// its parents' frames and for room on its children's links, so a
+/// queued stage would deadlock the gang.  A launch hands its whole
+/// batch over under one hold of the pool's mutex and wakes the threads
+/// only after releasing it, so no job of the batch can finish and have
+/// its thread handed a later job of the same batch: every job runs on a
+/// thread of its own.  A thread
 /// parks itself before its gang counts the job finished, so once a
 /// gang's join returns every thread it used is parked again.  There is
 /// no size, cap or idle timeout: the pool holds the peak number of jobs
@@ -118,10 +124,13 @@ class ParkedThreadPool {
     Gang(const Gang&) = delete;
     Gang& operator=(const Gang&) = delete;
 
-    /// Starts `job` on a thread of its own at once.
-    void launch(std::function<void()> job) {
-      pool_.launch(*this, std::move(job));
+    /// Starts every job of `jobs` at once, each on a thread of its own,
+    /// woken in order; the jobs are moved from.
+    void launch(std::span<std::function<void()>> jobs) {
+      pool_.launch(*this, jobs);
     }
+    /// The one-job batch.
+    void launch(std::function<void()> job) { launch(std::span(&job, 1)); }
 
     /// Returns when every launched job has finished, its captures are
     /// destroyed and its thread is parked.
@@ -157,7 +166,7 @@ class ParkedThreadPool {
  private:
   struct Worker;
 
-  void launch(Gang& gang, std::function<void()> job);
+  void launch(Gang& gang, std::span<std::function<void()>> jobs);
   void serve(Worker& worker);
 
   mutable std::mutex mu_;

@@ -27,7 +27,7 @@ void DataManager::setup(const TaskWiring& wiring) {
 
   // Open every input, then every output: no open waits for the other
   // end of its link (the broker makes the link for whichever end comes
-  // first), and no frame moves before the start signal.
+  // first), and no frame moves during set-up.
   for (const TaskId parent : wiring_.parents) {
     const LinkKey key{wiring_.app, parent, wiring_.task};
     std::shared_ptr<Channel> in = broker_->open_receive(key);

@@ -7,11 +7,12 @@
 //  for data transfer and the compute thread performs the task
 //  execution."  (Section 2.3.2)
 //
-// Lifecycle (Figure 7): the Application Controller -- the engine's
-// stage thread (DESIGN.md D9) -- activates the Data Manager
-// (construct), the Data Manager sets up its channels via the broker
-// (setup(), which completes the paper's setup/acknowledgment step), and
-// on the execution startup signal the task's frames run.
+// Lifecycle (Figure 7): the engine activates the Data Manager
+// (construct) and it sets up its channels via the broker (setup(),
+// which completes the paper's setup/acknowledgment step), both on the
+// engine's thread; the round's hand-over to the stage threads is the
+// execution startup signal, and the Application Controller -- the
+// task's stage thread (DESIGN.md D9) -- then runs the task's frames.
 //
 // Departure from Section 2.3.2: no separate send, receive and compute
 // threads.  The calling stage thread does all three in order, once per
@@ -65,8 +66,8 @@ class DataManager {
 
   /// Channel setup (Figure 7 steps 2-3): opens the receive endpoint of
   /// every in-edge, then the send endpoint of every out-edge.
-  /// Returning normally is the acknowledgment the Application
-  /// Controller forwards to the Site Manager.  No open waits for the
+  /// Returning normally is the acknowledgment the engine collects
+  /// before its execution startup signal.  No open waits for the
   /// other end of its link, so set-up never blocks.
   void setup(const TaskWiring& wiring);
 

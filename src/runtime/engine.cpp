@@ -8,7 +8,6 @@
 #include <chrono>
 #include <cmath>
 #include <exception>
-#include <latch>
 #include <limits>
 #include <mutex>
 #include <thread>
@@ -212,9 +211,11 @@ class StageRunner {
   std::vector<double> sink_latencies_s;
 
  private:
-  /// One round: every unfinished stage does the Figure 7 set-up and
-  /// acknowledgment, then runs its frames from `resume` after the
-  /// start signal.  True when no stage failed.
+  /// One round: this thread sets up every unfinished stage's Data
+  /// Manager (Figure 7's set-up and acknowledgment), then hands the
+  /// round's jobs to the parked pool in one hand-over, the execution
+  /// startup signal; each stage runs its frames from `resume`.  True
+  /// when no stage failed.
   bool run_round(int round, std::uint64_t resume) {
     broker_.clear_app(app_);  // the previous round's links are stale
     cause_ = nullptr;
@@ -227,109 +228,109 @@ class StageRunner {
     common::log_info("engine", "app ", app_.value(), " '", graph_.name(),
                      "': round ", round, " delivers execution requests to ",
                      live, " tasks");
-    std::latch acks(static_cast<std::ptrdiff_t>(live));
-    std::latch start(1);  // Figure 7 step 5
-    {
-      // Every stage and feeder runs on a parked pool thread of its own
-      // (the stand-in for its machine), all live at once.
-      common::ParkedThreadPool::Gang gang;
-      // The restore feeders: they stand in for finished stages' machines
-      // and push each kept output into its unfinished consumers'
-      // re-opened channels, indistinguishable from the live send.
-      // (Unfinished producers do not wire finished consumers.)
-      for (const Stage& d : stages) {
-        if (!d.done) continue;
-        for (const TaskId child : graph_.children(d.node->id)) {
-          if (stages[index_.at(child)].done) continue;
-          gang.launch([this, &d, child] {
+    double recv_s = 0.0;
+    if (ft_ != nullptr) {
+      recv_s = config_.recv_timeout_s;
+      if (round > 1 && (recv_s <= 0.0 || kAttemptTimeoutS < recv_s)) {
+        recv_s = kAttemptTimeoutS;
+      }
+    }
+    // Every unfinished stage's Data Manager, sources first so they are
+    // handed over first.  No open waits for its link's other end (D13),
+    // so set-up needs no thread per stage; a failed set-up is the
+    // round's cause, and no stage runs.
+    std::vector<std::pair<Stage*, dm::DataManager>> managers;
+    managers.reserve(live);
+    for (const bool sources : {true, false}) {
+      for (Stage& s : stages) {
+        if (s.done || s.source != sources) continue;
+        managers.emplace_back(&s, dm::DataManager(broker_, config_.library));
+        dm::DataManager& dm = managers.back().second;
+        if (recv_s > 0.0) dm.set_recv_timeout(recv_s);
+        try {
+          set_up(s, dm);
+        } catch (const std::exception& e) {
+          fail(s, e);
+          for (auto& [_, opened] : managers) opened.teardown();
+          return false;
+        }
+      }
+    }
+    // The restore feeders stand in for finished stages' machines and
+    // push each kept output into its unfinished consumers' re-opened
+    // channels, indistinguishable from the live send.  (Unfinished
+    // producers do not wire finished consumers.)
+    std::vector<std::function<void()>> jobs;
+    jobs.reserve(live);
+    for (const Stage& d : stages) {
+      if (!d.done) continue;
+      for (const TaskId child : graph_.children(d.node->id)) {
+        if (stages[index_.at(child)].done) continue;
+        try {
+          dm::MessageEndpoint out(
+              config_.library,
+              broker_.open_send(dm::LinkKey{app_, d.node->id, child}));
+          jobs.emplace_back([out, &frame = d.output_frame]() mutable {
             try {
-              dm::MessageEndpoint out(
-                  config_.library,
-                  broker_.open_send(dm::LinkKey{app_, d.node->id, child}));
-              out.send_frame(dm::kPayloadTag, d.output_frame);
+              out.send_frame(dm::kPayloadTag, frame);
               out.close();
             } catch (const std::exception&) {
               // The consuming stage's own receive error is authoritative.
             }
           });
+        } catch (const std::exception&) {
+          // No feeder: the consumer's receive deadline reports it.
         }
       }
-      for (Stage& s : stages) {
-        if (s.done) continue;
-        gang.launch([this, &s, round, resume, &acks, &start] {
-          stage_main(s, round, resume, acks, start);
-        });
-      }
-      // "When all the required acknowledgments are received an
-      // execution startup signal is sent to start the application
-      // execution."
-      acks.wait();
-      if (round == 1) gang_start_ = Clock::now();
-      start.count_down();
-    }  // join every stage and feeder
+    }
+    for (auto& [s, dm] : managers) {
+      jobs.emplace_back(
+          [this, s = s, &dm = dm, resume] { stage_main(*s, dm, resume); });
+    }
+    // "When all the required acknowledgments are received an execution
+    // startup signal is sent to start the application execution": one
+    // hand-over gives every stage and feeder a parked pool thread of its
+    // own (the stand-in for its machine), all live at once.
+    if (round == 1) gang_start_ = Clock::now();
+    common::ParkedThreadPool::Gang gang;
+    gang.launch(jobs);
+    gang.join();
     return cause_ == nullptr;
   }
 
-  /// One stage thread, its task's Application Controller: it activates
-  /// the task's Data Manager, acknowledges the set-up, waits for the
-  /// start signal, then runs the frames.  The acknowledgment latch is
-  /// counted down exactly once whether set-up succeeds or throws.
-  void stage_main(Stage& s, int round, std::uint64_t resume, std::latch& acks,
-                  std::latch& start) {
-    dm::DataManager dm(broker_, config_.library);
-    if (ft_ != nullptr) {
-      double recv_s = config_.recv_timeout_s;
-      if (round > 1 && (recv_s <= 0.0 || kAttemptTimeoutS < recv_s)) {
-        recv_s = kAttemptTimeoutS;
-      }
-      if (recv_s > 0.0) dm.set_recv_timeout(recv_s);
+  /// Figure 7 set-up of one stage's Data Manager: its parents in port
+  /// order and its unfinished children in topological rank (with every
+  /// stage sending in that order and receiving in port order, blocked
+  /// stages cannot wait in a cycle, DESIGN.md D9).  Returning is the
+  /// acknowledgment.
+  void set_up(const Stage& s, dm::DataManager& dm) {
+    std::vector<TaskId> children;
+    for (const TaskId c : graph_.children(s.node->id)) {
+      if (!stages[index_.at(c)].done) children.push_back(c);
     }
-    bool acked = false;
+    std::sort(children.begin(), children.end(),
+              [&](TaskId a, TaskId b) { return rank_.at(a) < rank_.at(b); });
+    const dm::TaskWiring wiring{app_, s.node->id,
+                                graph_.ordered_parents(s.node->id),
+                                std::move(children)};
+    common::ScopedSpan setup_span("channel_setup", "engine");
+    if (setup_span.active()) {
+      setup_span.arg("app", app_.value());
+      setup_span.arg("task", s.node->label);
+      setup_span.arg("host", s.host.value());
+      setup_span.arg("links", wiring.parents.size() + wiring.children.size());
+    }
+    dm.setup(wiring);
+  }
+
+  /// One stage thread, its task's Application Controller: it runs the
+  /// frames over its Data Manager, already set up, and tears it down on
+  /// every exit.
+  void stage_main(Stage& s, dm::DataManager& dm, std::uint64_t resume) {
     try {
-      // Unfinished children in topological rank: with every stage
-      // sending in that order and receiving in port order, blocked
-      // stages cannot wait in a cycle (DESIGN.md D9).
-      std::vector<TaskId> children;
-      for (const TaskId c : graph_.children(s.node->id)) {
-        if (!stages[index_.at(c)].done) children.push_back(c);
-      }
-      std::sort(children.begin(), children.end(),
-                [&](TaskId a, TaskId b) { return rank_.at(a) < rank_.at(b); });
-      const dm::TaskWiring wiring{app_, s.node->id,
-                                  graph_.ordered_parents(s.node->id),
-                                  std::move(children)};
-      {
-        common::ScopedSpan setup_span("channel_setup", "engine");
-        if (setup_span.active()) {
-          setup_span.arg("app", app_.value());
-          setup_span.arg("task", s.node->label);
-          setup_span.arg("host", s.host.value());
-          setup_span.arg("links",
-                         wiring.parents.size() + wiring.children.size());
-        }
-        dm.setup(wiring);  // returning is the acknowledgment
-      }
-      acks.count_down();
-      acked = true;
-      start.wait();  // the execution startup signal
       run_frames(s, dm, resume);
     } catch (const std::exception& e) {
-      // A TransportError is collateral: another stage caused it.
-      if (s.ended != AttemptOutcome::kRefused) {
-        s.ended = dynamic_cast<const common::TransportError*>(&e) != nullptr
-                      ? AttemptOutcome::kCollateral
-                      : AttemptOutcome::kFailed;
-      }
-      {
-        std::lock_guard lk(mu_);
-        s.error = e.what();
-        if (cause_ == nullptr) cause_ = &s;  // the round's first failure
-      }
-      // A stream's rings are aborted so every parked stage wakes; a
-      // batch run's peers unblock through this stage's own channel
-      // close below (a producer parked on its full input ring fails).
-      if (stream_ != nullptr) broker_.clear_app(app_);
-      if (!acked) acks.count_down();
+      fail(s, e);
     }
     // Closing retires this stage from every link: end of stream for its
     // consumers after a clean finish, unblocked peers after a failure.
@@ -343,6 +344,26 @@ class StageRunner {
         producer_parks += rs.producer_parks;
       }
     }
+  }
+
+  /// Records how the stage's attempt failed; the round's first failure
+  /// is its cause.  A TransportError is collateral: another stage
+  /// caused it.
+  void fail(Stage& s, const std::exception& e) {
+    if (s.ended != AttemptOutcome::kRefused) {
+      s.ended = dynamic_cast<const common::TransportError*>(&e) != nullptr
+                    ? AttemptOutcome::kCollateral
+                    : AttemptOutcome::kFailed;
+    }
+    {
+      std::lock_guard lk(mu_);
+      s.error = e.what();
+      if (cause_ == nullptr) cause_ = &s;
+    }
+    // A stream's rings are aborted so every parked stage wakes; a batch
+    // run's peers unblock through the failed stage's own channel close
+    // (a producer parked on its full input ring fails).
+    if (stream_ != nullptr) broker_.clear_app(app_);
   }
 
   /// The frame loop, once per attempt: a guard check, one receive per

@@ -10,11 +10,15 @@
 // lifecycle:
 //
 //   1. the engine (as Site Manager / Group Manager) delivers the
-//      execution request to each task's stage thread;
-//   2. the stage thread activates its Data Manager, which sets up its
-//      communication channels through the broker and acknowledges;
-//   3. when every acknowledgment has arrived the engine issues the
-//      execution startup signal;
+//      execution request to each task;
+//   2. on the engine's own thread, each task's Data Manager sets up its
+//      communication channels through the broker; no open waits for
+//      its link's other end, and `setup` returning is the task's
+//      acknowledgment;
+//   3. when every acknowledgment has arrived the engine hands the
+//      round's jobs to the parked pool in one hand-over, sources and
+//      restore feeders first: that hand-over is the execution startup
+//      signal, and each stage thread takes its Data Manager set up;
 //   4. each stage loops over frames from its resume point: the
 //      controller's fault and load guards on the stage's current host,
 //      one receive per parent in port order, the compute, one send per

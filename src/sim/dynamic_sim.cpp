@@ -36,7 +36,8 @@ DynamicSimulator::DynamicSimulator(rt::LocalVdce& vdce,
 
 SimResult DynamicSimulator::run(const afg::FlowGraph& graph,
                                 const sched::AllocationTable& allocation,
-                                TimePoint start_at) {
+                                TimePoint start_at,
+                                const std::function<void(TimePoint)>& on_tick) {
   graph.validate();
 
   enum class Status { kWaiting, kReady, kRunning, kDone };
@@ -226,6 +227,7 @@ SimResult DynamicSimulator::run(const afg::FlowGraph& graph,
       next_tick += kTickS;
       // Advance every site's control plane.
       for (const rt::SiteStack& stack : *sites_) stack.control->tick(now);
+      if (on_tick) on_tick(now);
       // Application Controllers' in-flight threshold checks.
       if (config_.load_threshold != kInf) {
         for (auto& [id, st] : states) {

@@ -23,6 +23,8 @@
 // runtime executes.
 #pragma once
 
+#include <functional>
+
 #include "runtime/engine.hpp"
 #include "runtime/site_stack.hpp"
 #include "scheduler/site_scheduler.hpp"
@@ -43,12 +45,16 @@ class DynamicSimulator {
                    const sched::SiteScheduler& scheduler,
                    rt::EngineConfig config = {});
 
-  /// Runs `graph` under `allocation` starting at `start_at`.  Throws
+  /// Runs `graph` under `allocation` starting at `start_at`.
+  /// `on_tick`, when given, is called at every control tick once every
+  /// site's control plane has advanced to it, so an observer can read
+  /// the repositories while the run is in flight.  Throws
   /// SchedulingError if a task exhausts max_attempts or no feasible
   /// host survives.
-  [[nodiscard]] SimResult run(const afg::FlowGraph& graph,
-                              const sched::AllocationTable& allocation,
-                              TimePoint start_at = 0.0);
+  [[nodiscard]] SimResult run(
+      const afg::FlowGraph& graph, const sched::AllocationTable& allocation,
+      TimePoint start_at = 0.0,
+      const std::function<void(TimePoint)>& on_tick = {});
 
  private:
   netsim::VirtualTestbed* testbed_;

@@ -12,12 +12,14 @@
 #include <cstdint>
 #include <cstdlib>
 #include <filesystem>
+#include <functional>
 #include <mutex>
 #include <new>
 #include <set>
 #include <span>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "common/clock.hpp"
 #include "common/error.hpp"
@@ -694,6 +696,38 @@ TEST(ParkedThreadPoolTest, SecondGangRunsOnlyOnThreadsThatAlreadyExisted) {
   EXPECT_EQ(std::set<pid_t>(second.begin(), second.end()),
             std::set<pid_t>(first.begin(), first.end()));
   EXPECT_EQ(pool.threads(), 6u);
+}
+
+TEST(ParkedThreadPoolTest, OneHandOverGivesEveryJobAThreadOfItsOwn) {
+  // Eight jobs handed over at once: the first returns at once and parks
+  // its thread while the other seven still wait for each other.  Handed
+  // over one by one, a later job could land on that parked thread; in
+  // one hand-over none can, and a second gang starts no thread.
+  ParkedThreadPool pool;
+  constexpr std::size_t kJobs = 8;
+  for (int rep = 0; rep < 200; ++rep) {
+    DeadlineBarrier barrier(kJobs - 1);
+    std::mutex mu;
+    std::multiset<pid_t> ran;
+    const auto record = [&] {
+      std::lock_guard lk(mu);
+      ran.insert(gettid());
+    };
+    std::vector<std::function<void()>> jobs{record};
+    for (std::size_t i = 1; i < kJobs; ++i) {
+      jobs.emplace_back([&] {
+        if (barrier.arrive_and_wait(kGangDeadline)) record();
+      });
+    }
+    {
+      ParkedThreadPool::Gang gang(pool);
+      gang.launch(jobs);
+    }
+    ASSERT_EQ(ran.size(), kJobs) << "repetition " << rep;
+    ASSERT_EQ(std::set<pid_t>(ran.begin(), ran.end()).size(), kJobs)
+        << "repetition " << rep;
+    ASSERT_EQ(pool.threads(), kJobs) << "repetition " << rep;
+  }
 }
 
 TEST(ParkedThreadPoolTest, ConcurrentLaunchersEachGetAWholeGang) {

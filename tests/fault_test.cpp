@@ -77,11 +77,13 @@ class FaultEnv : public ::testing::Test {
 // -------------------------------------------------- setup-ack protocol
 
 TEST_F(FaultEnv, MidExecuteFailureAcksExactlyOnce) {
-  // Regression: a task that throws *after* its channel-setup
-  // acknowledgment must not decrement the setup latch a second time on
-  // the error path (double count_down on std::latch is undefined
-  // behaviour).  The type-broken task fails mid-execute among healthy
-  // peers; every run must name the failing task and join cleanly.
+  // A task that throws *after* its channel-setup acknowledgment fails
+  // its run without touching the set-up again: the engine collected
+  // every acknowledgment on its own thread before handing the stages
+  // over.  (The name dates from an acknowledgment latch that the error
+  // path could count down twice; the stage runner has no latch now.)
+  // The type-broken task fails mid-execute among healthy peers; every
+  // run must name the failing task and join cleanly.
   vdce_.warm_up(5.0);
   afg::FlowGraph g("broken-wide");
   const auto vec = g.add_task("vector_generate", "vec");

@@ -4,13 +4,16 @@
 // per-attempt span instrumentation end to end.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <map>
+#include <optional>
 #include <sstream>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/error.hpp"
@@ -497,6 +500,158 @@ TEST(EngineTraceTest, ChannelSetupSpansNameTheirAppOverTcp) {
   }
   EXPECT_EQ(setups, g.task_count());
   EXPECT_EQ(link_ends, 2 * g.link_count());  // both ends of every link
+}
+
+/// A one-host-per-task allocation of `g`.
+sched::AllocationTable host_per_task(const afg::FlowGraph& g) {
+  sched::AllocationTable allocation(g.name());
+  for (const auto& node : g.tasks()) {
+    sched::AllocationEntry entry;
+    entry.task = node.id;
+    entry.task_label = node.label;
+    entry.library_task = node.library_task;
+    entry.hosts = {HostId(node.id.value())};
+    entry.site = SiteId(0);
+    allocation.add(entry);
+  }
+  return allocation;
+}
+
+/// Splits one run's channel_setup and attempt spans into rounds, in
+/// start order: a round is a run of set-ups followed by a run of
+/// attempts.  Checks Figure 7's order in each round -- every set-up
+/// ends before the round's first attempt begins -- and returns each
+/// round's set-up count.
+std::vector<std::size_t> setups_per_round(
+    const std::vector<TraceEvent>& events) {
+  std::vector<const TraceEvent*> spans;
+  for (const auto& ev : events) {
+    if (ev.name == "channel_setup" || ev.category == "engine.task") {
+      spans.push_back(&ev);
+    }
+  }
+  const auto attempt = [](const TraceEvent* ev) {
+    return ev->name != "channel_setup";
+  };
+  std::sort(spans.begin(), spans.end(), [&](const auto* a, const auto* b) {
+    return std::pair(a->ts_us, attempt(a)) < std::pair(b->ts_us, attempt(b));
+  });
+  std::vector<std::size_t> setups;
+  std::uint64_t setups_end = 0;
+  bool attempts_begun = true;
+  for (const TraceEvent* ev : spans) {
+    if (!attempt(ev)) {
+      if (attempts_begun) {  // a new round
+        setups.push_back(0);
+        setups_end = 0;
+        attempts_begun = false;
+      }
+      ++setups.back();
+      setups_end = std::max(setups_end, ev->ts_us + ev->dur_us);
+    } else if (setups.empty()) {
+      ADD_FAILURE() << ev->name << " began before any channel_setup";
+    } else if (!attempts_begun) {
+      EXPECT_LE(setups_end, ev->ts_us)
+          << "round " << setups.size() << ": " << ev->name
+          << " began before a channel_setup ended";
+      attempts_begun = true;
+    }
+  }
+  return setups;
+}
+
+TEST(EngineTraceTest, EveryRoundSetsUpBeforeItsFirstAttempt) {
+  // Figure 7: every task's channels are set up and acknowledged before
+  // the execution startup signal, so in every round each unfinished
+  // task's channel_setup span ends before the round's first attempt
+  // span begins.
+  afg::FlowGraph fan("traced-fan-in");
+  const auto a = fan.add_task("synth_source", "a");
+  const auto b = fan.add_task("synth_source", "b");
+  const auto sink = fan.add_task("synth_sink", "sink");
+  fan.add_link(a, sink, 0.1);
+  fan.add_link(b, sink, 0.1);
+  const auto fan_allocation = host_per_task(fan);
+
+  for (const auto transport :
+       {dm::TransportKind::kInProcess, dm::TransportKind::kTcp}) {
+    SCOPED_TRACE(transport == dm::TransportKind::kTcp ? "tcp" : "inproc");
+    EngineConfig config;
+    config.transport = transport;
+    TraceRecorder recorder;
+    TraceRecorder::install(&recorder);
+    (void)ExecutionEngine(tasklib::builtin_registry(), config)
+        .execute(fan, fan_allocation);
+    TraceRecorder::install(nullptr);
+    EXPECT_EQ(setups_per_round(recorder.snapshot()),
+              std::vector<std::size_t>{3});
+  }
+
+  {
+    SCOPED_TRACE("stream");
+    afg::FlowGraph g("traced-stream-setup");
+    const auto src = g.add_task("stream_window_source", "src");
+    const auto rs = g.add_task("stream_resample", "rs");
+    const auto snk = g.add_task("stream_sink", "sink");
+    g.add_link(src, rs, 0.001);
+    g.add_link(rs, snk, 0.001);
+    rt::StreamingConfig config;
+    config.frames = 24;
+    TraceRecorder recorder;
+    TraceRecorder::install(&recorder);
+    const auto run = rt::StreamingEngine(tasklib::builtin_registry(), config)
+                         .execute(g, host_per_task(g));
+    TraceRecorder::install(nullptr);
+    EXPECT_EQ(run.sinks.at(snk).frames_emitted, 24u);
+    EXPECT_EQ(setups_per_round(recorder.snapshot()),
+              std::vector<std::size_t>{3});
+  }
+
+  {
+    // The relay throws on its first attempt.  The source finished in
+    // round 1, so round 2 sets up the relay and the sink only, and a
+    // restore feeder sends the source's kept output.
+    SCOPED_TRACE("retried batch");
+    static std::atomic<int> calls{0};
+    calls = 0;
+    tasklib::TaskRegistry registry;
+    tasklib::register_builtin_tasks(registry);
+    tasklib::LibraryEntry relay;
+    relay.name = "flaky_relay";
+    relay.menu = "synthetic";
+    relay.description = "fails on the first call, forwards its input after";
+    relay.min_inputs = 1;
+    relay.max_inputs = 1;
+    relay.fn = [](const std::vector<tasklib::Payload>& in,
+                  const tasklib::TaskContext&) {
+      if (calls.fetch_add(1) == 0) throw StateError("transient fault");
+      return in.front();
+    };
+    registry.add(std::move(relay));
+
+    afg::FlowGraph g("traced-retry-setup");
+    const auto src = g.add_task("synth_source", "src");
+    const auto mid = g.add_task("flaky_relay", "relay");
+    const auto snk = g.add_task("synth_sink", "sink");
+    g.add_link(src, mid, 0.1);
+    g.add_link(mid, snk, 0.1);
+
+    FaultTolerance ft;
+    ft.reschedule = [](const afg::TaskNode&, const std::vector<HostId>&)
+        -> std::optional<sched::AllocationEntry> { return std::nullopt; };
+    ft.sleep = [](double) {};
+    EngineConfig config;
+    config.recv_timeout_s = 20.0;
+    ExecutionEngine engine(registry, config);
+    TraceRecorder recorder;
+    TraceRecorder::install(&recorder);
+    const auto result =
+        engine.execute(g, host_per_task(g), nullptr, nullptr, &ft);
+    TraceRecorder::install(nullptr);
+    EXPECT_EQ(result.failures_recovered, 1u);
+    EXPECT_EQ(setups_per_round(recorder.snapshot()),
+              (std::vector<std::size_t>{3, 2}));
+  }
 }
 
 TEST(EngineTraceTest, RecoveryInstantsNameTheirApp) {
